@@ -12,10 +12,14 @@ For a fixed protocol, the sifted conclusive events are described by the
     rho(M) = (1/|G|) sum_g (1_A (x) F U_g^dag M U_g^{(x)nu}) P(pair source) (...)^dag
 
 and the conclusive / bit-error / phase-error probabilities are traces of
-rho(M) against Bell projectors.  Because each is a quadratic form in the
-flattened attack coordinates, it is compiled once into a Hermitian matrix
-H_event (side 2^{nu+1}) by polarization over basis attacks; all verification
-then happens at the level of these matrices.
+rho(M) against Bell projectors.  Each sift term is linear in M: its pair
+vector is A_g v for the flattened attack coordinates v, with
+
+    A_g[(a,b),(o,i)] = (F U_g^dag)[b,o] * (psi U_g^{(x)nu T})[a,i].
+
+So every event probability is the exact quadratic form v^dag H_event v with
+H_event = (1/|G|) sum_g A_g^dag P_event A_g (side 2^{nu+1}), compiled once per
+(protocol, nu); all verification then happens at the level of these matrices.
 """
 
 from __future__ import annotations
@@ -134,24 +138,6 @@ def bell_overlaps(rho: np.ndarray) -> dict[str, float]:
     return {tag: float(np.trace(p @ rho).real) for tag, p in bells.items()}
 
 
-def _weight_vector(v: np.ndarray, protocol: str, nu: int) -> np.ndarray:
-    """All seven event weights of one attack coordinate vector."""
-    rho = conditional_pair_state(EffectiveAttack.unflatten(v, nu), protocol)
-    b = bell_overlaps(rho)
-    p_fil = float(np.trace(rho).real)
-    return np.array(
-        [
-            p_fil,
-            b["chi1+"] + b["chi1-"],
-            b["chi0-"] + b["chi1-"],
-            b["chi0+"],
-            b["chi0-"],
-            b["chi1+"],
-            b["chi1-"],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class EventForm:
     """Hermitian matrix H with p_event(attack) = v^dag H v over attack coordinates."""
@@ -168,45 +154,26 @@ class EventForm:
 
 @lru_cache(maxsize=None)
 def all_forms(protocol: str, nu: int) -> dict[str, EventForm]:
-    """Compile every event form for (protocol, nu) in one polarization pass.
-
-    Diagonal entries come from basis attacks e_i; off-diagonal real and
-    imaginary parts from the probes e_i + e_j and e_i + i e_j.
-    """
+    """Compile every event form for (protocol, nu) from the sift-term maps A_g."""
     if protocol not in qmath.PROTOCOLS:
         raise ValueError("unknown protocol %r" % (protocol,))
     if not (1 <= nu <= MAX_NU):
         raise ValueError("photon number must be in 1..%d" % MAX_NU)
     dim = 2 ** (nu + 1)
-    n_ev = len(EVENT_TAGS)
-    mats = np.zeros((n_ev, dim, dim), dtype=complex)
-    diag = np.zeros((n_ev, dim))
-    probe = np.zeros(dim, dtype=complex)
-    for i in range(dim):
-        probe[:] = 0
-        probe[i] = 1
-        diag[:, i] = _weight_vector(probe, protocol, nu)
-        mats[:, i, i] = diag[:, i]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            probe[:] = 0
-            probe[i] = 1
-            probe[j] = 1
-            w_re = _weight_vector(probe, protocol, nu)
-            probe[j] = 1j
-            w_im = _weight_vector(probe, protocol, nu)
-            re = (w_re - diag[:, i] - diag[:, j]) / 2
-            im = -(w_im - diag[:, i] - diag[:, j]) / 2
-            mats[:, i, j] = re + 1j * im
-            mats[:, j, i] = re - 1j * im
-    return {
-        tag: EventForm(event=tag, protocol=protocol, nu=nu, matrix=mats[k])
-        for k, tag in enumerate(EVENT_TAGS)
+    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
+    terms = _sift_terms(protocol, nu)
+    a = np.stack([np.einsum("bo,ai->aboi", fu, psi @ uk.T).reshape(4, dim)
+                  for fu, uk in terms])
+    bells = qmath.constants("four-state").bell_projectors
+    event_ops = {
+        "fil": np.eye(4),
+        "bit": bells["chi1+"] + bells["chi1-"],
+        "ph": bells["chi0-"] + bells["chi1-"],
+        **{"bell:" + tag: bells[tag] for tag in qmath.BELL_TAGS},
     }
-
-
-def form_matrix(event: str, protocol: str, nu: int) -> EventForm:
-    """The compiled Hermitian form for one event tag."""
-    if event not in EVENT_TAGS:
-        raise ValueError("unknown event %r" % (event,))
-    return all_forms(protocol, nu)[event]
+    a_dag = a.conj().reshape(-1, dim).T
+    return {
+        tag: EventForm(event=tag, protocol=protocol, nu=nu,
+                       matrix=a_dag @ (op @ a).reshape(-1, dim) / len(terms))
+        for tag, op in event_ops.items()
+    }

@@ -8,13 +8,20 @@ positive-semidefiniteness statement about the Hermitian matrix
 over the attack coordinates, so it is verified exactly by one smallest-
 eigenvalue computation instead of a search over attacks.  The frontier
 ``y_star(x)`` is the least filter coefficient that keeps the matrix PSD;
-it exists in [0, 1] because p_ph <= p_fil pointwise.
+it exists in [0, 1] because p_ph <= p_fil pointwise.  The same inequality
+makes H_bit and H_ph vanish on the kernel of H_fil, so on R = range(H_fil)
+
+    y_star(x) = max(0, lambda_max(F^-1/2 R^dag (H_ph - x*H_bit) R F^-1/2)),
+
+with F the diagonal of nonzero eigenvalues of H_fil: one eigen-solve per
+point, each then certified by its PSD margin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +37,8 @@ DEFAULT_X_GRID = tuple(
 
 PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-10
+# Eigenvalues of H_fil at or below this fraction of its largest span its kernel.
+RANK_TOL = 1e-12
 
 
 def _forms(protocol: str, nu: int):
@@ -100,32 +109,51 @@ class FrontierPoint:
     gap: float | None
 
 
-def frontier(x: float, protocol: str, nu: int, tol: float = PSD_TOL) -> FrontierPoint:
-    """Minimal y with psd_margin(x, y) >= -tol, by bisection on y in [0, 1].
+@lru_cache(maxsize=None)
+def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil).
 
-    The margin is nondecreasing in y (H_fil is PSD), so bisection is exact to
-    its resolution; y = 1 is always feasible because p_ph <= p_fil.
+    R holds the eigenvectors of H_fil above the rank cut, F their eigenvalues.
+
+    Raises ArithmeticError when H_bit or H_ph does not vanish on the kernel
+    of H_fil to within the rank cut, since the reduction would then drop
+    part of the margin.
     """
     h_bit, h_fil, h_ph = _forms(protocol, nu)
-    base = x * h_bit - h_ph
+    w, v = qmath.eigh_checked(h_fil)
+    cut = RANK_TOL * w[-1]
+    keep = w > cut
+    leak = max(float(np.linalg.norm(h @ v[:, ~keep], 2)) for h in (h_bit, h_ph))
+    if leak > cut:
+        raise ArithmeticError("event forms leak %.3e onto the kernel of H_fil "
+                              "(rank cut %.3e)" % (leak, cut))
+    r = v[:, keep] / np.sqrt(w[keep])
 
-    def margin(y: float) -> float:
-        return qmath.min_eigenvalue(base + y * h_fil)
+    def reduce(h: np.ndarray) -> np.ndarray:
+        m = qmath.dagger(r) @ h @ r
+        return 0.5 * (m + qmath.dagger(m))
 
-    if margin(0.0) >= -tol:
-        y_star = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if margin(mid) >= -tol:
-                hi = mid
-            else:
-                lo = mid
-        y_star = hi
+    return reduce(h_ph), reduce(h_bit)
+
+
+def frontier(x: float, protocol: str, nu: int, tol: float = PSD_TOL) -> FrontierPoint:
+    """Minimal y with x*H_bit + y*H_fil - H_ph PSD, from one reduced eigen-solve.
+
+    y_star is clipped to [0, 1] (y = 1 is always feasible because
+    p_ph <= p_fil) and accepted only if psd_margin(x, y_star) >= -tol;
+    otherwise ArithmeticError is raised.
+    """
+    a, b = _reduced_pencil(protocol, nu)
+    y_star = min(1.0, max(0.0, -qmath.min_eigenvalue(x * b - a)))
+    margin = psd_margin(x, y_star, protocol, nu)
+    if margin < -tol:
+        raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
+                              % (x, y_star, margin))
     if protocol == "four-state" and nu == 2:
         gx = g_of_x(x)
-        return FrontierPoint(x=x, y_star=y_star, margin_at_g=margin(gx), gap=gx - y_star)
+        return FrontierPoint(x=x, y_star=y_star,
+                             margin_at_g=psd_margin(x, gx, protocol, nu),
+                             gap=gx - y_star)
     return FrontierPoint(x=x, y_star=y_star, margin_at_g=None, gap=None)
 
 

@@ -6,7 +6,8 @@ Rates are asymptotic per sifted conclusive pair:
   (bit error, phase error) indicators is chosen adversarially subject to the
   marginal constraint e_ph = 1.5*e_bit and the two correlation inequalities;
 * two photons:   R2 = 1 - h(e_bit) - h(e_ph) with e_ph the best certified
-  bound min_x [x*e_bit + g(x)] (bit/phase treated as independent);
+  bound min_x [x*e_bit + g(x)], evaluated in closed form (bit/phase treated
+  as independent);
 * six-state variant: same shape as R2 but with the numerically computed
   frontier y_star(x) in place of g, for photon numbers 1..4.
 
@@ -107,22 +108,6 @@ def worst_joint_single(e_bit: float) -> tuple[JointErrorDistribution, float]:
     return dist, dist.entropy()
 
 
-def scan_joint_single(e_bit: float, points: int = 100001) -> tuple[float, float]:
-    """Brute-force entropy maximization over the segment (test oracle).
-
-    Returns (s_best, H_best) from a uniform scan of s in [e/2, e].
-    """
-    e = float(e_bit)
-    lo, hi = 0.5 * e, e
-    best_s, best_h = lo, -1.0
-    for k in range(points):
-        s = lo + (hi - lo) * k / (points - 1)
-        h = _joint_from_s(e, s).entropy()
-        if h > best_h:
-            best_h, best_s = h, s
-    return best_s, best_h
-
-
 @dataclass(frozen=True)
 class RateResult:
     """A key-rate evaluation at one bit-error rate."""
@@ -180,53 +165,29 @@ def threshold_single() -> ThresholdResult:
     )
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
+# x_opt reported at e_bit = 0, where the minimizer of x*e_bit + g(x) runs
+# off to infinity.
 X_SCAN_HI = 50.0
 
 
 def ephase_bound_two(e_bit: float) -> tuple[float, float]:
     """Best certified two-photon phase-error bound min_x [x*e_bit + g(x)].
 
-    A coarse scan locates the basin (the objective is unimodal in practice;
-    the scan would expose any violation) and golden-section refines it.  At
-    e_bit = 0 the minimizer runs off to infinity, so the infimum sin^2(pi/8)
-    is returned exactly with x_opt clamped to the scan edge.
+    The objective is convex, and with c = 2 - 6*e_bit its stationary point is
+    x* = (3*sqrt(2) + c*sqrt(6/(4 - c^2)))/4, where the minimum equals
+    (3 - (3*sqrt(2)/4)*c + (sqrt(6)/4)*sqrt(4 - c^2))/6.  Both are evaluated
+    with 4 - c^2 = 6*e_bit*(4 - 6*e_bit), which has no cancellation.  At
+    e_bit = 0 the infimum sin^2(pi/8) is returned with x_opt = X_SCAN_HI.
     """
     e = float(e_bit)
     if not 0.0 <= e <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     if e == 0.0:
         return SIN2_PI_8, X_SCAN_HI
-
-    def objective(x: float) -> float:
-        return x * e + bounds.g_of_x(x)
-
-    n_coarse = 501
-    xs = [X_SCAN_HI * k / (n_coarse - 1) for k in range(n_coarse)]
-    vals = [objective(x) for x in xs]
-    k_best = vals.index(min(vals))
-    lo = xs[max(0, k_best - 1)]
-    hi = xs[min(n_coarse - 1, k_best + 1)]
-    x_opt, e_ph = _golden_min(objective, lo, hi)
+    c = 2.0 - 6.0 * e
+    s = math.sqrt(6.0 * e * (4.0 - 6.0 * e))
+    x_opt = (3.0 * math.sqrt(2.0) + c * math.sqrt(6.0) / s) / 4.0
+    e_ph = (3.0 - 0.75 * math.sqrt(2.0) * c + 0.25 * math.sqrt(6.0) * s) / 6.0
     return e_ph, x_opt
 
 
@@ -372,15 +333,3 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
         residual=residual,
     )
 
-
-def fourstate_indep_threshold() -> float:
-    """Four-state nu=1 threshold under the same independent-errors fallback.
-
-    Root of 1 - h(e) - h(1.5e); this is the like-for-like baseline for the
-    six-state dominance comparison (the frontier pipeline never uses the
-    correlation-aware joint entropy).
-    """
-    return _bisect_root(
-        lambda e: 1.0 - binary_entropy(e) - binary_entropy(1.5 * e), 0.01, 0.3,
-        tol=1e-7,
-    )

@@ -76,7 +76,3 @@ def render_json(results, manifest: RunManifest) -> str:
     doc = {"manifest": asdict(manifest), "results": results}
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
-
-def payload_lines(report: str) -> list[str]:
-    """The byte-stable part of a CSV report (everything but comment lines)."""
-    return [ln for ln in report.splitlines() if not ln.startswith("#")]

@@ -46,6 +46,11 @@ _SLOT_COS = 19
 _SLOT_AZIMUTH = 25
 
 
+def _is_int(value) -> bool:
+    """A Python int that is not a bool (YAML reads `true` as True == 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Session parameters for the Monte Carlo engine.
@@ -68,18 +73,18 @@ class SimConfig:
             raise ValueError("unknown protocol %r" % (self.protocol,))
         if (self.nu is None) == (self.mu is None):
             raise ValueError("exactly one of nu and mu must be set")
-        if self.nu is not None and self.nu not in (1, 2, 3, 4):
-            raise ValueError("fixed photon number must be in 1..4")
+        if self.nu is not None and not (_is_int(self.nu) and 1 <= self.nu <= 4):
+            raise ValueError("fixed photon number must be an integer in 1..4")
         if self.mu is not None and not self.mu > 0.0:
             raise ValueError("coherent intensity must be positive")
         if not 0.0 <= self.p <= 0.75:
             raise ValueError("depolarizing rate must be in [0, 0.75]")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("transmittance must be in (0, 1]")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError("seed must be a nonnegative integer")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer in [0, 2^64)")
 
     @property
     def max_photons(self) -> int:

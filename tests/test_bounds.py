@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sargkit import attack_forms, bounds, qmath
 
 SIN2 = math.sin(math.pi / 8) ** 2
@@ -105,6 +106,38 @@ def test_frontier_table_sorted_and_nonincreasing():
     assert len(xs) == len(bounds.DEFAULT_X_GRID)
     ys = [pt.y_star for pt in table]
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_frontier_matches_bisection_oracle(protocol, nu):
+    # The one-solve root sits within the bisection's -1e-9 acceptance slack
+    # of the bisection root, and each point carries its own certificate.
+    for x in bounds.DEFAULT_X_GRID:
+        pt = bounds.frontier(x, protocol, nu)
+        assert abs(pt.y_star - oracles.frontier_bisection(x, protocol, nu)) < 5e-8
+        assert bounds.psd_margin(x, pt.y_star, protocol, nu) >= -1e-9
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
+def test_bit_and_phase_forms_vanish_on_filter_kernel(protocol, nu):
+    forms = attack_forms.all_forms(protocol, nu)
+    w, v = np.linalg.eigh(forms["fil"].matrix)
+    cut = bounds.RANK_TOL * w[-1]
+    kernel = v[:, w <= cut]
+    for tag in ("bit", "ph"):
+        assert np.linalg.norm(forms[tag].matrix @ kernel, 2) <= cut
+
+
+def test_frontier_reduction_rejects_kernel_leak(monkeypatch):
+    h_bit, h_fil, h_ph = bounds._forms("four-state", 2)
+    _, v = np.linalg.eigh(h_fil)
+    k = v[:, 0]
+    leaky = h_ph + 1e-6 * np.outer(k, k.conj())
+    monkeypatch.setattr(bounds, "_forms", lambda protocol, nu: (h_bit, h_fil, leaky))
+    with pytest.raises(ArithmeticError):
+        bounds._reduced_pencil.__wrapped__("four-state", 2)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])

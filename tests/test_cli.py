@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from sargkit import cli, reports
+import oracles
+from sargkit import cli
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -14,7 +15,7 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 
 def read_csv(text: str) -> list[dict]:
-    return list(csv.DictReader(reports.payload_lines(text)))
+    return list(csv.DictReader(oracles.payload_lines(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def test_frontier_six_state_is_informational(capsys):
 def test_frontier_byte_stable(capsys):
     _, a = run(capsys, "frontier", "--x-max", "3")
     _, b = run(capsys, "frontier", "--x-max", "3")
-    assert reports.payload_lines(a) == reports.payload_lines(b)
+    assert oracles.payload_lines(a) == oracles.payload_lines(b)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,22 @@ def test_simulate_coherent_has_breakdown_no_compare(capsys, tmp_path):
 def test_simulate_config_schema_violations(capsys, tmp_path, mangle):
     cfg = write_config(tmp_path, mangle(SIM_YAML))
     assert cli.main(["simulate", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", "18446744073709551616"),
+    ("seed", "true"),
+    ("nu", "2.0"),
+    ("nu", "true"),
+    ("trials", "true"),
+])
+def test_simulate_rejects_mistyped_values_with_one_line(capsys, tmp_path, key,
+                                                         value):
+    lines = [ln for ln in SIM_YAML.splitlines() if not ln.startswith(key + ":")]
+    cfg = write_config(tmp_path, "\n".join(lines + ["%s: %s" % (key, value)]))
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: bad config:") and err.count("\n") == 1
 
 
 def test_simulate_missing_config_file(capsys, tmp_path):

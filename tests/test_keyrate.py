@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from sargkit import keyrate
 
 SIN2 = math.sin(math.pi / 8) ** 2
@@ -37,7 +40,7 @@ def test_worst_joint_matches_grid_scan(e):
     # The closed-form maximizer must agree with a dense scan over the
     # feasible segment q11 = s in [e/2, e].
     dist, h_max = keyrate.worst_joint_single(e)
-    s_best, h_best = keyrate.scan_joint_single(e, points=100001)
+    s_best, h_best = oracles.scan_joint_single(e, points=100001)
     assert abs(h_max - h_best) < 1e-6
     assert abs(dist.q11 - s_best) < 1e-4
     assert abs(dist.e_bit - e) < 1e-12
@@ -93,6 +96,17 @@ def test_ephase_bound_two_is_an_envelope_minimum():
     e_ph, _ = keyrate.ephase_bound_two(e)
     for x in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
         assert e_ph <= x * e + bounds.g_of_x(x) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=3e-5, max_value=0.5))
+def test_ephase_bound_two_matches_scan_and_golden_oracle(e):
+    # Above e = 3e-5 the minimizer lies inside the oracle's scan range [0, 50].
+    from sargkit import bounds
+    e_ph, x_opt = keyrate.ephase_bound_two(e)
+    e_ref, _ = oracles.ephase_bound_two_scan(e)
+    assert abs(e_ph - e_ref) <= 1e-12
+    assert abs(e_ph - (x_opt * e + bounds.g_of_x(x_opt))) <= 1e-12
 
 
 def test_threshold_two_reference_values():
@@ -168,7 +182,7 @@ def test_six_state_threshold_regression_values():
 def test_six_state_dominates_like_for_like_baseline():
     # Under the same independent-errors entropy model the six-state frontier
     # can only improve on the four-state one.
-    base = keyrate.fourstate_indep_threshold()
+    base = oracles.fourstate_indep_threshold()
     assert keyrate.sixstate_thresholds(1).e_threshold >= base - 1e-6
 
 
