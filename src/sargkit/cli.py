@@ -341,8 +341,9 @@ def cmd_simulate(args) -> int:
     }
     row = {k: ("" if v is None else v) for k, v in row.items()}
 
-    failed = comp is not None and not comp.passed
-    status = "OK" if comp is None else ("PASS" if comp.passed else "FAIL")
+    passed = None if comp is None else comp.passed
+    failed = passed is False
+    status = "OK" if passed is None else ("PASS" if passed else "FAIL")
     manifest = reports.finish_manifest(manifest, status)
     _report(args, SIMULATE_FIELDS, [row], results, manifest)
     return 1 if failed else 0

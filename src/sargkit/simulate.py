@@ -14,12 +14,19 @@ Channel model per pulse of nu photons in state rho^(x)nu:
 Randomness is counter-based: trial a consumes exactly the 32 raw 64-bit
 words at stream offset 32*a of a Philox generator keyed by the master seed,
 so every trial is replayable in isolation and aggregate statistics are
-independent of how the trial range is sharded.
+independent of how the trial range is sharded and of how many threads run
+the shards.
+
+Each raw word w stands for the uniform deviate u = (w >> 11)·2⁻⁵³.  The shard
+kernel never forms u: it tests u < t as the exact integer comparison
+(w >> 11) < ceil(t·2⁵³), so its tallies equal those of the float formulation
+(kept in `replay_trial`) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,7 @@ from . import qmath
 
 SLOTS = 32
 MAX_PHOTONS = 6
+MAX_MU = 1.0  # photon counts above MAX_PHOTONS then carry < 1e-4 of the law
 
 # Slot layout (uniform deviates unless noted): 0 Alice bit, 1 Alice rotation,
 # 2 Bob rotation, 3 Bob basis, 4 depolarizing branch, 5 squash coin,
@@ -55,9 +63,9 @@ def _is_int(value) -> bool:
 class SimConfig:
     """Session parameters for the Monte Carlo engine.
 
-    Exactly one of nu (fixed photon number, 1..4) and mu (coherent intensity,
-    photon number Poisson-distributed and truncated at MAX_PHOTONS with
-    renormalization) must be given.
+    Exactly one of nu (fixed photon number, 1..4) and mu (coherent intensity
+    in (0, MAX_MU], photon number Poisson-distributed and truncated at
+    MAX_PHOTONS with renormalization) must be given.
     """
 
     protocol: str
@@ -75,8 +83,8 @@ class SimConfig:
             raise ValueError("exactly one of nu and mu must be set")
         if self.nu is not None and not (_is_int(self.nu) and 1 <= self.nu <= 4):
             raise ValueError("fixed photon number must be an integer in 1..4")
-        if self.mu is not None and not self.mu > 0.0:
-            raise ValueError("coherent intensity must be positive")
+        if self.mu is not None and not 0.0 < self.mu <= MAX_MU:
+            raise ValueError("coherent intensity must be in (0, %g]" % MAX_MU)
         if not 0.0 <= self.p <= 0.75:
             raise ValueError("depolarizing rate must be in [0, 0.75]")
         if not 0.0 < self.eta <= 1.0:
@@ -163,11 +171,18 @@ class ExactStats:
 
 @dataclass(frozen=True)
 class CompareResult:
-    """z-scores of a Monte Carlo run against its exact statistics."""
+    """z-scores of a Monte Carlo run against its exact statistics.
 
-    z_conclusive: float
-    z_ebit: float
-    passed: bool
+    A z-score is None when its statistic has no samples (no sifted trial for
+    z_conclusive, no conclusive trial for z_ebit); passed is then None too,
+    unless the other z-score already fails.  It is also None, with passed
+    False, when the exact law makes the outcome certain and the run
+    contradicts it, so that the deviation is infinite.
+    """
+
+    z_conclusive: float | None
+    z_ebit: float | None
+    passed: bool | None
 
 
 def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -179,18 +194,19 @@ def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
     return raw.reshape(count, SLOTS)
 
 
-def _units(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to float64 uniforms on [0, 1)."""
-    return (raw >> np.uint64(11)) * 2.0 ** -53
-
-
 def _truncated_poisson_cdf(mu: float) -> np.ndarray:
-    """CDF of the photon-number law truncated at MAX_PHOTONS, renormalized."""
+    """CDF of the photon-number law truncated at MAX_PHOTONS, renormalized.
+
+    The last entry is exactly 1, so every uniform u < 1 maps to at most
+    MAX_PHOTONS photons.
+    """
     pmf = np.array(
         [math.exp(-mu) * mu ** n / math.factorial(n) for n in range(MAX_PHOTONS + 1)]
     )
     pmf /= pmf.sum()
-    return np.cumsum(pmf)
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0
+    return cdf
 
 
 def _conclusive_flag_prob(protocol: str) -> np.ndarray:
@@ -204,32 +220,56 @@ def _conclusive_flag_prob(protocol: str) -> np.ndarray:
     return table
 
 
-def _shard_tallies(units: np.ndarray, cfg: SimConfig, flag_table: np.ndarray,
-                   n_rot: int, cdf: np.ndarray | None) -> np.ndarray:
-    """Tallies for one shard: rows indexed by photon count 0..max, columns
-    (sifted, detected, conclusive, errors)."""
-    j = (units[:, _SLOT_BIT] * 2).astype(np.int64)
-    rot_a = (units[:, _SLOT_ROT_A] * n_rot).astype(np.int64)
-    rot_b = (units[:, _SLOT_ROT_B] * n_rot).astype(np.int64)
-    jp = (units[:, _SLOT_BASIS] * 2).astype(np.int64)
-    intact = units[:, _SLOT_BRANCH] >= 4.0 * cfg.p / 3.0
-    coin = units[:, _SLOT_COIN] < 0.5
+def _thresholds(t) -> np.ndarray:
+    """Integer thresholds c with  u < t  <=>  (w >> 11) < c  for u = (w >> 11)·2⁻⁵³.
 
-    if cdf is None:
-        n = np.full(len(units), cfg.nu, dtype=np.int64)
+    c = ceil(t·2⁵³) is exact (scaling by 2⁵³ and ceil are exact in float64),
+    clipped to [0, 2⁵³] so that t <= 0 never and t >= 1 always holds.  The
+    dtype is uint64 so that no comparison with 53-bit words is ever promoted
+    to float64 (NumPy 1.x value-based casting would do so for int64).
+    """
+    return np.ceil(np.clip(t, 0.0, 1.0) * 2.0 ** 53).astype(np.uint64)
+
+
+_SHIFT = np.uint64(11)  # raw word -> 53-bit uniform numerator
+_HALF = np.uint64(52)  # 53-bit numerator -> (u >= 1/2)
+
+
+def _shard_tallies(raw: np.ndarray, cfg: SimConfig, n_rot: int,
+                   flag: np.ndarray, count: np.ndarray | None) -> np.ndarray:
+    """Tallies for one shard of raw words, shape (trials, SLOTS): rows indexed
+    by photon count 0..MAX_PHOTONS, columns (sifted, detected, conclusive,
+    errors).
+
+    flag holds the thresholds of the intact-photon table and count those of
+    the photon-number CDF (None for a fixed photon number).  Every column
+    counts sifted trials only, so the rest of the shard is dropped first.
+    """
+    # Rotation indices keep the float product, which rounds before the floor.
+    rot = ((raw[:, _SLOT_ROT_A:_SLOT_ROT_B + 1] >> _SHIFT) * 2.0 ** -53
+           * n_rot).astype(np.int64)
+    w = raw[rot[:, 0] == rot[:, 1]] >> _SHIFT
+
+    j = (w[:, _SLOT_BIT] >> _HALF).astype(np.intp)
+    jp = (w[:, _SLOT_BASIS] >> _HALF).astype(np.intp)
+    intact = w[:, _SLOT_BRANCH] >= _thresholds(4.0 * cfg.p / 3.0)
+    coin = (w[:, _SLOT_COIN] >> _HALF) == 0
+
+    if count is None:
+        n = np.full(len(w), cfg.nu, dtype=np.intp)
     else:
-        n = np.searchsorted(cdf, units[:, _SLOT_COUNT], side="right")
+        n = np.searchsorted(count, w[:, _SLOT_COUNT], side="right")
 
     k = cfg.max_photons
-    idx = np.arange(k)
-    arrived = (idx < n[:, None]) & (
-        units[:, _SLOT_ARRIVE:_SLOT_ARRIVE + k] < cfg.eta
+    arrived = (np.arange(k) < n[:, None]) & (
+        w[:, _SLOT_ARRIVE:_SLOT_ARRIVE + k] < _thresholds(cfg.eta)
     )
-    cos_theta = 2.0 * units[:, _SLOT_COS:_SLOT_COS + k] - 1.0
+    # A depolarized photon is flagged with probability 0.5·(1 + cos θ), which
+    # for cos θ = 2v − 1 is exactly v: compare the outcome word with v's word.
     p_flag = np.where(
-        intact[:, None], flag_table[jp, j][:, None], 0.5 * (1.0 + cos_theta)
+        intact[:, None], flag[jp, j][:, None], w[:, _SLOT_COS:_SLOT_COS + k]
     )
-    flags = arrived & (units[:, _SLOT_OUTCOME:_SLOT_OUTCOME + k] < p_flag)
+    flags = arrived & (w[:, _SLOT_OUTCOME:_SLOT_OUTCOME + k] < p_flag)
 
     m = arrived.sum(axis=1)
     n_flag = flags.sum(axis=1)
@@ -238,13 +278,24 @@ def _shard_tallies(units: np.ndarray, cfg: SimConfig, flag_table: np.ndarray,
     mixed_pattern = detected & (n_flag > 0) & (n_flag < m)
     conclusive = all_flag | (mixed_pattern & coin)
     error = conclusive & (jp == j)
-    sifted = rot_a == rot_b
 
-    tallies = np.zeros((MAX_PHOTONS + 1, 4), dtype=np.int64)
-    for column, mask in enumerate((sifted, detected, conclusive, error)):
-        keep = sifted & mask if column else mask
-        np.add.at(tallies[:, column], n[keep], 1)
-    return tallies
+    rows = MAX_PHOTONS + 1
+    return np.stack(
+        [np.bincount(n, minlength=rows)]
+        + [np.bincount(n[mask], minlength=rows)
+           for mask in (detected, conclusive, error)],
+        axis=1,
+    )
+
+
+def _pool_size(shards: int) -> int:
+    """Worker threads for a run of `shards` shards: one per usable CPU, at
+    most one per shard."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, shards))
 
 
 def _binomial_se(successes: int, n: int) -> float:
@@ -254,24 +305,34 @@ def _binomial_se(successes: int, n: int) -> float:
     return math.sqrt(f * (1.0 - f) / n)
 
 
-def run_monte_carlo(cfg: SimConfig, shard_size: int = 1 << 16) -> SimStats:
+def run_monte_carlo(cfg: SimConfig, shard_size: int = 1 << 13) -> SimStats:
     """Simulate cfg.trials sessions and aggregate sifted-trial statistics.
 
-    shard_size only controls memory use; results are bit-identical for any
-    value because each trial reads a fixed slice of the counter-based stream.
+    Shards of shard_size trials run on a small thread pool (Philox and the
+    NumPy kernels release the GIL).  Results are bit-identical for any shard
+    size and thread count because each trial reads a fixed slice of the
+    counter-based stream and each shard builds its own generator.
     """
     n_rot = qmath.constants(cfg.protocol).n_rotations
-    flag_table = _conclusive_flag_prob(cfg.protocol)
-    cdf = None if cfg.nu is not None else _truncated_poisson_cdf(cfg.mu)
+    flag = _thresholds(_conclusive_flag_prob(cfg.protocol))
+    count = (None if cfg.nu is not None
+             else _thresholds(_truncated_poisson_cdf(cfg.mu)))
 
+    def shard(start: int) -> np.ndarray:
+        raw = _raw_block(cfg.seed, start, min(shard_size, cfg.trials - start))
+        return _shard_tallies(raw, cfg, n_rot, flag, count)
+
+    starts = range(0, cfg.trials, shard_size)
     tallies = np.zeros((MAX_PHOTONS + 1, 4), dtype=np.int64)
-    start = 0
-    while start < cfg.trials:
-        count = min(shard_size, cfg.trials - start)
-        units = _units(_raw_block(cfg.seed, start, count))
-        tallies += _shard_tallies(units, cfg, flag_table, n_rot, cdf)
-        start += count
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import
 
+    with ThreadPoolExecutor(_pool_size(len(starts))) as pool:
+        tallies = sum(pool.map(shard, starts), tallies)
+    return _stats(cfg, tallies)
+
+
+def _stats(cfg: SimConfig, tallies: np.ndarray) -> SimStats:
+    """SimStats from the (photon count, column) tally table of a run."""
     sifted, detected, conclusive, errors = (int(v) for v in tallies.sum(axis=0))
     frac = conclusive / sifted if sifted else 0.0
     ebit = errors / conclusive if conclusive else 0.0
@@ -302,7 +363,7 @@ def replay_trial(cfg: SimConfig, index: int) -> TrialRecord:
         raise ValueError("trial index out of range")
     n_rot = qmath.constants(cfg.protocol).n_rotations
     flag_table = _conclusive_flag_prob(cfg.protocol)
-    u = _units(_raw_block(cfg.seed, index, 1))[0]
+    u = (_raw_block(cfg.seed, index, 1)[0] >> _SHIFT) * 2.0 ** -53
 
     j = int(u[_SLOT_BIT] * 2)
     rot_a = int(u[_SLOT_ROT_A] * n_rot)
@@ -416,15 +477,22 @@ def compare(sim: SimStats, exact: ExactStats) -> CompareResult:
     ):
         raise ValueError("simulation and exact statistics describe different runs")
 
-    def z(observed: float, expected: float, se: float) -> float:
+    def z(observed: float, expected: float, se: float, n: int) -> float | None:
+        if n == 0:
+            return None
+        # A run with no spread (every trial alike) takes the standard error
+        # of the exact law instead.
+        se = se or math.sqrt(expected * (1.0 - expected) / n)
         if se == 0.0:
             return 0.0 if observed == expected else math.inf
         return (observed - expected) / se
 
-    z_conc = z(sim.conclusive_fraction, exact.conclusive_prob, sim.conclusive_se)
-    z_ebit = z(sim.e_bit, exact.e_bit, sim.e_bit_se)
-    return CompareResult(
-        z_conclusive=z_conc,
-        z_ebit=z_ebit,
-        passed=abs(z_conc) <= 3.0 and abs(z_ebit) <= 3.0,
-    )
+    zs = (z(sim.conclusive_fraction, exact.conclusive_prob, sim.conclusive_se,
+            sim.sifted),
+          z(sim.e_bit, exact.e_bit, sim.e_bit_se, sim.conclusive))
+    if any(v is not None and abs(v) > 3.0 for v in zs):
+        passed = False
+    else:
+        passed = None if None in zs else True
+    zs = tuple(None if v is None or math.isinf(v) else v for v in zs)
+    return CompareResult(z_conclusive=zs[0], z_ebit=zs[1], passed=passed)

@@ -3,7 +3,8 @@
 Each oracle reaches its answer by a route independent of the library's exact
 formula: event weights straight from the conditional pair state, a frontier
 by bisection on the PSD margin, the two-photon optimum by scan plus golden
-section, the worst single-photon entropy by a dense scan.
+section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
+from float uniforms on one thread.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from sargkit import attack_forms, bounds, keyrate
+from sargkit import attack_forms, bounds, keyrate, qmath, simulate
 
 
 def weight_vector(v: np.ndarray, protocol: str, nu: int) -> np.ndarray:
@@ -130,6 +131,69 @@ def fourstate_indep_threshold() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def units(raw: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to float64 uniforms on [0, 1)."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
+
+
+def float_shard_tallies(units: np.ndarray, cfg: simulate.SimConfig,
+                        flag_table: np.ndarray, n_rot: int,
+                        cdf: np.ndarray | None) -> np.ndarray:
+    """Tallies for one shard of float uniforms: rows indexed by photon count
+    0..max, columns (sifted, detected, conclusive, errors)."""
+    j = (units[:, simulate._SLOT_BIT] * 2).astype(np.int64)
+    rot_a = (units[:, simulate._SLOT_ROT_A] * n_rot).astype(np.int64)
+    rot_b = (units[:, simulate._SLOT_ROT_B] * n_rot).astype(np.int64)
+    jp = (units[:, simulate._SLOT_BASIS] * 2).astype(np.int64)
+    intact = units[:, simulate._SLOT_BRANCH] >= 4.0 * cfg.p / 3.0
+    coin = units[:, simulate._SLOT_COIN] < 0.5
+
+    if cdf is None:
+        n = np.full(len(units), cfg.nu, dtype=np.int64)
+    else:
+        n = np.searchsorted(cdf, units[:, simulate._SLOT_COUNT], side="right")
+
+    k = cfg.max_photons
+    idx = np.arange(k)
+    arrive, outcome, cos = (simulate._SLOT_ARRIVE, simulate._SLOT_OUTCOME,
+                            simulate._SLOT_COS)
+    arrived = (idx < n[:, None]) & (units[:, arrive:arrive + k] < cfg.eta)
+    cos_theta = 2.0 * units[:, cos:cos + k] - 1.0
+    p_flag = np.where(
+        intact[:, None], flag_table[jp, j][:, None], 0.5 * (1.0 + cos_theta)
+    )
+    flags = arrived & (units[:, outcome:outcome + k] < p_flag)
+
+    m = arrived.sum(axis=1)
+    n_flag = flags.sum(axis=1)
+    detected = m > 0
+    all_flag = detected & (n_flag == m)
+    mixed_pattern = detected & (n_flag > 0) & (n_flag < m)
+    conclusive = all_flag | (mixed_pattern & coin)
+    error = conclusive & (jp == j)
+    sifted = rot_a == rot_b
+
+    tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
+    for column, mask in enumerate((sifted, detected, conclusive, error)):
+        keep = sifted & mask if column else mask
+        np.add.at(tallies[:, column], n[keep], 1)
+    return tallies
+
+
+def monte_carlo_stats(cfg: simulate.SimConfig,
+                      shard_size: int = 1 << 16) -> simulate.SimStats:
+    """run_monte_carlo by the float kernel, shard after shard on one thread."""
+    n_rot = qmath.constants(cfg.protocol).n_rotations
+    flag_table = simulate._conclusive_flag_prob(cfg.protocol)
+    cdf = None if cfg.nu is not None else simulate._truncated_poisson_cdf(cfg.mu)
+    tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
+    for start in range(0, cfg.trials, shard_size):
+        count = min(shard_size, cfg.trials - start)
+        u = units(simulate._raw_block(cfg.seed, start, count))
+        tallies += float_shard_tallies(u, cfg, flag_table, n_rot, cdf)
+    return simulate._stats(cfg, tallies)
 
 
 def payload_lines(report: str) -> list[str]:

@@ -1,12 +1,26 @@
 """End-to-end command-line behavior: exit codes, reports, and stability."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import oracles
+import sargkit
 from sargkit import cli
+
+SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
+
+
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh `python -m sargkit.cli` process on this source tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "sargkit.cli", *argv],
+                          env=env, capture_output=True, text=True)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -239,6 +253,55 @@ def test_simulate_rejects_mistyped_values_with_one_line(capsys, tmp_path, key,
     assert cli.main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("simulate: bad config:") and err.count("\n") == 1
+
+
+def test_simulate_rejects_mu_above_one_with_one_line(capsys, tmp_path):
+    cfg = write_config(tmp_path, SIM_YAML.replace("nu: 1", "mu: 1.5"))
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: bad config:") and err.count("\n") == 1
+    assert "coherent intensity" in err
+
+
+def test_simulate_single_trial_reports_null_z_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, SIM_YAML.replace("trials: 40000", "trials: 1"))
+    proc = run_process("simulate", "--config", cfg)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["results"]["compare"] == {
+        "z_conclusive": None, "z_ebit": None, "passed": None}
+    assert doc["manifest"]["status"] == "OK"
+    proc = run_process("simulate", "--config", cfg, "--format", "csv")
+    assert proc.returncode == 0 and proc.stderr == ""
+    (row,) = read_csv(proc.stdout)
+    assert row["z_conclusive"] == row["z_ebit"] == row["compare_pass"] == ""
+
+
+def test_simulate_zeroed_error_tally_fails_with_exit_1(capsys, tmp_path,
+                                                       monkeypatch):
+    # A defect that drops every error from the tally must fail the run.
+    run_monte_carlo = cli.simulate.run_monte_carlo
+
+    def zeroed(cfg):
+        stats = run_monte_carlo(cfg)
+        return dataclasses.replace(stats, errors=0, e_bit=0.0, e_bit_se=0.0)
+
+    monkeypatch.setattr(cli.simulate, "run_monte_carlo", zeroed)
+    rc, out = run(capsys, "simulate", "--config",
+                  write_config(tmp_path, SIM_YAML.replace("40000", "400000")))
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["results"]["errors"] == 0
+    assert doc["results"]["compare"]["passed"] is False
+    assert doc["results"]["compare"]["z_ebit"] < -3
+    assert doc["manifest"]["status"] == "FAIL"
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # The thread pool is imported only by a Monte Carlo run that uses it.
+    code = "import sys, sargkit.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_simulate_missing_config_file(capsys, tmp_path):

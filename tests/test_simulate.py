@@ -2,11 +2,16 @@
 
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sargkit import simulate
+import oracles
+from sargkit import qmath, simulate
 
 
 def config(**overrides) -> simulate.SimConfig:
@@ -41,6 +46,13 @@ def test_config_requires_exactly_one_source_mode():
 def test_config_range_validation(bad):
     with pytest.raises(ValueError):
         config(**bad)
+
+
+def test_coherent_intensity_is_bounded_by_one():
+    assert config(nu=None, mu=simulate.MAX_MU).mu == 1.0
+    for mu in (1.0 + 1e-12, 2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            config(nu=None, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +108,100 @@ def test_run_is_deterministic_and_shard_invariant():
     b = simulate.run_monte_carlo(cfg)
     c = simulate.run_monte_carlo(cfg, shard_size=1009)
     assert a == b == c
+
+
+@st.composite
+def monte_carlo_cases(draw):
+    source = draw(st.one_of(
+        st.builds(dict, nu=st.integers(1, 4)),
+        st.builds(dict, nu=st.none(),
+                  mu=st.floats(0.0, 1.0, exclude_min=True)),
+    ))
+    shard_size = draw(st.sampled_from([1, 1009, None]))
+    cfg = simulate.SimConfig(
+        protocol=draw(st.sampled_from(qmath.PROTOCOLS)),
+        trials=draw(st.integers(1, 1500 if shard_size == 1 else 20000)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        p=draw(st.one_of(st.sampled_from([0.0, 0.75]), st.floats(0.0, 0.75))),
+        eta=draw(st.one_of(st.just(1.0),
+                           st.floats(0.0, 1.0, exclude_min=True))),
+        **source,
+    )
+    return cfg, shard_size, draw(st.sampled_from([1, 2]))
+
+
+def threshold_words(cfg: simulate.SimConfig) -> np.ndarray:
+    """Raw words whose uniforms sit on and next to every threshold the
+    kernel compares against, where a rounding slip would show."""
+    n_rot = qmath.constants(cfg.protocol).n_rotations
+    ts = [0.0, 0.5, 1.0, 4.0 * cfg.p / 3.0, cfg.eta]
+    ts += list(simulate._conclusive_flag_prob(cfg.protocol).ravel())
+    ts += [r / n_rot for r in range(1, n_rot)]
+    if cfg.mu is not None:
+        ts += list(simulate._truncated_poisson_cdf(cfg.mu))
+    ks = {math.ceil(t * 2.0 ** 53) + d for t in ts for d in range(-3, 4)}
+    ks = np.array(sorted(k for k in ks if 0 <= k < 2 ** 53), dtype=np.uint64)
+    low = np.array([0, 2 ** 11 - 1], dtype=np.uint64)
+    return ((ks[:, None] << np.uint64(11)) | low).ravel()
+
+
+@settings(max_examples=100, deadline=None)
+@given(monte_carlo_cases(), st.booleans())
+def test_run_matches_float_oracle_for_any_sharding_and_pool(case, edges):
+    # With edges, every word is drawn from threshold_words, still as a
+    # function of its place in the stream so that sharding cannot matter.
+    cfg, shard_size, workers = case
+    kwargs = {} if shard_size is None else {"shard_size": shard_size}
+    with pytest.MonkeyPatch.context() as mp:
+        if edges:
+            words = threshold_words(cfg)
+            philox_block = simulate._raw_block
+            mp.setattr(simulate, "_raw_block", lambda seed, start, count: words[
+                philox_block(seed, start, count) % np.uint64(len(words))])
+        mp.setattr(simulate, "_pool_size", lambda shards: workers)
+        assert simulate.run_monte_carlo(cfg, **kwargs) == oracles.monte_carlo_stats(cfg)
+
+
+def test_more_threads_than_cores_with_fast_switching(monkeypatch):
+    # Shards share no mutable state; a lost or doubled shard would show here.
+    cfg = config(nu=None, mu=0.7, trials=20000)
+    expected = oracles.monte_carlo_stats(cfg)
+    monkeypatch.setattr(simulate, "_pool_size", lambda shards: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats = simulate.run_monte_carlo(cfg, shard_size=257)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats == expected
+
+
+def test_pool_size_is_bounded_by_shards_and_cpus():
+    assert simulate._pool_size(1) == 1
+    assert 1 <= simulate._pool_size(10 ** 6) <= (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+@pytest.mark.parametrize("source", [dict(nu=None, mu=0.5), dict(nu=4)])
+def test_all_ones_words_stay_within_the_photon_range(monkeypatch, source, eta):
+    # Every slot reads u = 1 - 2^-53, the largest uniform of the stream: the
+    # photon count must stop at MAX_PHOTONS (not index a 7th photon).
+    def ones(seed, start, count):
+        return np.full((count, simulate.SLOTS), np.uint64(2 ** 64 - 1))
+
+    monkeypatch.setattr(simulate, "_raw_block", ones)
+    cfg = config(trials=5, eta=eta, **source)
+    n = simulate.MAX_PHOTONS if cfg.mu is not None else cfg.nu
+    stats = simulate.run_monte_carlo(cfg)
+    assert stats == oracles.monte_carlo_stats(cfg)
+    assert stats.sifted == cfg.trials
+    assert stats.detected == (cfg.trials if eta == 1.0 else 0)
+    if stats.per_nu is not None:
+        assert stats.per_nu[n].sifted == cfg.trials
+    record = simulate.replay_trial(cfg, 4)
+    assert record.sifted
+    assert record.photons_sent == n
+    assert record.photons_arrived == (n if eta == 1.0 else 0)
 
 
 def test_seed_changes_the_stream():
@@ -243,3 +349,54 @@ def test_compare_zero_spread_path():
     exact = simulate.exact_channel_stats("four-state", 1, 0.0, 1.0)
     result = simulate.compare(stats, exact)
     assert result.z_ebit == 0.0  # zero errors against zero expectation
+
+
+def test_compare_without_samples_is_undetermined():
+    # This single trial sifts nothing: neither statistic has a sample, so no
+    # z-score exists.
+    cfg = config(trials=1)
+    stats = simulate.run_monte_carlo(cfg)
+    assert stats.sifted == 0
+    exact = simulate.exact_channel_stats(cfg.protocol, cfg.nu, cfg.p, cfg.eta)
+    result = simulate.compare(stats, exact)
+    assert (result.z_conclusive, result.z_ebit, result.passed) == (None, None, None)
+
+
+def zeroed_errors(stats: simulate.SimStats) -> simulate.SimStats:
+    """stats as a defect that drops every error from the tally would give."""
+    return dataclasses.replace(stats, errors=0, e_bit=0.0, e_bit_se=0.0)
+
+
+def test_compare_fails_zero_observed_errors_against_positive_exact_rate():
+    # A long run with no observed error has no spread of its own; the exact
+    # law's standard error still makes the miss a large finite z-score.
+    cfg = config(trials=200000, p=0.05)
+    stats = zeroed_errors(simulate.run_monte_carlo(cfg))
+    exact = simulate.exact_channel_stats(cfg.protocol, cfg.nu, cfg.p, cfg.eta)
+    assert stats.conclusive > 1000 and exact.e_bit > 0.01
+    result = simulate.compare(stats, exact)
+    assert math.isfinite(result.z_ebit) and result.z_ebit < -3
+    assert result.passed is False
+
+
+def test_compare_fails_a_contradicted_certain_outcome():
+    cfg = config(trials=2000, p=0.0, eta=1.0)
+    stats = simulate.run_monte_carlo(cfg)  # no errors: e_bit has no spread
+    doctored = simulate.ExactStats(protocol=cfg.protocol, nu=cfg.nu, p=cfg.p,
+                                   eta=cfg.eta, conclusive_prob=stats.conclusive_fraction,
+                                   e_bit=1.0)
+    result = simulate.compare(stats, doctored)
+    assert result.z_ebit is None and result.passed is False
+
+
+def test_compare_finite_failure_outranks_undetermined_score():
+    cfg = config(trials=2000)
+    stats = simulate.run_monte_carlo(cfg)
+    # No conclusive trial: e_bit has no sample, the conclusive fraction misses.
+    stats = dataclasses.replace(stats, conclusive=0, errors=0,
+                                conclusive_fraction=0.0, conclusive_se=0.0,
+                                e_bit=0.0, e_bit_se=0.0)
+    exact = simulate.exact_channel_stats(cfg.protocol, cfg.nu, cfg.p, cfg.eta)
+    result = simulate.compare(stats, exact)
+    assert result.z_ebit is None and result.z_conclusive < -3
+    assert result.passed is False
