@@ -35,7 +35,6 @@ EVENT_TAGS = ("fil", "bit", "ph", "bell:chi0+", "bell:chi0-", "bell:chi1+", "bel
 
 MAX_NU = 5
 
-FORM_DECOMP_TOL = 1e-10
 FORM_PSD_TOL = -1e-10
 
 

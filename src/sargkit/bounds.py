@@ -35,8 +35,15 @@ DEFAULT_X_GRID = tuple(
     sorted(set([0.25 * k for k in range(41)] + [2.485, 2.747, 1000.0]))
 )
 
+# Photon numbers covered by the certificates and the threshold tables.
+SUPPORTED_NU = (1, 2, 3, 4)
+
 PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-10
+# Slack on the frontier's shape: its gap below g(x) and its rise in x.
+SHAPE_TOL = 1e-6
+# Slack on the zero-error floors against sin^2(pi/8) and 1/2.
+FLOOR_TOL = 1e-3
 # Eigenvalues of H_fil at or below this fraction of its largest span its kernel.
 RANK_TOL = 1e-12
 
@@ -97,16 +104,10 @@ def g_of_x(x: float) -> float:
 
 @dataclass(frozen=True)
 class FrontierPoint:
-    """One point of the computed feasibility frontier.
-
-    ``margin_at_g`` and ``gap`` relate the frontier to the reference curve g
-    and are filled for the four-state two-photon forms (None otherwise).
-    """
+    """One point of the computed feasibility frontier."""
 
     x: float
     y_star: float
-    margin_at_g: float | None
-    gap: float | None
 
 
 @lru_cache(maxsize=None)
@@ -136,38 +137,38 @@ def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
     return reduce(h_ph), reduce(h_bit)
 
 
-def frontier(x: float, protocol: str, nu: int, tol: float = PSD_TOL) -> FrontierPoint:
+def frontier(x: float, protocol: str, nu: int) -> FrontierPoint:
     """Minimal y with x*H_bit + y*H_fil - H_ph PSD, from one reduced eigen-solve.
 
     y_star is clipped to [0, 1] (y = 1 is always feasible because
-    p_ph <= p_fil) and accepted only if psd_margin(x, y_star) >= -tol;
+    p_ph <= p_fil) and accepted only if psd_margin(x, y_star) >= -PSD_TOL;
     otherwise ArithmeticError is raised.
     """
     a, b = _reduced_pencil(protocol, nu)
     y_star = min(1.0, max(0.0, -qmath.min_eigenvalue(x * b - a)))
     margin = psd_margin(x, y_star, protocol, nu)
-    if margin < -tol:
+    if margin < -PSD_TOL:
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
                               % (x, y_star, margin))
-    if protocol == "four-state" and nu == 2:
-        gx = g_of_x(x)
-        return FrontierPoint(x=x, y_star=y_star,
-                             margin_at_g=psd_margin(x, gx, protocol, nu),
-                             gap=gx - y_star)
-    return FrontierPoint(x=x, y_star=y_star, margin_at_g=None, gap=None)
+    return FrontierPoint(x=x, y_star=y_star)
 
 
-def frontier_table(protocol: str, nu: int, grid=DEFAULT_X_GRID, tol: float = PSD_TOL):
-    """Frontier points for every x on the grid (ascending)."""
-    return [frontier(float(x), protocol, nu, tol) for x in sorted(grid)]
+@lru_cache(maxsize=None)
+def frontier_table(protocol: str, nu: int,
+                   grid=DEFAULT_X_GRID) -> tuple[FrontierPoint, ...]:
+    """Frontier points for every x on the grid (ascending), computed once.
+
+    The grid must be hashable (a tuple): it is part of the cache key.
+    """
+    return tuple(frontier(float(x), protocol, nu) for x in sorted(grid))
 
 
-def zero_rate_check(protocol: str, nu: int, grid=DEFAULT_X_GRID) -> float:
-    """min over the x grid of y_star(x).
+def zero_rate_check(protocol: str, nu: int) -> float:
+    """min over DEFAULT_X_GRID of y_star(x), read from the cached frontier table.
 
     At zero bit error the certified phase-error bound is exactly this minimum;
     a value >= 1/2 means no key can be certified (consistent with the
     unambiguous-discrimination limit), while a value < 1/2 leaves room for a
     positive rate.
     """
-    return min(frontier(float(x), protocol, nu).y_star for x in grid)
+    return min(pt.y_star for pt in frontier_table(protocol, nu))

@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from dataclasses import asdict, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from . import __version__, attack_forms, bounds, keyrate, qmath, reports, simulate
-
-SUPPORTED_NU = (1, 2, 3, 4)
-
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -45,85 +45,184 @@ def _print_checks(rows: list[tuple[str, float, str, bool]]) -> bool:
     return all_ok
 
 
-def _report(args, fieldnames: list[str], rows: list[dict], results,
-            manifest: reports.RunManifest) -> None:
+# CSV columns named differently from the (block, field) of results they copy.
+_CSV_PATHS = {
+    "exact_conclusive": ("exact", "conclusive_prob"),
+    "exact_e_bit": ("exact", "e_bit"),
+    "z_conclusive": ("compare", "z_conclusive"),
+    "z_ebit": ("compare", "z_ebit"),
+    "compare_pass": ("compare", "passed"),
+}
+
+
+def _report(args, fieldnames: list[str], results,
+            manifest: reports.RunManifest, inputs: str | None = None) -> None:
+    """Write results as JSON, or as CSV rows read out of them.
+
+    A list of results is the CSV table itself.  A results dict gives one CSV
+    row: a column copies the field of the same name from results, else from
+    its ``inputs`` block, else the path in _CSV_PATHS (empty when that block
+    is null); ``<field>_display`` is the field rounded to 6 decimals.
+    """
     if args.format == "json":
         _emit(reports.render_json(results, manifest), args.out)
-    else:
-        _emit(reports.render_csv(fieldnames, rows, manifest), args.out)
+        return
+
+    def cell(name: str):
+        if name in _CSV_PATHS:
+            block, key = _CSV_PATHS[name]
+            return None if results[block] is None else results[block][key]
+        if name.endswith("_display"):
+            return round(cell(name[:-len("_display")]), 6)
+        return results[name] if name in results else results[inputs][name]
+
+    rows = results if inputs is None else [{k: cell(k) for k in fieldnames}]
+    _emit(reports.render_csv(fieldnames, rows, manifest), args.out)
 
 
 # ---------------------------------------------------------------------------
-# verify
+# Certificates: verify and constants-check
 # ---------------------------------------------------------------------------
 
-def _verify_four_state(nu: int) -> list[tuple[str, float, str, bool]]:
-    checks = []
-    if nu == 1:
-        dev = bounds.identity_check_single("four-state")
-        checks.append(("nu=1 phase = 1.5 x bit identity", dev, "< 1e-10",
-                       dev < 1e-10))
-        lo1, lo2 = bounds.correlation_psd_check()
-        checks.append(("nu=1 correlation chi0- >= 2 chi1+", lo1, ">= -1e-10",
-                       lo1 >= -1e-10))
-        checks.append(("nu=1 correlation 2 chi1- >= chi0-", lo2, ">= -1e-10",
-                       lo2 >= -1e-10))
-        worst = min(
-            qmath.min_eigenvalue(form.matrix)
-            for form in attack_forms.all_forms("four-state", 1).values()
-        )
-        checks.append(("nu=1 event forms PSD", worst, ">= -1e-10",
-                       worst >= -1e-10))
-    elif nu == 2:
-        table = bounds.frontier_table("four-state", 2)
-        worst_margin = min(pt.margin_at_g for pt in table)
-        checks.append(("nu=2 margin at analytic bound", worst_margin,
-                       ">= -1e-9", worst_margin >= -1e-9))
-        worst_gap = min(pt.gap for pt in table)
-        checks.append(("nu=2 frontier dominance gap", worst_gap, ">= -1e-6",
-                       worst_gap >= -1e-6))
-        floor = bounds.zero_rate_check("four-state", 2)
-        limit = bounds.SIN2_PI_8 + 1e-3
-        checks.append(("nu=2 frontier floor vs sin^2(pi/8)", floor,
-                       "<= %.6f" % limit, floor <= limit))
+class Check(NamedTuple):
+    """One certificate row.
+
+    A verify row (``nus`` set) prints as ``nu=<nu> <name>`` for each of its
+    protocols and photon numbers; a constants-check row (``nus`` None) as
+    ``<protocol> <name>``.  ``compute(protocol, nu)`` looks the library up
+    when it runs and returns the measured value; the row passes when
+    ``value <op> bound``, where a dict bound is looked up by protocol.  The
+    ``range`` row computes (min, max) of a frontier table, prints the max
+    and passes when both lie in [0, 1].
+    """
+
+    name: str
+    protocols: tuple[str, ...]
+    nus: tuple[int, ...] | None
+    compute: Callable
+    op: str
+    bound: float | dict[str, float] | None = None
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
+        "==": operator.eq}
+_FOUR, _SIX = ("four-state",), ("six-state",)
+_BOTH = qmath.PROTOCOLS
+_STRUCT = qmath.STRUCTURAL_TOL
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _ys(protocol: str, nu: int) -> list[float]:
+    return [pt.y_star for pt in bounds.frontier_table(protocol, nu)]
+
+
+def _twist_unitarity(protocol: str, nu: int | None) -> float:
+    t = qmath.twist_t()
+    return _max_abs(qmath.dagger(t) @ t - qmath.I2)
+
+
+def _filter_eigenvalues(protocol: str, nu: int | None) -> float:
+    eigs = np.linalg.eigvalsh(qmath.constants(protocol).filter_f)
+    return _max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
+
+
+def _filtered_pair(protocol: str, nu: int | None) -> float:
+    f = qmath.constants(protocol).filter_f
+    filtered = qmath.tensor(qmath.I2, f) @ qmath.pair_source_ket(1)
+    return _max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
+
+
+# Every certificate, in print order.
+CHECKS = (
+    Check("phase = 1.5 x bit identity", _BOTH, (1,),
+          lambda p, nu: bounds.identity_check_single(p),
+          "<", bounds.IDENTITY_TOL),
+    Check("correlation chi0- >= 2 chi1+", _FOUR, (1,),
+          lambda p, nu: bounds.correlation_psd_check()[0],
+          ">=", -bounds.IDENTITY_TOL),
+    Check("correlation 2 chi1- >= chi0-", _FOUR, (1,),
+          lambda p, nu: bounds.correlation_psd_check()[1],
+          ">=", -bounds.IDENTITY_TOL),
+    Check("event forms PSD", _FOUR, (1,),
+          lambda p, nu: min(qmath.min_eigenvalue(form.matrix)
+                            for form in attack_forms.all_forms(p, nu).values()),
+          ">=", attack_forms.FORM_PSD_TOL),
+    Check("margin at analytic bound", _FOUR, (2,),
+          lambda p, nu: min(bounds.psd_margin(x, bounds.g_of_x(x), p, nu)
+                            for x in bounds.DEFAULT_X_GRID),
+          ">=", -bounds.PSD_TOL),
+    Check("frontier dominance gap", _FOUR, (2,),
+          lambda p, nu: min(bounds.g_of_x(pt.x) - pt.y_star
+                            for pt in bounds.frontier_table(p, nu)),
+          ">=", -bounds.SHAPE_TOL),
+    Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
+          lambda p, nu: bounds.zero_rate_check(p, nu),
+          "<=", bounds.SIN2_PI_8 + bounds.FLOOR_TOL),
+    Check("no-key floor", _FOUR, (3, 4),
+          lambda p, nu: bounds.zero_rate_check(p, nu),
+          ">=", 0.5 - bounds.FLOOR_TOL),
+    Check("frontier in [0, 1]", _SIX, bounds.SUPPORTED_NU,
+          lambda p, nu: (min(_ys(p, nu)), max(_ys(p, nu))), "range"),
+    Check("frontier nonincreasing", _SIX, bounds.SUPPORTED_NU,
+          lambda p, nu: max(b - a for a, b in zip(_ys(p, nu), _ys(p, nu)[1:])),
+          "<=", bounds.SHAPE_TOL),
+    Check("frontier floor below 1/2", _SIX, (4,),
+          lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
+    Check("rotation count", _BOTH, None,
+          lambda p, nu: float(qmath.constants(p).n_rotations),
+          "==", {"four-state": 4, "six-state": 24}),
+    Check("distinct signal states", _BOTH, None,
+          lambda p, nu: float(len(qmath.constants(p).distinct_bloch_vectors())),
+          "==", {"four-state": 4, "six-state": 6}),
+    Check("rotation maps phi1 to phi0", _BOTH, None,
+          lambda p, nu: _max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
+                                 - qmath.signal_ket(0)),
+          "<", _STRUCT),
+    Check("rotation fourth power = -1", _BOTH, None,
+          lambda p, nu: _max_abs(np.linalg.matrix_power(qmath.rotation_r(), 4)
+                                 + qmath.I2),
+          "<", _STRUCT),
+    Check("twist unitary", _BOTH, None, _twist_unitarity, "<", _STRUCT),
+    Check("filter eigenvalues", _BOTH, None, _filter_eigenvalues, "<", _STRUCT),
+    Check("filter/measurement identity", _BOTH, None,
+          lambda p, nu: qmath.filter_measurement_identity_check(),
+          "<", _STRUCT),
+    Check("filtered pair = half chi0+", _BOTH, None, _filtered_pair,
+          "<", _STRUCT),
+)
+
+
+def _check_row(check: Check, label: str, protocol: str,
+               nu: int | None) -> tuple[str, float, str, bool]:
+    value = check.compute(protocol, nu)
+    if check.op == "range":
+        lo, value = value
+        requirement, ok = "range", 0.0 <= lo and value <= 1.0
     else:
-        floor = bounds.zero_rate_check("four-state", nu)
-        checks.append(("nu=%d no-key floor" % nu, floor, ">= 0.499",
-                       floor >= 0.5 - 1e-3))
-    return checks
-
-
-def _verify_six_state(nu: int) -> list[tuple[str, float, str, bool]]:
-    checks = []
-    if nu == 1:
-        dev = bounds.identity_check_single("six-state")
-        checks.append(("nu=1 phase = 1.5 x bit identity", dev, "< 1e-10",
-                       dev < 1e-10))
-    table = bounds.frontier_table("six-state", nu)
-    ys = [pt.y_star for pt in table]
-    in_range = min(ys) >= 0.0 and max(ys) <= 1.0
-    checks.append(("nu=%d frontier in [0, 1]" % nu,
-                   float(max(ys)), "range", in_range))
-    worst_rise = max(
-        ys[i + 1] - ys[i] for i in range(len(ys) - 1)
-    )
-    checks.append(("nu=%d frontier nonincreasing" % nu, worst_rise,
-                   "<= 1e-6", worst_rise <= 1e-6))
-    if nu == 4:
-        floor = min(ys)
-        checks.append(("nu=4 frontier floor below 1/2", floor, "< 0.5",
-                       floor < 0.5))
-    return checks
+        bound = check.bound
+        if isinstance(bound, dict):
+            bound = bound[protocol]
+        # "%g" pads exponents to two digits; the table prints 1e-9, not 1e-09.
+        requirement = ("%s %g" % (check.op, bound)).replace("e-0", "e-")
+        ok = _OPS[check.op](value, bound)
+    return "%s %s" % (label, check.name), value, requirement, ok
 
 
 def cmd_verify(args) -> int:
-    nus = SUPPORTED_NU if args.nu is None else (args.nu,)
-    rows = []
-    for nu in nus:
-        if args.protocol == "four-state":
-            rows.extend(_verify_four_state(nu))
-        else:
-            rows.extend(_verify_six_state(nu))
+    nus = bounds.SUPPORTED_NU if args.nu is None else (args.nu,)
+    rows = [_check_row(c, "nu=%d" % nu, args.protocol, nu)
+            for nu in nus for c in CHECKS
+            if c.nus is not None and nu in c.nus and args.protocol in c.protocols]
+    return 0 if _print_checks(rows) else 1
+
+
+def cmd_constants_check(args) -> int:
+    protocols = qmath.PROTOCOLS if args.protocol is None else (args.protocol,)
+    rows = [_check_row(c, p, p, None) for p in protocols for c in CHECKS
+            if c.nus is None and p in c.protocols]
     return 0 if _print_checks(rows) else 1
 
 
@@ -140,9 +239,6 @@ THRESHOLD_FIELDS = [
 def _threshold_row(label, nu, e, p, e_ref, p_ref, asserted) -> dict:
     e_dev = None if e_ref is None or e is None else e - e_ref
     p_dev = None if p_ref is None or p is None else p - p_ref
-    ok = True
-    if asserted:
-        ok = abs(e_dev) <= 2e-4 and abs(p_dev) <= 5e-4
     return {
         "label": label,
         "nu": nu,
@@ -154,7 +250,8 @@ def _threshold_row(label, nu, e, p, e_ref, p_ref, asserted) -> dict:
         "p_deviation": p_dev,
         "e_display": None if e is None else round(e, 4),
         "p_display": None if p is None else round(p, 4),
-        "within_tolerance": ok if asserted else None,
+        "within_tolerance": (abs(e_dev) <= 2e-4 and abs(p_dev) <= 5e-4
+                             if asserted else None),
     }
 
 
@@ -171,7 +268,7 @@ def cmd_thresholds(args) -> int:
                 "four-state", nu, r.e_threshold, r.p_threshold, e_ref, p_ref,
                 asserted=True))
     else:
-        for nu in SUPPORTED_NU:
+        for nu in bounds.SUPPORTED_NU:
             r = keyrate.sixstate_thresholds(nu)
             rows.append(_threshold_row(
                 "six-state", nu, r.e_threshold, r.p_threshold,
@@ -185,11 +282,7 @@ def cmd_thresholds(args) -> int:
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
-    csv_rows = [
-        {k: ("" if row[k] is None else row[k]) for k in THRESHOLD_FIELDS}
-        for row in rows
-    ]
-    _report(args, THRESHOLD_FIELDS, csv_rows, rows, manifest)
+    _report(args, THRESHOLD_FIELDS, rows, manifest)
     return 1 if failed else 0
 
 
@@ -239,11 +332,11 @@ def cmd_frontier(args) -> int:
 
     asserted = args.protocol == "four-state" and args.nu == 2
     failed = asserted and (
-        min(r["margin_at_g"] for r in rows) < -1e-9
-        or min(r["gap"] for r in rows) < -1e-6
+        min(r["margin_at_g"] for r in rows) < -bounds.PSD_TOL
+        or min(r["gap"] for r in rows) < -bounds.SHAPE_TOL
     )
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
-    _report(args, FRONTIER_FIELDS, rows, rows, manifest)
+    _report(args, FRONTIER_FIELDS, rows, manifest)
     return 1 if failed else 0
 
 
@@ -258,9 +351,6 @@ SIMULATE_FIELDS = [
     "compare_pass",
 ]
 
-_SIM_KEYS = {"protocol", "trials", "seed", "p", "eta", "nu", "mu"}
-
-
 def _load_config(path: str) -> dict:
     with open(path) as fh:
         doc = yaml.safe_load(fh)
@@ -270,7 +360,7 @@ def _load_config(path: str) -> dict:
 
 
 def _sim_config(doc: dict, seed_flag: int | None) -> simulate.SimConfig:
-    unknown = set(doc) - _SIM_KEYS
+    unknown = set(doc) - {f.name for f in fields(simulate.SimConfig)}
     if unknown:
         raise ValueError("unknown config keys: %s" % sorted(unknown))
     if "protocol" not in doc or "trials" not in doc:
@@ -291,9 +381,8 @@ def cmd_simulate(args) -> int:
 
     manifest = reports.start_manifest(
         "simulate",
-        {"config": args.config, "protocol": cfg.protocol, "nu": cfg.nu,
-         "mu": cfg.mu, "p": cfg.p, "eta": cfg.eta, "trials": cfg.trials,
-         "format": args.format},
+        {"config": args.config, "format": args.format,
+         **{k: v for k, v in asdict(cfg).items() if k != "seed"}},
         __version__, seed=cfg.seed)
 
     stats = simulate.run_monte_carlo(cfg)
@@ -303,49 +392,17 @@ def cmd_simulate(args) -> int:
         comp = simulate.compare(stats, exact)
 
     results = {
-        "config": {"protocol": cfg.protocol, "nu": cfg.nu, "mu": cfg.mu,
-                   "p": cfg.p, "eta": cfg.eta, "trials": cfg.trials,
-                   "seed": cfg.seed},
-        "sifted": stats.sifted,
-        "detected": stats.detected,
-        "conclusive": stats.conclusive,
-        "errors": stats.errors,
-        "conclusive_fraction": stats.conclusive_fraction,
-        "conclusive_se": stats.conclusive_se,
-        "e_bit": stats.e_bit,
-        "e_bit_se": stats.e_bit_se,
-        "per_nu": None if stats.per_nu is None else [
-            {"nu": r.nu, "sifted": r.sifted, "conclusive": r.conclusive,
-             "errors": r.errors}
-            for r in stats.per_nu
-        ],
+        **asdict(stats),
         "exact": None if exact is None else {
             "conclusive_prob": exact.conclusive_prob, "e_bit": exact.e_bit},
-        "compare": None if comp is None else {
-            "z_conclusive": comp.z_conclusive, "z_ebit": comp.z_ebit,
-            "passed": comp.passed},
+        "compare": None if comp is None else asdict(comp),
     }
-    row = {
-        "protocol": cfg.protocol, "nu": cfg.nu, "mu": cfg.mu, "p": cfg.p,
-        "eta": cfg.eta, "trials": cfg.trials, "seed": cfg.seed,
-        "sifted": stats.sifted, "detected": stats.detected,
-        "conclusive": stats.conclusive, "errors": stats.errors,
-        "conclusive_fraction": stats.conclusive_fraction,
-        "conclusive_se": stats.conclusive_se,
-        "e_bit": stats.e_bit, "e_bit_se": stats.e_bit_se,
-        "exact_conclusive": None if exact is None else exact.conclusive_prob,
-        "exact_e_bit": None if exact is None else exact.e_bit,
-        "z_conclusive": None if comp is None else comp.z_conclusive,
-        "z_ebit": None if comp is None else comp.z_ebit,
-        "compare_pass": None if comp is None else comp.passed,
-    }
-    row = {k: ("" if v is None else v) for k, v in row.items()}
 
     passed = None if comp is None else comp.passed
     failed = passed is False
     status = "OK" if passed is None else ("PASS" if passed else "FAIL")
     manifest = reports.finish_manifest(manifest, status)
-    _report(args, SIMULATE_FIELDS, [row], results, manifest)
+    _report(args, SIMULATE_FIELDS, results, manifest, inputs="config")
     return 1 if failed else 0
 
 
@@ -357,8 +414,6 @@ KEYRATE_FIELDS = [
     "p_conc", "e_bit", "xi1", "e1", "xi2", "e2", "error_correction_term",
     "single_photon_term", "two_photon_term", "total_rate", "total_rate_display",
 ]
-
-_DECOY_KEYS = {"p_conc", "e_bit", "xi1", "e1", "xi2", "e2"}
 
 
 def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
@@ -401,18 +456,18 @@ def _decoy_inputs(doc: dict) -> keyrate.DecoyInputs:
     if "from_simulate" in doc:
         return _decoy_from_simulate(doc["from_simulate"])
     decoy = doc["decoy"]
-    if not isinstance(decoy, dict) or set(decoy) != _DECOY_KEYS:
-        raise ValueError("'decoy' must map exactly the keys %s"
-                         % sorted(_DECOY_KEYS))
+    keys = {f.name for f in fields(keyrate.DecoyInputs)}
+    if not isinstance(decoy, dict) or set(decoy) != keys:
+        raise ValueError("'decoy' must map exactly the keys %s" % sorted(keys))
     return keyrate.DecoyInputs(**decoy)
 
 
 def cmd_keyrate(args) -> int:
     try:
         doc = _load_config(args.config)
-        if set(doc) - {"decoy", "from_simulate"}:
-            raise ValueError("unknown config keys: %s"
-                             % sorted(set(doc) - {"decoy", "from_simulate"}))
+        unknown = set(doc) - {"decoy", "from_simulate"}
+        if unknown:
+            raise ValueError("unknown config keys: %s" % sorted(unknown))
         d = _decoy_inputs(doc)
     except (OSError, ValueError, TypeError, KeyError, yaml.YAMLError,
             json.JSONDecodeError) as exc:
@@ -422,78 +477,16 @@ def cmd_keyrate(args) -> int:
     manifest = reports.start_manifest(
         "keyrate", {"config": args.config, "format": args.format}, __version__)
     ec, single, two = keyrate.decoy_rate_terms(d)
-    total = ec + single + two
     results = {
-        "inputs": {"p_conc": d.p_conc, "e_bit": d.e_bit, "xi1": d.xi1,
-                   "e1": d.e1, "xi2": d.xi2, "e2": d.e2},
+        "inputs": asdict(d),
         "error_correction_term": ec,
         "single_photon_term": single,
         "two_photon_term": two,
-        "total_rate": total,
-    }
-    row = {
-        "p_conc": d.p_conc, "e_bit": d.e_bit, "xi1": d.xi1, "e1": d.e1,
-        "xi2": d.xi2, "e2": d.e2, "error_correction_term": ec,
-        "single_photon_term": single, "two_photon_term": two,
-        "total_rate": total, "total_rate_display": round(total, 6),
+        "total_rate": ec + single + two,
     }
     manifest = reports.finish_manifest(manifest, "OK")
-    _report(args, KEYRATE_FIELDS, [row], results, manifest)
+    _report(args, KEYRATE_FIELDS, results, manifest, inputs="inputs")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# constants-check
-# ---------------------------------------------------------------------------
-
-def _constants_checks(protocol: str) -> list[tuple[str, float, str, bool]]:
-    cs = qmath.constants(protocol)
-    tol = qmath.STRUCTURAL_TOL
-    expected_rotations = 4 if protocol == "four-state" else 24
-    expected_states = 4 if protocol == "four-state" else 6
-    checks = [
-        ("%s rotation count" % protocol,
-         float(cs.n_rotations), "== %d" % expected_rotations,
-         cs.n_rotations == expected_rotations),
-        ("%s distinct signal states" % protocol,
-         float(len(cs.distinct_bloch_vectors())), "== %d" % expected_states,
-         len(cs.distinct_bloch_vectors()) == expected_states),
-    ]
-
-    r = qmath.rotation_r()
-    dev = float(np.max(np.abs(r @ qmath.signal_ket(1) - qmath.signal_ket(0))))
-    checks.append(("%s rotation maps phi1 to phi0" % protocol, dev,
-                   "< 1e-12", dev < tol))
-    dev = float(np.max(np.abs(np.linalg.matrix_power(r, 4) + qmath.I2)))
-    checks.append(("%s rotation fourth power = -1" % protocol, dev,
-                   "< 1e-12", dev < tol))
-    t = qmath.twist_t()
-    dev = float(np.max(np.abs(qmath.dagger(t) @ t - qmath.I2)))
-    checks.append(("%s twist unitary" % protocol, dev, "< 1e-12", dev < tol))
-
-    eigs = np.linalg.eigvalsh(cs.filter_f)
-    dev = float(np.max(np.abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))))
-    checks.append(("%s filter eigenvalues" % protocol, dev, "< 1e-12",
-                   dev < tol))
-
-    dev = qmath.filter_measurement_identity_check()
-    checks.append(("%s filter/measurement identity" % protocol, dev,
-                   "< 1e-12", dev < tol))
-
-    psi = qmath.pair_source_ket(1)
-    filtered = qmath.tensor(qmath.I2, cs.filter_f) @ psi
-    dev = float(np.max(np.abs(filtered - 0.5 * qmath.bell_ket("chi0+"))))
-    checks.append(("%s filtered pair = half chi0+" % protocol, dev,
-                   "< 1e-12", dev < tol))
-    return checks
-
-
-def cmd_constants_check(args) -> int:
-    protocols = qmath.PROTOCOLS if args.protocol is None else (args.protocol,)
-    rows = []
-    for protocol in protocols:
-        rows.extend(_constants_checks(protocol))
-    return 0 if _print_checks(rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the inequality/identity checks")
     _add_protocol(v)
     v.add_argument("--nu", type=int, default=None,
-                   help="photon number (default: all of 1..4)")
+                   help="photon number (default: all of %d..%d)"
+                   % (bounds.SUPPORTED_NU[0], bounds.SUPPORTED_NU[-1]))
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("thresholds", help="threshold table vs reference values")
@@ -565,9 +559,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "nu", None) is not None and args.nu not in SUPPORTED_NU:
-        print("%s: unsupported photon number %d (supported: 1..4)"
-              % (args.command, args.nu), file=sys.stderr)
+    nus = bounds.SUPPORTED_NU
+    if getattr(args, "nu", None) is not None and args.nu not in nus:
+        print("%s: unsupported photon number %d (supported: %d..%d)"
+              % (args.command, args.nu, nus[0], nus[-1]), file=sys.stderr)
         return 2
     return args.func(args)
 

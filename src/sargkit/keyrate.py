@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import bounds
 
@@ -285,17 +284,10 @@ def decoy_total_rate(d: DecoyInputs) -> float:
 # Six-state exploratory pipeline
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ystar_table(protocol: str, nu: int) -> tuple[tuple[float, float], ...]:
-    return tuple(
-        (pt.x, pt.y_star) for pt in bounds.frontier_table(protocol, nu)
-    )
-
-
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """min over the x grid of [x*e_bit + y_star(x)] using computed frontiers."""
-    table = _ystar_table(protocol, nu)
-    return min(x * e_bit + y for x, y in table)
+    return min(pt.x * e_bit + pt.y_star
+               for pt in bounds.frontier_table(protocol, nu))
 
 
 def rate_frontier(e_bit: float, protocol: str, nu: int) -> float:
@@ -311,8 +303,9 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
     the entropy model behind the quoted reference values is not pinned down,
     so agreement is reported rather than asserted (see SIX_STATE_REFERENCE).
     """
-    if nu not in (1, 2, 3, 4):
-        raise ValueError("six-state thresholds are computed for nu in 1..4")
+    if nu not in bounds.SUPPORTED_NU:
+        raise ValueError("six-state thresholds are computed for nu in %d..%d"
+                         % (bounds.SUPPORTED_NU[0], bounds.SUPPORTED_NU[-1]))
     lo, hi = 1e-9, 0.45
 
     def rate(e: float) -> float:

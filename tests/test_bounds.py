@@ -94,9 +94,9 @@ def test_frontier_point_is_tight():
 def test_frontier_dominated_by_analytic_bound():
     table = bounds.frontier_table("four-state", 2)
     for pt in table:
-        assert pt.y_star <= bounds.g_of_x(pt.x) + 1e-6
-        assert pt.margin_at_g >= -1e-9
-        assert pt.gap == pytest.approx(bounds.g_of_x(pt.x) - pt.y_star, abs=1e-12)
+        gx = bounds.g_of_x(pt.x)
+        assert pt.y_star <= gx + 1e-6
+        assert bounds.psd_margin(pt.x, gx, "four-state", 2) >= -1e-9
 
 
 def test_frontier_table_sorted_and_nonincreasing():
@@ -146,7 +146,6 @@ def test_six_state_frontier_well_formed(nu):
     ys = [pt.y_star for pt in table]
     assert all(0.0 <= y <= 1.0 for y in ys)
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
-    assert table[0].margin_at_g is None  # analytic bound is four-state only
 
 
 def test_zero_rate_floors():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,13 @@ def read_csv(text: str) -> list[dict]:
     return list(csv.DictReader(oracles.payload_lines(text)))
 
 
+def check_rows(out: str) -> list[list[str]]:
+    """[name, value, requirement, PASS/FAIL] per row of a check table."""
+    lines = out.splitlines()
+    assert lines[-1].startswith("summary: ")
+    return [re.split(r"\s{2,}", line) for line in lines[:-1]]
+
+
 # ---------------------------------------------------------------------------
 # Exit-code contract
 # ---------------------------------------------------------------------------
@@ -53,6 +61,62 @@ def test_verify_six_state_all_passes(capsys):
     rc, out = run(capsys, "verify", "--protocol", "six-state")
     assert rc == 0
     assert "floor below 1/2" in out
+
+
+# Every verify row, by protocol and photon number, in print order.
+VERIFY_ROWS = {
+    ("four-state", 1): ["nu=1 phase = 1.5 x bit identity",
+                        "nu=1 correlation chi0- >= 2 chi1+",
+                        "nu=1 correlation 2 chi1- >= chi0-",
+                        "nu=1 event forms PSD"],
+    ("four-state", 2): ["nu=2 margin at analytic bound",
+                        "nu=2 frontier dominance gap",
+                        "nu=2 frontier floor vs sin^2(pi/8)"],
+    ("four-state", 3): ["nu=3 no-key floor"],
+    ("four-state", 4): ["nu=4 no-key floor"],
+    ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
+                       "nu=1 frontier in [0, 1]",
+                       "nu=1 frontier nonincreasing"],
+    ("six-state", 2): ["nu=2 frontier in [0, 1]",
+                       "nu=2 frontier nonincreasing"],
+    ("six-state", 3): ["nu=3 frontier in [0, 1]",
+                       "nu=3 frontier nonincreasing"],
+    ("six-state", 4): ["nu=4 frontier in [0, 1]",
+                       "nu=4 frontier nonincreasing",
+                       "nu=4 frontier floor below 1/2"],
+}
+
+CONSTANT_ROWS = [
+    "rotation count", "distinct signal states", "rotation maps phi1 to phi0",
+    "rotation fourth power = -1", "twist unitary", "filter eigenvalues",
+    "filter/measurement identity", "filtered pair = half chi0+",
+]
+
+
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+@pytest.mark.parametrize("nu", [None, 1, 2, 3, 4])
+def test_verify_prints_every_certificate_in_order(capsys, protocol, nu):
+    argv = ["verify", "--protocol", protocol]
+    if nu is not None:
+        argv += ["--nu", str(nu)]
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    rows = check_rows(out)
+    nus = [1, 2, 3, 4] if nu is None else [nu]
+    assert [r[0] for r in rows] == [
+        name for n in nus for name in VERIFY_ROWS[protocol, n]]
+    assert all(r[-1] == "PASS" for r in rows)
+
+
+def test_verify_failed_certificate_exits_1(capsys, monkeypatch):
+    # The table looks bounds.zero_rate_check up when it runs, so a floor
+    # patched below 1/2 fails the no-key certificate and the whole run.
+    monkeypatch.setattr(cli.bounds, "zero_rate_check", lambda p, nu: 0.3)
+    rc, out = run(capsys, "verify", "--protocol", "four-state", "--nu", "3")
+    assert rc == 1
+    assert check_rows(out) == [
+        ["nu=3 no-key floor", "3.000e-01", ">= 0.499", "FAIL"]]
+    assert out.splitlines()[-1] == "summary: FAIL"
 
 
 def test_verify_unsupported_photon_number(capsys):
@@ -227,6 +291,46 @@ def test_simulate_coherent_has_breakdown_no_compare(capsys, tmp_path):
     assert len(results["per_nu"]) == 7
 
 
+def json_field(results: dict, path: tuple[str, ...]):
+    """The JSON field at path, None below a null block."""
+    for key in path:
+        if results is None:
+            return None
+        results = results[key]
+    return results
+
+
+def csv_cell(value) -> str:
+    return "" if value is None else str(value)
+
+
+# The JSON field each simulate CSV column copies.
+SIMULATE_CSV_SOURCES = {
+    **{k: ("config", k)
+       for k in ("protocol", "nu", "mu", "p", "eta", "trials", "seed")},
+    **{k: (k,) for k in ("sifted", "detected", "conclusive", "errors",
+                         "conclusive_fraction", "conclusive_se", "e_bit",
+                         "e_bit_se")},
+    "exact_conclusive": ("exact", "conclusive_prob"),
+    "exact_e_bit": ("exact", "e_bit"),
+    "z_conclusive": ("compare", "z_conclusive"),
+    "z_ebit": ("compare", "z_ebit"),
+    "compare_pass": ("compare", "passed"),
+}
+
+
+@pytest.mark.parametrize("source", ["nu: 1", "nu: 2", "mu: 0.5"])
+def test_simulate_csv_columns_equal_json_fields(capsys, tmp_path, source):
+    cfg = write_config(tmp_path, SIM_YAML.replace("nu: 1", source))
+    _, js = run(capsys, "simulate", "--config", cfg)
+    _, cs = run(capsys, "simulate", "--config", cfg, "--format", "csv")
+    results = json.loads(js)["results"]
+    (row,) = read_csv(cs)
+    assert list(row) == list(SIMULATE_CSV_SOURCES)
+    assert row == {col: csv_cell(json_field(results, path))
+                   for col, path in SIMULATE_CSV_SOURCES.items()}
+
+
 @pytest.mark.parametrize("mangle", [
     lambda s: s.replace("nu: 1", "nu: 7"),
     lambda s: s.replace("nu: 1", ""),
@@ -323,6 +427,24 @@ decoy:
 """
 
 
+def test_keyrate_csv_columns_equal_json_fields(capsys, tmp_path):
+    cfg = write_config(tmp_path, DECOY_YAML.replace("e1: 0.0", "e1: 0.03")
+                       .replace("e_bit: 0.0", "e_bit: 0.02"))
+    _, js = run(capsys, "keyrate", "--config", cfg)
+    _, cs = run(capsys, "keyrate", "--config", cfg, "--format", "csv")
+    results = json.loads(js)["results"]
+    (row,) = read_csv(cs)
+    inputs = ["p_conc", "e_bit", "xi1", "e1", "xi2", "e2"]
+    terms = ["error_correction_term", "single_photon_term", "two_photon_term",
+             "total_rate"]
+    assert list(row) == inputs + terms + ["total_rate_display"]
+    for col in inputs:
+        assert row[col] == csv_cell(results["inputs"][col])
+    for col in terms:
+        assert row[col] == csv_cell(results[col])
+    assert row["total_rate_display"] == str(round(results["total_rate"], 6))
+
+
 def test_keyrate_zero_error_composition(capsys, tmp_path):
     import math
     rc, out = run(capsys, "keyrate", "--config",
@@ -387,6 +509,16 @@ def test_constants_check_passes(capsys):
     assert rc == 0
     assert "six-state rotation count" in out
     assert "summary: PASS" in out
+
+
+def test_constants_check_prints_every_certificate_in_order(capsys):
+    rc, out = run(capsys, "constants-check")
+    assert rc == 0
+    rows = check_rows(out)
+    assert [r[0] for r in rows] == [
+        "%s %s" % (p, name) for p in ("four-state", "six-state")
+        for name in CONSTANT_ROWS]
+    assert all(r[-1] == "PASS" for r in rows)
 
 
 def test_constants_check_single_protocol(capsys):
