@@ -6,7 +6,7 @@ Subpackages:
 * attack_forms -- effective multi-photon attacks and event quadratic forms
 * bounds       -- semidefinite feasibility frontiers and analytic bounds
 * keyrate      -- entropies, rates, thresholds, decoy composition
-* simulate     -- Monte Carlo channel model and exact small-case statistics
+* simulate     -- Monte Carlo channel model and its closed-form exact law
 * reports      -- run manifests and CSV/JSON writers
 * cli          -- command-line entry point
 """

@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import asdict, fields
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 import yaml
@@ -25,12 +25,9 @@ from . import __version__, attack_forms, bounds, keyrate, qmath, reports, simula
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+def _emit(text: str, out: TextIO | None) -> None:
+    """Write a report to the open --out file, or to stdout."""
+    (out or sys.stdout).write(text)
 
 
 def _print_checks(rows: list[tuple[str, float, str, bool]]) -> bool:
@@ -61,8 +58,8 @@ def _report(args, fieldnames: list[str], results,
 
     A list of results is the CSV table itself.  A results dict gives one CSV
     row: a column copies the field of the same name from results, else from
-    its ``inputs`` block, else the path in _CSV_PATHS (empty when that block
-    is null); ``<field>_display`` is the field rounded to 6 decimals.
+    its ``inputs`` block, else the path in _CSV_PATHS; ``<field>_display``
+    is the field rounded to 6 decimals.
     """
     if args.format == "json":
         _emit(reports.render_json(results, manifest), args.out)
@@ -71,7 +68,7 @@ def _report(args, fieldnames: list[str], results,
     def cell(name: str):
         if name in _CSV_PATHS:
             block, key = _CSV_PATHS[name]
-            return None if results[block] is None else results[block][key]
+            return results[block][key]
         if name.endswith("_display"):
             return round(cell(name[:-len("_display")]), 6)
         return results[name] if name in results else results[inputs][name]
@@ -298,7 +295,10 @@ FRONTIER_FIELDS = [
 def _build_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
     if x_min < 0.0 or x_step <= 0.0 or x_max < x_min:
         raise ValueError("grid requires 0 <= x-min <= x-max and x-step > 0")
-    n = int(math.floor((x_max - x_min) / x_step + 1e-9)) + 1
+    span = (x_max - x_min) / x_step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError("grid point count is not finite")
+    n = int(math.floor(span)) + 1
     if n > 10000:
         raise ValueError("grid too large (%d points)" % n)
     return [x_min + k * x_step for k in range(n)]
@@ -386,24 +386,19 @@ def cmd_simulate(args) -> int:
         __version__, seed=cfg.seed)
 
     stats = simulate.run_monte_carlo(cfg)
-    exact = comp = None
-    if cfg.nu in (1, 2):
-        exact = simulate.exact_channel_stats(cfg.protocol, cfg.nu, cfg.p, cfg.eta)
-        comp = simulate.compare(stats, exact)
-
+    exact = simulate.exact_channel_stats(cfg.protocol, cfg.nu, cfg.p, cfg.eta,
+                                         cfg.mu)
+    comp = simulate.compare(stats, exact)
     results = {
         **asdict(stats),
-        "exact": None if exact is None else {
-            "conclusive_prob": exact.conclusive_prob, "e_bit": exact.e_bit},
-        "compare": None if comp is None else asdict(comp),
+        "exact": {"conclusive_prob": exact.conclusive_prob, "e_bit": exact.e_bit},
+        "compare": asdict(comp),
     }
 
-    passed = None if comp is None else comp.passed
-    failed = passed is False
-    status = "OK" if passed is None else ("PASS" if passed else "FAIL")
+    status = {None: "OK", True: "PASS", False: "FAIL"}[comp.passed]
     manifest = reports.finish_manifest(manifest, status)
     _report(args, SIMULATE_FIELDS, results, manifest, inputs="config")
-    return 1 if failed else 0
+    return 1 if comp.passed is False else 0
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +559,17 @@ def main(argv=None) -> int:
         print("%s: unsupported photon number %d (supported: %d..%d)"
               % (args.command, args.nu, nus[0], nus[-1]), file=sys.stderr)
         return 2
-    return args.func(args)
+    if getattr(args, "out", None) is None:
+        return args.func(args)
+    # Open --out before any work, so that an unwritable path is a usage error.
+    try:
+        out = open(args.out, "w", newline="")
+    except OSError as exc:
+        print("%s: cannot write --out: %s" % (args.command, exc), file=sys.stderr)
+        return 2
+    with out:
+        args.out = out
+        return args.func(args)
 
 
 if __name__ == "__main__":

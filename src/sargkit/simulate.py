@@ -1,6 +1,7 @@
 """Monte Carlo protocol sessions over a lossy depolarizing channel.
 
-Channel model per pulse of nu photons in state rho^(x)nu:
+Channel model per pulse of nu photons in state rho^(x)nu, with statistics
+that `exact_channel_stats` gives in closed form to check every run by:
 
 * with probability 1 - 4p/3 the pulse is intact, otherwise every photon is
   replaced by an independent uniformly random pure polarization (an exact
@@ -51,12 +52,27 @@ _SLOT_COUNT = 6
 _SLOT_ARRIVE = 7
 _SLOT_OUTCOME = 13
 _SLOT_COS = 19
-_SLOT_AZIMUTH = 25
 
 
 def _is_int(value) -> bool:
     """A Python int that is not a bool (YAML reads `true` as True == 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_channel(protocol, nu, mu, p, eta) -> None:
+    """Raise ValueError unless the arguments describe a run of the channel."""
+    if protocol not in qmath.PROTOCOLS:
+        raise ValueError("unknown protocol %r" % (protocol,))
+    if (nu is None) == (mu is None):
+        raise ValueError("exactly one of nu and mu must be set")
+    if nu is not None and not (_is_int(nu) and nu >= 1):
+        raise ValueError("fixed photon number must be a positive integer")
+    if mu is not None and not 0.0 < mu <= MAX_MU:
+        raise ValueError("coherent intensity must be in (0, %g]" % MAX_MU)
+    if not 0.0 <= p <= 0.75:
+        raise ValueError("depolarizing rate must be in [0, 0.75]")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("transmittance must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -77,18 +93,9 @@ class SimConfig:
     mu: float | None = None
 
     def __post_init__(self):
-        if self.protocol not in qmath.PROTOCOLS:
-            raise ValueError("unknown protocol %r" % (self.protocol,))
-        if (self.nu is None) == (self.mu is None):
-            raise ValueError("exactly one of nu and mu must be set")
         if self.nu is not None and not (_is_int(self.nu) and 1 <= self.nu <= 4):
             raise ValueError("fixed photon number must be an integer in 1..4")
-        if self.mu is not None and not 0.0 < self.mu <= MAX_MU:
-            raise ValueError("coherent intensity must be in (0, %g]" % MAX_MU)
-        if not 0.0 <= self.p <= 0.75:
-            raise ValueError("depolarizing rate must be in [0, 0.75]")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("transmittance must be in (0, 1]")
+        _check_channel(self.protocol, self.nu, self.mu, self.p, self.eta)
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
         if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
@@ -159,14 +166,15 @@ class SimStats:
 
 @dataclass(frozen=True)
 class ExactStats:
-    """Closed-channel statistics from density-matrix enumeration."""
+    """Exact channel-law statistics of the run (protocol, nu, mu, p, eta)."""
 
     protocol: str
-    nu: int
+    nu: int | None
     p: float
     eta: float
     conclusive_prob: float
     e_bit: float
+    mu: float | None = None
 
 
 @dataclass(frozen=True)
@@ -410,70 +418,36 @@ def replay_trial(cfg: SimConfig, index: int) -> TrialRecord:
     )
 
 
-def exact_channel_stats(protocol: str, nu: int, p: float, eta: float) -> ExactStats:
-    """Exact conclusive probability and error rate by full enumeration.
+def exact_channel_stats(protocol: str, nu: int | None, p: float, eta: float,
+                        mu: float | None = None) -> ExactStats:
+    """Exact conclusive probability and error rate of the channel law.
 
-    Averages over matched sift rotations and enumerates channel branches,
-    arrival patterns, per-photon measurement outcomes, and squash coins,
-    computing every outcome probability from density matrices.  Implemented
-    for the key-generating photon numbers nu = 1, 2 only.
+    Every arrived photon is flagged with probability 1/2, except in an intact
+    pulse measured in the basis of Alice's bit (the error case), where none
+    is.  The squash rule makes any m >= 1 such photons conclusive with
+    probability 2^-m + (1 - 2^(1-m))/2 = 1/2, so for either protocol
+    P_conc = (1 - (1 - eta)^nu)(1/4 + p/3) and e_bit = 4p/(3 + 4p).  A
+    coherent run (nu None, mu set) averages P_conc over the sampler's law.
     """
-    if nu not in (1, 2):
-        raise ValueError("exact enumeration is implemented for nu in {1, 2}")
-    if not 0.0 <= p <= 0.75:
-        raise ValueError("depolarizing rate must be in [0, 0.75]")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("transmittance must be in (0, 1]")
-
-    cs = qmath.constants(protocol)
-    mixed_dm = 0.5 * qmath.I2
-    p_conclusive = 0.0
-    p_error = 0.0
-    for rot in cs.rotations:  # matched sift round: Bob applies the inverse
-        undo = qmath.dagger(rot)
-        for j in (0, 1):
-            sent = rot @ qmath.signal_ket(j)
-            intact_dm = qmath.proj(undo @ sent)
-            for jp in (0, 1):
-                measure = qmath.proj(qmath.signal_perp_ket(jp))
-                weight = 1.0 / (len(cs.rotations) * 4)
-                for branch_prob, dm in (
-                    (1.0 - 4.0 * p / 3.0, intact_dm),
-                    (4.0 * p / 3.0, mixed_dm),
-                ):
-                    q = float(np.trace(measure @ dm).real)
-                    if q < 1e-14:
-                        q = 0.0  # orthogonal outcome up to roundoff
-                    for m in range(nu + 1):  # photons arriving
-                        arrive = math.comb(nu, m) * eta ** m * (1 - eta) ** (nu - m)
-                        if m == 0:
-                            continue  # vacuum: no detection
-                        for k in range(m + 1):  # conclusive-side outcomes
-                            pattern = (
-                                math.comb(m, k) * q ** k * (1.0 - q) ** (m - k)
-                            )
-                            if k == m:
-                                conclusive = 1.0
-                            elif k == 0:
-                                conclusive = 0.0
-                            else:
-                                conclusive = 0.5  # fair-coin squash
-                            contrib = weight * branch_prob * arrive * pattern
-                            p_conclusive += contrib * conclusive
-                            if jp == j:
-                                p_error += contrib * conclusive
-    e_bit = p_error / p_conclusive if p_conclusive else 0.0
+    _check_channel(protocol, nu, mu, p, eta)
+    if nu is not None:
+        detect = 1.0 - (1.0 - eta) ** nu
+    else:
+        cdf = [0.0] + _truncated_poisson_cdf(mu).tolist()
+        detect = sum((cdf[n + 1] - cdf[n]) * (1.0 - (1.0 - eta) ** n)
+                     for n in range(1, MAX_PHOTONS + 1))
     return ExactStats(
         protocol=protocol, nu=nu, p=p, eta=eta,
-        conclusive_prob=p_conclusive, e_bit=e_bit,
+        conclusive_prob=detect * (0.25 + p / 3.0),
+        e_bit=4.0 * p / (3.0 + 4.0 * p), mu=mu,
     )
 
 
 def compare(sim: SimStats, exact: ExactStats) -> CompareResult:
     """z-scores of simulated conclusive fraction and error rate vs exact."""
     cfg = sim.config
-    if (cfg.protocol, cfg.nu, cfg.p, cfg.eta) != (
-        exact.protocol, exact.nu, exact.p, exact.eta
+    if (cfg.protocol, cfg.nu, cfg.mu, cfg.p, cfg.eta) != (
+        exact.protocol, exact.nu, exact.mu, exact.p, exact.eta
     ):
         raise ValueError("simulation and exact statistics describe different runs")
 

@@ -4,7 +4,8 @@ Each oracle reaches its answer by a route independent of the library's exact
 formula: event weights straight from the conditional pair state, a frontier
 by bisection on the PSD margin, the two-photon optimum by scan plus golden
 section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
-from float uniforms on one thread.
+from float uniforms on one thread, the channel law by enumerating every
+branch, arrival pattern and outcome.
 """
 
 from __future__ import annotations
@@ -194,6 +195,63 @@ def monte_carlo_stats(cfg: simulate.SimConfig,
         u = units(simulate._raw_block(cfg.seed, start, count))
         tallies += float_shard_tallies(u, cfg, flag_table, n_rot, cdf)
     return simulate._stats(cfg, tallies)
+
+
+def enumerated_channel_stats(protocol: str, nu: int, p: float,
+                             eta: float) -> simulate.ExactStats:
+    """exact_channel_stats at a fixed photon number by full enumeration.
+
+    Averages over matched sift rotations and enumerates channel branches,
+    arrival patterns, per-photon measurement outcomes, and squash coins,
+    computing every outcome probability from density matrices.
+    """
+    if not 0.0 <= p <= 0.75:
+        raise ValueError("depolarizing rate must be in [0, 0.75]")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("transmittance must be in (0, 1]")
+
+    cs = qmath.constants(protocol)
+    mixed_dm = 0.5 * qmath.I2
+    p_conclusive = 0.0
+    p_error = 0.0
+    for rot in cs.rotations:  # matched sift round: Bob applies the inverse
+        undo = qmath.dagger(rot)
+        for j in (0, 1):
+            sent = rot @ qmath.signal_ket(j)
+            intact_dm = qmath.proj(undo @ sent)
+            for jp in (0, 1):
+                measure = qmath.proj(qmath.signal_perp_ket(jp))
+                weight = 1.0 / (len(cs.rotations) * 4)
+                for branch_prob, dm in (
+                    (1.0 - 4.0 * p / 3.0, intact_dm),
+                    (4.0 * p / 3.0, mixed_dm),
+                ):
+                    q = float(np.trace(measure @ dm).real)
+                    if q < 1e-14:
+                        q = 0.0  # orthogonal outcome up to roundoff
+                    for m in range(nu + 1):  # photons arriving
+                        arrive = math.comb(nu, m) * eta ** m * (1 - eta) ** (nu - m)
+                        if m == 0:
+                            continue  # vacuum: no detection
+                        for k in range(m + 1):  # conclusive-side outcomes
+                            pattern = (
+                                math.comb(m, k) * q ** k * (1.0 - q) ** (m - k)
+                            )
+                            if k == m:
+                                conclusive = 1.0
+                            elif k == 0:
+                                conclusive = 0.0
+                            else:
+                                conclusive = 0.5  # fair-coin squash
+                            contrib = weight * branch_prob * arrive * pattern
+                            p_conclusive += contrib * conclusive
+                            if jp == j:
+                                p_error += contrib * conclusive
+    e_bit = p_error / p_conclusive if p_conclusive else 0.0
+    return simulate.ExactStats(
+        protocol=protocol, nu=nu, p=p, eta=eta,
+        conclusive_prob=p_conclusive, e_bit=e_bit,
+    )
 
 
 def payload_lines(report: str) -> list[str]:

@@ -205,9 +205,13 @@ def test_frontier_custom_grid(capsys):
     ("--x-min", "-1"),
     ("--x-min", "5", "--x-max", "1"),
     ("--x-step", "1e-9"),
+    ("--x-max", "inf"),
+    ("--x-max", "1e308", "--x-step", "1e-300"),  # point count overflows
 ])
 def test_frontier_malformed_grid(capsys, flags):
     assert cli.main(["frontier", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frontier: ") and err.count("\n") == 1
 
 
 def test_frontier_six_state_is_informational(capsys):
@@ -287,8 +291,22 @@ def test_simulate_coherent_has_breakdown_no_compare(capsys, tmp_path):
     rc, out = run(capsys, "simulate", "--config", cfg)
     assert rc == 0
     results = json.loads(out)["results"]
-    assert results["compare"] is None
+    assert results["compare"]["passed"] is True
     assert len(results["per_nu"]) == 7
+
+
+@pytest.mark.parametrize("source", ["nu: 3", "nu: 4", "mu: 0.5"])
+def test_simulate_compares_every_photon_source(capsys, tmp_path, source):
+    cfg = write_config(tmp_path, SIM_YAML.replace("nu: 1", source))
+    rc, out = run(capsys, "simulate", "--config", cfg)
+    assert rc == 0
+    doc = json.loads(out)
+    results = doc["results"]
+    assert set(results["exact"]) == {"conclusive_prob", "e_bit"}
+    assert results["compare"]["passed"] is True
+    assert abs(results["compare"]["z_conclusive"]) <= 3
+    assert abs(results["compare"]["z_ebit"]) <= 3
+    assert doc["manifest"]["status"] == "PASS"
 
 
 def json_field(results: dict, path: tuple[str, ...]):
@@ -381,9 +399,11 @@ def test_simulate_single_trial_reports_null_z_without_traceback(tmp_path):
     assert row["z_conclusive"] == row["z_ebit"] == row["compare_pass"] == ""
 
 
+@pytest.mark.parametrize("source", ["nu: 1", "mu: 0.5"])
 def test_simulate_zeroed_error_tally_fails_with_exit_1(capsys, tmp_path,
-                                                       monkeypatch):
-    # A defect that drops every error from the tally must fail the run.
+                                                       monkeypatch, source):
+    # A defect that drops every error from the tally must fail the run, at a
+    # fixed photon number and from a coherent source alike.
     run_monte_carlo = cli.simulate.run_monte_carlo
 
     def zeroed(cfg):
@@ -391,8 +411,8 @@ def test_simulate_zeroed_error_tally_fails_with_exit_1(capsys, tmp_path,
         return dataclasses.replace(stats, errors=0, e_bit=0.0, e_bit_se=0.0)
 
     monkeypatch.setattr(cli.simulate, "run_monte_carlo", zeroed)
-    rc, out = run(capsys, "simulate", "--config",
-                  write_config(tmp_path, SIM_YAML.replace("40000", "400000")))
+    text = SIM_YAML.replace("40000", "400000").replace("nu: 1", source)
+    rc, out = run(capsys, "simulate", "--config", write_config(tmp_path, text))
     assert rc == 1
     doc = json.loads(out)
     assert doc["results"]["errors"] == 0
@@ -406,6 +426,29 @@ def test_cli_import_does_not_load_the_thread_pool():
     code = "import sys, sargkit.cli; sys.exit('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=SRC)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("computed before --out was opened")
+
+
+@pytest.mark.parametrize("command,compute", [
+    ("thresholds", "keyrate.threshold_single"),
+    ("simulate", "simulate.run_monte_carlo"),
+])
+def test_unwritable_out_is_a_usage_error_before_any_work(capsys, tmp_path,
+                                                        monkeypatch, command,
+                                                        compute):
+    module, name = compute.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, refuse)
+    argv = [command, "--out", str(tmp_path / "missing" / "report.csv")]
+    if command == "simulate":
+        argv += ["--config", write_config(tmp_path, SIM_YAML)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(command + ": ")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_missing_config_file(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Monte Carlo engine, exact enumeration, replay, and their agreement."""
+"""Monte Carlo engine, exact channel law, replay, and their agreement."""
 
 import dataclasses
 import math
@@ -56,8 +56,43 @@ def test_coherent_intensity_is_bounded_by_one():
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration
+# Exact channel law
 # ---------------------------------------------------------------------------
+
+def rel_close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+# Positive p stays above 1e-200: below about 1e-300 the oracle's products of
+# small weights go subnormal and lose digits that the closed form keeps.
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(qmath.PROTOCOLS), nu=st.integers(1, 6),
+       p=st.one_of(st.sampled_from([0.0, 0.75]), st.floats(1e-200, 0.75)),
+       eta=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+def test_closed_form_matches_enumeration_oracle(protocol, nu, p, eta):
+    exact = simulate.exact_channel_stats(protocol, nu, p, eta)
+    oracle = oracles.enumerated_channel_stats(protocol, nu, p, eta)
+    assert rel_close(exact.conclusive_prob, oracle.conclusive_prob)
+    assert rel_close(exact.e_bit, oracle.e_bit)
+    assert (exact.nu, exact.mu) == (nu, None)
+
+
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+@pytest.mark.parametrize("mu,p,eta", [(0.5, 0.02, 0.6), (1.0, 0.0, 1.0),
+                                      (0.05, 0.75, 0.01)])
+def test_coherent_law_is_the_photon_number_mixture_of_the_oracle(protocol, mu,
+                                                                  p, eta):
+    exact = simulate.exact_channel_stats(protocol, None, p, eta, mu=mu)
+    weights = np.diff(simulate._truncated_poisson_cdf(mu), prepend=0.0)
+    conclusive = errors = 0.0
+    for n, w in enumerate(weights[1:], start=1):  # vacuum never clicks
+        o = oracles.enumerated_channel_stats(protocol, n, p, eta)
+        conclusive += w * o.conclusive_prob
+        errors += w * o.conclusive_prob * o.e_bit
+    assert (exact.nu, exact.mu) == (None, mu)
+    assert rel_close(exact.conclusive_prob, conclusive)
+    assert rel_close(exact.e_bit, errors / conclusive)
+
 
 def test_exact_single_photon_closed_forms():
     for p in (0.0, 0.01, 0.03, 0.05, 0.2):
@@ -91,7 +126,7 @@ def test_exact_zero_noise_is_errorless():
 
 def test_exact_rejects_unsupported():
     with pytest.raises(ValueError):
-        simulate.exact_channel_stats("four-state", 3, 0.05, 1.0)
+        simulate.exact_channel_stats("four-state", 0, 0.05, 1.0)
     with pytest.raises(ValueError):
         simulate.exact_channel_stats("four-state", 1, 0.9, 1.0)
     with pytest.raises(ValueError):
@@ -325,6 +360,15 @@ def test_sift_statistics_do_not_depend_on_rotation_label():
 def test_compare_rejects_parameter_mismatch():
     stats = simulate.run_monte_carlo(config(trials=1000))
     exact = simulate.exact_channel_stats("four-state", 1, 0.01, 0.5)
+    with pytest.raises(ValueError):
+        simulate.compare(stats, exact)
+
+
+def test_compare_rejects_intensity_mismatch():
+    cfg = config(nu=None, mu=0.5, trials=1000)
+    stats = simulate.run_monte_carlo(cfg)
+    exact = simulate.exact_channel_stats(cfg.protocol, None, cfg.p, cfg.eta,
+                                         mu=0.4)
     with pytest.raises(ValueError):
         simulate.compare(stats, exact)
 
