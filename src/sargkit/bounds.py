@@ -14,7 +14,9 @@ makes H_bit and H_ph vanish on the kernel of H_fil, so on R = range(H_fil)
     y_star(x) = max(0, lambda_max(F^-1/2 R^dag (H_ph - x*H_bit) R F^-1/2)),
 
 with F the diagonal of nonzero eigenvalues of H_fil: one eigen-solve per
-point, each then certified by its PSD margin.
+point, each then certified by its PSD margin.  Both solves are batched over
+the grid: a whole x-grid is one stacked eigen-solve for y_star and one for
+the margins, and a single point is the one-point case of the same code.
 """
 
 from __future__ import annotations
@@ -53,14 +55,23 @@ def _forms(protocol: str, nu: int):
     return f["bit"].matrix, f["fil"].matrix, f["ph"].matrix
 
 
-def psd_margin(x: float, y: float, protocol: str, nu: int) -> float:
+def psd_margin(x, y, protocol: str, nu: int):
     """Smallest eigenvalue of x*H_bit + y*H_fil - H_ph.
 
     A nonnegative value certifies x*p_bit + y*p_fil >= p_ph for every attack
     map (hence, per sifted conclusive pair, for arbitrary joint attacks).
+    x and y broadcast against each other: a float for two scalars, else an
+    array of margins from one stacked eigen-solve.
     """
     h_bit, h_fil, h_ph = _forms(protocol, nu)
-    return qmath.min_eigenvalue(x * h_bit + y * h_fil - h_ph)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    # Summed in place: on a grid this stack is the largest array a command
+    # makes, so every temporary saved lowers its peak memory.
+    m = x[..., None, None] * h_bit
+    m += y[..., None, None] * h_fil
+    m -= h_ph
+    return qmath.min_eigenvalue(m)
 
 
 def identity_check_single(protocol: str = "four-state") -> float:
@@ -73,12 +84,14 @@ def identity_check_single(protocol: str = "four-state") -> float:
     return float(np.abs(h_ph - 1.5 * h_bit).max())
 
 
+@lru_cache(maxsize=None)
 def correlation_psd_check() -> tuple[float, float]:
     """Smallest eigenvalues of the two single-photon correlation inequalities.
 
     Returns (lambda_min(H_chi0- - 2*H_chi1+), lambda_min(2*H_chi1- - H_chi0-))
     for the four-state protocol at nu = 1; both nonnegative (within 1e-10)
     means every attack satisfies <chi0-> >= 2<chi1+> and 2<chi1-> >= <chi0->.
+    Computed once per process: the two verify rows read one cached pair.
     """
     forms = attack_forms.all_forms("four-state", 1)
     h0m = forms["bell:chi0-"].matrix
@@ -137,30 +150,44 @@ def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
     return reduce(h_ph), reduce(h_bit)
 
 
-def frontier(x: float, protocol: str, nu: int) -> FrontierPoint:
-    """Minimal y with x*H_bit + y*H_fil - H_ph PSD, from one reduced eigen-solve.
+def _frontier_ys(x, protocol: str, nu: int) -> np.ndarray:
+    """y_star for every x (any shape), each certified by its PSD margin.
 
-    y_star is clipped to [0, 1] (y = 1 is always feasible because
-    p_ph <= p_fil) and accepted only if psd_margin(x, y_star) >= -PSD_TOL;
-    otherwise ArithmeticError is raised.
+    One stacked eigen-solve on the reduced pencil gives every y_star, clipped
+    to [0, 1] (y = 1 is always feasible because p_ph <= p_fil; a clipped 0 is
+    +0.0); one stacked psd_margin then certifies them.  Raises ArithmeticError
+    naming the first x whose margin is below -PSD_TOL.
     """
     a, b = _reduced_pencil(protocol, nu)
-    y_star = min(1.0, max(0.0, -qmath.min_eigenvalue(x * b - a)))
-    margin = psd_margin(x, y_star, protocol, nu)
-    if margin < -PSD_TOL:
+    x = np.asarray(x, dtype=float)
+    neg = -qmath.min_eigenvalue(x[..., None, None] * b - a)
+    ys = np.where(neg > 0.0, np.minimum(neg, 1.0), 0.0)
+    margins = psd_margin(x, ys, protocol, nu)
+    bad = np.flatnonzero(margins < -PSD_TOL)
+    if bad.size:
+        i = bad[0]
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
-                              % (x, y_star, margin))
-    return FrontierPoint(x=x, y_star=y_star)
+                              % (x.flat[i], ys.flat[i], np.ravel(margins)[i]))
+    return ys
+
+
+def frontier(x: float, protocol: str, nu: int) -> FrontierPoint:
+    """Minimal y with x*H_bit + y*H_fil - H_ph PSD: the one-point case of
+    frontier_table, so it raises ArithmeticError on the same failed margin."""
+    return FrontierPoint(x=x, y_star=_frontier_ys(x, protocol, nu).item())
 
 
 @lru_cache(maxsize=None)
 def frontier_table(protocol: str, nu: int,
                    grid=DEFAULT_X_GRID) -> tuple[FrontierPoint, ...]:
-    """Frontier points for every x on the grid (ascending), computed once.
+    """Frontier points for every x on the grid (ascending), computed once,
+    batched over the grid.
 
     The grid must be hashable (a tuple): it is part of the cache key.
     """
-    return tuple(frontier(float(x), protocol, nu) for x in sorted(grid))
+    xs = [float(x) for x in sorted(grid)]
+    ys = _frontier_ys(xs, protocol, nu).tolist()
+    return tuple(FrontierPoint(x=x, y_star=y) for x, y in zip(xs, ys))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:

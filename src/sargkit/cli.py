@@ -4,6 +4,9 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 configuration error.  Report columns and JSON field names are frozen in
 docs/report_formats.md; simulation/keyrate configs are YAML documents whose
 schema lives in docs/config_schema.md.
+
+YAML, ``simulate`` and ``keyrate`` are imported inside the commands that
+use them, so that verify, frontier and constants-check start without them.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import asdict, fields
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
-import yaml
 
-from . import __version__, attack_forms, bounds, keyrate, qmath, reports, simulate
+from . import __version__, attack_forms, bounds, qmath, reports
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -148,8 +150,9 @@ CHECKS = (
                             for form in attack_forms.all_forms(p, nu).values()),
           ">=", attack_forms.FORM_PSD_TOL),
     Check("margin at analytic bound", _FOUR, (2,),
-          lambda p, nu: min(bounds.psd_margin(x, bounds.g_of_x(x), p, nu)
-                            for x in bounds.DEFAULT_X_GRID),
+          lambda p, nu: float(bounds.psd_margin(
+              bounds.DEFAULT_X_GRID,
+              [bounds.g_of_x(x) for x in bounds.DEFAULT_X_GRID], p, nu).min()),
           ">=", -bounds.PSD_TOL),
     Check("frontier dominance gap", _FOUR, (2,),
           lambda p, nu: min(bounds.g_of_x(pt.x) - pt.y_star
@@ -253,6 +256,8 @@ def _threshold_row(label, nu, e, p, e_ref, p_ref, asserted) -> dict:
 
 
 def cmd_thresholds(args) -> int:
+    from . import keyrate
+
     manifest = reports.start_manifest(
         "thresholds", {"protocol": args.protocol, "format": args.format},
         __version__)
@@ -316,19 +321,17 @@ def cmd_frontier(args) -> int:
          "x_max": args.x_max, "x_step": args.x_step, "format": args.format},
         __version__)
 
-    rows = []
-    for x in grid:
-        pt = bounds.frontier(x, args.protocol, args.nu)
-        gx = bounds.g_of_x(x)
-        margin = bounds.psd_margin(x, gx, args.protocol, args.nu)
-        rows.append({
-            "x": x,
-            "y_star": pt.y_star,
-            "y_star_display": round(pt.y_star, 6),
-            "g_x": gx,
-            "gap": gx - pt.y_star,
-            "margin_at_g": margin,
-        })
+    table = bounds.frontier_table(args.protocol, args.nu, tuple(grid))
+    gs = [bounds.g_of_x(x) for x in grid]
+    margins = bounds.psd_margin(grid, gs, args.protocol, args.nu).tolist()
+    rows = [{
+        "x": pt.x,
+        "y_star": pt.y_star,
+        "y_star_display": round(pt.y_star, 6),
+        "g_x": gx,
+        "gap": gx - pt.y_star,
+        "margin_at_g": margin,
+    } for pt, gx, margin in zip(table, gs, margins)]
 
     asserted = args.protocol == "four-state" and args.nu == 2
     failed = asserted and (
@@ -352,14 +355,22 @@ SIMULATE_FIELDS = [
 ]
 
 def _load_config(path: str) -> dict:
+    """Read a YAML mapping; a YAML error is a one-line ValueError."""
+    import yaml
+
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(" ".join(str(exc).split())) from exc
     if not isinstance(doc, dict):
         raise ValueError("config must be a mapping")
     return doc
 
 
 def _sim_config(doc: dict, seed_flag: int | None) -> simulate.SimConfig:
+    from . import simulate
+
     unknown = set(doc) - {f.name for f in fields(simulate.SimConfig)}
     if unknown:
         raise ValueError("unknown config keys: %s" % sorted(unknown))
@@ -373,9 +384,11 @@ def _sim_config(doc: dict, seed_flag: int | None) -> simulate.SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     try:
         cfg = _sim_config(_load_config(args.config), args.seed)
-    except (OSError, ValueError, TypeError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print("simulate: bad config: %s" % exc, file=sys.stderr)
         return 2
 
@@ -412,6 +425,8 @@ KEYRATE_FIELDS = [
 
 
 def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
+    from . import keyrate
+
     if not isinstance(path, str):
         raise ValueError("'from_simulate' must be a path to a simulate "
                          "JSON report")
@@ -445,6 +460,8 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
 
 
 def _decoy_inputs(doc: dict) -> keyrate.DecoyInputs:
+    from . import keyrate
+
     if ("decoy" in doc) == ("from_simulate" in doc):
         raise ValueError("config requires exactly one of 'decoy' and "
                          "'from_simulate'")
@@ -458,14 +475,15 @@ def _decoy_inputs(doc: dict) -> keyrate.DecoyInputs:
 
 
 def cmd_keyrate(args) -> int:
+    from . import keyrate
+
     try:
         doc = _load_config(args.config)
         unknown = set(doc) - {"decoy", "from_simulate"}
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
         d = _decoy_inputs(doc)
-    except (OSError, ValueError, TypeError, KeyError, yaml.YAMLError,
-            json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print("keyrate: bad config: %s" % exc, file=sys.stderr)
         return 2
 

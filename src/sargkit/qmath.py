@@ -50,7 +50,8 @@ def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Conjugate transpose of an operator, or of each operator in a stack."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
 def proj(v: np.ndarray) -> np.ndarray:
@@ -60,35 +61,48 @@ def proj(v: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
+    """True for a square matrix, or a stack (..., n, n) of them, each within
+    ``tol`` (max-norm) of its conjugate transpose."""
     h = np.asarray(h)
-    return h.ndim == 2 and h.shape[0] == h.shape[1] and np.abs(h - dagger(h)).max() <= tol
+    return (h.ndim >= 2 and h.shape[-1] == h.shape[-2]
+            and np.abs(h - dagger(h)).max(initial=0.0) <= tol)
 
 
 def as_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """Validate the Hermitian view of an operator and return the symmetrized copy.
+    """Validate the Hermitian view of an operator (or a stack of operators)
+    and return the symmetrized copy.
 
-    Raises ValueError when max|H - H^dagger| exceeds ``tol``.
+    Raises ValueError when max|H - H^dagger| exceeds ``tol`` for any member.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, tol):
         raise ValueError("operator is not Hermitian within tolerance %g" % tol)
-    return 0.5 * (h + dagger(h))
+    hs = dagger(h)  # a copy; summed in place to keep a stack's peak memory low
+    hs += h
+    hs *= 0.5
+    return hs
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian operator.
+def min_eigenvalue(h: np.ndarray):
+    """Smallest eigenvalue of a Hermitian operator, or of each in a stack.
 
-    The input must pass the Hermitian-view check; the returned value is
-    validated against its eigenvector residual ``||H u - lam u|| <= 1e-9``.
+    ``h`` is one matrix (n, n) or a stack (..., n, n).  Every member must pass
+    the Hermitian-view check; one ``eigh`` call solves them all, the same
+    LAPACK routine per matrix, so each value equals a one-matrix call bit for
+    bit.  Each value is validated against its eigenvector residual
+    ``||H u - lam u|| <= 1e-9``.  Returns a float for one matrix and an array
+    of shape ``h.shape[:-2]`` for a stack.
     """
     hs = as_hermitian(h)
     vals, vecs = np.linalg.eigh(hs)
-    lam = float(vals[0])
-    u = vecs[:, 0]
-    residual = np.linalg.norm(hs @ u - lam * u)
-    if residual > EIGEN_RESIDUAL_TOL:
-        raise ArithmeticError("eigenpair residual %.3e exceeds tolerance" % residual)
-    return lam
+    lam = vals[..., 0]
+    u = vecs[..., :1]
+    residual = np.linalg.norm(hs @ u - lam[..., None, None] * u, axis=(-2, -1))
+    bad = np.flatnonzero(~(residual <= EIGEN_RESIDUAL_TOL))  # NaN fails too
+    if bad.size:
+        raise ArithmeticError("eigenpair residual %.3e exceeds tolerance"
+                              % residual.flat[bad[0]])
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -61,13 +61,17 @@ def _plain(value):
 
 def render_csv(fieldnames: list[str], rows: list[dict],
                manifest: RunManifest) -> str:
-    """Serialize rows as a CSV table with a leading manifest comment line."""
+    """Serialize rows as a CSV table with a leading manifest comment line.
+
+    Cells follow ``fieldnames``; None is an empty cell, and a row that lacks
+    a column raises KeyError.
+    """
     buf = io.StringIO()
     buf.write("# manifest: %s\r\n" % json.dumps(asdict(manifest), sort_keys=True))
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(fieldnames)
     for row in rows:
-        writer.writerow({k: _plain(v) for k, v in row.items()})
+        writer.writerow([_plain(row[k]) for k in fieldnames])
     return buf.getvalue()
 
 

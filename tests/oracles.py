@@ -2,14 +2,17 @@
 
 Each oracle reaches its answer by a route independent of the library's exact
 formula: event weights straight from the conditional pair state, a frontier
-by bisection on the PSD margin, the two-photon optimum by scan plus golden
-section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
-from float uniforms on one thread, the channel law by enumerating every
-branch, arrival pattern and outcome.
+by bisection on the PSD margin or by one eigen-solve per point, the `frontier`
+report row by row through ``csv.DictWriter``, the two-photon optimum by scan
+plus golden section, the worst single-photon entropy by a dense scan, Monte
+Carlo tallies from float uniforms on one thread, the channel law by
+enumerating every branch, arrival pattern and outcome.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -60,6 +63,37 @@ def frontier_bisection(x: float, protocol: str, nu: int,
         else:
             lo = mid
     return hi
+
+
+def frontier_per_point(x: float, protocol: str, nu: int) -> float:
+    """y_star(x) from its own reduced eigen-solve, certified by its own margin.
+
+    The point-by-point loop that the batched frontier replaced: one solve on
+    the reduced pencil, clipped to [0, 1], then one psd_margin.
+    """
+    a, b = bounds._reduced_pencil(protocol, nu)
+    y_star = min(1.0, max(0.0, -qmath.min_eigenvalue(x * b - a)))
+    margin = bounds.psd_margin(x, y_star, protocol, nu)
+    if margin < -bounds.PSD_TOL:
+        raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
+                              % (x, y_star, margin))
+    return y_star
+
+
+def frontier_payload(fieldnames: list[str], protocol: str, nu: int,
+                     grid) -> list[str]:
+    """The payload lines of a `frontier` CSV report, computed point by point
+    and written by ``csv.DictWriter`` from one dict per row."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
+    writer.writeheader()
+    for x in grid:
+        y = frontier_per_point(x, protocol, nu)
+        gx = bounds.g_of_x(x)
+        writer.writerow({"x": x, "y_star": y, "y_star_display": round(y, 6),
+                         "g_x": gx, "gap": gx - y,
+                         "margin_at_g": bounds.psd_margin(x, gx, protocol, nu)})
+    return buf.getvalue().splitlines()
 
 
 def golden_min(f, lo: float, hi: float, tol: float = 1e-10):

@@ -48,6 +48,12 @@ def test_correlation_inequalities_hold():
     assert lo2 >= -1e-10
 
 
+def test_correlation_check_is_computed_once(monkeypatch):
+    first = bounds.correlation_psd_check()
+    monkeypatch.setattr(attack_forms, "all_forms", None)  # a second compute fails
+    assert bounds.correlation_psd_check() is first
+
+
 def test_margin_increases_with_y():
     # Adding filter weight can only help: H_fil is PSD.
     for x in (0.0, 1.0, 3.0):
@@ -117,6 +123,55 @@ def test_frontier_matches_bisection_oracle(protocol, nu):
         pt = bounds.frontier(x, protocol, nu)
         assert abs(pt.y_star - oracles.frontier_bisection(x, protocol, nu)) < 5e-8
         assert bounds.psd_margin(x, pt.y_star, protocol, nu) >= -1e-9
+
+
+def bits(values) -> list[str]:
+    """repr of each float: equal lists mean equal doubles, signed zeros too."""
+    return [repr(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
+    # One stacked solve per stage makes the same LAPACK call per matrix as
+    # the loop, so every y_star and every margin is the same double.
+    grid = bounds.DEFAULT_X_GRID
+    table = bounds.frontier_table(protocol, nu)
+    assert [pt.x for pt in table] == list(grid)
+    ys = [pt.y_star for pt in table]
+    assert bits(ys) == bits(oracles.frontier_per_point(x, protocol, nu)
+                            for x in grid)
+    assert bits([bounds.frontier(x, protocol, nu).y_star for x in grid]) == bits(ys)
+    gs = [bounds.g_of_x(x) for x in grid]
+    assert bits(bounds.psd_margin(grid, gs, protocol, nu)) == bits(
+        bounds.psd_margin(x, g, protocol, nu) for x, g in zip(grid, gs))
+
+
+def test_clipped_frontier_is_positive_zero():
+    # Four-state nu=1: y_star = max(0, 1.5 - x), so every x > 1.5 clips.
+    table = bounds.frontier_table("four-state", 1)
+    clipped = [pt.y_star for pt in table if pt.x > 1.5]
+    assert clipped and bits(clipped) == ["0.0"] * len(clipped)
+    assert repr(bounds.frontier(3.0, "four-state", 1).y_star) == "0.0"
+
+
+def test_frontier_failure_names_the_first_failing_x(monkeypatch):
+    margin = bounds.psd_margin
+
+    def short_at(x, y, protocol, nu):
+        x = np.asarray(x, dtype=float)
+        return margin(x, y, protocol, nu) - 1e-3 * ((x == 2.5) | (x == 4.0))
+
+    monkeypatch.setattr(bounds, "psd_margin", short_at)
+    with pytest.raises(ArithmeticError, match=r"x=2\.5 "):
+        bounds.frontier_table.__wrapped__("four-state", 2, (1.0, 4.0, 2.5, 3.0))
+    with pytest.raises(ArithmeticError, match=r"x=4 "):
+        bounds.frontier(4.0, "four-state", 2)
+    assert bounds.frontier(3.0, "four-state", 2).y_star > 0.0
+
+
+def test_frontier_table_of_an_empty_grid_is_empty():
+    assert bounds.frontier_table.__wrapped__("six-state", 2, ()) == ()
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)

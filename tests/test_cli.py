@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import oracles
 import sargkit
-from sargkit import cli
+from sargkit import cli, simulate
 
 SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
 
@@ -222,6 +223,21 @@ def test_frontier_six_state_is_informational(capsys):
     assert all(0.0 <= float(r["y_star"]) <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("protocol,nu,step", [
+    ("four-state", 2, "0.01"),   # 1001 points
+    ("six-state", 3, "0.02"),
+    ("four-state", 1, "0.125"),  # y_star clips to 0 for x > 1.5
+])
+def test_frontier_payload_equals_the_per_point_oracle(capsys, protocol, nu, step):
+    rc, out = run(capsys, "frontier", "--protocol", protocol, "--nu", str(nu),
+                  "--x-step", step)
+    assert rc == 0
+    grid = cli._build_grid(0.0, 10.0, float(step))
+    assert oracles.payload_lines(out) == oracles.frontier_payload(
+        cli.FRONTIER_FIELDS, protocol, nu, grid)
+    assert ",-0.0," not in out
+
+
 def test_frontier_byte_stable(capsys):
     _, a = run(capsys, "frontier", "--x-max", "3")
     _, b = run(capsys, "frontier", "--x-max", "3")
@@ -404,13 +420,13 @@ def test_simulate_zeroed_error_tally_fails_with_exit_1(capsys, tmp_path,
                                                        monkeypatch, source):
     # A defect that drops every error from the tally must fail the run, at a
     # fixed photon number and from a coherent source alike.
-    run_monte_carlo = cli.simulate.run_monte_carlo
+    run_monte_carlo = simulate.run_monte_carlo
 
     def zeroed(cfg):
         stats = run_monte_carlo(cfg)
         return dataclasses.replace(stats, errors=0, e_bit=0.0, e_bit_se=0.0)
 
-    monkeypatch.setattr(cli.simulate, "run_monte_carlo", zeroed)
+    monkeypatch.setattr(simulate, "run_monte_carlo", zeroed)
     text = SIM_YAML.replace("40000", "400000").replace("nu: 1", source)
     rc, out = run(capsys, "simulate", "--config", write_config(tmp_path, text))
     assert rc == 1
@@ -422,10 +438,25 @@ def test_simulate_zeroed_error_tally_fails_with_exit_1(capsys, tmp_path,
 
 
 def test_cli_import_does_not_load_the_thread_pool():
-    # The thread pool is imported only by a Monte Carlo run that uses it.
-    code = "import sys, sargkit.cli; sys.exit('concurrent.futures' in sys.modules)"
+    # The thread pool is imported only by a Monte Carlo run that uses it, and
+    # YAML, the Monte Carlo and the key-rate layers only by the commands that
+    # read them; verify, frontier and constants-check never do.
+    code = ("import sys, sargkit.cli; print(*sorted(set(sys.argv[1:]) "
+            "& set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code, "concurrent.futures",
+                           "yaml", "sargkit.simulate", "sargkit.keyrate"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "keyrate"])
+def test_yaml_syntax_error_is_one_stderr_line(capsys, tmp_path, command):
+    cfg = write_config(tmp_path, "protocol: [four-state\ntrials: 5\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(command + ": bad config: while parsing")
+    assert err.count("\n") == 1
 
 
 def refuse(*args, **kwargs):
@@ -440,7 +471,8 @@ def test_unwritable_out_is_a_usage_error_before_any_work(capsys, tmp_path,
                                                         monkeypatch, command,
                                                         compute):
     module, name = compute.split(".")
-    monkeypatch.setattr(getattr(cli, module), name, refuse)
+    monkeypatch.setattr(importlib.import_module("sargkit." + module), name,
+                        refuse)
     argv = [command, "--out", str(tmp_path / "missing" / "report.csv")]
     if command == "simulate":
         argv += ["--config", write_config(tmp_path, SIM_YAML)]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sargkit import qmath
 
@@ -130,6 +132,56 @@ def test_min_eigenvalue_matches_power_iteration():
         v /= np.linalg.norm(v)
     lam_power = np.vdot(v, h @ v).real  # Rayleigh quotient at the converged vector
     assert abs(qmath.min_eigenvalue(h) - lam_power) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(0, 12),
+       dim=st.integers(1, 16), scale=st.sampled_from([1e-12, 1.0, 50.0]))
+def test_min_eigenvalue_on_a_stack_equals_the_per_matrix_loop(seed, batch, dim,
+                                                              scale):
+    # Scales stay near the event forms' (norm <= 1): the residual bound is
+    # absolute, so a norm of 1e6 fails it with or without batching.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
+    stack = scale * (a + np.swapaxes(a, -1, -2).conj())
+    batched = qmath.min_eigenvalue(stack)
+    assert isinstance(batched, np.ndarray) and batched.shape == (batch,)
+    loop = [qmath.min_eigenvalue(h) for h in stack]
+    assert all(isinstance(lam, float) for lam in loop)
+    # Bit for bit: repr is the shortest round-trip form, so it tells every
+    # double apart, signed zeros included.
+    assert list(map(repr, batched.tolist())) == list(map(repr, loop))
+
+
+def test_min_eigenvalue_keeps_leading_stack_axes():
+    stack = np.stack([random_hermitian(3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    lam = qmath.min_eigenvalue(stack)
+    assert lam.shape == (2, 3)
+    assert lam[1, 2] == qmath.min_eigenvalue(stack[1, 2])
+
+
+def test_min_eigenvalue_rejects_a_stack_with_one_nonhermitian_member():
+    stack = np.stack([random_hermitian(4) for _ in range(5)])
+    stack[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qmath.min_eigenvalue(stack)
+    with pytest.raises(ValueError):
+        qmath.min_eigenvalue(np.zeros((5, 4, 3)))
+
+
+def test_min_eigenvalue_checks_the_residual_of_every_member(monkeypatch):
+    stack = np.stack([random_hermitian(4) for _ in range(5)])
+    eigh = np.linalg.eigh
+
+    def bad_member(h):
+        vals, vecs = eigh(h)
+        vecs = vecs.copy()
+        vecs[2, :, 0] = vecs[2, :, 1]  # a wrong eigenvector for member 2 only
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", bad_member)
+    with pytest.raises(ArithmeticError, match="residual"):
+        qmath.min_eigenvalue(stack)
 
 
 def test_eigh_checked_reconstructs():

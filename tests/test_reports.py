@@ -1,6 +1,11 @@
 """Manifest embedding and report serialization."""
 
+import csv
+import io
 import json
+
+import numpy as np
+import pytest
 
 import oracles
 from sargkit import reports
@@ -31,9 +36,26 @@ def test_csv_full_precision_floats():
 
 
 def test_csv_handles_numpy_scalars():
-    import numpy as np
     text = reports.render_csv(["v"], [{"v": np.float64(0.25)}], manifest())
     assert oracles.payload_lines(text)[1] == "0.25"
+
+
+def test_csv_rows_match_dict_writer_bytes():
+    # Cells follow fieldnames whatever the dict order; None is an empty cell.
+    fields = ["a", "b", "c"]
+    rows = [{"c": None, "a": 1, "b": 0.1}, {"a": "x,y", "b": np.float64(2.5),
+                                            "c": True}]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    text = reports.render_csv(fields, rows, manifest())
+    assert oracles.payload_lines(text) == buf.getvalue().splitlines()
+
+
+def test_csv_row_missing_a_column_raises():
+    with pytest.raises(KeyError):
+        reports.render_csv(["x", "y"], [{"x": 1}], manifest())
 
 
 def test_payload_is_timestamp_independent():
