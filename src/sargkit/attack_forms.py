@@ -68,34 +68,12 @@ class EffectiveAttack:
         return cls(nu=nu, map=v.reshape(2, 2 ** nu))
 
 
-def blocks_to_attack(blocks, nu: int) -> EffectiveAttack:
-    """Assemble an attack from 2^{nu-1} qubit blocks, one per trash index.
-
-    Block ``u`` is the 2x2 action on Bob's photon when the remaining input
-    coordinates select trash index ``u``; the map acts on |b> (x) |u> with the
-    kept-photon index major.  For nu = 1 the single block is the map itself.
-    """
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    if len(blocks) != 2 ** (nu - 1):
-        raise ValueError("expected %d blocks for nu=%d" % (2 ** (nu - 1), nu))
-    for b in blocks:
-        if b.shape != (2, 2):
-            raise ValueError("each block must be 2x2")
-    n_trash = 2 ** (nu - 1)
-    m = np.zeros((2, 2 ** nu), dtype=complex)
-    for u, blk in enumerate(blocks):
-        for b in (0, 1):
-            m[:, b * n_trash + u] = blk[:, b]
-    return EffectiveAttack(nu=nu, map=m)
-
-
 @lru_cache(maxsize=None)
 def _sift_terms(protocol: str, nu: int):
     """Per-rotation precomputation: (F U_g^dag, U_g^{(x)nu}) for the sift list."""
-    cs = qmath.constants(protocol)
-    f = cs.filter_f
+    f = qmath.filter_op()
     terms = []
-    for u in cs.rotations:
+    for u in qmath.constants(protocol).rotations:
         terms.append((f @ qmath.dagger(u), qmath.tensor_power(u, nu)))
     return tuple(terms)
 
@@ -133,7 +111,7 @@ def event_weights(rho: np.ndarray) -> tuple[float, float, float]:
 
 def bell_overlaps(rho: np.ndarray) -> dict[str, float]:
     """Traces of rho against the four Bell projectors."""
-    bells = qmath.constants("four-state").bell_projectors
+    bells = qmath.bell_projectors()
     return {tag: float(np.trace(p @ rho).real) for tag, p in bells.items()}
 
 
@@ -163,7 +141,7 @@ def all_forms(protocol: str, nu: int) -> dict[str, EventForm]:
     terms = _sift_terms(protocol, nu)
     a = np.stack([np.einsum("bo,ai->aboi", fu, psi @ uk.T).reshape(4, dim)
                   for fu, uk in terms])
-    bells = qmath.constants("four-state").bell_projectors
+    bells = qmath.bell_projectors()
     event_ops = {
         "fil": np.eye(4),
         "bit": bells["chi1+"] + bells["chi1-"],

@@ -124,12 +124,12 @@ def _twist_unitarity(protocol: str, nu: int | None) -> float:
 
 
 def _filter_eigenvalues(protocol: str, nu: int | None) -> float:
-    eigs = np.linalg.eigvalsh(qmath.constants(protocol).filter_f)
+    eigs = np.linalg.eigvalsh(qmath.filter_op())
     return _max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
 
 
 def _filtered_pair(protocol: str, nu: int | None) -> float:
-    f = qmath.constants(protocol).filter_f
+    f = qmath.filter_op()
     filtered = qmath.tensor(qmath.I2, f) @ qmath.pair_source_ket(1)
     return _max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
 
@@ -236,7 +236,9 @@ THRESHOLD_FIELDS = [
 ]
 
 
-def _threshold_row(label, nu, e, p, e_ref, p_ref, asserted) -> dict:
+def _threshold_row(label, nu, e, p, e_ref, p_ref, tolerance) -> dict:
+    """One table row.  ``tolerance`` bounds |deviation| (on e, on p); None
+    makes the row informational."""
     e_dev = None if e_ref is None or e is None else e - e_ref
     p_dev = None if p_ref is None or p is None else p - p_ref
     return {
@@ -250,8 +252,9 @@ def _threshold_row(label, nu, e, p, e_ref, p_ref, asserted) -> dict:
         "p_deviation": p_dev,
         "e_display": None if e is None else round(e, 4),
         "p_display": None if p is None else round(p, 4),
-        "within_tolerance": (abs(e_dev) <= 2e-4 and abs(p_dev) <= 5e-4
-                             if asserted else None),
+        "within_tolerance": (None if tolerance is None else
+                             abs(e_dev) <= tolerance[0]
+                             and abs(p_dev) <= tolerance[1]),
     }
 
 
@@ -261,26 +264,20 @@ def cmd_thresholds(args) -> int:
     manifest = reports.start_manifest(
         "thresholds", {"protocol": args.protocol, "format": args.format},
         __version__)
-    rows = []
     if args.protocol == "four-state":
-        for nu, fn in ((1, keyrate.threshold_single), (2, keyrate.threshold_two)):
-            r = fn()
-            e_ref, p_ref = keyrate.FOUR_STATE_REFERENCE[nu]
-            rows.append(_threshold_row(
-                "four-state", nu, r.e_threshold, r.p_threshold, e_ref, p_ref,
-                asserted=True))
+        computed = [keyrate.threshold_single(), keyrate.threshold_two()]
+        refs, tol = keyrate.FOUR_STATE_REFERENCE, keyrate.FOUR_STATE_TOLERANCE
+        quoted = ()
     else:
-        for nu in bounds.SUPPORTED_NU:
-            r = keyrate.sixstate_thresholds(nu)
-            rows.append(_threshold_row(
-                "six-state", nu, r.e_threshold, r.p_threshold,
-                keyrate.SIX_STATE_REFERENCE[nu], None, asserted=False))
-        rows.append(_threshold_row(
-            "bb84-reference", None, None, None, None,
-            keyrate.REFERENCE_BB84_P, asserted=False))
-        rows.append(_threshold_row(
-            "six-state-original-reference", None, None, None, None,
-            keyrate.REFERENCE_SIX_STATE_ORIGINAL_P, asserted=False))
+        computed = [keyrate.sixstate_thresholds(nu) for nu in bounds.SUPPORTED_NU]
+        refs, tol = keyrate.SIX_STATE_REFERENCE, keyrate.SIX_STATE_TOLERANCE
+        quoted = (("bb84-reference", keyrate.REFERENCE_BB84_P),
+                  ("six-state-original-reference",
+                   keyrate.REFERENCE_SIX_STATE_ORIGINAL_P))
+    rows = [_threshold_row(r.protocol, r.nu, r.e_threshold, r.p_threshold,
+                           *refs[r.nu], tol) for r in computed]
+    rows += [_threshold_row(label, None, None, None, None, p_ref, None)
+             for label, p_ref in quoted]
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")

@@ -11,8 +11,10 @@ Rates are asymptotic per sifted conclusive pair:
 * six-state variant: same shape as R2 but with the numerically computed
   frontier y_star(x) in place of g, for photon numbers 1..4.
 
-Thresholds are bisection roots of the rate in e_bit.  Depolarizing-channel
-conversions map between e_bit and the channel parameter p.
+Every threshold takes one path, ``_threshold``: a bisection root of the rate
+in e_bit on a fixed bracket.  A rate already <= 0 at the bracket's low end
+means no key at any error rate, and the threshold is e = 0.  Depolarizing-
+channel conversions map between e_bit and the channel parameter p.
 """
 
 from __future__ import annotations
@@ -24,14 +26,21 @@ from . import bounds
 
 SIN2_PI_8 = math.sin(math.pi / 8) ** 2
 
-# Reference values for the comparison tables: bit-error thresholds quoted for
-# the four-state protocol at nu = 1, 2 (with matching depolarizing p), the
-# six-state variant at nu = 1..4, and depolarizing thresholds for two
+# Reference values for the comparison tables: (e_bit, depolarizing p)
+# thresholds quoted for the four-state protocol at nu = 1, 2 and the six-state
+# variant at nu = 1..4 (no p quoted), and depolarizing thresholds for two
 # well-known single-photon protocols.
 FOUR_STATE_REFERENCE = {1: (0.0968, 0.0804), 2: (0.0271, 0.0208)}
-SIX_STATE_REFERENCE = {1: 0.112, 2: 0.0560, 3: 0.0237, 4: 0.00788}
+SIX_STATE_REFERENCE = {1: (0.112, None), 2: (0.0560, None),
+                       3: (0.0237, None), 4: (0.00788, None)}
 REFERENCE_BB84_P = 0.165
 REFERENCE_SIX_STATE_ORIGINAL_P = 0.190
+
+# Largest |computed - reference| (on e, on p) for a threshold row to pass.
+# The six-state rows are informational (None): the entropy model behind
+# their quoted values is not pinned down.
+FOUR_STATE_TOLERANCE = (2e-4, 5e-4)
+SIX_STATE_TOLERANCE = None
 
 X_OPT_REFERENCE = 2.747  # quoted two-photon operating point (flat optimum)
 
@@ -137,7 +146,7 @@ def rate_single(e_bit: float) -> RateResult:
     return RateResult(e_bit=e_bit, e_ph=dist.e_ph, rate=1.0 - h_max, joint=dist)
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = 1e-6) -> float:
+def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo <= 0.0 or fhi >= 0.0:
         raise ValueError("root not bracketed: f(%g)=%g, f(%g)=%g" % (lo, flo, hi, fhi))
@@ -150,18 +159,28 @@ def _bisect_root(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
+def _threshold(protocol: str, nu: int, rate, lo: float, hi: float,
+               tol: float) -> ThresholdResult:
+    """The root in e_bit of ``rate`` (e_bit -> RateResult) on [lo, hi].
+
+    A rate <= 0 at ``lo`` gives e = 0 (no key at any error rate); otherwise
+    the root is bisected to width ``tol`` and must be bracketed.  The
+    residual and x_opt are those of the rate at the returned e.
+    """
+    if rate(lo).rate <= 0.0:
+        e_star = 0.0
+    else:
+        e_star = _bisect_root(lambda e: rate(e).rate, lo, hi, tol)
+    at_root = rate(e_star)
+    return ThresholdResult(
+        protocol=protocol, nu=nu, e_threshold=e_star,
+        p_threshold=depol_p(e_star), bracket=(lo, hi),
+        residual=at_root.rate, x_opt=at_root.x_opt)
+
+
 def threshold_single() -> ThresholdResult:
     """Bit-error threshold of the single-photon rate (root on [0.05, 0.15])."""
-    lo, hi = 0.05, 0.15
-    e_star = _bisect_root(lambda e: rate_single(e).rate, lo, hi)
-    return ThresholdResult(
-        protocol="four-state",
-        nu=1,
-        e_threshold=e_star,
-        p_threshold=depol_p(e_star),
-        bracket=(lo, hi),
-        residual=rate_single(e_star).rate,
-    )
+    return _threshold("four-state", 1, rate_single, 0.05, 0.15, 1e-6)
 
 
 # x_opt reported at e_bit = 0, where the minimizer of x*e_bit + g(x) runs
@@ -202,19 +221,8 @@ def rate_two(e_bit: float) -> RateResult:
 
 
 def threshold_two() -> ThresholdResult:
-    """Bit-error threshold of the two-photon rate."""
-    lo, hi = 0.001, 0.2
-    e_star = _bisect_root(lambda e: rate_two(e).rate, lo, hi)
-    at_root = rate_two(e_star)
-    return ThresholdResult(
-        protocol="four-state",
-        nu=2,
-        e_threshold=e_star,
-        p_threshold=depol_p(e_star),
-        bracket=(lo, hi),
-        residual=at_root.rate,
-        x_opt=at_root.x_opt,
-    )
+    """Bit-error threshold of the two-photon rate (root on [0.001, 0.2])."""
+    return _threshold("four-state", 2, rate_two, 0.001, 0.2, 1e-6)
 
 
 def depol_ebit(p: float) -> float:
@@ -290,39 +298,23 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
                for pt in bounds.frontier_table(protocol, nu))
 
 
-def rate_frontier(e_bit: float, protocol: str, nu: int) -> float:
+def rate_frontier(e_bit: float, protocol: str, nu: int) -> RateResult:
     """Independent-errors rate 1 - h(e) - h(e_ph) from a computed frontier."""
     e_ph = ephase_bound_frontier(e_bit, protocol, nu)
-    return 1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5))
+    rate = 1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5))
+    return RateResult(e_bit=e_bit, e_ph=e_ph, rate=rate)
 
 
 def sixstate_thresholds(nu: int) -> ThresholdResult:
     """Exploratory six-state threshold for one photon number (1..4).
 
-    Uses the computed frontier in place of g and the independent-errors rate;
-    the entropy model behind the quoted reference values is not pinned down,
-    so agreement is reported rather than asserted (see SIX_STATE_REFERENCE).
+    Uses the computed frontier in place of g and the independent-errors rate
+    (root on [1e-9, 0.45]); see SIX_STATE_TOLERANCE for why agreement with
+    SIX_STATE_REFERENCE is reported rather than asserted.
     """
     if nu not in bounds.SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (bounds.SUPPORTED_NU[0], bounds.SUPPORTED_NU[-1]))
-    lo, hi = 1e-9, 0.45
-
-    def rate(e: float) -> float:
-        return rate_frontier(e, "six-state", nu)
-
-    if rate(lo) <= 0.0:
-        e_star = 0.0
-        residual = rate(lo)
-    else:
-        e_star = _bisect_root(rate, lo, hi, tol=1e-7)
-        residual = rate(e_star)
-    return ThresholdResult(
-        protocol="six-state",
-        nu=nu,
-        e_threshold=e_star,
-        p_threshold=depol_p(e_star),
-        bracket=(lo, hi),
-        residual=residual,
-    )
-
+    return _threshold("six-state", nu,
+                      lambda e: rate_frontier(e, "six-state", nu),
+                      1e-9, 0.45, 1e-7)

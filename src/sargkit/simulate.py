@@ -217,7 +217,7 @@ def _truncated_poisson_cdf(mu: float) -> np.ndarray:
     return cdf
 
 
-def _conclusive_flag_prob(protocol: str) -> np.ndarray:
+def _conclusive_flag_prob() -> np.ndarray:
     """Table P[j', j] = |<phibar_j' | phi_j>|^2 for intact arrived photons."""
     table = np.empty((2, 2))
     for jp in range(2):
@@ -322,7 +322,7 @@ def run_monte_carlo(cfg: SimConfig, shard_size: int = 1 << 13) -> SimStats:
     counter-based stream and each shard builds its own generator.
     """
     n_rot = qmath.constants(cfg.protocol).n_rotations
-    flag = _thresholds(_conclusive_flag_prob(cfg.protocol))
+    flag = _thresholds(_conclusive_flag_prob())
     count = (None if cfg.nu is not None
              else _thresholds(_truncated_poisson_cdf(cfg.mu)))
 
@@ -370,7 +370,7 @@ def replay_trial(cfg: SimConfig, index: int) -> TrialRecord:
     if not 0 <= index < cfg.trials:
         raise ValueError("trial index out of range")
     n_rot = qmath.constants(cfg.protocol).n_rotations
-    flag_table = _conclusive_flag_prob(cfg.protocol)
+    flag_table = _conclusive_flag_prob()
     u = (_raw_block(cfg.seed, index, 1)[0] >> _SHIFT) * 2.0 ** -53
 
     j = int(u[_SLOT_BIT] * 2)

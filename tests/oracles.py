@@ -221,7 +221,7 @@ def monte_carlo_stats(cfg: simulate.SimConfig,
                       shard_size: int = 1 << 16) -> simulate.SimStats:
     """run_monte_carlo by the float kernel, shard after shard on one thread."""
     n_rot = qmath.constants(cfg.protocol).n_rotations
-    flag_table = simulate._conclusive_flag_prob(cfg.protocol)
+    flag_table = simulate._conclusive_flag_prob()
     cdf = None if cfg.nu is not None else simulate._truncated_poisson_cdf(cfg.mu)
     tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
     for start in range(0, cfg.trials, shard_size):

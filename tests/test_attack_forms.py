@@ -41,24 +41,6 @@ def test_attack_validation():
         attack_forms.EffectiveAttack.unflatten(np.zeros(7), 2)
 
 
-def test_blocks_to_attack_layout():
-    # Block u holds the 2x2 action when the trash coordinates read u; column
-    # b of block u must land at input index b * n_trash + u.
-    blocks = [np.array([[1, 2], [3, 4]]), np.array([[5, 6], [7, 8]])]
-    m = attack_forms.blocks_to_attack(blocks, nu=2).map
-    assert np.array_equal(m[:, 0], [1, 3])   # b=0, u=0
-    assert np.array_equal(m[:, 1], [5, 7])   # b=0, u=1
-    assert np.array_equal(m[:, 2], [2, 4])   # b=1, u=0
-    assert np.array_equal(m[:, 3], [6, 8])   # b=1, u=1
-    with pytest.raises(ValueError):
-        attack_forms.blocks_to_attack(blocks, nu=3)
-
-
-def test_blocks_to_attack_single_photon_is_identity_embedding():
-    blk = RNG.normal(size=(2, 2))
-    assert np.array_equal(attack_forms.blocks_to_attack([blk], nu=1).map, blk)
-
-
 # ---------------------------------------------------------------------------
 # Conditional pair state
 # ---------------------------------------------------------------------------
@@ -136,7 +118,7 @@ def direct_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     cs = qmath.constants(protocol)
     psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
     dim = 2 ** (nu + 1)
-    bells = cs.bell_projectors
+    bells = qmath.bell_projectors()
     weights = {
         "fil": np.eye(4, dtype=complex),
         "bit": bells["chi1+"] + bells["chi1-"],
@@ -145,7 +127,7 @@ def direct_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     }
     out = {tag: np.zeros((dim, dim), dtype=complex) for tag in weights}
     for u in cs.rotations:
-        fu = cs.filter_f @ qmath.dagger(u)
+        fu = qmath.filter_op() @ qmath.dagger(u)
         uk = qmath.tensor_power(u, nu)
         lg = np.zeros((4, dim), dtype=complex)
         for i in range(dim):

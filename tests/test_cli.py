@@ -177,6 +177,20 @@ def test_thresholds_json_format(capsys):
     assert doc["results"][0]["within_tolerance"] is True
 
 
+def test_thresholds_read_the_tolerance_from_keyrate(capsys, monkeypatch):
+    # |e deviation| is ~9e-5 at nu=1 and ~6e-7 at nu=2: a 1e-6 bound on e
+    # fails the first row only.
+    from sargkit import keyrate
+    monkeypatch.setattr(keyrate, "FOUR_STATE_TOLERANCE",
+                        (1e-6, keyrate.FOUR_STATE_TOLERANCE[1]))
+    rc, out = run(capsys, "thresholds", "--protocol", "four-state",
+                  "--format", "json")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["manifest"]["status"] == "FAIL"
+    assert [r["within_tolerance"] for r in doc["results"]] == [False, True]
+
+
 # ---------------------------------------------------------------------------
 # frontier
 # ---------------------------------------------------------------------------

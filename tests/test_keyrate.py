@@ -116,6 +116,44 @@ def test_threshold_two_reference_values():
     assert abs(r.x_opt - keyrate.X_OPT_REFERENCE) <= 0.5  # flat optimum
 
 
+def _linear_rate(e0: float):
+    """A synthetic rate e0 - e with its root at e0."""
+    return lambda e: keyrate.RateResult(e_bit=e, e_ph=e, rate=e0 - e, x_opt=e0)
+
+
+def test_threshold_is_zero_when_there_is_no_key_at_lo():
+    r = keyrate._threshold("six-state", 1, _linear_rate(-0.25), 0.01, 0.4, 1e-6)
+    assert r.e_threshold == 0.0 and r.p_threshold == 0.0
+    assert r.residual == -0.25  # the rate at e = 0, not at lo
+    assert r.bracket == (0.01, 0.4) and r.x_opt == -0.25
+
+
+def test_threshold_rejects_an_unbracketed_root():
+    with pytest.raises(ValueError, match="not bracketed"):
+        keyrate._threshold("four-state", 1, _linear_rate(0.5), 0.01, 0.4, 1e-6)
+
+
+def test_threshold_bisects_to_tol_and_reports_the_rate_at_the_root():
+    r = keyrate._threshold("four-state", 2, _linear_rate(0.1), 0.01, 0.4, 1e-9)
+    assert abs(r.e_threshold - 0.1) <= 1e-9
+    assert r.p_threshold == keyrate.depol_p(r.e_threshold)
+    assert r.residual == 0.1 - r.e_threshold and r.x_opt == 0.1
+
+
+@pytest.mark.parametrize("compute,protocol,nu,bracket", [
+    (keyrate.threshold_single, "four-state", 1, (0.05, 0.15)),
+    (keyrate.threshold_two, "four-state", 2, (0.001, 0.2)),
+    *[(lambda nu=nu: keyrate.sixstate_thresholds(nu), "six-state", nu,
+       (1e-9, 0.45)) for nu in (1, 2, 3, 4)],
+])
+def test_every_threshold_reports_bracket_residual_and_x_opt(compute, protocol,
+                                                            nu, bracket):
+    r = compute()
+    assert (r.protocol, r.nu, r.bracket) == (protocol, nu, bracket)
+    assert abs(r.residual) < 1e-4
+    assert (r.x_opt is None) == ((protocol, nu) != ("four-state", 2))
+
+
 def test_depolarizing_conversions_round_trip():
     assert abs(keyrate.depol_ebit(0.05) - 0.0625) < 1e-15
     for p in (0.0, 0.01, 0.1, 0.3, 0.75):

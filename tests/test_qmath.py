@@ -33,11 +33,6 @@ def test_x_basis_orthonormal_and_z_is_coordinate_basis():
     assert np.allclose(qmath.ket_z(1), [0, 1], atol=1e-15)
 
 
-def test_y_basis_orthonormal():
-    assert abs(np.vdot(qmath.ket_y(0), qmath.ket_y(1))) < 1e-15
-    assert abs(np.linalg.norm(qmath.ket_y(1)) - 1) < 1e-15
-
-
 def test_signal_states_unit_norm_and_candidate_overlap():
     # The two candidates are nonorthogonal with overlap cos(pi/4).
     for j in (0, 1):
@@ -61,11 +56,6 @@ def test_filter_acts_as_half_z_ket_on_signal_states():
     f = qmath.filter_op()
     for j in (0, 1):
         assert np.abs(f @ qmath.signal_ket(j) - 0.5 * qmath.ket_z(j)).max() < 1e-14
-
-
-def test_filter_branches_complete():
-    f, g = qmath.filter_op(), qmath.filter_fail_op()
-    assert np.abs(f @ f + g @ g - qmath.I2).max() < 1e-14
 
 
 def test_rotation_quarter_turn():
@@ -136,11 +126,11 @@ def test_min_eigenvalue_matches_power_iteration():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(0, 12),
-       dim=st.integers(1, 16), scale=st.sampled_from([1e-12, 1.0, 50.0]))
+       dim=st.integers(1, 16),
+       scale=st.sampled_from([1e-12, 1.0, 50.0, 1e6]))
 def test_min_eigenvalue_on_a_stack_equals_the_per_matrix_loop(seed, batch, dim,
                                                               scale):
-    # Scales stay near the event forms' (norm <= 1): the residual bound is
-    # absolute, so a norm of 1e6 fails it with or without batching.
+    # The residual bound scales with ||H||, so a norm of 1e6 passes too.
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
     stack = scale * (a + np.swapaxes(a, -1, -2).conj())
@@ -190,6 +180,28 @@ def test_eigh_checked_reconstructs():
     assert np.all(np.diff(vals) >= 0)
     recon = (vecs * vals) @ qmath.dagger(vecs)
     assert np.abs(recon - qmath.as_hermitian(h)).max() < 1e-9
+
+
+def test_eigh_checked_accepts_a_correct_solve_at_norm_1e6():
+    h = 1e6 * random_hermitian(6)
+    vals, _ = qmath.eigh_checked(h)
+    assert vals[0] == qmath.min_eigenvalue(h)
+
+
+@pytest.mark.parametrize("norm,raises", [(0.5, True), (10.0, False)])
+def test_eigen_checks_bound_errors_by_1e_9_times_max_1_norm(monkeypatch, norm,
+                                                           raises):
+    # A solve whose smallest eigenvalue is off by 3e-9: over the bound at
+    # norm 0.5 (1e-9), within it at norm 10 (1e-8).
+    h = np.diag([0.0, norm]).astype(complex)
+    off = (np.array([3e-9, norm]), np.eye(2, dtype=complex))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: off)
+    for check in (qmath.min_eigenvalue, qmath.eigh_checked):
+        if raises:
+            with pytest.raises(ArithmeticError):
+                check(h)
+        else:
+            check(h)
 
 
 def test_tensor_power_edge_cases():

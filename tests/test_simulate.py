@@ -170,7 +170,7 @@ def threshold_words(cfg: simulate.SimConfig) -> np.ndarray:
     kernel compares against, where a rounding slip would show."""
     n_rot = qmath.constants(cfg.protocol).n_rotations
     ts = [0.0, 0.5, 1.0, 4.0 * cfg.p / 3.0, cfg.eta]
-    ts += list(simulate._conclusive_flag_prob(cfg.protocol).ravel())
+    ts += list(simulate._conclusive_flag_prob().ravel())
     ts += [r / n_rot for r in range(1, n_rot)]
     if cfg.mu is not None:
         ts += list(simulate._truncated_poisson_cdf(cfg.mu))
