@@ -1,10 +1,14 @@
 """Eve's effective per-branch attack and the event probability forms.
 
 An attack on a nu-photon pulse, after the unused (trash) outputs have been
-projected away, is just an arbitrary linear map from the nu transit qubits to
-Bob's kept qubit: a complex 2 x 2^nu matrix ``M``.  No normalization is
-imposed; every event probability below is homogeneous of degree 2 in ``M``,
-so one-sided inequalities between them are scale invariant.
+projected away, is a linear map M from the nu transit qubits to Bob's kept
+qubit.  Every signal it acts on, (U_g phi_j)^{(x)nu}, lies in the symmetric
+subspace Sym^nu (dimension nu+1), so only M's restriction to Sym^nu enters
+any event: the attack is a complex 2 x (nu+1) matrix in Dicke coordinates,
+where the k-th coordinate of s^{(x)nu} is sqrt(C(nu,k)) s_0^{nu-k} s_1^k.  At
+nu = 1 these are the plain qubit coordinates.  No normalization is imposed;
+every event probability below is homogeneous of degree 2 in M, so one-sided
+inequalities between them are scale invariant.
 
 For a fixed protocol, the sifted conclusive events are described by the
 (unnormalized) conditional pair state
@@ -15,15 +19,17 @@ and the conclusive / bit-error / phase-error probabilities are traces of
 rho(M) against Bell projectors.  Each sift term is linear in M: its pair
 vector is A_g v for the flattened attack coordinates v, with
 
-    A_g[(a,b),(o,i)] = (F U_g^dag)[b,o] * (psi U_g^{(x)nu T})[a,i].
+    A_g[(a,b),(o,k)] = (F U_g^dag)[b,o] * d_k(U_g phi_a) / sqrt(2)
 
-So every event probability is the exact quadratic form v^dag H_event v with
-H_event = (1/|G|) sum_g A_g^dag P_event A_g (side 2^{nu+1}), compiled once per
-(protocol, nu); all verification then happens at the level of these matrices.
+and d_k the Dicke coordinates above.  So every event probability is the exact
+quadratic form v^dag H_event v with H_event = (1/|G|) sum_g A_g^dag P_event A_g
+(side 2(nu+1)), compiled once per (protocol, nu); all verification then
+happens at the level of these matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,10 +46,11 @@ FORM_PSD_TOL = -1e-10
 
 @dataclass(frozen=True)
 class EffectiveAttack:
-    """One Kraus branch of Eve's channel: a 2 x 2^nu map, trash already projected.
+    """One Kraus branch of Eve's channel: a 2 x (nu+1) map on Sym^nu, trash
+    already projected.
 
     The coordinate vector is the row-major flattening of the map (output index
-    major), length 2^{nu+1}.
+    major), length 2(nu+1).
     """
 
     nu: int
@@ -53,8 +60,8 @@ class EffectiveAttack:
         if not (1 <= self.nu <= MAX_NU):
             raise ValueError("photon number must be in 1..%d" % MAX_NU)
         m = np.asarray(self.map, dtype=complex)
-        if m.shape != (2, 2 ** self.nu):
-            raise ValueError("attack map must be 2 x 2^nu, got %s" % (m.shape,))
+        if m.shape != (2, self.nu + 1):
+            raise ValueError("attack map must be 2 x (nu+1), got %s" % (m.shape,))
         object.__setattr__(self, "map", m)
 
     def flatten(self) -> np.ndarray:
@@ -63,19 +70,32 @@ class EffectiveAttack:
     @classmethod
     def unflatten(cls, v: np.ndarray, nu: int) -> "EffectiveAttack":
         v = np.asarray(v, dtype=complex)
-        if v.shape != (2 ** (nu + 1),):
-            raise ValueError("coordinate vector must have length 2^(nu+1)")
-        return cls(nu=nu, map=v.reshape(2, 2 ** nu))
+        if v.shape != (2 * (nu + 1),):
+            raise ValueError("coordinate vector must have length 2(nu+1)")
+        return cls(nu=nu, map=v.reshape(2, nu + 1))
 
 
 @lru_cache(maxsize=None)
-def _sift_terms(protocol: str, nu: int):
-    """Per-rotation precomputation: (F U_g^dag, U_g^{(x)nu}) for the sift list."""
-    f = qmath.filter_op()
-    terms = []
-    for u in qmath.constants(protocol).rotations:
-        terms.append((f @ qmath.dagger(u), qmath.tensor_power(u, nu)))
-    return tuple(terms)
+def _sift_maps(protocol: str, nu: int) -> np.ndarray:
+    """The stack of sift maps A_g, shape (|G|, 4, 2(nu+1)).
+
+    s_a = (U_g phi_a)/sqrt(2) is read off the single-photon pair source, so
+    d_k(U_g phi_a)/sqrt(2) = 2^{(nu-1)/2} sqrt(C(nu,k)) s_0^{nu-k} s_1^k; at
+    nu = 1 the scale is exactly 1 and A_g is the plain qubit assembly.
+    """
+    if protocol not in qmath.PROTOCOLS:
+        raise ValueError("unknown protocol %r" % (protocol,))
+    if not (1 <= nu <= MAX_NU):
+        raise ValueError("photon number must be in 1..%d" % MAX_NU)
+    us = np.stack(qmath.constants(protocol).rotations)
+    fu = qmath.filter_op() @ qmath.dagger(us)
+    s = qmath.pair_source_ket(1).reshape(2, 2) @ np.swapaxes(us, -1, -2)
+    k = np.arange(nu + 1)
+    scale = 2 ** ((nu - 1) / 2) * np.sqrt([math.comb(nu, j) for j in k])
+    d = s[..., :1] ** (nu - k) * s[..., 1:] ** k * scale
+    a = np.einsum("gbo,gak->gabok", fu, d).reshape(len(us), 4, 2 * (nu + 1))
+    a.flags.writeable = False
+    return a
 
 
 def conditional_pair_state(attack: EffectiveAttack, protocol: str) -> np.ndarray:
@@ -83,16 +103,9 @@ def conditional_pair_state(attack: EffectiveAttack, protocol: str) -> np.ndarray
 
     PSD by construction; trace in [0, 1] whenever ||M|| <= 1.
     """
-    nu = attack.nu
-    m = attack.map
-    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
-    rho = np.zeros((4, 4), dtype=complex)
-    terms = _sift_terms(protocol, nu)
-    for fu, uk in terms:
-        a = fu @ (m @ uk)
-        wv = (psi @ a.T).reshape(4)
-        rho += np.outer(wv, wv.conj())
-    return rho / len(terms)
+    a = _sift_maps(protocol, attack.nu)
+    w = a @ attack.flatten()
+    return w.T @ w.conj() / len(a)
 
 
 def event_weights(rho: np.ndarray) -> tuple[float, float, float]:
@@ -131,16 +144,9 @@ class EventForm:
 
 @lru_cache(maxsize=None)
 def all_forms(protocol: str, nu: int) -> dict[str, EventForm]:
-    """Compile every event form for (protocol, nu) from the sift-term maps A_g."""
-    if protocol not in qmath.PROTOCOLS:
-        raise ValueError("unknown protocol %r" % (protocol,))
-    if not (1 <= nu <= MAX_NU):
-        raise ValueError("photon number must be in 1..%d" % MAX_NU)
-    dim = 2 ** (nu + 1)
-    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
-    terms = _sift_terms(protocol, nu)
-    a = np.stack([np.einsum("bo,ai->aboi", fu, psi @ uk.T).reshape(4, dim)
-                  for fu, uk in terms])
+    """Compile every event form for (protocol, nu) from the sift maps A_g."""
+    a = _sift_maps(protocol, nu)
+    dim = a.shape[-1]
     bells = qmath.bell_projectors()
     event_ops = {
         "fil": np.eye(4),
@@ -151,6 +157,6 @@ def all_forms(protocol: str, nu: int) -> dict[str, EventForm]:
     a_dag = a.conj().reshape(-1, dim).T
     return {
         tag: EventForm(event=tag, protocol=protocol, nu=nu,
-                       matrix=a_dag @ (op @ a).reshape(-1, dim) / len(terms))
+                       matrix=a_dag @ (op @ a).reshape(-1, dim) / len(a))
         for tag, op in event_ops.items()
     }

@@ -17,6 +17,11 @@ with F the diagonal of nonzero eigenvalues of H_fil: one eigen-solve per
 point, each then certified by its PSD margin.  Both solves are batched over
 the grid: a whole x-grid is one stacked eigen-solve for y_star and one for
 the margins, and a single point is the one-point case of the same code.
+
+Every event form has ||H_event||_2 <= 1, because v^dag H_event v <=
+trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL, IDENTITY_TOL
+and attack_forms.FORM_PSD_TOL equal their relative forms (tol * max(1,
+||H||)) on the forms themselves; only the x * H_bit term of a margin grows.
 """
 
 from __future__ import annotations

@@ -294,9 +294,16 @@ FRONTIER_FIELDS = [
 ]
 
 
+# From about x = 1e8 the roundoff of x * H_bit in a margin exceeds the
+# absolute PSD_TOL; the cap keeps two decades of headroom below it.
+FRONTIER_X_MAX = 1e6
+
+
 def _build_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
     if x_min < 0.0 or x_step <= 0.0 or x_max < x_min:
         raise ValueError("grid requires 0 <= x-min <= x-max and x-step > 0")
+    if x_max > FRONTIER_X_MAX:
+        raise ValueError("grid requires x-max <= %g" % FRONTIER_X_MAX)
     span = (x_max - x_min) / x_step + 1e-9
     if not math.isfinite(span):
         raise ValueError("grid point count is not finite")
@@ -429,7 +436,10 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
                          "JSON report")
     with open(path) as fh:
         doc = json.load(fh)
-    results = doc.get("results", doc)
+    results = doc.get("results", doc) if isinstance(doc, dict) else doc
+    if not isinstance(results, dict):
+        raise ValueError("%s is not a simulate JSON report (expected an "
+                         "object with an object 'results')" % path)
     per_nu = results.get("per_nu")
     if not per_nu:
         raise ValueError(

@@ -15,7 +15,9 @@ immutable :class:`ConstantSet`; every function here is pure.
 Eigen-solves are checked relative to the matrix norm: an eigenpair residual
 (or a reconstruction error) may be at most ``EIGEN_RESIDUAL_TOL * max(1,
 ||H||_2)``, with ||H||_2 = max |lambda| read off the solve itself.  Below
-norm 1 the bound is the absolute 1e-9.
+norm 1 the bound is the absolute 1e-9.  The Hermitian view that precedes a
+solve scales the same way, per stack member: max|H - H^dagger| may be at most
+``STRUCTURAL_TOL * max(1, max|H|)``.
 """
 
 from __future__ import annotations
@@ -73,21 +75,26 @@ def proj(v: np.ndarray) -> np.ndarray:
 
 def is_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """True for a square matrix, or a stack (..., n, n) of them, each within
-    ``tol`` (max-norm) of its conjugate transpose."""
+    ``tol * max(1, max|H|)`` (max-norm) of its conjugate transpose."""
     h = np.asarray(h)
-    return (h.ndim >= 2 and h.shape[-1] == h.shape[-2]
-            and np.abs(h - dagger(h)).max(initial=0.0) <= tol)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        return False
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(h - dagger(h)).max(axis=(-2, -1), initial=0.0)
+    return bool(np.all(dev <= tol * scale))  # NaN fails too
 
 
 def as_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Validate the Hermitian view of an operator (or a stack of operators)
     and return the symmetrized copy.
 
-    Raises ValueError when max|H - H^dagger| exceeds ``tol`` for any member.
+    Raises ValueError when max|H - H^dagger| exceeds ``tol * max(1, max|H|)``
+    for any member.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, tol):
-        raise ValueError("operator is not Hermitian within tolerance %g" % tol)
+        raise ValueError("operator is not Hermitian within tolerance %g "
+                         "x max(1, max|H|)" % tol)
     hs = dagger(h)  # a copy; summed in place to keep a stack's peak memory low
     hs += h
     hs *= 0.5

@@ -1,12 +1,13 @@
 """Brute-force reference implementations that the tests compare against.
 
 Each oracle reaches its answer by a route independent of the library's exact
-formula: event weights straight from the conditional pair state, a frontier
-by bisection on the PSD margin or by one eigen-solve per point, the `frontier`
-report row by row through ``csv.DictWriter``, the two-photon optimum by scan
-plus golden section, the worst single-photon entropy by a dense scan, Monte
-Carlo tallies from float uniforms on one thread, the channel law by
-enumerating every branch, arrival pattern and outcome.
+formula: event forms and weights on the full 2^nu-dimensional input of the
+attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
+margin or by one eigen-solve per point, the `frontier` report row by row
+through ``csv.DictWriter``, the two-photon optimum by scan plus golden
+section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
+from float uniforms on one thread, the channel law by enumerating every
+branch, arrival pattern and outcome.
 """
 
 from __future__ import annotations
@@ -20,24 +21,74 @@ import numpy as np
 from sargkit import attack_forms, bounds, keyrate, qmath, simulate
 
 
-def weight_vector(v: np.ndarray, protocol: str, nu: int) -> np.ndarray:
-    """All seven event weights of one attack coordinate vector, in
-    ``attack_forms.EVENT_TAGS`` order, from the conditional pair state."""
-    rho = attack_forms.conditional_pair_state(
-        attack_forms.EffectiveAttack.unflatten(v, nu), protocol)
+def dicke_isometry(nu: int) -> np.ndarray:
+    """The 2^nu x (nu+1) isometry P whose k-th column is the normalized sum of
+    the computational basis states of Hamming weight k."""
+    p = np.zeros((2 ** nu, nu + 1))
+    for i in range(2 ** nu):
+        p[i, bin(i).count("1")] = 1.0
+    return p / np.sqrt(p.sum(axis=0))
+
+
+def full_pair_vectors(m: np.ndarray, protocol: str) -> list[np.ndarray]:
+    """The pair vector of each sift term for a full 2 x 2^nu attack map m:
+    (1_A (x) F U_g^dag m U_g^{(x)nu}) applied to the nu-photon pair source."""
+    m = np.asarray(m, dtype=complex)
+    nu = m.shape[1].bit_length() - 1
+    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
+    out = []
+    for u in qmath.constants(protocol).rotations:
+        a = qmath.filter_op() @ qmath.dagger(u) @ (m @ qmath.tensor_power(u, nu))
+        out.append((psi @ a.T).reshape(4))
+    return out
+
+
+def full_pair_state(m: np.ndarray, protocol: str) -> np.ndarray:
+    """Unnormalized conditional pair state of a full 2 x 2^nu attack map."""
+    vecs = full_pair_vectors(m, protocol)
+    return sum(np.outer(w, w.conj()) for w in vecs) / len(vecs)
+
+
+def pair_weights(rho: np.ndarray) -> np.ndarray:
+    """All seven event weights of a 4x4 pair state, in
+    ``attack_forms.EVENT_TAGS`` order."""
     b = attack_forms.bell_overlaps(rho)
-    p_fil = float(np.trace(rho).real)
-    return np.array(
-        [
-            p_fil,
-            b["chi1+"] + b["chi1-"],
-            b["chi0-"] + b["chi1-"],
-            b["chi0+"],
-            b["chi0-"],
-            b["chi1+"],
-            b["chi1-"],
-        ]
-    )
+    return np.array([
+        float(np.trace(rho).real),
+        b["chi1+"] + b["chi1-"],
+        b["chi0-"] + b["chi1-"],
+        b["chi0+"],
+        b["chi0-"],
+        b["chi1+"],
+        b["chi1-"],
+    ])
+
+
+def weight_vector(m: np.ndarray, protocol: str) -> np.ndarray:
+    """All seven event weights of a full 2 x 2^nu attack map."""
+    return pair_weights(full_pair_state(m, protocol))
+
+
+def full_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
+    """Every event form on the full attack coordinates vec(m), side 2^{nu+1}:
+    H = (1/|G|) sum_g A_g^dag P_event A_g with A_g built from U_g^{(x)nu}."""
+    dim = 2 ** (nu + 1)
+    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
+    rotations = qmath.constants(protocol).rotations
+    a = np.stack([
+        np.einsum("bo,ai->aboi", qmath.filter_op() @ qmath.dagger(u),
+                  psi @ qmath.tensor_power(u, nu).T).reshape(4, dim)
+        for u in rotations])
+    bells = qmath.bell_projectors()
+    event_ops = {
+        "fil": np.eye(4),
+        "bit": bells["chi1+"] + bells["chi1-"],
+        "ph": bells["chi0-"] + bells["chi1-"],
+        **{"bell:" + tag: bells[tag] for tag in qmath.BELL_TAGS},
+    }
+    a_dag = a.conj().reshape(-1, dim).T
+    return {tag: a_dag @ (op @ a).reshape(-1, dim) / len(rotations)
+            for tag, op in event_ops.items()}
 
 
 def form_matrix(event: str, protocol: str, nu: int) -> attack_forms.EventForm:

@@ -10,7 +10,7 @@ RNG = np.random.default_rng(77002)
 
 
 def random_attack(nu: int, contraction: bool = False) -> attack_forms.EffectiveAttack:
-    m = RNG.normal(size=(2, 2 ** nu)) + 1j * RNG.normal(size=(2, 2 ** nu))
+    m = RNG.normal(size=(2, nu + 1)) + 1j * RNG.normal(size=(2, nu + 1))
     if contraction:
         m /= max(1.0, np.linalg.norm(m, 2))
     return attack_forms.EffectiveAttack(nu=nu, map=m)
@@ -27,14 +27,14 @@ def test_flatten_round_trip():
 
 
 def test_flatten_is_row_major():
-    m = np.arange(8).reshape(2, 4).astype(complex)
+    m = np.arange(6).reshape(2, 3).astype(complex)
     v = attack_forms.EffectiveAttack(nu=2, map=m).flatten()
-    assert np.array_equal(v, np.arange(8))
+    assert np.array_equal(v, np.arange(6))
 
 
 def test_attack_validation():
     with pytest.raises(ValueError):
-        attack_forms.EffectiveAttack(nu=2, map=np.zeros((2, 2)))
+        attack_forms.EffectiveAttack(nu=2, map=np.zeros((2, 4)))
     with pytest.raises(ValueError):
         attack_forms.EffectiveAttack(nu=0, map=np.zeros((2, 1)))
     with pytest.raises(ValueError):
@@ -82,25 +82,32 @@ def test_event_weights_rejects_wrong_shape():
         attack_forms.event_weights(np.eye(8))
 
 
+def dicke_weights(a: attack_forms.EffectiveAttack, protocol: str) -> np.ndarray:
+    return oracles.pair_weights(attack_forms.conditional_pair_state(a, protocol))
+
+
 def test_weights_are_homogeneous_degree_two():
     a = random_attack(2)
     scaled = attack_forms.EffectiveAttack(nu=2, map=(0.5 - 0.25j) * a.map)
-    w = oracles.weight_vector(a.flatten(), "four-state", 2)
-    ws = oracles.weight_vector(scaled.flatten(), "four-state", 2)
+    w = dicke_weights(a, "four-state")
+    ws = dicke_weights(scaled, "four-state")
     assert np.abs(ws - abs(0.5 - 0.25j) ** 2 * w).max() < 1e-12
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
 def test_sift_average_is_rotation_covariant(protocol):
-    # Twisting the attack by any group element, M -> U_h^dag M U_h^{(x)nu},
-    # permutes the sift sum (closure) and leaves every event weight fixed.
+    # Twisting the attack by any group element, M -> U_h^dag M Sym^nu(U_h)
+    # with Sym^nu(U) = P^T U^{(x)nu} P, permutes the sift sum (closure) and
+    # leaves every event weight fixed.
     nu = 2
+    p = oracles.dicke_isometry(nu)
     a = random_attack(nu)
-    w = oracles.weight_vector(a.flatten(), protocol, nu)
+    w = dicke_weights(a, protocol)
     for h in qmath.constants(protocol).rotations:
+        sym_h = p.T @ qmath.tensor_power(h, nu) @ p
         twisted = attack_forms.EffectiveAttack(
-            nu=nu, map=qmath.dagger(h) @ a.map @ qmath.tensor_power(h, nu))
-        wt = oracles.weight_vector(twisted.flatten(), protocol, nu)
+            nu=nu, map=qmath.dagger(h) @ a.map @ sym_h)
+        wt = dicke_weights(twisted, protocol)
         assert np.abs(wt - w).max() < 1e-12
 
 
@@ -111,13 +118,12 @@ def test_sift_average_is_rotation_covariant(protocol):
 def direct_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     """Independent assembly of every event form as (1/|G|) sum_g L_g^dag W L_g.
 
-    L_g maps flattened attack coordinates to the unnormalized pair vector for
-    one sift term; built column by column from basis attacks, with no
-    polarization involved.
+    L_g maps Dicke attack coordinates to the unnormalized pair vector for one
+    sift term; built column by column from basis attacks, each lifted to the
+    full map E P^T and pushed through U_g^{(x)nu}.
     """
-    cs = qmath.constants(protocol)
-    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
-    dim = 2 ** (nu + 1)
+    dim = 2 * (nu + 1)
+    p = oracles.dicke_isometry(nu)
     bells = qmath.bell_projectors()
     weights = {
         "fil": np.eye(4, dtype=complex),
@@ -125,18 +131,15 @@ def direct_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
         "ph": bells["chi0-"] + bells["chi1-"],
         **{"bell:%s" % tag: bells[tag] for tag in qmath.BELL_TAGS},
     }
-    out = {tag: np.zeros((dim, dim), dtype=complex) for tag in weights}
-    for u in cs.rotations:
-        fu = qmath.filter_op() @ qmath.dagger(u)
-        uk = qmath.tensor_power(u, nu)
-        lg = np.zeros((4, dim), dtype=complex)
-        for i in range(dim):
-            m = np.zeros((2, 2 ** nu), dtype=complex)
-            m[i // 2 ** nu, i % 2 ** nu] = 1.0
-            lg[:, i] = (psi @ (fu @ (m @ uk)).T).reshape(4)
-        for tag, w in weights.items():
-            out[tag] += qmath.dagger(lg) @ w @ lg
-    return {tag: h / len(cs.rotations) for tag, h in out.items()}
+    columns = []
+    for i in range(dim):
+        e = np.zeros(dim, dtype=complex)
+        e[i] = 1.0
+        columns.append(oracles.full_pair_vectors(e.reshape(2, nu + 1) @ p.T,
+                                                 protocol))
+    lgs = [np.stack(col, axis=1) for col in zip(*columns)]
+    return {tag: sum(qmath.dagger(lg) @ w @ lg for lg in lgs) / len(lgs)
+            for tag, w in weights.items()}
 
 
 @pytest.mark.parametrize("protocol,nu", [("four-state", 1), ("four-state", 2),
@@ -147,7 +150,46 @@ def test_polarized_forms_match_direct_assembly(protocol, nu):
     direct = direct_forms(protocol, nu)
     assert set(forms) == set(attack_forms.EVENT_TAGS)
     for tag, form in forms.items():
+        assert form.matrix.shape == (2 * (nu + 1),) * 2
         assert np.abs(form.matrix - direct[tag]).max() < 1e-10
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_single_photon_forms_are_repr_equal_to_the_full_assembly(protocol):
+    # At nu = 1 the Dicke coordinates are the qubit coordinates, and the
+    # assembly makes the same floating-point operations as the full one.
+    forms = attack_forms.all_forms(protocol, 1)
+    full = oracles.full_forms(protocol, 1)
+    for tag in attack_forms.EVENT_TAGS:
+        assert repr(forms[tag].matrix) == repr(full[tag])
+
+
+@pytest.mark.parametrize("protocol,nu", [
+    (protocol, nu) for protocol in qmath.PROTOCOLS
+    for nu in range(2, attack_forms.MAX_NU + 1)])
+def test_dicke_forms_are_the_full_forms_on_the_symmetric_subspace(protocol, nu):
+    # H_D = J^dag H_full J with J = I_2 (x) P embeds Dicke coordinates.
+    j = np.kron(np.eye(2), oracles.dicke_isometry(nu))
+    forms = attack_forms.all_forms(protocol, nu)
+    full = oracles.full_forms(protocol, nu)
+    for tag in attack_forms.EVENT_TAGS:
+        assert np.abs(forms[tag].matrix - j.T @ full[tag] @ j).max() <= 1e-13
+
+
+@pytest.mark.parametrize("protocol,nu", [
+    (protocol, nu) for protocol in qmath.PROTOCOLS
+    for nu in range(1, attack_forms.MAX_NU + 1)])
+def test_full_map_weights_equal_dicke_weights_of_m_p(protocol, nu):
+    # An arbitrary map M on all 2^nu inputs acts on the signals only through
+    # its restriction M P to Sym^nu.
+    forms = attack_forms.all_forms(protocol, nu)
+    p = oracles.dicke_isometry(nu)
+    for _ in range(10):
+        m = RNG.normal(size=(2, 2 ** nu)) + 1j * RNG.normal(size=(2, 2 ** nu))
+        w = oracles.weight_vector(m, protocol)
+        a = attack_forms.EffectiveAttack(nu=nu, map=m @ p)
+        for k, tag in enumerate(attack_forms.EVENT_TAGS):
+            assert abs(forms[tag].weight(a) - w[k]) <= 1e-12 * max(1.0, abs(w[k]))
 
 
 @pytest.mark.parametrize("protocol,nu", [
@@ -157,7 +199,7 @@ def test_forms_reproduce_weights_on_random_attacks(protocol, nu):
     forms = attack_forms.all_forms(protocol, nu)
     for _ in range(40):
         a = random_attack(nu)
-        w = oracles.weight_vector(a.flatten(), protocol, nu)
+        w = dicke_weights(a, protocol)
         for k, tag in enumerate(attack_forms.EVENT_TAGS):
             assert abs(forms[tag].weight(a) - w[k]) <= 1e-12 * max(1.0, abs(w[k]))
 

@@ -186,13 +186,25 @@ def test_bit_and_phase_forms_vanish_on_filter_kernel(protocol, nu):
 
 
 def test_frontier_reduction_rejects_kernel_leak(monkeypatch):
-    h_bit, h_fil, h_ph = bounds._forms("four-state", 2)
-    _, v = np.linalg.eigh(h_fil)
+    # Four-state nu=4 is the supported case whose H_fil keeps a kernel
+    # (rank 8 of 10); a leak onto it must stop the reduction.
+    h_bit, h_fil, h_ph = bounds._forms("four-state", 4)
+    w, v = np.linalg.eigh(h_fil)
+    assert np.count_nonzero(w > bounds.RANK_TOL * w[-1]) == 8
     k = v[:, 0]
     leaky = h_ph + 1e-6 * np.outer(k, k.conj())
     monkeypatch.setattr(bounds, "_forms", lambda protocol, nu: (h_bit, h_fil, leaky))
     with pytest.raises(ArithmeticError):
-        bounds._reduced_pencil.__wrapped__("four-state", 2)
+        bounds._reduced_pencil.__wrapped__("four-state", 4)
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
+def test_event_forms_have_norm_at_most_one(protocol, nu):
+    # v^dag H_event v <= trace(rho) <= ||M||_op^2 <= ||v||^2, so the absolute
+    # PSD_TOL, IDENTITY_TOL and FORM_PSD_TOL are relative to ||H|| already.
+    for tag, form in attack_forms.all_forms(protocol, nu).items():
+        assert np.linalg.norm(form.matrix, 2) <= 1.0, tag
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])

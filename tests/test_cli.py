@@ -221,12 +221,28 @@ def test_frontier_custom_grid(capsys):
     ("--x-min", "5", "--x-max", "1"),
     ("--x-step", "1e-9"),
     ("--x-max", "inf"),
-    ("--x-max", "1e308", "--x-step", "1e-300"),  # point count overflows
+    ("--x-max", "1e308", "--x-step", "1e-300"),
+    ("--x-max", "1e6", "--x-step", "1e-320"),  # point count overflows
+    ("--x-min", "1e7", "--x-max", "1e7", "--x-step", "1"),  # over the x cap
 ])
 def test_frontier_malformed_grid(capsys, flags):
     assert cli.main(["frontier", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("frontier: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_frontier_runs_up_to_the_x_cap(capsys, protocol, nu):
+    # x * H_bit at x = 1e6 is Hermitian only to its own roundoff, which the
+    # Hermitian check allows for by scaling with max|H|.
+    rc, out = run(capsys, "frontier", "--protocol", protocol, "--nu", str(nu),
+                  "--x-max", "%r" % cli.FRONTIER_X_MAX,
+                  "--x-step", "%r" % cli.FRONTIER_X_MAX)
+    assert rc == 0
+    rows = read_csv(out)
+    assert [float(r["x"]) for r in rows] == [0.0, cli.FRONTIER_X_MAX]
+    assert all(0.0 <= float(r["y_star"]) <= 1.0 for r in rows)
 
 
 def test_frontier_six_state_is_informational(capsys):
@@ -577,6 +593,17 @@ def test_keyrate_rejects_fixed_photon_simulate_output(capsys, tmp_path):
                      str(sim_out)]) == 0
     kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
     assert cli.main(["keyrate", "--config", kr_cfg]) == 2
+
+
+@pytest.mark.parametrize("report", ["[1, 2]", '{"results": [1, 2]}', "3"])
+def test_keyrate_rejects_a_report_that_is_not_an_object(capsys, tmp_path,
+                                                        report):
+    sim_out = tmp_path / "sim.json"
+    sim_out.write_text(report)
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    assert cli.main(["keyrate", "--config", kr_cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("keyrate: bad config: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [

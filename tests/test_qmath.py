@@ -98,6 +98,19 @@ def test_as_hermitian_rejects_nonhermitian():
         qmath.as_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_hermitian_check_scales_with_each_members_max_entry():
+    # An asymmetry of 1e-8 is roundoff at max|H| = 1e6 (bound 1e-6) but not
+    # at max|H| = 1 (bound 1e-12), so a stack is judged member by member.
+    big = np.array([[1e6, 1.0], [1.0 + 1e-8, 0.0]], dtype=complex)
+    small = np.array([[1.0, 0.5], [0.5 + 1e-8, 0.0]], dtype=complex)
+    assert qmath.is_hermitian(big) and not qmath.is_hermitian(small)
+    assert not qmath.is_hermitian(np.stack([big, small]))
+    assert np.array_equal(qmath.as_hermitian(np.stack([big, big]))[0],
+                          qmath.as_hermitian(big))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qmath.min_eigenvalue(np.stack([big, small]))
+
+
 def eig2_closed_form(h: np.ndarray) -> float:
     """Independent smallest-eigenvalue oracle for 2x2 Hermitian matrices."""
     a, d = h[0, 0].real, h[1, 1].real
