@@ -1,12 +1,13 @@
-"""Eve's effective per-branch attack and the event probability forms.
+"""Eve's per-branch attack maps, their pair states, and the event forms.
 
 An attack on a nu-photon pulse, after the unused (trash) outputs have been
 projected away, is a linear map M from the nu transit qubits to Bob's kept
 qubit.  Every signal it acts on, (U_g phi_j)^{(x)nu}, lies in the symmetric
 subspace Sym^nu (dimension nu+1), so only M's restriction to Sym^nu enters
-any event: the attack is a complex 2 x (nu+1) matrix in Dicke coordinates,
-where the k-th coordinate of s^{(x)nu} is sqrt(C(nu,k)) s_0^{nu-k} s_1^k.  At
-nu = 1 these are the plain qubit coordinates.  No normalization is imposed;
+any event: an attack is a plain complex (2, nu+1) array in Dicke coordinates,
+where the k-th coordinate of s^{(x)nu} is sqrt(C(nu,k)) s_0^{nu-k} s_1^k, and
+its row-major flattening v = M.reshape(-1) is the attack coordinate vector.
+At nu = 1 these are the plain qubit coordinates.  No normalization is imposed;
 every event probability below is homogeneous of degree 2 in M, so one-sided
 inequalities between them are scale invariant.
 
@@ -17,14 +18,14 @@ For a fixed protocol, the sifted conclusive events are described by the
 
 and the conclusive / bit-error / phase-error probabilities are traces of
 rho(M) against Bell projectors.  Each sift term is linear in M: its pair
-vector is A_g v for the flattened attack coordinates v, with
+vector is A_g v, with
 
     A_g[(a,b),(o,k)] = (F U_g^dag)[b,o] * d_k(U_g phi_a) / sqrt(2)
 
 and d_k the Dicke coordinates above.  So every event probability is the exact
 quadratic form v^dag H_event v with H_event = (1/|G|) sum_g A_g^dag P_event A_g
-(side 2(nu+1)), compiled once per (protocol, nu); all verification then
-happens at the level of these matrices.
+(side 2(nu+1)), compiled once per (protocol, nu); every certificate is a
+statement about these matrices.
 """
 
 from __future__ import annotations
@@ -42,37 +43,6 @@ EVENT_TAGS = ("fil", "bit", "ph", "bell:chi0+", "bell:chi0-", "bell:chi1+", "bel
 MAX_NU = 5
 
 FORM_PSD_TOL = -1e-10
-
-
-@dataclass(frozen=True)
-class EffectiveAttack:
-    """One Kraus branch of Eve's channel: a 2 x (nu+1) map on Sym^nu, trash
-    already projected.
-
-    The coordinate vector is the row-major flattening of the map (output index
-    major), length 2(nu+1).
-    """
-
-    nu: int
-    map: np.ndarray
-
-    def __post_init__(self):
-        if not (1 <= self.nu <= MAX_NU):
-            raise ValueError("photon number must be in 1..%d" % MAX_NU)
-        m = np.asarray(self.map, dtype=complex)
-        if m.shape != (2, self.nu + 1):
-            raise ValueError("attack map must be 2 x (nu+1), got %s" % (m.shape,))
-        object.__setattr__(self, "map", m)
-
-    def flatten(self) -> np.ndarray:
-        return self.map.reshape(-1).copy()
-
-    @classmethod
-    def unflatten(cls, v: np.ndarray, nu: int) -> "EffectiveAttack":
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (2 * (nu + 1),):
-            raise ValueError("coordinate vector must have length 2(nu+1)")
-        return cls(nu=nu, map=v.reshape(2, nu + 1))
 
 
 @lru_cache(maxsize=None)
@@ -98,48 +68,28 @@ def _sift_maps(protocol: str, nu: int) -> np.ndarray:
     return a
 
 
-def conditional_pair_state(attack: EffectiveAttack, protocol: str) -> np.ndarray:
-    """Unnormalized 4x4 pair state conditioned on sift match and filter success.
+def conditional_pair_state(m: np.ndarray, protocol: str) -> np.ndarray:
+    """Unnormalized 4x4 pair state of a 2 x (nu+1) attack map m, conditioned
+    on sift match and filter success.
 
-    PSD by construction; trace in [0, 1] whenever ||M|| <= 1.
+    PSD by construction; trace in [0, 1] whenever ||m|| <= 1.
     """
-    a = _sift_maps(protocol, attack.nu)
-    w = a @ attack.flatten()
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != 2:
+        raise ValueError("attack map must be 2 x (nu+1), got %s" % (m.shape,))
+    a = _sift_maps(protocol, m.shape[1] - 1)
+    w = a @ m.reshape(-1)
     return w.T @ w.conj() / len(a)
-
-
-def event_weights(rho: np.ndarray) -> tuple[float, float, float]:
-    """(p_fil, p_bit, p_ph) of a 4x4 conditional pair state.
-
-    p_fil is the full trace; the bit-error weight collects the chi1+/chi1-
-    Bell components and the phase-error weight the chi0-/chi1- components.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("pair state must be 4x4")
-    b = bell_overlaps(rho)
-    p_fil = float(np.trace(rho).real)
-    return p_fil, b["chi1+"] + b["chi1-"], b["chi0-"] + b["chi1-"]
-
-
-def bell_overlaps(rho: np.ndarray) -> dict[str, float]:
-    """Traces of rho against the four Bell projectors."""
-    bells = qmath.bell_projectors()
-    return {tag: float(np.trace(p @ rho).real) for tag, p in bells.items()}
 
 
 @dataclass(frozen=True)
 class EventForm:
-    """Hermitian matrix H with p_event(attack) = v^dag H v over attack coordinates."""
+    """Hermitian matrix H with p_event(M) = v^dag H v, v = M.reshape(-1)."""
 
     event: str
     protocol: str
     nu: int
     matrix: np.ndarray
-
-    def weight(self, attack: EffectiveAttack) -> float:
-        v = attack.flatten()
-        return float((v.conj() @ self.matrix @ v).real)
 
 
 @lru_cache(maxsize=None)

@@ -124,7 +124,6 @@ class RateResult:
     e_ph: float
     rate: float
     x_opt: float | None = None
-    joint: JointErrorDistribution | None = None
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class ThresholdResult:
 def rate_single(e_bit: float) -> RateResult:
     """R1 = 1 - H(X,Z) under the adversarial single-photon distribution."""
     dist, h_max = worst_joint_single(e_bit)
-    return RateResult(e_bit=e_bit, e_ph=dist.e_ph, rate=1.0 - h_max, joint=dist)
+    return RateResult(e_bit=e_bit, e_ph=dist.e_ph, rate=1.0 - h_max)
 
 
 def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
@@ -245,7 +244,9 @@ class DecoyInputs:
 
     p_conc and e_bit describe all conclusive events per sifted pulse; xi_nu is
     the fraction of sifted pulses that are both nu-photon emissions and
-    conclusive, with e_nu the corresponding bit-error bound.
+    conclusive, with e_nu the corresponding bit-error bound.  Each value is
+    a number in [0, 1]; e1 is at most 0.4 and e2 at most 0.5, the domains of
+    worst_joint_single and ephase_bound_two.
     """
 
     p_conc: float
@@ -258,8 +259,11 @@ class DecoyInputs:
     def __post_init__(self):
         for name in ("p_conc", "e_bit", "xi1", "e1", "xi2", "e2"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("%s must be in [0, 1], got %r" % (name, v))
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError("%s must be a number, got %r" % (name, v))
+            hi = {"e1": 0.4, "e2": 0.5}.get(name, 1.0)
+            if not 0.0 <= v <= hi:
+                raise ValueError("%s must be in [0, %g], got %r" % (name, hi, v))
         if self.xi1 + self.xi2 > self.p_conc + 1e-12:
             raise ValueError("xi1 + xi2 cannot exceed the conclusive fraction")
 
@@ -280,12 +284,6 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
         d.xi1 * (1.0 - cond1),
         d.xi2 * (1.0 - binary_entropy(min(e_ph2, 0.5))),
     )
-
-
-def decoy_total_rate(d: DecoyInputs) -> float:
-    """Total key rate per sifted pulse from decoy-estimated inputs (may be
-    negative when the error-correction cost dominates)."""
-    return sum(decoy_rate_terms(d))
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python int or float that is not a bool (YAML reads `1e-3` as a
+    string and `true` as True == 1)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_channel(protocol, nu, mu, p, eta) -> None:
     """Raise ValueError unless the arguments describe a run of the channel."""
     if protocol not in qmath.PROTOCOLS:
         raise ValueError("unknown protocol %r" % (protocol,))
+    for name, value in (("mu", mu), ("p", p), ("eta", eta)):
+        if not (_is_real(value) or (name == "mu" and value is None)):
+            raise ValueError("%s must be a number, got %r" % (name, value))
     if (nu is None) == (mu is None):
         raise ValueError("exactly one of nu and mu must be set")
     if nu is not None and not (_is_int(nu) and nu >= 1):

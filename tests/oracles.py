@@ -51,8 +51,10 @@ def full_pair_state(m: np.ndarray, protocol: str) -> np.ndarray:
 
 def pair_weights(rho: np.ndarray) -> np.ndarray:
     """All seven event weights of a 4x4 pair state, in
-    ``attack_forms.EVENT_TAGS`` order."""
-    b = attack_forms.bell_overlaps(rho)
+    ``attack_forms.EVENT_TAGS`` order, from its traces against the Bell
+    projectors."""
+    b = {tag: float(np.trace(p @ rho).real)
+         for tag, p in qmath.bell_projectors().items()}
     return np.array([
         float(np.trace(rho).real),
         b["chi1+"] + b["chi1-"],

@@ -1,4 +1,4 @@
-"""Effective attacks, conditional pair states, and compiled event forms."""
+"""Attack maps, conditional pair states, and compiled event forms."""
 
 import numpy as np
 import pytest
@@ -9,51 +9,40 @@ from sargkit import attack_forms, qmath
 RNG = np.random.default_rng(77002)
 
 
-def random_attack(nu: int, contraction: bool = False) -> attack_forms.EffectiveAttack:
+def random_attack(nu: int, contraction: bool = False) -> np.ndarray:
+    """A random complex 2 x (nu+1) attack map."""
     m = RNG.normal(size=(2, nu + 1)) + 1j * RNG.normal(size=(2, nu + 1))
     if contraction:
         m /= max(1.0, np.linalg.norm(m, 2))
-    return attack_forms.EffectiveAttack(nu=nu, map=m)
+    return m
 
 
-# ---------------------------------------------------------------------------
-# Attack container
-# ---------------------------------------------------------------------------
-
-def test_flatten_round_trip():
-    a = random_attack(3)
-    b = attack_forms.EffectiveAttack.unflatten(a.flatten(), 3)
-    assert np.array_equal(a.map, b.map)
-
-
-def test_flatten_is_row_major():
-    m = np.arange(6).reshape(2, 3).astype(complex)
-    v = attack_forms.EffectiveAttack(nu=2, map=m).flatten()
-    assert np.array_equal(v, np.arange(6))
-
-
-def test_attack_validation():
-    with pytest.raises(ValueError):
-        attack_forms.EffectiveAttack(nu=2, map=np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        attack_forms.EffectiveAttack(nu=0, map=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        attack_forms.EffectiveAttack.unflatten(np.zeros(7), 2)
+def form_weight(form: attack_forms.EventForm, m: np.ndarray) -> float:
+    """p_event(m) = v^dag H v over the row-major coordinates v of m."""
+    v = m.reshape(-1)
+    return float((v.conj() @ form.matrix @ v).real)
 
 
 # ---------------------------------------------------------------------------
 # Conditional pair state
 # ---------------------------------------------------------------------------
 
+def test_attack_validation():
+    # nu is read from the map's width; anything that is not 2 x (nu+1) with
+    # nu in 1..MAX_NU is rejected.
+    for shape in [(2,), (6,), (3, 3), (1, 2), (2, 1),
+                  (2, attack_forms.MAX_NU + 2), (2, 2, 2)]:
+        with pytest.raises(ValueError):
+            attack_forms.conditional_pair_state(np.zeros(shape), "four-state")
+
 def test_identity_attack_gives_quarter_chi0_plus():
     # With M = 1 the rotations cancel, the filter halves the amplitude, and
     # averaging over the sift list leaves rho = (1/4) P(chi0+).
-    a = attack_forms.EffectiveAttack(nu=1, map=np.eye(2))
     for protocol in qmath.PROTOCOLS:
-        rho = attack_forms.conditional_pair_state(a, protocol)
+        rho = attack_forms.conditional_pair_state(np.eye(2), protocol)
         target = 0.25 * qmath.proj(qmath.bell_ket("chi0+"))
         assert np.abs(rho - target).max() < 1e-12
-        p_fil, p_bit, p_ph = attack_forms.event_weights(rho)
+        p_fil, p_bit, p_ph = oracles.pair_weights(rho)[:3]
         assert abs(p_fil - 0.25) < 1e-12
         assert abs(p_bit) < 1e-12 and abs(p_ph) < 1e-12
 
@@ -71,24 +60,19 @@ def test_conditional_state_is_psd_with_bounded_trace(protocol, nu):
 
 def test_event_weights_partition_trace():
     rho = attack_forms.conditional_pair_state(random_attack(2), "four-state")
-    overlaps = attack_forms.bell_overlaps(rho)
-    assert abs(sum(overlaps.values()) - np.trace(rho).real) < 1e-10
-    p_fil, p_bit, p_ph = attack_forms.event_weights(rho)
+    w = oracles.pair_weights(rho)
+    assert abs(w[3:].sum() - np.trace(rho).real) < 1e-10
+    p_fil, p_bit, p_ph = w[:3]
     assert p_bit <= p_fil + 1e-12 and p_ph <= p_fil + 1e-12
 
 
-def test_event_weights_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        attack_forms.event_weights(np.eye(8))
-
-
-def dicke_weights(a: attack_forms.EffectiveAttack, protocol: str) -> np.ndarray:
-    return oracles.pair_weights(attack_forms.conditional_pair_state(a, protocol))
+def dicke_weights(m: np.ndarray, protocol: str) -> np.ndarray:
+    return oracles.pair_weights(attack_forms.conditional_pair_state(m, protocol))
 
 
 def test_weights_are_homogeneous_degree_two():
     a = random_attack(2)
-    scaled = attack_forms.EffectiveAttack(nu=2, map=(0.5 - 0.25j) * a.map)
+    scaled = (0.5 - 0.25j) * a
     w = dicke_weights(a, "four-state")
     ws = dicke_weights(scaled, "four-state")
     assert np.abs(ws - abs(0.5 - 0.25j) ** 2 * w).max() < 1e-12
@@ -105,9 +89,7 @@ def test_sift_average_is_rotation_covariant(protocol):
     w = dicke_weights(a, protocol)
     for h in qmath.constants(protocol).rotations:
         sym_h = p.T @ qmath.tensor_power(h, nu) @ p
-        twisted = attack_forms.EffectiveAttack(
-            nu=nu, map=qmath.dagger(h) @ a.map @ sym_h)
-        wt = dicke_weights(twisted, protocol)
+        wt = dicke_weights(qmath.dagger(h) @ a @ sym_h, protocol)
         assert np.abs(wt - w).max() < 1e-12
 
 
@@ -187,9 +169,8 @@ def test_full_map_weights_equal_dicke_weights_of_m_p(protocol, nu):
     for _ in range(10):
         m = RNG.normal(size=(2, 2 ** nu)) + 1j * RNG.normal(size=(2, 2 ** nu))
         w = oracles.weight_vector(m, protocol)
-        a = attack_forms.EffectiveAttack(nu=nu, map=m @ p)
         for k, tag in enumerate(attack_forms.EVENT_TAGS):
-            assert abs(forms[tag].weight(a) - w[k]) <= 1e-12 * max(1.0, abs(w[k]))
+            assert abs(form_weight(forms[tag], m @ p) - w[k]) <= 1e-12 * max(1.0, abs(w[k]))
 
 
 @pytest.mark.parametrize("protocol,nu", [
@@ -201,7 +182,7 @@ def test_forms_reproduce_weights_on_random_attacks(protocol, nu):
         a = random_attack(nu)
         w = dicke_weights(a, protocol)
         for k, tag in enumerate(attack_forms.EVENT_TAGS):
-            assert abs(forms[tag].weight(a) - w[k]) <= 1e-12 * max(1.0, abs(w[k]))
+            assert abs(form_weight(forms[tag], a) - w[k]) <= 1e-12 * max(1.0, abs(w[k]))
 
 
 @pytest.mark.parametrize("protocol,nu", [("four-state", 1), ("four-state", 2),
@@ -229,9 +210,9 @@ def test_weight_linearity_over_kraus_branches():
     # branch-order independent.
     forms = attack_forms.all_forms("four-state", 2)
     branches = [random_attack(2, contraction=True) for _ in range(3)]
-    total = {tag: sum(forms[tag].weight(b) for b in branches)
+    total = {tag: sum(form_weight(forms[tag], b) for b in branches)
              for tag in attack_forms.EVENT_TAGS}
-    total_rev = {tag: sum(forms[tag].weight(b) for b in reversed(branches))
+    total_rev = {tag: sum(form_weight(forms[tag], b) for b in reversed(branches))
                  for tag in attack_forms.EVENT_TAGS}
     for tag in attack_forms.EVENT_TAGS:
         assert abs(total[tag] - total_rev[tag]) < 1e-12

@@ -401,6 +401,7 @@ def test_simulate_csv_columns_equal_json_fields(capsys, tmp_path, source):
     lambda s: s + "extra_knob: 3\n",
     lambda s: s.replace("p: 0.05", "p: 0.9"),
     lambda s: "- just\n- a list\n",
+    lambda s: s.replace("nu: 1", "mu: true"),
 ])
 def test_simulate_config_schema_violations(capsys, tmp_path, mangle):
     cfg = write_config(tmp_path, mangle(SIM_YAML))
@@ -413,6 +414,8 @@ def test_simulate_config_schema_violations(capsys, tmp_path, mangle):
     ("nu", "2.0"),
     ("nu", "true"),
     ("trials", "true"),
+    ("p", "1e-3"),
+    ("eta", "true"),
 ])
 def test_simulate_rejects_mistyped_values_with_one_line(capsys, tmp_path, key,
                                                          value):
@@ -586,6 +589,22 @@ def test_keyrate_from_simulate_output(capsys, tmp_path):
     assert results["inputs"]["xi1"] > 0
 
 
+def test_keyrate_rejects_a_report_outside_the_rate_domain(capsys, tmp_path):
+    # At p = 0.75 the exact e_bit is 0.5, so the one-photon e1 exceeds the
+    # 0.4 domain of the single-photon rate.
+    sim_cfg = write_config(
+        tmp_path, "protocol: six-state\nmu: 0.5\np: 0.75\neta: 0.6\n"
+                  "trials: 20000\nseed: 0\n", "sim.yaml")
+    sim_out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", sim_cfg, "--out",
+                     str(sim_out)]) == 0
+    capsys.readouterr()
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    assert cli.main(["keyrate", "--config", kr_cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("keyrate: bad config: e1 ") and err.count("\n") == 1
+
+
 def test_keyrate_rejects_fixed_photon_simulate_output(capsys, tmp_path):
     sim_cfg = write_config(tmp_path, SIM_YAML, "sim.yaml")
     sim_out = tmp_path / "sim.json"
@@ -611,9 +630,14 @@ def test_keyrate_rejects_a_report_that_is_not_an_object(capsys, tmp_path,
     DECOY_YAML + "from_simulate: other.json\n",     # both sources
     "nothing: here\n",                              # neither source
     DECOY_YAML.replace("xi1: 0.1", "xi1: 0.3"),     # xi sum exceeds p_conc
+    DECOY_YAML.replace("e1: 0.0", "e1: 0.45"),      # outside the R1 domain
+    DECOY_YAML.replace("e2: 0.0", "e2: 0.6"),       # outside the e_ph domain
+    DECOY_YAML.replace("e1: 0.0", "e1: 1e-2"),      # YAML reads a string
 ])
 def test_keyrate_schema_violations(capsys, tmp_path, text):
     assert cli.main(["keyrate", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("keyrate: bad config: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -175,19 +175,34 @@ def test_decoy_inputs_validation():
     with pytest.raises(ValueError):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=1.2, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.0)
+    # e1 and e2 beyond the domains of the single- and two-photon rate models.
+    with pytest.raises(ValueError, match="e1"):
+        keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.45,
+                            xi2=0.0, e2=0.0)
+    with pytest.raises(ValueError, match="e2"):
+        keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.0,
+                            xi2=0.0, e2=0.6)
+    # The domain ends themselves are accepted and evaluate.
+    d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.1, e1=0.4,
+                            xi2=0.1, e2=0.5)
+    assert all(math.isfinite(t) for t in keyrate.decoy_rate_terms(d))
+    for value in ("1e-2", True, None):
+        with pytest.raises(ValueError, match="e1 must be a number"):
+            keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=value,
+                                xi2=0.0, e2=0.0)
 
 
 def test_decoy_rate_zero_error_composition():
     d = keyrate.DecoyInputs(p_conc=0.25, e_bit=0.0, xi1=0.1, e1=0.0,
                             xi2=0.05, e2=0.0)
     expected = 0.1 + 0.05 * (1.0 - keyrate.binary_entropy(SIN2))
-    assert abs(keyrate.decoy_total_rate(d) - expected) < 1e-12
+    assert abs(sum(keyrate.decoy_rate_terms(d)) - expected) < 1e-12
 
 
 def test_decoy_rate_error_correction_only_is_nonpositive():
     d = keyrate.DecoyInputs(p_conc=0.25, e_bit=0.05, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.0)
-    assert keyrate.decoy_total_rate(d) <= 0.0
+    assert sum(keyrate.decoy_rate_terms(d)) <= 0.0
 
 
 def test_decoy_terms_sum_to_total():
@@ -195,7 +210,6 @@ def test_decoy_terms_sum_to_total():
                             xi2=0.06, e2=0.05)
     terms = keyrate.decoy_rate_terms(d)
     assert terms[0] <= 0.0
-    assert abs(sum(terms) - keyrate.decoy_total_rate(d)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ def test_config_requires_exactly_one_source_mode():
     dict(seed=-1),
     dict(nu=5),
     dict(nu=None, mu=0.0),
+    dict(p="1e-3"),
+    dict(eta=True),
+    dict(nu=None, mu=True),
 ])
 def test_config_range_validation(bad):
     with pytest.raises(ValueError):
