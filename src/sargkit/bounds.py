@@ -18,10 +18,22 @@ point, each then certified by its PSD margin.  Both solves are batched over
 the grid: a whole x-grid is one stacked eigen-solve for y_star and one for
 the margins, and a single point is the one-point case of the same code.
 
+y_star never increases with x, so its infimum, the zero-error floor, is the
+limit x -> infinity.  With B = reduced H_bit PSD, v^dag (A - x*B) v = v^dag A v
+for every v in ker B, while every other direction is pushed to -infinity:
+the floor is lambda_max of A compressed onto ker B (0 when the kernel is
+empty), one eigen-solve of B and one small lambda_max.  A minimum over a
+finite grid only reads y_star at its largest x, an upper estimate of the
+floor, which errs the wrong way for a no-key certificate.
+
 Every event form has ||H_event||_2 <= 1, because v^dag H_event v <=
 trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL, IDENTITY_TOL
 and attack_forms.FORM_PSD_TOL equal their relative forms (tol * max(1,
 ||H||)) on the forms themselves; only the x * H_bit term of a margin grows.
+A symmetric eigensolver returns the eigenvalues of a matrix within
+n * eps * ||M||_2 of the exact ones (n the side), and ||M||_2 <= x * ||H_bit||_2
++ 2 on a margin's matrix, so a frontier margin is certified at PSD_TOL +
+n * eps * x * ||H_bit||_2.
 """
 
 from __future__ import annotations
@@ -49,9 +61,8 @@ PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-10
 # Slack on the frontier's shape: its gap below g(x) and its rise in x.
 SHAPE_TOL = 1e-6
-# Slack on the zero-error floors against sin^2(pi/8) and 1/2.
-FLOOR_TOL = 1e-3
-# Eigenvalues of H_fil at or below this fraction of its largest span its kernel.
+# Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
+# of the largest span the kernel.
 RANK_TOL = 1e-12
 
 
@@ -161,14 +172,17 @@ def _frontier_ys(x, protocol: str, nu: int) -> np.ndarray:
     One stacked eigen-solve on the reduced pencil gives every y_star, clipped
     to [0, 1] (y = 1 is always feasible because p_ph <= p_fil; a clipped 0 is
     +0.0); one stacked psd_margin then certifies them.  Raises ArithmeticError
-    naming the first x whose margin is below -PSD_TOL.
+    naming the first x whose margin is below -(PSD_TOL + n*eps*x*||H_bit||_2),
+    the roundoff of a side-n eigen-solve of the margin's matrix.
     """
     a, b = _reduced_pencil(protocol, nu)
+    h_bit = _forms(protocol, nu)[0]
     x = np.asarray(x, dtype=float)
     neg = -qmath.min_eigenvalue(x[..., None, None] * b - a)
     ys = np.where(neg > 0.0, np.minimum(neg, 1.0), 0.0)
     margins = psd_margin(x, ys, protocol, nu)
-    bad = np.flatnonzero(margins < -PSD_TOL)
+    roundoff = h_bit.shape[0] * np.finfo(float).eps * np.linalg.norm(h_bit, 2)
+    bad = np.flatnonzero(margins < -(PSD_TOL + roundoff * x))
     if bad.size:
         i = bad[0]
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
@@ -196,11 +210,27 @@ def frontier_table(protocol: str, nu: int,
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:
-    """min over DEFAULT_X_GRID of y_star(x), read from the cached frontier table.
+    """The zero-error floor inf_x y_star(x): lambda_max of the reduced H_ph
+    compressed onto the kernel of the reduced H_bit, clipped to [0, 1].
 
-    At zero bit error the certified phase-error bound is exactly this minimum;
+    At zero bit error the certified phase-error bound is exactly this floor;
     a value >= 1/2 means no key can be certified (consistent with the
     unambiguous-discrimination limit), while a value < 1/2 leaves room for a
-    positive rate.
+    positive rate.  Every y_star(x) is at least the floor and tends to it, so
+    no grid is read.  The kernel is cut as H_fil's is, at RANK_TOL of the
+    largest eigenvalue; raises ArithmeticError when the cut is not clean: an
+    eigenvalue below -cut (the reduced H_bit is not PSD) or within six
+    decades above the cut, where roundoff could move it across.
     """
-    return min(pt.y_star for pt in frontier_table(protocol, nu))
+    a, b = _reduced_pencil(protocol, nu)
+    w, v = qmath.eigh_checked(b)
+    cut = RANK_TOL * w[-1]
+    unclear = (w < -cut) | ((w > cut) & (w < math.sqrt(RANK_TOL) * w[-1]))
+    if unclear.any():
+        raise ArithmeticError("reduced H_bit eigenvalue %.3e is not clear of "
+                              "the kernel cut %.3e" % (w[unclear][0], cut))
+    k = v[:, w <= cut]
+    if not k.shape[1]:
+        return 0.0
+    top = -qmath.min_eigenvalue(-(qmath.dagger(k) @ a @ k))
+    return min(max(top, 0.0), 1.0)

@@ -21,7 +21,7 @@ the shards.
 Each raw word w stands for the uniform deviate u = (w >> 11)·2⁻⁵³.  The shard
 kernel never forms u: it tests u < t as the exact integer comparison
 (w >> 11) < ceil(t·2⁵³), so its tallies equal those of the float formulation
-(kept in `replay_trial`) bit for bit.
+(which the test oracles keep, per shard and per trial) bit for bit.
 """
 
 from __future__ import annotations
@@ -113,32 +113,6 @@ class SimConfig:
     @property
     def max_photons(self) -> int:
         return self.nu if self.nu is not None else MAX_PHOTONS
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Complete replay of one trial from its slice of the random stream."""
-
-    index: int
-    alice_bit: int
-    alice_rotation: int
-    bob_rotation: int
-    bob_basis: int
-    sifted: bool
-    photons_sent: int
-    photons_arrived: int
-    pulse_intact: bool
-    outcomes: tuple[int, ...]  # conclusive-side flag per arrived photon
-    used_squash_coin: bool
-    conclusive: bool
-    inferred_bit: int | None
-    error: bool
-
-    def __post_init__(self):
-        if self.conclusive and self.inferred_bit is None:
-            raise ValueError("conclusive trial must carry an inferred bit")
-        if self.error and not self.conclusive:
-            raise ValueError("errors are defined only on conclusive trials")
 
 
 @dataclass(frozen=True)
@@ -371,59 +345,6 @@ def _stats(cfg: SimConfig, tallies: np.ndarray) -> SimStats:
         e_bit=ebit,
         e_bit_se=_binomial_se(errors, conclusive),
         per_nu=per_nu,
-    )
-
-
-def replay_trial(cfg: SimConfig, index: int) -> TrialRecord:
-    """Reconstruct one trial in full from its slice of the random stream."""
-    if not 0 <= index < cfg.trials:
-        raise ValueError("trial index out of range")
-    n_rot = qmath.constants(cfg.protocol).n_rotations
-    flag_table = _conclusive_flag_prob()
-    u = (_raw_block(cfg.seed, index, 1)[0] >> _SHIFT) * 2.0 ** -53
-
-    j = int(u[_SLOT_BIT] * 2)
-    rot_a = int(u[_SLOT_ROT_A] * n_rot)
-    rot_b = int(u[_SLOT_ROT_B] * n_rot)
-    jp = int(u[_SLOT_BASIS] * 2)
-    intact = u[_SLOT_BRANCH] >= 4.0 * cfg.p / 3.0
-    coin = u[_SLOT_COIN] < 0.5
-    if cfg.nu is not None:
-        n = cfg.nu
-    else:
-        n = int(np.searchsorted(_truncated_poisson_cdf(cfg.mu),
-                                u[_SLOT_COUNT], side="right"))
-
-    outcomes = []
-    for i in range(n):
-        if u[_SLOT_ARRIVE + i] >= cfg.eta:
-            continue
-        if intact:
-            p_flag = flag_table[jp, j]
-        else:
-            p_flag = 0.5 * (1.0 + (2.0 * u[_SLOT_COS + i] - 1.0))
-        outcomes.append(int(u[_SLOT_OUTCOME + i] < p_flag))
-
-    m = len(outcomes)
-    n_flag = sum(outcomes)
-    mixed_pattern = m > 0 and 0 < n_flag < m
-    conclusive = (m > 0 and n_flag == m) or (mixed_pattern and coin)
-    inferred = 1 - jp if conclusive else None
-    return TrialRecord(
-        index=index,
-        alice_bit=j,
-        alice_rotation=rot_a,
-        bob_rotation=rot_b,
-        bob_basis=jp,
-        sifted=rot_a == rot_b,
-        photons_sent=n,
-        photons_arrived=m,
-        pulse_intact=bool(intact),
-        outcomes=tuple(outcomes),
-        used_squash_coin=mixed_pattern,
-        conclusive=conclusive,
-        inferred_bit=inferred,
-        error=conclusive and inferred != j,
     )
 
 

@@ -6,8 +6,8 @@ attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
 margin or by one eigen-solve per point, the `frontier` report row by row
 through ``csv.DictWriter``, the two-photon optimum by scan plus golden
 section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
-from float uniforms on one thread, the channel law by enumerating every
-branch, arrival pattern and outcome.
+from float uniforms on one thread and one trial at a time (`replay_trial`),
+the channel law by enumerating every branch, arrival pattern and outcome.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,6 +283,85 @@ def monte_carlo_stats(cfg: simulate.SimConfig,
         u = units(simulate._raw_block(cfg.seed, start, count))
         tallies += float_shard_tallies(u, cfg, flag_table, n_rot, cdf)
     return simulate._stats(cfg, tallies)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """Complete replay of one trial from its slice of the random stream."""
+
+    index: int
+    alice_bit: int
+    alice_rotation: int
+    bob_rotation: int
+    bob_basis: int
+    sifted: bool
+    photons_sent: int
+    photons_arrived: int
+    pulse_intact: bool
+    outcomes: tuple[int, ...]  # conclusive-side flag per arrived photon
+    used_squash_coin: bool
+    conclusive: bool
+    inferred_bit: int | None
+    error: bool
+
+    def __post_init__(self):
+        if self.conclusive and self.inferred_bit is None:
+            raise ValueError("conclusive trial must carry an inferred bit")
+        if self.error and not self.conclusive:
+            raise ValueError("errors are defined only on conclusive trials")
+
+
+def replay_trial(cfg: simulate.SimConfig, index: int) -> TrialRecord:
+    """Reconstruct one trial in full from its slice of the random stream."""
+    if not 0 <= index < cfg.trials:
+        raise ValueError("trial index out of range")
+    n_rot = qmath.constants(cfg.protocol).n_rotations
+    flag_table = simulate._conclusive_flag_prob()
+    u = units(simulate._raw_block(cfg.seed, index, 1))[0]
+
+    j = int(u[simulate._SLOT_BIT] * 2)
+    rot_a = int(u[simulate._SLOT_ROT_A] * n_rot)
+    rot_b = int(u[simulate._SLOT_ROT_B] * n_rot)
+    jp = int(u[simulate._SLOT_BASIS] * 2)
+    intact = u[simulate._SLOT_BRANCH] >= 4.0 * cfg.p / 3.0
+    coin = u[simulate._SLOT_COIN] < 0.5
+    if cfg.nu is not None:
+        n = cfg.nu
+    else:
+        n = int(np.searchsorted(simulate._truncated_poisson_cdf(cfg.mu),
+                                u[simulate._SLOT_COUNT], side="right"))
+
+    outcomes = []
+    for i in range(n):
+        if u[simulate._SLOT_ARRIVE + i] >= cfg.eta:
+            continue
+        if intact:
+            p_flag = flag_table[jp, j]
+        else:
+            p_flag = 0.5 * (1.0 + (2.0 * u[simulate._SLOT_COS + i] - 1.0))
+        outcomes.append(int(u[simulate._SLOT_OUTCOME + i] < p_flag))
+
+    m = len(outcomes)
+    n_flag = sum(outcomes)
+    mixed_pattern = m > 0 and 0 < n_flag < m
+    conclusive = (m > 0 and n_flag == m) or (mixed_pattern and coin)
+    inferred = 1 - jp if conclusive else None
+    return TrialRecord(
+        index=index,
+        alice_bit=j,
+        alice_rotation=rot_a,
+        bob_rotation=rot_b,
+        bob_basis=jp,
+        sifted=rot_a == rot_b,
+        photons_sent=n,
+        photons_arrived=m,
+        pulse_intact=bool(intact),
+        outcomes=tuple(outcomes),
+        used_squash_coin=mixed_pattern,
+        conclusive=conclusive,
+        inferred_bit=inferred,
+        error=conclusive and inferred != j,
+    )
 
 
 def enumerated_channel_stats(protocol: str, nu: int, p: float,

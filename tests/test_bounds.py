@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sargkit import attack_forms, bounds, qmath
 
 SIN2 = math.sin(math.pi / 8) ** 2
+COS2 = math.cos(math.pi / 8) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,54 @@ def test_zero_rate_floors():
     assert bounds.zero_rate_check("six-state", 4) < 0.5
 
 
-def test_zero_rate_uses_infimum_over_grid():
-    table = bounds.frontier_table("four-state", 2)
-    assert bounds.zero_rate_check("four-state", 2) == pytest.approx(
-        min(pt.y_star for pt in table), abs=1e-12)
+# inf_x y_star(x) in closed form, nu = 1..5.
+FLOORS = {
+    "four-state": (0.0, SIN2, 1.0, COS2, 1.0),
+    "six-state": (0.0, SIN2, 0.25, 0.5 - 1 / (4 * math.sqrt(2)), 1.0),
+}
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
+def test_zero_rate_floor_matches_closed_forms(protocol, nu, monkeypatch):
+    monkeypatch.setattr(bounds, "frontier_table", None)  # no grid is read
+    assert abs(bounds.zero_rate_check(protocol, nu)
+               - FLOORS[protocol][nu - 1]) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+       nu=st.sampled_from(bounds.SUPPORTED_NU),
+       x=st.floats(0.0, 1e6))
+def test_zero_rate_floor_bounds_the_frontier_from_below(protocol, nu, x):
+    # The floor is the infimum of y_star, so no x reads below it; a grid
+    # minimum is y_star at the grid's largest x, which reads above it.
+    assert (bounds.frontier(x, protocol, nu).y_star
+            >= bounds.zero_rate_check(protocol, nu) - bounds.PSD_TOL)
+
+
+@pytest.mark.parametrize("w", [-1e-6, 1e-9])
+def test_zero_rate_floor_rejects_an_unclear_kernel_cut(w, monkeypatch):
+    # An eigenvalue of the reduced H_bit below -cut (not PSD) or just above
+    # the cut (a kernel direction roundoff could move) stops the floor.
+    b = np.diag([0.0, w, 1.0])
+    monkeypatch.setattr(bounds, "_reduced_pencil",
+                        lambda protocol, nu: (np.eye(3), b))
+    with pytest.raises(ArithmeticError, match="kernel cut"):
+        bounds.zero_rate_check("four-state", 2)
+
+
+def test_zero_rate_floor_without_a_kernel_is_zero(monkeypatch):
+    monkeypatch.setattr(bounds, "_reduced_pencil",
+                        lambda protocol, nu: (np.eye(2), np.diag([0.5, 1.0])))
+    assert repr(bounds.zero_rate_check("four-state", 2)) == "0.0"
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
+def test_frontier_certifies_at_large_x(protocol, nu):
+    # Margins are checked at PSD_TOL + n*eps*x*||H_bit||_2, so roundoff of the
+    # x*H_bit term no longer fails a correct point; y_star tends to the floor.
+    floor = bounds.zero_rate_check(protocol, nu)
+    for pt in bounds.frontier_table.__wrapped__(protocol, nu, (1e8, 1e9)):
+        assert abs(pt.y_star - floor) <= 1e-6

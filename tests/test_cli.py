@@ -116,7 +116,7 @@ def test_verify_failed_certificate_exits_1(capsys, monkeypatch):
     rc, out = run(capsys, "verify", "--protocol", "four-state", "--nu", "3")
     assert rc == 1
     assert check_rows(out) == [
-        ["nu=3 no-key floor", "3.000e-01", ">= 0.499", "FAIL"]]
+        ["nu=3 no-key floor", "3.000e-01", ">= 0.5", "FAIL"]]
     assert out.splitlines()[-1] == "summary: FAIL"
 
 

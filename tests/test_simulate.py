@@ -236,7 +236,7 @@ def test_all_ones_words_stay_within_the_photon_range(monkeypatch, source, eta):
     assert stats.detected == (cfg.trials if eta == 1.0 else 0)
     if stats.per_nu is not None:
         assert stats.per_nu[n].sifted == cfg.trials
-    record = simulate.replay_trial(cfg, 4)
+    record = oracles.replay_trial(cfg, 4)
     assert record.sifted
     assert record.photons_sent == n
     assert record.photons_arrived == (n if eta == 1.0 else 0)
@@ -305,7 +305,7 @@ def test_fixed_mode_has_no_breakdown():
 def test_replay_reproduces_vectorized_tallies():
     cfg = config(trials=3000, p=0.06, eta=0.7, nu=2)
     stats = simulate.run_monte_carlo(cfg)
-    records = [simulate.replay_trial(cfg, i) for i in range(cfg.trials)]
+    records = [oracles.replay_trial(cfg, i) for i in range(cfg.trials)]
     sifted = [r for r in records if r.sifted]
     assert len(sifted) == stats.sifted
     assert sum(1 for r in sifted if r.conclusive) == stats.conclusive
@@ -316,7 +316,7 @@ def test_replay_reproduces_vectorized_tallies():
 def test_replay_record_invariants():
     cfg = config(trials=500, p=0.1, eta=0.6, nu=2)
     for i in range(cfg.trials):
-        r = simulate.replay_trial(cfg, i)
+        r = oracles.replay_trial(cfg, i)
         assert r.photons_sent == 2
         assert len(r.outcomes) == r.photons_arrived
         if r.conclusive:
@@ -330,11 +330,11 @@ def test_replay_record_invariants():
 
 def test_replay_index_bounds():
     with pytest.raises(ValueError):
-        simulate.replay_trial(config(trials=10), 10)
+        oracles.replay_trial(config(trials=10), 10)
 
 
 def test_record_validation_rules():
-    rec = simulate.replay_trial(config(trials=1, seed=0), 0)
+    rec = oracles.replay_trial(config(trials=1, seed=0), 0)
     with pytest.raises(ValueError):
         dataclasses.replace(rec, conclusive=True, inferred_bit=None)
 
@@ -345,7 +345,7 @@ def test_sift_statistics_do_not_depend_on_rotation_label():
     cfg = config(trials=60000, p=0.04, eta=1.0)
     by_rot = {k: [0, 0] for k in range(4)}
     for i in range(cfg.trials):
-        r = simulate.replay_trial(cfg, i)
+        r = oracles.replay_trial(cfg, i)
         if r.sifted:
             by_rot[r.alice_rotation][0] += 1
             by_rot[r.alice_rotation][1] += r.conclusive
