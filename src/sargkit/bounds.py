@@ -14,17 +14,21 @@ makes H_bit and H_ph vanish on the kernel of H_fil, so on R = range(H_fil)
     y_star(x) = max(0, lambda_max(F^-1/2 R^dag (H_ph - x*H_bit) R F^-1/2)),
 
 with F the diagonal of nonzero eigenvalues of H_fil: one eigen-solve per
-point, each then certified by its PSD margin.  Both solves are batched over
-the grid: a whole x-grid is one stacked eigen-solve for y_star and one for
-the margins, and a single point is the one-point case of the same code.
+point, each then certified by its PSD margin.  y_star is clipped only at 0,
+so a value above 1 (p_ph <= p_fil failing) shows instead of being hidden.
+Both solves are batched over the grid: a whole x-grid is one stacked
+eigen-solve for y_star and one for the margins, and a single point is the
+one-point case of the same code.
 
 y_star never increases with x, so its infimum, the zero-error floor, is the
 limit x -> infinity.  With B = reduced H_bit PSD, v^dag (A - x*B) v = v^dag A v
 for every v in ker B, while every other direction is pushed to -infinity:
 the floor is lambda_max of A compressed onto ker B (0 when the kernel is
-empty), one eigen-solve of B and one small lambda_max.  A minimum over a
-finite grid only reads y_star at its largest x, an upper estimate of the
-floor, which errs the wrong way for a no-key certificate.
+empty), one eigen-solve of B and one small lambda_max.
+
+One rule cuts both kernels, of H_fil and of B (``_kernel_split``): at
+RANK_TOL of the largest eigenvalue, with no eigenvalue below -cut or within
+six decades above it.  Every eigenvalue here comes from qmath.eigh_checked.
 
 Every event form has ||H_event||_2 <= 1, because v^dag H_event v <=
 trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL, IDENTITY_TOL
@@ -139,19 +143,34 @@ class FrontierPoint:
     y_star: float
 
 
+def _kernel_split(h: np.ndarray, name: str) -> tuple:
+    """(w, v, cut): the checked eigen-solve of a PSD form and its kernel cut
+    RANK_TOL * lambda_max; the columns of v with w <= cut span the kernel.
+
+    Raises ArithmeticError when the cut is not clean: an eigenvalue below
+    -cut (the form is not PSD) or within six decades above the cut, where
+    roundoff could move it across.
+    """
+    w, v = qmath.eigh_checked(h)
+    cut = RANK_TOL * w[-1]
+    unclear = (w < -cut) | ((w > cut) & (w < math.sqrt(RANK_TOL) * w[-1]))
+    if unclear.any():
+        raise ArithmeticError("%s eigenvalue %.3e is not clear of the kernel "
+                              "cut %.3e" % (name, w[unclear][0], cut))
+    return w, v, cut
+
+
 @lru_cache(maxsize=None)
 def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil).
 
-    R holds the eigenvectors of H_fil above the rank cut, F their eigenvalues.
-
-    Raises ArithmeticError when H_bit or H_ph does not vanish on the kernel
-    of H_fil to within the rank cut, since the reduction would then drop
-    part of the margin.
+    R holds the eigenvectors of H_fil above the kernel cut, F their
+    eigenvalues.  Raises ArithmeticError when the cut is not clean, or when
+    H_bit or H_ph does not vanish on the kernel of H_fil to within the cut,
+    since the reduction would then drop part of the margin.
     """
     h_bit, h_fil, h_ph = _forms(protocol, nu)
-    w, v = qmath.eigh_checked(h_fil)
-    cut = RANK_TOL * w[-1]
+    w, v, cut = _kernel_split(h_fil, "H_fil")
     keep = w > cut
     leak = max(float(np.linalg.norm(h @ v[:, ~keep], 2)) for h in (h_bit, h_ph))
     if leak > cut:
@@ -170,16 +189,16 @@ def _frontier_ys(x, protocol: str, nu: int) -> np.ndarray:
     """y_star for every x (any shape), each certified by its PSD margin.
 
     One stacked eigen-solve on the reduced pencil gives every y_star, clipped
-    to [0, 1] (y = 1 is always feasible because p_ph <= p_fil; a clipped 0 is
-    +0.0); one stacked psd_margin then certifies them.  Raises ArithmeticError
-    naming the first x whose margin is below -(PSD_TOL + n*eps*x*||H_bit||_2),
-    the roundoff of a side-n eigen-solve of the margin's matrix.
+    only at 0 (a clipped 0 is +0.0); one stacked psd_margin then certifies
+    them.  Raises ArithmeticError naming the first x whose margin is below
+    -(PSD_TOL + n*eps*x*||H_bit||_2), the roundoff of a side-n eigen-solve of
+    the margin's matrix.
     """
     a, b = _reduced_pencil(protocol, nu)
     h_bit = _forms(protocol, nu)[0]
     x = np.asarray(x, dtype=float)
     neg = -qmath.min_eigenvalue(x[..., None, None] * b - a)
-    ys = np.where(neg > 0.0, np.minimum(neg, 1.0), 0.0)
+    ys = np.where(neg > 0.0, neg, 0.0)
     margins = psd_margin(x, ys, protocol, nu)
     roundoff = h_bit.shape[0] * np.finfo(float).eps * np.linalg.norm(h_bit, 2)
     bad = np.flatnonzero(margins < -(PSD_TOL + roundoff * x))
@@ -217,18 +236,11 @@ def zero_rate_check(protocol: str, nu: int) -> float:
     a value >= 1/2 means no key can be certified (consistent with the
     unambiguous-discrimination limit), while a value < 1/2 leaves room for a
     positive rate.  Every y_star(x) is at least the floor and tends to it, so
-    no grid is read.  The kernel is cut as H_fil's is, at RANK_TOL of the
-    largest eigenvalue; raises ArithmeticError when the cut is not clean: an
-    eigenvalue below -cut (the reduced H_bit is not PSD) or within six
-    decades above the cut, where roundoff could move it across.
+    no grid is read.  The kernel is cut by the rule that cuts H_fil's
+    (``_kernel_split``), and an unclear cut raises ArithmeticError.
     """
     a, b = _reduced_pencil(protocol, nu)
-    w, v = qmath.eigh_checked(b)
-    cut = RANK_TOL * w[-1]
-    unclear = (w < -cut) | ((w > cut) & (w < math.sqrt(RANK_TOL) * w[-1]))
-    if unclear.any():
-        raise ArithmeticError("reduced H_bit eigenvalue %.3e is not clear of "
-                              "the kernel cut %.3e" % (w[unclear][0], cut))
+    w, v, cut = _kernel_split(b, "reduced H_bit")
     k = v[:, w <= cut]
     if not k.shape[1]:
         return 0.0

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 from . import bounds
 
-SIN2_PI_8 = math.sin(math.pi / 8) ** 2
-
 # Reference values for the comparison tables: (e_bit, depolarizing p)
 # thresholds quoted for the four-state protocol at nu = 1, 2 and the six-state
 # variant at nu = 1..4 (no p quoted), and depolarizing thresholds for two
@@ -49,9 +47,13 @@ def binary_entropy(e: float) -> float:
     """h(e) = -e log2 e - (1-e) log2 (1-e), with h(0) = h(1) = 0."""
     if not 0.0 <= e <= 1.0:
         raise ValueError("binary_entropy argument must be in [0, 1]")
-    if e == 0.0 or e == 1.0:
-        return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+    return _shannon((e, 1.0 - e))
+
+
+def _phase_charge(e_ph: float) -> float:
+    """h(e_ph), saturated at e_ph = 1/2: the entropy charge for a phase-error
+    bound, which may exceed 1/2 (the bound itself is reported unclamped)."""
+    return binary_entropy(min(e_ph, 0.5))
 
 
 def _shannon(ps) -> float:
@@ -200,7 +202,7 @@ def ephase_bound_two(e_bit: float) -> tuple[float, float]:
     if not 0.0 <= e <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     if e == 0.0:
-        return SIN2_PI_8, X_SCAN_HI
+        return bounds.SIN2_PI_8, X_SCAN_HI
     c = 2.0 - 6.0 * e
     s = math.sqrt(6.0 * e * (4.0 - 6.0 * e))
     x_opt = (3.0 * math.sqrt(2.0) + c * math.sqrt(6.0) / s) / 4.0
@@ -209,13 +211,9 @@ def ephase_bound_two(e_bit: float) -> tuple[float, float]:
 
 
 def rate_two(e_bit: float) -> RateResult:
-    """R2 = 1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns.
-
-    The entropy charge for the phase error saturates at e_ph = 1/2 (the bound
-    is reported unclamped in the result).
-    """
+    """R2 = 1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns."""
     e_ph, x_opt = ephase_bound_two(e_bit)
-    rate = 1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5))
+    rate = 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
     return RateResult(e_bit=e_bit, e_ph=e_ph, rate=rate, x_opt=x_opt)
 
 
@@ -224,15 +222,9 @@ def threshold_two() -> ThresholdResult:
     return _threshold("four-state", 2, rate_two, 0.001, 0.2, 1e-6)
 
 
-def depol_ebit(p: float) -> float:
-    """Conclusive bit-error rate 4p/(3+4p) of the depolarizing channel."""
-    if not 0.0 <= p <= 0.75:
-        raise ValueError("depolarizing rate must be in [0, 0.75]")
-    return 4.0 * p / (3.0 + 4.0 * p)
-
-
 def depol_p(e: float) -> float:
-    """Inverse of depol_ebit: p = 3e/(4(1-e))."""
+    """Depolarizing rate p = 3e/(4(1-e)) of a conclusive bit-error rate e: the
+    inverse of the channel law e = 4p/(3+4p) (simulate.exact_channel_stats)."""
     if not 0.0 <= e <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5] for the depolarizing inverse")
     return 3.0 * e / (4.0 * (1.0 - e))
@@ -282,7 +274,7 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
     return (
         -d.p_conc * binary_entropy(d.e_bit),
         d.xi1 * (1.0 - cond1),
-        d.xi2 * (1.0 - binary_entropy(min(e_ph2, 0.5))),
+        d.xi2 * (1.0 - _phase_charge(e_ph2)),
     )
 
 
@@ -299,7 +291,7 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 def rate_frontier(e_bit: float, protocol: str, nu: int) -> RateResult:
     """Independent-errors rate 1 - h(e) - h(e_ph) from a computed frontier."""
     e_ph = ephase_bound_frontier(e_bit, protocol, nu)
-    rate = 1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5))
+    rate = 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
     return RateResult(e_bit=e_bit, e_ph=e_ph, rate=rate)
 
 

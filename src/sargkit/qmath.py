@@ -12,12 +12,14 @@ plain numpy arrays in a single fixed convention:
 The sift rotation list of each protocol is built once and returned in an
 immutable :class:`ConstantSet`; every function here is pure.
 
-Eigen-solves are checked relative to the matrix norm: an eigenpair residual
-(or a reconstruction error) may be at most ``EIGEN_RESIDUAL_TOL * max(1,
-||H||_2)``, with ||H||_2 = max |lambda| read off the solve itself.  Below
-norm 1 the bound is the absolute 1e-9.  The Hermitian view that precedes a
-solve scales the same way, per stack member: max|H - H^dagger| may be at most
-``STRUCTURAL_TOL * max(1, max|H|)``.
+Every eigen-solve goes through one checked routine, ``eigh_checked``, on one
+matrix or a stack; ``min_eigenvalue`` reads its lowest column.  The check is
+relative to the matrix norm: the reconstruction residual max|V diag(lambda)
+V^dagger - H| may be at most ``EIGEN_RESIDUAL_TOL * max(1, ||H||_2)``, with
+||H||_2 = max |lambda| read off the solve itself.  Below norm 1 the bound is
+the absolute 1e-9.  The Hermitian view that precedes a solve scales the same
+way, per stack member: max|H - H^dagger| may be at most ``STRUCTURAL_TOL *
+max(1, max|H|)``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,6 @@ I2 = np.eye(2, dtype=complex)
 # dims <= 64), and for eigen-decomposition residuals per unit of ||H||_2.
 STRUCTURAL_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
-
-
-def _eigen_bound(vals: np.ndarray) -> np.ndarray:
-    """EIGEN_RESIDUAL_TOL * max(1, ||H||_2) from ascending eigenvalues."""
-    norm = np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
-    return EIGEN_RESIDUAL_TOL * np.maximum(1.0, norm)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,37 +97,36 @@ def as_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     return hs
 
 
-def min_eigenvalue(h: np.ndarray):
-    """Smallest eigenvalue of a Hermitian operator, or of each in a stack.
+def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition of one matrix (n, n) or of each member of
+    a stack (..., n, n): the only checked eigen-solve.
 
-    ``h`` is one matrix (n, n) or a stack (..., n, n).  Every member must pass
-    the Hermitian-view check; one ``eigh`` call solves them all, the same
-    LAPACK routine per matrix, so each value equals a one-matrix call bit for
-    bit.  Each value is validated against its eigenvector residual
-    ``||H u - lam u|| <= 1e-9 * max(1, ||H||_2)``.  Returns a float for one
-    matrix and an array of shape ``h.shape[:-2]`` for a stack.
+    Every member must pass the Hermitian-view check; one ``eigh`` call solves
+    them all, the same LAPACK routine per matrix, so each member's result
+    equals a one-matrix call bit for bit.  Raises ArithmeticError when a
+    member's reconstruction residual max|V diag(lambda) V^dagger - H| exceeds
+    ``1e-9 * max(1, ||H||_2)`` (NaN fails too).
     """
     hs = as_hermitian(h)
     vals, vecs = np.linalg.eigh(hs)
-    lam = vals[..., 0]
-    u = vecs[..., :1]
-    residual = np.linalg.norm(hs @ u - lam[..., None, None] * u, axis=(-2, -1))
-    bad = np.flatnonzero(~(residual <= _eigen_bound(vals)))  # NaN fails too
+    recon = (vecs * vals[..., None, :]) @ dagger(vecs)
+    recon -= hs
+    residual = np.abs(recon).max(axis=(-2, -1), initial=0.0)
+    norm = np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))  # ||H||_2
+    bound = EIGEN_RESIDUAL_TOL * np.maximum(1.0, norm)
+    bad = np.flatnonzero(~(residual <= bound))  # NaN fails too
     if bad.size:
-        raise ArithmeticError("eigenpair residual %.3e exceeds tolerance"
-                              % residual.flat[bad[0]])
-    return float(lam) if lam.ndim == 0 else lam
-
-
-def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hermitian eigendecomposition of one matrix, with a reconstruction
-    check to 1e-9 * max(1, ||H||_2)."""
-    hs = as_hermitian(h)
-    vals, vecs = np.linalg.eigh(hs)
-    recon = (vecs * vals) @ dagger(vecs)
-    if not np.abs(recon - hs).max() <= _eigen_bound(vals):
-        raise ArithmeticError("eigendecomposition failed to reconstruct input")
+        raise ArithmeticError("eigendecomposition residual %.3e exceeds "
+                              "tolerance" % residual.flat[bad[0]])
     return vals, vecs
+
+
+def min_eigenvalue(h: np.ndarray):
+    """Smallest eigenvalue of a Hermitian operator, or of each in a stack:
+    the lowest column of ``eigh_checked``.  Returns a float for one matrix
+    and an array of shape ``h.shape[:-2]`` for a stack."""
+    lam = eigh_checked(h)[0][..., 0]
+    return float(lam) if lam.ndim == 0 else lam
 
 
 # ---------------------------------------------------------------------------

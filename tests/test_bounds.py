@@ -201,6 +201,19 @@ def test_frontier_reduction_rejects_kernel_leak(monkeypatch):
         bounds._reduced_pencil.__wrapped__("four-state", 4)
 
 
+def test_frontier_reduction_rejects_an_unclear_filter_kernel_cut(monkeypatch):
+    # An H_fil eigenvalue at 1e-9 of the largest lies within six decades
+    # above the cut, where roundoff could move it into the kernel.
+    h_bit, h_fil, h_ph = bounds._forms("four-state", 1)
+    w, v = np.linalg.eigh(h_fil)
+    w[0] = 1e-9 * w[-1]
+    squeezed = (v * w) @ v.conj().T
+    monkeypatch.setattr(bounds, "_forms",
+                        lambda protocol, nu: (h_bit, squeezed, h_ph))
+    with pytest.raises(ArithmeticError, match="H_fil eigenvalue .* kernel cut"):
+        bounds._reduced_pencil.__wrapped__("four-state", 1)
+
+
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_event_forms_have_norm_at_most_one(protocol, nu):

@@ -120,6 +120,26 @@ def test_verify_failed_certificate_exits_1(capsys, monkeypatch):
     assert out.splitlines()[-1] == "summary: FAIL"
 
 
+def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
+                                                            monkeypatch):
+    # H_ph scaled by 1.5 breaks p_ph <= p_fil, so y_star exceeds 1.  The
+    # frontier is clipped only at 0, so the row reads it and fails instead
+    # of the margin check raising.  The uncached pencil and table keep the
+    # scaled forms out of the caches.
+    forms = cli.bounds._forms
+    monkeypatch.setattr(cli.bounds, "_forms", lambda p, nu: (
+        forms(p, nu)[0], forms(p, nu)[1], 1.5 * forms(p, nu)[2]))
+    monkeypatch.setattr(cli.bounds, "_reduced_pencil",
+                        cli.bounds._reduced_pencil.__wrapped__)
+    monkeypatch.setattr(cli.bounds, "frontier_table",
+                        cli.bounds.frontier_table.__wrapped__)
+    rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "1")
+    assert rc == 1
+    rows = {r[0]: r for r in check_rows(out)}
+    assert rows["nu=1 frontier in [0, 1]"][-1] == "FAIL"
+    assert float(rows["nu=1 frontier in [0, 1]"][1]) > 1.0
+
+
 def test_verify_unsupported_photon_number(capsys):
     assert cli.main(["verify", "--protocol", "four-state", "--nu", "9"]) == 2
 

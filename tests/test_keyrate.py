@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sargkit import keyrate
+from sargkit import keyrate, simulate
 
 SIN2 = math.sin(math.pi / 8) ** 2
 
@@ -155,11 +155,15 @@ def test_every_threshold_reports_bracket_residual_and_x_opt(compute, protocol,
 
 
 def test_depolarizing_conversions_round_trip():
-    assert abs(keyrate.depol_ebit(0.05) - 0.0625) < 1e-15
+    # depol_p inverts the channel law e = 4p/(3+4p) of the simulator.
+    def e_bit(p):
+        return simulate.exact_channel_stats("four-state", 1, p, 1.0).e_bit
+
+    assert abs(e_bit(0.05) - 0.0625) < 1e-15
     for p in (0.0, 0.01, 0.1, 0.3, 0.75):
-        assert abs(keyrate.depol_p(keyrate.depol_ebit(p)) - p) < 1e-12
+        assert abs(keyrate.depol_p(e_bit(p)) - p) < 1e-12
     with pytest.raises(ValueError):
-        keyrate.depol_ebit(0.76)
+        e_bit(0.76)
     with pytest.raises(ValueError):
         keyrate.depol_p(0.51)
 

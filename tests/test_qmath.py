@@ -154,6 +154,14 @@ def test_min_eigenvalue_on_a_stack_equals_the_per_matrix_loop(seed, batch, dim,
     # Bit for bit: repr is the shortest round-trip form, so it tells every
     # double apart, signed zeros included.
     assert list(map(repr, batched.tolist())) == list(map(repr, loop))
+    # min_eigenvalue is the lowest column of eigh_checked, whose stacked
+    # solve equals the per-matrix loop bit for bit, eigenvectors included.
+    vals, vecs = qmath.eigh_checked(stack)
+    assert batched.tobytes() == vals[..., 0].tobytes()
+    for k, h in enumerate(stack):
+        one_vals, one_vecs = qmath.eigh_checked(h)
+        assert vals[k].tobytes() == one_vals.tobytes()
+        assert vecs[k].tobytes() == one_vecs.tobytes()
 
 
 def test_min_eigenvalue_keeps_leading_stack_axes():
@@ -185,6 +193,20 @@ def test_min_eigenvalue_checks_the_residual_of_every_member(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", bad_member)
     with pytest.raises(ArithmeticError, match="residual"):
         qmath.min_eigenvalue(stack)
+
+
+def test_min_eigenvalue_rejects_zero_eigenvectors(monkeypatch):
+    # A zero vector passes any eigenpair residual ||H u - lam u||; the
+    # reconstruction V diag(lam) V^dagger = 0 is far from H.
+    eigh = np.linalg.eigh
+
+    def zero_vectors(h):
+        vals, vecs = eigh(h)
+        return vals + 1.0, np.zeros_like(vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", zero_vectors)
+    with pytest.raises(ArithmeticError, match="residual"):
+        qmath.min_eigenvalue(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_eigh_checked_reconstructs():
