@@ -42,8 +42,6 @@ EVENT_TAGS = ("fil", "bit", "ph", "bell:chi0+", "bell:chi0-", "bell:chi1+", "bel
 
 MAX_NU = 5
 
-FORM_PSD_TOL = -1e-10
-
 
 @lru_cache(maxsize=None)
 def _sift_maps(protocol: str, nu: int) -> np.ndarray:

@@ -31,9 +31,10 @@ RANK_TOL of the largest eigenvalue, with no eigenvalue below -cut or within
 six decades above it.  Every eigenvalue here comes from qmath.eigh_checked.
 
 Every event form has ||H_event||_2 <= 1, because v^dag H_event v <=
-trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL, IDENTITY_TOL
-and attack_forms.FORM_PSD_TOL equal their relative forms (tol * max(1,
-||H||)) on the forms themselves; only the x * H_bit term of a margin grows.
+trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL and
+IDENTITY_TOL (which also bounds the event forms' own PSD check) equal their
+relative forms (tol * max(1, ||H||)) on the forms themselves; only the
+x * H_bit term of a margin grows.
 A symmetric eigensolver returns the eigenvalues of a matrix within
 n * eps * ||M||_2 of the exact ones (n the side), and ||M||_2 <= x * ||H_bit||_2
 + 2 on a margin's matrix, so a frontier margin is certified at PSD_TOL +

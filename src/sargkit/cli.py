@@ -148,7 +148,7 @@ CHECKS = (
     Check("event forms PSD", _FOUR, (1,),
           lambda p, nu: min(qmath.min_eigenvalue(form.matrix)
                             for form in attack_forms.all_forms(p, nu).values()),
-          ">=", attack_forms.FORM_PSD_TOL),
+          ">=", -bounds.IDENTITY_TOL),
     Check("margin at analytic bound", _FOUR, (2,),
           lambda p, nu: float(bounds.psd_margin(
               bounds.DEFAULT_X_GRID,
@@ -197,18 +197,26 @@ CHECKS = (
 
 def _check_row(check: Check, label: str, protocol: str,
                nu: int | None) -> tuple[str, float, str, bool]:
-    value = check.compute(protocol, nu)
+    """One table row.  A library check that fails inside the computation
+    (ArithmeticError) is a FAIL row with value nan and one stderr line."""
+    name = "%s %s" % (label, check.name)
+    bound = check.bound
+    if isinstance(bound, dict):
+        bound = bound[protocol]
+    # "%g" pads exponents to two digits; the table prints 1e-9, not 1e-09.
+    requirement = ("range" if check.op == "range" else
+                   ("%s %g" % (check.op, bound)).replace("e-0", "e-"))
+    try:
+        value = check.compute(protocol, nu)
+    except ArithmeticError as exc:
+        print("%s: %s" % (name, exc), file=sys.stderr)
+        return name, math.nan, requirement, False
     if check.op == "range":
         lo, value = value
-        requirement, ok = "range", lo >= 0.0 and value <= 1.0 + bounds.PSD_TOL
+        ok = lo >= 0.0 and value <= 1.0 + bounds.PSD_TOL
     else:
-        bound = check.bound
-        if isinstance(bound, dict):
-            bound = bound[protocol]
-        # "%g" pads exponents to two digits; the table prints 1e-9, not 1e-09.
-        requirement = ("%s %g" % (check.op, bound)).replace("e-0", "e-")
         ok = _OPS[check.op](value, bound)
-    return "%s %s" % (label, check.name), value, requirement, ok
+    return name, value, requirement, ok
 
 
 def cmd_verify(args) -> int:
@@ -575,6 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the command; a library check that fails inside it (ArithmeticError)
+    is one stderr line and exit 1, like any failed check."""
+    try:
+        return args.func(args)
+    except ArithmeticError as exc:
+        print("%s: %s" % (args.command, exc), file=sys.stderr)
+        return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -587,7 +605,7 @@ def main(argv=None) -> int:
               % (args.command, args.nu, nus[0], nus[-1]), file=sys.stderr)
         return 2
     if getattr(args, "out", None) is None:
-        return args.func(args)
+        return _run(args)
     # Open --out before any work, so that an unwritable path is a usage error.
     try:
         out = open(args.out, "w", newline="")
@@ -596,7 +614,7 @@ def main(argv=None) -> int:
         return 2
     with out:
         args.out = out
-        return args.func(args)
+        return _run(args)
 
 
 if __name__ == "__main__":

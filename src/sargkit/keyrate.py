@@ -40,8 +40,6 @@ REFERENCE_SIX_STATE_ORIGINAL_P = 0.190
 FOUR_STATE_TOLERANCE = (2e-4, 5e-4)
 SIX_STATE_TOLERANCE = None
 
-X_OPT_REFERENCE = 2.747  # quoted two-photon operating point (flat optimum)
-
 
 def binary_entropy(e: float) -> float:
     """h(e) = -e log2 e - (1-e) log2 (1-e), with h(0) = h(1) = 0."""

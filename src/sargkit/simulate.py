@@ -1,7 +1,8 @@
 """Monte Carlo protocol sessions over a lossy depolarizing channel.
 
-Channel model per pulse of nu photons in state rho^(x)nu, with statistics
-that `exact_channel_stats` gives in closed form to check every run by:
+Channel model per pulse of nu photons in state rho^(x)nu, nu drawn from the
+run's photon-number law (slot 6, read on every run), with statistics that
+`exact_channel_stats` gives in closed form to check every run by:
 
 * with probability 1 - 4p/3 the pulse is intact, otherwise every photon is
   replaced by an independent uniformly random pure polarization (an exact
@@ -40,7 +41,7 @@ MAX_MU = 1.0  # photon counts above MAX_PHOTONS then carry < 1e-4 of the law
 
 # Slot layout (uniform deviates unless noted): 0 Alice bit, 1 Alice rotation,
 # 2 Bob rotation, 3 Bob basis, 4 depolarizing branch, 5 squash coin,
-# 6 photon count (coherent mode), 7-12 per-photon arrival, 13-18 per-photon
+# 6 photon count (read on every run), 7-12 per-photon arrival, 13-18 per-photon
 # outcome, 19-24 per-photon cos(theta), 25-30 per-photon azimuth, 31 spare.
 _SLOT_BIT = 0
 _SLOT_ROT_A = 1
@@ -88,9 +89,9 @@ def _check_channel(protocol, nu, mu, p, eta) -> None:
 class SimConfig:
     """Session parameters for the Monte Carlo engine.
 
-    Exactly one of nu (fixed photon number, 1..4) and mu (coherent intensity
-    in (0, MAX_MU], photon number Poisson-distributed and truncated at
-    MAX_PHOTONS with renormalization) must be given.
+    Exactly one of nu (fixed photon number, 1..4, within the MAX_PHOTONS
+    per-photon slots) and mu (coherent intensity in (0, MAX_MU]) must be
+    given; `_photon_cdf(nu, mu)` is the photon-number law of the run.
     """
 
     protocol: str
@@ -109,10 +110,6 @@ class SimConfig:
             raise ValueError("trials must be a positive integer")
         if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2^64)")
-
-    @property
-    def max_photons(self) -> int:
-        return self.nu if self.nu is not None else MAX_PHOTONS
 
 
 @dataclass(frozen=True)
@@ -185,12 +182,15 @@ def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
     return raw.reshape(count, SLOTS)
 
 
-def _truncated_poisson_cdf(mu: float) -> np.ndarray:
-    """CDF of the photon-number law truncated at MAX_PHOTONS, renormalized.
+def _photon_cdf(nu: int | None, mu: float | None) -> np.ndarray:
+    """CDF of the photon-number law: the point mass at a fixed nu, or the
+    Poisson law of intensity mu truncated at MAX_PHOTONS and renormalized.
 
     The last entry is exactly 1, so every uniform u < 1 maps to at most
-    MAX_PHOTONS photons.
+    len - 1 photons.
     """
+    if nu is not None:
+        return np.array([0.0] * nu + [1.0])
     pmf = np.array(
         [math.exp(-mu) * mu ** n / math.factorial(n) for n in range(MAX_PHOTONS + 1)]
     )
@@ -201,14 +201,9 @@ def _truncated_poisson_cdf(mu: float) -> np.ndarray:
 
 
 def _conclusive_flag_prob() -> np.ndarray:
-    """Table P[j', j] = |<phibar_j' | phi_j>|^2 for intact arrived photons."""
-    table = np.empty((2, 2))
-    for jp in range(2):
-        bra = qmath.signal_perp_ket(jp)
-        for j in range(2):
-            amp = np.vdot(bra, qmath.signal_ket(j))
-            table[jp, j] = abs(amp) ** 2
-    return table
+    """Table P[j', j] = |<phibar_j' | phi_j>|^2 for intact arrived photons,
+    exact: <phibar_j'|phi_j> = sc(1 - (-1)^(j+j')), s, c = sin, cos(pi/8)."""
+    return np.array([[0.0, 0.5], [0.5, 0.0]])
 
 
 def _thresholds(t) -> np.ndarray:
@@ -227,14 +222,14 @@ _HALF = np.uint64(52)  # 53-bit numerator -> (u >= 1/2)
 
 
 def _shard_tallies(raw: np.ndarray, cfg: SimConfig, n_rot: int,
-                   flag: np.ndarray, count: np.ndarray | None) -> np.ndarray:
+                   flag: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Tallies for one shard of raw words, shape (trials, SLOTS): rows indexed
     by photon count 0..MAX_PHOTONS, columns (sifted, detected, conclusive,
     errors).
 
     flag holds the thresholds of the intact-photon table and count those of
-    the photon-number CDF (None for a fixed photon number).  Every column
-    counts sifted trials only, so the rest of the shard is dropped first.
+    the photon-number CDF, which slot 6 draws from on every run.  Every
+    column counts sifted trials only, so unsifted trials are dropped first.
     """
     # Rotation indices keep the float product, which rounds before the floor.
     rot = ((raw[:, _SLOT_ROT_A:_SLOT_ROT_B + 1] >> _SHIFT) * 2.0 ** -53
@@ -246,12 +241,9 @@ def _shard_tallies(raw: np.ndarray, cfg: SimConfig, n_rot: int,
     intact = w[:, _SLOT_BRANCH] >= _thresholds(4.0 * cfg.p / 3.0)
     coin = (w[:, _SLOT_COIN] >> _HALF) == 0
 
-    if count is None:
-        n = np.full(len(w), cfg.nu, dtype=np.intp)
-    else:
-        n = np.searchsorted(count, w[:, _SLOT_COUNT], side="right")
-
-    k = cfg.max_photons
+    n = np.searchsorted(count, w[:, _SLOT_COUNT], side="right")
+    # k <= MAX_PHOTONS, the per-photon slots: SimConfig caps a fixed nu at 4.
+    k = len(count) - 1
     arrived = (np.arange(k) < n[:, None]) & (
         w[:, _SLOT_ARRIVE:_SLOT_ARRIVE + k] < _thresholds(cfg.eta)
     )
@@ -306,8 +298,7 @@ def run_monte_carlo(cfg: SimConfig, shard_size: int = 1 << 13) -> SimStats:
     """
     n_rot = qmath.constants(cfg.protocol).n_rotations
     flag = _thresholds(_conclusive_flag_prob())
-    count = (None if cfg.nu is not None
-             else _thresholds(_truncated_poisson_cdf(cfg.mu)))
+    count = _thresholds(_photon_cdf(cfg.nu, cfg.mu))
 
     def shard(start: int) -> np.ndarray:
         raw = _raw_block(cfg.seed, start, min(shard_size, cfg.trials - start))
@@ -356,16 +347,14 @@ def exact_channel_stats(protocol: str, nu: int | None, p: float, eta: float,
     pulse measured in the basis of Alice's bit (the error case), where none
     is.  The squash rule makes any m >= 1 such photons conclusive with
     probability 2^-m + (1 - 2^(1-m))/2 = 1/2, so for either protocol
-    P_conc = (1 - (1 - eta)^nu)(1/4 + p/3) and e_bit = 4p/(3 + 4p).  A
-    coherent run (nu None, mu set) averages P_conc over the sampler's law.
+    P_conc = sum_{n>=1} P(n)(1 - (1 - eta)^n)(1/4 + p/3) over the law P of
+    `_photon_cdf(nu, mu)` and e_bit = 4p/(3 + 4p).  At a fixed nu >= 1, P is
+    the point mass, whose other terms add exact zeros.
     """
     _check_channel(protocol, nu, mu, p, eta)
-    if nu is not None:
-        detect = 1.0 - (1.0 - eta) ** nu
-    else:
-        cdf = [0.0] + _truncated_poisson_cdf(mu).tolist()
-        detect = sum((cdf[n + 1] - cdf[n]) * (1.0 - (1.0 - eta) ** n)
-                     for n in range(1, MAX_PHOTONS + 1))
+    cdf = _photon_cdf(nu, mu).tolist()
+    detect = sum((cdf[n] - cdf[n - 1]) * (1.0 - (1.0 - eta) ** n)
+                 for n in range(1, len(cdf)))
     return ExactStats(
         protocol=protocol, nu=nu, p=p, eta=eta,
         conclusive_prob=detect * (0.25 + p / 3.0),

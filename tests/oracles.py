@@ -241,10 +241,10 @@ def float_shard_tallies(units: np.ndarray, cfg: simulate.SimConfig,
 
     if cdf is None:
         n = np.full(len(units), cfg.nu, dtype=np.int64)
+        k = cfg.nu
     else:
         n = np.searchsorted(cdf, units[:, simulate._SLOT_COUNT], side="right")
-
-    k = cfg.max_photons
+        k = simulate.MAX_PHOTONS
     idx = np.arange(k)
     arrive, outcome, cos = (simulate._SLOT_ARRIVE, simulate._SLOT_OUTCOME,
                             simulate._SLOT_COS)
@@ -276,7 +276,7 @@ def monte_carlo_stats(cfg: simulate.SimConfig,
     """run_monte_carlo by the float kernel, shard after shard on one thread."""
     n_rot = qmath.constants(cfg.protocol).n_rotations
     flag_table = simulate._conclusive_flag_prob()
-    cdf = None if cfg.nu is not None else simulate._truncated_poisson_cdf(cfg.mu)
+    cdf = None if cfg.nu is not None else simulate._photon_cdf(None, cfg.mu)
     tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
     for start in range(0, cfg.trials, shard_size):
         count = min(shard_size, cfg.trials - start)
@@ -328,7 +328,7 @@ def replay_trial(cfg: simulate.SimConfig, index: int) -> TrialRecord:
     if cfg.nu is not None:
         n = cfg.nu
     else:
-        n = int(np.searchsorted(simulate._truncated_poisson_cdf(cfg.mu),
+        n = int(np.searchsorted(simulate._photon_cdf(None, cfg.mu),
                                 u[simulate._SLOT_COUNT], side="right"))
 
     outcomes = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sargkit import attack_forms, qmath
+from sargkit import attack_forms, bounds, qmath
 
 RNG = np.random.default_rng(77002)
 
@@ -190,7 +190,7 @@ def test_forms_reproduce_weights_on_random_attacks(protocol, nu):
 def test_forms_hermitian_and_psd(protocol, nu):
     for form in attack_forms.all_forms(protocol, nu).values():
         assert qmath.is_hermitian(form.matrix, tol=1e-12)
-        assert qmath.min_eigenvalue(form.matrix) >= attack_forms.FORM_PSD_TOL
+        assert qmath.min_eigenvalue(form.matrix) >= -bounds.IDENTITY_TOL
 
 
 def test_form_matrix_lookup_and_validation():

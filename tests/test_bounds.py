@@ -218,7 +218,7 @@ def test_frontier_reduction_rejects_an_unclear_filter_kernel_cut(monkeypatch):
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_event_forms_have_norm_at_most_one(protocol, nu):
     # v^dag H_event v <= trace(rho) <= ||M||_op^2 <= ||v||^2, so the absolute
-    # PSD_TOL, IDENTITY_TOL and FORM_PSD_TOL are relative to ||H|| already.
+    # PSD_TOL and IDENTITY_TOL are relative to ||H|| already.
     for tag, form in attack_forms.all_forms(protocol, nu).items():
         assert np.linalg.norm(form.matrix, 2) <= 1.0, tag
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
@@ -138,6 +139,59 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
     rows = {r[0]: r for r in check_rows(out)}
     assert rows["nu=1 frontier in [0, 1]"][-1] == "FAIL"
     assert float(rows["nu=1 frontier in [0, 1]"][1]) > 1.0
+
+
+@pytest.fixture
+def unclear_filter_kernel(monkeypatch):
+    """Every H_fil gets one eigenvalue at 1e-9 of its largest, within the six
+    decades above the kernel cut, so the frontier's reduction raises
+    ArithmeticError.  The caches built on the forms are cleared before and
+    after."""
+    forms = cli.bounds._forms
+
+    def squeezed(protocol, nu):
+        h_bit, h_fil, h_ph = forms(protocol, nu)
+        w, v = np.linalg.eigh(h_fil)
+        w[0] = 1e-9 * w[-1]
+        return h_bit, (v * w) @ v.conj().T, h_ph
+
+    monkeypatch.setattr(cli.bounds, "_forms", squeezed)
+    caches = (cli.bounds._reduced_pencil, cli.bounds.frontier_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_verify_prints_a_fail_row_for_a_failed_internal_check(
+        capsys, unclear_filter_kernel):
+    rc = cli.main(["verify", "--protocol", "six-state", "--nu", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    rows = check_rows(captured.out)
+    assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
+    assert rows[0][-1] == "PASS"
+    assert [r[1:] for r in rows[1:]] == [["nan", "range", "FAIL"],
+                                         ["nan", "<= 1e-6", "FAIL"]]
+    assert captured.out.splitlines()[-1] == "summary: FAIL"
+    err = captured.err.splitlines()
+    assert [line.split(": ")[0] for line in err] == [r[0] for r in rows[1:]]
+    assert all("H_fil eigenvalue" in line for line in err)
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_thresholds_failed_internal_check_is_one_stderr_line(
+        capsys, tmp_path, unclear_filter_kernel, out):
+    argv = ["thresholds", "--protocol", "six-state"]
+    if out:
+        argv += ["--out", str(tmp_path / "t.csv")]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("thresholds: H_fil eigenvalue ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_unsupported_photon_number(capsys):

@@ -86,7 +86,7 @@ def test_closed_form_matches_enumeration_oracle(protocol, nu, p, eta):
 def test_coherent_law_is_the_photon_number_mixture_of_the_oracle(protocol, mu,
                                                                   p, eta):
     exact = simulate.exact_channel_stats(protocol, None, p, eta, mu=mu)
-    weights = np.diff(simulate._truncated_poisson_cdf(mu), prepend=0.0)
+    weights = np.diff(simulate._photon_cdf(None, mu), prepend=0.0)
     conclusive = errors = 0.0
     for n, w in enumerate(weights[1:], start=1):  # vacuum never clicks
         o = oracles.enumerated_channel_stats(protocol, n, p, eta)
@@ -120,6 +120,17 @@ def test_exact_conclusive_scales_with_arrival_probability():
         lossy = simulate.exact_channel_stats("four-state", nu, 0.04, 0.3)
         arrival = 1.0 - (1.0 - 0.3) ** nu
         assert abs(lossy.conclusive_prob - arrival * full.conclusive_prob) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5, 1e-3])
+@pytest.mark.parametrize("nu", range(1, 9))
+def test_fixed_photon_number_law_is_the_closed_form_bit_for_bit(nu, eta):
+    # nu runs past MAX_PHOTONS: the point mass adds only exact zeros.
+    for protocol in qmath.PROTOCOLS:
+        for p in (0.0, 0.03, 0.75):
+            ex = simulate.exact_channel_stats(protocol, nu, p, eta)
+            closed = (1.0 - (1.0 - eta) ** nu) * (0.25 + p / 3.0)
+            assert ex.conclusive_prob == closed, (protocol, p)
 
 
 def test_exact_zero_noise_is_errorless():
@@ -175,8 +186,7 @@ def threshold_words(cfg: simulate.SimConfig) -> np.ndarray:
     ts = [0.0, 0.5, 1.0, 4.0 * cfg.p / 3.0, cfg.eta]
     ts += list(simulate._conclusive_flag_prob().ravel())
     ts += [r / n_rot for r in range(1, n_rot)]
-    if cfg.mu is not None:
-        ts += list(simulate._truncated_poisson_cdf(cfg.mu))
+    ts += list(simulate._photon_cdf(cfg.nu, cfg.mu))
     ks = {math.ceil(t * 2.0 ** 53) + d for t in ts for d in range(-3, 4)}
     ks = np.array(sorted(k for k in ks if 0 <= k < 2 ** 53), dtype=np.uint64)
     low = np.array([0, 2 ** 11 - 1], dtype=np.uint64)
@@ -240,6 +250,61 @@ def test_all_ones_words_stay_within_the_photon_range(monkeypatch, source, eta):
     assert record.sifted
     assert record.photons_sent == n
     assert record.photons_arrived == (n if eta == 1.0 else 0)
+
+
+def test_flag_table_is_the_born_rule_of_the_signal_kets():
+    # <phibar_j'|phi_j> = sc(1 - (-1)^(j+j')) with s, c = sin, cos(pi/8): the
+    # float kets give 1.9e-35 for 0 and 0.4999999999999998 for 1/2.
+    born = [[abs(np.vdot(qmath.signal_perp_ket(jp), qmath.signal_ket(j))) ** 2
+             for j in range(2)] for jp in range(2)]
+    table = simulate._conclusive_flag_prob()
+    assert np.max(np.abs(table - born)) <= 1e-15
+    assert table.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+
+
+def test_flag_thresholds_are_exact():
+    flag = simulate._thresholds(simulate._conclusive_flag_prob())
+    assert flag.tolist() == [[0, 2 ** 52], [2 ** 52, 0]]
+
+
+def test_all_zero_words_count_no_error_on_a_noiseless_channel(monkeypatch):
+    # u = 0 in every slot: a sifted, intact photon measured in the basis of
+    # Alice's bit, which flags it with probability exactly 0.
+    def zeros(seed, start, count):
+        return np.zeros((count, simulate.SLOTS), dtype=np.uint64)
+
+    monkeypatch.setattr(simulate, "_raw_block", zeros)
+    cfg = config(trials=4, p=0.0, eta=1.0)
+    stats = simulate.run_monte_carlo(cfg)
+    assert (stats.sifted, stats.detected, stats.conclusive, stats.errors) == (
+        4, 4, 0, 0)
+    assert stats == oracles.monte_carlo_stats(cfg)
+    exact = simulate.exact_channel_stats(cfg.protocol, cfg.nu, cfg.p, cfg.eta)
+    assert simulate.compare(stats, exact).passed is not False
+
+
+@pytest.mark.parametrize("word", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_fixed_photon_number_ignores_the_count_word(monkeypatch, nu, word):
+    # A fixed nu is the point mass: the smallest and the largest count word
+    # both send exactly nu photons.
+    philox_block = simulate._raw_block
+
+    def pinned(seed, start, count):
+        raw = philox_block(seed, start, count)
+        raw[:, simulate._SLOT_COUNT] = np.uint64(word)
+        return raw
+
+    cfg = config(nu=nu, trials=3000, eta=1.0)
+    n_rot = qmath.constants(cfg.protocol).n_rotations
+    tallies = simulate._shard_tallies(
+        pinned(cfg.seed, 0, cfg.trials), cfg, n_rot,
+        simulate._thresholds(simulate._conclusive_flag_prob()),
+        simulate._thresholds(simulate._photon_cdf(nu, None)))
+    assert tallies[nu, 0] > 0
+    assert tallies[nu].tolist() == tallies.sum(axis=0).tolist()
+    monkeypatch.setattr(simulate, "_raw_block", pinned)
+    assert simulate.run_monte_carlo(cfg) == oracles.monte_carlo_stats(cfg)
 
 
 def test_seed_changes_the_stream():
