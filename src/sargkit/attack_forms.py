@@ -55,7 +55,7 @@ def _sift_maps(protocol: str, nu: int) -> np.ndarray:
         raise ValueError("unknown protocol %r" % (protocol,))
     if not (1 <= nu <= MAX_NU):
         raise ValueError("photon number must be in 1..%d" % MAX_NU)
-    us = np.stack(qmath.constants(protocol).rotations)
+    us = np.stack(qmath.constants(protocol))
     fu = qmath.filter_op() @ qmath.dagger(us)
     s = qmath.pair_source_ket(1).reshape(2, 2) @ np.swapaxes(us, -1, -2)
     k = np.arange(nu + 1)

@@ -44,7 +44,6 @@ n * eps * x * ||H_bit||_2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -136,14 +135,6 @@ def g_of_x(x: float) -> float:
     return (3.0 - 2.0 * x + math.sqrt(disc)) / 6.0
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One point of the computed feasibility frontier."""
-
-    x: float
-    y_star: float
-
-
 def _kernel_split(h: np.ndarray, name: str) -> tuple:
     """(w, v, cut): the checked eigen-solve of a PSD form and its kernel cut
     RANK_TOL * lambda_max; the columns of v with w <= cut span the kernel.
@@ -191,7 +182,7 @@ def _frontier_ys(x, protocol: str, nu: int) -> np.ndarray:
 
     One stacked eigen-solve on the reduced pencil gives every y_star, clipped
     only at 0 (a clipped 0 is +0.0); one stacked psd_margin then certifies
-    them.  Raises ArithmeticError naming the first x whose margin is below
+    them.  Raises ArithmeticError naming the least x whose margin is below
     -(PSD_TOL + n*eps*x*||H_bit||_2), the roundoff of a side-n eigen-solve of
     the margin's matrix.
     """
@@ -204,34 +195,32 @@ def _frontier_ys(x, protocol: str, nu: int) -> np.ndarray:
     roundoff = h_bit.shape[0] * np.finfo(float).eps * np.linalg.norm(h_bit, 2)
     bad = np.flatnonzero(margins < -(PSD_TOL + roundoff * x))
     if bad.size:
-        i = bad[0]
+        i = bad[np.argmin(x.flat[bad])]
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
                               % (x.flat[i], ys.flat[i], np.ravel(margins)[i]))
     return ys
 
 
-def frontier(x: float, protocol: str, nu: int) -> FrontierPoint:
-    """Minimal y with x*H_bit + y*H_fil - H_ph PSD: the one-point case of
-    frontier_table, so it raises ArithmeticError on the same failed margin."""
-    return FrontierPoint(x=x, y_star=_frontier_ys(x, protocol, nu).item())
+def frontier(x: float, protocol: str, nu: int) -> float:
+    """y_star(x), the minimal y with x*H_bit + y*H_fil - H_ph PSD: the
+    one-point case of frontier_table, so it raises ArithmeticError on the
+    same failed margin."""
+    return _frontier_ys(x, protocol, nu).item()
 
 
 @lru_cache(maxsize=None)
 def frontier_table(protocol: str, nu: int,
-                   grid=DEFAULT_X_GRID) -> tuple[FrontierPoint, ...]:
-    """Frontier points for every x on the grid (ascending), computed once,
-    batched over the grid.
-
-    The grid must be hashable (a tuple): it is part of the cache key.
-    """
-    xs = [float(x) for x in sorted(grid)]
-    ys = _frontier_ys(xs, protocol, nu).tolist()
-    return tuple(FrontierPoint(x=x, y_star=y) for x, y in zip(xs, ys))
+                   grid=DEFAULT_X_GRID) -> tuple[float, ...]:
+    """y_star for every x of the grid, in the grid's own order, repeats
+    included: one batched solve per stage, each value frontier(x) bit for
+    bit.  The grid must be hashable (a tuple): it is part of the cache key."""
+    return tuple(_frontier_ys(grid, protocol, nu).tolist())
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:
     """The zero-error floor inf_x y_star(x): lambda_max of the reduced H_ph
-    compressed onto the kernel of the reduced H_bit, clipped to [0, 1].
+    compressed onto the kernel of the reduced H_bit, clipped only at 0, like
+    y_star, so a floor above 1 (p_ph <= p_fil failing) shows.
 
     At zero bit error the certified phase-error bound is exactly this floor;
     a value >= 1/2 means no key can be certified (consistent with the
@@ -246,4 +235,4 @@ def zero_rate_check(protocol: str, nu: int) -> float:
     if not k.shape[1]:
         return 0.0
     top = -qmath.min_eigenvalue(-(qmath.dagger(k) @ a @ k))
-    return min(max(top, 0.0), 1.0)
+    return max(top, 0.0)

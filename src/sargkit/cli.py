@@ -1,9 +1,9 @@
 """Command-line front end: verification suites, thresholds, sweeps, runs.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-configuration error.  Report columns and JSON field names are frozen in
-docs/report_formats.md; simulation/keyrate configs are YAML documents whose
-schema lives in docs/config_schema.md.
+configuration error or output that cannot be written.  Report columns and
+JSON field names are frozen in docs/report_formats.md; simulation/keyrate
+configs are YAML documents whose schema lives in docs/config_schema.md.
 
 YAML, ``simulate`` and ``keyrate`` are imported inside the commands that
 use them, so that verify, frontier and constants-check start without them.
@@ -12,12 +12,14 @@ use them, so that verify, frontier and constants-check start without them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import asdict, fields
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,11 +28,6 @@ from . import __version__, attack_forms, bounds, qmath, reports
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-def _emit(text: str, out: TextIO | None) -> None:
-    """Write a report to the open --out file, or to stdout."""
-    (out or sys.stdout).write(text)
-
 
 def _print_checks(rows: list[tuple[str, float, str, bool]]) -> bool:
     """Print a check table; return True iff every row passed."""
@@ -61,10 +58,12 @@ def _report(args, fieldnames: list[str], results,
     A list of results is the CSV table itself.  A results dict gives one CSV
     row: a column copies the field of the same name from results, else from
     its ``inputs`` block, else the path in _CSV_PATHS; ``<field>_display``
-    is the field rounded to 6 decimals.
+    is the field rounded to 6 decimals.  The report goes to the open --out
+    file, or to stdout.
     """
+    out = args.out or sys.stdout
     if args.format == "json":
-        _emit(reports.render_json(results, manifest), args.out)
+        out.write(reports.render_json(results, manifest))
         return
 
     def cell(name: str):
@@ -76,7 +75,7 @@ def _report(args, fieldnames: list[str], results,
         return results[name] if name in results else results[inputs][name]
 
     rows = results if inputs is None else [{k: cell(k) for k in fieldnames}]
-    _emit(reports.render_csv(fieldnames, rows, manifest), args.out)
+    out.write(reports.render_csv(fieldnames, rows, manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +113,6 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _ys(protocol: str, nu: int) -> list[float]:
-    return [pt.y_star for pt in bounds.frontier_table(protocol, nu)]
-
-
 def _twist_unitarity(protocol: str, nu: int | None) -> float:
     t = qmath.twist_t()
     return _max_abs(qmath.dagger(t) @ t - qmath.I2)
@@ -130,7 +125,7 @@ def _filter_eigenvalues(protocol: str, nu: int | None) -> float:
 
 def _filtered_pair(protocol: str, nu: int | None) -> float:
     f = qmath.filter_op()
-    filtered = qmath.tensor(qmath.I2, f) @ qmath.pair_source_ket(1)
+    filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(1)
     return _max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
 
 
@@ -155,8 +150,8 @@ CHECKS = (
               [bounds.g_of_x(x) for x in bounds.DEFAULT_X_GRID], p, nu).min()),
           ">=", -bounds.PSD_TOL),
     Check("frontier dominance gap", _FOUR, (2,),
-          lambda p, nu: min(bounds.g_of_x(pt.x) - pt.y_star
-                            for pt in bounds.frontier_table(p, nu)),
+          lambda p, nu: min(bounds.g_of_x(x) - y for x, y in zip(
+              bounds.DEFAULT_X_GRID, bounds.frontier_table(p, nu))),
           ">=", -bounds.SHAPE_TOL),
     Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
           lambda p, nu: bounds.zero_rate_check(p, nu),
@@ -165,17 +160,18 @@ CHECKS = (
           lambda p, nu: bounds.zero_rate_check(p, nu),
           ">=", 0.5 - bounds.PSD_TOL),
     Check("frontier in [0, 1]", _SIX, bounds.SUPPORTED_NU,
-          lambda p, nu: (min(_ys(p, nu)), max(_ys(p, nu))), "range"),
+          lambda p, nu: (min(bounds.frontier_table(p, nu)),
+                         max(bounds.frontier_table(p, nu))), "range"),
     Check("frontier nonincreasing", _SIX, bounds.SUPPORTED_NU,
-          lambda p, nu: max(b - a for a, b in zip(_ys(p, nu), _ys(p, nu)[1:])),
+          lambda p, nu: np.diff(bounds.frontier_table(p, nu)).max(),
           "<=", bounds.SHAPE_TOL),
     Check("frontier floor below 1/2", _SIX, (4,),
           lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
     Check("rotation count", _BOTH, None,
-          lambda p, nu: float(qmath.constants(p).n_rotations),
+          lambda p, nu: float(len(qmath.constants(p))),
           "==", {"four-state": 4, "six-state": 24}),
     Check("distinct signal states", _BOTH, None,
-          lambda p, nu: float(len(qmath.constants(p).distinct_bloch_vectors())),
+          lambda p, nu: float(len(qmath.distinct_bloch_vectors(p))),
           "==", {"four-state": 4, "six-state": 6}),
     Check("rotation maps phi1 to phi0", _BOTH, None,
           lambda p, nu: _max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
@@ -335,17 +331,17 @@ def cmd_frontier(args) -> int:
          "x_max": args.x_max, "x_step": args.x_step, "format": args.format},
         __version__)
 
-    table = bounds.frontier_table(args.protocol, args.nu, tuple(grid))
+    ys = bounds.frontier_table(args.protocol, args.nu, tuple(grid))
     gs = [bounds.g_of_x(x) for x in grid]
     margins = bounds.psd_margin(grid, gs, args.protocol, args.nu).tolist()
     rows = [{
-        "x": pt.x,
-        "y_star": pt.y_star,
-        "y_star_display": round(pt.y_star, 6),
+        "x": x,
+        "y_star": y,
+        "y_star_display": round(y, 6),
         "g_x": gx,
-        "gap": gx - pt.y_star,
+        "gap": gx - y,
         "margin_at_g": margin,
-    } for pt, gx, margin in zip(table, gs, margins)]
+    } for x, y, gx, margin in zip(grid, ys, gs, margins)]
 
     asserted = args.protocol == "four-state" and args.nu == 2
     failed = asserted and (
@@ -583,16 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    """Run the command; a library check that fails inside it (ArithmeticError)
-    is one stderr line and exit 1, like any failed check."""
-    try:
-        return args.func(args)
-    except ArithmeticError as exc:
-        print("%s: %s" % (args.command, exc), file=sys.stderr)
-        return 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -604,17 +590,36 @@ def main(argv=None) -> int:
         print("%s: unsupported photon number %d (supported: %d..%d)"
               % (args.command, args.nu, nus[0], nus[-1]), file=sys.stderr)
         return 2
-    if getattr(args, "out", None) is None:
-        return _run(args)
-    # Open --out before any work, so that an unwritable path is a usage error.
+    out = getattr(args, "out", None)
+    if out is not None:
+        # Opened before any work, so an unwritable path is a usage error.
+        try:
+            out = args.out = open(out, "w", newline="")
+        except OSError as exc:
+            print("%s: cannot write --out: %s" % (args.command, exc),
+                  file=sys.stderr)
+            return 2
+    # One stderr line each: a library check that fails inside a command
+    # (ArithmeticError) exits 1; an OSError (commands catch their own read
+    # errors) is a failed write, close or flush of the output: exit 2.
     try:
-        out = open(args.out, "w", newline="")
+        with out or contextlib.nullcontext():
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except ArithmeticError as exc:
+        print("%s: %s" % (args.command, exc), file=sys.stderr)
+        return 1
     except OSError as exc:
-        print("%s: cannot write --out: %s" % (args.command, exc), file=sys.stderr)
+        print("%s: cannot write output: %s" % (args.command, exc),
+              file=sys.stderr)
+        if out is None:
+            # The flush at exit would fail again on the unwritten buffer:
+            # point stdout's descriptor, if it has one, at the null device.
+            with (contextlib.suppress(AttributeError, OSError, ValueError),
+                  open(os.devnull, "w") as null):
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return 2
-    with out:
-        args.out = out
-        return _run(args)
 
 
 if __name__ == "__main__":

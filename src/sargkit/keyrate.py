@@ -282,8 +282,8 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """min over the x grid of [x*e_bit + y_star(x)] using computed frontiers."""
-    return min(pt.x * e_bit + pt.y_star
-               for pt in bounds.frontier_table(protocol, nu))
+    return min(x * e_bit + y for x, y in zip(
+        bounds.DEFAULT_X_GRID, bounds.frontier_table(protocol, nu)))
 
 
 def rate_frontier(e_bit: float, protocol: str, nu: int) -> RateResult:

@@ -9,8 +9,8 @@ plain numpy arrays in a single fixed convention:
   basis is derived from it, so that the Z kets come out as the coordinate
   basis (1,0), (0,1).
 
-The sift rotation list of each protocol is built once and returned in an
-immutable :class:`ConstantSet`; every function here is pure.
+The sift rotations of each protocol are built once and returned as a cached
+tuple of unitaries; every function here is pure.
 
 Every eigen-solve goes through one checked routine, ``eigh_checked``, on one
 matrix or a stack; ``min_eigenvalue`` reads its lowest column.  The check is
@@ -25,7 +25,6 @@ max(1, max|H|)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,11 +40,6 @@ I2 = np.eye(2, dtype=complex)
 # dims <= 64), and for eigen-decomposition residuals per unit of ||H||_2.
 STRUCTURAL_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two operators (dims multiply)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
@@ -202,13 +196,13 @@ def bell_ket(tag: str) -> np.ndarray:
     """Bell states chi_{0 +/-}, chi_{1 +/-} in the Z product basis."""
     z0, z1 = ket_z(0), ket_z(1)
     if tag == "chi0+":
-        v = tensor(z0, z0) + tensor(z1, z1)
+        v = np.kron(z0, z0) + np.kron(z1, z1)
     elif tag == "chi0-":
-        v = tensor(z0, z0) - tensor(z1, z1)
+        v = np.kron(z0, z0) - np.kron(z1, z1)
     elif tag == "chi1+":
-        v = tensor(z0, z1) + tensor(z1, z0)
+        v = np.kron(z0, z1) + np.kron(z1, z0)
     elif tag == "chi1-":
-        v = tensor(z0, z1) - tensor(z1, z0)
+        v = np.kron(z0, z1) - np.kron(z1, z0)
     else:
         raise ValueError("unknown Bell tag %r" % (tag,))
     return v / math.sqrt(2)
@@ -222,7 +216,7 @@ def pair_source_ket(nu: int) -> np.ndarray:
     """
     if nu < 1:
         raise ValueError("photon number must be >= 1")
-    v = tensor(ket_z(0), tensor_power(signal_ket(0), nu)) + tensor(
+    v = np.kron(ket_z(0), tensor_power(signal_ket(0), nu)) + np.kron(
         ket_z(1), tensor_power(signal_ket(1), nu)
     )
     return v / math.sqrt(2)
@@ -245,7 +239,7 @@ def filter_measurement_identity_check() -> float:
 
 
 # ---------------------------------------------------------------------------
-# Protocol constant sets
+# Sift rotations
 # ---------------------------------------------------------------------------
 
 def _phase_canonical_key(u: np.ndarray, decimals: int = 9) -> tuple:
@@ -282,50 +276,31 @@ def bell_projectors() -> dict[str, np.ndarray]:
     return {tag: proj(bell_ket(tag)) for tag in BELL_TAGS}
 
 
-@dataclass(frozen=True)
-class ConstantSet:
-    """The sift rotation list for one protocol.
+@lru_cache(maxsize=None)
+def constants(protocol: str) -> tuple[np.ndarray, ...]:
+    """The sift rotations of a protocol tag, as a cached tuple of unitaries.
 
-    The four-state list is the four powers of R. The six-state list is the
+    The four-state tuple is the four powers of R. The six-state tuple is the
     full rotation group generated by R and the twist T (24 elements modulo
     global phase); it maps the signal pair onto a uniform six-state ensemble,
     and being closed under multiplication makes the sift average exactly
     invariant under left translation by any of its members.
     """
-
-    protocol: str
-    rotations: tuple = field(repr=False)
-
-    @property
-    def n_rotations(self) -> int:
-        return len(self.rotations)
-
-    def signal_states(self) -> list[np.ndarray]:
-        """The ensemble {U_g |phi_j>} over the sift list and both bits."""
-        out = []
-        for u in self.rotations:
-            for j in (0, 1):
-                out.append(u @ signal_ket(j))
-        return out
-
-    def distinct_bloch_vectors(self, tol: float = 1e-9) -> list[np.ndarray]:
-        """Distinct Bloch vectors of the signal ensemble (pairwise distance > tol)."""
-        vecs: list[np.ndarray] = []
-        for s in self.signal_states():
-            b = bloch_vector(s)
-            if all(np.linalg.norm(b - c) > tol for c in vecs):
-                vecs.append(b)
-        return vecs
-
-
-@lru_cache(maxsize=None)
-def constants(protocol: str) -> ConstantSet:
-    """Build the immutable constant set for a protocol tag."""
     if protocol not in PROTOCOLS:
         raise ValueError("protocol must be one of %s" % (PROTOCOLS,))
     r = rotation_r()
     if protocol == "four-state":
-        rotations = tuple(np.linalg.matrix_power(r, k) for k in range(4))
-    else:
-        rotations = tuple(_close_under_multiplication([r, twist_t()]))
-    return ConstantSet(protocol=protocol, rotations=rotations)
+        return tuple(np.linalg.matrix_power(r, k) for k in range(4))
+    return tuple(_close_under_multiplication([r, twist_t()]))
+
+
+def distinct_bloch_vectors(protocol: str, tol: float = 1e-9) -> list[np.ndarray]:
+    """Distinct Bloch vectors (pairwise distance > tol) of the signal
+    ensemble {U_g |phi_j>} over the sift rotations and both bits."""
+    vecs: list[np.ndarray] = []
+    for u in constants(protocol):
+        for j in (0, 1):
+            b = bloch_vector(u @ signal_ket(j))
+            if all(np.linalg.norm(b - c) > tol for c in vecs):
+                vecs.append(b)
+    return vecs

@@ -91,7 +91,7 @@ class SimConfig:
 
     Exactly one of nu (fixed photon number, 1..4, within the MAX_PHOTONS
     per-photon slots) and mu (coherent intensity in (0, MAX_MU]) must be
-    given; `_photon_cdf(nu, mu)` is the photon-number law of the run.
+    given; `_photon_law(nu, mu)` is the photon-number law of the run.
     """
 
     protocol: str
@@ -182,22 +182,26 @@ def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
     return raw.reshape(count, SLOTS)
 
 
-def _photon_cdf(nu: int | None, mu: float | None) -> np.ndarray:
-    """CDF of the photon-number law: the point mass at a fixed nu, or the
-    Poisson law of intensity mu truncated at MAX_PHOTONS and renormalized.
-
-    The last entry is exactly 1, so every uniform u < 1 maps to at most
-    len - 1 photons.
-    """
+def _photon_law(nu: int | None, mu: float | None) -> tuple[list[int], np.ndarray]:
+    """The photon numbers that carry mass, consecutive and ascending, and the
+    CDF at each: ([nu], [1]) at a fixed nu, else 0..MAX_PHOTONS and the Poisson
+    law of intensity mu truncated there, renormalized to end at exactly 1."""
     if nu is not None:
-        return np.array([0.0] * nu + [1.0])
+        return [nu], np.array([1.0])
     pmf = np.array(
         [math.exp(-mu) * mu ** n / math.factorial(n) for n in range(MAX_PHOTONS + 1)]
     )
-    pmf /= pmf.sum()
-    cdf = np.cumsum(pmf)
+    cdf = np.cumsum(pmf / pmf.sum())
     cdf[-1] = 1.0
-    return cdf
+    return list(range(MAX_PHOTONS + 1)), cdf
+
+
+def _photon_cdf(nu: int | None, mu: float | None) -> np.ndarray:
+    """The CDF of `_photon_law(nu, mu)` at every photon number 0..max, zero
+    below the first that carries mass; slot 6 is searched in it, so every
+    uniform u < 1 maps to at most len - 1 photons."""
+    ns, cdf = _photon_law(nu, mu)
+    return np.append(np.zeros(ns[0]), cdf)
 
 
 def _conclusive_flag_prob() -> np.ndarray:
@@ -296,7 +300,7 @@ def run_monte_carlo(cfg: SimConfig, shard_size: int = 1 << 13) -> SimStats:
     size and thread count because each trial reads a fixed slice of the
     counter-based stream and each shard builds its own generator.
     """
-    n_rot = qmath.constants(cfg.protocol).n_rotations
+    n_rot = len(qmath.constants(cfg.protocol))
     flag = _thresholds(_conclusive_flag_prob())
     count = _thresholds(_photon_cdf(cfg.nu, cfg.mu))
 
@@ -348,13 +352,13 @@ def exact_channel_stats(protocol: str, nu: int | None, p: float, eta: float,
     is.  The squash rule makes any m >= 1 such photons conclusive with
     probability 2^-m + (1 - 2^(1-m))/2 = 1/2, so for either protocol
     P_conc = sum_{n>=1} P(n)(1 - (1 - eta)^n)(1/4 + p/3) over the law P of
-    `_photon_cdf(nu, mu)` and e_bit = 4p/(3 + 4p).  At a fixed nu >= 1, P is
-    the point mass, whose other terms add exact zeros.
+    `_photon_law(nu, mu)` and e_bit = 4p/(3 + 4p).  The sum runs over the
+    photon numbers that carry mass only, so a fixed nu costs one term.
     """
     _check_channel(protocol, nu, mu, p, eta)
-    cdf = _photon_cdf(nu, mu).tolist()
-    detect = sum((cdf[n] - cdf[n - 1]) * (1.0 - (1.0 - eta) ** n)
-                 for n in range(1, len(cdf)))
+    ns, cdf = _photon_law(nu, mu)
+    masses = np.diff(cdf, prepend=0.0).tolist()
+    detect = sum(pn * (1.0 - (1.0 - eta) ** n) for n, pn in zip(ns, masses))
     return ExactStats(
         protocol=protocol, nu=nu, p=p, eta=eta,
         conclusive_prob=detect * (0.25 + p / 3.0),

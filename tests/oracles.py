@@ -38,7 +38,7 @@ def full_pair_vectors(m: np.ndarray, protocol: str) -> list[np.ndarray]:
     nu = m.shape[1].bit_length() - 1
     psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
     out = []
-    for u in qmath.constants(protocol).rotations:
+    for u in qmath.constants(protocol):
         a = qmath.filter_op() @ qmath.dagger(u) @ (m @ qmath.tensor_power(u, nu))
         out.append((psi @ a.T).reshape(4))
     return out
@@ -77,7 +77,7 @@ def full_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     H = (1/|G|) sum_g A_g^dag P_event A_g with A_g built from U_g^{(x)nu}."""
     dim = 2 ** (nu + 1)
     psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
-    rotations = qmath.constants(protocol).rotations
+    rotations = qmath.constants(protocol)
     a = np.stack([
         np.einsum("bo,ai->aboi", qmath.filter_op() @ qmath.dagger(u),
                   psi @ qmath.tensor_power(u, nu).T).reshape(4, dim)
@@ -274,7 +274,7 @@ def float_shard_tallies(units: np.ndarray, cfg: simulate.SimConfig,
 def monte_carlo_stats(cfg: simulate.SimConfig,
                       shard_size: int = 1 << 16) -> simulate.SimStats:
     """run_monte_carlo by the float kernel, shard after shard on one thread."""
-    n_rot = qmath.constants(cfg.protocol).n_rotations
+    n_rot = len(qmath.constants(cfg.protocol))
     flag_table = simulate._conclusive_flag_prob()
     cdf = None if cfg.nu is not None else simulate._photon_cdf(None, cfg.mu)
     tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
@@ -315,7 +315,7 @@ def replay_trial(cfg: simulate.SimConfig, index: int) -> TrialRecord:
     """Reconstruct one trial in full from its slice of the random stream."""
     if not 0 <= index < cfg.trials:
         raise ValueError("trial index out of range")
-    n_rot = qmath.constants(cfg.protocol).n_rotations
+    n_rot = len(qmath.constants(cfg.protocol))
     flag_table = simulate._conclusive_flag_prob()
     u = units(simulate._raw_block(cfg.seed, index, 1))[0]
 
@@ -377,18 +377,18 @@ def enumerated_channel_stats(protocol: str, nu: int, p: float,
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmittance must be in (0, 1]")
 
-    cs = qmath.constants(protocol)
+    rotations = qmath.constants(protocol)
     mixed_dm = 0.5 * qmath.I2
     p_conclusive = 0.0
     p_error = 0.0
-    for rot in cs.rotations:  # matched sift round: Bob applies the inverse
+    for rot in rotations:  # matched sift round: Bob applies the inverse
         undo = qmath.dagger(rot)
         for j in (0, 1):
             sent = rot @ qmath.signal_ket(j)
             intact_dm = qmath.proj(undo @ sent)
             for jp in (0, 1):
                 measure = qmath.proj(qmath.signal_perp_ket(jp))
-                weight = 1.0 / (len(cs.rotations) * 4)
+                weight = 1.0 / (len(rotations) * 4)
                 for branch_prob, dm in (
                     (1.0 - 4.0 * p / 3.0, intact_dm),
                     (4.0 * p / 3.0, mixed_dm),

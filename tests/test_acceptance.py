@@ -31,7 +31,7 @@ def test_criterion_01_structural_identities():
     eigs = np.linalg.eigvalsh(qmath.filter_op())
     dev_eig = float(np.abs(eigs - [qmath.SIN_PI_8, qmath.COS_PI_8]).max())
     dev_meas = qmath.filter_measurement_identity_check()
-    pair = qmath.tensor(qmath.I2, qmath.filter_op()) @ qmath.pair_source_ket(1)
+    pair = np.kron(qmath.I2, qmath.filter_op()) @ qmath.pair_source_ket(1)
     dev_pair = float(np.abs(pair - 0.5 * qmath.bell_ket("chi0+")).max())
 
     assert dev_rot < 1e-12 and dev_r4 < 1e-12 and dev_eig < 1e-12
@@ -77,7 +77,7 @@ def test_criterion_04_two_photon_bound():
     assert worst_margin >= -1e-9
 
     worst_gap = min(
-        bounds.g_of_x(x) - bounds.frontier(x, "four-state", 2).y_star
+        bounds.g_of_x(x) - bounds.frontier(x, "four-state", 2)
         for x in grid
     )
     assert worst_gap >= -1e-6

@@ -87,7 +87,7 @@ def test_sift_average_is_rotation_covariant(protocol):
     p = oracles.dicke_isometry(nu)
     a = random_attack(nu)
     w = dicke_weights(a, protocol)
-    for h in qmath.constants(protocol).rotations:
+    for h in qmath.constants(protocol):
         sym_h = p.T @ qmath.tensor_power(h, nu) @ p
         wt = dicke_weights(qmath.dagger(h) @ a @ sym_h, protocol)
         assert np.abs(wt - w).max() < 1e-12

@@ -75,9 +75,9 @@ def test_two_photon_margins_on_default_grid():
 
 def test_margin_detects_infeasible_point():
     # Just below the frontier the certificate must fail.
-    pt = bounds.frontier(1.0, "four-state", 2)
-    assert bounds.psd_margin(1.0, pt.y_star - 1e-3, "four-state", 2) < 0
-    assert bounds.psd_margin(1.0, pt.y_star + 1e-3, "four-state", 2) > -1e-9
+    y = bounds.frontier(1.0, "four-state", 2)
+    assert bounds.psd_margin(1.0, y - 1e-3, "four-state", 2) < 0
+    assert bounds.psd_margin(1.0, y + 1e-3, "four-state", 2) > -1e-9
 
 
 def test_margin_spot_value_against_parts():
@@ -95,25 +95,25 @@ def test_margin_spot_value_against_parts():
 # ---------------------------------------------------------------------------
 
 def test_frontier_point_is_tight():
-    pt = bounds.frontier(2.0, "four-state", 2)
-    assert 0.0 <= pt.y_star <= 1.0
-    assert bounds.psd_margin(2.0, pt.y_star + 1e-6, "four-state", 2) >= -1e-9
+    y = bounds.frontier(2.0, "four-state", 2)
+    assert 0.0 <= y <= 1.0
+    assert bounds.psd_margin(2.0, y + 1e-6, "four-state", 2) >= -1e-9
 
 
 def test_frontier_dominated_by_analytic_bound():
     table = bounds.frontier_table("four-state", 2)
-    for pt in table:
-        gx = bounds.g_of_x(pt.x)
-        assert pt.y_star <= gx + 1e-6
-        assert bounds.psd_margin(pt.x, gx, "four-state", 2) >= -1e-9
+    for x, y in zip(bounds.DEFAULT_X_GRID, table):
+        gx = bounds.g_of_x(x)
+        assert y <= gx + 1e-6
+        assert bounds.psd_margin(x, gx, "four-state", 2) >= -1e-9
 
 
 def test_frontier_table_sorted_and_nonincreasing():
     table = bounds.frontier_table("four-state", 2)
-    xs = [pt.x for pt in table]
+    xs = list(bounds.DEFAULT_X_GRID)
     assert xs == sorted(xs)
-    assert len(xs) == len(bounds.DEFAULT_X_GRID)
-    ys = [pt.y_star for pt in table]
+    assert len(table) == len(bounds.DEFAULT_X_GRID)
+    ys = list(table)
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
 
 
@@ -123,9 +123,9 @@ def test_frontier_matches_bisection_oracle(protocol, nu):
     # The one-solve root sits within the bisection's -1e-9 acceptance slack
     # of the bisection root, and each point carries its own certificate.
     for x in bounds.DEFAULT_X_GRID:
-        pt = bounds.frontier(x, protocol, nu)
-        assert abs(pt.y_star - oracles.frontier_bisection(x, protocol, nu)) < 5e-8
-        assert bounds.psd_margin(x, pt.y_star, protocol, nu) >= -1e-9
+        y = bounds.frontier(x, protocol, nu)
+        assert abs(y - oracles.frontier_bisection(x, protocol, nu)) < 5e-8
+        assert bounds.psd_margin(x, y, protocol, nu) >= -1e-9
 
 
 def bits(values) -> list[str]:
@@ -140,11 +140,11 @@ def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
     # the loop, so every y_star and every margin is the same double.
     grid = bounds.DEFAULT_X_GRID
     table = bounds.frontier_table(protocol, nu)
-    assert [pt.x for pt in table] == list(grid)
-    ys = [pt.y_star for pt in table]
+    assert len(table) == len(grid)
+    ys = list(table)
     assert bits(ys) == bits(oracles.frontier_per_point(x, protocol, nu)
                             for x in grid)
-    assert bits([bounds.frontier(x, protocol, nu).y_star for x in grid]) == bits(ys)
+    assert bits([bounds.frontier(x, protocol, nu) for x in grid]) == bits(ys)
     gs = [bounds.g_of_x(x) for x in grid]
     assert bits(bounds.psd_margin(grid, gs, protocol, nu)) == bits(
         bounds.psd_margin(x, g, protocol, nu) for x, g in zip(grid, gs))
@@ -153,9 +153,9 @@ def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
 def test_clipped_frontier_is_positive_zero():
     # Four-state nu=1: y_star = max(0, 1.5 - x), so every x > 1.5 clips.
     table = bounds.frontier_table("four-state", 1)
-    clipped = [pt.y_star for pt in table if pt.x > 1.5]
+    clipped = [y for x, y in zip(bounds.DEFAULT_X_GRID, table) if x > 1.5]
     assert clipped and bits(clipped) == ["0.0"] * len(clipped)
-    assert repr(bounds.frontier(3.0, "four-state", 1).y_star) == "0.0"
+    assert repr(bounds.frontier(3.0, "four-state", 1)) == "0.0"
 
 
 def test_frontier_failure_names_the_first_failing_x(monkeypatch):
@@ -170,7 +170,14 @@ def test_frontier_failure_names_the_first_failing_x(monkeypatch):
         bounds.frontier_table.__wrapped__("four-state", 2, (1.0, 4.0, 2.5, 3.0))
     with pytest.raises(ArithmeticError, match=r"x=4 "):
         bounds.frontier(4.0, "four-state", 2)
-    assert bounds.frontier(3.0, "four-state", 2).y_star > 0.0
+    assert bounds.frontier(3.0, "four-state", 2) > 0.0
+
+
+def test_frontier_table_keeps_the_grid_order_and_repeats():
+    grid = (3.0, 0.5, 3.0, 0.0)
+    ys = bounds.frontier_table.__wrapped__("four-state", 2, grid)
+    assert len(ys) == 4
+    assert bits(ys) == bits(bounds.frontier(x, "four-state", 2) for x in grid)
 
 
 def test_frontier_table_of_an_empty_grid_is_empty():
@@ -226,7 +233,7 @@ def test_event_forms_have_norm_at_most_one(protocol, nu):
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_six_state_frontier_well_formed(nu):
     table = bounds.frontier_table("six-state", nu, grid=(0.0, 0.5, 2.0, 10.0))
-    ys = [pt.y_star for pt in table]
+    ys = list(table)
     assert all(0.0 <= y <= 1.0 for y in ys)
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
 
@@ -259,7 +266,7 @@ def test_zero_rate_floor_matches_closed_forms(protocol, nu, monkeypatch):
 def test_zero_rate_floor_bounds_the_frontier_from_below(protocol, nu, x):
     # The floor is the infimum of y_star, so no x reads below it; a grid
     # minimum is y_star at the grid's largest x, which reads above it.
-    assert (bounds.frontier(x, protocol, nu).y_star
+    assert (bounds.frontier(x, protocol, nu)
             >= bounds.zero_rate_check(protocol, nu) - bounds.PSD_TOL)
 
 
@@ -274,6 +281,14 @@ def test_zero_rate_floor_rejects_an_unclear_kernel_cut(w, monkeypatch):
         bounds.zero_rate_check("four-state", 2)
 
 
+def test_zero_rate_floor_above_one_is_not_clipped(monkeypatch):
+    # A floor above 1 means p_ph > p_fil: broken forms, shown as they are.
+    monkeypatch.setattr(bounds, "_reduced_pencil",
+                        lambda protocol, nu: (2.0 * np.eye(2),
+                                              np.diag([0.0, 1.0])))
+    assert bounds.zero_rate_check("four-state", 2) == 2.0
+
+
 def test_zero_rate_floor_without_a_kernel_is_zero(monkeypatch):
     monkeypatch.setattr(bounds, "_reduced_pencil",
                         lambda protocol, nu: (np.eye(2), np.diag([0.5, 1.0])))
@@ -286,5 +301,5 @@ def test_frontier_certifies_at_large_x(protocol, nu):
     # Margins are checked at PSD_TOL + n*eps*x*||H_bit||_2, so roundoff of the
     # x*H_bit term no longer fails a correct point; y_star tends to the floor.
     floor = bounds.zero_rate_check(protocol, nu)
-    for pt in bounds.frontier_table.__wrapped__(protocol, nu, (1e8, 1e9)):
-        assert abs(pt.y_star - floor) <= 1e-6
+    for y in bounds.frontier_table.__wrapped__(protocol, nu, (1e8, 1e9)):
+        assert abs(y - floor) <= 1e-6

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import errno
 import importlib
+import io
 import json
 import os
 import re
@@ -588,6 +590,54 @@ def test_unwritable_out_is_a_usage_error_before_any_work(capsys, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith(command + ": ")
     assert captured.err.count("\n") == 1
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+NO_SPACE = "cannot write output: [Errno 28] %s\n" % os.strerror(errno.ENOSPC)
+HAS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="no /dev/full on this platform")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--protocol", "six-state"],  # a check table
+    ["thresholds", "--protocol", "four-state"],  # a report
+])
+def test_a_failed_stdout_write_is_exit_2_with_one_line(capsys, monkeypatch,
+                                                       argv):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == argv[0] + ": " + NO_SPACE
+
+
+@HAS_DEV_FULL
+def test_a_failed_out_write_is_exit_2_with_one_line(capsys):
+    argv = ["frontier", "--format", "json", "--out", "/dev/full"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "frontier: " + NO_SPACE
+
+
+@HAS_DEV_FULL
+@pytest.mark.parametrize("command", ["verify", "thresholds"])
+def test_a_full_stdout_is_not_flushed_again_at_exit(command):
+    # The buffer that failed to flush is dropped, so interpreter exit adds
+    # no second message and keeps exit code 2.  Stdout is block-buffered, as
+    # in a default interpreter.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sargkit.cli", command],
+                              env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == command + ": " + NO_SPACE
 
 
 def test_simulate_missing_config_file(capsys, tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,12 +126,26 @@ def test_exact_conclusive_scales_with_arrival_probability():
 @pytest.mark.parametrize("eta", [1.0, 0.5, 1e-3])
 @pytest.mark.parametrize("nu", range(1, 9))
 def test_fixed_photon_number_law_is_the_closed_form_bit_for_bit(nu, eta):
-    # nu runs past MAX_PHOTONS: the point mass adds only exact zeros.
+    # nu runs past MAX_PHOTONS: the sum reads the point mass alone.
     for protocol in qmath.PROTOCOLS:
         for p in (0.0, 0.03, 0.75):
             ex = simulate.exact_channel_stats(protocol, nu, p, eta)
             closed = (1.0 - (1.0 - eta) ** nu) * (0.25 + p / 3.0)
             assert ex.conclusive_prob == closed, (protocol, p)
+
+
+def test_exact_law_at_a_huge_photon_number_costs_one_term():
+    # Only photon numbers that carry mass are summed, so nu = 10^6 builds no
+    # table of nu + 1 entries.
+    nu, p, eta = 10 ** 6, 0.03, 1e-6
+    tracemalloc.start()
+    try:
+        ex = simulate.exact_channel_stats("four-state", nu, p, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ex.conclusive_prob == (1.0 - (1.0 - eta) ** nu) * (0.25 + p / 3.0)
+    assert peak < 1 << 20
 
 
 def test_exact_zero_noise_is_errorless():
@@ -182,7 +197,7 @@ def monte_carlo_cases(draw):
 def threshold_words(cfg: simulate.SimConfig) -> np.ndarray:
     """Raw words whose uniforms sit on and next to every threshold the
     kernel compares against, where a rounding slip would show."""
-    n_rot = qmath.constants(cfg.protocol).n_rotations
+    n_rot = len(qmath.constants(cfg.protocol))
     ts = [0.0, 0.5, 1.0, 4.0 * cfg.p / 3.0, cfg.eta]
     ts += list(simulate._conclusive_flag_prob().ravel())
     ts += [r / n_rot for r in range(1, n_rot)]
@@ -296,7 +311,7 @@ def test_fixed_photon_number_ignores_the_count_word(monkeypatch, nu, word):
         return raw
 
     cfg = config(nu=nu, trials=3000, eta=1.0)
-    n_rot = qmath.constants(cfg.protocol).n_rotations
+    n_rot = len(qmath.constants(cfg.protocol))
     tallies = simulate._shard_tallies(
         pinned(cfg.seed, 0, cfg.trials), cfg, n_rot,
         simulate._thresholds(simulate._conclusive_flag_prob()),
