@@ -9,9 +9,18 @@ Subpackages:
 * simulate     -- Monte Carlo channel model and its closed-form exact law
 * reports      -- run manifests and CSV/JSON writers
 * cli          -- command-line entry point
+
+The protocol names and the photon numbers the certificates cover are
+defined here, without numpy, so that the command-line parser can read them
+before any numerical layer is imported.
 """
 
 __version__ = "0.1.0"
+
+PROTOCOLS = ("four-state", "six-state")
+
+# Photon numbers covered by the certificates and the threshold tables.
+SUPPORTED_NU = (1, 2, 3, 4)
 
 __all__ = [
     "attack_forms",
@@ -21,5 +30,7 @@ __all__ = [
     "qmath",
     "reports",
     "simulate",
+    "PROTOCOLS",
+    "SUPPORTED_NU",
     "__version__",
 ]

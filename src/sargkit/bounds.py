@@ -48,18 +48,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import attack_forms, qmath
-
-SIN2_PI_8 = math.sin(math.pi / 8) ** 2
+# SUPPORTED_NU is the package's own, read here as bounds.SUPPORTED_NU too.
+from . import SUPPORTED_NU, attack_forms, qmath  # noqa: F401
 
 # Verification grid: 41 points covering [0, 10] at step 0.25, the two
 # operating points quoted for the two-photon bound, and a large-x probe.
 DEFAULT_X_GRID = tuple(
     sorted(set([0.25 * k for k in range(41)] + [2.485, 2.747, 1000.0]))
 )
-
-# Photon numbers covered by the certificates and the threshold tables.
-SUPPORTED_NU = (1, 2, 3, 4)
 
 PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-10

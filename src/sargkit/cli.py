@@ -5,8 +5,15 @@ configuration error or output that cannot be written.  Report columns and
 JSON field names are frozen in docs/report_formats.md; simulation/keyrate
 configs are YAML documents whose schema lives in docs/config_schema.md.
 
-YAML, ``simulate`` and ``keyrate`` are imported inside the commands that
-use them, so that verify, frontier and constants-check start without them.
+Importing this module loads argparse, a few stdlib modules and
+``reports`` only.  Each command imports the layers it computes with:
+verify and constants-check build the certificate table (``checks``) and
+with it numpy, ``qmath``, ``attack_forms``, ``bounds`` and ``keyrate``;
+frontier imports ``bounds`` once its grid is valid; simulate imports YAML
+and ``simulate``; keyrate imports YAML and ``keyrate``; thresholds imports
+``keyrate``, which reads ``bounds`` for the six-state table only.  So
+``--help``, ``--version``, every usage error, ``keyrate`` and four-state
+``thresholds`` run without numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +26,10 @@ import operator
 import os
 import sys
 from dataclasses import asdict, fields
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__, attack_forms, bounds, qmath, reports
+from . import PROTOCOLS, SUPPORTED_NU, __version__, reports
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -91,7 +97,7 @@ class Check(NamedTuple):
     when it runs and returns the measured value; the row passes when
     ``value <op> bound``, where a dict bound is looked up by protocol.  The
     ``range`` row computes (min, max) of a frontier table, prints the max
-    and passes when min >= 0 and max <= 1 + PSD_TOL.
+    and passes when min >= 0 and max <= bound.
     """
 
     name: str
@@ -99,96 +105,105 @@ class Check(NamedTuple):
     nus: tuple[int, ...] | None
     compute: Callable
     op: str
-    bound: float | dict[str, float] | None = None
+    bound: float | dict[str, float]
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
         "==": operator.eq}
-_FOUR, _SIX = ("four-state",), ("six-state",)
-_BOTH = qmath.PROTOCOLS
-_STRUCT = qmath.STRUCTURAL_TOL
+_FOUR, _SIX, _BOTH = ("four-state",), ("six-state",), PROTOCOLS
 
 
-def _max_abs(a) -> float:
-    return float(np.max(np.abs(a)))
+@lru_cache(maxsize=None)
+def checks() -> tuple[Check, ...]:
+    """Every certificate, in print order.
 
+    Built on first use, so that only verify and constants-check import the
+    numerical layers it reads.
+    """
+    import numpy as np
 
-def _twist_unitarity(protocol: str, nu: int | None) -> float:
-    t = qmath.twist_t()
-    return _max_abs(qmath.dagger(t) @ t - qmath.I2)
+    from . import attack_forms, bounds, keyrate, qmath
 
+    def max_abs(a) -> float:
+        return float(np.max(np.abs(a)))
 
-def _filter_eigenvalues(protocol: str, nu: int | None) -> float:
-    eigs = qmath.eigh_checked(qmath.filter_op())[0]
-    return _max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
+    def twist_unitarity(protocol: str, nu: int | None) -> float:
+        t = qmath.twist_t()
+        return max_abs(qmath.dagger(t) @ t - qmath.I2)
 
+    def filter_eigenvalues(protocol: str, nu: int | None) -> float:
+        eigs = qmath.eigh_checked(qmath.filter_op())[0]
+        return max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
 
-def _filtered_pair(protocol: str, nu: int | None) -> float:
-    f = qmath.filter_op()
-    filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(1)
-    return _max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
+    def filtered_pair(protocol: str, nu: int | None) -> float:
+        f = qmath.filter_op()
+        filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(1)
+        return max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
 
-
-# Every certificate, in print order.
-CHECKS = (
-    Check("phase = 1.5 x bit identity", _BOTH, (1,),
-          lambda p, nu: bounds.identity_check_single(p),
-          "<", bounds.IDENTITY_TOL),
-    Check("correlation chi0- >= 2 chi1+", _FOUR, (1,),
-          lambda p, nu: bounds.correlation_psd_check()[0],
-          ">=", -bounds.IDENTITY_TOL),
-    Check("correlation 2 chi1- >= chi0-", _FOUR, (1,),
-          lambda p, nu: bounds.correlation_psd_check()[1],
-          ">=", -bounds.IDENTITY_TOL),
-    Check("event forms PSD", _FOUR, (1,),
-          lambda p, nu: min(qmath.min_eigenvalue(form.matrix)
-                            for form in attack_forms.all_forms(p, nu).values()),
-          ">=", -bounds.IDENTITY_TOL),
-    Check("margin at analytic bound", _FOUR, (2,),
-          lambda p, nu: float(bounds.psd_margin(
-              bounds.DEFAULT_X_GRID,
-              [bounds.g_of_x(x) for x in bounds.DEFAULT_X_GRID], p, nu).min()),
-          ">=", -bounds.PSD_TOL),
-    Check("frontier dominance gap", _FOUR, (2,),
-          lambda p, nu: min(bounds.g_of_x(x) - y for x, y in zip(
-              bounds.DEFAULT_X_GRID, bounds.frontier_table(p, nu))),
-          ">=", -bounds.SHAPE_TOL),
-    Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
-          lambda p, nu: bounds.zero_rate_check(p, nu),
-          "<=", bounds.SIN2_PI_8 + bounds.PSD_TOL),
-    Check("no-key floor", _FOUR, (3, 4),
-          lambda p, nu: bounds.zero_rate_check(p, nu),
-          ">=", 0.5 - bounds.PSD_TOL),
-    Check("frontier in [0, 1]", _SIX, bounds.SUPPORTED_NU,
-          lambda p, nu: (min(bounds.frontier_table(p, nu)),
-                         max(bounds.frontier_table(p, nu))), "range"),
-    Check("frontier nonincreasing", _SIX, bounds.SUPPORTED_NU,
-          lambda p, nu: np.diff(bounds.frontier_table(p, nu)).max(),
-          "<=", bounds.SHAPE_TOL),
-    Check("frontier floor below 1/2", _SIX, (4,),
-          lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
-    Check("rotation count", _BOTH, None,
-          lambda p, nu: float(len(qmath.constants(p))),
-          "==", {"four-state": 4, "six-state": 24}),
-    Check("distinct signal states", _BOTH, None,
-          lambda p, nu: float(len(qmath.distinct_bloch_vectors(p))),
-          "==", {"four-state": 4, "six-state": 6}),
-    Check("rotation maps phi1 to phi0", _BOTH, None,
-          lambda p, nu: _max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
-                                 - qmath.signal_ket(0)),
-          "<", _STRUCT),
-    Check("rotation fourth power = -1", _BOTH, None,
-          lambda p, nu: _max_abs(np.linalg.matrix_power(qmath.rotation_r(), 4)
-                                 + qmath.I2),
-          "<", _STRUCT),
-    Check("twist unitary", _BOTH, None, _twist_unitarity, "<", _STRUCT),
-    Check("filter eigenvalues", _BOTH, None, _filter_eigenvalues, "<", _STRUCT),
-    Check("filter/measurement identity", _BOTH, None,
-          lambda p, nu: qmath.filter_measurement_identity_check(),
-          "<", _STRUCT),
-    Check("filtered pair = half chi0+", _BOTH, None, _filtered_pair,
-          "<", _STRUCT),
-)
+    struct = qmath.STRUCTURAL_TOL
+    return (
+        Check("phase = 1.5 x bit identity", _BOTH, (1,),
+              lambda p, nu: bounds.identity_check_single(p),
+              "<", bounds.IDENTITY_TOL),
+        Check("correlation chi0- >= 2 chi1+", _FOUR, (1,),
+              lambda p, nu: bounds.correlation_psd_check()[0],
+              ">=", -bounds.IDENTITY_TOL),
+        Check("correlation 2 chi1- >= chi0-", _FOUR, (1,),
+              lambda p, nu: bounds.correlation_psd_check()[1],
+              ">=", -bounds.IDENTITY_TOL),
+        Check("event forms PSD", _FOUR, (1,),
+              lambda p, nu: min(
+                  qmath.min_eigenvalue(form.matrix)
+                  for form in attack_forms.all_forms(p, nu).values()),
+              ">=", -bounds.IDENTITY_TOL),
+        Check("margin at analytic bound", _FOUR, (2,),
+              lambda p, nu: float(bounds.psd_margin(
+                  bounds.DEFAULT_X_GRID,
+                  [bounds.g_of_x(x) for x in bounds.DEFAULT_X_GRID],
+                  p, nu).min()),
+              ">=", -bounds.PSD_TOL),
+        Check("frontier dominance gap", _FOUR, (2,),
+              lambda p, nu: min(bounds.g_of_x(x) - y for x, y in zip(
+                  bounds.DEFAULT_X_GRID, bounds.frontier_table(p, nu))),
+              ">=", -bounds.SHAPE_TOL),
+        Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
+              lambda p, nu: bounds.zero_rate_check(p, nu),
+              "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
+        Check("no-key floor", _FOUR, (3, 4),
+              lambda p, nu: bounds.zero_rate_check(p, nu),
+              ">=", 0.5 - bounds.PSD_TOL),
+        Check("frontier in [0, 1]", _SIX, SUPPORTED_NU,
+              lambda p, nu: (min(bounds.frontier_table(p, nu)),
+                             max(bounds.frontier_table(p, nu))),
+              "range", 1.0 + bounds.PSD_TOL),
+        Check("frontier nonincreasing", _SIX, SUPPORTED_NU,
+              lambda p, nu: np.diff(bounds.frontier_table(p, nu)).max(),
+              "<=", bounds.SHAPE_TOL),
+        Check("frontier floor below 1/2", _SIX, (4,),
+              lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
+        Check("rotation count", _BOTH, None,
+              lambda p, nu: float(len(qmath.constants(p))),
+              "==", {"four-state": 4, "six-state": 24}),
+        Check("distinct signal states", _BOTH, None,
+              lambda p, nu: float(len(qmath.distinct_bloch_vectors(p))),
+              "==", {"four-state": 4, "six-state": 6}),
+        Check("rotation maps phi1 to phi0", _BOTH, None,
+              lambda p, nu: max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
+                                    - qmath.signal_ket(0)),
+              "<", struct),
+        Check("rotation fourth power = -1", _BOTH, None,
+              lambda p, nu: max_abs(
+                  np.linalg.matrix_power(qmath.rotation_r(), 4) + qmath.I2),
+              "<", struct),
+        Check("twist unitary", _BOTH, None, twist_unitarity, "<", struct),
+        Check("filter eigenvalues", _BOTH, None, filter_eigenvalues,
+              "<", struct),
+        Check("filter/measurement identity", _BOTH, None,
+              lambda p, nu: qmath.filter_measurement_identity_check(),
+              "<", struct),
+        Check("filtered pair = half chi0+", _BOTH, None, filtered_pair,
+              "<", struct),
+    )
 
 
 def _check_row(check: Check, label: str, protocol: str,
@@ -209,23 +224,23 @@ def _check_row(check: Check, label: str, protocol: str,
         return name, math.nan, requirement, False
     if check.op == "range":
         lo, value = value
-        ok = lo >= 0.0 and value <= 1.0 + bounds.PSD_TOL
+        ok = lo >= 0.0 and value <= bound
     else:
         ok = _OPS[check.op](value, bound)
     return name, value, requirement, ok
 
 
 def cmd_verify(args) -> int:
-    nus = bounds.SUPPORTED_NU if args.nu is None else (args.nu,)
+    nus = SUPPORTED_NU if args.nu is None else (args.nu,)
     rows = [_check_row(c, "nu=%d" % nu, args.protocol, nu)
-            for nu in nus for c in CHECKS
+            for nu in nus for c in checks()
             if c.nus is not None and nu in c.nus and args.protocol in c.protocols]
     return 0 if _print_checks(rows) else 1
 
 
 def cmd_constants_check(args) -> int:
-    protocols = qmath.PROTOCOLS if args.protocol is None else (args.protocol,)
-    rows = [_check_row(c, p, p, None) for p in protocols for c in CHECKS
+    protocols = PROTOCOLS if args.protocol is None else (args.protocol,)
+    rows = [_check_row(c, p, p, None) for p in protocols for c in checks()
             if c.nus is None and p in c.protocols]
     return 0 if _print_checks(rows) else 1
 
@@ -273,7 +288,7 @@ def cmd_thresholds(args) -> int:
         refs, tol = keyrate.FOUR_STATE_REFERENCE, keyrate.FOUR_STATE_TOLERANCE
         quoted = ()
     else:
-        computed = [keyrate.sixstate_thresholds(nu) for nu in bounds.SUPPORTED_NU]
+        computed = [keyrate.sixstate_thresholds(nu) for nu in SUPPORTED_NU]
         refs, tol = keyrate.SIX_STATE_REFERENCE, keyrate.SIX_STATE_TOLERANCE
         quoted = (("bb84-reference", keyrate.REFERENCE_BB84_P),
                   ("six-state-original-reference",
@@ -325,6 +340,8 @@ def cmd_frontier(args) -> int:
     except ValueError as exc:
         print("frontier: %s" % exc, file=sys.stderr)
         return 2
+    from . import bounds
+
     manifest = reports.start_manifest(
         "frontier",
         {"protocol": args.protocol, "nu": args.nu, "x_min": args.x_min,
@@ -520,7 +537,7 @@ def cmd_keyrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_protocol(sub, default="four-state"):
-    sub.add_argument("--protocol", choices=list(qmath.PROTOCOLS),
+    sub.add_argument("--protocol", choices=list(PROTOCOLS),
                      default=default)
 
 
@@ -543,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol(v)
     v.add_argument("--nu", type=int, default=None,
                    help="photon number (default: all of %d..%d)"
-                   % (bounds.SUPPORTED_NU[0], bounds.SUPPORTED_NU[-1]))
+                   % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("thresholds", help="threshold table vs reference values")
@@ -573,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_keyrate)
 
     c = sub.add_parser("constants-check", help="structural constant table")
-    c.add_argument("--protocol", choices=list(qmath.PROTOCOLS), default=None)
+    c.add_argument("--protocol", choices=list(PROTOCOLS), default=None)
     c.set_defaults(func=cmd_constants_check)
 
     return parser
@@ -585,7 +602,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    nus = bounds.SUPPORTED_NU
+    nus = SUPPORTED_NU
     if getattr(args, "nu", None) is not None and args.nu not in nus:
         print("%s: unsupported photon number %d (supported: %d..%d)"
               % (args.command, args.nu, nus[0], nus[-1]), file=sys.stderr)

@@ -15,6 +15,10 @@ Every threshold takes one path, ``_threshold``: a bisection root of the rate
 in e_bit on a fixed bracket.  A rate already <= 0 at the bracket's low end
 means no key at any error rate, and the threshold is e = 0.  Depolarizing-
 channel conversions map between e_bit and the channel parameter p.
+
+The four-state rates and the decoy composition are closed-form float
+arithmetic; only the six-state pipeline reads computed frontiers, so only
+``ephase_bound_frontier`` imports ``bounds`` (and with it numpy).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import bounds
+from . import SUPPORTED_NU
 
 # Reference values for the comparison tables: (e_bit, depolarizing p)
 # thresholds quoted for the four-state protocol at nu = 1, 2 and the six-state
@@ -182,6 +186,10 @@ def threshold_single() -> ThresholdResult:
     return _threshold("four-state", 1, rate_single, 0.05, 0.15, 1e-6)
 
 
+# The two-photon zero-error infimum of min_x [x*e_bit + g(x)], reached as
+# x -> infinity.
+SIN2_PI_8 = math.sin(math.pi / 8) ** 2
+
 # x_opt reported at e_bit = 0, where the minimizer of x*e_bit + g(x) runs
 # off to infinity.
 X_SCAN_HI = 50.0
@@ -200,7 +208,7 @@ def ephase_bound_two(e_bit: float) -> tuple[float, float]:
     if not 0.0 <= e <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     if e == 0.0:
-        return bounds.SIN2_PI_8, X_SCAN_HI
+        return SIN2_PI_8, X_SCAN_HI
     c = 2.0 - 6.0 * e
     s = math.sqrt(6.0 * e * (4.0 - 6.0 * e))
     x_opt = (3.0 * math.sqrt(2.0) + c * math.sqrt(6.0) / s) / 4.0
@@ -269,8 +277,9 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
     _, h_joint = worst_joint_single(d.e1)
     cond1 = h_joint - binary_entropy(d.e1)
     e_ph2, _ = ephase_bound_two(d.e2)
+    # 0.0 - p*h, not -p*h: a zero cost is +0.0, never -0.0.
     return (
-        -d.p_conc * binary_entropy(d.e_bit),
+        0.0 - d.p_conc * binary_entropy(d.e_bit),
         d.xi1 * (1.0 - cond1),
         d.xi2 * (1.0 - _phase_charge(e_ph2)),
     )
@@ -282,6 +291,8 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """min over the x grid of [x*e_bit + y_star(x)] using computed frontiers."""
+    from . import bounds
+
     return min(x * e_bit + y for x, y in zip(
         bounds.DEFAULT_X_GRID, bounds.frontier_table(protocol, nu)))
 
@@ -300,9 +311,9 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
     (root on [1e-9, 0.45]); see SIX_STATE_TOLERANCE for why agreement with
     SIX_STATE_REFERENCE is reported rather than asserted.
     """
-    if nu not in bounds.SUPPORTED_NU:
+    if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
-                         % (bounds.SUPPORTED_NU[0], bounds.SUPPORTED_NU[-1]))
+                         % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
     return _threshold("six-state", nu,
                       lambda e: rate_frontier(e, "six-state", nu),
                       1e-9, 0.45, 1e-7)

@@ -29,10 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import PROTOCOLS
+
 SIN_PI_8 = math.sin(math.pi / 8)
 COS_PI_8 = math.cos(math.pi / 8)
-
-PROTOCOLS = ("four-state", "six-state")
 
 I2 = np.eye(2, dtype=complex)
 

@@ -6,6 +6,7 @@ import errno
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 
 import oracles
 import sargkit
+import sargkit.bounds
 from sargkit import cli, simulate
 
 SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
@@ -115,7 +117,7 @@ def test_verify_prints_every_certificate_in_order(capsys, protocol, nu):
 def test_verify_failed_certificate_exits_1(capsys, monkeypatch):
     # The table looks bounds.zero_rate_check up when it runs, so a floor
     # patched below 1/2 fails the no-key certificate and the whole run.
-    monkeypatch.setattr(cli.bounds, "zero_rate_check", lambda p, nu: 0.3)
+    monkeypatch.setattr(sargkit.bounds, "zero_rate_check", lambda p, nu: 0.3)
     rc, out = run(capsys, "verify", "--protocol", "four-state", "--nu", "3")
     assert rc == 1
     assert check_rows(out) == [
@@ -129,13 +131,13 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
     # frontier is clipped only at 0, so the row reads it and fails instead
     # of the margin check raising.  The uncached pencil and table keep the
     # scaled forms out of the caches.
-    forms = cli.bounds._forms
-    monkeypatch.setattr(cli.bounds, "_forms", lambda p, nu: (
+    forms = sargkit.bounds._forms
+    monkeypatch.setattr(sargkit.bounds, "_forms", lambda p, nu: (
         forms(p, nu)[0], forms(p, nu)[1], 1.5 * forms(p, nu)[2]))
-    monkeypatch.setattr(cli.bounds, "_reduced_pencil",
-                        cli.bounds._reduced_pencil.__wrapped__)
-    monkeypatch.setattr(cli.bounds, "frontier_table",
-                        cli.bounds.frontier_table.__wrapped__)
+    monkeypatch.setattr(sargkit.bounds, "_reduced_pencil",
+                        sargkit.bounds._reduced_pencil.__wrapped__)
+    monkeypatch.setattr(sargkit.bounds, "frontier_table",
+                        sargkit.bounds.frontier_table.__wrapped__)
     rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "1")
     assert rc == 1
     rows = {r[0]: r for r in check_rows(out)}
@@ -149,7 +151,7 @@ def unclear_filter_kernel(monkeypatch):
     decades above the kernel cut, so the frontier's reduction raises
     ArithmeticError.  The caches built on the forms are cleared before and
     after."""
-    forms = cli.bounds._forms
+    forms = sargkit.bounds._forms
 
     def squeezed(protocol, nu):
         h_bit, h_fil, h_ph = forms(protocol, nu)
@@ -157,8 +159,8 @@ def unclear_filter_kernel(monkeypatch):
         w[0] = 1e-9 * w[-1]
         return h_bit, (v * w) @ v.conj().T, h_ph
 
-    monkeypatch.setattr(cli.bounds, "_forms", squeezed)
-    caches = (cli.bounds._reduced_pencil, cli.bounds.frontier_table)
+    monkeypatch.setattr(sargkit.bounds, "_forms", squeezed)
+    caches = (sargkit.bounds._reduced_pencil, sargkit.bounds.frontier_table)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -546,17 +548,81 @@ def test_simulate_zeroed_error_tally_fails_with_exit_1(capsys, tmp_path,
     assert doc["manifest"]["status"] == "FAIL"
 
 
-def test_cli_import_does_not_load_the_thread_pool():
-    # The thread pool is imported only by a Monte Carlo run that uses it, and
-    # YAML, the Monte Carlo and the key-rate layers only by the commands that
-    # read them; verify, frontier and constants-check never do.
+def test_cli_import_loads_no_numerical_layer():
+    # Each command imports the layers it computes with: the thread pool only
+    # a Monte Carlo run that uses it, YAML only the commands that read a
+    # config, and numpy with the numerical layers only the commands that
+    # compute with them.
     code = ("import sys, sargkit.cli; print(*sorted(set(sys.argv[1:]) "
             "& set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code, "concurrent.futures",
-                           "yaml", "sargkit.simulate", "sargkit.keyrate"],
+    proc = subprocess.run([sys.executable, "-c", code, "numpy", "yaml",
+                           "concurrent.futures", "sargkit.qmath",
+                           "sargkit.attack_forms", "sargkit.bounds",
+                           "sargkit.keyrate", "sargkit.simulate"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "\n"
+
+
+# Runs each argv of the JSON list in argv[1] through cli.main with numpy
+# unimportable; prints [exit code, stdout, stderr] for each.
+NO_NUMPY_RUNNER = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from sargkit import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    runs.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def payload(out: str):
+    """A report without its manifest: the results of a JSON report, else
+    the non-comment lines."""
+    try:
+        return json.loads(out)["results"]
+    except (ValueError, TypeError, KeyError):
+        return oracles.payload_lines(out)
+
+
+def test_numpy_free_commands_run_without_numpy(capsys, monkeypatch, tmp_path):
+    sim_cfg = write_config(
+        tmp_path, "protocol: six-state\nmu: 0.5\np: 0.02\neta: 0.6\n"
+                  "trials: 2000\nseed: 0\n", "sim.yaml")
+    sim_out = str(tmp_path / "sim.json")
+    assert cli.main(["simulate", "--config", sim_cfg, "--out", sim_out]) == 0
+    decoy = write_config(tmp_path, DECOY_YAML, "decoy.yaml")
+    from_sim = write_config(tmp_path, "from_simulate: %s\n" % sim_out,
+                            "kr.yaml")
+    argvs = [
+        ["keyrate", "--config", decoy],
+        ["keyrate", "--config", from_sim, "--format", "csv"],
+        ["thresholds", "--protocol", "four-state"],
+        ["thresholds", "--protocol", "four-state", "--format", "json"],
+        ["--version"],
+        ["--help"],
+        ["verify", "--nu", "9"],
+        ["thresholds", "--out", str(tmp_path / "missing" / "t.csv")],
+        ["frontier", "--x-step", "0"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the --help line width
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RUNNER,
+                           json.dumps(argvs)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for argv, (rc, out, err) in zip(argvs, runs):
+        expected_rc = cli.main(argv)
+        expected = capsys.readouterr()
+        assert rc == expected_rc, argv
+        assert payload(out) == payload(expected.out), argv
+        assert err == expected.err, argv
+    assert [rc for rc, _, _ in runs] == [0, 0, 0, 0, 0, 0, 2, 2, 2]
 
 
 @pytest.mark.parametrize("command", ["simulate", "keyrate"])
@@ -678,7 +744,6 @@ def test_keyrate_csv_columns_equal_json_fields(capsys, tmp_path):
 
 
 def test_keyrate_zero_error_composition(capsys, tmp_path):
-    import math
     rc, out = run(capsys, "keyrate", "--config",
                   write_config(tmp_path, DECOY_YAML))
     assert rc == 0
@@ -686,6 +751,30 @@ def test_keyrate_zero_error_composition(capsys, tmp_path):
     sin2 = math.sin(math.pi / 8) ** 2
     h = -sin2 * math.log2(sin2) - (1 - sin2) * math.log2(1 - sin2)
     assert results["total_rate"] == pytest.approx(0.1 + 0.05 * (1 - h), abs=1e-12)
+
+
+@pytest.mark.parametrize("source", ["decoy", "from_simulate"])
+def test_keyrate_zero_error_correction_cost_is_positive_zero(capsys, tmp_path,
+                                                             source):
+    # e_bit = 0 (decoy) or p_conc = 0 (50 six-state trials, none conclusive)
+    # costs nothing: the term is 0.0, never -0.0.
+    text = DECOY_YAML
+    if source == "from_simulate":
+        sim_cfg = write_config(
+            tmp_path, "protocol: six-state\nmu: 0.5\np: 0.02\neta: 0.6\n"
+                      "trials: 50\nseed: 0\n", "sim.yaml")
+        sim_out = tmp_path / "sim.json"
+        assert cli.main(["simulate", "--config", sim_cfg, "--out",
+                         str(sim_out)]) == 0
+        text = "from_simulate: %s\n" % sim_out
+    cfg = write_config(tmp_path, text)
+    rc, js = run(capsys, "keyrate", "--config", cfg)
+    _, cs = run(capsys, "keyrate", "--config", cfg, "--format", "csv")
+    assert rc == 0
+    assert math.copysign(1.0, json.loads(js)["results"][
+        "error_correction_term"]) == 1.0
+    assert '"error_correction_term": -0.0' not in js
+    assert ",-0.0," not in cs
 
 
 def test_keyrate_error_correction_only(capsys, tmp_path):
