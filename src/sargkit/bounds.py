@@ -24,7 +24,10 @@ y_star never increases with x, so its infimum, the zero-error floor, is the
 limit x -> infinity.  With B = reduced H_bit PSD, v^dag (A - x*B) v = v^dag A v
 for every v in ker B, while every other direction is pushed to -infinity:
 the floor is lambda_max of A compressed onto ker B (0 when the kernel is
-empty), one eigen-solve of B and one small lambda_max.
+empty), one eigen-solve of B and one small lambda_max.  The phase-error
+bound min_x [x*e + y_star(x)] is read off two tangents: the top eigenvector u
+of A - x*B attains y_star(x) with bit and phase errors (u^dag B u, u^dag A u),
+both nonincreasing in x, so x is bisected on a predicate of that point.
 
 One rule cuts both kernels, of H_fil and of B (``_kernel_split``): at
 RANK_TOL of the largest eigenvalue, with no eigenvalue below -cut or within
@@ -64,6 +67,9 @@ SHAPE_TOL = 1e-6
 # Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
 # of the largest span the kernel.
 RANK_TOL = 1e-12
+# The tangent bisection halves x in [0, TANGENT_X_HI] to TANGENT_X_TOL: powers
+# of two, so midpoints are exact and x = 3/2 (the kink at nu = 1) is one.
+TANGENT_X_HI, TANGENT_X_TOL = 1024.0, 2.0 ** -40
 
 
 def _forms(protocol: str, nu: int):
@@ -211,6 +217,22 @@ def frontier_table(protocol: str, nu: int,
     included: one batched solve per stage, each value frontier(x) bit for
     bit.  The grid must be hashable (a tuple): it is part of the cache key."""
     return tuple(_frontier_ys(grid, protocol, nu).tolist())
+
+
+def supporting_tangents(protocol: str, nu: int, past) -> tuple:
+    """The tangents (x, y_star(x)), certified by frontier_table, at both ends
+    of the x-bracket of the least frontier point (e(x), p(x)) with past(e, p)
+    true (past must hold from some x on); inside [0, TANGENT_X_HI] the lesser
+    one is min_x [x*e + y_star(x)] within TANGENT_X_TOL * (e(x_lo) - e(x_hi))."""
+    a, b = _reduced_pencil(protocol, nu)
+    lo, hi = 0.0, TANGENT_X_HI
+    while hi - lo > TANGENT_X_TOL:
+        mid = 0.5 * (lo + hi)
+        w, v = qmath.eigh_checked(a - mid * b)
+        u = v[:, -1] * (w[-1] > 0.0)  # the zero attack where y_star is 0
+        e, p = (max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
+        lo, hi = (lo, mid) if past(e, p) else (mid, hi)
+    return tuple(zip((lo, hi), frontier_table(protocol, nu, (lo, hi))))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:

@@ -137,7 +137,7 @@ def checks() -> tuple[Check, ...]:
 
     def filtered_pair(protocol: str, nu: int | None) -> float:
         f = qmath.filter_op()
-        filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(1)
+        filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket()
         return max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
 
     struct = qmath.STRUCTURAL_TOL
@@ -169,6 +169,11 @@ def checks() -> tuple[Check, ...]:
         Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
               lambda p, nu: bounds.zero_rate_check(p, nu),
               "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
+        Check("closed form = tangent bound", _FOUR, (2,),
+              lambda p, nu: max(abs(keyrate.ephase_bound_two(e)[0]
+                                    - keyrate.ephase_bound_frontier(e, p, nu))
+                                for e in (0.01, 0.0271, 0.1, 0.3)),
+              "<=", bounds.IDENTITY_TOL),
         Check("no-key floor", _FOUR, (3, 4),
               lambda p, nu: bounds.zero_rate_check(p, nu),
               ">=", 0.5 - bounds.PSD_TOL),

@@ -8,8 +8,8 @@ Rates are asymptotic per sifted conclusive pair:
 * two photons:   R2 = 1 - h(e_bit) - h(e_ph) with e_ph the best certified
   bound min_x [x*e_bit + g(x)], evaluated in closed form (bit/phase treated
   as independent);
-* six-state variant: same shape as R2 but with the numerically computed
-  frontier y_star(x) in place of g, for photon numbers 1..4.
+* six-state variant: same shape as R2 for photon numbers 1..4, with g
+  replaced by the computed frontier y_star(x), read on no x-grid.
 
 Every threshold takes one path, ``_threshold``: a bisection root of the rate
 in e_bit on a fixed bracket.  A rate already <= 0 at the bracket's low end
@@ -18,7 +18,7 @@ channel conversions map between e_bit and the channel parameter p.
 
 The four-state rates and the decoy composition are closed-form float
 arithmetic; only the six-state pipeline reads computed frontiers, so only
-``ephase_bound_frontier`` imports ``bounds`` (and with it numpy).
+its two functions import ``bounds`` (and with it numpy).
 """
 
 from __future__ import annotations
@@ -216,16 +216,17 @@ def ephase_bound_two(e_bit: float) -> tuple[float, float]:
     return e_ph, x_opt
 
 
-def rate_two(e_bit: float) -> RateResult:
-    """R2 = 1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns."""
-    e_ph, x_opt = ephase_bound_two(e_bit)
+def rate_independent(e_bit: float, e_ph: float, x_opt=None) -> RateResult:
+    """1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns: R2
+    with e_ph = ephase_bound_two(e_bit), and the six-state rate."""
     rate = 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
     return RateResult(e_bit=e_bit, e_ph=e_ph, rate=rate, x_opt=x_opt)
 
 
 def threshold_two() -> ThresholdResult:
-    """Bit-error threshold of the two-photon rate (root on [0.001, 0.2])."""
-    return _threshold("four-state", 2, rate_two, 0.001, 0.2, 1e-6)
+    """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2])."""
+    return _threshold("four-state", 2, lambda e: rate_independent(
+        e, *ephase_bound_two(e)), 0.001, 0.2, 1e-6)
 
 
 def depol_p(e: float) -> float:
@@ -286,34 +287,33 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Six-state exploratory pipeline
+# Six-state pipeline
 # ---------------------------------------------------------------------------
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
-    """min over the x grid of [x*e_bit + y_star(x)] using computed frontiers."""
+    """Certified min_x [x*e_bit + y_star(x)] of a computed frontier: the floor
+    at e_bit = 0, else the lesser tangent around the x where e(x) falls to
+    e_bit (bounds.supporting_tangents), exact while that x <= TANGENT_X_HI."""
+    if not 0.0 <= e_bit <= 0.5:
+        raise ValueError("e_bit must be in [0, 0.5]")
     from . import bounds
 
-    return min(x * e_bit + y for x, y in zip(
-        bounds.DEFAULT_X_GRID, bounds.frontier_table(protocol, nu)))
-
-
-def rate_frontier(e_bit: float, protocol: str, nu: int) -> RateResult:
-    """Independent-errors rate 1 - h(e) - h(e_ph) from a computed frontier."""
-    e_ph = ephase_bound_frontier(e_bit, protocol, nu)
-    rate = 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
-    return RateResult(e_bit=e_bit, e_ph=e_ph, rate=rate)
+    if e_bit == 0.0:
+        return bounds.zero_rate_check(protocol, nu)
+    tangents = bounds.supporting_tangents(protocol, nu, lambda e, _: e <= e_bit)
+    return min(x * e_bit + y for x, y in tangents)
 
 
 def sixstate_thresholds(nu: int) -> ThresholdResult:
-    """Exploratory six-state threshold for one photon number (1..4).
-
-    Uses the computed frontier in place of g and the independent-errors rate
-    (root on [1e-9, 0.45]); see SIX_STATE_TOLERANCE for why agreement with
-    SIX_STATE_REFERENCE is reported rather than asserted.
-    """
+    """Six-state threshold for one photon number (1..4): the root on [1e-9,
+    0.45] of 1 - h(e) - h(e_ph), e_ph the lesser tangent around the x whose
+    frontier point has rate 0 (SIX_STATE_TOLERANCE: why not asserted)."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
-    return _threshold("six-state", nu,
-                      lambda e: rate_frontier(e, "six-state", nu),
-                      1e-9, 0.45, 1e-7)
+    from . import bounds
+
+    tangents = bounds.supporting_tangents(
+        "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x).rate > 0.0)
+    return _threshold("six-state", nu, lambda e: rate_independent(
+        e, min(x * e + y for x, y in tangents)), 1e-9, 0.45, 1e-7)

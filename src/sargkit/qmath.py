@@ -42,16 +42,6 @@ STRUCTURAL_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-9
 
 
-def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power; n = 0 gives the scalar identity."""
-    if n < 0:
-        raise ValueError("tensor power needs n >= 0")
-    out = np.array([[1.0 + 0j]]) if np.asarray(a).ndim == 2 else np.array([1.0 + 0j])
-    for _ in range(n):
-        out = np.kron(out, a)
-    return out
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator, or of each operator in a stack."""
     return np.swapaxes(np.asarray(m), -1, -2).conj()
@@ -208,17 +198,10 @@ def bell_ket(tag: str) -> np.ndarray:
     return v / math.sqrt(2)
 
 
-def pair_source_ket(nu: int) -> np.ndarray:
-    """The entangled pair source for nu-photon pulses.
-
-    (|0_z>_A |phi_0>^{x nu} + |1_z>_A |phi_1>^{x nu}) / sqrt(2), a unit vector
-    of dimension 2^{nu+1} with Alice's qubit leading.
-    """
-    if nu < 1:
-        raise ValueError("photon number must be >= 1")
-    v = np.kron(ket_z(0), tensor_power(signal_ket(0), nu)) + np.kron(
-        ket_z(1), tensor_power(signal_ket(1), nu)
-    )
+def pair_source_ket() -> np.ndarray:
+    """The single-photon pair source (|0_z>_A |phi_0> + |1_z>_A |phi_1>)/sqrt(2),
+    Alice's qubit leading; the sift maps build every photon number from it."""
+    v = np.kron(ket_z(0), signal_ket(0)) + np.kron(ket_z(1), signal_ket(1))
     return v / math.sqrt(2)
 
 

@@ -22,6 +22,30 @@ import numpy as np
 from sargkit import attack_forms, bounds, keyrate, qmath, simulate
 
 
+def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power; n = 0 gives the scalar identity."""
+    if n < 0:
+        raise ValueError("tensor power needs n >= 0")
+    out = np.array([[1.0 + 0j]]) if np.asarray(a).ndim == 2 else np.array([1.0 + 0j])
+    for _ in range(n):
+        out = np.kron(out, a)
+    return out
+
+
+def pair_source_ket(nu: int) -> np.ndarray:
+    """The entangled pair source for nu-photon pulses.
+
+    (|0_z>_A |phi_0>^{x nu} + |1_z>_A |phi_1>^{x nu}) / sqrt(2), a unit vector
+    of dimension 2^{nu+1} with Alice's qubit leading.
+    """
+    if nu < 1:
+        raise ValueError("photon number must be >= 1")
+    v = np.kron(qmath.ket_z(0), tensor_power(qmath.signal_ket(0), nu)) + np.kron(
+        qmath.ket_z(1), tensor_power(qmath.signal_ket(1), nu)
+    )
+    return v / math.sqrt(2)
+
+
 def dicke_isometry(nu: int) -> np.ndarray:
     """The 2^nu x (nu+1) isometry P whose k-th column is the normalized sum of
     the computational basis states of Hamming weight k."""
@@ -36,10 +60,10 @@ def full_pair_vectors(m: np.ndarray, protocol: str) -> list[np.ndarray]:
     (1_A (x) F U_g^dag m U_g^{(x)nu}) applied to the nu-photon pair source."""
     m = np.asarray(m, dtype=complex)
     nu = m.shape[1].bit_length() - 1
-    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
+    psi = pair_source_ket(nu).reshape(2, 2 ** nu)
     out = []
     for u in qmath.constants(protocol):
-        a = qmath.filter_op() @ qmath.dagger(u) @ (m @ qmath.tensor_power(u, nu))
+        a = qmath.filter_op() @ qmath.dagger(u) @ (m @ tensor_power(u, nu))
         out.append((psi @ a.T).reshape(4))
     return out
 
@@ -76,11 +100,11 @@ def full_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     """Every event form on the full attack coordinates vec(m), side 2^{nu+1}:
     H = (1/|G|) sum_g A_g^dag P_event A_g with A_g built from U_g^{(x)nu}."""
     dim = 2 ** (nu + 1)
-    psi = qmath.pair_source_ket(nu).reshape(2, 2 ** nu)
+    psi = pair_source_ket(nu).reshape(2, 2 ** nu)
     rotations = qmath.constants(protocol)
     a = np.stack([
         np.einsum("bo,ai->aboi", qmath.filter_op() @ qmath.dagger(u),
-                  psi @ qmath.tensor_power(u, nu).T).reshape(4, dim)
+                  psi @ tensor_power(u, nu).T).reshape(4, dim)
         for u in rotations])
     bells = qmath.bell_projectors()
     event_ops = {
@@ -204,6 +228,22 @@ def scan_joint_single(e_bit: float, points: int = 100001) -> tuple[float, float]
     return best_s, best_h
 
 
+def linear_indep_threshold(alpha: float, beta: float,
+                           tol: float = 1e-7) -> float:
+    """Root in e of 1 - h(e) - h(alpha + beta*e) on [0.01, 0.3], bisected to
+    width tol: the independent-errors threshold of a phase-error bound that is
+    exactly linear in the bit error."""
+    h = keyrate.binary_entropy
+    lo, hi = 0.01, 0.3
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if 1.0 - h(mid) - h(alpha + beta * mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def fourstate_indep_threshold() -> float:
     """Four-state nu=1 threshold under the independent-errors entropy model.
 
@@ -211,15 +251,30 @@ def fourstate_indep_threshold() -> float:
     dominance comparison (the frontier pipeline never uses the
     correlation-aware joint entropy).
     """
-    h = keyrate.binary_entropy
-    lo, hi = 0.01, 0.3
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if 1.0 - h(mid) - h(1.5 * mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return linear_indep_threshold(0.0, 1.5)
+
+
+def ephase_bound_grid(e_bit: float, protocol: str, nu: int) -> float:
+    """min of x*e_bit + y_star(x) over bounds.DEFAULT_X_GRID: the grid minimum
+    the six-state thresholds read before the exact tangent bound."""
+    return min(x * e_bit + y for x, y in zip(
+        bounds.DEFAULT_X_GRID, bounds.frontier_table(protocol, nu)))
+
+
+def lift_reduced(u: np.ndarray, protocol: str, nu: int) -> np.ndarray:
+    """The 2 x (nu+1) attack R F^-1/2 u of a vector u on range(H_fil), with R
+    and F rebuilt by a plain eigh and kernel cut, like the benchmark's
+    reference_frontier.
+
+    H_fil has repeated eigenvalues, so R is fixed only up to a rotation inside
+    each eigenspace.  The eigh is therefore of the Hermitian part
+    (H + H^dag)/2, the matrix every checked solve decomposes, which gives the
+    library's basis; an eigh of H itself may not.
+    """
+    h = attack_forms.all_forms(protocol, nu)["fil"].matrix
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    keep = w > 1e-12 * w.max()
+    return (v[:, keep] / np.sqrt(w[keep]) @ u).reshape(2, nu + 1)
 
 
 def units(raw: np.ndarray) -> np.ndarray:

@@ -88,9 +88,16 @@ def test_sift_average_is_rotation_covariant(protocol):
     a = random_attack(nu)
     w = dicke_weights(a, protocol)
     for h in qmath.constants(protocol):
-        sym_h = p.T @ qmath.tensor_power(h, nu) @ p
+        sym_h = p.T @ oracles.tensor_power(h, nu) @ p
         wt = dicke_weights(qmath.dagger(h) @ a @ sym_h, protocol)
         assert np.abs(wt - w).max() < 1e-12
+
+
+def test_tensor_power_edge_cases():
+    assert oracles.tensor_power(qmath.I2, 0).shape == (1, 1)
+    assert oracles.tensor_power(qmath.I2, 3).shape == (8, 8)
+    with pytest.raises(ValueError):
+        oracles.tensor_power(qmath.I2, -1)
 
 
 # ---------------------------------------------------------------------------

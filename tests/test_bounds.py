@@ -117,6 +117,30 @@ def test_frontier_table_sorted_and_nonincreasing():
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
 
 
+@pytest.mark.parametrize("past,x_lo,x_hi", [
+    (lambda e, p: True, 0.0, bounds.TANGENT_X_TOL),
+    (lambda e, p: False, bounds.TANGENT_X_HI - bounds.TANGENT_X_TOL,
+     bounds.TANGENT_X_HI),
+])
+def test_supporting_tangents_at_the_bracket_ends(past, x_lo, x_hi):
+    # A predicate true (false) everywhere pins the bracket to its low (high)
+    # end, and both tangents carry the frontier's own y_star, bit for bit.
+    tangents = bounds.supporting_tangents("six-state", 4, past)
+    assert tangents == ((x_lo, bounds.frontier(x_lo, "six-state", 4)),
+                        (x_hi, bounds.frontier(x_hi, "six-state", 4)))
+
+
+def test_supporting_tangents_pass_the_predicate_each_frontier_point():
+    # The bisection costs one solve per halving, and the points it passes,
+    # (e(x), p(x)), are both nonincreasing in x: ordered by e, so is p.
+    seen = []
+    bounds.supporting_tangents("four-state", 2,
+                               lambda e, p: seen.append((e, p)) or e <= 0.05)
+    assert len(seen) == 50  # log2(TANGENT_X_HI / TANGENT_X_TOL)
+    es = sorted(seen, reverse=True)
+    assert all(b[1] <= a[1] + 1e-12 for a, b in zip(es, es[1:]))
+
+
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_frontier_matches_bisection_oracle(protocol, nu):

@@ -77,7 +77,8 @@ VERIFY_ROWS = {
                         "nu=1 event forms PSD"],
     ("four-state", 2): ["nu=2 margin at analytic bound",
                         "nu=2 frontier dominance gap",
-                        "nu=2 frontier floor vs sin^2(pi/8)"],
+                        "nu=2 frontier floor vs sin^2(pi/8)",
+                        "nu=2 closed form = tangent bound"],
     ("four-state", 3): ["nu=3 no-key floor"],
     ("four-state", 4): ["nu=4 no-key floor"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import oracles
-from sargkit import keyrate, simulate
+from sargkit import attack_forms, bounds, keyrate, qmath, simulate
 
 SIN2 = math.sin(math.pi / 8) ** 2
 X_OPT_REFERENCE = 2.747  # quoted two-photon operating point (flat optimum)
+
+# Every (protocol, photon number) with a computed frontier.
+CASES = [(p, nu) for p in qmath.PROTOCOLS for nu in (1, 2, 3, 4)]
+# The exactly linear certified phase error alpha + beta*e at six-state nu=1..3.
+LINEAR_EPH = {1: (0.0, 1.5), 2: (SIN2, 3.0 / (2.0 * math.sqrt(2.0))),
+              3: (0.25, 0.75)}
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +236,31 @@ def test_six_state_thresholds_positive_and_decreasing():
 
 
 def test_six_state_threshold_regression_values():
-    # Pipeline regression anchors (deterministic given the frozen x grid).
-    expected = {1: 0.088989, 2: 0.046160, 3: 0.023701, 4: 0.007879}
+    # Pipeline regression anchors.
+    expected = {1: 0.088989, 2: 0.048862, 3: 0.023701, 4: 0.007883}
     for nu, e_ref in expected.items():
         r = keyrate.sixstate_thresholds(nu)
         assert r.e_threshold == pytest.approx(e_ref, abs=2e-4)
         assert r.protocol == "six-state" and r.nu == nu
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_six_state_thresholds_are_the_closed_form_roots(nu):
+    # At six-state nu = 1..3 the certified phase error is exactly linear,
+    # alpha + beta*e, so each threshold is the root of 1 - h(e) - h(alpha +
+    # beta*e), found here with no frontier at all.
+    root = oracles.linear_indep_threshold(*LINEAR_EPH[nu], tol=1e-12)
+    assert abs(keyrate.sixstate_thresholds(nu).e_threshold - root) <= 1e-7
+
+
+def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
+    rows = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
+    monkeypatch.setattr(bounds, "DEFAULT_X_GRID", (0.0, 0.5, 2.0))
+    bounds.frontier_table.cache_clear()
+    try:
+        assert [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)] == rows
+    finally:
+        bounds.frontier_table.cache_clear()
 
 
 def test_six_state_dominates_like_for_like_baseline():
@@ -253,3 +280,78 @@ def test_reference_tables_present():
     assert set(keyrate.SIX_STATE_REFERENCE) == {1, 2, 3, 4}
     assert keyrate.REFERENCE_BB84_P == 0.165
     assert keyrate.REFERENCE_SIX_STATE_ORIGINAL_P == 0.190
+
+
+# ---------------------------------------------------------------------------
+# The tangent phase-error bound of a computed frontier
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("e", [-1.0, -5e-324, 0.5000001, math.inf, math.nan])
+def test_ephase_bound_frontier_rejects_e_outside_its_domain(e):
+    with pytest.raises(ValueError, match="e_bit"):
+        keyrate.ephase_bound_frontier(e, "six-state", 4)
+
+
+@pytest.mark.parametrize("protocol,nu", CASES)
+def test_ephase_bound_frontier_at_zero_is_the_exact_floor(protocol, nu):
+    assert (keyrate.ephase_bound_frontier(0.0, protocol, nu)
+            == bounds.zero_rate_check(protocol, nu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CASES), st.floats(min_value=0.0, max_value=0.45))
+def test_tangent_bound_is_at_most_the_grid_minimum(case, e):
+    bound = keyrate.ephase_bound_frontier(e, *case)
+    assert bound <= oracles.ephase_bound_grid(e, *case) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(qmath.PROTOCOLS), st.floats(min_value=0.0,
+                                                     max_value=0.45))
+def test_tangent_bound_is_three_halves_e_at_one_photon(protocol, e):
+    assert abs(keyrate.ephase_bound_frontier(e, protocol, 1) - 1.5 * e) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.just(0.0) | st.floats(min_value=1e-7, max_value=0.45))
+def test_tangent_bound_is_the_two_photon_closed_form(e):
+    # Above e = 1e-7 the minimizing x, about 1/(4 sqrt(e)), lies inside the
+    # bisection bracket [0, TANGENT_X_HI]; below it the bound is the tangent
+    # at 1024 (certified, not exact), and e = 0 is the exact floor.
+    bound = keyrate.ephase_bound_frontier(e, "four-state", 2)
+    assert abs(bound - keyrate.ephase_bound_two(e)[0]) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CASES), st.floats(min_value=0.0, max_value=0.45))
+def test_tangent_bound_is_attained_by_a_lifted_attack(case, e):
+    # Each bracketing tangent touches the frontier at the point (e(x), p(x)) of
+    # the top eigenvector u of A - x*B.  Lifted to the attack R F^-1/2 u and
+    # sent through the compiled forms, u has exactly those bit/fil and ph/fil
+    # ratios, so the bound is attained at e(x) by a real attack.
+    protocol, nu = case
+    a, b = bounds._reduced_pencil(protocol, nu)
+    tangents = bounds.supporting_tangents(protocol, nu, lambda e_x, _: e_x <= e)
+    if e > 0.0:
+        assert (keyrate.ephase_bound_frontier(e, *case)
+                == min(x * e + y for x, y in tangents))
+    forms = attack_forms.all_forms(protocol, nu)
+    e_at = {}
+    for x, y in tangents:
+        w, v = qmath.eigh_checked(a - x * b)
+        if w[-1] <= 0.0:  # y_star clipped to 0: the zero attack
+            assert abs(y) <= 1e-12
+            e_at[x] = 0.0
+            continue
+        u = v[:, -1]
+        e_x, p_x = (np.vdot(u, h @ u).real for h in (b, a))
+        m = oracles.lift_reduced(u, protocol, nu).reshape(-1)
+        fil, bit, ph = (np.vdot(m, forms[k].matrix @ m).real
+                        for k in ("fil", "bit", "ph"))
+        assert abs(bit / fil - e_x) <= 1e-9 and abs(ph / fil - p_x) <= 1e-9
+        assert abs(p_x - x * e_x - y) <= 1e-9  # the tangent touches there
+        e_at[x] = max(0.0, e_x)
+    (x_lo, _), (x_hi, _) = tangents
+    assert 0.0 < x_hi - x_lo <= bounds.TANGENT_X_TOL
+    assert x_lo == 0.0 or e_at[x_lo] > e
+    assert x_hi == bounds.TANGENT_X_HI or e_at[x_hi] <= e
