@@ -96,7 +96,7 @@ def psd_margin(x, y, protocol: str, nu: int):
     return qmath.min_eigenvalue(m)
 
 
-def identity_check_single(protocol: str = "four-state") -> float:
+def identity_check_single(protocol: str) -> float:
     """Max-norm gap ||H_ph - 1.5*H_bit|| for nu = 1.
 
     Zero (within 1e-10) means the phase-error weight of every single-photon
@@ -220,7 +220,7 @@ def frontier_table(protocol: str, nu: int,
 
 
 def supporting_tangents(protocol: str, nu: int, past) -> tuple:
-    """The tangents (x, y_star(x)), certified by frontier_table, at both ends
+    """The tangents (x, y_star(x)), certified by _frontier_ys, at both ends
     of the x-bracket of the least frontier point (e(x), p(x)) with past(e, p)
     true (past must hold from some x on); inside [0, TANGENT_X_HI] the lesser
     one is min_x [x*e + y_star(x)] within TANGENT_X_TOL * (e(x_lo) - e(x_hi))."""
@@ -232,7 +232,7 @@ def supporting_tangents(protocol: str, nu: int, past) -> tuple:
         u = v[:, -1] * (w[-1] > 0.0)  # the zero attack where y_star is 0
         e, p = (max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
         lo, hi = (lo, mid) if past(e, p) else (mid, hi)
-    return tuple(zip((lo, hi), frontier_table(protocol, nu, (lo, hi))))
+    return tuple(zip((lo, hi), _frontier_ys((lo, hi), protocol, nu).tolist()))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:

@@ -47,41 +47,15 @@ def _print_checks(rows: list[tuple[str, float, str, bool]]) -> bool:
     return all_ok
 
 
-# CSV columns named differently from the (block, field) of results they copy.
-_CSV_PATHS = {
-    "exact_conclusive": ("exact", "conclusive_prob"),
-    "exact_e_bit": ("exact", "e_bit"),
-    "z_conclusive": ("compare", "z_conclusive"),
-    "z_ebit": ("compare", "z_ebit"),
-    "compare_pass": ("compare", "passed"),
-}
-
-
-def _report(args, fieldnames: list[str], results,
-            manifest: reports.RunManifest, inputs: str | None = None) -> None:
-    """Write results as JSON, or as CSV rows read out of them.
-
-    A list of results is the CSV table itself.  A results dict gives one CSV
-    row: a column copies the field of the same name from results, else from
-    its ``inputs`` block, else the path in _CSV_PATHS; ``<field>_display``
-    is the field rounded to 6 decimals.  The report goes to the open --out
-    file, or to stdout.
-    """
+def _report(args, fieldnames: list[str], rows: list[dict], results,
+            manifest: reports.RunManifest) -> None:
+    """Write ``results`` as JSON, or the ``fieldnames`` columns of ``rows``
+    as CSV, to the open --out file or to stdout."""
     out = args.out or sys.stdout
     if args.format == "json":
         out.write(reports.render_json(results, manifest))
-        return
-
-    def cell(name: str):
-        if name in _CSV_PATHS:
-            block, key = _CSV_PATHS[name]
-            return results[block][key]
-        if name.endswith("_display"):
-            return round(cell(name[:-len("_display")]), 6)
-        return results[name] if name in results else results[inputs][name]
-
-    rows = results if inputs is None else [{k: cell(k) for k in fieldnames}]
-    out.write(reports.render_csv(fieldnames, rows, manifest))
+    else:
+        out.write(reports.render_csv(fieldnames, rows, manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +279,7 @@ def cmd_thresholds(args) -> int:
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
-    _report(args, THRESHOLD_FIELDS, rows, manifest)
+    _report(args, THRESHOLD_FIELDS, rows, rows, manifest)
     return 1 if failed else 0
 
 
@@ -371,7 +345,7 @@ def cmd_frontier(args) -> int:
         or min(r["gap"] for r in rows) < -bounds.SHAPE_TOL
     )
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
-    _report(args, FRONTIER_FIELDS, rows, manifest)
+    _report(args, FRONTIER_FIELDS, rows, rows, manifest)
     return 1 if failed else 0
 
 
@@ -439,10 +413,14 @@ def cmd_simulate(args) -> int:
         "exact": {"conclusive_prob": exact.conclusive_prob, "e_bit": exact.e_bit},
         "compare": asdict(comp),
     }
+    row = {**results["config"], **results,
+           "exact_conclusive": exact.conclusive_prob, "exact_e_bit": exact.e_bit,
+           "z_conclusive": comp.z_conclusive, "z_ebit": comp.z_ebit,
+           "compare_pass": comp.passed}
 
     status = {None: "OK", True: "PASS", False: "FAIL"}[comp.passed]
     manifest = reports.finish_manifest(manifest, status)
-    _report(args, SIMULATE_FIELDS, results, manifest, inputs="config")
+    _report(args, SIMULATE_FIELDS, [row], results, manifest)
     return 1 if comp.passed is False else 0
 
 
@@ -532,8 +510,10 @@ def cmd_keyrate(args) -> int:
         "two_photon_term": two,
         "total_rate": ec + single + two,
     }
+    row = {**results["inputs"], **results,
+           "total_rate_display": round(results["total_rate"], 6)}
     manifest = reports.finish_manifest(manifest, "OK")
-    _report(args, KEYRATE_FIELDS, results, manifest, inputs="inputs")
+    _report(args, KEYRATE_FIELDS, [row], results, manifest)
     return 0
 
 

@@ -11,10 +11,11 @@ Rates are asymptotic per sifted conclusive pair:
 * six-state variant: same shape as R2 for photon numbers 1..4, with g
   replaced by the computed frontier y_star(x), read on no x-grid.
 
-Every threshold takes one path, ``_threshold``: a bisection root of the rate
-in e_bit on a fixed bracket.  A rate already <= 0 at the bracket's low end
-means no key at any error rate, and the threshold is e = 0.  Depolarizing-
-channel conversions map between e_bit and the channel parameter p.
+Every rate is a float of e_bit, and every threshold takes one path,
+``_threshold``: a bisection root of the rate on a fixed bracket, with the
+rate at the root as its residual.  A rate already <= 0 at the bracket's low
+end means no key at any error rate, and the threshold is e = 0.
+Depolarizing-channel conversions map e_bit to the channel parameter p.
 
 The four-state rates and the decoy composition are closed-form float
 arithmetic; only the six-state pipeline reads computed frontiers, so only
@@ -24,7 +25,7 @@ its two functions import ``bounds`` (and with it numpy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import SUPPORTED_NU
 
@@ -121,16 +122,6 @@ def worst_joint_single(e_bit: float) -> tuple[JointErrorDistribution, float]:
 
 
 @dataclass(frozen=True)
-class RateResult:
-    """A key-rate evaluation at one bit-error rate."""
-
-    e_bit: float
-    e_ph: float
-    rate: float
-    x_opt: float | None = None
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     """A bisection root of a rate function, with its bracket and residual."""
 
@@ -143,42 +134,34 @@ class ThresholdResult:
     x_opt: float | None = None
 
 
-def rate_single(e_bit: float) -> RateResult:
+def rate_single(e_bit: float) -> float:
     """R1 = 1 - H(X,Z) under the adversarial single-photon distribution."""
-    dist, h_max = worst_joint_single(e_bit)
-    return RateResult(e_bit=e_bit, e_ph=dist.e_ph, rate=1.0 - h_max)
-
-
-def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0.0 or fhi >= 0.0:
-        raise ValueError("root not bracketed: f(%g)=%g, f(%g)=%g" % (lo, flo, hi, fhi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 - worst_joint_single(e_bit)[1]
 
 
 def _threshold(protocol: str, nu: int, rate, lo: float, hi: float,
                tol: float) -> ThresholdResult:
-    """The root in e_bit of ``rate`` (e_bit -> RateResult) on [lo, hi].
+    """The root in e_bit of ``rate`` (e_bit -> float) on [lo, hi].
 
     A rate <= 0 at ``lo`` gives e = 0 (no key at any error rate); otherwise
-    the root is bisected to width ``tol`` and must be bracketed.  The
-    residual and x_opt are those of the rate at the returned e.
+    the rate must be < 0 at ``hi`` and the root is bisected to width
+    ``tol``.  The residual is the rate at the returned e.
     """
-    if rate(lo).rate <= 0.0:
-        e_star = 0.0
-    else:
-        e_star = _bisect_root(lambda e: rate(e).rate, lo, hi, tol)
-    at_root = rate(e_star)
+    rate_lo = rate(lo)
+    e_star = 0.0
+    if rate_lo > 0.0:
+        a, b, rate_hi = lo, hi, rate(hi)
+        if rate_hi >= 0.0:
+            raise ValueError("root not bracketed: f(%g)=%g, f(%g)=%g"
+                             % (lo, rate_lo, hi, rate_hi))
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if rate(mid) > 0.0 else (a, mid)
+        e_star = 0.5 * (a + b)
     return ThresholdResult(
         protocol=protocol, nu=nu, e_threshold=e_star,
         p_threshold=depol_p(e_star), bracket=(lo, hi),
-        residual=at_root.rate, x_opt=at_root.x_opt)
+        residual=rate(e_star))
 
 
 def threshold_single() -> ThresholdResult:
@@ -216,17 +199,18 @@ def ephase_bound_two(e_bit: float) -> tuple[float, float]:
     return e_ph, x_opt
 
 
-def rate_independent(e_bit: float, e_ph: float, x_opt=None) -> RateResult:
+def rate_independent(e_bit: float, e_ph: float) -> float:
     """1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns: R2
     with e_ph = ephase_bound_two(e_bit), and the six-state rate."""
-    rate = 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
-    return RateResult(e_bit=e_bit, e_ph=e_ph, rate=rate, x_opt=x_opt)
+    return 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
 
 
 def threshold_two() -> ThresholdResult:
-    """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2])."""
-    return _threshold("four-state", 2, lambda e: rate_independent(
-        e, *ephase_bound_two(e)), 0.001, 0.2, 1e-6)
+    """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2]),
+    with the minimizing x of ephase_bound_two at the root as x_opt."""
+    r = _threshold("four-state", 2, lambda e: rate_independent(
+        e, ephase_bound_two(e)[0]), 0.001, 0.2, 1e-6)
+    return replace(r, x_opt=ephase_bound_two(r.e_threshold)[1])
 
 
 def depol_p(e: float) -> float:
@@ -314,6 +298,6 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
     from . import bounds
 
     tangents = bounds.supporting_tangents(
-        "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x).rate > 0.0)
+        "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
     return _threshold("six-state", nu, lambda e: rate_independent(
         e, min(x * e + y for x, y in tangents)), 1e-9, 0.45, 1e-7)

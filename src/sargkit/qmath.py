@@ -53,28 +53,28 @@ def proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def is_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
+def is_hermitian(h: np.ndarray) -> bool:
     """True for a square matrix, or a stack (..., n, n) of them, each within
-    ``tol * max(1, max|H|)`` (max-norm) of its conjugate transpose."""
+    STRUCTURAL_TOL * max(1, max|H|) (max-norm) of its conjugate transpose."""
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         return False
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
     dev = np.abs(h - dagger(h)).max(axis=(-2, -1), initial=0.0)
-    return bool(np.all(dev <= tol * scale))  # NaN fails too
+    return bool(np.all(dev <= STRUCTURAL_TOL * scale))  # NaN fails too
 
 
-def as_hermitian(h: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def as_hermitian(h: np.ndarray) -> np.ndarray:
     """Validate the Hermitian view of an operator (or a stack of operators)
     and return the symmetrized copy.
 
-    Raises ValueError when max|H - H^dagger| exceeds ``tol * max(1, max|H|)``
-    for any member.
+    Raises ValueError when max|H - H^dagger| exceeds
+    ``STRUCTURAL_TOL * max(1, max|H|)`` for any member.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("operator is not Hermitian within tolerance %g "
-                         "x max(1, max|H|)" % tol)
+                         "x max(1, max|H|)" % STRUCTURAL_TOL)
     hs = dagger(h)  # a copy; summed in place to keep a stack's peak memory low
     hs += h
     hs *= 0.5
@@ -225,13 +225,13 @@ def filter_measurement_identity_check() -> float:
 # Sift rotations
 # ---------------------------------------------------------------------------
 
-def _phase_canonical_key(u: np.ndarray, decimals: int = 9) -> tuple:
-    """Canonical hashable key for a unitary modulo global phase."""
+def _phase_canonical_key(u: np.ndarray) -> tuple:
+    """Canonical hashable key (9 decimals) for a unitary modulo global phase."""
     flat = u.ravel()
     idx = int(np.argmax(np.abs(flat) > 0.3))
     pivot = flat[idx]
     v = u * (abs(pivot) / pivot)
-    return tuple(np.round(v.ravel(), decimals).tolist())
+    return tuple(np.round(v.ravel(), 9).tolist())
 
 
 def _close_under_multiplication(generators: list[np.ndarray]) -> list[np.ndarray]:
@@ -277,13 +277,13 @@ def constants(protocol: str) -> tuple[np.ndarray, ...]:
     return tuple(_close_under_multiplication([r, twist_t()]))
 
 
-def distinct_bloch_vectors(protocol: str, tol: float = 1e-9) -> list[np.ndarray]:
-    """Distinct Bloch vectors (pairwise distance > tol) of the signal
+def distinct_bloch_vectors(protocol: str) -> list[np.ndarray]:
+    """Distinct Bloch vectors (pairwise distance > 1e-9) of the signal
     ensemble {U_g |phi_j>} over the sift rotations and both bits."""
     vecs: list[np.ndarray] = []
     for u in constants(protocol):
         for j in (0, 1):
             b = bloch_vector(u @ signal_ket(j))
-            if all(np.linalg.norm(b - c) > tol for c in vecs):
+            if all(np.linalg.norm(b - c) > 1e-9 for c in vecs):
                 vecs.append(b)
     return vecs

@@ -53,7 +53,7 @@ def test_conditional_state_is_psd_with_bounded_trace(protocol, nu):
     for _ in range(60):
         rho = attack_forms.conditional_pair_state(
             random_attack(nu, contraction=True), protocol)
-        assert qmath.is_hermitian(rho, tol=1e-12)
+        assert qmath.is_hermitian(rho)
         assert qmath.min_eigenvalue(rho) >= -1e-12
         assert -1e-12 <= np.trace(rho).real <= 1.0
 
@@ -196,7 +196,7 @@ def test_forms_reproduce_weights_on_random_attacks(protocol, nu):
                                          ("six-state", 2)])
 def test_forms_hermitian_and_psd(protocol, nu):
     for form in attack_forms.all_forms(protocol, nu).values():
-        assert qmath.is_hermitian(form.matrix, tol=1e-12)
+        assert qmath.is_hermitian(form.matrix)
         assert qmath.min_eigenvalue(form.matrix) >= -bounds.IDENTITY_TOL
 
 

@@ -45,6 +45,45 @@ def test_single_photon_identity_both_protocols():
     assert bounds.identity_check_single("six-state") < 1e-10
 
 
+R2 = math.sqrt(2.0)
+# Event forms that are exact combinations a*H_fil + b*H_bit: (protocol, nu,
+# form, a, b).  Per conclusive pair each such event then has weight
+# a + b*e_bit for every attack.
+SPAN_IDENTITIES = [
+    ("six-state", 1, "ph", 0.0, 1.5),
+    ("six-state", 1, "bell:chi0+", 1.0, -1.75),
+    ("six-state", 1, "bell:chi0-", 0.0, 0.75),
+    ("six-state", 1, "bell:chi1+", 0.0, 0.25),
+    ("six-state", 1, "bell:chi1-", 0.0, 0.75),
+    ("six-state", 2, "ph", SIN2, 3.0 / (2.0 * R2)),
+    ("six-state", 2, "bell:chi0+", COS2, -(0.5 + 5.0 / (4.0 * R2))),
+    ("six-state", 2, "bell:chi0-", SIN2, 5.0 / (4.0 * R2) - 0.5),
+    ("six-state", 2, "bell:chi1+", 0.0, 0.5 - 1.0 / (4.0 * R2)),
+    ("six-state", 2, "bell:chi1-", 0.0, 0.5 + 1.0 / (4.0 * R2)),
+    ("six-state", 3, "ph", 0.25, 0.75),
+    ("four-state", 1, "ph", 0.0, 1.5),
+]
+
+
+@pytest.mark.parametrize("protocol,nu,tag,a,b", SPAN_IDENTITIES)
+def test_event_form_span_identities(protocol, nu, tag, a, b):
+    forms = attack_forms.all_forms(protocol, nu)
+    combo = a * forms["fil"].matrix + b * forms["bit"].matrix
+    assert np.abs(forms[tag].matrix - combo).max() <= 1e-12
+
+
+@pytest.mark.parametrize("protocol,nu", [("four-state", 2), ("six-state", 4)])
+def test_phase_form_outside_the_span(protocol, nu):
+    # The least-squares residuals are 2.9e-2 (four-state nu=2) and 8.8e-3
+    # (six-state nu=4): no identity of that form holds there.
+    forms = attack_forms.all_forms(protocol, nu)
+    basis = np.stack([forms["fil"].matrix.ravel(),
+                      forms["bit"].matrix.ravel()], axis=1)
+    target = forms["ph"].matrix.ravel()
+    coef = np.linalg.lstsq(basis, target, rcond=None)[0]
+    assert np.abs(target - basis @ coef).max() > 1e-3
+
+
 def test_correlation_inequalities_hold():
     lo1, lo2 = bounds.correlation_psd_check()
     assert lo1 >= -1e-10

@@ -73,7 +73,7 @@ def test_entropy_saturates_near_single_photon_threshold():
 # ---------------------------------------------------------------------------
 
 def test_rate_single_monotone_decreasing():
-    rates = [keyrate.rate_single(e).rate for e in (0.0, 0.02, 0.05, 0.08, 0.12)]
+    rates = [keyrate.rate_single(e) for e in (0.0, 0.02, 0.05, 0.08, 0.12)]
     assert rates[0] == 1.0
     assert all(b < a for a, b in zip(rates, rates[1:]))
 
@@ -127,14 +127,14 @@ def test_threshold_two_reference_values():
 
 def _linear_rate(e0: float):
     """A synthetic rate e0 - e with its root at e0."""
-    return lambda e: keyrate.RateResult(e_bit=e, e_ph=e, rate=e0 - e, x_opt=e0)
+    return lambda e: e0 - e
 
 
 def test_threshold_is_zero_when_there_is_no_key_at_lo():
     r = keyrate._threshold("six-state", 1, _linear_rate(-0.25), 0.01, 0.4, 1e-6)
     assert r.e_threshold == 0.0 and r.p_threshold == 0.0
     assert r.residual == -0.25  # the rate at e = 0, not at lo
-    assert r.bracket == (0.01, 0.4) and r.x_opt == -0.25
+    assert r.bracket == (0.01, 0.4)
 
 
 def test_threshold_rejects_an_unbracketed_root():
@@ -146,7 +146,7 @@ def test_threshold_bisects_to_tol_and_reports_the_rate_at_the_root():
     r = keyrate._threshold("four-state", 2, _linear_rate(0.1), 0.01, 0.4, 1e-9)
     assert abs(r.e_threshold - 0.1) <= 1e-9
     assert r.p_threshold == keyrate.depol_p(r.e_threshold)
-    assert r.residual == 0.1 - r.e_threshold and r.x_opt == 0.1
+    assert r.residual == 0.1 - r.e_threshold
 
 
 @pytest.mark.parametrize("compute,protocol,nu,bracket", [
@@ -251,6 +251,15 @@ def test_six_state_thresholds_are_the_closed_form_roots(nu):
     # beta*e), found here with no frontier at all.
     root = oracles.linear_indep_threshold(*LINEAR_EPH[nu], tol=1e-12)
     assert abs(keyrate.sixstate_thresholds(nu).e_threshold - root) <= 1e-7
+
+
+def test_tangent_bounds_leave_the_frontier_table_cache_alone():
+    # Each e certifies its own two tangents; none may stay cached, or a
+    # caller sweeping e would grow the cache for the life of the process.
+    before = bounds.frontier_table.cache_info().currsize
+    for k in range(200):
+        keyrate.ephase_bound_frontier(0.001 + 1e-4 * k, "six-state", 4)
+    assert bounds.frontier_table.cache_info().currsize == before
 
 
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
