@@ -69,7 +69,11 @@ SHAPE_TOL = 1e-6
 RANK_TOL = 1e-12
 # The tangent bisection halves x in [0, TANGENT_X_HI] to TANGENT_X_TOL: powers
 # of two, so midpoints are exact and x = 3/2 (the kink at nu = 1) is one.
-TANGENT_X_HI, TANGENT_X_TOL = 1024.0, 2.0 ** -40
+# While the predicate never holds it goes on over [1024, 2048], [2048, 4096],
+# ... up to TANGENT_X_CAP, each to width TANGENT_X_TOL * lo / TANGENT_X_HI
+# (2^-50 of x, above the float spacing); at the cap y_star's roundoff
+# n*eps*x*||B||_2 is about 1e-9.
+TANGENT_X_HI, TANGENT_X_TOL, TANGENT_X_CAP = 1024.0, 2.0 ** -40, 2.0 ** 20
 
 
 def _forms(protocol: str, nu: int):
@@ -222,16 +226,23 @@ def frontier_table(protocol: str, nu: int,
 def supporting_tangents(protocol: str, nu: int, past) -> tuple:
     """The tangents (x, y_star(x)), certified by _frontier_ys, at both ends
     of the x-bracket of the least frontier point (e(x), p(x)) with past(e, p)
-    true (past must hold from some x on); inside [0, TANGENT_X_HI] the lesser
-    one is min_x [x*e + y_star(x)] within TANGENT_X_TOL * (e(x_lo) - e(x_hi))."""
+    true (past must hold from some x on).  The bracket is bisected in
+    [0, TANGENT_X_HI], then, while past has never held, in [hi, 2*hi] up to
+    TANGENT_X_CAP; below the cap the lesser tangent is min_x [x*e + y_star(x)]
+    within TANGENT_X_TOL * max(1, x_lo / TANGENT_X_HI) * (e(x_lo) - e(x_hi))."""
     a, b = _reduced_pencil(protocol, nu)
     lo, hi = 0.0, TANGENT_X_HI
-    while hi - lo > TANGENT_X_TOL:
-        mid = 0.5 * (lo + hi)
-        w, v = qmath.eigh_checked(a - mid * b)
-        u = v[:, -1] * (w[-1] > 0.0)  # the zero attack where y_star is 0
-        e, p = (max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
-        lo, hi = (lo, mid) if past(e, p) else (mid, hi)
+    while True:
+        top, tol = hi, TANGENT_X_TOL * max(1.0, lo / TANGENT_X_HI)
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            w, v = qmath.eigh_checked(a - mid * b)
+            u = v[:, -1] * (w[-1] > 0.0)  # the zero attack where y_star is 0
+            e, p = (max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
+            lo, hi = (lo, mid) if past(e, p) else (mid, hi)
+        if hi < top or hi >= TANGENT_X_CAP:
+            break
+        lo, hi = hi, 2.0 * hi
     return tuple(zip((lo, hi), _frontier_ys((lo, hi), protocol, nu).tolist()))
 
 

@@ -1,10 +1,11 @@
-"""Entropies, worst-case error distributions, key rates, and thresholds.
+"""Entropies, worst-case Bell vectors, key rates, and thresholds.
 
 Rates are asymptotic per sifted conclusive pair:
 
-* single photon: R1 = 1 - H(X,Z) where the joint distribution of the
-  (bit error, phase error) indicators is chosen adversarially subject to the
-  marginal constraint e_ph = 1.5*e_bit and the two correlation inequalities;
+* single photon: R1 = 1 - H(q) with q the pair's Bell vector, a plain
+  tuple of its (bit error, phase error) weights in qmath.BELL_TAGS order,
+  chosen adversarially subject to the marginal constraint e_ph = 1.5*e_bit
+  and the two correlation inequalities;
 * two photons:   R2 = 1 - h(e_bit) - h(e_ph) with e_ph the best certified
   bound min_x [x*e_bit + g(x)], evaluated in closed form (bit/phase treated
   as independent);
@@ -67,58 +68,25 @@ def _shannon(ps) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class JointErrorDistribution:
-    """Per-conclusive-pair probabilities of (bit error, phase error) patterns."""
+def worst_joint_single(e_bit: float) -> tuple[tuple[float, ...], float]:
+    """The adversarial single-photon Bell vector q and its entropy H(q).
 
-    q00: float
-    q01: float
-    q10: float
-    q11: float
-
-    def __post_init__(self):
-        qs = (self.q00, self.q01, self.q10, self.q11)
-        if min(qs) < -1e-12:
-            raise ValueError("negative probability in joint distribution")
-        if abs(sum(qs) - 1.0) > 1e-12:
-            raise ValueError("joint distribution must sum to 1")
-
-    @property
-    def e_bit(self) -> float:
-        return self.q10 + self.q11
-
-    @property
-    def e_ph(self) -> float:
-        return self.q01 + self.q11
-
-    def entropy(self) -> float:
-        return _shannon((self.q00, self.q01, self.q10, self.q11))
-
-
-def _joint_from_s(e: float, s: float) -> JointErrorDistribution:
-    return JointErrorDistribution(
-        q00=1.0 - 2.5 * e + s, q01=1.5 * e - s, q10=e - s, q11=s
-    )
-
-
-def worst_joint_single(e_bit: float) -> tuple[JointErrorDistribution, float]:
-    """Adversarial single-photon joint error distribution and its entropy.
-
-    The constraints (marginals e_bit and 1.5*e_bit, plus the correlation
-    inequalities q01 >= 2*q10 and 2*q11 >= q01) collapse the feasible set to
-    the segment q11 = s in [e/2, e].  The entropy maximizer has the closed
-    form s* = clip(1.5*e^2, e/2, e): 1.5*e^2 is the stationary point where
-    the 2x2 table becomes a product distribution, and for e < 1/3 it falls
-    below the segment, so the boundary s = e/2 wins.
+    q = (q00, q01, q10, q11) is in qmath.BELL_TAGS order, q_bp the weight of
+    bit error b and phase error p.  The constraints (marginals e_bit and
+    1.5*e_bit, plus the correlation inequalities q01 >= 2*q10 and
+    2*q11 >= q01) collapse the feasible set to the segment q11 = s in
+    [e/2, e].  The entropy maximizer has the closed form
+    s* = clip(1.5*e^2, e/2, e): 1.5*e^2 is the stationary point where the
+    2x2 table becomes a product distribution, and for e < 1/3 it falls below
+    the segment, so the boundary s = e/2 wins.  At e = 0 this is (1, 0, 0, 0)
+    with H = 0.
     """
     e = float(e_bit)
     if not 0.0 <= e <= 0.4:
         raise ValueError("e_bit must be in [0, 0.4] for feasible marginals")
-    if e == 0.0:
-        return JointErrorDistribution(1.0, 0.0, 0.0, 0.0), 0.0
     s = min(max(1.5 * e * e, 0.5 * e), e)
-    dist = _joint_from_s(e, s)
-    return dist, dist.entropy()
+    q = (1.0 - 2.5 * e + s, 1.5 * e - s, e - s, s)
+    return q, _shannon(q)
 
 
 @dataclass(frozen=True)
@@ -135,7 +103,7 @@ class ThresholdResult:
 
 
 def rate_single(e_bit: float) -> float:
-    """R1 = 1 - H(X,Z) under the adversarial single-photon distribution."""
+    """R1 = 1 - H(q) under the adversarial single-photon Bell vector q."""
     return 1.0 - worst_joint_single(e_bit)[1]
 
 
@@ -256,8 +224,8 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 
     Returns (error-correction cost, single-photon term, two-photon term):
     -p_conc*h(e_bit), xi1*(1 - Hbar(Z|X at e1)), xi2*(1 - h(e_ph(e2))),
-    where the single-photon conditional entropy is H(X,Z) - h(e) under the
-    adversarial joint distribution.
+    where the single-photon conditional entropy is H(q) - h(e) under the
+    adversarial Bell vector q.
     """
     _, h_joint = worst_joint_single(d.e1)
     cond1 = h_joint - binary_entropy(d.e1)
@@ -277,7 +245,9 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """Certified min_x [x*e_bit + y_star(x)] of a computed frontier: the floor
     at e_bit = 0, else the lesser tangent around the x where e(x) falls to
-    e_bit (bounds.supporting_tangents), exact while that x <= TANGENT_X_HI."""
+    e_bit (bounds.supporting_tangents, whose bracket grows from TANGENT_X_HI
+    to TANGENT_X_CAP = 2^20), exact while that x <= TANGENT_X_CAP and the
+    certified tangent at the cap beyond it."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     from . import bounds

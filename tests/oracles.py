@@ -221,8 +221,7 @@ def scan_joint_single(e_bit: float, points: int = 100001) -> tuple[float, float]
     best_s, best_h = lo, -1.0
     for k in range(points):
         s = lo + (hi - lo) * k / (points - 1)
-        h = keyrate.JointErrorDistribution(
-            q00=1.0 - 2.5 * e + s, q01=1.5 * e - s, q10=e - s, q11=s).entropy()
+        h = keyrate._shannon((1.0 - 2.5 * e + s, 1.5 * e - s, e - s, s))
         if h > best_h:
             best_h, best_s = h, s
     return best_s, best_h

@@ -158,13 +158,18 @@ def test_frontier_table_sorted_and_nonincreasing():
 
 @pytest.mark.parametrize("past,x_lo,x_hi", [
     (lambda e, p: True, 0.0, bounds.TANGENT_X_TOL),
-    (lambda e, p: False, bounds.TANGENT_X_HI - bounds.TANGENT_X_TOL,
-     bounds.TANGENT_X_HI),
+    (lambda e, p: False, bounds.TANGENT_X_CAP - 2.0 ** -31,
+     bounds.TANGENT_X_CAP),
 ])
 def test_supporting_tangents_at_the_bracket_ends(past, x_lo, x_hi):
-    # A predicate true (false) everywhere pins the bracket to its low (high)
-    # end, and both tangents carry the frontier's own y_star, bit for bit.
-    tangents = bounds.supporting_tangents("six-state", 4, past)
+    # A predicate true (false) everywhere pins the bracket to its low end (the
+    # cap), and both tangents carry the frontier's own y_star, bit for bit.
+    # Reaching the cap takes 50 halvings of [0, 2^10], then 50 of each
+    # [2^k, 2^(k+1)] up to 2^20, where the width has grown to 2^-31.
+    seen = []
+    tangents = bounds.supporting_tangents(
+        "six-state", 4, lambda e, p: seen.append(e) or past(e, p))
+    assert len(seen) == (550 if x_hi == bounds.TANGENT_X_CAP else 50)
     assert tangents == ((x_lo, bounds.frontier(x_lo, "six-state", 4)),
                         (x_hi, bounds.frontier(x_hi, "six-state", 4)))
 

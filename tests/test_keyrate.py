@@ -1,9 +1,9 @@
-"""Entropies, adversarial joint distributions, rates, and thresholds."""
+"""Entropies, adversarial Bell vectors, rates, and thresholds."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -22,7 +22,7 @@ LINEAR_EPH = {1: (0.0, 1.5), 2: (SIN2, 3.0 / (2.0 * math.sqrt(2.0))),
 
 
 # ---------------------------------------------------------------------------
-# Entropies and joint distributions
+# Entropies and Bell vectors
 # ---------------------------------------------------------------------------
 
 def test_binary_entropy_basics():
@@ -34,38 +34,44 @@ def test_binary_entropy_basics():
         keyrate.binary_entropy(1.0001)
 
 
-def test_joint_distribution_validation_and_marginals():
-    d = keyrate.JointErrorDistribution(0.7, 0.15, 0.05, 0.1)
-    assert abs(d.e_bit - 0.15) < 1e-15
-    assert abs(d.e_ph - 0.25) < 1e-15
-    with pytest.raises(ValueError):
-        keyrate.JointErrorDistribution(0.5, 0.5, 0.1, -0.1)
-    with pytest.raises(ValueError):
-        keyrate.JointErrorDistribution(0.5, 0.5, 0.5, 0.5)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=0.4))
+def test_worst_joint_is_a_feasible_bell_vector(e):
+    # The worst case is a probability vector in BELL_TAGS order with the
+    # single-photon marginals e_bit = e and e_ph = 1.5*e, inside both
+    # correlation inequalities that correlation_psd_check certifies.  Below
+    # e = 1/3 both inequalities bind (s = e/2), so they hold to roundoff.
+    q, h = keyrate.worst_joint_single(e)
+    _, q01, q10, q11 = q
+    assert type(q) is tuple and len(q) == len(qmath.BELL_TAGS)
+    assert min(q) >= 0.0 and abs(sum(q) - 1.0) <= 1e-15
+    assert abs(q10 + q11 - e) <= 1e-12 and abs(q01 + q11 - 1.5 * e) <= 1e-12
+    assert q01 - 2.0 * q10 >= -1e-15 and 2.0 * q11 - q01 >= -1e-15
+    assert h == keyrate._shannon(q)
 
 
 @pytest.mark.parametrize("e", [0.02, 0.05, 0.0968, 0.12])
 def test_worst_joint_matches_grid_scan(e):
     # The closed-form maximizer must agree with a dense scan over the
     # feasible segment q11 = s in [e/2, e].
-    dist, h_max = keyrate.worst_joint_single(e)
+    (_, q01, q10, q11), h_max = keyrate.worst_joint_single(e)
     s_best, h_best = oracles.scan_joint_single(e, points=100001)
     assert abs(h_max - h_best) < 1e-6
-    assert abs(dist.q11 - s_best) < 1e-4
-    assert abs(dist.e_bit - e) < 1e-12
-    assert abs(dist.e_ph - 1.5 * e) < 1e-12
+    assert abs(q11 - s_best) < 1e-4
+    assert abs(q10 + q11 - e) < 1e-12
+    assert abs(q01 + q11 - 1.5 * e) < 1e-12
 
 
 def test_worst_joint_edge_cases():
-    dist, h = keyrate.worst_joint_single(0.0)
-    assert h == 0.0 and dist.q00 == 1.0
+    assert keyrate.worst_joint_single(0.0) == ((1.0, 0.0, 0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
         keyrate.worst_joint_single(0.41)
 
 
 def test_entropy_saturates_near_single_photon_threshold():
-    _, h = keyrate.worst_joint_single(0.0968)
+    q, h = keyrate.worst_joint_single(0.0968)
     assert abs(h - 1.0) < 0.002
+    assert (q, h) == ((0.8064, 0.0968, 0.0484, 0.0484), 0.9993419265027552)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +328,40 @@ def test_tangent_bound_is_three_halves_e_at_one_photon(protocol, e):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.just(0.0) | st.floats(min_value=1e-7, max_value=0.45))
+@given(st.just(0.0) | st.floats(min_value=1e-12, max_value=0.45))
+@example(1e-9)
+@example(1e-11)
+@example(1e-12)
 def test_tangent_bound_is_the_two_photon_closed_form(e):
-    # Above e = 1e-7 the minimizing x, about 1/(4 sqrt(e)), lies inside the
-    # bisection bracket [0, TANGENT_X_HI]; below it the bound is the tangent
-    # at 1024 (certified, not exact), and e = 0 is the exact floor.
+    # Above e = 1e-12 the minimizing x, about 1/(4 sqrt(e)), lies below the
+    # bisection cap TANGENT_X_CAP, and e = 0 is the exact floor.  Below
+    # e = 1e-7 that x passes TANGENT_X_HI = 1024 and the bracket grows.
     bound = keyrate.ephase_bound_frontier(e, "four-state", 2)
-    assert abs(bound - keyrate.ephase_bound_two(e)[0]) <= 1e-12
+    tol = 1e-12 if e == 0.0 or e >= 1e-7 else 1e-10
+    assert abs(bound - keyrate.ephase_bound_two(e)[0]) <= tol
+
+
+def test_tangent_bound_stops_at_the_bisection_cap():
+    # Below e(TANGENT_X_CAP), about 5.7e-14, the bound is the certified
+    # tangent at the cap, off the closed form by less than 1e-7.
+    for e in (1e-14, 5e-324):
+        gap = (keyrate.ephase_bound_frontier(e, "four-state", 2)
+               - keyrate.ephase_bound_two(e)[0])
+        assert 0.0 < gap < 1e-7
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(CASES), st.floats(min_value=0.0, max_value=0.45))
+# At e = 0 the bracket grows as far as e(x) stays above 0: to the cap at
+# four-state nu=2..4 and six-state nu=4, where the touch is within 3.1e-10.
+@example(("four-state", 1), 0.0)
+@example(("four-state", 2), 0.0)
+@example(("four-state", 3), 0.0)
+@example(("four-state", 4), 0.0)
+@example(("six-state", 1), 0.0)
+@example(("six-state", 2), 0.0)
+@example(("six-state", 3), 0.0)
+@example(("six-state", 4), 0.0)
 def test_tangent_bound_is_attained_by_a_lifted_attack(case, e):
     # Each bracketing tangent touches the frontier at the point (e(x), p(x)) of
     # the top eigenvector u of A - x*B.  Lifted to the attack R F^-1/2 u and
@@ -361,6 +390,7 @@ def test_tangent_bound_is_attained_by_a_lifted_attack(case, e):
         assert abs(p_x - x * e_x - y) <= 1e-9  # the tangent touches there
         e_at[x] = max(0.0, e_x)
     (x_lo, _), (x_hi, _) = tangents
-    assert 0.0 < x_hi - x_lo <= bounds.TANGENT_X_TOL
+    width = bounds.TANGENT_X_TOL * max(1.0, x_lo / bounds.TANGENT_X_HI)
+    assert 0.0 < x_hi - x_lo <= width
     assert x_lo == 0.0 or e_at[x_lo] > e
-    assert x_hi == bounds.TANGENT_X_HI or e_at[x_hi] <= e
+    assert x_hi == bounds.TANGENT_X_CAP or e_at[x_hi] <= e
