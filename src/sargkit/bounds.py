@@ -16,9 +16,10 @@ makes H_bit and H_ph vanish on the kernel of H_fil, so on R = range(H_fil)
 with F the diagonal of nonzero eigenvalues of H_fil: one eigen-solve per
 point, each then certified by its PSD margin.  y_star is clipped only at 0,
 so a value above 1 (p_ph <= p_fil failing) shows instead of being hidden.
-Both solves are batched over the grid: a whole x-grid is one stacked
-eigen-solve for y_star and one for the margins, and a single point is the
-one-point case of the same code.
+Both solves are batched: frontier_table takes any sequence of x in
+[0, inf) (a tuple, a list or an array) and makes one stacked eigen-solve for
+y_star and one for the margins, and frontier is its one-point case.  No
+table is cached: each call solves its own grid.
 
 y_star never increases with x, so its infimum, the zero-error floor, is the
 limit x -> infinity.  With B = reduced H_bit PSD, v^dag (A - x*B) v = v^dag A v
@@ -135,8 +136,8 @@ def g_of_x(x: float) -> float:
     The discriminant has minimum value 3/2 (at x = 3*sqrt(2)/4), so the square
     root never branches; g decreases monotonically to sin^2(pi/8) as x grows.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("g_of_x requires 0 <= x < inf, got x=%r" % float(x))
     disc = 6.0 - 6.0 * math.sqrt(2.0) * x + 4.0 * x * x
     return (3.0 - 2.0 * x + math.sqrt(disc)) / 6.0
 
@@ -183,48 +184,45 @@ def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
     return reduce(h_ph), reduce(h_bit)
 
 
-def _frontier_ys(x, protocol: str, nu: int) -> np.ndarray:
-    """y_star for every x (any shape), each certified by its PSD margin.
+def frontier(x: float, protocol: str, nu: int) -> float:
+    """y_star(x), the minimal y with x*H_bit + y*H_fil - H_ph PSD: the
+    one-point case of frontier_table, raising on the same x and margins."""
+    return frontier_table(protocol, nu, (x,))[0]
+
+
+def frontier_table(protocol: str, nu: int,
+                   grid=DEFAULT_X_GRID) -> tuple[float, ...]:
+    """y_star for every x of the grid (any 1-D sequence: a tuple, a list or
+    an array), in the grid's own order, repeats included; nothing is cached.
 
     One stacked eigen-solve on the reduced pencil gives every y_star, clipped
     only at 0 (a clipped 0 is +0.0); one stacked psd_margin then certifies
-    them.  Raises ArithmeticError naming the least x whose margin is below
+    them.  Raises ValueError naming the first x outside [0, inf), and
+    ArithmeticError naming the least x whose margin is below
     -(PSD_TOL + n*eps*x*||H_bit||_2), the roundoff of a side-n eigen-solve of
     the margin's matrix.
     """
+    x = np.asarray(grid, dtype=float)
+    outside = np.flatnonzero(~((x >= 0.0) & (x < math.inf)))
+    if outside.size:
+        raise ValueError("frontier requires 0 <= x < inf, got x=%r"
+                         % float(x[outside[0]]))
     a, b = _reduced_pencil(protocol, nu)
     h_bit = _forms(protocol, nu)[0]
-    x = np.asarray(x, dtype=float)
-    neg = -qmath.min_eigenvalue(x[..., None, None] * b - a)
+    neg = -qmath.min_eigenvalue(x[:, None, None] * b - a)
     ys = np.where(neg > 0.0, neg, 0.0)
     margins = psd_margin(x, ys, protocol, nu)
     roundoff = h_bit.shape[0] * np.finfo(float).eps * np.linalg.norm(h_bit, 2)
     bad = np.flatnonzero(margins < -(PSD_TOL + roundoff * x))
     if bad.size:
-        i = bad[np.argmin(x.flat[bad])]
+        i = bad[np.argmin(x[bad])]
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
-                              % (x.flat[i], ys.flat[i], np.ravel(margins)[i]))
-    return ys
-
-
-def frontier(x: float, protocol: str, nu: int) -> float:
-    """y_star(x), the minimal y with x*H_bit + y*H_fil - H_ph PSD: the
-    one-point case of frontier_table, so it raises ArithmeticError on the
-    same failed margin."""
-    return _frontier_ys(x, protocol, nu).item()
-
-
-@lru_cache(maxsize=None)
-def frontier_table(protocol: str, nu: int,
-                   grid=DEFAULT_X_GRID) -> tuple[float, ...]:
-    """y_star for every x of the grid, in the grid's own order, repeats
-    included: one batched solve per stage, each value frontier(x) bit for
-    bit.  The grid must be hashable (a tuple): it is part of the cache key."""
-    return tuple(_frontier_ys(grid, protocol, nu).tolist())
+                              % (x[i], ys[i], margins[i]))
+    return tuple(ys.tolist())
 
 
 def supporting_tangents(protocol: str, nu: int, past) -> tuple:
-    """The tangents (x, y_star(x)), certified by _frontier_ys, at both ends
+    """The tangents (x, y_star(x)), certified by frontier_table, at both ends
     of the x-bracket of the least frontier point (e(x), p(x)) with past(e, p)
     true (past must hold from some x on).  The bracket is bisected in
     [0, TANGENT_X_HI], then, while past has never held, in [hi, 2*hi] up to
@@ -243,7 +241,7 @@ def supporting_tangents(protocol: str, nu: int, past) -> tuple:
         if hi < top or hi >= TANGENT_X_CAP:
             break
         lo, hi = hi, 2.0 * hi
-    return tuple(zip((lo, hi), _frontier_ys((lo, hi), protocol, nu).tolist()))
+    return tuple(zip((lo, hi), frontier_table(protocol, nu, (lo, hi))))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:

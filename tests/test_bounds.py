@@ -1,6 +1,7 @@
 """Feasibility margins, the analytic two-photon bound, and frontiers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ def test_g_decreasing_and_domain():
     xs = [0.25 * k for k in range(41)]
     vals = [bounds.g_of_x(x) for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        bounds.g_of_x(-0.1)
+    # At inf, sqrt(inf) - inf is nan: the curve has no value there.
+    for x in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="got x=%r$" % x):
+            bounds.g_of_x(x)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def test_frontier_failure_names_the_first_failing_x(monkeypatch):
 
     monkeypatch.setattr(bounds, "psd_margin", short_at)
     with pytest.raises(ArithmeticError, match=r"x=2\.5 "):
-        bounds.frontier_table.__wrapped__("four-state", 2, (1.0, 4.0, 2.5, 3.0))
+        bounds.frontier_table("four-state", 2, (1.0, 4.0, 2.5, 3.0))
     with pytest.raises(ArithmeticError, match=r"x=4 "):
         bounds.frontier(4.0, "four-state", 2)
     assert bounds.frontier(3.0, "four-state", 2) > 0.0
@@ -243,13 +246,32 @@ def test_frontier_failure_names_the_first_failing_x(monkeypatch):
 
 def test_frontier_table_keeps_the_grid_order_and_repeats():
     grid = (3.0, 0.5, 3.0, 0.0)
-    ys = bounds.frontier_table.__wrapped__("four-state", 2, grid)
+    ys = bounds.frontier_table("four-state", 2, grid)
     assert len(ys) == 4
     assert bits(ys) == bits(bounds.frontier(x, "four-state", 2) for x in grid)
 
 
 def test_frontier_table_of_an_empty_grid_is_empty():
-    assert bounds.frontier_table.__wrapped__("six-state", 2, ()) == ()
+    assert bounds.frontier_table("six-state", 2, ()) == ()
+
+
+def test_frontier_table_takes_a_list_a_tuple_or_an_array():
+    grid = [0.0, 1.0, 2.485, 1000.0]
+    tables = [bounds.frontier_table("six-state", 3, g)
+              for g in (grid, tuple(grid), np.array(grid))]
+    assert all(type(t) is tuple for t in tables)
+    assert bits(tables[0]) == bits(tables[1]) == bits(tables[2])
+    assert bits(tables[0]) == bits(bounds.frontier(x, "six-state", 3)
+                                   for x in grid)
+
+
+@pytest.mark.parametrize("x", [-1.0, -1e8, math.nan, math.inf, -math.inf])
+def test_frontier_rejects_an_x_outside_zero_to_infinity(x):
+    # The first bad x is named as a plain float, before any solve.
+    with pytest.raises(ValueError, match=r"got x=%s$" % re.escape(repr(x))):
+        bounds.frontier(x, "six-state", 4)
+    with pytest.raises(ValueError, match=r"got x=%s$" % re.escape(repr(x))):
+        bounds.frontier_table("four-state", 2, np.array([1.0, x, -2.0]))
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
@@ -363,11 +385,22 @@ def test_zero_rate_floor_without_a_kernel_is_zero(monkeypatch):
     assert repr(bounds.zero_rate_check("four-state", 2)) == "0.0"
 
 
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+       nu=st.integers(1, attack_forms.MAX_NU),
+       x=st.floats(0.0, 1e6))
+def test_frontier_at_zero_is_its_maximum(protocol, nu, x):
+    # y_star never increases with x, so the verify row that reads y_star(0)
+    # bounds the whole frontier; the slack is y_star's roundoff in x.
+    assert (bounds.frontier(x, protocol, nu)
+            <= bounds.frontier(0.0, protocol, nu) + 1e-12 * max(1.0, x))
+
+
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_frontier_certifies_at_large_x(protocol, nu):
     # Margins are checked at PSD_TOL + n*eps*x*||H_bit||_2, so roundoff of the
     # x*H_bit term no longer fails a correct point; y_star tends to the floor.
     floor = bounds.zero_rate_check(protocol, nu)
-    for y in bounds.frontier_table.__wrapped__(protocol, nu, (1e8, 1e9)):
+    for y in bounds.frontier_table(protocol, nu, (1e8, 1e9)):
         assert abs(y - floor) <= 1e-6

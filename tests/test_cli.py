@@ -130,15 +130,13 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
                                                             monkeypatch):
     # H_ph scaled by 1.5 breaks p_ph <= p_fil, so y_star exceeds 1.  The
     # frontier is clipped only at 0, so the row reads it and fails instead
-    # of the margin check raising.  The uncached pencil and table keep the
-    # scaled forms out of the caches.
+    # of the margin check raising.  The uncached pencil keeps the scaled
+    # forms out of its cache.
     forms = sargkit.bounds._forms
     monkeypatch.setattr(sargkit.bounds, "_forms", lambda p, nu: (
         forms(p, nu)[0], forms(p, nu)[1], 1.5 * forms(p, nu)[2]))
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil",
                         sargkit.bounds._reduced_pencil.__wrapped__)
-    monkeypatch.setattr(sargkit.bounds, "frontier_table",
-                        sargkit.bounds.frontier_table.__wrapped__)
     rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "1")
     assert rc == 1
     rows = {r[0]: r for r in check_rows(out)}
@@ -150,8 +148,8 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
 def unclear_filter_kernel(monkeypatch):
     """Every H_fil gets one eigenvalue at 1e-9 of its largest, within the six
     decades above the kernel cut, so the frontier's reduction raises
-    ArithmeticError.  The caches built on the forms are cleared before and
-    after."""
+    ArithmeticError.  The pencil cache built on the forms is cleared before
+    and after."""
     forms = sargkit.bounds._forms
 
     def squeezed(protocol, nu):
@@ -161,12 +159,9 @@ def unclear_filter_kernel(monkeypatch):
         return h_bit, (v * w) @ v.conj().T, h_ph
 
     monkeypatch.setattr(sargkit.bounds, "_forms", squeezed)
-    caches = (sargkit.bounds._reduced_pencil, sargkit.bounds.frontier_table)
-    for cache in caches:
-        cache.cache_clear()
+    sargkit.bounds._reduced_pencil.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    sargkit.bounds._reduced_pencil.cache_clear()
 
 
 def test_verify_prints_a_fail_row_for_a_failed_internal_check(
@@ -177,7 +172,7 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     rows = check_rows(captured.out)
     assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
     assert rows[0][-1] == "PASS"
-    assert [r[1:] for r in rows[1:]] == [["nan", "range", "FAIL"],
+    assert [r[1:] for r in rows[1:]] == [["nan", "<= 1", "FAIL"],
                                          ["nan", "<= 1e-6", "FAIL"]]
     assert captured.out.splitlines()[-1] == "summary: FAIL"
     err = captured.err.splitlines()

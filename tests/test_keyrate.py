@@ -259,23 +259,10 @@ def test_six_state_thresholds_are_the_closed_form_roots(nu):
     assert abs(keyrate.sixstate_thresholds(nu).e_threshold - root) <= 1e-7
 
 
-def test_tangent_bounds_leave_the_frontier_table_cache_alone():
-    # Each e certifies its own two tangents; none may stay cached, or a
-    # caller sweeping e would grow the cache for the life of the process.
-    before = bounds.frontier_table.cache_info().currsize
-    for k in range(200):
-        keyrate.ephase_bound_frontier(0.001 + 1e-4 * k, "six-state", 4)
-    assert bounds.frontier_table.cache_info().currsize == before
-
-
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
     rows = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
     monkeypatch.setattr(bounds, "DEFAULT_X_GRID", (0.0, 0.5, 2.0))
-    bounds.frontier_table.cache_clear()
-    try:
-        assert [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)] == rows
-    finally:
-        bounds.frontier_table.cache_clear()
+    assert [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)] == rows
 
 
 def test_six_state_dominates_like_for_like_baseline():
