@@ -150,13 +150,14 @@ def checks() -> tuple[Check, ...]:
               lambda p, nu: bounds.zero_rate_check(p, nu),
               ">=", 0.5 - bounds.PSD_TOL),
         # y_star >= 0 by its clip and never increases with x (the reduced
-        # H_bit is PSD), so y_star(0) is its maximum over every x >= 0.
+        # H_bit is PSD: next row), so y_star(0) is its maximum over x >= 0.
         Check("frontier in [0, 1]", _SIX, SUPPORTED_NU,
               lambda p, nu: bounds.frontier(0.0, p, nu),
               "<=", 1.0 + bounds.PSD_TOL),
-        Check("frontier nonincreasing", _SIX, SUPPORTED_NU,
-              lambda p, nu: np.diff(bounds.frontier_table(p, nu)).max(),
-              "<=", bounds.SHAPE_TOL),
+        Check("reduced H_bit PSD", _SIX, SUPPORTED_NU,
+              lambda p, nu: qmath.min_eigenvalue(
+                  bounds._reduced_pencil(p, nu)[1]),
+              ">=", -bounds.IDENTITY_TOL),
         Check("frontier floor below 1/2", _SIX, (4,),
               lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
         Check("rotation count", _BOTH, None,
@@ -227,26 +228,18 @@ THRESHOLD_FIELDS = [
 ]
 
 
-def _threshold_row(label, nu, e, p, e_ref, p_ref, tolerance) -> dict:
-    """One table row.  ``tolerance`` bounds |deviation| (on e, on p); None
-    makes the row informational."""
+def _threshold_row(row, r) -> dict:
+    """A keyrate.THRESHOLDS row beside r, its computed threshold or None."""
+    label, nu, e_ref, p_ref, tolerance = row
+    e, p = (None, None) if r is None else (r.e_threshold, r.p_threshold)
     e_dev = None if e_ref is None or e is None else e - e_ref
     p_dev = None if p_ref is None or p is None else p - p_ref
-    return {
-        "label": label,
-        "nu": nu,
-        "e_threshold": e,
-        "p_threshold": p,
-        "e_reference": e_ref,
-        "p_reference": p_ref,
-        "e_deviation": e_dev,
-        "p_deviation": p_dev,
-        "e_display": None if e is None else round(e, 4),
-        "p_display": None if p is None else round(p, 4),
-        "within_tolerance": (None if tolerance is None else
-                             abs(e_dev) <= tolerance[0]
-                             and abs(p_dev) <= tolerance[1]),
-    }
+    return dict(zip(THRESHOLD_FIELDS, (
+        label, nu, e, p, e_ref, p_ref, e_dev, p_dev,
+        None if e is None else round(e, 4),
+        None if p is None else round(p, 4),
+        None if tolerance is None else
+        abs(e_dev) <= tolerance[0] and abs(p_dev) <= tolerance[1])))
 
 
 def cmd_thresholds(args) -> int:
@@ -255,20 +248,9 @@ def cmd_thresholds(args) -> int:
     manifest = reports.start_manifest(
         "thresholds", {"protocol": args.protocol, "format": args.format},
         __version__)
-    if args.protocol == "four-state":
-        computed = [keyrate.threshold_single(), keyrate.threshold_two()]
-        refs, tol = keyrate.FOUR_STATE_REFERENCE, keyrate.FOUR_STATE_TOLERANCE
-        quoted = ()
-    else:
-        computed = [keyrate.sixstate_thresholds(nu) for nu in SUPPORTED_NU]
-        refs, tol = keyrate.SIX_STATE_REFERENCE, keyrate.SIX_STATE_TOLERANCE
-        quoted = (("bb84-reference", keyrate.REFERENCE_BB84_P),
-                  ("six-state-original-reference",
-                   keyrate.REFERENCE_SIX_STATE_ORIGINAL_P))
-    rows = [_threshold_row(r.protocol, r.nu, r.e_threshold, r.p_threshold,
-                           *refs[r.nu], tol) for r in computed]
-    rows += [_threshold_row(label, None, None, None, None, p_ref, None)
-             for label, p_ref in quoted]
+    rows = [_threshold_row(row, None if row[1] is None
+                           else keyrate.threshold(args.protocol, row[1]))
+            for row in keyrate.THRESHOLDS[args.protocol]]
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
@@ -427,6 +409,14 @@ KEYRATE_FIELDS = [
 ]
 
 
+def _count(value, name: str) -> int:
+    """A simulate report's tally or nu: a nonnegative int, not a bool."""
+    if type(value) is not int or value < 0:
+        raise ValueError("%s must be a nonnegative integer count, got %r"
+                         % (name, value))
+    return value
+
+
 def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
     from . import keyrate
 
@@ -444,19 +434,23 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
         raise ValueError(
             "simulate output lacks a per-photon-number breakdown "
             "(coherent-source run required)")
-    sifted = results["sifted"]
+    sifted = _count(results["sifted"], "sifted")
     if sifted == 0:
         raise ValueError("simulate output has no sifted trials")
-    by_nu = {entry["nu"]: entry for entry in per_nu}
+    tallies = {}
+    for entry in per_nu:
+        nu, conclusive, errors = (
+            _count(entry[key], key) for key in ("nu", "conclusive", "errors"))
+        if nu in tallies:
+            raise ValueError("per_nu lists nu=%d twice" % nu)
+        if not errors <= conclusive <= sifted:
+            raise ValueError("nu=%d tallies must satisfy errors <= conclusive "
+                             "<= sifted = %d" % (nu, sifted))
+        tallies[nu] = (conclusive, errors)
 
     def fraction(nu: int) -> tuple[float, float]:
-        entry = by_nu.get(nu)
-        if entry is None:
-            return 0.0, 0.0
-        xi = entry["conclusive"] / sifted
-        err = (entry["errors"] / entry["conclusive"]
-               if entry["conclusive"] else 0.0)
-        return xi, err
+        conclusive, errors = tallies.get(nu, (0, 0))
+        return conclusive / sifted, errors / conclusive if conclusive else 0.0
 
     xi1, e1 = fraction(1)
     xi2, e2 = fraction(2)

@@ -16,7 +16,8 @@ Every rate is a float of e_bit, and every threshold takes one path,
 ``_threshold``: a bisection root of the rate on a fixed bracket, with the
 rate at the root as its residual.  A rate already <= 0 at the bracket's low
 end means no key at any error rate, and the threshold is e = 0.
-Depolarizing-channel conversions map e_bit to the channel parameter p.
+Depolarizing-channel conversions map e_bit to the channel parameter p.  The
+`thresholds` report prints THRESHOLDS; ``threshold`` picks each row's model.
 
 The four-state rates and the decoy composition are closed-form float
 arithmetic; only the six-state pipeline reads computed frontiers, so only
@@ -26,25 +27,26 @@ its two functions import ``bounds`` (and with it numpy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import SUPPORTED_NU
 
-# Reference values for the comparison tables: (e_bit, depolarizing p)
-# thresholds quoted for the four-state protocol at nu = 1, 2 and the six-state
-# variant at nu = 1..4 (no p quoted), and depolarizing thresholds for two
-# well-known single-photon protocols.
-FOUR_STATE_REFERENCE = {1: (0.0968, 0.0804), 2: (0.0271, 0.0208)}
-SIX_STATE_REFERENCE = {1: (0.112, None), 2: (0.0560, None),
-                       3: (0.0237, None), 4: (0.00788, None)}
-REFERENCE_BB84_P = 0.165
-REFERENCE_SIX_STATE_ORIGINAL_P = 0.190
-
-# Largest |computed - reference| (on e, on p) for a threshold row to pass.
-# The six-state rows are informational (None): the entropy model behind
-# their quoted values is not pinned down.
-FOUR_STATE_TOLERANCE = (2e-4, 5e-4)
-SIX_STATE_TOLERANCE = None
+# The thresholds table: per protocol, rows in print order of (label, nu, quoted
+# e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
+# None is a quoted constant (BB84's and the original six-state protocol's
+# single-photon p); any other nu needs a branch in ``threshold``.  Tolerance
+# None makes a row informational, as every six-state row is: the entropy model
+# behind its quoted e is unknown.
+THRESHOLDS = {
+    "four-state": (("four-state", 1, 0.0968, 0.0804, (2e-4, 5e-4)),
+                   ("four-state", 2, 0.0271, 0.0208, (2e-4, 5e-4))),
+    "six-state": (("six-state", 1, 0.112, None, None),
+                  ("six-state", 2, 0.0560, None, None),
+                  ("six-state", 3, 0.0237, None, None),
+                  ("six-state", 4, 0.00788, None, None),
+                  ("bb84-reference", None, None, 0.165, None),
+                  ("six-state-original-reference", None, None, 0.190, None)),
+}
 
 
 def binary_entropy(e: float) -> float:
@@ -93,13 +95,10 @@ def worst_joint_single(e_bit: float) -> tuple[tuple[float, ...], float]:
 class ThresholdResult:
     """A bisection root of a rate function, with its bracket and residual."""
 
-    protocol: str
-    nu: int
     e_threshold: float
     p_threshold: float
     bracket: tuple[float, float]
     residual: float
-    x_opt: float | None = None
 
 
 def rate_single(e_bit: float) -> float:
@@ -107,8 +106,7 @@ def rate_single(e_bit: float) -> float:
     return 1.0 - worst_joint_single(e_bit)[1]
 
 
-def _threshold(protocol: str, nu: int, rate, lo: float, hi: float,
-               tol: float) -> ThresholdResult:
+def _threshold(rate, lo: float, hi: float, tol: float) -> ThresholdResult:
     """The root in e_bit of ``rate`` (e_bit -> float) on [lo, hi].
 
     A rate <= 0 at ``lo`` gives e = 0 (no key at any error rate); otherwise
@@ -127,14 +125,13 @@ def _threshold(protocol: str, nu: int, rate, lo: float, hi: float,
             a, b = (mid, b) if rate(mid) > 0.0 else (a, mid)
         e_star = 0.5 * (a + b)
     return ThresholdResult(
-        protocol=protocol, nu=nu, e_threshold=e_star,
-        p_threshold=depol_p(e_star), bracket=(lo, hi),
+        e_threshold=e_star, p_threshold=depol_p(e_star), bracket=(lo, hi),
         residual=rate(e_star))
 
 
 def threshold_single() -> ThresholdResult:
     """Bit-error threshold of the single-photon rate (root on [0.05, 0.15])."""
-    return _threshold("four-state", 1, rate_single, 0.05, 0.15, 1e-6)
+    return _threshold(rate_single, 0.05, 0.15, 1e-6)
 
 
 # The two-photon zero-error infimum of min_x [x*e_bit + g(x)], reached as
@@ -174,11 +171,9 @@ def rate_independent(e_bit: float, e_ph: float) -> float:
 
 
 def threshold_two() -> ThresholdResult:
-    """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2]),
-    with the minimizing x of ephase_bound_two at the root as x_opt."""
-    r = _threshold("four-state", 2, lambda e: rate_independent(
-        e, ephase_bound_two(e)[0]), 0.001, 0.2, 1e-6)
-    return replace(r, x_opt=ephase_bound_two(r.e_threshold)[1])
+    """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2])."""
+    return _threshold(lambda e: rate_independent(e, ephase_bound_two(e)[0]),
+                      0.001, 0.2, 1e-6)
 
 
 def depol_p(e: float) -> float:
@@ -261,7 +256,7 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 def sixstate_thresholds(nu: int) -> ThresholdResult:
     """Six-state threshold for one photon number (1..4): the root on [1e-9,
     0.45] of 1 - h(e) - h(e_ph), e_ph the lesser tangent around the x whose
-    frontier point has rate 0 (SIX_STATE_TOLERANCE: why not asserted)."""
+    frontier point has rate 0; informational in THRESHOLDS (see there)."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
@@ -269,5 +264,15 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
 
     tangents = bounds.supporting_tangents(
         "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
-    return _threshold("six-state", nu, lambda e: rate_independent(
+    return _threshold(lambda e: rate_independent(
         e, min(x * e + y for x, y in tangents)), 1e-9, 0.45, 1e-7)
+
+
+def threshold(protocol: str, nu: int) -> ThresholdResult:
+    """A THRESHOLDS row's threshold under its rate model: four-state nu=1 R1,
+    nu=2 R2, six-state nu=1..4 the tangent bound."""
+    if protocol == "six-state":
+        return sixstate_thresholds(nu)
+    if protocol == "four-state" and nu in (1, 2):
+        return threshold_single() if nu == 1 else threshold_two()
+    raise ValueError("no threshold model for %s nu=%r" % (protocol, nu))

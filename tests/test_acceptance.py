@@ -98,13 +98,14 @@ def test_criterion_05_thresholds():
     assert abs(two.e_threshold - 0.0271) <= 2e-4
     assert abs(one.p_threshold - 0.0804) <= 5e-4
     assert abs(two.p_threshold - 0.0208) <= 5e-4
-    assert abs(two.x_opt - 2.747) <= 0.5
+    x_opt = keyrate.ephase_bound_two(two.e_threshold)[1]
+    assert abs(x_opt - 2.747) <= 0.5
     t = elapsed()
     assert t < 5.0
     print("ACCEPTANCE 5 PASS: thresholds e1=%.4f p1=%.4f e2=%.4f p2=%.4f "
           "x_opt=%.3f (%.1fs)" % (one.e_threshold, one.p_threshold,
                                   two.e_threshold, two.p_threshold,
-                                  two.x_opt, t))
+                                  x_opt, t))
 
 
 def test_criterion_06_no_key_regimes():
@@ -183,7 +184,7 @@ def test_criterion_10_six_state_pipeline():
     quoted = {1: 0.112, 2: 0.0560, 3: 0.0237, 4: 0.00788}
     report = ", ".join(
         "nu=%d %.4f (quoted %.4f, dev %+.4f)"
-        % (r.nu, r.e_threshold, quoted[r.nu], r.e_threshold - quoted[r.nu])
-        for r in computed
+        % (nu, r.e_threshold, quoted[nu], r.e_threshold - quoted[nu])
+        for nu, r in zip((1, 2, 3, 4), computed)
     )
     print("ACCEPTANCE 10 PASS: six-state pipeline in %.1fs; %s" % (t, report))

@@ -83,13 +83,13 @@ VERIFY_ROWS = {
     ("four-state", 4): ["nu=4 no-key floor"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
                        "nu=1 frontier in [0, 1]",
-                       "nu=1 frontier nonincreasing"],
+                       "nu=1 reduced H_bit PSD"],
     ("six-state", 2): ["nu=2 frontier in [0, 1]",
-                       "nu=2 frontier nonincreasing"],
+                       "nu=2 reduced H_bit PSD"],
     ("six-state", 3): ["nu=3 frontier in [0, 1]",
-                       "nu=3 frontier nonincreasing"],
+                       "nu=3 reduced H_bit PSD"],
     ("six-state", 4): ["nu=4 frontier in [0, 1]",
-                       "nu=4 frontier nonincreasing",
+                       "nu=4 reduced H_bit PSD",
                        "nu=4 frontier floor below 1/2"],
 }
 
@@ -144,6 +144,40 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
     assert float(rows["nu=1 frontier in [0, 1]"][1]) > 1.0
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
+        capsys, monkeypatch, nu):
+    # B - 1e-6*I has lambda_min(B) - 1e-6 < -IDENTITY_TOL.  The frontier row
+    # reads y_star(0), which does not depend on B, and still passes.
+    pencil = sargkit.bounds._reduced_pencil
+    monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
+        pencil(p, n)[0], pencil(p, n)[1] - 1e-6 * np.eye(len(pencil(p, n)[1]))))
+    rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", str(nu))
+    assert rc == 1
+    rows = {r[0]: r[1:] for r in check_rows(out)}
+    value, *verdict = rows["nu=%d reduced H_bit PSD" % nu]
+    assert verdict == [">= -1e-10", "FAIL"]
+    assert -1.1e-6 < float(value) < -0.9e-6
+    assert rows["nu=%d frontier in [0, 1]" % nu][-1] == "PASS"
+    assert out.splitlines()[-1] == "summary: FAIL"
+
+
+def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
+    # Every six-state row is grid-free: no frontier is solved on the
+    # verification grid DEFAULT_X_GRID (frontier_table's default).
+    solved = []
+    table = sargkit.bounds.frontier_table
+
+    def spy(protocol, nu, grid=sargkit.bounds.DEFAULT_X_GRID):
+        solved.append(tuple(grid))
+        return table(protocol, nu, grid)
+
+    monkeypatch.setattr(sargkit.bounds, "frontier_table", spy)
+    rc, out = run(capsys, "verify", "--protocol", "six-state")
+    assert rc == 0
+    assert solved and sargkit.bounds.DEFAULT_X_GRID not in solved
+
+
 @pytest.fixture
 def unclear_filter_kernel(monkeypatch):
     """Every H_fil gets one eigenvalue at 1e-9 of its largest, within the six
@@ -173,7 +207,7 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
     assert rows[0][-1] == "PASS"
     assert [r[1:] for r in rows[1:]] == [["nan", "<= 1", "FAIL"],
-                                         ["nan", "<= 1e-6", "FAIL"]]
+                                         ["nan", ">= -1e-10", "FAIL"]]
     assert captured.out.splitlines()[-1] == "summary: FAIL"
     err = captured.err.splitlines()
     assert [line.split(": ")[0] for line in err] == [r[0] for r in rows[1:]]
@@ -241,6 +275,45 @@ def test_thresholds_six_state_table_with_reference_constants(capsys):
     assert all(r["within_tolerance"] == "" for r in rows)
 
 
+# Every thresholds row, by protocol, in print order: (label, nu, e_reference,
+# p_reference, within_tolerance, e_threshold, p_threshold).
+THRESHOLD_ROWS = {
+    "four-state": [
+        ("four-state", 1, 0.0968, 0.0804, True,
+         0.0968921661376953, 0.08046561205486256),
+        ("four-state", 2, 0.0271, 0.0208, True,
+         0.027100606918334963, 0.020891631070269468),
+    ],
+    "six-state": [
+        ("six-state", 1, 0.112, None, None,
+         0.08898885628339477, 0.07326106016690821),
+        ("six-state", 2, 0.056, None, None,
+         0.04886156111690551, 0.03852874549020656),
+        ("six-state", 3, 0.0237, None, None,
+         0.023701099508617818, 0.018207359060341655),
+        ("six-state", 4, 0.00788, None, None,
+         0.00788304009934157, 0.005959257137483246),
+        ("bb84-reference", None, None, 0.165, None, None, None),
+        ("six-state-original-reference", None, None, 0.19, None, None, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+def test_thresholds_tables_are_pinned_row_by_row(capsys, protocol):
+    rc, out = run(capsys, "thresholds", "--protocol", protocol,
+                  "--format", "json")
+    assert rc == 0
+    rows = json.loads(out)["results"]
+    assert [(r["label"], r["nu"], r["e_reference"], r["p_reference"],
+             r["within_tolerance"]) for r in rows] == [
+        row[:5] for row in THRESHOLD_ROWS[protocol]]
+    for r, (*_, e, p) in zip(rows, THRESHOLD_ROWS[protocol]):
+        for value, pinned in ((r["e_threshold"], e), (r["p_threshold"], p)):
+            assert (value is None) == (pinned is None)
+            assert pinned is None or abs(value - pinned) <= 1e-9
+
+
 def test_thresholds_json_format(capsys):
     rc, out = run(capsys, "thresholds", "--protocol", "four-state",
                   "--format", "json")
@@ -255,8 +328,9 @@ def test_thresholds_read_the_tolerance_from_keyrate(capsys, monkeypatch):
     # |e deviation| is ~9e-5 at nu=1 and ~6e-7 at nu=2: a 1e-6 bound on e
     # fails the first row only.
     from sargkit import keyrate
-    monkeypatch.setattr(keyrate, "FOUR_STATE_TOLERANCE",
-                        (1e-6, keyrate.FOUR_STATE_TOLERANCE[1]))
+    monkeypatch.setitem(keyrate.THRESHOLDS, "four-state", tuple(
+        (*row[:4], (1e-6, row[4][1]))
+        for row in keyrate.THRESHOLDS["four-state"]))
     rc, out = run(capsys, "thresholds", "--protocol", "four-state",
                   "--format", "json")
     assert rc == 1
@@ -832,6 +906,46 @@ def test_keyrate_rejects_a_report_that_is_not_an_object(capsys, tmp_path,
     assert cli.main(["keyrate", "--config", kr_cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("keyrate: bad config: ") and err.count("\n") == 1
+
+
+# A coherent simulate report cut to what keyrate reads, its tallies left
+# as JSON text.
+TALLY_REPORT = ('{"results": {"conclusive_fraction": 0.5, "e_bit": 0.04, '
+                '"sifted": %s, "per_nu": [%s]}}')
+TALLY_ENTRY = '{"nu": %s, "conclusive": %s, "errors": %s}'
+COUNT = "must be a nonnegative integer count"
+ORDER = "must satisfy errors <= conclusive <= sifted"
+
+
+@pytest.mark.parametrize("sifted,entries,message", [
+    ("10", [("1", "3", "1")], None),                 # the valid counts
+    ("1e309", [("1", "3", "1")], COUNT),             # read as inf: xi1 = 0
+    ("10.5", [("1", "2.5", "true")], COUNT),         # read as e1 = 0.4
+    ("10", [("1", "3", "true")], COUNT),
+    ("true", [("1", "0", "0")], COUNT),
+    ("10", [("1", "3.0", "1")], COUNT),
+    ("10", [("1", "-3", "1")], COUNT),
+    ("10", [("1", "3", '"1"')], COUNT),
+    ("10", [("true", "3", "1")], COUNT),             # read as nu = 1
+    ("10", [('"1"', "3", "1")], COUNT),
+    ("1", [("1", "1" + "0" * 400, "0")], ORDER),     # xi1 overflows a float
+    ("10", [("1", "3", "4")], ORDER),
+    ("10", [("1", "3", "3"), ("1", "3", "0")], "lists nu=1 twice"),
+])
+def test_keyrate_from_simulate_reads_only_integer_counts(
+        capsys, tmp_path, sifted, entries, message):
+    sim_out = tmp_path / "sim.json"
+    sim_out.write_text(TALLY_REPORT % (
+        sifted, ", ".join(TALLY_ENTRY % entry for entry in entries)))
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    rc = cli.main(["keyrate", "--config", kr_cfg])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (rc, err) == (0, "")
+        return
+    assert rc == 2
+    assert err.startswith("keyrate: bad config: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("text", [

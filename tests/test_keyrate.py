@@ -1,5 +1,6 @@
 """Entropies, adversarial Bell vectors, rates, and thresholds."""
 
+import dataclasses
 import math
 
 import pytest
@@ -128,7 +129,8 @@ def test_threshold_two_reference_values():
     r = keyrate.threshold_two()
     assert abs(r.e_threshold - 0.0271) <= 2e-4
     assert abs(r.p_threshold - 0.0208) <= 5e-4
-    assert abs(r.x_opt - X_OPT_REFERENCE) <= 0.5  # flat optimum
+    x_opt = keyrate.ephase_bound_two(r.e_threshold)[1]
+    assert abs(x_opt - X_OPT_REFERENCE) <= 0.5  # flat optimum
 
 
 def _linear_rate(e0: float):
@@ -137,7 +139,7 @@ def _linear_rate(e0: float):
 
 
 def test_threshold_is_zero_when_there_is_no_key_at_lo():
-    r = keyrate._threshold("six-state", 1, _linear_rate(-0.25), 0.01, 0.4, 1e-6)
+    r = keyrate._threshold(_linear_rate(-0.25), 0.01, 0.4, 1e-6)
     assert r.e_threshold == 0.0 and r.p_threshold == 0.0
     assert r.residual == -0.25  # the rate at e = 0, not at lo
     assert r.bracket == (0.01, 0.4)
@@ -145,11 +147,11 @@ def test_threshold_is_zero_when_there_is_no_key_at_lo():
 
 def test_threshold_rejects_an_unbracketed_root():
     with pytest.raises(ValueError, match="not bracketed"):
-        keyrate._threshold("four-state", 1, _linear_rate(0.5), 0.01, 0.4, 1e-6)
+        keyrate._threshold(_linear_rate(0.5), 0.01, 0.4, 1e-6)
 
 
 def test_threshold_bisects_to_tol_and_reports_the_rate_at_the_root():
-    r = keyrate._threshold("four-state", 2, _linear_rate(0.1), 0.01, 0.4, 1e-9)
+    r = keyrate._threshold(_linear_rate(0.1), 0.01, 0.4, 1e-9)
     assert abs(r.e_threshold - 0.1) <= 1e-9
     assert r.p_threshold == keyrate.depol_p(r.e_threshold)
     assert r.residual == 0.1 - r.e_threshold
@@ -163,10 +165,25 @@ def test_threshold_bisects_to_tol_and_reports_the_rate_at_the_root():
 ])
 def test_every_threshold_reports_bracket_residual_and_x_opt(compute, protocol,
                                                             nu, bracket):
+    # A threshold carries only what its root certifies, and it is the one
+    # keyrate.threshold computes for its row.  The two-photon operating point
+    # x_opt is not a field: ephase_bound_two gives it at the root.
     r = compute()
-    assert (r.protocol, r.nu, r.bracket) == (protocol, nu, bracket)
+    assert [f.name for f in dataclasses.fields(r)] == [
+        "e_threshold", "p_threshold", "bracket", "residual"]
+    assert r.bracket == bracket
     assert abs(r.residual) < 1e-4
-    assert (r.x_opt is None) == ((protocol, nu) != ("four-state", 2))
+    assert keyrate.threshold(protocol, nu) == r
+    if (protocol, nu) == ("four-state", 2):
+        x_opt = keyrate.ephase_bound_two(r.e_threshold)[1]
+        assert abs(x_opt - X_OPT_REFERENCE) <= 0.5
+
+
+@pytest.mark.parametrize("protocol,nu", [
+    ("four-state", 3), ("four-state", None), ("six-state", 5), ("bb84", 1)])
+def test_threshold_rejects_a_row_without_a_rate_model(protocol, nu):
+    with pytest.raises(ValueError):
+        keyrate.threshold(protocol, nu)
 
 
 def test_depolarizing_conversions_round_trip():
@@ -247,7 +264,6 @@ def test_six_state_threshold_regression_values():
     for nu, e_ref in expected.items():
         r = keyrate.sixstate_thresholds(nu)
         assert r.e_threshold == pytest.approx(e_ref, abs=2e-4)
-        assert r.protocol == "six-state" and r.nu == nu
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
@@ -261,7 +277,11 @@ def test_six_state_thresholds_are_the_closed_form_roots(nu):
 
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
     rows = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
-    monkeypatch.setattr(bounds, "DEFAULT_X_GRID", (0.0, 0.5, 2.0))
+    # frontier_table bound the grid as its default when it was defined, so
+    # its default is swapped along with the module constant.
+    coarse = (0.0, 0.5, 2.0)
+    monkeypatch.setattr(bounds, "DEFAULT_X_GRID", coarse)
+    monkeypatch.setattr(bounds.frontier_table, "__defaults__", (coarse,))
     assert [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)] == rows
 
 
@@ -278,10 +298,15 @@ def test_six_state_rejects_unsupported_photon_number():
 
 
 def test_reference_tables_present():
-    assert set(keyrate.FOUR_STATE_REFERENCE) == {1, 2}
-    assert set(keyrate.SIX_STATE_REFERENCE) == {1, 2, 3, 4}
-    assert keyrate.REFERENCE_BB84_P == 0.165
-    assert keyrate.REFERENCE_SIX_STATE_ORIGINAL_P == 0.190
+    table = keyrate.THRESHOLDS
+    assert set(table) == set(qmath.PROTOCOLS)
+    assert [row[1] for row in table["four-state"]] == [1, 2]
+    assert [row[1] for row in table["six-state"]] == [1, 2, 3, 4, None, None]
+    assert {row[0]: row[3] for row in table["six-state"] if row[1] is None} == {
+        "bb84-reference": 0.165, "six-state-original-reference": 0.190}
+    # A quoted constant has only a p to compare, and so no tolerance.
+    assert all(row[2] is None and row[4] is None
+               for rows in table.values() for row in rows if row[1] is None)
 
 
 # ---------------------------------------------------------------------------
