@@ -24,8 +24,9 @@ vector is A_g v, with
 
 and d_k the Dicke coordinates above.  So every event probability is the exact
 quadratic form v^dag H_event v with H_event = (1/|G|) sum_g A_g^dag P_event A_g
-(side 2(nu+1)), compiled once per (protocol, nu); every certificate is a
-statement about these matrices.
+(side 2(nu+1)), G = ``qmath.constants(protocol)``, compiled read-only once per
+(protocol, nu) by ``all_forms``, the one cache on the way from a protocol to
+its forms.  Every certificate is a statement about these matrices.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +45,6 @@ EVENT_TAGS = ("fil", "bit", "ph", "bell:chi0+", "bell:chi0-", "bell:chi1+", "bel
 MAX_NU = 5
 
 
-@lru_cache(maxsize=None)
 def _sift_maps(protocol: str, nu: int) -> np.ndarray:
     """The stack of sift maps A_g, shape (|G|, 4, 2(nu+1)).
 
@@ -51,8 +52,6 @@ def _sift_maps(protocol: str, nu: int) -> np.ndarray:
     d_k(U_g phi_a)/sqrt(2) = 2^{(nu-1)/2} sqrt(C(nu,k)) s_0^{nu-k} s_1^k; at
     nu = 1 the scale is exactly 1 and A_g is the plain qubit assembly.
     """
-    if protocol not in qmath.PROTOCOLS:
-        raise ValueError("unknown protocol %r" % (protocol,))
     if not (1 <= nu <= MAX_NU):
         raise ValueError("photon number must be in 1..%d" % MAX_NU)
     us = np.stack(qmath.constants(protocol))
@@ -61,9 +60,7 @@ def _sift_maps(protocol: str, nu: int) -> np.ndarray:
     k = np.arange(nu + 1)
     scale = 2 ** ((nu - 1) / 2) * np.sqrt([math.comb(nu, j) for j in k])
     d = s[..., :1] ** (nu - k) * s[..., 1:] ** k * scale
-    a = np.einsum("gbo,gak->gabok", fu, d).reshape(len(us), 4, 2 * (nu + 1))
-    a.flags.writeable = False
-    return a
+    return np.einsum("gbo,gak->gabok", fu, d).reshape(len(us), 4, -1)
 
 
 def conditional_pair_state(m: np.ndarray, protocol: str) -> np.ndarray:
@@ -82,17 +79,16 @@ def conditional_pair_state(m: np.ndarray, protocol: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EventForm:
-    """Hermitian matrix H with p_event(M) = v^dag H v, v = M.reshape(-1)."""
+    """Hermitian matrix H with p_event(M) = v^dag H v, v = M.reshape(-1);
+    its event, protocol and nu are its key and arguments in ``all_forms``."""
 
-    event: str
-    protocol: str
-    nu: int
     matrix: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def all_forms(protocol: str, nu: int) -> dict[str, EventForm]:
-    """Compile every event form for (protocol, nu) from the sift maps A_g."""
+def all_forms(protocol: str, nu: int) -> MappingProxyType:
+    """Every event form for (protocol, nu), keyed by EVENT_TAGS, compiled
+    once from the sift maps A_g; the mapping and each matrix are read-only."""
     a = _sift_maps(protocol, nu)
     dim = a.shape[-1]
     bells = qmath.bell_projectors()
@@ -103,8 +99,7 @@ def all_forms(protocol: str, nu: int) -> dict[str, EventForm]:
         **{"bell:" + tag: bells[tag] for tag in qmath.BELL_TAGS},
     }
     a_dag = a.conj().reshape(-1, dim).T
-    return {
-        tag: EventForm(event=tag, protocol=protocol, nu=nu,
-                       matrix=a_dag @ (op @ a).reshape(-1, dim) / len(a))
-        for tag, op in event_ops.items()
-    }
+    return MappingProxyType({
+        tag: EventForm(qmath.read_only(
+            a_dag @ (op @ a).reshape(-1, dim) / len(a)))
+        for tag, op in event_ops.items()})

@@ -161,7 +161,8 @@ def _kernel_split(h: np.ndarray, name: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil).
+    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil),
+    cached per (protocol, nu) as two read-only arrays.
 
     R holds the eigenvectors of H_fil above the kernel cut, F their
     eigenvalues.  Raises ArithmeticError when the cut is not clean, or when
@@ -181,7 +182,7 @@ def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
         m = qmath.dagger(r) @ h @ r
         return 0.5 * (m + qmath.dagger(m))
 
-    return reduce(h_ph), reduce(h_bit)
+    return qmath.read_only(reduce(h_ph)), qmath.read_only(reduce(h_bit))
 
 
 def frontier(x: float, protocol: str, nu: int) -> float:
@@ -190,8 +191,7 @@ def frontier(x: float, protocol: str, nu: int) -> float:
     return frontier_table(protocol, nu, (x,))[0]
 
 
-def frontier_table(protocol: str, nu: int,
-                   grid=DEFAULT_X_GRID) -> tuple[float, ...]:
+def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
     """y_star for every x of the grid (any 1-D sequence: a tuple, a list or
     an array), in the grid's own order, repeats included; nothing is cached.
 

@@ -26,7 +26,6 @@ import operator
 import os
 import sys
 from dataclasses import asdict, fields
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import PROTOCOLS, SUPPORTED_NU, __version__, reports
@@ -85,12 +84,9 @@ _OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
 _FOUR, _SIX, _BOTH = ("four-state",), ("six-state",), PROTOCOLS
 
 
-@lru_cache(maxsize=None)
 def checks() -> tuple[Check, ...]:
-    """Every certificate, in print order.
-
-    Built on first use, so that only verify and constants-check import the
-    numerical layers it reads.
+    """Every certificate, in print order: built once by each of verify and
+    constants-check, so that only they import the numerical layers it reads.
     """
     import numpy as np
 
@@ -136,7 +132,8 @@ def checks() -> tuple[Check, ...]:
               ">=", -bounds.PSD_TOL),
         Check("frontier dominance gap", _FOUR, (2,),
               lambda p, nu: min(bounds.g_of_x(x) - y for x, y in zip(
-                  bounds.DEFAULT_X_GRID, bounds.frontier_table(p, nu))),
+                  bounds.DEFAULT_X_GRID,
+                  bounds.frontier_table(p, nu, bounds.DEFAULT_X_GRID))),
               ">=", -bounds.SHAPE_TOL),
         Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
               lambda p, nu: bounds.zero_rate_check(p, nu),
@@ -205,15 +202,17 @@ def _check_row(check: Check, label: str, protocol: str,
 
 def cmd_verify(args) -> int:
     nus = SUPPORTED_NU if args.nu is None else (args.nu,)
+    table = checks()
     rows = [_check_row(c, "nu=%d" % nu, args.protocol, nu)
-            for nu in nus for c in checks()
+            for nu in nus for c in table
             if c.nus is not None and nu in c.nus and args.protocol in c.protocols]
     return 0 if _print_checks(rows) else 1
 
 
 def cmd_constants_check(args) -> int:
     protocols = PROTOCOLS if args.protocol is None else (args.protocol,)
-    rows = [_check_row(c, p, p, None) for p in protocols for c in checks()
+    table = checks()
+    rows = [_check_row(c, p, p, None) for p in protocols for c in table
             if c.nus is None and p in c.protocols]
     return 0 if _print_checks(rows) else 1
 
@@ -305,14 +304,8 @@ def cmd_frontier(args) -> int:
     ys = bounds.frontier_table(args.protocol, args.nu, grid)
     gs = [bounds.g_of_x(x) for x in grid]
     margins = bounds.psd_margin(grid, gs, args.protocol, args.nu).tolist()
-    rows = [{
-        "x": x,
-        "y_star": y,
-        "y_star_display": round(y, 6),
-        "g_x": gx,
-        "gap": gx - y,
-        "margin_at_g": margin,
-    } for x, y, gx, margin in zip(grid, ys, gs, margins)]
+    rows = [dict(zip(FRONTIER_FIELDS, (x, y, round(y, 6), gx, gx - y, margin)))
+            for x, y, gx, margin in zip(grid, ys, gs, margins)]
 
     asserted = args.protocol == "four-state" and args.nu == 2
     failed = asserted and (
@@ -434,13 +427,24 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
         raise ValueError(
             "simulate output lacks a per-photon-number breakdown "
             "(coherent-source run required)")
+    if not isinstance(per_nu, list):
+        raise ValueError("'per_nu' must be a list, got %r" % (per_nu,))
+    for key in ("sifted", "conclusive_fraction", "e_bit"):
+        if key not in results:
+            raise ValueError("simulate report lacks %r" % (key,))
     sifted = _count(results["sifted"], "sifted")
     if sifted == 0:
         raise ValueError("simulate output has no sifted trials")
     tallies = {}
-    for entry in per_nu:
-        nu, conclusive, errors = (
-            _count(entry[key], key) for key in ("nu", "conclusive", "errors"))
+    keys = ("nu", "conclusive", "errors")
+    for i, entry in enumerate(per_nu):
+        if not isinstance(entry, dict):
+            raise ValueError("per_nu entry %d must be an object, got %r"
+                             % (i, entry))
+        for key in keys:
+            if key not in entry:
+                raise ValueError("per_nu entry %d lacks %r" % (i, key))
+        nu, conclusive, errors = (_count(entry[key], key) for key in keys)
         if nu in tallies:
             raise ValueError("per_nu lists nu=%d twice" % nu)
         if not errors <= conclusive <= sifted:

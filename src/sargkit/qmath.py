@@ -9,8 +9,8 @@ plain numpy arrays in a single fixed convention:
   basis is derived from it, so that the Z kets come out as the coordinate
   basis (1,0), (0,1).
 
-The sift rotations of each protocol are built once and returned as a cached
-tuple of unitaries; every function here is pure.
+The sift rotations of a protocol are the closure of its ``SIFT_GENERATORS``,
+cached as a tuple of read-only unitaries; every function here is pure.
 
 Every eigen-solve goes through one checked routine, ``eigh_checked``, on one
 matrix or a stack; ``min_eigenvalue`` reads its lowest column.  The check is
@@ -105,6 +105,12 @@ def eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array that a cache shares read-only, and return it."""
+    a.flags.writeable = False
+    return a
+
+
 def min_eigenvalue(h: np.ndarray):
     """Smallest eigenvalue of a Hermitian operator, or of each in a stack:
     the lowest column of ``eigh_checked``.  Returns a float for one matrix
@@ -183,18 +189,12 @@ BELL_TAGS = ("chi0+", "chi0-", "chi1+", "chi1-")
 
 
 def bell_ket(tag: str) -> np.ndarray:
-    """Bell states chi_{0 +/-}, chi_{1 +/-} in the Z product basis."""
-    z0, z1 = ket_z(0), ket_z(1)
-    if tag == "chi0+":
-        v = np.kron(z0, z0) + np.kron(z1, z1)
-    elif tag == "chi0-":
-        v = np.kron(z0, z0) - np.kron(z1, z1)
-    elif tag == "chi1+":
-        v = np.kron(z0, z1) + np.kron(z1, z0)
-    elif tag == "chi1-":
-        v = np.kron(z0, z1) - np.kron(z1, z0)
-    else:
+    """Bell state chi_{b s} = (|0_z>|b_z> + s |1_z>|(1-b)_z>)/sqrt(2) of the
+    tag "chi<b><s>" in BELL_TAGS, in the Z product basis."""
+    if tag not in BELL_TAGS:
         raise ValueError("unknown Bell tag %r" % (tag,))
+    b, sign = int(tag[3]), (1 if tag[4] == "+" else -1)
+    v = np.kron(ket_z(0), ket_z(b)) + sign * np.kron(ket_z(1), ket_z(1 - b))
     return v / math.sqrt(2)
 
 
@@ -253,28 +253,27 @@ def _close_under_multiplication(generators: list[np.ndarray]) -> list[np.ndarray
     return list(seen.values())
 
 
-@lru_cache(maxsize=None)
 def bell_projectors() -> dict[str, np.ndarray]:
     """Projectors onto the four Bell states, keyed by BELL_TAGS."""
     return {tag: proj(bell_ket(tag)) for tag in BELL_TAGS}
 
 
+SIFT_GENERATORS = {"four-state": (rotation_r,),
+                   "six-state": (rotation_r, twist_t)}
+
+
 @lru_cache(maxsize=None)
 def constants(protocol: str) -> tuple[np.ndarray, ...]:
-    """The sift rotations of a protocol tag, as a cached tuple of unitaries.
-
-    The four-state tuple is the four powers of R. The six-state tuple is the
-    full rotation group generated by R and the twist T (24 elements modulo
-    global phase); it maps the signal pair onto a uniform six-state ensemble,
-    and being closed under multiplication makes the sift average exactly
-    invariant under left translation by any of its members.
+    """The sift rotations of a protocol tag, as a cached tuple of read-only
+    unitaries: the closure of its generators modulo global phase, from I in
+    breadth-first order, so R alone gives I, R, R^2, R^3 and R with the twist
+    T gives 24 members, a uniform six-state ensemble.  Being a group makes
+    the sift average invariant under left translation by any member.
     """
-    if protocol not in PROTOCOLS:
+    if protocol not in SIFT_GENERATORS:
         raise ValueError("protocol must be one of %s" % (PROTOCOLS,))
-    r = rotation_r()
-    if protocol == "four-state":
-        return tuple(np.linalg.matrix_power(r, k) for k in range(4))
-    return tuple(_close_under_multiplication([r, twist_t()]))
+    generators = [g() for g in SIFT_GENERATORS[protocol]]
+    return tuple(read_only(np.stack(_close_under_multiplication(generators))))
 
 
 def distinct_bloch_vectors(protocol: str) -> list[np.ndarray]:

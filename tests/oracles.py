@@ -257,7 +257,8 @@ def ephase_bound_grid(e_bit: float, protocol: str, nu: int) -> float:
     """min of x*e_bit + y_star(x) over bounds.DEFAULT_X_GRID: the grid minimum
     the six-state thresholds read before the exact tangent bound."""
     return min(x * e_bit + y for x, y in zip(
-        bounds.DEFAULT_X_GRID, bounds.frontier_table(protocol, nu)))
+        bounds.DEFAULT_X_GRID,
+        bounds.frontier_table(protocol, nu, bounds.DEFAULT_X_GRID)))
 
 
 def lift_reduced(u: np.ndarray, protocol: str, nu: int) -> np.ndarray:

@@ -202,13 +202,26 @@ def test_forms_hermitian_and_psd(protocol, nu):
 
 def test_form_matrix_lookup_and_validation():
     f = oracles.form_matrix("bit", "four-state", 2)
-    assert f.event == "bit" and f.nu == 2
+    assert f is attack_forms.all_forms("four-state", 2)["bit"]
     with pytest.raises(ValueError):
         oracles.form_matrix("oops", "four-state", 2)
     with pytest.raises(ValueError):
         attack_forms.all_forms("four-state", 9)
     with pytest.raises(ValueError):
         attack_forms.all_forms("three-state", 1)
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_cached_arrays_are_read_only(protocol):
+    # Every array a cache hands out is shared by all its callers.
+    forms = attack_forms.all_forms(protocol, 2)
+    shared = [*qmath.constants(protocol), *(f.matrix for f in forms.values()),
+              *bounds._reduced_pencil(protocol, 2)]
+    for a in shared:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        forms["bit"] = forms["ph"]
 
 
 def test_weight_linearity_over_kraus_branches():

@@ -143,7 +143,7 @@ def test_frontier_point_is_tight():
 
 
 def test_frontier_dominated_by_analytic_bound():
-    table = bounds.frontier_table("four-state", 2)
+    table = bounds.frontier_table("four-state", 2, bounds.DEFAULT_X_GRID)
     for x, y in zip(bounds.DEFAULT_X_GRID, table):
         gx = bounds.g_of_x(x)
         assert y <= gx + 1e-6
@@ -151,7 +151,7 @@ def test_frontier_dominated_by_analytic_bound():
 
 
 def test_frontier_table_sorted_and_nonincreasing():
-    table = bounds.frontier_table("four-state", 2)
+    table = bounds.frontier_table("four-state", 2, bounds.DEFAULT_X_GRID)
     xs = list(bounds.DEFAULT_X_GRID)
     assert xs == sorted(xs)
     assert len(table) == len(bounds.DEFAULT_X_GRID)
@@ -210,7 +210,7 @@ def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
     # One stacked solve per stage makes the same LAPACK call per matrix as
     # the loop, so every y_star and every margin is the same double.
     grid = bounds.DEFAULT_X_GRID
-    table = bounds.frontier_table(protocol, nu)
+    table = bounds.frontier_table(protocol, nu, grid)
     assert len(table) == len(grid)
     ys = list(table)
     assert bits(ys) == bits(oracles.frontier_per_point(x, protocol, nu)
@@ -223,7 +223,7 @@ def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
 
 def test_clipped_frontier_is_positive_zero():
     # Four-state nu=1: y_star = max(0, 1.5 - x), so every x > 1.5 clips.
-    table = bounds.frontier_table("four-state", 1)
+    table = bounds.frontier_table("four-state", 1, bounds.DEFAULT_X_GRID)
     clipped = [y for x, y in zip(bounds.DEFAULT_X_GRID, table) if x > 1.5]
     assert clipped and bits(clipped) == ["0.0"] * len(clipped)
     assert repr(bounds.frontier(3.0, "four-state", 1)) == "0.0"

@@ -164,11 +164,11 @@ def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
 
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
     # Every six-state row is grid-free: no frontier is solved on the
-    # verification grid DEFAULT_X_GRID (frontier_table's default).
+    # verification grid DEFAULT_X_GRID.
     solved = []
     table = sargkit.bounds.frontier_table
 
-    def spy(protocol, nu, grid=sargkit.bounds.DEFAULT_X_GRID):
+    def spy(protocol, nu, grid):
         solved.append(tuple(grid))
         return table(protocol, nu, grid)
 
@@ -946,6 +946,27 @@ def test_keyrate_from_simulate_reads_only_integer_counts(
     assert rc == 2
     assert err.startswith("keyrate: bad config: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("results,message", [
+    ('{"e_bit": 0.04, "sifted": 10, "per_nu": [%s]}' % (TALLY_ENTRY % (1, 3, 1)),
+     "simulate report lacks 'conclusive_fraction'"),
+    ('{"conclusive_fraction": 0.5, "e_bit": 0.04, "sifted": 10, '
+     '"per_nu": [{"nu": 1, "conclusive": 3}]}',
+     "per_nu entry 0 lacks 'errors'"),
+    ('{"conclusive_fraction": 0.5, "e_bit": 0.04, "sifted": 10, '
+     '"per_nu": [7]}', "per_nu entry 0 must be an object, got 7"),
+    ('{"conclusive_fraction": 0.5, "e_bit": 0.04, "sifted": 10, '
+     '"per_nu": {"a": 1}}', "'per_nu' must be a list, got {'a': 1}"),
+], ids=["no-conclusive_fraction", "entry-without-errors", "entry-not-an-object",
+        "per_nu-not-a-list"])
+def test_keyrate_from_simulate_names_the_bad_report_field(
+        capsys, tmp_path, results, message):
+    sim_out = tmp_path / "sim.json"
+    sim_out.write_text('{"results": %s}' % results)
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    assert cli.main(["keyrate", "--config", kr_cfg]) == 2
+    assert capsys.readouterr().err == "keyrate: bad config: %s\n" % message
 
 
 @pytest.mark.parametrize("text", [

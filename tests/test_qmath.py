@@ -292,25 +292,32 @@ def test_filter_measurement_identity():
 # ---------------------------------------------------------------------------
 
 def test_four_state_constants():
+    # The closure of R alone is its four powers, bit for bit.
     cs = qmath.constants("four-state")
     assert len(cs) == 4
     r = qmath.rotation_r()
     for k, u in enumerate(cs):
-        assert np.abs(u - np.linalg.matrix_power(r, k)).max() < 1e-14
+        assert np.array_equal(u, np.linalg.matrix_power(r, k))
     assert len(qmath.distinct_bloch_vectors("four-state")) == 4
 
 
-def test_six_state_constants_form_a_group_of_24():
-    cs = qmath.constants("six-state")
-    assert len(cs) == 24
+def test_every_protocol_has_sift_generators():
+    assert tuple(qmath.SIFT_GENERATORS) == qmath.PROTOCOLS
+
+
+@pytest.mark.parametrize("protocol,order", [("four-state", 4),
+                                            ("six-state", 24)])
+def test_constants_form_a_group(protocol, order):
+    cs = qmath.constants(protocol)
+    assert len(cs) == order
     keys = {qmath._phase_canonical_key(u) for u in cs}
-    assert len(keys) == 24
+    assert len(keys) == order
     # Closure: every pairwise product lands back in the set (mod phase).
     for a in cs[:6]:
         for b in cs:
             assert qmath._phase_canonical_key(a @ b) in keys
     # Rebuilding the closure from the stored elements adds nothing.
-    assert len(qmath._close_under_multiplication(list(cs))) == 24
+    assert len(qmath._close_under_multiplication(list(cs))) == order
 
 
 def test_six_state_ensemble_is_uniform_over_six_states():
