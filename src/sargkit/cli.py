@@ -451,6 +451,17 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
             raise ValueError("nu=%d tallies must satisfy errors <= conclusive "
                              "<= sifted = %d" % (nu, sifted))
         tallies[nu] = (conclusive, errors)
+    # The divisions simulate makes, so a real report passes exactly.
+    conclusive = sum(c for c, _ in tallies.values())
+    errors = sum(e for _, e in tallies.values())
+    if conclusive / sifted != results["conclusive_fraction"]:
+        raise ValueError(
+            "per_nu tallies give conclusive/sifted = %d/%d, not "
+            "conclusive_fraction %r"
+            % (conclusive, sifted, results["conclusive_fraction"]))
+    if (errors / conclusive if conclusive else 0.0) != results["e_bit"]:
+        raise ValueError("per_nu tallies give errors/conclusive = %d/%d, not "
+                         "e_bit %r" % (errors, conclusive, results["e_bit"]))
 
     def fraction(nu: int) -> tuple[float, float]:
         conclusive, errors = tallies.get(nu, (0, 0))

@@ -1,8 +1,8 @@
 """Monte Carlo protocol sessions over a lossy depolarizing channel.
 
 Channel model per pulse of nu photons in state rho^(x)nu, nu drawn from the
-run's photon-number law (slot 6, read on every run), with statistics that
-`exact_channel_stats` gives in closed form to check every run by:
+run's photon-number law (the count word, read on every run), with statistics
+that `exact_channel_stats` gives in closed form to check every run by:
 
 * with probability 1 - 4p/3 the pulse is intact, otherwise every photon is
   replaced by an independent uniformly random pure polarization (an exact
@@ -13,16 +13,20 @@ run's photon-number law (slot 6, read on every run), with statistics that
   patterns inconclusive, and mixed patterns are resolved by a fair coin
   (the squash rule); vacuum gives no detection.
 
-Randomness is counter-based: trial a consumes exactly the 32 raw 64-bit
-words at stream offset 32*a of a Philox generator keyed by the master seed,
-so every trial is replayable in isolation and aggregate statistics are
+Randomness is counter-based and sifts first.  Two Philox streams are keyed
+by the master seed.  The sift stream (key seed) gives trial a the 4 raw
+64-bit words at offset 4*a.  The photon stream (key (seed, 1)) is read by
+sifted trials only: trials fall into units of SIFT_UNIT consecutive trials,
+and the i-th sifted trial of unit u reads its W words at offset
+W*(SIFT_UNIT*u + i).  So every trial is replayable from its unit's sift
+words up to itself plus its own photon words, and aggregate statistics are
 independent of how the trial range is sharded and of how many threads run
 the shards.
 
 Each raw word w stands for the uniform deviate u = (w >> 11)·2⁻⁵³.  The shard
 kernel never forms u: it tests u < t as the exact integer comparison
 (w >> 11) < ceil(t·2⁵³), so its tallies equal those of the float formulation
-(which the test oracles keep, per shard and per trial) bit for bit.
+(which the test oracles keep, for a whole run and per trial) bit for bit.
 """
 
 from __future__ import annotations
@@ -35,24 +39,20 @@ import numpy as np
 
 from . import qmath
 
-SLOTS = 32
 MAX_PHOTONS = 6
 MAX_MU = 1.0  # photon counts above MAX_PHOTONS then carry < 1e-4 of the law
+SIFT_UNIT = 1 << 15  # trials whose sifted ones read consecutive photon words
 
-# Slot layout (uniform deviates unless noted): 0 Alice bit, 1 Alice rotation,
-# 2 Bob rotation, 3 Bob basis, 4 depolarizing branch, 5 squash coin,
-# 6 photon count (read on every run), 7-12 per-photon arrival, 13-18 per-photon
-# outcome, 19-24 per-photon cos(theta), 25-30 per-photon azimuth, 31 spare.
-_SLOT_BIT = 0
-_SLOT_ROT_A = 1
-_SLOT_ROT_B = 2
-_SLOT_BASIS = 3
-_SLOT_BRANCH = 4
-_SLOT_COIN = 5
-_SLOT_COUNT = 6
-_SLOT_ARRIVE = 7
-_SLOT_OUTCOME = 13
-_SLOT_COS = 19
+# Stream layout (uniform deviates unless noted).  Sift stream, 4 words per
+# trial: 0 Alice bit, 1 Alice rotation, 2 Bob rotation, 3 Bob basis.  Photon
+# stream, `_photon_width(k)` words per sifted trial with k per-photon slots
+# (nu at a fixed nu, MAX_PHOTONS for a coherent source): 0 depolarizing
+# branch, 1 squash coin, 2 photon count (read on every run), then k arrivals,
+# k outcomes and k cos(theta) values.
+_SIFT, _PHOTON = 0, 1  # stream tags: the second word of the Philox key
+_SIFT_WORDS = 4
+_BIT, _ROT_A, _ROT_B, _BASIS = range(_SIFT_WORDS)
+_BRANCH, _COIN, _COUNT, _ARRIVE = range(4)
 
 
 def _is_int(value) -> bool:
@@ -173,13 +173,21 @@ class CompareResult:
     passed: bool | None
 
 
-def _raw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Raw uint64 slots for trials [start, start+count), shape (count, SLOTS)."""
-    bg = np.random.Philox(key=np.uint64(seed))
-    if start:
-        bg.advance(start * (SLOTS // 4))  # advance unit = 4 raw words
-    raw = bg.random_raw(count * SLOTS)
-    return raw.reshape(count, SLOTS)
+def _raw_words(seed: int, stream: int, offset: int, count: int) -> np.ndarray:
+    """Raw uint64 words [offset, offset + count) of one stream of the run, the
+    only code that draws random words: Philox keyed by (seed, stream), so the
+    sift stream (0) is keyed by the seed alone.  offset is a multiple of 4,
+    the words of one Philox block."""
+    # A uint64 key array, so that NumPy 1.x never promotes the key.
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg.advance(offset // 4)
+    return bg.random_raw(count)
+
+
+def _photon_width(k: int) -> int:
+    """Photon-stream words per sifted trial with k per-photon slots: the
+    3 + 3k slots rounded up to whole 4-word Philox blocks."""
+    return 4 * -(-(3 + 3 * k) // 4)
 
 
 def _photon_law(nu: int | None, mu: float | None) -> tuple[list[int], np.ndarray]:
@@ -198,8 +206,8 @@ def _photon_law(nu: int | None, mu: float | None) -> tuple[list[int], np.ndarray
 
 def _photon_cdf(nu: int | None, mu: float | None) -> np.ndarray:
     """The CDF of `_photon_law(nu, mu)` at every photon number 0..max, zero
-    below the first that carries mass; slot 6 is searched in it, so every
-    uniform u < 1 maps to at most len - 1 photons."""
+    below the first that carries mass; the count word is searched in it, so
+    every uniform u < 1 maps to at most len - 1 photons."""
     ns, cdf = _photon_law(nu, mu)
     return np.append(np.zeros(ns[0]), cdf)
 
@@ -223,43 +231,47 @@ def _thresholds(t) -> np.ndarray:
 
 _SHIFT = np.uint64(11)  # raw word -> 53-bit uniform numerator
 _HALF = np.uint64(52)  # 53-bit numerator -> (u >= 1/2)
+_TOP = np.uint64(63)  # raw word -> (u >= 1/2)
 
 
-def _shard_tallies(raw: np.ndarray, cfg: SimConfig, n_rot: int,
+def _sifted(sift: np.ndarray, n_rot: int) -> np.ndarray:
+    """Mask of the trials, rows of sift words, whose rotations match."""
+    # A rotation index is the floor of the rounded float product u·n_rot
+    # (scaling by 2⁻⁵³ is exact, so the scales may be folded).
+    scale = 2.0 ** -53 * n_rot
+    rot_a, rot_b = (((sift[:, col] >> _SHIFT) * scale).astype(np.int64)
+                    for col in (_ROT_A, _ROT_B))
+    return rot_a == rot_b
+
+
+def _shard_tallies(sift: np.ndarray, photon: np.ndarray, cfg: SimConfig,
                    flag: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Tallies for one shard of raw words, shape (trials, SLOTS): rows indexed
-    by photon count 0..MAX_PHOTONS, columns (sifted, detected, conclusive,
-    errors).
+    """Tallies of sifted trials from their sift rows, shape (s, 4), and photon
+    rows, shape (s, W): rows indexed by photon count 0..MAX_PHOTONS, columns
+    (sifted, detected, conclusive, errors).
 
     flag holds the thresholds of the intact-photon table and count those of
-    the photon-number CDF, which slot 6 draws from on every run.  Every
-    column counts sifted trials only, so unsifted trials are dropped first.
+    the photon-number CDF, which the count word draws from on every run.
     """
-    # Rotation indices keep the float product, which rounds before the floor.
-    rot = ((raw[:, _SLOT_ROT_A:_SLOT_ROT_B + 1] >> _SHIFT) * 2.0 ** -53
-           * n_rot).astype(np.int64)
-    w = raw[rot[:, 0] == rot[:, 1]] >> _SHIFT
+    j = (sift[:, _BIT] >> _TOP).astype(np.intp)
+    jp = (sift[:, _BASIS] >> _TOP).astype(np.intp)
+    w = np.ascontiguousarray(photon.T) >> _SHIFT  # one row per slot
+    intact = w[_BRANCH] >= _thresholds(4.0 * cfg.p / 3.0)
+    coin = (w[_COIN] >> _HALF) == 0
 
-    j = (w[:, _SLOT_BIT] >> _HALF).astype(np.intp)
-    jp = (w[:, _SLOT_BASIS] >> _HALF).astype(np.intp)
-    intact = w[:, _SLOT_BRANCH] >= _thresholds(4.0 * cfg.p / 3.0)
-    coin = (w[:, _SLOT_COIN] >> _HALF) == 0
-
-    n = np.searchsorted(count, w[:, _SLOT_COUNT], side="right")
+    n = np.searchsorted(count, w[_COUNT], side="right")
     # k <= MAX_PHOTONS, the per-photon slots: SimConfig caps a fixed nu at 4.
     k = len(count) - 1
-    arrived = (np.arange(k) < n[:, None]) & (
-        w[:, _SLOT_ARRIVE:_SLOT_ARRIVE + k] < _thresholds(cfg.eta)
-    )
+    arrive, outcome, cos = (w[_ARRIVE + i * k:_ARRIVE + (i + 1) * k]
+                            for i in range(3))
+    arrived = (np.arange(k)[:, None] < n) & (arrive < _thresholds(cfg.eta))
     # A depolarized photon is flagged with probability 0.5·(1 + cos θ), which
     # for cos θ = 2v − 1 is exactly v: compare the outcome word with v's word.
-    p_flag = np.where(
-        intact[:, None], flag[jp, j][:, None], w[:, _SLOT_COS:_SLOT_COS + k]
-    )
-    flags = arrived & (w[:, _SLOT_OUTCOME:_SLOT_OUTCOME + k] < p_flag)
+    p_flag = np.where(intact, flag[jp, j], cos)
+    flags = arrived & (outcome < p_flag)
 
-    m = arrived.sum(axis=1)
-    n_flag = flags.sum(axis=1)
+    m = arrived.sum(axis=0)
+    n_flag = flags.sum(axis=0)
     detected = m > 0
     all_flag = detected & (n_flag == m)
     mixed_pattern = detected & (n_flag > 0) & (n_flag < m)
@@ -292,21 +304,40 @@ def _binomial_se(successes: int, n: int) -> float:
     return math.sqrt(f * (1.0 - f) / n)
 
 
-def run_monte_carlo(cfg: SimConfig, shard_size: int = 1 << 13) -> SimStats:
+def run_monte_carlo(cfg: SimConfig, shard_size: int = SIFT_UNIT) -> SimStats:
     """Simulate cfg.trials sessions and aggregate sifted-trial statistics.
 
     Shards of shard_size trials run on a small thread pool (Philox and the
-    NumPy kernels release the GIL).  Results are bit-identical for any shard
-    size and thread count because each trial reads a fixed slice of the
-    counter-based stream and each shard builds its own generator.
+    NumPy kernels release the GIL).  A shard reads the sift words of its
+    trials, keeps the sifted ones, and reads photon words for those alone.
+    A shard that starts inside a unit also reads the sift words of that
+    unit's earlier trials, to count the sifted ones and so find where its
+    photon words start.  So results are bit-identical for any shard size
+    and thread count; the default aligns every shard with one unit.
     """
     n_rot = len(qmath.constants(cfg.protocol))
     flag = _thresholds(_conclusive_flag_prob())
     count = _thresholds(_photon_cdf(cfg.nu, cfg.mu))
+    width = _photon_width(len(count) - 1)
 
     def shard(start: int) -> np.ndarray:
-        raw = _raw_block(cfg.seed, start, min(shard_size, cfg.trials - start))
-        return _shard_tallies(raw, cfg, n_rot, flag, count)
+        end = min(start + shard_size, cfg.trials)
+        base = start - start % SIFT_UNIT  # the unit the shard starts in
+        sift = _raw_words(cfg.seed, _SIFT, _SIFT_WORDS * base,
+                          _SIFT_WORDS * (end - base)).reshape(-1, _SIFT_WORDS)
+        kept = _sifted(sift, n_rot)
+        photon = []
+        for unit in range(base, end, SIFT_UNIT):
+            lo, hi = max(start, unit) - base, min(end, unit + SIFT_UNIT) - base
+            # Python ints: Philox.advance rejects a NumPy integer.
+            first = unit + int(np.count_nonzero(kept[unit - base:lo]))
+            sifted = int(np.count_nonzero(kept[lo:hi]))
+            photon.append(_raw_words(cfg.seed, _PHOTON, width * first,
+                                     width * sifted))
+        kept[:start - base] = False
+        photon = np.concatenate(photon).reshape(-1, width)
+        return _shard_tallies(np.compress(kept, sift, axis=0), photon, cfg,
+                              flag, count)
 
     starts = range(0, cfg.trials, shard_size)
     tallies = np.zeros((MAX_PHOTONS + 1, 4), dtype=np.int64)

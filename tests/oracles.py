@@ -6,7 +6,8 @@ attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
 margin or by one eigen-solve per point, the `frontier` report row by row
 through ``csv.DictWriter``, the two-photon optimum by scan plus golden
 section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
-from float uniforms on one thread and one trial at a time (`replay_trial`),
+from float uniforms over a whole run with no shards and one trial at a time
+(`replay_trial`),
 the channel law by enumerating every branch, arrival pattern and outcome.
 """
 
@@ -282,33 +283,47 @@ def units(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
-def float_shard_tallies(units: np.ndarray, cfg: simulate.SimConfig,
-                        flag_table: np.ndarray, n_rot: int,
-                        cdf: np.ndarray | None) -> np.ndarray:
-    """Tallies for one shard of float uniforms: rows indexed by photon count
-    0..max, columns (sifted, detected, conclusive, errors)."""
-    j = (units[:, simulate._SLOT_BIT] * 2).astype(np.int64)
-    rot_a = (units[:, simulate._SLOT_ROT_A] * n_rot).astype(np.int64)
-    rot_b = (units[:, simulate._SLOT_ROT_B] * n_rot).astype(np.int64)
-    jp = (units[:, simulate._SLOT_BASIS] * 2).astype(np.int64)
-    intact = units[:, simulate._SLOT_BRANCH] >= 4.0 * cfg.p / 3.0
-    coin = units[:, simulate._SLOT_COIN] < 0.5
+def photon_width(cfg: simulate.SimConfig) -> int:
+    """Photon-stream words per sifted trial: 3 + 3k slots (k per-photon slots,
+    nu or MAX_PHOTONS) rounded up to whole 4-word Philox blocks."""
+    k = simulate.MAX_PHOTONS if cfg.nu is None else cfg.nu
+    return 4 * math.ceil((3 + 3 * k) / 4)
 
-    if cdf is None:
-        n = np.full(len(units), cfg.nu, dtype=np.int64)
-        k = cfg.nu
+
+def sift_units(cfg: simulate.SimConfig, start: int, stop: int) -> np.ndarray:
+    """Uniforms of the sift words of trials [start, stop), one row each:
+    Alice bit, Alice rotation, Bob rotation, Bob basis."""
+    raw = simulate._raw_words(cfg.seed, 0, 4 * start, 4 * (stop - start))
+    return units(raw).reshape(-1, 4)
+
+
+def matched(sift: np.ndarray, n_rot: int) -> np.ndarray:
+    """Whether Alice's and Bob's rotations agree, per row of sift uniforms."""
+    rot = (sift[:, 1:3] * n_rot).astype(np.int64)
+    return rot[:, 0] == rot[:, 1]
+
+
+def photon_rows(cfg: simulate.SimConfig, sift: np.ndarray,
+                photon: np.ndarray, flag_table: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Photons sent, detected, conclusive and error flags of sifted trials,
+    from their sift uniforms and their photon uniforms (rows of W)."""
+    k = simulate.MAX_PHOTONS if cfg.nu is None else cfg.nu
+    j = (sift[:, 0] * 2).astype(np.int64)
+    jp = (sift[:, 3] * 2).astype(np.int64)
+    intact = photon[:, 0] >= 4.0 * cfg.p / 3.0
+    coin = photon[:, 1] < 0.5
+    if cfg.nu is None:
+        n = np.searchsorted(simulate._photon_cdf(None, cfg.mu), photon[:, 2],
+                            side="right")
     else:
-        n = np.searchsorted(cdf, units[:, simulate._SLOT_COUNT], side="right")
-        k = simulate.MAX_PHOTONS
-    idx = np.arange(k)
-    arrive, outcome, cos = (simulate._SLOT_ARRIVE, simulate._SLOT_OUTCOME,
-                            simulate._SLOT_COS)
-    arrived = (idx < n[:, None]) & (units[:, arrive:arrive + k] < cfg.eta)
-    cos_theta = 2.0 * units[:, cos:cos + k] - 1.0
-    p_flag = np.where(
-        intact[:, None], flag_table[jp, j][:, None], 0.5 * (1.0 + cos_theta)
-    )
-    flags = arrived & (units[:, outcome:outcome + k] < p_flag)
+        n = np.full(len(photon), cfg.nu, dtype=np.int64)
+    arrive, outcome, cos = (photon[:, 3 + i * k:3 + (i + 1) * k]
+                            for i in range(3))
+    arrived = (np.arange(k) < n[:, None]) & (arrive < cfg.eta)
+    p_flag = np.where(intact[:, None], flag_table[jp, j][:, None],
+                      0.5 * (1.0 + (2.0 * cos - 1.0)))
+    flags = arrived & (outcome < p_flag)
 
     m = arrived.sum(axis=1)
     n_flag = flags.sum(axis=1)
@@ -316,33 +331,38 @@ def float_shard_tallies(units: np.ndarray, cfg: simulate.SimConfig,
     all_flag = detected & (n_flag == m)
     mixed_pattern = detected & (n_flag > 0) & (n_flag < m)
     conclusive = all_flag | (mixed_pattern & coin)
-    error = conclusive & (jp == j)
-    sifted = rot_a == rot_b
+    return n, detected, conclusive, conclusive & (jp == j)
 
+
+def sifted_trials(cfg: simulate.SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sift and photon uniforms of the sifted trials of a whole run, in trial
+    order.  The sifted trial of rank i in unit u reads photon row
+    SIFT_UNIT*u + i of the photon stream, which is read once from its start."""
+    sift = sift_units(cfg, 0, cfg.trials)
+    sifted = matched(sift, len(qmath.constants(cfg.protocol)))
+    trial = np.arange(cfg.trials)
+    unit = trial - trial % simulate.SIFT_UNIT
+    before = np.cumsum(sifted) - sifted  # sifted trials before each trial
+    rows = (unit + before - before[unit])[sifted]
+    width = photon_width(cfg)
+    count = width * (int(rows.max()) + 1 if rows.size else 0)
+    photon = units(simulate._raw_words(cfg.seed, 1, 0, count))
+    return sift[sifted], photon.reshape(-1, width)[rows]
+
+
+def monte_carlo_stats(cfg: simulate.SimConfig) -> simulate.SimStats:
+    """run_monte_carlo as one float formulation over a whole run, unsharded."""
+    n, *masks = photon_rows(cfg, *sifted_trials(cfg),
+                            simulate._conclusive_flag_prob())
     tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
-    for column, mask in enumerate((sifted, detected, conclusive, error)):
-        keep = sifted & mask if column else mask
-        np.add.at(tallies[:, column], n[keep], 1)
-    return tallies
-
-
-def monte_carlo_stats(cfg: simulate.SimConfig,
-                      shard_size: int = 1 << 16) -> simulate.SimStats:
-    """run_monte_carlo by the float kernel, shard after shard on one thread."""
-    n_rot = len(qmath.constants(cfg.protocol))
-    flag_table = simulate._conclusive_flag_prob()
-    cdf = None if cfg.nu is not None else simulate._photon_cdf(None, cfg.mu)
-    tallies = np.zeros((simulate.MAX_PHOTONS + 1, 4), dtype=np.int64)
-    for start in range(0, cfg.trials, shard_size):
-        count = min(shard_size, cfg.trials - start)
-        u = units(simulate._raw_block(cfg.seed, start, count))
-        tallies += float_shard_tallies(u, cfg, flag_table, n_rot, cdf)
+    for column, mask in enumerate([np.ones(len(n), dtype=bool)] + masks):
+        np.add.at(tallies[:, column], n[mask], 1)
     return simulate._stats(cfg, tallies)
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Complete replay of one trial from its slice of the random stream."""
+    """Complete replay of one trial from its words of the random streams."""
 
     index: int
     alice_bit: int
@@ -350,9 +370,9 @@ class TrialRecord:
     bob_rotation: int
     bob_basis: int
     sifted: bool
-    photons_sent: int
+    photons_sent: int | None  # None when unsifted: no photon words are read
     photons_arrived: int
-    pulse_intact: bool
+    pulse_intact: bool | None
     outcomes: tuple[int, ...]  # conclusive-side flag per arrived photon
     used_squash_coin: bool
     conclusive: bool
@@ -367,34 +387,47 @@ class TrialRecord:
 
 
 def replay_trial(cfg: simulate.SimConfig, index: int) -> TrialRecord:
-    """Reconstruct one trial in full from its slice of the random stream."""
+    """Reconstruct one trial in full from the sift words of its unit up to
+    itself and, when it sifts, its own photon words.  An unsifted trial reads
+    no photon words: its photon fields are None, () and False."""
     if not 0 <= index < cfg.trials:
         raise ValueError("trial index out of range")
     n_rot = len(qmath.constants(cfg.protocol))
     flag_table = simulate._conclusive_flag_prob()
-    u = units(simulate._raw_block(cfg.seed, index, 1))[0]
-
-    j = int(u[simulate._SLOT_BIT] * 2)
-    rot_a = int(u[simulate._SLOT_ROT_A] * n_rot)
-    rot_b = int(u[simulate._SLOT_ROT_B] * n_rot)
-    jp = int(u[simulate._SLOT_BASIS] * 2)
-    intact = u[simulate._SLOT_BRANCH] >= 4.0 * cfg.p / 3.0
-    coin = u[simulate._SLOT_COIN] < 0.5
+    unit = index - index % simulate.SIFT_UNIT
+    sift = sift_units(cfg, unit, index + 1)
+    kept = matched(sift, n_rot)
+    u = sift[-1]
+    j, jp = int(u[0] * 2), int(u[3] * 2)
+    record = dict(index=index, alice_bit=j, alice_rotation=int(u[1] * n_rot),
+                  bob_rotation=int(u[2] * n_rot), bob_basis=jp,
+                  sifted=bool(kept[-1]))
+    if not kept[-1]:
+        return TrialRecord(**record, photons_sent=None, photons_arrived=0,
+                           pulse_intact=None, outcomes=(),
+                           used_squash_coin=False, conclusive=False,
+                           inferred_bit=None, error=False)
+    width = photon_width(cfg)
+    row = unit + int(kept[:-1].sum())
+    v = units(simulate._raw_words(cfg.seed, 1, width * row, width))
+    k = simulate.MAX_PHOTONS if cfg.nu is None else cfg.nu
+    intact = v[0] >= 4.0 * cfg.p / 3.0
+    coin = v[1] < 0.5
     if cfg.nu is not None:
         n = cfg.nu
     else:
-        n = int(np.searchsorted(simulate._photon_cdf(None, cfg.mu),
-                                u[simulate._SLOT_COUNT], side="right"))
+        n = int(np.searchsorted(simulate._photon_cdf(None, cfg.mu), v[2],
+                                side="right"))
 
     outcomes = []
     for i in range(n):
-        if u[simulate._SLOT_ARRIVE + i] >= cfg.eta:
+        if v[3 + i] >= cfg.eta:
             continue
         if intact:
             p_flag = flag_table[jp, j]
         else:
-            p_flag = 0.5 * (1.0 + (2.0 * u[simulate._SLOT_COS + i] - 1.0))
-        outcomes.append(int(u[simulate._SLOT_OUTCOME + i] < p_flag))
+            p_flag = 0.5 * (1.0 + (2.0 * v[3 + 2 * k + i] - 1.0))
+        outcomes.append(int(v[3 + k + i] < p_flag))
 
     m = len(outcomes)
     n_flag = sum(outcomes)
@@ -402,12 +435,7 @@ def replay_trial(cfg: simulate.SimConfig, index: int) -> TrialRecord:
     conclusive = (m > 0 and n_flag == m) or (mixed_pattern and coin)
     inferred = 1 - jp if conclusive else None
     return TrialRecord(
-        index=index,
-        alice_bit=j,
-        alice_rotation=rot_a,
-        bob_rotation=rot_b,
-        bob_basis=jp,
-        sifted=rot_a == rot_b,
+        **record,
         photons_sent=n,
         photons_arrived=m,
         pulse_intact=bool(intact),

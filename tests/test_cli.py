@@ -909,9 +909,9 @@ def test_keyrate_rejects_a_report_that_is_not_an_object(capsys, tmp_path,
 
 
 # A coherent simulate report cut to what keyrate reads, its tallies left
-# as JSON text.
-TALLY_REPORT = ('{"results": {"conclusive_fraction": 0.5, "e_bit": 0.04, '
-                '"sifted": %s, "per_nu": [%s]}}')
+# as JSON text.  The totals are those of the valid counts below (3/10, 1/3).
+TALLY_REPORT = ('{"results": {"conclusive_fraction": 0.3, '
+                '"e_bit": 0.3333333333333333, "sifted": %s, "per_nu": [%s]}}')
 TALLY_ENTRY = '{"nu": %s, "conclusive": %s, "errors": %s}'
 COUNT = "must be a nonnegative integer count"
 ORDER = "must satisfy errors <= conclusive <= sifted"
@@ -946,6 +946,47 @@ def test_keyrate_from_simulate_reads_only_integer_counts(
     assert rc == 2
     assert err.startswith("keyrate: bad config: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("totals,message", [
+    # Read as xi1 = 0.1 and total_rate 0.1 before the totals were checked.
+    ('"conclusive_fraction": 0.9, "e_bit": 0.0',
+     "per_nu tallies give conclusive/sifted = 1/10, not "
+     "conclusive_fraction 0.9"),
+    ('"conclusive_fraction": 0.1, "e_bit": 0.5',
+     "per_nu tallies give errors/conclusive = 0/1, not e_bit 0.5"),
+    ('"conclusive_fraction": 0.0, "e_bit": 0.0',
+     "per_nu tallies give conclusive/sifted = 1/10, not "
+     "conclusive_fraction 0.0"),
+])
+def test_keyrate_rejects_per_nu_tallies_that_contradict_the_totals(
+        capsys, tmp_path, totals, message):
+    sim_out = tmp_path / "sim.json"
+    sim_out.write_text('{"results": {%s, "sifted": 10, "per_nu": [%s]}}'
+                       % (totals, TALLY_ENTRY % (1, 1, 0)))
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    assert cli.main(["keyrate", "--config", kr_cfg]) == 2
+    assert capsys.readouterr().err == "keyrate: bad config: %s\n" % message
+
+
+def test_keyrate_holds_a_real_report_to_its_totals_exactly(capsys, tmp_path):
+    # Every real report passes; a total one ulp off no longer does.
+    sim_cfg = write_config(
+        tmp_path, "protocol: six-state\nmu: 0.5\np: 0.02\neta: 0.6\n"
+                  "trials: 40000\nseed: 0\n", "sim.yaml")
+    sim_out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", sim_cfg, "--out",
+                     str(sim_out)]) == 0
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    assert cli.main(["keyrate", "--config", kr_cfg]) == 0
+    report = json.loads(sim_out.read_text())
+    for key in ("conclusive_fraction", "e_bit"):
+        doctored = json.loads(json.dumps(report))
+        doctored["results"][key] = math.nextafter(report["results"][key], 1.0)
+        sim_out.write_text(json.dumps(doctored))
+        capsys.readouterr()
+        assert cli.main(["keyrate", "--config", kr_cfg]) == 2
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("results,message", [

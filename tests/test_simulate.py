@@ -218,9 +218,9 @@ def test_run_matches_float_oracle_for_any_sharding_and_pool(case, edges):
     with pytest.MonkeyPatch.context() as mp:
         if edges:
             words = threshold_words(cfg)
-            philox_block = simulate._raw_block
-            mp.setattr(simulate, "_raw_block", lambda seed, start, count: words[
-                philox_block(seed, start, count) % np.uint64(len(words))])
+            philox = simulate._raw_words
+            mp.setattr(simulate, "_raw_words", lambda *place: words[
+                philox(*place) % np.uint64(len(words))])
         mp.setattr(simulate, "_pool_size", lambda shards: workers)
         assert simulate.run_monte_carlo(cfg, **kwargs) == oracles.monte_carlo_stats(cfg)
 
@@ -247,12 +247,12 @@ def test_pool_size_is_bounded_by_shards_and_cpus():
 @pytest.mark.parametrize("eta", [0.5, 1.0])
 @pytest.mark.parametrize("source", [dict(nu=None, mu=0.5), dict(nu=4)])
 def test_all_ones_words_stay_within_the_photon_range(monkeypatch, source, eta):
-    # Every slot reads u = 1 - 2^-53, the largest uniform of the stream: the
+    # Every word reads u = 1 - 2^-53, the largest uniform of the stream: the
     # photon count must stop at MAX_PHOTONS (not index a 7th photon).
-    def ones(seed, start, count):
-        return np.full((count, simulate.SLOTS), np.uint64(2 ** 64 - 1))
+    def ones(seed, stream, offset, count):
+        return np.full(count, np.uint64(2 ** 64 - 1))
 
-    monkeypatch.setattr(simulate, "_raw_block", ones)
+    monkeypatch.setattr(simulate, "_raw_words", ones)
     cfg = config(trials=5, eta=eta, **source)
     n = simulate.MAX_PHOTONS if cfg.mu is not None else cfg.nu
     stats = simulate.run_monte_carlo(cfg)
@@ -283,12 +283,12 @@ def test_flag_thresholds_are_exact():
 
 
 def test_all_zero_words_count_no_error_on_a_noiseless_channel(monkeypatch):
-    # u = 0 in every slot: a sifted, intact photon measured in the basis of
+    # u = 0 in every word: a sifted, intact photon measured in the basis of
     # Alice's bit, which flags it with probability exactly 0.
-    def zeros(seed, start, count):
-        return np.zeros((count, simulate.SLOTS), dtype=np.uint64)
+    def zeros(seed, stream, offset, count):
+        return np.zeros(count, dtype=np.uint64)
 
-    monkeypatch.setattr(simulate, "_raw_block", zeros)
+    monkeypatch.setattr(simulate, "_raw_words", zeros)
     cfg = config(trials=4, p=0.0, eta=1.0)
     stats = simulate.run_monte_carlo(cfg)
     assert (stats.sifted, stats.detected, stats.conclusive, stats.errors) == (
@@ -302,24 +302,121 @@ def test_all_zero_words_count_no_error_on_a_noiseless_channel(monkeypatch):
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_fixed_photon_number_ignores_the_count_word(monkeypatch, nu, word):
     # A fixed nu is the point mass: the smallest and the largest count word
-    # both send exactly nu photons.
-    philox_block = simulate._raw_block
+    # both send exactly nu photons.  Photon rows start at multiples of W.
+    philox = simulate._raw_words
+    cfg = config(nu=nu, trials=3000, eta=1.0)
+    width = oracles.photon_width(cfg)
 
-    def pinned(seed, start, count):
-        raw = philox_block(seed, start, count)
-        raw[:, simulate._SLOT_COUNT] = np.uint64(word)
+    def pinned(seed, stream, offset, count):
+        raw = philox(seed, stream, offset, count)
+        if stream == simulate._PHOTON:
+            at = (offset + np.arange(count)) % width == simulate._COUNT
+            raw[at] = np.uint64(word)
         return raw
 
-    cfg = config(nu=nu, trials=3000, eta=1.0)
-    n_rot = len(qmath.constants(cfg.protocol))
+    sift = pinned(cfg.seed, simulate._SIFT, 0, 4 * cfg.trials).reshape(-1, 4)
+    kept = simulate._sifted(sift, len(qmath.constants(cfg.protocol)))
+    photon = pinned(cfg.seed, simulate._PHOTON, 0, width * int(kept.sum()))
     tallies = simulate._shard_tallies(
-        pinned(cfg.seed, 0, cfg.trials), cfg, n_rot,
+        sift[kept], photon.reshape(-1, width), cfg,
         simulate._thresholds(simulate._conclusive_flag_prob()),
         simulate._thresholds(simulate._photon_cdf(nu, None)))
     assert tallies[nu, 0] > 0
     assert tallies[nu].tolist() == tallies.sum(axis=0).tolist()
-    monkeypatch.setattr(simulate, "_raw_block", pinned)
+    monkeypatch.setattr(simulate, "_raw_words", pinned)
     assert simulate.run_monte_carlo(cfg) == oracles.monte_carlo_stats(cfg)
+
+
+UNIT = simulate.SIFT_UNIT
+
+
+@pytest.mark.parametrize("seed", [424242, 2 ** 64 - 1])
+@pytest.mark.parametrize("source", [dict(nu=2), dict(nu=None, mu=0.7)])
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_runs_across_unit_boundaries_match_the_whole_run_oracle(protocol,
+                                                                 source, seed):
+    # Shards that start inside a unit count its earlier sifted trials from
+    # the sift stream; every sharding must read the same photon words.
+    cfg = config(protocol=protocol, trials=2 * UNIT + 1009, seed=seed,
+                 **source)
+    expected = oracles.monte_carlo_stats(cfg)
+    assert expected.sifted > 0
+    for shard_size in (1009, UNIT, UNIT + 1, None):
+        kwargs = {} if shard_size is None else {"shard_size": shard_size}
+        assert simulate.run_monte_carlo(cfg, **kwargs) == expected, shard_size
+
+
+def test_replays_at_a_unit_boundary_read_their_own_words(monkeypatch):
+    # Trial t's replay is the difference of the runs of t + 1 and t trials,
+    # and a sifted one reads photon row unit + (sifted trials of its unit
+    # before it).  These seeds sift and drop each of UNIT - 1, UNIT, UNIT + 1.
+    reads = []
+    philox = simulate._raw_words
+
+    def spy(seed, stream, offset, count):
+        reads.append((stream, offset, count))
+        return philox(seed, stream, offset, count)
+
+    def sifted(cfg, trials):
+        return simulate.run_monte_carlo(
+            dataclasses.replace(cfg, trials=trials)).sifted if trials else 0
+
+    seen = set()
+    for seed in (1, 2, 5, 2 ** 64 - 1):
+        cfg = config(trials=UNIT + 2, seed=seed, nu=2)
+        width = oracles.photon_width(cfg)
+        for index in (UNIT - 1, UNIT, UNIT + 1):
+            before, after = (
+                simulate.run_monte_carlo(dataclasses.replace(cfg, trials=t))
+                for t in (index, index + 1))
+            monkeypatch.setattr(simulate, "_raw_words", spy)
+            reads.clear()
+            r = oracles.replay_trial(cfg, index)
+            monkeypatch.setattr(simulate, "_raw_words", philox)
+            unit = index - index % UNIT
+            assert reads[0] == (0, 4 * unit, 4 * (index - unit + 1))
+            if r.sifted:
+                rank = before.sifted - sifted(cfg, unit)
+                assert reads[1:] == [(1, width * (unit + rank), width)]
+            else:
+                assert reads[1:] == []
+            diff = [getattr(after, f) - getattr(before, f)
+                    for f in ("sifted", "detected", "conclusive", "errors")]
+            assert diff == [r.sifted, r.photons_arrived > 0, r.conclusive,
+                            r.error]
+            seen.add((index, r.sifted))
+    assert len(seen) == 6
+
+
+@pytest.mark.parametrize("source", [dict(nu=1), dict(nu=None, mu=0.5)])
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_a_run_draws_photon_words_for_sifted_trials_only(monkeypatch,
+                                                        protocol, source):
+    # 4 sift words per trial and W photon words per sifted trial, each read
+    # once; 32 words per trial were drawn before.
+    reads = {0: 0, 1: 0}
+    philox = simulate._raw_words
+
+    def spy(seed, stream, offset, count):
+        reads[stream] += count
+        return philox(seed, stream, offset, count)
+
+    cfg = config(protocol=protocol, trials=2 * UNIT + 1009, **source)
+    monkeypatch.setattr(simulate, "_raw_words", spy)
+    stats = simulate.run_monte_carlo(cfg)
+    assert reads == {0: 4 * cfg.trials,
+                     1: oracles.photon_width(cfg) * stats.sifted}
+    # A shard that starts inside a unit rereads sift words, never photon ones.
+    reads.update({0: 0, 1: 0})
+    assert simulate.run_monte_carlo(cfg, shard_size=1009) == stats
+    assert reads[0] > 4 * cfg.trials
+    assert reads[1] == oracles.photon_width(cfg) * stats.sifted
+
+
+def test_photon_width_rounds_the_slots_up_to_whole_blocks():
+    widths = [simulate._photon_width(k)
+              for k in range(1, simulate.MAX_PHOTONS + 1)]
+    assert widths == [8, 12, 12, 16, 20, 24]
 
 
 def test_seed_changes_the_stream():
@@ -397,7 +494,8 @@ def test_replay_record_invariants():
     cfg = config(trials=500, p=0.1, eta=0.6, nu=2)
     for i in range(cfg.trials):
         r = oracles.replay_trial(cfg, i)
-        assert r.photons_sent == 2
+        # An unsifted trial reads no photon words.
+        assert r.photons_sent == (2 if r.sifted else None)
         assert len(r.outcomes) == r.photons_arrived
         if r.conclusive:
             assert r.inferred_bit == 1 - r.bob_basis
@@ -422,13 +520,16 @@ def test_record_validation_rules():
 def test_sift_statistics_do_not_depend_on_rotation_label():
     # Conclusive counts grouped by the matched rotation index should agree
     # within binomial noise; the protocol is covariant under relabeling.
+    # The whole-run oracle reads each stream once; 60000 replays would each
+    # read their unit's sift words up to themselves.
     cfg = config(trials=60000, p=0.04, eta=1.0)
+    sift, photon = oracles.sifted_trials(cfg)
+    _, _, conclusive, _ = oracles.photon_rows(
+        cfg, sift, photon, simulate._conclusive_flag_prob())
     by_rot = {k: [0, 0] for k in range(4)}
-    for i in range(cfg.trials):
-        r = oracles.replay_trial(cfg, i)
-        if r.sifted:
-            by_rot[r.alice_rotation][0] += 1
-            by_rot[r.alice_rotation][1] += r.conclusive
+    for rotation, c in zip((sift[:, 1] * 4).astype(int), conclusive):
+        by_rot[rotation][0] += 1
+        by_rot[rotation][1] += c
     fractions = {k: c / n for k, (n, c) in by_rot.items()}
     pooled = sum(c for _, c in by_rot.values()) / sum(n for n, _ in by_rot.values())
     for k, f in fractions.items():
