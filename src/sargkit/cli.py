@@ -362,7 +362,7 @@ def cmd_simulate(args) -> int:
 
     try:
         cfg = _sim_config(_load_config(args.config), args.seed)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         print("simulate: bad config: %s" % exc, file=sys.stderr)
         return 2
 
@@ -498,7 +498,7 @@ def cmd_keyrate(args) -> int:
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
         d = _decoy_inputs(doc)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         print("keyrate: bad config: %s" % exc, file=sys.stderr)
         return 2
 

@@ -19,8 +19,8 @@ by the master seed.  The sift stream (key seed) gives trial a the 4 raw
 sifted trials only: trials fall into units of SIFT_UNIT consecutive trials,
 and the i-th sifted trial of unit u reads its W words at offset
 W*(SIFT_UNIT*u + i).  So every trial is replayable from its unit's sift
-words up to itself plus its own photon words, and aggregate statistics are
-independent of how the trial range is sharded and of how many threads run
+words up to itself plus its own photon words.  Each unit is one shard of
+the run, so aggregate statistics are independent of how many threads run
 the shards.
 
 Each raw word w stands for the uniform deviate u = (w >> 11)·2⁻⁵³.  The shard
@@ -304,16 +304,14 @@ def _binomial_se(successes: int, n: int) -> float:
     return math.sqrt(f * (1.0 - f) / n)
 
 
-def run_monte_carlo(cfg: SimConfig, shard_size: int = SIFT_UNIT) -> SimStats:
+def run_monte_carlo(cfg: SimConfig) -> SimStats:
     """Simulate cfg.trials sessions and aggregate sifted-trial statistics.
 
-    Shards of shard_size trials run on a small thread pool (Philox and the
-    NumPy kernels release the GIL).  A shard reads the sift words of its
-    trials, keeps the sifted ones, and reads photon words for those alone.
-    A shard that starts inside a unit also reads the sift words of that
-    unit's earlier trials, to count the sifted ones and so find where its
-    photon words start.  So results are bit-identical for any shard size
-    and thread count; the default aligns every shard with one unit.
+    Every unit of SIFT_UNIT trials is one shard, and the shards run on a
+    small thread pool (Philox and the NumPy kernels release the GIL).  A
+    shard reads the sift words of its trials, keeps the sifted ones, and
+    reads photon words for those alone, so results are bit-identical for
+    any thread count.
     """
     n_rot = len(qmath.constants(cfg.protocol))
     flag = _thresholds(_conclusive_flag_prob())
@@ -321,25 +319,16 @@ def run_monte_carlo(cfg: SimConfig, shard_size: int = SIFT_UNIT) -> SimStats:
     width = _photon_width(len(count) - 1)
 
     def shard(start: int) -> np.ndarray:
-        end = min(start + shard_size, cfg.trials)
-        base = start - start % SIFT_UNIT  # the unit the shard starts in
-        sift = _raw_words(cfg.seed, _SIFT, _SIFT_WORDS * base,
-                          _SIFT_WORDS * (end - base)).reshape(-1, _SIFT_WORDS)
+        end = min(start + SIFT_UNIT, cfg.trials)
+        sift = _raw_words(cfg.seed, _SIFT, _SIFT_WORDS * start,
+                          _SIFT_WORDS * (end - start)).reshape(-1, _SIFT_WORDS)
         kept = _sifted(sift, n_rot)
-        photon = []
-        for unit in range(base, end, SIFT_UNIT):
-            lo, hi = max(start, unit) - base, min(end, unit + SIFT_UNIT) - base
-            # Python ints: Philox.advance rejects a NumPy integer.
-            first = unit + int(np.count_nonzero(kept[unit - base:lo]))
-            sifted = int(np.count_nonzero(kept[lo:hi]))
-            photon.append(_raw_words(cfg.seed, _PHOTON, width * first,
-                                     width * sifted))
-        kept[:start - base] = False
-        photon = np.concatenate(photon).reshape(-1, width)
-        return _shard_tallies(np.compress(kept, sift, axis=0), photon, cfg,
-                              flag, count)
+        photon = _raw_words(cfg.seed, _PHOTON, width * start,
+                            width * np.count_nonzero(kept))
+        return _shard_tallies(np.compress(kept, sift, axis=0),
+                              photon.reshape(-1, width), cfg, flag, count)
 
-    starts = range(0, cfg.trials, shard_size)
+    starts = range(0, cfg.trials, SIFT_UNIT)
     tallies = np.zeros((MAX_PHOTONS + 1, 4), dtype=np.int64)
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import
 

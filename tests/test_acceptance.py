@@ -136,7 +136,7 @@ def test_criterion_07_channel_law():
           "%.2e" % (worst, worst_conc))
 
 
-def test_criterion_08_monte_carlo_consistency():
+def test_criterion_08_monte_carlo_consistency(monkeypatch):
     elapsed = _stopwatch()
     lines = []
     for kwargs in (dict(nu=1, p=0.05, eta=0.5), dict(nu=2, p=0.03, eta=1.0)):
@@ -147,7 +147,9 @@ def test_criterion_08_monte_carlo_consistency():
             cfg.protocol, cfg.nu, cfg.p, cfg.eta)
         result = simulate.compare(stats, exact)
         assert result.passed, (kwargs, result)
-        replay = simulate.run_monte_carlo(cfg, shard_size=1 << 14)
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "_pool_size", lambda shards: 1)
+            replay = simulate.run_monte_carlo(cfg)
         assert replay == stats
         lines.append("nu=%d z=(%.2f, %.2f)" % (cfg.nu, result.z_conclusive,
                                                result.z_ebit))

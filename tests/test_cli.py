@@ -704,6 +704,23 @@ def test_yaml_syntax_error_is_one_stderr_line(capsys, tmp_path, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,report", [
+    ("simulate", False), ("keyrate", False), ("keyrate", True)])
+def test_deeply_nested_config_is_one_stderr_line(capsys, tmp_path, command,
+                                                 report):
+    # 3000 YAML brackets, or a report of 100000 JSON brackets, nest past the
+    # recursion limit of the YAML composer or the JSON decoder.
+    text = "[" * 3000
+    if report:
+        text = "from_simulate: %s\n" % write_config(tmp_path, "[" * 100000,
+                                                    "report.json")
+    cfg = write_config(tmp_path, text)
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(command + ": bad config: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("computed before --out was opened")
 

@@ -166,11 +166,12 @@ def test_exact_rejects_unsupported():
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def test_run_is_deterministic_and_shard_invariant():
-    cfg = config()
+def test_run_is_deterministic_and_thread_count_invariant(monkeypatch):
+    cfg = config()  # two units, so two shards
     a = simulate.run_monte_carlo(cfg)
     b = simulate.run_monte_carlo(cfg)
-    c = simulate.run_monte_carlo(cfg, shard_size=1009)
+    monkeypatch.setattr(simulate, "_pool_size", lambda shards: 1)
+    c = simulate.run_monte_carlo(cfg)
     assert a == b == c
 
 
@@ -181,17 +182,19 @@ def monte_carlo_cases(draw):
         st.builds(dict, nu=st.none(),
                   mu=st.floats(0.0, 1.0, exclude_min=True)),
     ))
-    shard_size = draw(st.sampled_from([1, 1009, None]))
     cfg = simulate.SimConfig(
         protocol=draw(st.sampled_from(qmath.PROTOCOLS)),
-        trials=draw(st.integers(1, 1500 if shard_size == 1 else 20000)),
+        # Sometimes 2 or 3 units, one shard each, so that a pool splits them.
+        trials=draw(st.one_of(
+            st.integers(1, 20000),
+            st.integers(simulate.SIFT_UNIT + 1, 3 * simulate.SIFT_UNIT))),
         seed=draw(st.integers(0, 2 ** 64 - 1)),
         p=draw(st.one_of(st.sampled_from([0.0, 0.75]), st.floats(0.0, 0.75))),
         eta=draw(st.one_of(st.just(1.0),
                            st.floats(0.0, 1.0, exclude_min=True))),
         **source,
     )
-    return cfg, shard_size, draw(st.sampled_from([1, 2]))
+    return cfg, draw(st.sampled_from([1, 2, 8]))
 
 
 def threshold_words(cfg: simulate.SimConfig) -> np.ndarray:
@@ -210,11 +213,10 @@ def threshold_words(cfg: simulate.SimConfig) -> np.ndarray:
 
 @settings(max_examples=100, deadline=None)
 @given(monte_carlo_cases(), st.booleans())
-def test_run_matches_float_oracle_for_any_sharding_and_pool(case, edges):
+def test_run_matches_float_oracle_for_any_pool(case, edges):
     # With edges, every word is drawn from threshold_words, still as a
-    # function of its place in the stream so that sharding cannot matter.
-    cfg, shard_size, workers = case
-    kwargs = {} if shard_size is None else {"shard_size": shard_size}
+    # function of its place in the stream so that the pool cannot matter.
+    cfg, workers = case
     with pytest.MonkeyPatch.context() as mp:
         if edges:
             words = threshold_words(cfg)
@@ -222,18 +224,18 @@ def test_run_matches_float_oracle_for_any_sharding_and_pool(case, edges):
             mp.setattr(simulate, "_raw_words", lambda *place: words[
                 philox(*place) % np.uint64(len(words))])
         mp.setattr(simulate, "_pool_size", lambda shards: workers)
-        assert simulate.run_monte_carlo(cfg, **kwargs) == oracles.monte_carlo_stats(cfg)
+        assert simulate.run_monte_carlo(cfg) == oracles.monte_carlo_stats(cfg)
 
 
 def test_more_threads_than_cores_with_fast_switching(monkeypatch):
     # Shards share no mutable state; a lost or doubled shard would show here.
-    cfg = config(nu=None, mu=0.7, trials=20000)
+    cfg = config(nu=None, mu=0.7, trials=5 * simulate.SIFT_UNIT)
     expected = oracles.monte_carlo_stats(cfg)
     monkeypatch.setattr(simulate, "_pool_size", lambda shards: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stats = simulate.run_monte_carlo(cfg, shard_size=257)
+        stats = simulate.run_monte_carlo(cfg)
     finally:
         sys.setswitchinterval(interval)
     assert stats == expected
@@ -333,17 +335,17 @@ UNIT = simulate.SIFT_UNIT
 @pytest.mark.parametrize("seed", [424242, 2 ** 64 - 1])
 @pytest.mark.parametrize("source", [dict(nu=2), dict(nu=None, mu=0.7)])
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
-def test_runs_across_unit_boundaries_match_the_whole_run_oracle(protocol,
-                                                                 source, seed):
-    # Shards that start inside a unit count its earlier sifted trials from
-    # the sift stream; every sharding must read the same photon words.
+def test_runs_across_unit_boundaries_match_the_whole_run_oracle(
+        monkeypatch, protocol, source, seed):
+    # Each unit is one shard that reads photon words from its own start;
+    # every pool size must read the same words.
     cfg = config(protocol=protocol, trials=2 * UNIT + 1009, seed=seed,
                  **source)
     expected = oracles.monte_carlo_stats(cfg)
     assert expected.sifted > 0
-    for shard_size in (1009, UNIT, UNIT + 1, None):
-        kwargs = {} if shard_size is None else {"shard_size": shard_size}
-        assert simulate.run_monte_carlo(cfg, **kwargs) == expected, shard_size
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(simulate, "_pool_size", lambda shards: workers)
+        assert simulate.run_monte_carlo(cfg) == expected, workers
 
 
 def test_replays_at_a_unit_boundary_read_their_own_words(monkeypatch):
@@ -406,11 +408,6 @@ def test_a_run_draws_photon_words_for_sifted_trials_only(monkeypatch,
     stats = simulate.run_monte_carlo(cfg)
     assert reads == {0: 4 * cfg.trials,
                      1: oracles.photon_width(cfg) * stats.sifted}
-    # A shard that starts inside a unit rereads sift words, never photon ones.
-    reads.update({0: 0, 1: 0})
-    assert simulate.run_monte_carlo(cfg, shard_size=1009) == stats
-    assert reads[0] > 4 * cfg.trials
-    assert reads[1] == oracles.photon_width(cfg) * stats.sifted
 
 
 def test_photon_width_rounds_the_slots_up_to_whole_blocks():
