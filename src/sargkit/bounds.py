@@ -111,6 +111,23 @@ def identity_check_single(protocol: str) -> float:
     return float(np.abs(h_ph - 1.5 * h_bit).max())
 
 
+def span_coefficients(protocol: str, nu: int, tag: str) -> tuple:
+    """(a, b, residual): the real least-squares fit H_tag ~ a*H_fil + b*H_bit
+    on the compiled forms, with residual the max-abs gap of the fit.
+
+    A residual within IDENTITY_TOL means the event's weight per conclusive
+    pair is a + b*e_bit for every attack.
+    """
+    f = attack_forms.all_forms(protocol, nu)
+    h_fil, h_bit, h = (f[k].matrix for k in ("fil", "bit", tag))
+    basis = np.stack([h_fil.ravel(), h_bit.ravel()], axis=1)
+    # Real and imaginary parts as separate equations keep a and b real.
+    a, b = np.linalg.lstsq(np.concatenate([basis.real, basis.imag]),
+                           np.concatenate([h.real.ravel(), h.imag.ravel()]),
+                           rcond=None)[0]
+    return float(a), float(b), float(np.abs(h - a * h_fil - b * h_bit).max())
+
+
 @lru_cache(maxsize=None)
 def correlation_psd_check() -> tuple[float, float]:
     """Smallest eigenvalues of the two single-photon correlation inequalities.

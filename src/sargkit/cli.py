@@ -113,6 +113,11 @@ def checks() -> tuple[Check, ...]:
         Check("phase = 1.5 x bit identity", _BOTH, (1,),
               lambda p, nu: bounds.identity_check_single(p),
               "<", bounds.IDENTITY_TOL),
+        Check("Bell span identity", _SIX, (1, 2),
+              lambda p, nu: max(
+                  bounds.span_coefficients(p, nu, "bell:" + tag)[2]
+                  for tag in qmath.BELL_TAGS),
+              "<", bounds.IDENTITY_TOL),
         Check("correlation chi0- >= 2 chi1+", _FOUR, (1,),
               lambda p, nu: bounds.correlation_psd_check()[0],
               ">=", -bounds.IDENTITY_TOL),
@@ -238,7 +243,8 @@ def _threshold_row(row, r) -> dict:
         None if e is None else round(e, 4),
         None if p is None else round(p, 4),
         None if tolerance is None else
-        abs(e_dev) <= tolerance[0] and abs(p_dev) <= tolerance[1])))
+        all(abs(dev) <= tol for dev, tol in zip((e_dev, p_dev), tolerance)
+            if tol is not None))))
 
 
 def cmd_thresholds(args) -> int:

@@ -9,8 +9,12 @@ Rates are asymptotic per sifted conclusive pair:
 * two photons:   R2 = 1 - h(e_bit) - h(e_ph) with e_ph the best certified
   bound min_x [x*e_bit + g(x)], evaluated in closed form (bit/phase treated
   as independent);
-* six-state variant: same shape as R2 for photon numbers 1..4, with g
-  replaced by the computed frontier y_star(x), read on no x-grid.
+* six-state variant, photon numbers 1..4: where every Bell form is an
+  exact combination a*H_fil + b*H_bit (bounds.span_coefficients; nu = 1, 2)
+  the pair's Bell vector is chi(e_bit) = a + b*e_bit and the rate is the
+  Bell-diagonal one-way rate 1 - H(chi) (H.-K. Lo, QIC 1, 81 (2001));
+  elsewhere the same shape as R2, with g replaced by the computed frontier
+  y_star(x), read on no x-grid.
 
 Every rate is a float of e_bit, and every threshold takes one path,
 ``_threshold``: a bisection root of the rate on a fixed bracket, with the
@@ -34,16 +38,17 @@ from . import SUPPORTED_NU
 # The thresholds table: per protocol, rows in print order of (label, nu, quoted
 # e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
 # None is a quoted constant (BB84's and the original six-state protocol's
-# single-photon p); any other nu needs a branch in ``threshold``.  Tolerance
-# None makes a row informational, as every six-state row is: the entropy model
-# behind its quoted e is unknown.
+# single-photon p); any other nu needs a rate model in ``threshold``.  A
+# tolerance part of None leaves that deviation unchecked, and a tolerance of
+# None makes the row informational, as the two reference constants are.  The
+# six-state rows quote e only, and are held to half a unit of its last digit.
 THRESHOLDS = {
     "four-state": (("four-state", 1, 0.0968, 0.0804, (2e-4, 5e-4)),
                    ("four-state", 2, 0.0271, 0.0208, (2e-4, 5e-4))),
-    "six-state": (("six-state", 1, 0.112, None, None),
-                  ("six-state", 2, 0.0560, None, None),
-                  ("six-state", 3, 0.0237, None, None),
-                  ("six-state", 4, 0.00788, None, None),
+    "six-state": (("six-state", 1, 0.112, None, (5e-4, None)),
+                  ("six-state", 2, 0.0560, None, (5e-5, None)),
+                  ("six-state", 3, 0.0237, None, (5e-5, None)),
+                  ("six-state", 4, 0.00788, None, (5e-6, None)),
                   ("bb84-reference", None, None, 0.165, None),
                   ("six-state-original-reference", None, None, 0.190, None)),
 }
@@ -255,24 +260,37 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 
 def sixstate_thresholds(nu: int) -> ThresholdResult:
     """Six-state threshold for one photon number (1..4): the root on [1e-9,
-    0.45] of 1 - h(e) - h(e_ph), e_ph the lesser tangent around the x whose
-    frontier point has rate 0; informational in THRESHOLDS (see there)."""
+    0.45] of the rate the span fit picks.  When every Bell form fits
+    a*H_fil + b*H_bit within bounds.IDENTITY_TOL, the rate is 1 - H(chi(e))
+    with chi_t = a_t + b_t*e in qmath.BELL_TAGS order; otherwise it is
+    1 - h(e) - h(e_ph), e_ph the lesser tangent around the x whose frontier
+    point has rate 0."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
-    from . import bounds
+    from . import bounds, qmath
 
-    tangents = bounds.supporting_tangents(
-        "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
-    return _threshold(lambda e: rate_independent(
-        e, min(x * e + y for x, y in tangents)), 1e-9, 0.45, 1e-7)
+    fits = [bounds.span_coefficients("six-state", nu, "bell:" + tag)
+            for tag in qmath.BELL_TAGS]
+    if max(residual for *_, residual in fits) <= bounds.IDENTITY_TOL:
+        def rate(e: float) -> float:
+            return 1.0 - _shannon([a + b * e for a, b, _ in fits])
+    else:
+        tangents = bounds.supporting_tangents(
+            "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
+
+        def rate(e: float) -> float:
+            return rate_independent(e, min(x * e + y for x, y in tangents))
+    return _threshold(rate, 1e-9, 0.45, 1e-7)
 
 
 def threshold(protocol: str, nu: int) -> ThresholdResult:
     """A THRESHOLDS row's threshold under its rate model: four-state nu=1 R1,
-    nu=2 R2, six-state nu=1..4 the tangent bound."""
+    nu=2 R2, six-state nu=1..4 ``sixstate_thresholds``."""
     if protocol == "six-state":
         return sixstate_thresholds(nu)
-    if protocol == "four-state" and nu in (1, 2):
-        return threshold_single() if nu == 1 else threshold_two()
-    raise ValueError("no threshold model for %s nu=%r" % (protocol, nu))
+    model = {("four-state", 1): threshold_single,
+             ("four-state", 2): threshold_two}.get((protocol, nu))
+    if model is None:
+        raise ValueError("no threshold model for %s nu=%r" % (protocol, nu))
+    return model()

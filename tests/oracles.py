@@ -244,6 +244,39 @@ def linear_indep_threshold(alpha: float, beta: float,
     return 0.5 * (lo + hi)
 
 
+def sixstate_chi(nu: int, e: float) -> tuple[float, ...]:
+    """The six-state Bell vector of a conclusive pair at bit error e, in
+    qmath.BELL_TAGS order, in closed form at the photon numbers where it is
+    linear in e:
+
+    * nu=1: (1 - 7e/4, 3e/4, e/4, 3e/4);
+    * nu=2: (cos^2(pi/8) - ((4 + 5 sqrt2)/8) e, sin^2(pi/8) + ((5 sqrt2 - 4)/8) e,
+      ((4 - sqrt2)/8) e, ((4 + sqrt2)/8) e).
+    """
+    r2 = math.sqrt(2.0)
+    if nu == 1:
+        return (1.0 - 1.75 * e, 0.75 * e, 0.25 * e, 0.75 * e)
+    if nu == 2:
+        return (math.cos(math.pi / 8) ** 2 - (4.0 + 5.0 * r2) / 8.0 * e,
+                math.sin(math.pi / 8) ** 2 + (5.0 * r2 - 4.0) / 8.0 * e,
+                (4.0 - r2) / 8.0 * e, (4.0 + r2) / 8.0 * e)
+    raise ValueError("no closed-form Bell vector at nu=%r" % (nu,))
+
+
+def bell_diagonal_threshold(chi, tol: float = 1e-7) -> float:
+    """Root in e of 1 - H(chi(e)) on [0.01, 0.3], bisected to width tol, with
+    H the Shannon entropy in bits: the Bell-diagonal one-way threshold of a
+    Bell vector chi(e) (H.-K. Lo, QIC 1, 81 (2001))."""
+    def rate(e: float) -> float:
+        return 1.0 + sum(q * math.log2(q) for q in chi(e) if q > 0.0)
+
+    lo, hi = 0.01, 0.3
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rate(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def fourstate_indep_threshold() -> float:
     """Four-state nu=1 threshold under the independent-errors entropy model.
 

@@ -190,3 +190,21 @@ def test_criterion_10_six_state_pipeline():
         for nu, r in zip((1, 2, 3, 4), computed)
     )
     print("ACCEPTANCE 10 PASS: six-state pipeline in %.1fs; %s" % (t, report))
+
+
+def test_criterion_11_six_state_thresholds_match_the_quoted_digits():
+    # Each quoted six-state e is met within half a unit of its last digit:
+    # nu=1, 2 on the Bell-diagonal rate 1 - H(chi(e)), nu=3, 4 on the
+    # tangent bound.
+    elapsed = _stopwatch()
+    half_unit = {1: (0.112, 5e-4), 2: (0.0560, 5e-5), 3: (0.0237, 5e-5),
+                 4: (0.00788, 5e-6)}
+    devs = {}
+    for nu, (quoted, tol) in half_unit.items():
+        devs[nu] = keyrate.sixstate_thresholds(nu).e_threshold - quoted
+        assert abs(devs[nu]) <= tol
+    t = elapsed()
+    assert t < 60.0
+    print("ACCEPTANCE 11 PASS: six-state thresholds within half a quoted "
+          "unit; %s (%.1fs)" % (", ".join(
+              "nu=%d dev %+.1e" % item for item in devs.items()), t))

@@ -82,9 +82,11 @@ VERIFY_ROWS = {
     ("four-state", 3): ["nu=3 no-key floor"],
     ("four-state", 4): ["nu=4 no-key floor"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
+                       "nu=1 Bell span identity",
                        "nu=1 frontier in [0, 1]",
                        "nu=1 reduced H_bit PSD"],
-    ("six-state", 2): ["nu=2 frontier in [0, 1]",
+    ("six-state", 2): ["nu=2 Bell span identity",
+                       "nu=2 frontier in [0, 1]",
                        "nu=2 reduced H_bit PSD"],
     ("six-state", 3): ["nu=3 frontier in [0, 1]",
                        "nu=3 reduced H_bit PSD"],
@@ -204,13 +206,15 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     captured = capsys.readouterr()
     assert rc == 1
     rows = check_rows(captured.out)
-    assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
-    assert rows[0][-1] == "PASS"
-    assert [r[1:] for r in rows[1:]] == [["nan", "<= 1", "FAIL"],
+    # The two identity rows read the compiled forms, not H_fil's kernel.
+    assert [r[0] for r in rows[:2]] == ["nu=1 phase = 1.5 x bit identity",
+                                        "nu=1 Bell span identity"]
+    assert [r[-1] for r in rows[:2]] == ["PASS", "PASS"]
+    assert [r[1:] for r in rows[2:]] == [["nan", "<= 1", "FAIL"],
                                          ["nan", ">= -1e-10", "FAIL"]]
     assert captured.out.splitlines()[-1] == "summary: FAIL"
     err = captured.err.splitlines()
-    assert [line.split(": ")[0] for line in err] == [r[0] for r in rows[1:]]
+    assert [line.split(": ")[0] for line in err] == [r[0] for r in rows[2:]]
     assert all("H_fil eigenvalue" in line for line in err)
 
 
@@ -271,8 +275,9 @@ def test_thresholds_six_state_table_with_reference_constants(capsys):
     ref = {r["label"]: r for r in rows}
     assert float(ref["bb84-reference"]["p_reference"]) == 0.165
     assert float(ref["six-state-original-reference"]["p_reference"]) == 0.190
-    # informational rows never trip the exit code
-    assert all(r["within_tolerance"] == "" for r in rows)
+    # Every photon-number row is asserted; the two reference constants are
+    # informational and print an empty cell.
+    assert [r["within_tolerance"] for r in rows] == ["True"] * 4 + [""] * 2
 
 
 # Every thresholds row, by protocol, in print order: (label, nu, e_reference,
@@ -285,13 +290,13 @@ THRESHOLD_ROWS = {
          0.027100606918334963, 0.020891631070269468),
     ],
     "six-state": [
-        ("six-state", 1, 0.112, None, None,
-         0.08898885628339477, 0.07326106016690821),
-        ("six-state", 2, 0.056, None, None,
-         0.04886156111690551, 0.03852874549020656),
-        ("six-state", 3, 0.0237, None, None,
+        ("six-state", 1, 0.112, None, True,
+         0.11235717312027439, 0.09493444580229113),
+        ("six-state", 2, 0.056, None, True,
+         0.05602756528188926, 0.0445147256592987),
+        ("six-state", 3, 0.0237, None, True,
          0.023701099508617818, 0.018207359060341655),
-        ("six-state", 4, 0.00788, None, None,
+        ("six-state", 4, 0.00788, None, True,
          0.00788304009934157, 0.005959257137483246),
         ("bb84-reference", None, None, 0.165, None, None, None),
         ("six-state-original-reference", None, None, 0.19, None, None, None),
@@ -337,6 +342,21 @@ def test_thresholds_read_the_tolerance_from_keyrate(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["manifest"]["status"] == "FAIL"
     assert [r["within_tolerance"] for r in doc["results"]] == [False, True]
+
+
+def test_six_state_thresholds_check_the_e_deviation_only(capsys, monkeypatch):
+    # The six-state rows quote no p, so only |e deviation| is held to the
+    # tolerance: 3.6e-4, 2.8e-5, 1.1e-6 and 3.0e-6 against a 2e-6 bound fail
+    # every row but nu=3; the reference constants stay informational.
+    from sargkit import keyrate
+    monkeypatch.setitem(keyrate.THRESHOLDS, "six-state", tuple(
+        row if row[1] is None else (*row[:4], (2e-6, None))
+        for row in keyrate.THRESHOLDS["six-state"]))
+    rc, out = run(capsys, "thresholds", "--protocol", "six-state",
+                  "--format", "json")
+    assert rc == 1
+    assert [r["within_tolerance"] for r in json.loads(out)["results"]] == [
+        False, False, True, False, None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -259,20 +259,64 @@ def test_six_state_thresholds_positive_and_decreasing():
 
 
 def test_six_state_threshold_regression_values():
-    # Pipeline regression anchors.
-    expected = {1: 0.088989, 2: 0.048862, 3: 0.023701, 4: 0.007883}
+    # Pipeline regression anchors: nu=1, 2 on the Bell-diagonal rate, nu=3, 4
+    # on the tangent bound.
+    expected = {1: 0.1123572, 2: 0.0560276, 3: 0.0237011, 4: 0.0078830}
     for nu, e_ref in expected.items():
         r = keyrate.sixstate_thresholds(nu)
-        assert r.e_threshold == pytest.approx(e_ref, abs=2e-4)
+        assert r.e_threshold == pytest.approx(e_ref, abs=1e-6)
+
+
+# The closed-form root of each row's rate, found with no frontier and no
+# span fit: at nu = 1, 2 every Bell weight is linear in e (oracles.sixstate_chi)
+# and the rate is 1 - H(chi(e)); at nu = 3 only the certified phase error is,
+# and the rate is 1 - h(e) - h(alpha + beta*e).
+CLOSED_FORM_ROOTS = {
+    1: lambda: oracles.bell_diagonal_threshold(
+        lambda e: oracles.sixstate_chi(1, e), tol=1e-12),
+    2: lambda: oracles.bell_diagonal_threshold(
+        lambda e: oracles.sixstate_chi(2, e), tol=1e-12),
+    3: lambda: oracles.linear_indep_threshold(*LINEAR_EPH[3], tol=1e-12),
+}
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_six_state_thresholds_are_the_closed_form_roots(nu):
-    # At six-state nu = 1..3 the certified phase error is exactly linear,
-    # alpha + beta*e, so each threshold is the root of 1 - h(e) - h(alpha +
-    # beta*e), found here with no frontier at all.
-    root = oracles.linear_indep_threshold(*LINEAR_EPH[nu], tol=1e-12)
+    root = CLOSED_FORM_ROOTS[nu]()
     assert abs(keyrate.sixstate_thresholds(nu).e_threshold - root) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LINEAR_EPH)), st.floats(min_value=1e-9,
+                                                      max_value=0.45))
+def test_tangent_bound_is_the_linear_phase_error(nu, e):
+    # The tangent path stays exact where no threshold row reads it now.
+    alpha, beta = LINEAR_EPH[nu]
+    bound = keyrate.ephase_bound_frontier(e, "six-state", nu)
+    assert abs(bound - (alpha + beta * e)) <= 1e-12
+
+
+def test_six_state_rate_model_follows_the_span_fit(monkeypatch):
+    # The rows whose Bell forms all fit the span (nu = 1, 2) take no tangent;
+    # the others (nu = 3, 4) do.  A fit patched to miss moves nu = 1 to the
+    # tangent rate, whose root is the independent-errors one.
+    tangent_rows = []
+    tangents = bounds.supporting_tangents
+
+    def spy(protocol, nu, past):
+        tangent_rows.append(nu)
+        return tangents(protocol, nu, past)
+
+    monkeypatch.setattr(bounds, "supporting_tangents", spy)
+    for nu in (1, 2, 3, 4):
+        keyrate.sixstate_thresholds(nu)
+    assert tangent_rows == [3, 4]
+    fit = bounds.span_coefficients
+    monkeypatch.setattr(bounds, "span_coefficients", lambda p, nu, tag: (
+        *fit(p, nu, tag)[:2], 2.0 * bounds.IDENTITY_TOL))
+    root = oracles.linear_indep_threshold(*LINEAR_EPH[1], tol=1e-12)
+    assert abs(keyrate.sixstate_thresholds(1).e_threshold - root) <= 1e-7
+    assert tangent_rows == [3, 4, 1]
 
 
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
