@@ -42,7 +42,9 @@ from . import qmath
 
 EVENT_TAGS = ("fil", "bit", "ph", "bell:chi0+", "bell:chi0-", "bell:chi1+", "bell:chi1-")
 
-MAX_NU = 5
+# The largest photon number with forms: constants-check reads six-state up to
+# nu = K - 2 + P = 12 (``qmath.signal_kets``).
+MAX_NU = 12
 
 
 def _sift_maps(protocol: str, nu: int) -> np.ndarray:

@@ -103,6 +103,22 @@ def checks() -> tuple[Check, ...]:
         eigs = qmath.eigh_checked(qmath.filter_op())[0]
         return max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
 
+    def filter_rank_ratio(protocol: str, nu: int | None) -> float:
+        k = len(qmath.signal_kets(protocol).kets)
+        h_fil = attack_forms.all_forms(protocol, k - 1)["fil"].matrix
+        w = bounds._kernel_split(h_fil, "H_fil")[0]
+        return float(w[0] / w[-1])
+
+    def no_key_floor(protocol: str, nu: int | None) -> float:
+        # The least floor over one phase period from nu = K - 1 on.
+        table = qmath.signal_kets(protocol)
+        first = len(table.kets) - 1
+        window = range(first, first + table.period)
+        if window[-1] > attack_forms.MAX_NU:
+            raise ArithmeticError("floor window nu=%d..%d passes MAX_NU %d"
+                                  % (first, window[-1], attack_forms.MAX_NU))
+        return min(bounds.zero_rate_check(protocol, n) for n in window)
+
     def filtered_pair(protocol: str, nu: int | None) -> float:
         f = qmath.filter_op()
         filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket()
@@ -166,8 +182,17 @@ def checks() -> tuple[Check, ...]:
               lambda p, nu: float(len(qmath.constants(p))),
               "==", {"four-state": 4, "six-state": 24}),
         Check("distinct signal states", _BOTH, None,
-              lambda p, nu: float(len(qmath.distinct_bloch_vectors(p))),
+              lambda p, nu: float(len(qmath.signal_kets(p).kets)),
               "==", {"four-state": 4, "six-state": 6}),
+        # For nu >= K - 1 the powers s_k^(x)nu are independent, so every
+        # form depends on nu only through the phases c^nu, i.e. nu mod P.
+        Check("phase period", _BOTH, None,
+              lambda p, nu: float(qmath.signal_kets(p).period),
+              "==", {"four-state": 2, "six-state": 8}),
+        Check("H_fil full rank at nu=K-1", _BOTH, None, filter_rank_ratio,
+              ">=", math.sqrt(bounds.RANK_TOL)),
+        Check("no-key floor, nu >= K-1", _BOTH, None, no_key_floor,
+              ">=", 0.5 - bounds.PSD_TOL),
         Check("rotation maps phi1 to phi0", _BOTH, None,
               lambda p, nu: max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
                                     - qmath.signal_ket(0)),

@@ -10,7 +10,9 @@ plain numpy arrays in a single fixed convention:
   basis (1,0), (0,1).
 
 The sift rotations of a protocol are the closure of its ``SIFT_GENERATORS``,
-cached as a tuple of read-only unitaries; every function here is pure.
+cached as a tuple of read-only unitaries, and its sift kets U_g phi_a are
+cached as a table of distinct kets and phases (``signal_kets``); every
+function here is pure.
 
 Every eigen-solve goes through one checked routine, ``eigh_checked``, on one
 matrix or a stack; ``min_eigenvalue`` reads its lowest column.  The check is
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,17 +173,6 @@ def twist_t() -> np.ndarray:
     )
 
 
-def bloch_vector(s: np.ndarray) -> np.ndarray:
-    """Bloch 3-vector of a unit qubit ket; invariant under global phase."""
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (2,):
-        raise ValueError("bloch_vector needs a single-qubit ket")
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return np.array([np.vdot(s, m @ s).real for m in (sx, sy, sz)])
-
-
 # ---------------------------------------------------------------------------
 # Bell states and pair sources
 # ---------------------------------------------------------------------------
@@ -226,7 +218,8 @@ def filter_measurement_identity_check() -> float:
 # ---------------------------------------------------------------------------
 
 def _phase_canonical_key(u: np.ndarray) -> tuple:
-    """Canonical hashable key (9 decimals) for a unitary modulo global phase."""
+    """Canonical hashable key (9 decimals) for a unitary, or a unit qubit
+    ket, modulo global phase."""
     flat = u.ravel()
     idx = int(np.argmax(np.abs(flat) > 0.3))
     pivot = flat[idx]
@@ -276,13 +269,45 @@ def constants(protocol: str) -> tuple[np.ndarray, ...]:
     return tuple(read_only(np.stack(_close_under_multiplication(generators))))
 
 
-def distinct_bloch_vectors(protocol: str) -> list[np.ndarray]:
-    """Distinct Bloch vectors (pairwise distance > 1e-9) of the signal
-    ensemble {U_g |phi_j>} over the sift rotations and both bits."""
-    vecs: list[np.ndarray] = []
-    for u in constants(protocol):
-        for j in (0, 1):
-            b = bloch_vector(u @ signal_ket(j))
-            if all(np.linalg.norm(b - c) > 1e-9 for c in vecs):
-                vecs.append(b)
-    return vecs
+class SignalKets(NamedTuple):
+    """The sift kets of a protocol up to phase: U_g phi_a equals
+    ``phases[g, a] * kets[index[g, a]]``, with g in ``constants`` order.
+
+    ``kets`` (K, 2) holds the first U_g phi_a of each class, ``index``
+    (|G|, 2) the class of each sift ket and ``phases`` (|G|, 2) its unit
+    phase c against that representative.
+    """
+
+    kets: np.ndarray
+    index: np.ndarray
+    phases: np.ndarray
+
+    @property
+    def period(self) -> int:
+        """P, the least n <= 64 with max|c^n - 1| < STRUCTURAL_TOL over every
+        phase; raises ArithmeticError when there is none."""
+        for n in range(1, 65):
+            if np.abs(self.phases ** n - 1.0).max() < STRUCTURAL_TOL:
+                return n
+        raise ArithmeticError("signal phases have no period up to 64")
+
+
+@lru_cache(maxsize=None)
+def signal_kets(protocol: str) -> SignalKets:
+    """The cached table of a protocol's sift kets: its K distinct kets up to
+    phase (4 four-state, 6 six-state), keyed by ``_phase_canonical_key``,
+    and each U_g phi_a's class and phase.  Every array is read-only.
+
+    Every signal (U_g phi_a)^{(x)nu} is c^nu s_k^{(x)nu}, so an attack meets
+    the forms only through the K vectors s_k^{(x)nu} and the phases c^nu.
+    """
+    sift = np.einsum("gij,aj->gai", np.stack(constants(protocol)),
+                     np.stack([signal_ket(0), signal_ket(1)]))  # U_g phi_a
+    flat = sift.reshape(-1, 2)
+    classes: dict[tuple, int] = {}
+    index = [classes.setdefault(_phase_canonical_key(w), len(classes))
+             for w in flat]
+    kets = flat[[index.index(k) for k in range(len(classes))]]
+    index = np.reshape(index, sift.shape[:2])
+    phases = np.einsum("...i,...i->...", kets[index].conj(), sift)
+    return SignalKets(read_only(kets), read_only(index), read_only(phases))

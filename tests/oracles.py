@@ -22,6 +22,11 @@ import numpy as np
 
 from sargkit import attack_forms, bounds, keyrate, qmath, simulate
 
+# The largest photon number at which a test builds the 2^nu-dimensional
+# oracles: at attack_forms.MAX_NU = 12, full_forms alone would be an
+# 8192 x 8192 complex matrix per event (1 GiB).
+FULL_NU = 5
+
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power; n = 0 gives the scalar identity."""

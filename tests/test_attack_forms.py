@@ -155,7 +155,7 @@ def test_single_photon_forms_are_repr_equal_to_the_full_assembly(protocol):
 
 @pytest.mark.parametrize("protocol,nu", [
     (protocol, nu) for protocol in qmath.PROTOCOLS
-    for nu in range(2, attack_forms.MAX_NU + 1)])
+    for nu in range(2, oracles.FULL_NU + 1)])
 def test_dicke_forms_are_the_full_forms_on_the_symmetric_subspace(protocol, nu):
     # H_D = J^dag H_full J with J = I_2 (x) P embeds Dicke coordinates.
     j = np.kron(np.eye(2), oracles.dicke_isometry(nu))
@@ -167,7 +167,7 @@ def test_dicke_forms_are_the_full_forms_on_the_symmetric_subspace(protocol, nu):
 
 @pytest.mark.parametrize("protocol,nu", [
     (protocol, nu) for protocol in qmath.PROTOCOLS
-    for nu in range(1, attack_forms.MAX_NU + 1)])
+    for nu in range(1, oracles.FULL_NU + 1)])
 def test_full_map_weights_equal_dicke_weights_of_m_p(protocol, nu):
     # An arbitrary map M on all 2^nu inputs acts on the signals only through
     # its restriction M P to Sym^nu.
@@ -206,7 +206,7 @@ def test_form_matrix_lookup_and_validation():
     with pytest.raises(ValueError):
         oracles.form_matrix("oops", "four-state", 2)
     with pytest.raises(ValueError):
-        attack_forms.all_forms("four-state", 9)
+        attack_forms.all_forms("four-state", attack_forms.MAX_NU + 1)
     with pytest.raises(ValueError):
         attack_forms.all_forms("three-state", 1)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -344,10 +345,13 @@ def test_zero_rate_floors():
     assert bounds.zero_rate_check("six-state", 4) < 0.5
 
 
-# inf_x y_star(x) in closed form, nu = 1..5.
+# inf_x y_star(x) in closed form, nu = 1..12.  From nu = K - 1 (3 and 5) on
+# the floor repeats with the phase period P (2 and 8).
 FLOORS = {
-    "four-state": (0.0, SIN2, 1.0, COS2, 1.0),
-    "six-state": (0.0, SIN2, 0.25, 0.5 - 1 / (4 * math.sqrt(2)), 1.0),
+    "four-state": (0.0, SIN2) + (1.0, COS2) * 5,
+    "six-state": (0.0, SIN2, 0.25, 0.5 - 1 / (4 * math.sqrt(2)),
+                  1.0, COS2, 0.75, 0.5 + 1 / (4 * math.sqrt(2)),
+                  0.75, 0.5 + 1 / (4 * math.sqrt(2)), 0.75, COS2),
 }
 
 
@@ -357,6 +361,44 @@ def test_zero_rate_floor_matches_closed_forms(protocol, nu, monkeypatch):
     monkeypatch.setattr(bounds, "frontier_table", None)  # no grid is read
     assert abs(bounds.zero_rate_check(protocol, nu)
                - FLOORS[protocol][nu - 1]) <= 1e-12
+
+
+SHARPNESS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
+
+
+@pytest.fixture
+def nu_up_to_20(monkeypatch):
+    # Forms past MAX_NU, compiled into caches that end with the test.
+    monkeypatch.setattr(attack_forms, "MAX_NU", 20)
+    monkeypatch.setattr(attack_forms, "all_forms",
+                        lru_cache()(attack_forms.all_forms.__wrapped__))
+    monkeypatch.setattr(bounds, "_reduced_pencil",
+                        lru_cache()(bounds._reduced_pencil.__wrapped__))
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_frontier_repeats_with_the_phase_period_from_k_minus_1(protocol,
+                                                               nu_up_to_20):
+    # From nu = K - 1 on the frontier depends on nu mod P only, so the
+    # constants-check window nu = K - 1 .. K - 2 + P covers every nu.
+    table = qmath.signal_kets(protocol)
+    k, period = len(table.kets), table.period
+    for nu in range(k - 1, k - 1 + period):
+        here = bounds.frontier_table(protocol, nu, SHARPNESS_GRID)
+        there = bounds.frontier_table(protocol, nu + period, SHARPNESS_GRID)
+        assert max(abs(a - b) for a, b in zip(here, there)) <= 1e-12, nu
+
+
+@pytest.mark.parametrize("protocol,nu,gap", [("four-state", 2, 0.71),
+                                             ("six-state", 4, 0.54)])
+def test_frontier_does_not_repeat_below_k_minus_1(protocol, nu, gap,
+                                                  nu_up_to_20):
+    # One photon below K - 1 the powers s_k^(x)nu are dependent: nu and
+    # nu + P give different frontiers, so the window cannot start lower.
+    period = qmath.signal_kets(protocol).period
+    here = bounds.frontier_table(protocol, nu, SHARPNESS_GRID)
+    there = bounds.frontier_table(protocol, nu + period, SHARPNESS_GRID)
+    assert round(max(abs(a - b) for a, b in zip(here, there)), 2) == gap
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ import pytest
 import oracles
 import sargkit
 import sargkit.bounds
-from sargkit import cli, simulate
+from sargkit import cli, qmath, simulate
 
 SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
 
@@ -96,7 +96,9 @@ VERIFY_ROWS = {
 }
 
 CONSTANT_ROWS = [
-    "rotation count", "distinct signal states", "rotation maps phi1 to phi0",
+    "rotation count", "distinct signal states", "phase period",
+    "H_fil full rank at nu=K-1", "no-key floor, nu >= K-1",
+    "rotation maps phi1 to phi0",
     "rotation fourth power = -1", "twist unitary", "filter eigenvalues",
     "filter/measurement identity", "filtered pair = half chi0+",
 ]
@@ -1087,3 +1089,64 @@ def test_constants_check_single_protocol(capsys):
     rc, out = run(capsys, "constants-check", "--protocol", "four-state")
     assert rc == 0
     assert "six-state" not in out
+
+
+def test_constants_check_prints_the_no_key_proof(capsys):
+    rc, out = run(capsys, "constants-check")
+    assert rc == 0
+    rows = {r[0]: r[1:] for r in check_rows(out)}
+    for protocol, period, ratio, floor in [
+            ("four-state", "2", "1.111e-01", "8.536e-01"),
+            ("six-state", "8", "1.333e-01", "6.768e-01")]:
+        assert rows[protocol + " phase period"] == [
+            "%s.000e+00" % period, "== " + period, "PASS"]
+        assert rows[protocol + " H_fil full rank at nu=K-1"] == [
+            ratio, ">= 1e-6", "PASS"]
+        assert rows[protocol + " no-key floor, nu >= K-1"] == [
+            floor, ">= 0.5", "PASS"]
+
+
+@pytest.mark.parametrize("protocol,last", [("four-state", 4),
+                                           ("six-state", 12)])
+def test_constants_check_fails_a_low_floor_at_the_window_end(
+        capsys, monkeypatch, protocol, last):
+    # The window nu = K - 1 .. K - 2 + P is read to its last photon number.
+    zero_rate_check = sargkit.bounds.zero_rate_check
+    monkeypatch.setattr(
+        sargkit.bounds, "zero_rate_check",
+        lambda p, nu: 0.3 if (p, nu) == (protocol, last)
+        else zero_rate_check(p, nu))
+    rc, out = run(capsys, "constants-check")
+    assert rc == 1
+    assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
+        [protocol + " no-key floor, nu >= K-1", "3.000e-01", ">= 0.5", "FAIL"]]
+
+
+@pytest.mark.parametrize("drift,value,errors", [
+    (np.exp(2j * np.pi / 3), "2.400e+01", ["passes MAX_NU 12"]),
+    (np.exp(0.1j), "nan", ["no period up to 64"] * 2)])
+def test_constants_check_fails_a_phase_off_the_period(
+        capsys, monkeypatch, drift, value, errors):
+    # One six-state phase with c^8 != 1: the period is 24, whose floor
+    # window runs past the compiled forms, or there is none up to 64.
+    signal_kets = qmath.signal_kets
+
+    def drifted(protocol):
+        table = signal_kets(protocol)
+        if protocol == "four-state":
+            return table
+        phases = table.phases.copy()
+        phases[-1, -1] *= drift
+        return table._replace(phases=phases)
+
+    monkeypatch.setattr(qmath, "signal_kets", drifted)
+    rc = cli.main(["constants-check"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
+    assert failed == [["six-state phase period", value, "== 8", "FAIL"],
+                      ["six-state no-key floor, nu >= K-1", "nan", ">= 0.5",
+                       "FAIL"]]
+    err = captured.err.splitlines()
+    assert len(err) == len(errors)
+    assert all(line.endswith(e) for line, e in zip(err, errors))

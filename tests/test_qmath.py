@@ -82,14 +82,6 @@ def test_twist_moves_other_signal_state_off_axis():
     assert abs(np.vdot(qmath.signal_ket(1), out)) < 0.99
 
 
-def test_bloch_vector_basics():
-    assert np.allclose(qmath.bloch_vector(qmath.ket_z(0)), [0, 0, 1], atol=1e-14)
-    b = qmath.bloch_vector(random_ket())
-    assert abs(np.linalg.norm(b) - 1) < 1e-12
-    with pytest.raises(ValueError):
-        qmath.bloch_vector(np.ones(3))
-
-
 # ---------------------------------------------------------------------------
 # Hermitian helpers and eigen-solvers
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ def test_four_state_constants():
     r = qmath.rotation_r()
     for k, u in enumerate(cs):
         assert np.array_equal(u, np.linalg.matrix_power(r, k))
-    assert len(qmath.distinct_bloch_vectors("four-state")) == 4
+    assert len(qmath.signal_kets("four-state").kets) == 4
 
 
 def test_every_protocol_has_sift_generators():
@@ -320,28 +312,47 @@ def test_constants_form_a_group(protocol, order):
     assert len(qmath._close_under_multiplication(list(cs))) == order
 
 
+@pytest.mark.parametrize("protocol,k,period", [("four-state", 4, 2),
+                                               ("six-state", 6, 8)])
+def test_signal_kets_rebuild_every_sift_ket(protocol, k, period):
+    # U_g phi_a = c * s_index, |c| = 1, with c^P = 1 for the least such P.
+    table = qmath.signal_kets(protocol)
+    assert table.kets.shape == (k, 2) and table.period == period
+    for g, u in enumerate(qmath.constants(protocol)):
+        for a in (0, 1):
+            s = table.kets[table.index[g, a]]
+            c = table.phases[g, a]
+            assert np.abs(u @ qmath.signal_ket(a) - c * s).max() < 1e-12
+            assert abs(abs(c) - 1.0) < 1e-12
+    assert all(np.abs(table.phases ** n - 1.0).max() > 1e-3
+               for n in range(1, period))
+    # The first two classes are phi_0 and phi_1 themselves (U_0 = I).
+    assert np.array_equal(table.kets[0], qmath.signal_ket(0))
+    assert np.array_equal(table.kets[1], qmath.signal_ket(1))
+    for a in (table.kets, table.index, table.phases):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+
+
+def test_signal_phases_without_a_period_raise():
+    table = qmath.signal_kets("four-state")
+    drifted = table._replace(phases=table.phases * np.exp(0.1j))
+    with pytest.raises(ArithmeticError, match="no period up to 64"):
+        drifted.period
+
+
 def test_six_state_ensemble_is_uniform_over_six_states():
-    cs = qmath.constants("six-state")
-    distinct = qmath.distinct_bloch_vectors("six-state")
-    assert len(distinct) == 6
-    counts = [0] * 6
-    for s in [u @ qmath.signal_ket(j) for u in cs for j in (0, 1)]:
-        b = qmath.bloch_vector(s)
-        hits = [k for k, c in enumerate(distinct) if np.linalg.norm(b - c) < 1e-9]
-        assert len(hits) == 1
-        counts[hits[0]] += 1
-    assert counts == [8] * 6  # 24 rotations x 2 bits over 6 states
+    # 24 rotations x 2 bits over 6 states.
+    index = qmath.signal_kets("six-state").index
+    assert np.bincount(index.ravel()).tolist() == [8] * 6
 
 
-def test_six_state_bloch_vectors_are_three_orthogonal_axes():
-    # The ensemble consists of three antipodal pairs of orthogonal axes.
-    distinct = qmath.distinct_bloch_vectors("six-state")
-    dots = sorted(
-        round(float(np.dot(distinct[i], distinct[j])), 6)
-        for i in range(6)
-        for j in range(i + 1, 6)
-    )
-    assert dots.count(-1.0) == 3 and dots.count(0.0) == 12
+def test_six_state_kets_are_three_mutually_unbiased_bases():
+    # Three orthogonal pairs, every other pair unbiased: |<s_i|s_j>|^2 = 1/2.
+    kets = qmath.signal_kets("six-state").kets
+    overlaps = [round(float(abs(np.vdot(kets[i], kets[j])) ** 2), 9)
+                for i in range(6) for j in range(i + 1, 6)]
+    assert overlaps.count(0.0) == 3 and overlaps.count(0.5) == 12
 
 
 def test_constants_rejects_unknown_protocol():
