@@ -57,8 +57,8 @@ def _sift_maps(protocol: str, nu: int) -> np.ndarray:
     if not (1 <= nu <= MAX_NU):
         raise ValueError("photon number must be in 1..%d" % MAX_NU)
     us = np.stack(qmath.constants(protocol))
-    fu = qmath.filter_op() @ qmath.dagger(us)
-    s = qmath.pair_source_ket().reshape(2, 2) @ np.swapaxes(us, -1, -2)
+    fu = qmath.protocol_record(protocol).filter @ qmath.dagger(us)
+    s = qmath.pair_source_ket(protocol).reshape(2, 2) @ np.swapaxes(us, -1, -2)
     k = np.arange(nu + 1)
     scale = 2 ** ((nu - 1) / 2) * np.sqrt([math.comb(nu, j) for j in k])
     d = s[..., :1] ** (nu - k) * s[..., 1:] ** k * scale

@@ -68,7 +68,7 @@ class Check(NamedTuple):
     protocols and photon numbers; a constants-check row (``nus`` None) as
     ``<protocol> <name>``.  ``compute(protocol, nu)`` looks the library up
     when it runs and returns the measured value; the row passes when
-    ``value <op> bound``, where a dict bound is looked up by protocol.
+    ``value <op> bound``, where a callable bound is called with the protocol.
     """
 
     name: str
@@ -76,7 +76,7 @@ class Check(NamedTuple):
     nus: tuple[int, ...] | None
     compute: Callable
     op: str
-    bound: float | dict[str, float]
+    bound: float | Callable[[str], float]
 
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
@@ -100,7 +100,7 @@ def checks() -> tuple[Check, ...]:
         return max_abs(qmath.dagger(t) @ t - qmath.I2)
 
     def filter_eigenvalues(protocol: str, nu: int | None) -> float:
-        eigs = qmath.eigh_checked(qmath.filter_op())[0]
+        eigs = qmath.eigh_checked(qmath.protocol_record(protocol).filter)[0]
         return max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
 
     def filter_rank_ratio(protocol: str, nu: int | None) -> float:
@@ -120,8 +120,8 @@ def checks() -> tuple[Check, ...]:
         return min(bounds.zero_rate_check(protocol, n) for n in window)
 
     def filtered_pair(protocol: str, nu: int | None) -> float:
-        f = qmath.filter_op()
-        filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket()
+        f = qmath.protocol_record(protocol).filter
+        filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(protocol)
         return max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
 
     struct = qmath.STRUCTURAL_TOL
@@ -180,15 +180,15 @@ def checks() -> tuple[Check, ...]:
               lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
         Check("rotation count", _BOTH, None,
               lambda p, nu: float(len(qmath.constants(p))),
-              "==", {"four-state": 4, "six-state": 24}),
+              "==", lambda p: qmath.protocol_record(p).group_order),
         Check("distinct signal states", _BOTH, None,
               lambda p, nu: float(len(qmath.signal_kets(p).kets)),
-              "==", {"four-state": 4, "six-state": 6}),
+              "==", lambda p: qmath.protocol_record(p).k),
         # For nu >= K - 1 the powers s_k^(x)nu are independent, so every
         # form depends on nu only through the phases c^nu, i.e. nu mod P.
         Check("phase period", _BOTH, None,
               lambda p, nu: float(qmath.signal_kets(p).period),
-              "==", {"four-state": 2, "six-state": 8}),
+              "==", lambda p: qmath.protocol_record(p).period),
         Check("H_fil full rank at nu=K-1", _BOTH, None, filter_rank_ratio,
               ">=", math.sqrt(bounds.RANK_TOL)),
         Check("no-key floor, nu >= K-1", _BOTH, None, no_key_floor,
@@ -217,9 +217,7 @@ def _check_row(check: Check, label: str, protocol: str,
     """One table row.  A library check that fails inside the computation
     (ArithmeticError) is a FAIL row with value nan and one stderr line."""
     name = "%s %s" % (label, check.name)
-    bound = check.bound
-    if isinstance(bound, dict):
-        bound = bound[protocol]
+    bound = check.bound(protocol) if callable(check.bound) else check.bound
     # "%g" pads exponents to two digits; the table prints 1e-9, not 1e-09.
     requirement = ("%s %g" % (check.op, bound)).replace("e-0", "e-")
     try:

@@ -9,9 +9,11 @@ plain numpy arrays in a single fixed convention:
   basis is derived from it, so that the Z kets come out as the coordinate
   basis (1,0), (0,1).
 
-The sift rotations of a protocol are the closure of its ``SIFT_GENERATORS``,
-cached as a tuple of read-only unitaries, and its sift kets U_g phi_a are
-cached as a table of distinct kets and phases (``signal_kets``); every
+A protocol tag means one record in ``PROTOCOL_RECORDS`` (sift generators,
+Alice's kets, Bob's filter, declared sizes), read through ``protocol_record``,
+the one place that rejects an unknown tag.  The sift rotations are the closure
+of the record's generators, cached as read-only unitaries, and the sift kets
+U_g phi_a as a table of distinct kets and phases (``signal_kets``); every
 function here is pure.
 
 Every eigen-solve goes through one checked routine, ``eigh_checked``, on one
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -190,10 +193,12 @@ def bell_ket(tag: str) -> np.ndarray:
     return v / math.sqrt(2)
 
 
-def pair_source_ket() -> np.ndarray:
-    """The single-photon pair source (|0_z>_A |phi_0> + |1_z>_A |phi_1>)/sqrt(2),
-    Alice's qubit leading; the sift maps build every photon number from it."""
-    v = np.kron(ket_z(0), signal_ket(0)) + np.kron(ket_z(1), signal_ket(1))
+def pair_source_ket(protocol: str) -> np.ndarray:
+    """The single-photon pair source (|0_z>_A |phi_0> + |1_z>_A |phi_1>)/sqrt(2)
+    of a protocol tag, phi_a its record's ket for bit a, Alice's qubit
+    leading; the sift maps build every photon number from it."""
+    phi = protocol_record(protocol).signal_pair
+    v = np.kron(ket_z(0), phi[0]) + np.kron(ket_z(1), phi[1])
     return v / math.sqrt(2)
 
 
@@ -251,21 +256,47 @@ def bell_projectors() -> dict[str, np.ndarray]:
     return {tag: proj(bell_ket(tag)) for tag in BELL_TAGS}
 
 
-SIFT_GENERATORS = {"four-state": (rotation_r,),
-                   "six-state": (rotation_r, twist_t)}
+class ProtocolRecord(NamedTuple):
+    """What a protocol tag means: the generators of its sift rotations,
+    Alice's ket per bit value (``signal_pair`` row a) and Bob's filter F,
+    with the sizes that constants-check holds the computed structure to: the
+    group order |G|, the number K of distinct sift kets up to phase and
+    their phase period P (``signal_kets``).  Every array is read-only.
+    """
+
+    generators: tuple[np.ndarray, ...]
+    signal_pair: np.ndarray
+    filter: np.ndarray
+    group_order: int
+    k: int
+    period: int
+
+
+_PHI = read_only(np.stack([signal_ket(0), signal_ket(1)]))
+_R, _T, _F = (read_only(m) for m in (rotation_r(), twist_t(), filter_op()))
+PROTOCOL_RECORDS = MappingProxyType({
+    "four-state": ProtocolRecord((_R,), _PHI, _F, 4, 4, 2),
+    "six-state": ProtocolRecord((_R, _T), _PHI, _F, 24, 6, 8),
+})
+
+
+def protocol_record(protocol: str) -> ProtocolRecord:
+    """The record of a protocol tag; raises ValueError for any other value."""
+    if not (isinstance(protocol, str) and protocol in PROTOCOL_RECORDS):
+        raise ValueError("protocol must be one of %s, got %r"
+                         % (PROTOCOLS, protocol))
+    return PROTOCOL_RECORDS[protocol]
 
 
 @lru_cache(maxsize=None)
 def constants(protocol: str) -> tuple[np.ndarray, ...]:
     """The sift rotations of a protocol tag, as a cached tuple of read-only
-    unitaries: the closure of its generators modulo global phase, from I in
-    breadth-first order, so R alone gives I, R, R^2, R^3 and R with the twist
-    T gives 24 members, a uniform six-state ensemble.  Being a group makes
+    unitaries: the closure of its record's generators modulo global phase,
+    from I in breadth-first order, so R alone gives I, R, R^2, R^3 and R with
+    the twist T gives 24, a uniform six-state ensemble.  Being a group makes
     the sift average invariant under left translation by any member.
     """
-    if protocol not in SIFT_GENERATORS:
-        raise ValueError("protocol must be one of %s" % (PROTOCOLS,))
-    generators = [g() for g in SIFT_GENERATORS[protocol]]
+    generators = list(protocol_record(protocol).generators)
     return tuple(read_only(np.stack(_close_under_multiplication(generators))))
 
 
@@ -302,7 +333,7 @@ def signal_kets(protocol: str) -> SignalKets:
     the forms only through the K vectors s_k^{(x)nu} and the phases c^nu.
     """
     sift = np.einsum("gij,aj->gai", np.stack(constants(protocol)),
-                     np.stack([signal_ket(0), signal_ket(1)]))  # U_g phi_a
+                     protocol_record(protocol).signal_pair)  # U_g phi_a
     flat = sift.reshape(-1, 2)
     classes: dict[tuple, int] = {}
     index = [classes.setdefault(_phase_canonical_key(w), len(classes))

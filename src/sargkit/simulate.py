@@ -68,8 +68,7 @@ def _is_real(value) -> bool:
 
 def _check_channel(protocol, nu, mu, p, eta) -> None:
     """Raise ValueError unless the arguments describe a run of the channel."""
-    if protocol not in qmath.PROTOCOLS:
-        raise ValueError("unknown protocol %r" % (protocol,))
+    qmath.protocol_record(protocol)
     for name, value in (("mu", mu), ("p", p), ("eta", eta)):
         if not (_is_real(value) or (name == "mu" and value is None)):
             raise ValueError("%s must be a number, got %r" % (name, value))

@@ -31,7 +31,8 @@ def test_criterion_01_structural_identities():
     eigs = np.linalg.eigvalsh(qmath.filter_op())
     dev_eig = float(np.abs(eigs - [qmath.SIN_PI_8, qmath.COS_PI_8]).max())
     dev_meas = qmath.filter_measurement_identity_check()
-    pair = np.kron(qmath.I2, qmath.filter_op()) @ qmath.pair_source_ket()
+    pair = (np.kron(qmath.I2, qmath.filter_op())
+            @ qmath.pair_source_ket("four-state"))
     dev_pair = float(np.abs(pair - 0.5 * qmath.bell_ket("chi0+")).max())
 
     assert dev_rot < 1e-12 and dev_r4 < 1e-12 and dev_eig < 1e-12

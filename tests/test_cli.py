@@ -18,7 +18,7 @@ import pytest
 import oracles
 import sargkit
 import sargkit.bounds
-from sargkit import cli, qmath, simulate
+from sargkit import attack_forms, cli, qmath, simulate
 
 SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
 
@@ -1120,6 +1120,32 @@ def test_constants_check_fails_a_low_floor_at_the_window_end(
     assert rc == 1
     assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
         [protocol + " no-key floor, nu >= K-1", "3.000e-01", ">= 0.5", "FAIL"]]
+
+
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+@pytest.mark.parametrize("size,row", [("group_order", "rotation count"),
+                                      ("k", "distinct signal states"),
+                                      ("period", "phase period")])
+def test_constants_check_fails_a_wrong_declared_size(
+        capsys, monkeypatch, protocol, size, row):
+    # The record declares each size; the computed structure is held to it.
+    records = dict(qmath.PROTOCOL_RECORDS)
+    record = records[protocol]
+    declared = getattr(record, size)
+    records[protocol] = record._replace(**{size: declared + 1})
+    monkeypatch.setattr(qmath, "PROTOCOL_RECORDS", records)
+    caches = (qmath.constants, qmath.signal_kets, attack_forms.all_forms)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        rc, out = run(capsys, "constants-check")
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert rc == 1
+    assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
+        ["%s %s" % (protocol, row), "%.3e" % declared, "== %d" % (declared + 1),
+         "FAIL"]]
 
 
 @pytest.mark.parametrize("drift,value,errors", [

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sargkit import qmath
+import sargkit
+from sargkit import attack_forms, qmath, simulate
 
 RNG = np.random.default_rng(20240811)
 
@@ -259,7 +260,7 @@ def test_pair_source_normalized(nu):
     # library's single-photon ket, bit for bit.
     psi = oracles.pair_source_ket(nu)
     if nu == 1:
-        assert np.array_equal(psi, qmath.pair_source_ket())
+        assert np.array_equal(psi, qmath.pair_source_ket("four-state"))
     assert psi.shape == (2 ** (nu + 1),)
     assert abs(np.linalg.norm(psi) - 1) < 1e-14
 
@@ -270,9 +271,10 @@ def test_pair_source_requires_photons():
 
 
 def test_filtered_single_photon_pair_is_half_chi0_plus():
-    psi = qmath.pair_source_ket()
-    out = np.kron(qmath.I2, qmath.filter_op()) @ psi
-    assert np.abs(out - 0.5 * qmath.bell_ket("chi0+")).max() < 1e-12
+    for protocol in qmath.PROTOCOLS:
+        psi = qmath.pair_source_ket(protocol)
+        out = np.kron(qmath.I2, qmath.protocol_record(protocol).filter) @ psi
+        assert np.abs(out - 0.5 * qmath.bell_ket("chi0+")).max() < 1e-12
 
 
 def test_filter_measurement_identity():
@@ -294,7 +296,26 @@ def test_four_state_constants():
 
 
 def test_every_protocol_has_sift_generators():
-    assert tuple(qmath.SIFT_GENERATORS) == qmath.PROTOCOLS
+    # One record per tag, in the order of the numpy-free names; the
+    # generators, kets and filter it shares are read-only.
+    assert tuple(qmath.PROTOCOL_RECORDS) == sargkit.PROTOCOLS
+    for record in qmath.PROTOCOL_RECORDS.values():
+        for a in (*record.generators, record.signal_pair, record.filter):
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("reader", [
+    qmath.constants, qmath.signal_kets, qmath.pair_source_ket,
+    lambda tag: attack_forms.all_forms(tag, 1),
+    lambda tag: simulate.SimConfig(tag, trials=10, seed=0, nu=1),
+    lambda tag: simulate.exact_channel_stats(tag, 1, 0.0, 1.0)],
+    ids=["constants", "signal_kets", "pair_source_ket", "all_forms",
+         "SimConfig", "exact_channel_stats"])
+def test_every_layer_rejects_an_unknown_tag_at_the_record(reader):
+    with pytest.raises(ValueError) as exc:
+        reader("bb84")
+    assert str(exc.value) == ("protocol must be one of ('four-state', "
+                              "'six-state'), got 'bb84'")
 
 
 @pytest.mark.parametrize("protocol,order", [("four-state", 4),
