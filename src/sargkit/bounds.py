@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 # SUPPORTED_NU is the package's own, read here as bounds.SUPPORTED_NU too.
-from . import SUPPORTED_NU, attack_forms, qmath  # noqa: F401
+from . import SUPPORTED_NU, attack_forms, keyrate, qmath  # noqa: F401
 
 # Verification grid: 41 points covering [0, 10] at step 0.25, the two
 # operating points quoted for the two-photon bound, and a large-x probe.
@@ -68,13 +68,8 @@ SHAPE_TOL = 1e-6
 # Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
 # of the largest span the kernel.
 RANK_TOL = 1e-12
-# The tangent bisection halves x in [0, TANGENT_X_HI] to TANGENT_X_TOL: powers
-# of two, so midpoints are exact and x = 3/2 (the kink at nu = 1) is one.
-# While the predicate never holds it goes on over [1024, 2048], [2048, 4096],
-# ... up to TANGENT_X_CAP, each to width TANGENT_X_TOL * lo / TANGENT_X_HI
-# (2^-50 of x, above the float spacing); at the cap y_star's roundoff
-# n*eps*x*||B||_2 is about 1e-9.
-TANGENT_X_HI, TANGENT_X_TOL, TANGENT_X_CAP = 1024.0, 2.0 ** -40, 2.0 ** 20
+# The tangent x range; y_star's roundoff n*eps*x*||B||_2 at the cap is 1e-9.
+TANGENT_X_CAP = 2.0 ** 20
 
 
 def _forms(protocol: str, nu: int):
@@ -238,27 +233,23 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
     return tuple(ys.tolist())
 
 
+def _tangent_point(a: np.ndarray, b: np.ndarray, x: float) -> tuple:
+    """(e(x), p(x)) = (u^dag B u, u^dag A u), clipped at 0, for u the top
+    eigenvector of A - x*B, or the zero attack where y_star(x) is 0."""
+    w, v = qmath.eigh_checked(a - x * b)
+    u = v[:, -1] * (w[-1] > 0.0)
+    return tuple(max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
+
+
 def supporting_tangents(protocol: str, nu: int, past) -> tuple:
-    """The tangents (x, y_star(x)), certified by frontier_table, at both ends
-    of the x-bracket of the least frontier point (e(x), p(x)) with past(e, p)
-    true (past must hold from some x on).  The bracket is bisected in
-    [0, TANGENT_X_HI], then, while past has never held, in [hi, 2*hi] up to
-    TANGENT_X_CAP; below the cap the lesser tangent is min_x [x*e + y_star(x)]
-    within TANGENT_X_TOL * max(1, x_lo / TANGENT_X_HI) * (e(x_lo) - e(x_hi))."""
+    """The tangents (x, y_star(x)), certified by frontier_table, at the
+    adjacent floats x_lo < x_hi in [0, TANGENT_X_CAP] where past(e(x), p(x))
+    turns true (keyrate.bisect_floats: at most 63 solves; past must hold from
+    some x on): below the cap, min_x [x*e + y_star(x)] to the float spacing."""
     a, b = _reduced_pencil(protocol, nu)
-    lo, hi = 0.0, TANGENT_X_HI
-    while True:
-        top, tol = hi, TANGENT_X_TOL * max(1.0, lo / TANGENT_X_HI)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            w, v = qmath.eigh_checked(a - mid * b)
-            u = v[:, -1] * (w[-1] > 0.0)  # the zero attack where y_star is 0
-            e, p = (max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
-            lo, hi = (lo, mid) if past(e, p) else (mid, hi)
-        if hi < top or hi >= TANGENT_X_CAP:
-            break
-        lo, hi = hi, 2.0 * hi
-    return tuple(zip((lo, hi), frontier_table(protocol, nu, (lo, hi))))
+    xs = keyrate.bisect_floats(lambda x: past(*_tangent_point(a, b, x)),
+                               0.0, TANGENT_X_CAP)
+    return tuple(zip(xs, frontier_table(protocol, nu, xs)))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:

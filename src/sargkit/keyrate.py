@@ -17,9 +17,9 @@ Rates are asymptotic per sifted conclusive pair:
   y_star(x), read on no x-grid.
 
 Every rate is a float of e_bit, and every threshold takes one path,
-``_threshold``: a bisection root of the rate on a fixed bracket, with the
-rate at the root as its residual.  A rate already <= 0 at the bracket's low
-end means no key at any error rate, and the threshold is e = 0.
+``_threshold``: the float root of the rate on a fixed bracket, its last float
+with a positive rate, and that rate as its residual.  A rate already <= 0 at
+the low end means no key at any error rate, and the threshold is e = 0.
 Depolarizing-channel conversions map e_bit to the channel parameter p.  The
 `thresholds` report prints THRESHOLDS; ``threshold`` picks each row's model.
 
@@ -31,6 +31,7 @@ its two functions import ``bounds`` (and with it numpy).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from . import SUPPORTED_NU
@@ -96,9 +97,24 @@ def worst_joint_single(e_bit: float) -> tuple[tuple[float, ...], float]:
     return q, _shannon(q)
 
 
+def bisect_floats(past, lo: float, hi: float) -> tuple[float, float]:
+    """The adjacent floats (a, b) where ``past``, monotone (false, then true)
+    on (lo, hi), turns true: past(b) or b == hi, not past(a) or a == lo; no
+    end is evaluated.  Doubles in [0, inf) (not -0.0) are ordered like their
+    int64 bit patterns, so halving that range takes at most 63 evaluations."""
+    a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    if not 0 <= a < b < 0x7FF0000000000000:  # the bits of +inf
+        raise ValueError("need 0 <= lo < hi < inf, got %r, %r" % (lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        x = struct.unpack("<d", struct.pack("<q", mid))[0]
+        a, b = (a, mid) if past(x) else (mid, b)
+    return struct.unpack("<2d", struct.pack("<2q", a, b))
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A bisection root of a rate function, with its bracket and residual."""
+    """The float root of a rate function, with its bracket and residual."""
 
     e_threshold: float
     p_threshold: float
@@ -111,24 +127,19 @@ def rate_single(e_bit: float) -> float:
     return 1.0 - worst_joint_single(e_bit)[1]
 
 
-def _threshold(rate, lo: float, hi: float, tol: float) -> ThresholdResult:
-    """The root in e_bit of ``rate`` (e_bit -> float) on [lo, hi].
-
-    A rate <= 0 at ``lo`` gives e = 0 (no key at any error rate); otherwise
-    the rate must be < 0 at ``hi`` and the root is bisected to width
-    ``tol``.  The residual is the rate at the returned e.
-    """
+def _threshold(rate, lo: float, hi: float) -> ThresholdResult:
+    """The float root in e_bit of ``rate`` (e_bit -> float) on [lo, hi]:
+    e = 0 when rate(lo) <= 0 (no key at any error rate), else, with
+    rate(hi) < 0, rate(e) > 0 >= rate(nextafter(e, 1)).  The residual is the
+    rate at the returned e."""
     rate_lo = rate(lo)
     e_star = 0.0
     if rate_lo > 0.0:
-        a, b, rate_hi = lo, hi, rate(hi)
+        rate_hi = rate(hi)
         if rate_hi >= 0.0:
             raise ValueError("root not bracketed: f(%g)=%g, f(%g)=%g"
                              % (lo, rate_lo, hi, rate_hi))
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            a, b = (mid, b) if rate(mid) > 0.0 else (a, mid)
-        e_star = 0.5 * (a + b)
+        e_star = bisect_floats(lambda e: rate(e) <= 0.0, lo, hi)[0]
     return ThresholdResult(
         e_threshold=e_star, p_threshold=depol_p(e_star), bracket=(lo, hi),
         residual=rate(e_star))
@@ -136,7 +147,7 @@ def _threshold(rate, lo: float, hi: float, tol: float) -> ThresholdResult:
 
 def threshold_single() -> ThresholdResult:
     """Bit-error threshold of the single-photon rate (root on [0.05, 0.15])."""
-    return _threshold(rate_single, 0.05, 0.15, 1e-6)
+    return _threshold(rate_single, 0.05, 0.15)
 
 
 # The two-photon zero-error infimum of min_x [x*e_bit + g(x)], reached as
@@ -178,7 +189,7 @@ def rate_independent(e_bit: float, e_ph: float) -> float:
 def threshold_two() -> ThresholdResult:
     """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2])."""
     return _threshold(lambda e: rate_independent(e, ephase_bound_two(e)[0]),
-                      0.001, 0.2, 1e-6)
+                      0.001, 0.2)
 
 
 def depol_p(e: float) -> float:
@@ -244,10 +255,9 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """Certified min_x [x*e_bit + y_star(x)] of a computed frontier: the floor
-    at e_bit = 0, else the lesser tangent around the x where e(x) falls to
-    e_bit (bounds.supporting_tangents, whose bracket grows from TANGENT_X_HI
-    to TANGENT_X_CAP = 2^20), exact while that x <= TANGENT_X_CAP and the
-    certified tangent at the cap beyond it."""
+    at e_bit = 0, else the lesser tangent at the adjacent floats x where e(x)
+    falls to e_bit (bounds.supporting_tangents), exact while that x is below
+    bounds.TANGENT_X_CAP = 2^20 and the certified tangent at the cap beyond."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     from . import bounds
@@ -260,11 +270,9 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 
 def sixstate_thresholds(nu: int) -> ThresholdResult:
     """Six-state threshold for one photon number (1..4): the root on [1e-9,
-    0.45] of the rate the span fit picks.  When every Bell form fits
-    a*H_fil + b*H_bit within bounds.IDENTITY_TOL, the rate is 1 - H(chi(e))
-    with chi_t = a_t + b_t*e in qmath.BELL_TAGS order; otherwise it is
-    1 - h(e) - h(e_ph), e_ph the lesser tangent around the x whose frontier
-    point has rate 0."""
+    0.45] of 1 - H(chi(e)) when every Bell form fits a*H_fil + b*H_bit within
+    bounds.IDENTITY_TOL (chi_t = a_t + b_t*e), else of 1 - h(e) - h(e_ph), e_ph
+    the lesser tangent where the frontier point's own rate turns <= 0."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
@@ -281,7 +289,7 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
 
         def rate(e: float) -> float:
             return rate_independent(e, min(x * e + y for x, y in tangents))
-    return _threshold(rate, 1e-9, 0.45, 1e-7)
+    return _threshold(rate, 1e-9, 0.45)
 
 
 def threshold(protocol: str, nu: int) -> ThresholdResult:

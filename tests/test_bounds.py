@@ -170,20 +170,21 @@ def test_frontier_table_sorted_and_nonincreasing():
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
 
 
-@pytest.mark.parametrize("past,x_lo,x_hi", [
-    (lambda e, p: True, 0.0, bounds.TANGENT_X_TOL),
-    (lambda e, p: False, bounds.TANGENT_X_CAP - 2.0 ** -31,
-     bounds.TANGENT_X_CAP),
-])
-def test_supporting_tangents_at_the_bracket_ends(past, x_lo, x_hi):
+@pytest.mark.parametrize("past,x_lo,x_hi,solves", [
+    (lambda e, p: True, 0.0, 5e-324, 62),
+    (lambda e, p: False, math.nextafter(bounds.TANGENT_X_CAP, 0.0),
+     bounds.TANGENT_X_CAP, 63),
+], ids=["always-true", "always-false"])
+def test_supporting_tangents_at_the_bracket_ends(past, x_lo, x_hi, solves):
     # A predicate true (false) everywhere pins the bracket to its low end (the
     # cap), and both tangents carry the frontier's own y_star, bit for bit.
-    # Reaching the cap takes 50 halvings of [0, 2^10], then 50 of each
-    # [2^k, 2^(k+1)] up to 2^20, where the width has grown to 2^-31.
+    # The bit patterns of [0, 2^20] span n, about 2^62.03, doubles: a midpoint
+    # rounded down reaches the low end in floor(log2 n) = 62 solves and the
+    # cap in ceil(log2 n) = 63.
     seen = []
     tangents = bounds.supporting_tangents(
         "six-state", 4, lambda e, p: seen.append(e) or past(e, p))
-    assert len(seen) == (550 if x_hi == bounds.TANGENT_X_CAP else 50)
+    assert len(seen) == solves
     assert tangents == ((x_lo, bounds.frontier(x_lo, "six-state", 4)),
                         (x_hi, bounds.frontier(x_hi, "six-state", 4)))
 
@@ -194,7 +195,7 @@ def test_supporting_tangents_pass_the_predicate_each_frontier_point():
     seen = []
     bounds.supporting_tangents("four-state", 2,
                                lambda e, p: seen.append((e, p)) or e <= 0.05)
-    assert len(seen) == 50  # log2(TANGENT_X_HI / TANGENT_X_TOL)
+    assert len(seen) == 62  # log2 of the bit range of [0, 2^20] is 62.03
     es = sorted(seen, reverse=True)
     assert all(b[1] <= a[1] + 1e-12 for a, b in zip(es, es[1:]))
 

@@ -2,9 +2,10 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -139,7 +140,7 @@ def _linear_rate(e0: float):
 
 
 def test_threshold_is_zero_when_there_is_no_key_at_lo():
-    r = keyrate._threshold(_linear_rate(-0.25), 0.01, 0.4, 1e-6)
+    r = keyrate._threshold(_linear_rate(-0.25), 0.01, 0.4)
     assert r.e_threshold == 0.0 and r.p_threshold == 0.0
     assert r.residual == -0.25  # the rate at e = 0, not at lo
     assert r.bracket == (0.01, 0.4)
@@ -147,12 +148,14 @@ def test_threshold_is_zero_when_there_is_no_key_at_lo():
 
 def test_threshold_rejects_an_unbracketed_root():
     with pytest.raises(ValueError, match="not bracketed"):
-        keyrate._threshold(_linear_rate(0.5), 0.01, 0.4, 1e-6)
+        keyrate._threshold(_linear_rate(0.5), 0.01, 0.4)
 
 
 def test_threshold_bisects_to_tol_and_reports_the_rate_at_the_root():
-    r = keyrate._threshold(_linear_rate(0.1), 0.01, 0.4, 1e-9)
-    assert abs(r.e_threshold - 0.1) <= 1e-9
+    # The bisection runs to the float spacing: e is the last float with a
+    # positive rate, the float just below the root 0.1.
+    r = keyrate._threshold(_linear_rate(0.1), 0.01, 0.4)
+    assert r.e_threshold == math.nextafter(0.1, 0.0)
     assert r.p_threshold == keyrate.depol_p(r.e_threshold)
     assert r.residual == 0.1 - r.e_threshold
 
@@ -184,6 +187,136 @@ def test_every_threshold_reports_bracket_residual_and_x_opt(compute, protocol,
 def test_threshold_rejects_a_row_without_a_rate_model(protocol, nu):
     with pytest.raises(ValueError):
         keyrate.threshold(protocol, nu)
+
+
+# ---------------------------------------------------------------------------
+# The root rule: every threshold is the float root of its rate
+# ---------------------------------------------------------------------------
+
+# Nonnegative finite doubles, subnormals included and -0.0 excluded.
+NONNEGATIVE = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NONNEGATIVE, min_size=3, max_size=3).map(sorted))
+@example([0.0, 0.5, bounds.TANGENT_X_CAP])
+@example([0.0, 5e-324, 5e-324])
+@example([0.0, sys.float_info.max, sys.float_info.max])
+def test_bisect_floats_brackets_a_step_by_adjacent_floats(xs):
+    # A step at t on lo < t <= hi: b = t and a is the float below it, with
+    # neither end evaluated and at most 63 evaluations (the bit patterns of
+    # [0, inf) span fewer than 2^63 doubles).
+    lo, t, hi = xs
+    assume(lo < t)
+    seen = []
+    a_b = keyrate.bisect_floats(lambda x: seen.append(x) or x >= t, lo, hi)
+    assert a_b == (math.nextafter(t, -math.inf), t)
+    assert all(lo < x < hi for x in seen) and len(seen) <= 63
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NONNEGATIVE, min_size=2, max_size=2, unique=True).map(sorted))
+@example([0.0, sys.float_info.max])
+def test_bisect_floats_with_a_constant_predicate_returns_an_end(ends):
+    lo, hi = ends
+    assert (keyrate.bisect_floats(lambda x: True, lo, hi)
+            == (lo, math.nextafter(lo, math.inf)))
+    assert (keyrate.bisect_floats(lambda x: False, lo, hi)
+            == (math.nextafter(hi, -math.inf), hi))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0.5, 0.5), (0.5, 0.25), (-1.0, 1.0), (-0.0, 1.0), (0.0, math.inf),
+    (math.nan, 1.0), (0.0, math.nan)])
+def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
+    with pytest.raises(ValueError, match="0 <= lo < hi < inf"):
+        keyrate.bisect_floats(lambda x: True, lo, hi)
+
+
+def _row_rate(protocol: str, nu: int):
+    """A computed THRESHOLDS row's rate model, assembled from its parts: R1,
+    R2, the Bell-diagonal rate of the span fit at six-state nu = 1, 2 and the
+    tangent rate at nu = 3, 4."""
+    if protocol == "four-state":
+        return {1: keyrate.rate_single,
+                2: lambda e: keyrate.rate_independent(
+                    e, keyrate.ephase_bound_two(e)[0])}[nu]
+    if nu <= 2:
+        fits = [bounds.span_coefficients("six-state", nu, "bell:" + tag)
+                for tag in qmath.BELL_TAGS]
+        return lambda e: 1.0 - keyrate._shannon(
+            [a + b * e for a, b, _ in fits])
+    tangents = bounds.supporting_tangents("six-state", nu, lambda e_x, p_x: (
+        keyrate.rate_independent(e_x, p_x) > 0.0))
+    return lambda e: keyrate.rate_independent(
+        e, min(x * e + y for x, y in tangents))
+
+
+# The float root of every computed row.
+FLOAT_ROOTS = {
+    ("four-state", 1): (0.09689248938745225, 0.08046590930386568),
+    ("four-state", 2): (0.027100931507559267, 0.020891888263563876),
+    ("six-state", 1): (0.1123571597943972, 0.09493443311758039),
+    ("six-state", 2): (0.056027580555010316, 0.044514738514250106),
+    ("six-state", 3): (0.023701119015364203, 0.01820737440935661),
+    ("six-state", 4): (0.007883064083571437, 0.005959275412648134),
+}
+
+
+def test_float_roots_cover_every_computed_row():
+    assert sorted(FLOAT_ROOTS) == sorted(
+        (protocol, row[1]) for protocol, rows in keyrate.THRESHOLDS.items()
+        for row in rows if row[1] is not None)
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
+def test_every_threshold_is_the_float_root_of_its_rate(protocol, nu):
+    # The root certificate: the rate is positive at e and not at the next
+    # float up, so no stopping width is left between e and the root.
+    r = keyrate.threshold(protocol, nu)
+    rate = _row_rate(protocol, nu)
+    e_next = math.nextafter(r.e_threshold, 1.0)
+    assert rate(r.e_threshold) > 0.0 >= rate(e_next)
+    assert r.residual == rate(r.e_threshold)
+    e, p = FLOAT_ROOTS[protocol, nu]
+    assert abs(r.e_threshold - e) <= 1e-12 and abs(r.p_threshold - p) <= 1e-12
+
+
+def _warm_solves(monkeypatch, compute) -> int:
+    """The checked eigen-solves of compute() once every cache it reads is
+    warm: a first call fills the caches, a second is counted."""
+    compute()
+    calls = []
+    solve = qmath.eigh_checked
+    monkeypatch.setattr(qmath, "eigh_checked",
+                        lambda h: calls.append(1) or solve(h))
+    compute()
+    return len(calls)
+
+
+@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 64), (4, 64)])
+def test_six_state_thresholds_solve_budget(monkeypatch, nu, solves):
+    # The span-fit rows make no solve; a tangent row makes 62 search solves
+    # and frontier_table's two stacked ones.  The rate itself solves nothing.
+    assert _warm_solves(
+        monkeypatch, lambda: keyrate.threshold("six-state", nu)) == solves
+
+
+def test_closed_form_tangent_row_solve_budget(monkeypatch):
+    # Four tangent bounds of 62 search solves and 2 certifying solves each.
+    from sargkit import cli
+
+    row = next(c for c in cli.checks()
+               if c.name == "closed form = tangent bound")
+    assert _warm_solves(
+        monkeypatch, lambda: row.compute("four-state", 2)) == 4 * (62 + 2)
+
+
+def test_a_search_that_reaches_the_cap_makes_63_search_solves(monkeypatch):
+    # An always-false predicate halves the bit range of [0, 2^20] 63 times,
+    # then frontier_table certifies the bracket in two stacked solves.
+    assert _warm_solves(monkeypatch, lambda: bounds.supporting_tangents(
+        "six-state", 4, lambda e, p: False)) == 63 + 2
 
 
 def test_depolarizing_conversions_round_trip():
@@ -387,7 +520,8 @@ def test_tangent_bound_is_three_halves_e_at_one_photon(protocol, e):
 def test_tangent_bound_is_the_two_photon_closed_form(e):
     # Above e = 1e-12 the minimizing x, about 1/(4 sqrt(e)), lies below the
     # bisection cap TANGENT_X_CAP, and e = 0 is the exact floor.  Below
-    # e = 1e-7 that x passes TANGENT_X_HI = 1024 and the bracket grows.
+    # e = 1e-7 that x passes 1024, and the wider tolerance allows for
+    # y_star's roundoff n*eps*x*||B||_2 (5.8e-12 at e = 1e-12).
     bound = keyrate.ephase_bound_frontier(e, "four-state", 2)
     tol = 1e-12 if e == 0.0 or e >= 1e-7 else 1e-10
     assert abs(bound - keyrate.ephase_bound_two(e)[0]) <= tol
@@ -404,7 +538,7 @@ def test_tangent_bound_stops_at_the_bisection_cap():
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(CASES), st.floats(min_value=0.0, max_value=0.45))
-# At e = 0 the bracket grows as far as e(x) stays above 0: to the cap at
+# At e = 0 the bracket moves up as far as e(x) stays above 0: to the cap at
 # four-state nu=2..4 and six-state nu=4, where the touch is within 3.1e-10.
 @example(("four-state", 1), 0.0)
 @example(("four-state", 2), 0.0)
@@ -428,21 +562,20 @@ def test_tangent_bound_is_attained_by_a_lifted_attack(case, e):
     forms = attack_forms.all_forms(protocol, nu)
     e_at = {}
     for x, y in tangents:
+        # The search's own point: at a 1-ulp bracket rounding decides the
+        # comparisons below, so e(x) must be computed as the search does.
+        e_at[x], p_x = bounds._tangent_point(a, b, x)
         w, v = qmath.eigh_checked(a - x * b)
         if w[-1] <= 0.0:  # y_star clipped to 0: the zero attack
-            assert abs(y) <= 1e-12
-            e_at[x] = 0.0
+            assert abs(y) <= 1e-12 and e_at[x] == 0.0
             continue
-        u = v[:, -1]
-        e_x, p_x = (np.vdot(u, h @ u).real for h in (b, a))
-        m = oracles.lift_reduced(u, protocol, nu).reshape(-1)
+        m = oracles.lift_reduced(v[:, -1], protocol, nu).reshape(-1)
         fil, bit, ph = (np.vdot(m, forms[k].matrix @ m).real
                         for k in ("fil", "bit", "ph"))
-        assert abs(bit / fil - e_x) <= 1e-9 and abs(ph / fil - p_x) <= 1e-9
-        assert abs(p_x - x * e_x - y) <= 1e-9  # the tangent touches there
-        e_at[x] = max(0.0, e_x)
+        assert (abs(bit / fil - e_at[x]) <= 1e-9
+                and abs(ph / fil - p_x) <= 1e-9)
+        assert abs(p_x - x * e_at[x] - y) <= 1e-9  # the tangent touches there
     (x_lo, _), (x_hi, _) = tangents
-    width = bounds.TANGENT_X_TOL * max(1.0, x_lo / bounds.TANGENT_X_HI)
-    assert 0.0 < x_hi - x_lo <= width
+    assert x_hi == math.nextafter(x_lo, math.inf)
     assert x_lo == 0.0 or e_at[x_lo] > e
     assert x_hi == bounds.TANGENT_X_CAP or e_at[x_hi] <= e
