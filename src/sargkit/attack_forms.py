@@ -40,7 +40,7 @@ import numpy as np
 
 from . import qmath
 
-EVENT_TAGS = ("fil", "bit", "ph", "bell:chi0+", "bell:chi0-", "bell:chi1+", "bell:chi1-")
+EVENT_TAGS = ("fil", "bit", "ph") + tuple("bell:" + t for t in qmath.BELL_TAGS)
 
 # The largest photon number with forms: constants-check reads six-state up to
 # nu = K - 2 + P = 12 (``qmath.signal_kets``).
@@ -94,14 +94,11 @@ def all_forms(protocol: str, nu: int) -> MappingProxyType:
     a = _sift_maps(protocol, nu)
     dim = a.shape[-1]
     bells = qmath.bell_projectors()
-    event_ops = {
-        "fil": np.eye(4),
-        "bit": bells["chi1+"] + bells["chi1-"],
-        "ph": bells["chi0-"] + bells["chi1-"],
-        **{"bell:" + tag: bells[tag] for tag in qmath.BELL_TAGS},
-    }
+    event_ops = (np.eye(4), bells["chi1+"] + bells["chi1-"],
+                 bells["chi0-"] + bells["chi1-"],
+                 *(bells[tag] for tag in qmath.BELL_TAGS))
     a_dag = a.conj().reshape(-1, dim).T
     return MappingProxyType({
         tag: EventForm(qmath.read_only(
             a_dag @ (op @ a).reshape(-1, dim) / len(a)))
-        for tag, op in event_ops.items()})
+        for tag, op in zip(EVENT_TAGS, event_ops, strict=True)})

@@ -52,8 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# SUPPORTED_NU is the package's own, read here as bounds.SUPPORTED_NU too.
-from . import SUPPORTED_NU, attack_forms, keyrate, qmath  # noqa: F401
+from . import attack_forms, keyrate, qmath
 
 # Verification grid: 41 points covering [0, 10] at step 0.25, the two
 # operating points quoted for the two-photon bound, and a large-x probe.

@@ -160,7 +160,7 @@ def checks() -> tuple[Check, ...]:
               lambda p, nu: bounds.zero_rate_check(p, nu),
               "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
         Check("closed form = tangent bound", _FOUR, (2,),
-              lambda p, nu: max(abs(keyrate.ephase_bound_two(e)[0]
+              lambda p, nu: max(abs(keyrate.ephase_bound_two(e)
                                     - keyrate.ephase_bound_frontier(e, p, nu))
                                 for e in (0.01, 0.0271, 0.1, 0.3)),
               "<=", bounds.IDENTITY_TOL),
@@ -255,10 +255,10 @@ THRESHOLD_FIELDS = [
 ]
 
 
-def _threshold_row(row, r) -> dict:
-    """A keyrate.THRESHOLDS row beside r, its computed threshold or None."""
+def _threshold_row(row, e, p) -> dict:
+    """A keyrate.THRESHOLDS row beside its computed threshold e and
+    depolarizing rate p, or None and None."""
     label, nu, e_ref, p_ref, tolerance = row
-    e, p = (None, None) if r is None else (r.e_threshold, r.p_threshold)
     e_dev = None if e_ref is None or e is None else e - e_ref
     p_dev = None if p_ref is None or p is None else p - p_ref
     return dict(zip(THRESHOLD_FIELDS, (
@@ -276,9 +276,11 @@ def cmd_thresholds(args) -> int:
     manifest = reports.start_manifest(
         "thresholds", {"protocol": args.protocol, "format": args.format},
         __version__)
-    rows = [_threshold_row(row, None if row[1] is None
-                           else keyrate.threshold(args.protocol, row[1]))
-            for row in keyrate.THRESHOLDS[args.protocol]]
+    rows = []
+    for row in keyrate.THRESHOLDS[args.protocol]:
+        e = None if row[1] is None else keyrate.threshold(args.protocol, row[1])
+        rows.append(_threshold_row(
+            row, e, None if e is None else keyrate.depol_p(e)))
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")

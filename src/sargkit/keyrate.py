@@ -16,12 +16,12 @@ Rates are asymptotic per sifted conclusive pair:
   elsewhere the same shape as R2, with g replaced by the computed frontier
   y_star(x), read on no x-grid.
 
-Every rate is a float of e_bit, and every threshold takes one path,
-``_threshold``: the float root of the rate on a fixed bracket, its last float
-with a positive rate, and that rate as its residual.  A rate already <= 0 at
-the low end means no key at any error rate, and the threshold is e = 0.
-Depolarizing-channel conversions map e_bit to the channel parameter p.  The
-`thresholds` report prints THRESHOLDS; ``threshold`` picks each row's model.
+Every rate is a float of e_bit, and every threshold is a bare float that
+takes one path, ``_threshold``: the float root of the rate on [0, E_BIT_MAX],
+its last float with a positive rate.  A rate already <= 0 at e = 0 means no
+key at any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
+depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS;
+``threshold`` picks each row's model.
 
 The four-state rates and the decoy composition are closed-form float
 arithmetic; only the six-state pipeline reads computed frontiers, so only
@@ -35,6 +35,10 @@ import struct
 from dataclasses import dataclass
 
 from . import SUPPORTED_NU
+
+# The largest bit-error rate of any rate model: the end of worst_joint_single's
+# domain, the narrowest one, and the high end of every threshold's bracket.
+E_BIT_MAX = 0.4
 
 # The thresholds table: per protocol, rows in print order of (label, nu, quoted
 # e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
@@ -90,7 +94,7 @@ def worst_joint_single(e_bit: float) -> tuple[tuple[float, ...], float]:
     with H = 0.
     """
     e = float(e_bit)
-    if not 0.0 <= e <= 0.4:
+    if not 0.0 <= e <= E_BIT_MAX:
         raise ValueError("e_bit must be in [0, 0.4] for feasible marginals")
     s = min(max(1.5 * e * e, 0.5 * e), e)
     q = (1.0 - 2.5 * e + s, 1.5 * e - s, e - s, s)
@@ -112,72 +116,52 @@ def bisect_floats(past, lo: float, hi: float) -> tuple[float, float]:
     return struct.unpack("<2d", struct.pack("<2q", a, b))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """The float root of a rate function, with its bracket and residual."""
-
-    e_threshold: float
-    p_threshold: float
-    bracket: tuple[float, float]
-    residual: float
-
-
 def rate_single(e_bit: float) -> float:
     """R1 = 1 - H(q) under the adversarial single-photon Bell vector q."""
     return 1.0 - worst_joint_single(e_bit)[1]
 
 
-def _threshold(rate, lo: float, hi: float) -> ThresholdResult:
-    """The float root in e_bit of ``rate`` (e_bit -> float) on [lo, hi]:
-    e = 0 when rate(lo) <= 0 (no key at any error rate), else, with
-    rate(hi) < 0, rate(e) > 0 >= rate(nextafter(e, 1)).  The residual is the
-    rate at the returned e."""
-    rate_lo = rate(lo)
-    e_star = 0.0
-    if rate_lo > 0.0:
-        rate_hi = rate(hi)
-        if rate_hi >= 0.0:
-            raise ValueError("root not bracketed: f(%g)=%g, f(%g)=%g"
-                             % (lo, rate_lo, hi, rate_hi))
-        e_star = bisect_floats(lambda e: rate(e) <= 0.0, lo, hi)[0]
-    return ThresholdResult(
-        e_threshold=e_star, p_threshold=depol_p(e_star), bracket=(lo, hi),
-        residual=rate(e_star))
+def _threshold(rate) -> float:
+    """The float root in e_bit of ``rate`` (e_bit -> float) on [0, E_BIT_MAX]:
+    0 when rate(0) <= 0 (no key at any error rate), else, with
+    rate(E_BIT_MAX) < 0, the e with rate(e) > 0 >= rate(nextafter(e, 1))."""
+    rate_lo = rate(0.0)
+    if rate_lo <= 0.0:
+        return 0.0
+    rate_hi = rate(E_BIT_MAX)
+    if rate_hi >= 0.0:
+        raise ValueError("root not bracketed: f(0)=%g, f(%g)=%g"
+                         % (rate_lo, E_BIT_MAX, rate_hi))
+    return bisect_floats(lambda e: rate(e) <= 0.0, 0.0, E_BIT_MAX)[0]
 
 
-def threshold_single() -> ThresholdResult:
-    """Bit-error threshold of the single-photon rate (root on [0.05, 0.15])."""
-    return _threshold(rate_single, 0.05, 0.15)
+def threshold_single() -> float:
+    """Bit-error threshold of the single-photon rate R1."""
+    return _threshold(rate_single)
 
 
 # The two-photon zero-error infimum of min_x [x*e_bit + g(x)], reached as
 # x -> infinity.
 SIN2_PI_8 = math.sin(math.pi / 8) ** 2
 
-# x_opt reported at e_bit = 0, where the minimizer of x*e_bit + g(x) runs
-# off to infinity.
-X_SCAN_HI = 50.0
 
-
-def ephase_bound_two(e_bit: float) -> tuple[float, float]:
+def ephase_bound_two(e_bit: float) -> float:
     """Best certified two-photon phase-error bound min_x [x*e_bit + g(x)].
 
-    The objective is convex, and with c = 2 - 6*e_bit its stationary point is
-    x* = (3*sqrt(2) + c*sqrt(6/(4 - c^2)))/4, where the minimum equals
-    (3 - (3*sqrt(2)/4)*c + (sqrt(6)/4)*sqrt(4 - c^2))/6.  Both are evaluated
-    with 4 - c^2 = 6*e_bit*(4 - 6*e_bit), which has no cancellation.  At
-    e_bit = 0 the infimum sin^2(pi/8) is returned with x_opt = X_SCAN_HI.
+    The objective is convex, and with c = 2 - 6*e_bit its minimum, at the
+    stationary point x* = (3*sqrt(2) + c*sqrt(6/(4 - c^2)))/4, equals
+    (3 - (3*sqrt(2)/4)*c + (sqrt(6)/4)*sqrt(4 - c^2))/6, evaluated with
+    4 - c^2 = 6*e_bit*(4 - 6*e_bit), which has no cancellation.  At e_bit = 0
+    it is the infimum sin^2(pi/8), approached as x* runs off to infinity.
     """
     e = float(e_bit)
     if not 0.0 <= e <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     if e == 0.0:
-        return SIN2_PI_8, X_SCAN_HI
+        return SIN2_PI_8
     c = 2.0 - 6.0 * e
     s = math.sqrt(6.0 * e * (4.0 - 6.0 * e))
-    x_opt = (3.0 * math.sqrt(2.0) + c * math.sqrt(6.0) / s) / 4.0
-    e_ph = (3.0 - 0.75 * math.sqrt(2.0) * c + 0.25 * math.sqrt(6.0) * s) / 6.0
-    return e_ph, x_opt
+    return (3.0 - 0.75 * math.sqrt(2.0) * c + 0.25 * math.sqrt(6.0) * s) / 6.0
 
 
 def rate_independent(e_bit: float, e_ph: float) -> float:
@@ -186,10 +170,9 @@ def rate_independent(e_bit: float, e_ph: float) -> float:
     return 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
 
 
-def threshold_two() -> ThresholdResult:
-    """Bit-error threshold of the two-photon rate R2 (root on [0.001, 0.2])."""
-    return _threshold(lambda e: rate_independent(e, ephase_bound_two(e)[0]),
-                      0.001, 0.2)
+def threshold_two() -> float:
+    """Bit-error threshold of the two-photon rate R2."""
+    return _threshold(lambda e: rate_independent(e, ephase_bound_two(e)))
 
 
 def depol_p(e: float) -> float:
@@ -223,7 +206,7 @@ class DecoyInputs:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError("%s must be a number, got %r" % (name, v))
-            hi = {"e1": 0.4, "e2": 0.5}.get(name, 1.0)
+            hi = {"e1": E_BIT_MAX, "e2": 0.5}.get(name, 1.0)
             if not 0.0 <= v <= hi:
                 raise ValueError("%s must be in [0, %g], got %r" % (name, hi, v))
         if self.xi1 + self.xi2 > self.p_conc + 1e-12:
@@ -240,12 +223,11 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
     """
     _, h_joint = worst_joint_single(d.e1)
     cond1 = h_joint - binary_entropy(d.e1)
-    e_ph2, _ = ephase_bound_two(d.e2)
     # 0.0 - p*h, not -p*h: a zero cost is +0.0, never -0.0.
     return (
         0.0 - d.p_conc * binary_entropy(d.e_bit),
         d.xi1 * (1.0 - cond1),
-        d.xi2 * (1.0 - _phase_charge(e_ph2)),
+        d.xi2 * (1.0 - _phase_charge(ephase_bound_two(d.e2))),
     )
 
 
@@ -268,9 +250,9 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     return min(x * e_bit + y for x, y in tangents)
 
 
-def sixstate_thresholds(nu: int) -> ThresholdResult:
-    """Six-state threshold for one photon number (1..4): the root on [1e-9,
-    0.45] of 1 - H(chi(e)) when every Bell form fits a*H_fil + b*H_bit within
+def sixstate_thresholds(nu: int) -> float:
+    """Six-state threshold for one photon number (1..4): the float root of
+    1 - H(chi(e)) when every Bell form fits a*H_fil + b*H_bit within
     bounds.IDENTITY_TOL (chi_t = a_t + b_t*e), else of 1 - h(e) - h(e_ph), e_ph
     the lesser tangent where the frontier point's own rate turns <= 0."""
     if nu not in SUPPORTED_NU:
@@ -289,10 +271,10 @@ def sixstate_thresholds(nu: int) -> ThresholdResult:
 
         def rate(e: float) -> float:
             return rate_independent(e, min(x * e + y for x, y in tangents))
-    return _threshold(rate, 1e-9, 0.45)
+    return _threshold(rate)
 
 
-def threshold(protocol: str, nu: int) -> ThresholdResult:
+def threshold(protocol: str, nu: int) -> float:
     """A THRESHOLDS row's threshold under its rate model: four-state nu=1 R1,
     nu=2 R2, six-state nu=1..4 ``sixstate_thresholds``."""
     if protocol == "six-state":

@@ -52,13 +52,6 @@ def finish_manifest(manifest: RunManifest, status: str) -> RunManifest:
     )
 
 
-def _plain(value):
-    """Coerce numpy scalars and other numerics to plain Python types."""
-    if hasattr(value, "item"):
-        return value.item()
-    return value
-
-
 def render_csv(fieldnames: list[str], rows: list[dict],
                manifest: RunManifest) -> str:
     """Serialize rows as a CSV table with a leading manifest comment line.
@@ -71,7 +64,7 @@ def render_csv(fieldnames: list[str], rows: list[dict],
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(fieldnames)
     for row in rows:
-        writer.writerow([_plain(row[k]) for k in fieldnames])
+        writer.writerow([row[k] for k in fieldnames])
     return buf.getvalue()
 
 

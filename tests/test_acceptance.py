@@ -93,20 +93,19 @@ def test_criterion_04_two_photon_bound():
 
 def test_criterion_05_thresholds():
     elapsed = _stopwatch()
-    one = keyrate.threshold_single()
-    two = keyrate.threshold_two()
-    assert abs(one.e_threshold - 0.0968) <= 2e-4
-    assert abs(two.e_threshold - 0.0271) <= 2e-4
-    assert abs(one.p_threshold - 0.0804) <= 5e-4
-    assert abs(two.p_threshold - 0.0208) <= 5e-4
-    x_opt = keyrate.ephase_bound_two(two.e_threshold)[1]
+    e1 = keyrate.threshold_single()
+    e2 = keyrate.threshold_two()
+    p1, p2 = keyrate.depol_p(e1), keyrate.depol_p(e2)
+    assert abs(e1 - 0.0968) <= 2e-4
+    assert abs(e2 - 0.0271) <= 2e-4
+    assert abs(p1 - 0.0804) <= 5e-4
+    assert abs(p2 - 0.0208) <= 5e-4
+    x_opt = oracles.ephase_bound_two_scan(e2)[1]
     assert abs(x_opt - 2.747) <= 0.5
     t = elapsed()
     assert t < 5.0
     print("ACCEPTANCE 5 PASS: thresholds e1=%.4f p1=%.4f e2=%.4f p2=%.4f "
-          "x_opt=%.3f (%.1fs)" % (one.e_threshold, one.p_threshold,
-                                  two.e_threshold, two.p_threshold,
-                                  x_opt, t))
+          "x_opt=%.3f (%.1fs)" % (e1, p1, e2, p2, x_opt, t))
 
 
 def test_criterion_06_no_key_regimes():
@@ -175,11 +174,10 @@ def test_criterion_09_entropy_oracle():
 
 def test_criterion_10_six_state_pipeline():
     elapsed = _stopwatch()
-    computed = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
+    es = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
     t = elapsed()
     assert t < 60.0
 
-    es = [r.e_threshold for r in computed]
     assert all(e > 0 for e in es)                      # positivity
     assert all(b < a for a, b in zip(es, es[1:]))      # monotone decrease
 
@@ -187,8 +185,8 @@ def test_criterion_10_six_state_pipeline():
     quoted = {1: 0.112, 2: 0.0560, 3: 0.0237, 4: 0.00788}
     report = ", ".join(
         "nu=%d %.4f (quoted %.4f, dev %+.4f)"
-        % (nu, r.e_threshold, quoted[nu], r.e_threshold - quoted[nu])
-        for nu, r in zip((1, 2, 3, 4), computed)
+        % (nu, e, quoted[nu], e - quoted[nu])
+        for nu, e in zip((1, 2, 3, 4), es)
     )
     print("ACCEPTANCE 10 PASS: six-state pipeline in %.1fs; %s" % (t, report))
 
@@ -202,7 +200,7 @@ def test_criterion_11_six_state_thresholds_match_the_quoted_digits():
                  4: (0.00788, 5e-6)}
     devs = {}
     for nu, (quoted, tol) in half_unit.items():
-        devs[nu] = keyrate.sixstate_thresholds(nu).e_threshold - quoted
+        devs[nu] = keyrate.sixstate_thresholds(nu) - quoted
         assert abs(devs[nu]) <= tol
     t = elapsed()
     assert t < 60.0

@@ -137,7 +137,7 @@ def direct_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
 def test_polarized_forms_match_direct_assembly(protocol, nu):
     forms = attack_forms.all_forms(protocol, nu)
     direct = direct_forms(protocol, nu)
-    assert set(forms) == set(attack_forms.EVENT_TAGS)
+    assert tuple(forms) == attack_forms.EVENT_TAGS
     for tag, form in forms.items():
         assert form.matrix.shape == (2 * (nu + 1),) * 2
         assert np.abs(form.matrix - direct[tag]).max() < 1e-10

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import sargkit
 from sargkit import attack_forms, bounds, qmath
 
 SIN2 = math.sin(math.pi / 8) ** 2
@@ -404,7 +405,7 @@ def test_frontier_does_not_repeat_below_k_minus_1(protocol, nu, gap,
 
 @settings(max_examples=60, deadline=None)
 @given(protocol=st.sampled_from(qmath.PROTOCOLS),
-       nu=st.sampled_from(bounds.SUPPORTED_NU),
+       nu=st.sampled_from(sargkit.SUPPORTED_NU),
        x=st.floats(0.0, 1e6))
 def test_zero_rate_floor_bounds_the_frontier_from_below(protocol, nu, x):
     # The floor is the infimum of y_star, so no x reads below it; a grid

@@ -1,8 +1,8 @@
 """Entropies, adversarial Bell vectors, rates, and thresholds."""
 
-import dataclasses
 import math
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -87,20 +87,17 @@ def test_rate_single_monotone_decreasing():
 
 
 def test_threshold_single_reference_values():
-    r = keyrate.threshold_single()
-    assert abs(r.e_threshold - 0.0968) <= 2e-4
-    assert abs(r.p_threshold - 0.0804) <= 5e-4
-    assert abs(r.residual) < 1e-4
+    e = keyrate.threshold_single()
+    assert abs(e - 0.0968) <= 2e-4
+    assert abs(keyrate.depol_p(e) - 0.0804) <= 5e-4
 
 
 def test_ephase_bound_two_properties():
-    e_ph0, x0 = keyrate.ephase_bound_two(0.0)
-    assert e_ph0 == SIN2 and x0 == keyrate.X_SCAN_HI
-    prev = e_ph0
+    prev = keyrate.ephase_bound_two(0.0)
+    assert prev == SIN2
     for e in (0.005, 0.01, 0.02, 0.0271, 0.05):
-        e_ph, x_opt = keyrate.ephase_bound_two(e)
-        assert e_ph > prev
-        assert x_opt >= 0.0
+        e_ph = keyrate.ephase_bound_two(e)
+        assert type(e_ph) is float and e_ph > prev
         prev = e_ph
     with pytest.raises(ValueError):
         keyrate.ephase_bound_two(0.6)
@@ -110,7 +107,7 @@ def test_ephase_bound_two_is_an_envelope_minimum():
     # Sanity: value can't exceed the objective at arbitrary probe points.
     from sargkit import bounds
     e = 0.02
-    e_ph, _ = keyrate.ephase_bound_two(e)
+    e_ph = keyrate.ephase_bound_two(e)
     for x in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
         assert e_ph <= x * e + bounds.g_of_x(x) + 1e-12
 
@@ -120,65 +117,73 @@ def test_ephase_bound_two_is_an_envelope_minimum():
 def test_ephase_bound_two_matches_scan_and_golden_oracle(e):
     # Above e = 3e-5 the minimizer lies inside the oracle's scan range [0, 50].
     from sargkit import bounds
-    e_ph, x_opt = keyrate.ephase_bound_two(e)
-    e_ref, _ = oracles.ephase_bound_two_scan(e)
+    e_ph = keyrate.ephase_bound_two(e)
+    e_ref, x_opt = oracles.ephase_bound_two_scan(e)
     assert abs(e_ph - e_ref) <= 1e-12
     assert abs(e_ph - (x_opt * e + bounds.g_of_x(x_opt))) <= 1e-12
 
 
 def test_threshold_two_reference_values():
-    r = keyrate.threshold_two()
-    assert abs(r.e_threshold - 0.0271) <= 2e-4
-    assert abs(r.p_threshold - 0.0208) <= 5e-4
-    x_opt = keyrate.ephase_bound_two(r.e_threshold)[1]
+    e = keyrate.threshold_two()
+    assert abs(e - 0.0271) <= 2e-4
+    assert abs(keyrate.depol_p(e) - 0.0208) <= 5e-4
+    x_opt = oracles.ephase_bound_two_scan(e)[1]
     assert abs(x_opt - X_OPT_REFERENCE) <= 0.5  # flat optimum
 
 
-def _linear_rate(e0: float):
-    """A synthetic rate e0 - e with its root at e0."""
-    return lambda e: e0 - e
+def _linear_rate(e0: float, seen: list | None = None):
+    """A synthetic rate e0 - e with its root at e0; each argument it is
+    evaluated at is appended to ``seen``."""
+    seen = [] if seen is None else seen
+    return lambda e: seen.append(e) or e0 - e
 
 
 def test_threshold_is_zero_when_there_is_no_key_at_lo():
-    r = keyrate._threshold(_linear_rate(-0.25), 0.01, 0.4)
-    assert r.e_threshold == 0.0 and r.p_threshold == 0.0
-    assert r.residual == -0.25  # the rate at e = 0, not at lo
-    assert r.bracket == (0.01, 0.4)
+    # The bracket's low end is e = 0: a rate <= 0 there means no key at any
+    # error rate, decided by that one evaluation.
+    for e0 in (-0.25, 0.0):
+        seen = []
+        e = keyrate._threshold(_linear_rate(e0, seen))
+        assert e == 0.0 and type(e) is float and seen == [0.0]
 
 
 def test_threshold_rejects_an_unbracketed_root():
-    with pytest.raises(ValueError, match="not bracketed"):
-        keyrate._threshold(_linear_rate(0.5), 0.01, 0.4)
+    # A rate >= 0 at the domain end E_BIT_MAX = 0.4 has no root inside it.
+    for e0 in (keyrate.E_BIT_MAX, 0.5):
+        with pytest.raises(ValueError, match="not bracketed"):
+            keyrate._threshold(_linear_rate(e0))
 
 
-def test_threshold_bisects_to_tol_and_reports_the_rate_at_the_root():
+def test_threshold_bisects_to_the_float_below_the_root():
     # The bisection runs to the float spacing: e is the last float with a
-    # positive rate, the float just below the root 0.1.
-    r = keyrate._threshold(_linear_rate(0.1), 0.01, 0.4)
-    assert r.e_threshold == math.nextafter(0.1, 0.0)
-    assert r.p_threshold == keyrate.depol_p(r.e_threshold)
-    assert r.residual == 0.1 - r.e_threshold
+    # positive rate, the float just below the root.  The two ends and at most
+    # 63 bisection steps are evaluated.  A root at 0.01 lies below the
+    # four-state nu=1 row's old bracket (0.05, 0.15), whose no-key rule read
+    # the rate <= 0 at 0.05 and reported e = 0.
+    for root in (0.1, 0.01):
+        seen = []
+        e = keyrate._threshold(_linear_rate(root, seen))
+        assert e == math.nextafter(root, 0.0)
+        assert seen[:2] == [0.0, keyrate.E_BIT_MAX] and len(seen) <= 2 + 63
 
 
-@pytest.mark.parametrize("compute,protocol,nu,bracket", [
-    (keyrate.threshold_single, "four-state", 1, (0.05, 0.15)),
-    (keyrate.threshold_two, "four-state", 2, (0.001, 0.2)),
-    *[(lambda nu=nu: keyrate.sixstate_thresholds(nu), "six-state", nu,
-       (1e-9, 0.45)) for nu in (1, 2, 3, 4)],
-])
-def test_every_threshold_reports_bracket_residual_and_x_opt(compute, protocol,
-                                                            nu, bracket):
-    # A threshold carries only what its root certifies, and it is the one
+@pytest.mark.parametrize("compute,protocol,nu", [
+    (keyrate.threshold_single, "four-state", 1),
+    (keyrate.threshold_two, "four-state", 2),
+    *[(lambda nu=nu: keyrate.sixstate_thresholds(nu), "six-state", nu)
+      for nu in (1, 2, 3, 4)],
+], ids=["four-state-1", "four-state-2", *("six-state-%d" % nu
+                                         for nu in (1, 2, 3, 4))])
+def test_every_threshold_is_a_float_and_the_one_its_row_reads(compute,
+                                                             protocol, nu):
+    # A threshold is the bare float its root certifies, and it is the one
     # keyrate.threshold computes for its row.  The two-photon operating point
-    # x_opt is not a field: ephase_bound_two gives it at the root.
-    r = compute()
-    assert [f.name for f in dataclasses.fields(r)] == [
-        "e_threshold", "p_threshold", "bracket", "residual"]
-    assert r.bracket == bracket
-    assert abs(r.residual) < 1e-4
-    assert keyrate.threshold(protocol, nu) == r
+    # x_opt is the oracle's minimizer at the root.
+    e = compute()
+    assert type(e) is float
+    assert keyrate.threshold(protocol, nu) == e
     if (protocol, nu) == ("four-state", 2):
-        x_opt = keyrate.ephase_bound_two(r.e_threshold)[1]
+        x_opt = oracles.ephase_bound_two_scan(e)[1]
         assert abs(x_opt - X_OPT_REFERENCE) <= 0.5
 
 
@@ -233,6 +238,7 @@ def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
         keyrate.bisect_floats(lambda x: True, lo, hi)
 
 
+@lru_cache(maxsize=None)
 def _row_rate(protocol: str, nu: int):
     """A computed THRESHOLDS row's rate model, assembled from its parts: R1,
     R2, the Bell-diagonal rate of the span fit at six-state nu = 1, 2 and the
@@ -240,7 +246,7 @@ def _row_rate(protocol: str, nu: int):
     if protocol == "four-state":
         return {1: keyrate.rate_single,
                 2: lambda e: keyrate.rate_independent(
-                    e, keyrate.ephase_bound_two(e)[0])}[nu]
+                    e, keyrate.ephase_bound_two(e))}[nu]
     if nu <= 2:
         fits = [bounds.span_coefficients("six-state", nu, "bell:" + tag)
                 for tag in qmath.BELL_TAGS]
@@ -273,13 +279,39 @@ def test_float_roots_cover_every_computed_row():
 def test_every_threshold_is_the_float_root_of_its_rate(protocol, nu):
     # The root certificate: the rate is positive at e and not at the next
     # float up, so no stopping width is left between e and the root.
-    r = keyrate.threshold(protocol, nu)
+    e = keyrate.threshold(protocol, nu)
     rate = _row_rate(protocol, nu)
-    e_next = math.nextafter(r.e_threshold, 1.0)
-    assert rate(r.e_threshold) > 0.0 >= rate(e_next)
-    assert r.residual == rate(r.e_threshold)
-    e, p = FLOAT_ROOTS[protocol, nu]
-    assert abs(r.e_threshold - e) <= 1e-12 and abs(r.p_threshold - p) <= 1e-12
+    assert rate(e) > 0.0 >= rate(math.nextafter(e, 1.0))
+    e_root, p_root = FLOAT_ROOTS[protocol, nu]
+    assert abs(e - e_root) <= 1e-12 and abs(keyrate.depol_p(e) - p_root) <= 1e-12
+
+
+# The brackets each row was bisected on before every threshold shared
+# [0, E_BIT_MAX].
+OLD_BRACKETS = {("four-state", 1): (0.05, 0.15),
+                ("four-state", 2): (0.001, 0.2),
+                **{("six-state", nu): (1e-9, 0.45) for nu in (1, 2, 3, 4)}}
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
+def test_one_bracket_finds_the_old_bracket_root(protocol, nu):
+    rate = _row_rate(protocol, nu)
+    old = keyrate.bisect_floats(lambda e: rate(e) <= 0.0,
+                                *OLD_BRACKETS[protocol, nu])[0]
+    assert keyrate._threshold(rate) == old == keyrate.threshold(protocol, nu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FLOAT_ROOTS)), st.data())
+def test_every_sub_bracket_of_the_root_finds_the_same_root(row, data):
+    # The rate turns <= 0 once on [0, E_BIT_MAX], so any bracket holding the
+    # threshold e and the float above it, lo <= e < hi, bisects to e.
+    rate = _row_rate(*row)
+    e = keyrate._threshold(rate)
+    lo = data.draw(st.floats(min_value=0.0, max_value=e), label="lo")
+    hi = data.draw(st.floats(min_value=math.nextafter(e, 1.0),
+                             max_value=keyrate.E_BIT_MAX), label="hi")
+    assert keyrate.bisect_floats(lambda x: rate(x) <= 0.0, lo, hi)[0] == e
 
 
 def _warm_solves(monkeypatch, compute) -> int:
@@ -386,7 +418,7 @@ def test_decoy_terms_sum_to_total():
 # ---------------------------------------------------------------------------
 
 def test_six_state_thresholds_positive_and_decreasing():
-    es = [keyrate.sixstate_thresholds(nu).e_threshold for nu in (1, 2, 3, 4)]
+    es = [keyrate.sixstate_thresholds(nu) for nu in (1, 2, 3, 4)]
     assert all(e > 0 for e in es)
     assert all(b < a for a, b in zip(es, es[1:]))
 
@@ -396,8 +428,8 @@ def test_six_state_threshold_regression_values():
     # on the tangent bound.
     expected = {1: 0.1123572, 2: 0.0560276, 3: 0.0237011, 4: 0.0078830}
     for nu, e_ref in expected.items():
-        r = keyrate.sixstate_thresholds(nu)
-        assert r.e_threshold == pytest.approx(e_ref, abs=1e-6)
+        e = keyrate.sixstate_thresholds(nu)
+        assert e == pytest.approx(e_ref, abs=1e-6)
 
 
 # The closed-form root of each row's rate, found with no frontier and no
@@ -416,7 +448,7 @@ CLOSED_FORM_ROOTS = {
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_six_state_thresholds_are_the_closed_form_roots(nu):
     root = CLOSED_FORM_ROOTS[nu]()
-    assert abs(keyrate.sixstate_thresholds(nu).e_threshold - root) <= 1e-7
+    assert abs(keyrate.sixstate_thresholds(nu) - root) <= 1e-7
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,7 +480,7 @@ def test_six_state_rate_model_follows_the_span_fit(monkeypatch):
     monkeypatch.setattr(bounds, "span_coefficients", lambda p, nu, tag: (
         *fit(p, nu, tag)[:2], 2.0 * bounds.IDENTITY_TOL))
     root = oracles.linear_indep_threshold(*LINEAR_EPH[1], tol=1e-12)
-    assert abs(keyrate.sixstate_thresholds(1).e_threshold - root) <= 1e-7
+    assert abs(keyrate.sixstate_thresholds(1) - root) <= 1e-7
     assert tangent_rows == [3, 4, 1]
 
 
@@ -462,7 +494,7 @@ def test_six_state_dominates_like_for_like_baseline():
     # Under the same independent-errors entropy model the six-state frontier
     # can only improve on the four-state one.
     base = oracles.fourstate_indep_threshold()
-    assert keyrate.sixstate_thresholds(1).e_threshold >= base - 1e-6
+    assert keyrate.sixstate_thresholds(1) >= base - 1e-6
 
 
 def test_six_state_rejects_unsupported_photon_number():
@@ -524,7 +556,7 @@ def test_tangent_bound_is_the_two_photon_closed_form(e):
     # y_star's roundoff n*eps*x*||B||_2 (5.8e-12 at e = 1e-12).
     bound = keyrate.ephase_bound_frontier(e, "four-state", 2)
     tol = 1e-12 if e == 0.0 or e >= 1e-7 else 1e-10
-    assert abs(bound - keyrate.ephase_bound_two(e)[0]) <= tol
+    assert abs(bound - keyrate.ephase_bound_two(e)) <= tol
 
 
 def test_tangent_bound_stops_at_the_bisection_cap():
@@ -532,7 +564,7 @@ def test_tangent_bound_stops_at_the_bisection_cap():
     # tangent at the cap, off the closed form by less than 1e-7.
     for e in (1e-14, 5e-324):
         gap = (keyrate.ephase_bound_frontier(e, "four-state", 2)
-               - keyrate.ephase_bound_two(e)[0])
+               - keyrate.ephase_bound_two(e))
         assert 0.0 < gap < 1e-7
 
 
