@@ -34,6 +34,11 @@ One rule cuts both kernels, of H_fil and of B (``_kernel_split``): at
 RANK_TOL of the largest eigenvalue, with no eigenvalue below -cut or within
 six decades above it.  Every eigenvalue here comes from qmath.eigh_checked.
 
+The four Bell forms, reduced by the same R F^-1/2 (``_range_map``), commute
+at four-state nu=1 and six-state nu=1, 2.  There ``bell_vertex_check`` proves
+that the Bell vectors of their joint eigenvectors are keyrate.BELL_VERTICES,
+the polytope that keyrate's Bell-vertex rate rule reads.
+
 Every event form has ||H_event||_2 <= 1, because v^dag H_event v <=
 trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL and
 IDENTITY_TOL (which also bounds the event forms' own PSD check) equal their
@@ -69,6 +74,10 @@ SHAPE_TOL = 1e-6
 RANK_TOL = 1e-12
 # The tangent x range; y_star's roundoff n*eps*x*||B||_2 at the cap is 1e-9.
 TANGENT_X_CAP = 2.0 ** 20
+# The combination of the reduced Bell forms, in qmath.BELL_TAGS order, whose
+# eigenbasis bell_vertex_check reads: the vertices of four-state nu=1 land on
+# eigenvalues 0, 2, 3, those of six-state nu=1 on 0, 2.43, nu=2 on 0.146, 2.389.
+BELL_WEIGHTS = (0.0, 1.0, 2.0, 4.0)
 
 
 def _forms(protocol: str, nu: int):
@@ -103,23 +112,6 @@ def identity_check_single(protocol: str) -> float:
     """
     h_bit, _, h_ph = _forms(protocol, 1)
     return float(np.abs(h_ph - 1.5 * h_bit).max())
-
-
-def span_coefficients(protocol: str, nu: int, tag: str) -> tuple:
-    """(a, b, residual): the real least-squares fit H_tag ~ a*H_fil + b*H_bit
-    on the compiled forms, with residual the max-abs gap of the fit.
-
-    A residual within IDENTITY_TOL means the event's weight per conclusive
-    pair is a + b*e_bit for every attack.
-    """
-    f = attack_forms.all_forms(protocol, nu)
-    h_fil, h_bit, h = (f[k].matrix for k in ("fil", "bit", tag))
-    basis = np.stack([h_fil.ravel(), h_bit.ravel()], axis=1)
-    # Real and imaginary parts as separate equations keep a and b real.
-    a, b = np.linalg.lstsq(np.concatenate([basis.real, basis.imag]),
-                           np.concatenate([h.real.ravel(), h.imag.ravel()]),
-                           rcond=None)[0]
-    return float(a), float(b), float(np.abs(h - a * h_fil - b * h_bit).max())
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +162,15 @@ def _kernel_split(h: np.ndarray, name: str) -> tuple:
     return w, v, cut
 
 
-@lru_cache(maxsize=None)
-def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil),
-    cached per (protocol, nu) as two read-only arrays.
+def _range_map(protocol: str, nu: int) -> np.ndarray:
+    """R F^-1/2, with R the eigenvectors of H_fil above the kernel cut and F
+    their eigenvalues: the one reduction of the forms to range(H_fil).
 
-    R holds the eigenvectors of H_fil above the kernel cut, F their
-    eigenvalues.  Raises ArithmeticError when the cut is not clean, or when
-    H_bit or H_ph does not vanish on the kernel of H_fil to within the cut,
-    since the reduction would then drop part of the margin.
+    Raises ArithmeticError when the cut is not clean, or when H_bit or H_ph
+    does not vanish on the kernel of H_fil to within the cut, since the
+    reduction would then drop part of a margin.  Every Bell form vanishes
+    there too: chi1+ and chi1- lie between 0 and H_bit, chi0- between 0 and
+    H_ph, and chi0+ is H_fil minus the other three.
     """
     h_bit, h_fil, h_ph = _forms(protocol, nu)
     w, v, cut = _kernel_split(h_fil, "H_fil")
@@ -187,13 +179,54 @@ def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
     if leak > cut:
         raise ArithmeticError("event forms leak %.3e onto the kernel of H_fil "
                               "(rank cut %.3e)" % (leak, cut))
-    r = v[:, keep] / np.sqrt(w[keep])
+    return v[:, keep] / np.sqrt(w[keep])
 
-    def reduce(h: np.ndarray) -> np.ndarray:
-        m = qmath.dagger(r) @ h @ r
-        return 0.5 * (m + qmath.dagger(m))
 
-    return qmath.read_only(reduce(h_ph)), qmath.read_only(reduce(h_bit))
+def _reduce(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The Hermitian part of r^dag h r."""
+    m = qmath.dagger(r) @ h @ r
+    return 0.5 * (m + qmath.dagger(m))
+
+
+@lru_cache(maxsize=None)
+def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil)
+    (``_range_map``), cached per (protocol, nu) as two read-only arrays."""
+    r = _range_map(protocol, nu)
+    h_bit, _, h_ph = _forms(protocol, nu)
+    return qmath.read_only(_reduce(r, h_ph)), qmath.read_only(_reduce(r, h_bit))
+
+
+def _reduced_bell_forms(protocol: str, nu: int) -> np.ndarray:
+    """The four Bell forms, in qmath.BELL_TAGS order, reduced like the pencil:
+    a stack of shape (4, n, n) that sums to the identity."""
+    r = _range_map(protocol, nu)
+    forms = attack_forms.all_forms(protocol, nu)
+    return np.stack([_reduce(r, forms["bell:" + tag].matrix)
+                     for tag in qmath.BELL_TAGS])
+
+
+def bell_vertex_check(protocol: str, nu: int) -> float:
+    """The gap between the compiled forms and the row's keyrate.BELL_VERTICES.
+
+    The eigenvectors u of one fixed combination of the reduced Bell forms
+    (weights BELL_WEIGHTS, which put distinct vertices on distinct
+    eigenvalues) are the forms' joint eigenvectors when the forms commute;
+    their Bell vectors (u^dag X_t u)_t then span the pair's Bell polytope.
+    Returns the larger of the reduced Bell forms' largest off-diagonal entry
+    in that basis and the max-norm Hausdorff distance between those Bell
+    vectors and the table's vertices: within IDENTITY_TOL the table is the
+    polytope.
+    """
+    x = _reduced_bell_forms(protocol, nu)
+    u = qmath.eigh_checked(np.tensordot(BELL_WEIGHTS, x, 1))[1]
+    d = qmath.dagger(u) @ x @ u
+    off_diagonal = ~np.eye(d.shape[-1], dtype=bool)
+    chis = np.diagonal(d, axis1=-2, axis2=-1).real.T
+    gaps = np.abs(chis[:, None, :]
+                  - np.array(keyrate.BELL_VERTICES[protocol, nu])).max(axis=-1)
+    return float(max(np.abs(d[:, off_diagonal]).max(initial=0.0),
+                     gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
 def frontier(x: float, protocol: str, nu: int) -> float:

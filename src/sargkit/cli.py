@@ -11,9 +11,9 @@ verify and constants-check build the certificate table (``checks``) and
 with it numpy, ``qmath``, ``attack_forms``, ``bounds`` and ``keyrate``;
 frontier imports ``bounds`` once its grid is valid; simulate imports YAML
 and ``simulate``; keyrate imports YAML and ``keyrate``; thresholds imports
-``keyrate``, which reads ``bounds`` for the six-state table only.  So
-``--help``, ``--version``, every usage error, ``keyrate`` and four-state
-``thresholds`` run without numpy.
+``keyrate``, which reads ``bounds`` for the six-state nu=3, 4 rows only.  So
+``--help``, ``--version``, every usage error, ``keyrate``, four-state
+``thresholds`` and the six-state nu=1, 2 thresholds run without numpy.
 """
 
 from __future__ import annotations
@@ -129,11 +129,10 @@ def checks() -> tuple[Check, ...]:
         Check("phase = 1.5 x bit identity", _BOTH, (1,),
               lambda p, nu: bounds.identity_check_single(p),
               "<", bounds.IDENTITY_TOL),
-        Check("Bell span identity", _SIX, (1, 2),
-              lambda p, nu: max(
-                  bounds.span_coefficients(p, nu, "bell:" + tag)[2]
-                  for tag in qmath.BELL_TAGS),
-              "<", bounds.IDENTITY_TOL),
+        *(Check("Bell vertex table", (p,), (nu,),
+                lambda p, nu: bounds.bell_vertex_check(p, nu),
+                "<", bounds.IDENTITY_TOL)
+          for p, nu in keyrate.BELL_VERTICES),
         Check("correlation chi0- >= 2 chi1+", _FOUR, (1,),
               lambda p, nu: bounds.correlation_psd_check()[0],
               ">=", -bounds.IDENTITY_TOL),

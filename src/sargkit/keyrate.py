@@ -1,20 +1,18 @@
 """Entropies, worst-case Bell vectors, key rates, and thresholds.
 
-Rates are asymptotic per sifted conclusive pair:
+Rates are asymptotic per sifted conclusive pair, under one of two rules:
 
-* single photon: R1 = 1 - H(q) with q the pair's Bell vector, a plain
-  tuple of its (bit error, phase error) weights in qmath.BELL_TAGS order,
-  chosen adversarially subject to the marginal constraint e_ph = 1.5*e_bit
-  and the two correlation inequalities;
-* two photons:   R2 = 1 - h(e_bit) - h(e_ph) with e_ph the best certified
-  bound min_x [x*e_bit + g(x)], evaluated in closed form (bit/phase treated
-  as independent);
-* six-state variant, photon numbers 1..4: where every Bell form is an
-  exact combination a*H_fil + b*H_bit (bounds.span_coefficients; nu = 1, 2)
-  the pair's Bell vector is chi(e_bit) = a + b*e_bit and the rate is the
-  Bell-diagonal one-way rate 1 - H(chi) (H.-K. Lo, QIC 1, 81 (2001));
-  elsewhere the same shape as R2, with g replaced by the computed frontier
-  y_star(x), read on no x-grid.
+* the Bell-vertex rule, at four-state nu=1 (R1) and six-state nu=1, 2, where
+  the reduced Bell forms commute: a conclusive pair's Bell vector chi ranges
+  over the polytope of BELL_VERTICES, and the rate is the Bell-diagonal
+  one-way rate 1 - max{H(chi) : chi in the polytope, chi1+ + chi1- = e_bit}
+  (``worst_bell_vector``; H.-K. Lo, QIC 1, 81 (2001); P. W. Shor and
+  J. Preskill, PRL 85, 441 (2000));
+* the independent rule 1 - h(e_bit) - h(e_ph), bit and phase errors treated
+  as independent, with e_ph the best certified phase-error bound
+  min_x [x*e_bit + y(x)]: at four-state nu=2 (R2) y is the paper's curve g
+  and the bound is closed-form; at six-state nu=3, 4 y is the computed
+  frontier y_star, read on no x-grid.
 
 Every rate is a float of e_bit, and every threshold is a bare float that
 takes one path, ``_threshold``: the float root of the rate on [0, E_BIT_MAX],
@@ -23,22 +21,40 @@ key at any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
 depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS;
 ``threshold`` picks each row's model.
 
-The four-state rates and the decoy composition are closed-form float
-arithmetic; only the six-state pipeline reads computed frontiers, so only
-its two functions import ``bounds`` (and with it numpy).
+The Bell-vertex rule, R2 and the decoy composition are float arithmetic on
+plain tables; only the six-state nu=3, 4 rows read computed frontiers, so
+only ``ephase_bound_frontier`` and that branch of ``sixstate_thresholds``
+import ``bounds`` (and with it numpy).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
 
 from . import SUPPORTED_NU
 
-# The largest bit-error rate of any rate model: the end of worst_joint_single's
-# domain, the narrowest one, and the high end of every threshold's bracket.
+# The high end of every threshold's bracket: every rate model is defined up to
+# it (the narrowest domain, the six-state nu=1 Bell polytope's, ends at 4/7).
 E_BIT_MAX = 0.4
+
+_R2 = math.sqrt(2.0)
+
+# The Bell polytope of each row whose reduced Bell forms commute: the distinct
+# Bell vectors, in qmath.BELL_TAGS order, of the forms' joint eigenvectors
+# (proved against the compiled forms by bounds.bell_vertex_check).  A
+# conclusive pair's Bell vector ranges over their hull.  Every row has at most
+# three vertices, with distinct bit weights chi1+ + chi1-.
+BELL_VERTICES = {
+    ("four-state", 1): ((1.0, 0.0, 0.0, 0.0), (0.0, 1 / 3, 0.0, 2 / 3),
+                        (0.0, 0.5, 0.25, 0.25)),
+    ("six-state", 1): ((1.0, 0.0, 0.0, 0.0), (0.0, 3 / 7, 1 / 7, 3 / 7)),
+    ("six-state", 2): (((2 + _R2) / 4, (2 - _R2) / 4, 0.0, 0.0),
+                       ((8 - 5 * _R2) / 40, (8 + 5 * _R2) / 40,
+                        (12 - 3 * _R2) / 40, (12 + 3 * _R2) / 40)),
+}
 
 # The thresholds table: per protocol, rows in print order of (label, nu, quoted
 # e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
@@ -80,25 +96,57 @@ def _shannon(ps) -> float:
     return total
 
 
-def worst_joint_single(e_bit: float) -> tuple[tuple[float, ...], float]:
-    """The adversarial single-photon Bell vector q and its entropy H(q).
+def _bit(chi) -> float:
+    """The bit-error weight chi1+ + chi1- of a Bell vector."""
+    return chi[2] + chi[3]
 
-    q = (q00, q01, q10, q11) is in qmath.BELL_TAGS order, q_bp the weight of
-    bit error b and phase error p.  The constraints (marginals e_bit and
-    1.5*e_bit, plus the correlation inequalities q01 >= 2*q10 and
-    2*q11 >= q01) collapse the feasible set to the segment q11 = s in
-    [e/2, e].  The entropy maximizer has the closed form
-    s* = clip(1.5*e^2, e/2, e): 1.5*e^2 is the stationary point where the
-    2x2 table becomes a product distribution, and for e < 1/3 it falls below
-    the segment, so the boundary s = e/2 wins.  At e = 0 this is (1, 0, 0, 0)
-    with H = 0.
+
+def worst_bell_vector(protocol: str, nu: int,
+                      e_bit: float) -> tuple[tuple[float, ...], float]:
+    """The adversarial Bell vector chi of a conclusive pair at bit error e_bit
+    and its entropy H(chi): the maximum of H over the slice of the row's
+    Bell polytope (BELL_VERTICES) at bit weight e_bit.
+
+    The slice of a hull is the hull of the vertices on it and of the points
+    where its edges cross it.  A row has at most three vertices, with
+    distinct bit weights, so the slice is one point or the segment between
+    two, along which H is concave: an end wins when the slope of H there
+    points out of the segment, and only a slope that turns inside it is
+    bisected (bisect_floats).  At e = 0 every row is a pure state, H = 0.
     """
+    vertices = BELL_VERTICES.get((protocol, nu))
+    if vertices is None:
+        raise ValueError("no Bell vertex table for %s nu=%r" % (protocol, nu))
     e = float(e_bit)
-    if not 0.0 <= e <= E_BIT_MAX:
-        raise ValueError("e_bit must be in [0, 0.4] for feasible marginals")
-    s = min(max(1.5 * e * e, 0.5 * e), e)
-    q = (1.0 - 2.5 * e + s, 1.5 * e - s, e - s, s)
-    return q, _shannon(q)
+    e_max = max(map(_bit, vertices))
+    if not 0.0 <= e <= e_max:
+        raise ValueError("e_bit must be in [0, %g] for feasible marginals"
+                         % e_max)
+    points = [v for v in vertices if _bit(v) == e]
+    for v, w in itertools.permutations(vertices, 2):
+        if _bit(v) < e < _bit(w):
+            t = (e - _bit(v)) / (_bit(w) - _bit(v))
+            points.append(tuple(a + t * (b - a) for a, b in zip(v, w)))
+    p, q = points[0], points[-1]
+    d = [b - a for a, b in zip(p, q)]
+
+    def slope(chi) -> float:
+        # dH/dt along p + t*d (sum(d) = 0); a zero weight that d moves is
+        # an infinite slope, into the segment.
+        return -sum(dx * (math.log2(x) if x > 0.0 else -math.inf)
+                    for x, dx in zip(chi, d) if dx)
+
+    def point(t: float) -> tuple[float, ...]:
+        return tuple(a + t * dx for a, dx in zip(p, d))
+
+    if slope(p) <= 0.0:
+        chi = p
+    elif slope(q) >= 0.0:
+        chi = q
+    else:
+        ends = bisect_floats(lambda t: slope(point(t)) <= 0.0, 0.0, 1.0)
+        chi = max(map(point, ends), key=_shannon)
+    return chi, _shannon(chi)
 
 
 def bisect_floats(past, lo: float, hi: float) -> tuple[float, float]:
@@ -116,11 +164,6 @@ def bisect_floats(past, lo: float, hi: float) -> tuple[float, float]:
     return struct.unpack("<2d", struct.pack("<2q", a, b))
 
 
-def rate_single(e_bit: float) -> float:
-    """R1 = 1 - H(q) under the adversarial single-photon Bell vector q."""
-    return 1.0 - worst_joint_single(e_bit)[1]
-
-
 def _threshold(rate) -> float:
     """The float root in e_bit of ``rate`` (e_bit -> float) on [0, E_BIT_MAX]:
     0 when rate(0) <= 0 (no key at any error rate), else, with
@@ -135,9 +178,15 @@ def _threshold(rate) -> float:
     return bisect_floats(lambda e: rate(e) <= 0.0, 0.0, E_BIT_MAX)[0]
 
 
+def _bell_threshold(protocol: str, nu: int) -> float:
+    """The root of a BELL_VERTICES row's rate 1 - H(worst_bell_vector)."""
+    return _threshold(
+        lambda e: 1.0 - worst_bell_vector(protocol, nu, e)[1])
+
+
 def threshold_single() -> float:
     """Bit-error threshold of the single-photon rate R1."""
-    return _threshold(rate_single)
+    return _bell_threshold("four-state", 1)
 
 
 # The two-photon zero-error infimum of min_x [x*e_bit + g(x)], reached as
@@ -190,8 +239,9 @@ class DecoyInputs:
     p_conc and e_bit describe all conclusive events per sifted pulse; xi_nu is
     the fraction of sifted pulses that are both nu-photon emissions and
     conclusive, with e_nu the corresponding bit-error bound.  Each value is
-    a number in [0, 1]; e1 is at most 0.4 and e2 at most 0.5, the domains of
-    worst_joint_single and ephase_bound_two.
+    a number in [0, 1]; e1 is at most 2/3 and e2 at most 0.5, the domains of
+    the four-state nu=1 Bell polytope (worst_bell_vector) and of
+    ephase_bound_two.
     """
 
     p_conc: float
@@ -206,7 +256,8 @@ class DecoyInputs:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError("%s must be a number, got %r" % (name, v))
-            hi = {"e1": E_BIT_MAX, "e2": 0.5}.get(name, 1.0)
+            hi = {"e1": max(map(_bit, BELL_VERTICES["four-state", 1])),
+                  "e2": 0.5}.get(name, 1.0)
             if not 0.0 <= v <= hi:
                 raise ValueError("%s must be in [0, %g], got %r" % (name, hi, v))
         if self.xi1 + self.xi2 > self.p_conc + 1e-12:
@@ -221,7 +272,7 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
     where the single-photon conditional entropy is H(q) - h(e) under the
     adversarial Bell vector q.
     """
-    _, h_joint = worst_joint_single(d.e1)
+    _, h_joint = worst_bell_vector("four-state", 1, d.e1)
     cond1 = h_joint - binary_entropy(d.e1)
     # 0.0 - p*h, not -p*h: a zero cost is +0.0, never -0.0.
     return (
@@ -252,26 +303,20 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 
 def sixstate_thresholds(nu: int) -> float:
     """Six-state threshold for one photon number (1..4): the float root of
-    1 - H(chi(e)) when every Bell form fits a*H_fil + b*H_bit within
-    bounds.IDENTITY_TOL (chi_t = a_t + b_t*e), else of 1 - h(e) - h(e_ph), e_ph
-    the lesser tangent where the frontier point's own rate turns <= 0."""
+    1 - H(worst_bell_vector) for a BELL_VERTICES row, else of
+    1 - h(e) - h(e_ph), e_ph the lesser tangent where the frontier point's own
+    rate turns <= 0."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
-    from . import bounds, qmath
+    if ("six-state", nu) in BELL_VERTICES:
+        return _bell_threshold("six-state", nu)
+    from . import bounds
 
-    fits = [bounds.span_coefficients("six-state", nu, "bell:" + tag)
-            for tag in qmath.BELL_TAGS]
-    if max(residual for *_, residual in fits) <= bounds.IDENTITY_TOL:
-        def rate(e: float) -> float:
-            return 1.0 - _shannon([a + b * e for a, b, _ in fits])
-    else:
-        tangents = bounds.supporting_tangents(
-            "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
-
-        def rate(e: float) -> float:
-            return rate_independent(e, min(x * e + y for x, y in tangents))
-    return _threshold(rate)
+    tangents = bounds.supporting_tangents(
+        "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
+    return _threshold(
+        lambda e: rate_independent(e, min(x * e + y for x, y in tangents)))
 
 
 def threshold(protocol: str, nu: int) -> float:

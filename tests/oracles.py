@@ -5,7 +5,8 @@ formula: event forms and weights on the full 2^nu-dimensional input of the
 attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
 margin or by one eigen-solve per point, the `frontier` report row by row
 through ``csv.DictWriter``, the two-photon optimum by scan plus golden
-section, the worst single-photon entropy by a dense scan, Monte Carlo tallies
+section, the worst Bell-vector entropy by a dense scan of a barycentric slice
+and golden section, Monte Carlo tallies
 from float uniforms over a whole run with no shards and one trial at a time
 (`replay_trial`),
 the channel law by enumerating every branch, arrival pattern and outcome.
@@ -217,20 +218,88 @@ def ephase_bound_two_scan(e_bit: float, x_hi: float = 50.0,
     return e_ph, x_opt
 
 
-def scan_joint_single(e_bit: float, points: int = 100001) -> tuple[float, float]:
-    """Brute-force entropy maximization over the single-photon segment.
+def worst_joint_single(e_bit: float) -> tuple[tuple[float, ...], float]:
+    """The four-state single-photon worst case derived by hand from the
+    paper's constraints: (q, H(q)) in qmath.BELL_TAGS order.
 
-    Returns (s_best, H_best) from a uniform scan of q11 = s in [e/2, e].
+    The marginals e_bit and 1.5*e_bit plus the correlation inequalities
+    q01 >= 2*q10 and 2*q11 >= q01 collapse the feasible set to the segment
+    q11 = s in [e/2, e]; the entropy maximizer is s* = clip(1.5*e^2, e/2, e),
+    1.5*e^2 being where the 2x2 table becomes a product distribution.
     """
     e = float(e_bit)
-    lo, hi = 0.5 * e, e
-    best_s, best_h = lo, -1.0
-    for k in range(points):
-        s = lo + (hi - lo) * k / (points - 1)
-        h = keyrate._shannon((1.0 - 2.5 * e + s, 1.5 * e - s, e - s, s))
-        if h > best_h:
-            best_h, best_s = h, s
-    return best_s, best_h
+    s = min(max(1.5 * e * e, 0.5 * e), e)
+    q = (1.0 - 2.5 * e + s, 1.5 * e - s, e - s, s)
+    return q, keyrate._shannon(q)
+
+
+def hull_weights(vertices, chi) -> tuple[np.ndarray, float]:
+    """(lambda, residual): the least-squares barycentric weights of chi over
+    the vertices (sum(lambda) = 1 is one more equation) and the max-abs gap
+    of sum_k lambda_k v_k from chi.  chi is in the hull when the residual
+    vanishes and every lambda_k >= 0 (the vertices are affinely independent
+    in every keyrate.BELL_VERTICES row, so lambda is unique)."""
+    v = np.array(vertices, dtype=float)
+    a = np.vstack([v.T, np.ones(len(v))])
+    lam = np.linalg.lstsq(a, np.append(chi, 1.0), rcond=None)[0]
+    return lam, float(np.abs(lam @ v - np.asarray(chi)).max())
+
+
+def scan_bell_slice(vertices, e_bit: float,
+                    points: int = 10001) -> tuple[tuple[float, ...], float]:
+    """(chi, H(chi)) maximizing the Shannon entropy over the slice of the
+    hull of the vertices at bit weight chi1+ + chi1- = e_bit.
+
+    The slice is parametrized by barycentric weights lambda >= 0 with
+    sum(lambda) = 1 and lambda . bits = e_bit: a particular solution plus
+    tau times the null direction of those two equations (none for two
+    vertices), over the tau interval where every weight stays >= 0.  That
+    interval is scanned at ``points`` points and refined by golden section
+    around the best one.
+    """
+    v = np.array(vertices, dtype=float)
+    bits = v[:, 2] + v[:, 3]
+    a = np.vstack([np.ones(len(v)), bits])
+    lam0 = np.linalg.lstsq(a, np.array([1.0, e_bit]), rcond=None)[0]
+    null = np.linalg.svd(a)[2][2:]
+    if not len(null):
+        chi = tuple((lam0 @ v).tolist())
+        return chi, keyrate._shannon(chi)
+    n = null[0]
+    lo = max(-lam0[k] / n[k] for k in range(len(v)) if n[k] > 1e-12)
+    hi = min(-lam0[k] / n[k] for k in range(len(v)) if n[k] < -1e-12)
+
+    base, step = (lam0 @ v).tolist(), (n @ v).tolist()
+
+    def chi_at(tau: float) -> tuple[float, ...]:
+        return tuple(max(0.0, c + tau * d) for c, d in zip(base, step))
+
+    def neg_h(tau: float) -> float:
+        return -keyrate._shannon(chi_at(tau))
+
+    taus = [lo + (hi - lo) * k / (points - 1) for k in range(points)]
+    k_best = min(range(points), key=lambda k: neg_h(taus[k]))
+    tau = golden_min(neg_h, taus[max(0, k_best - 1)],
+                     taus[min(points - 1, k_best + 1)], tol=1e-13)[0]
+    tau = min((tau, taus[k_best]), key=neg_h)
+    return chi_at(tau), -neg_h(tau)
+
+
+def span_coefficients(protocol: str, nu: int, tag: str) -> tuple:
+    """(a, b, residual): the real least-squares fit H_tag ~ a*H_fil + b*H_bit
+    on the compiled forms, with residual the max-abs gap of the fit.
+
+    A residual near zero means the event's weight per conclusive pair is
+    a + b*e_bit for every attack.
+    """
+    f = attack_forms.all_forms(protocol, nu)
+    h_fil, h_bit, h = (f[k].matrix for k in ("fil", "bit", tag))
+    basis = np.stack([h_fil.ravel(), h_bit.ravel()], axis=1)
+    # Real and imaginary parts as separate equations keep a and b real.
+    a, b = np.linalg.lstsq(np.concatenate([basis.real, basis.imag]),
+                           np.concatenate([h.real.ravel(), h.imag.ravel()]),
+                           rcond=None)[0]
+    return float(a), float(b), float(np.abs(h - a * h_fil - b * h_bit).max())
 
 
 def linear_indep_threshold(alpha: float, beta: float,

@@ -161,12 +161,13 @@ def test_criterion_08_monte_carlo_consistency(monkeypatch):
 
 def test_criterion_09_entropy_oracle():
     worst = 0.0
+    vertices = keyrate.BELL_VERTICES["four-state", 1]
     for e in (0.02, 0.05, 0.0968, 0.12):
-        _, h_closed = keyrate.worst_joint_single(e)
-        _, h_scan = oracles.scan_joint_single(e, points=100001)
-        worst = max(worst, abs(h_closed - h_scan))
+        _, h_rule = keyrate.worst_bell_vector("four-state", 1, e)
+        _, h_scan = oracles.scan_bell_slice(vertices, e, points=100001)
+        worst = max(worst, abs(h_rule - h_scan))
     assert worst < 1e-6
-    _, h_thr = keyrate.worst_joint_single(0.0968)
+    _, h_thr = keyrate.worst_bell_vector("four-state", 1, 0.0968)
     assert abs(h_thr - 1.0) <= 0.002
     print("ACCEPTANCE 9 PASS: entropy oracle dev %.2e; H(0.0968) = %.4f"
           % (worst, h_thr))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sargkit
-from sargkit import attack_forms, bounds, qmath
+from sargkit import attack_forms, bounds, keyrate, qmath
 
 SIN2 = math.sin(math.pi / 8) ** 2
 COS2 = math.cos(math.pi / 8) ** 2
@@ -75,14 +75,13 @@ def test_event_form_span_identities(protocol, nu, tag, a, b):
     forms = attack_forms.all_forms(protocol, nu)
     combo = a * forms["fil"].matrix + b * forms["bit"].matrix
     assert np.abs(forms[tag].matrix - combo).max() <= 1e-12
-    fit = bounds.span_coefficients(protocol, nu, tag)
+    fit = oracles.span_coefficients(protocol, nu, tag)
     assert [type(v) for v in fit] == [float, float, float]  # a, b are real
     assert abs(fit[0] - a) <= 1e-12 and abs(fit[1] - b) <= 1e-12
     assert fit[2] <= 1e-12
 
 
-# Every (protocol, nu) where no Bell form is a*H_fil + b*H_bit, so whose
-# threshold row (if any) keeps the tangent rate.
+# Every (protocol, nu) where no Bell form is a*H_fil + b*H_bit.
 OUTSIDE_THE_SPAN = [("four-state", 2), ("six-state", 4), ("four-state", 1),
                     ("four-state", 3), ("four-state", 4), ("six-state", 3)]
 
@@ -96,7 +95,30 @@ def test_phase_form_outside_the_span(protocol, nu):
     if all(row[:3] != (protocol, nu, "ph") for row in SPAN_IDENTITIES):
         tags.append("ph")
     for tag in tags:
-        assert bounds.span_coefficients(protocol, nu, tag)[2] >= 7e-3, tag
+        assert oracles.span_coefficients(protocol, nu, tag)[2] >= 7e-3, tag
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(keyrate.BELL_VERTICES))
+def test_reduced_bell_forms_commute_and_resolve_the_identity(protocol, nu):
+    # The premise of the Bell polytope: the four reduced Bell forms are PSD,
+    # sum to the identity on range(H_fil) and commute pairwise.
+    x = bounds._reduced_bell_forms(protocol, nu)
+    assert x.shape[0] == len(qmath.BELL_TAGS)
+    assert np.abs(x.sum(axis=0) - np.eye(x.shape[-1])).max() <= 1e-14
+    assert min(qmath.min_eigenvalue(x)) >= -1e-15
+    for i in range(4):
+        for j in range(i):
+            assert np.abs(x[i] @ x[j] - x[j] @ x[i]).max() <= 1e-15
+
+
+def test_bell_weights_separate_the_vertices():
+    # Each row's vertices land on eigenvalues of the combination at least 1
+    # apart, so any eigenbasis of it is a joint eigenbasis of the forms.
+    for vertices in keyrate.BELL_VERTICES.values():
+        levels = [sum(w * c for w, c in zip(bounds.BELL_WEIGHTS, v))
+                  for v in vertices]
+        assert min(abs(a - b) for i, a in enumerate(levels)
+                   for b in levels[:i]) >= 1.0
 
 
 def test_correlation_inequalities_hold():

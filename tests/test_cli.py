@@ -72,6 +72,7 @@ def test_verify_six_state_all_passes(capsys):
 # Every verify row, by protocol and photon number, in print order.
 VERIFY_ROWS = {
     ("four-state", 1): ["nu=1 phase = 1.5 x bit identity",
+                        "nu=1 Bell vertex table",
                         "nu=1 correlation chi0- >= 2 chi1+",
                         "nu=1 correlation 2 chi1- >= chi0-",
                         "nu=1 event forms PSD"],
@@ -82,10 +83,10 @@ VERIFY_ROWS = {
     ("four-state", 3): ["nu=3 no-key floor"],
     ("four-state", 4): ["nu=4 no-key floor"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
-                       "nu=1 Bell span identity",
+                       "nu=1 Bell vertex table",
                        "nu=1 frontier in [0, 1]",
                        "nu=1 reduced H_bit PSD"],
-    ("six-state", 2): ["nu=2 Bell span identity",
+    ("six-state", 2): ["nu=2 Bell vertex table",
                        "nu=2 frontier in [0, 1]",
                        "nu=2 reduced H_bit PSD"],
     ("six-state", 3): ["nu=3 frontier in [0, 1]",
@@ -166,6 +167,49 @@ def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
     assert out.splitlines()[-1] == "summary: FAIL"
 
 
+BELL_ROWS = sorted(sargkit.keyrate.BELL_VERTICES)
+
+
+def assert_only_the_bell_row_fails(capsys, protocol: str, nu: int) -> None:
+    """verify exits 1, and its one FAIL row is the Bell vertex table."""
+    rc, out = run(capsys, "verify", "--protocol", protocol)
+    assert rc == 1
+    failed = [r for r in check_rows(out) if r[-1] != "PASS"]
+    assert [r[0] for r in failed] == ["nu=%d Bell vertex table" % nu]
+    assert 0.9e-9 < float(failed[0][1]) < 1.1e-9
+
+
+@pytest.mark.parametrize("protocol,nu", BELL_ROWS)
+def test_verify_fails_the_bell_row_on_a_moved_vertex(capsys, monkeypatch,
+                                                     protocol, nu):
+    table = dict(sargkit.keyrate.BELL_VERTICES)
+    first, *rest = table[protocol, nu]
+    table[protocol, nu] = ((first[0] - 1e-9, *first[1:]), *rest)
+    monkeypatch.setattr(sargkit.keyrate, "BELL_VERTICES", table)
+    assert_only_the_bell_row_fails(capsys, protocol, nu)
+
+
+@pytest.mark.parametrize("protocol,nu", BELL_ROWS)
+def test_verify_fails_the_bell_row_on_a_coherence_between_blocks(
+        capsys, monkeypatch, protocol, nu):
+    # A 1e-9 coherence in the reduced chi0+ form (weight 0 in the
+    # combination, so the eigenbasis stays) between the eigenvectors of the
+    # lowest and the highest vertex: the forms no longer commute.
+    reduced = sargkit.bounds._reduced_bell_forms
+
+    def coherent(p, n):
+        x = reduced(p, n)
+        if (p, n) == (protocol, nu):
+            u = np.linalg.eigh(np.tensordot(sargkit.bounds.BELL_WEIGHTS, x,
+                                            1))[1]
+            x[0] += 1e-9 * (np.outer(u[:, 0], u[:, -1].conj())
+                            + np.outer(u[:, -1], u[:, 0].conj()))
+        return x
+
+    monkeypatch.setattr(sargkit.bounds, "_reduced_bell_forms", coherent)
+    assert_only_the_bell_row_fails(capsys, protocol, nu)
+
+
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
     # Every six-state row is grid-free: no frontier is solved on the
     # verification grid DEFAULT_X_GRID.
@@ -208,15 +252,17 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     captured = capsys.readouterr()
     assert rc == 1
     rows = check_rows(captured.out)
-    # The two identity rows read the compiled forms, not H_fil's kernel.
-    assert [r[0] for r in rows[:2]] == ["nu=1 phase = 1.5 x bit identity",
-                                        "nu=1 Bell span identity"]
-    assert [r[-1] for r in rows[:2]] == ["PASS", "PASS"]
-    assert [r[1:] for r in rows[2:]] == [["nan", "<= 1", "FAIL"],
+    # The identity row reads the compiled forms, not H_fil's kernel; the
+    # Bell vertex table reduces the Bell forms to range(H_fil), as the
+    # frontier rows reduce the pencil.
+    assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
+    assert rows[0][-1] == "PASS"
+    assert [r[1:] for r in rows[1:]] == [["nan", "< 1e-10", "FAIL"],
+                                         ["nan", "<= 1", "FAIL"],
                                          ["nan", ">= -1e-10", "FAIL"]]
     assert captured.out.splitlines()[-1] == "summary: FAIL"
     err = captured.err.splitlines()
-    assert [line.split(": ")[0] for line in err] == [r[0] for r in rows[2:]]
+    assert [line.split(": ")[0] for line in err] == [r[0] for r in rows[1:]]
     assert all("H_fil eigenvalue" in line for line in err)
 
 
@@ -912,8 +958,9 @@ def test_keyrate_from_simulate_output(capsys, tmp_path):
 
 
 def test_keyrate_rejects_a_report_outside_the_rate_domain(capsys, tmp_path):
-    # At p = 0.75 the exact e_bit is 0.5, so the one-photon e1 exceeds the
-    # 0.4 domain of the single-photon rate.
+    # At p = 0.75 the exact e_bit is 0.5, and sampling noise takes the
+    # two-photon e2 (0.56) past the 0.5 domain of the two-photon bound; the
+    # one-photon e1 (0.49) is inside the single-photon polytope's 2/3.
     sim_cfg = write_config(
         tmp_path, "protocol: six-state\nmu: 0.5\np: 0.75\neta: 0.6\n"
                   "trials: 20000\nseed: 0\n", "sim.yaml")
@@ -924,7 +971,26 @@ def test_keyrate_rejects_a_report_outside_the_rate_domain(capsys, tmp_path):
     kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
     assert cli.main(["keyrate", "--config", kr_cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("keyrate: bad config: e1 ") and err.count("\n") == 1
+    assert err.startswith("keyrate: bad config: e2 ") and err.count("\n") == 1
+
+
+def test_keyrate_rates_a_report_with_e1_above_the_threshold_bracket(
+        capsys, tmp_path):
+    # simulate accepts p <= 0.75; at p = 0.6 the one-photon e1 (0.4295) is
+    # past the thresholds' bracket end 0.4 but inside the four-state nu=1
+    # polytope, whose bit weights reach 2/3, so the report is rated.
+    sim_cfg = write_config(
+        tmp_path, "protocol: six-state\nmu: 0.5\np: 0.6\neta: 0.6\n"
+                  "trials: 1000000\nseed: 1\n", "sim.yaml")
+    sim_out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", sim_cfg, "--out",
+                     str(sim_out)]) == 0
+    capsys.readouterr()
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    rc, out = run(capsys, "keyrate", "--config", kr_cfg)
+    assert rc == 0
+    inputs = json.loads(out)["results"]["inputs"]
+    assert 0.4 < inputs["e1"] < 0.43 and inputs["e2"] <= 0.5
 
 
 def test_keyrate_rejects_fixed_photon_simulate_output(capsys, tmp_path):
@@ -1054,7 +1120,7 @@ def test_keyrate_from_simulate_names_the_bad_report_field(
     DECOY_YAML + "from_simulate: other.json\n",     # both sources
     "nothing: here\n",                              # neither source
     DECOY_YAML.replace("xi1: 0.1", "xi1: 0.3"),     # xi sum exceeds p_conc
-    DECOY_YAML.replace("e1: 0.0", "e1: 0.45"),      # outside the R1 domain
+    DECOY_YAML.replace("e1: 0.0", "e1: 0.7"),       # outside the R1 domain
     DECOY_YAML.replace("e2: 0.0", "e2: 0.6"),       # outside the e_ph domain
     DECOY_YAML.replace("e1: 0.0", "e1: 1e-2"),      # YAML reads a string
 ])

@@ -1,6 +1,8 @@
 """Entropies, adversarial Bell vectors, rates, and thresholds."""
 
 import math
+import os
+import subprocess
 import sys
 from functools import lru_cache
 
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 import numpy as np
 
 import oracles
+import sargkit
 from sargkit import attack_forms, bounds, keyrate, qmath, simulate
 
 SIN2 = math.sin(math.pi / 8) ** 2
+SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
 X_OPT_REFERENCE = 2.747  # quoted two-photon operating point (flat optimum)
 
 # Every (protocol, photon number) with a computed frontier.
@@ -36,6 +40,11 @@ def test_binary_entropy_basics():
         keyrate.binary_entropy(1.0001)
 
 
+def worst_single(e: float):
+    """The four-state single-photon worst case: the Bell-vertex rule at nu=1."""
+    return keyrate.worst_bell_vector("four-state", 1, e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=0.0, max_value=0.4))
 def test_worst_joint_is_a_feasible_bell_vector(e):
@@ -43,7 +52,7 @@ def test_worst_joint_is_a_feasible_bell_vector(e):
     # single-photon marginals e_bit = e and e_ph = 1.5*e, inside both
     # correlation inequalities that correlation_psd_check certifies.  Below
     # e = 1/3 both inequalities bind (s = e/2), so they hold to roundoff.
-    q, h = keyrate.worst_joint_single(e)
+    q, h = worst_single(e)
     _, q01, q10, q11 = q
     assert type(q) is tuple and len(q) == len(qmath.BELL_TAGS)
     assert min(q) >= 0.0 and abs(sum(q) - 1.0) <= 1e-15
@@ -54,10 +63,11 @@ def test_worst_joint_is_a_feasible_bell_vector(e):
 
 @pytest.mark.parametrize("e", [0.02, 0.05, 0.0968, 0.12])
 def test_worst_joint_matches_grid_scan(e):
-    # The closed-form maximizer must agree with a dense scan over the
-    # feasible segment q11 = s in [e/2, e].
-    (_, q01, q10, q11), h_max = keyrate.worst_joint_single(e)
-    s_best, h_best = oracles.scan_joint_single(e, points=100001)
+    # The rule's maximizer must agree with a dense scan over the feasible
+    # segment of the single-photon polytope's slice.
+    (_, q01, q10, q11), h_max = worst_single(e)
+    (*_, s_best), h_best = oracles.scan_bell_slice(
+        keyrate.BELL_VERTICES["four-state", 1], e, points=100001)
     assert abs(h_max - h_best) < 1e-6
     assert abs(q11 - s_best) < 1e-4
     assert abs(q10 + q11 - e) < 1e-12
@@ -65,15 +75,105 @@ def test_worst_joint_matches_grid_scan(e):
 
 
 def test_worst_joint_edge_cases():
-    assert keyrate.worst_joint_single(0.0) == ((1.0, 0.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        keyrate.worst_joint_single(0.41)
+    assert worst_single(0.0) == ((1.0, 0.0, 0.0, 0.0), 0.0)
+    # The four-state nu=1 polytope's bit weights end at its vertex
+    # (0, 1/3, 0, 2/3).
+    assert worst_single(2 / 3) == ((0.0, 1 / 3, 0.0, 2 / 3),
+                                   keyrate._shannon((1 / 3, 2 / 3)))
+    for e in (0.67, -1e-300, math.nan):
+        with pytest.raises(ValueError, match=r"e_bit must be in \[0, 0.666667\] "
+                           "for feasible marginals"):
+            worst_single(e)
+    with pytest.raises(ValueError, match="no Bell vertex table"):
+        keyrate.worst_bell_vector("six-state", 3, 0.01)
 
 
 def test_entropy_saturates_near_single_photon_threshold():
-    q, h = keyrate.worst_joint_single(0.0968)
+    q, h = worst_single(0.0968)
     assert abs(h - 1.0) < 0.002
     assert (q, h) == ((0.8064, 0.0968, 0.0484, 0.0484), 0.9993419265027552)
+
+
+# ---------------------------------------------------------------------------
+# The Bell-vertex rule
+# ---------------------------------------------------------------------------
+
+BELL_ROWS = sorted(keyrate.BELL_VERTICES)
+
+
+def test_bell_vertex_table_rows():
+    # The rule's premise: at most three vertices per row, each a probability
+    # vector, with distinct bit weights, so every slice is a point or a
+    # segment; and the rows are the three commuting rows the paper asserts.
+    assert BELL_ROWS == [("four-state", 1), ("six-state", 1), ("six-state", 2)]
+    for vertices in keyrate.BELL_VERTICES.values():
+        assert 2 <= len(vertices) <= 3
+        assert all(type(x) is float for v in vertices for x in v)
+        assert all(min(v) >= 0.0 and abs(sum(v) - 1.0) <= 1e-15
+                   for v in vertices)
+        bits = [v[2] + v[3] for v in vertices]
+        assert len(set(bits)) == len(bits) and min(bits) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BELL_ROWS), st.floats(min_value=0.0, max_value=0.4))
+@example(("four-state", 1), 0.0)
+@example(("four-state", 1), 1 / 3)
+@example(("four-state", 1), 0.4)
+@example(("six-state", 2), 0.4)
+def test_worst_bell_vector_is_the_slice_maximum(row, e):
+    # chi is a probability vector of bit weight e in the row's hull, and no
+    # point of the slice has a larger entropy than the rule's.
+    chi, h = keyrate.worst_bell_vector(*row, e)
+    vertices = keyrate.BELL_VERTICES[row]
+    assert type(chi) is tuple and len(chi) == 4
+    assert min(chi) >= 0.0 and abs(sum(chi) - 1.0) <= 1e-15
+    assert abs(chi[2] + chi[3] - e) <= 1e-15
+    lam, residual = oracles.hull_weights(vertices, chi)
+    assert residual <= 1e-15 and lam.min() >= -1e-15
+    assert h == keyrate._shannon(chi)
+    assert abs(h - oracles.scan_bell_slice(vertices, e)[1]) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=0.4))
+@example(1 / 3)
+@example(0.4)
+def test_four_state_rule_is_the_clip_formula(e):
+    chi = worst_single(e)[0]
+    assert max(abs(a - b) for a, b in zip(
+        chi, oracles.worst_joint_single(e)[0])) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]), st.floats(min_value=0.0, max_value=0.4))
+def test_six_state_rule_is_the_linear_bell_vector(nu, e):
+    chi = keyrate.worst_bell_vector("six-state", nu, e)[0]
+    assert max(abs(a - b) for a, b in zip(
+        chi, oracles.sixstate_chi(nu, e))) <= 1e-15
+
+
+def test_four_state_threshold_bisects_no_slope_below_one_third(monkeypatch):
+    # Below e = 1/3 the slope of H at the e/2 end of the segment already
+    # points out of it, so that end wins with no bisection.  The root is
+    # bracketed on [0, E_BIT_MAX], a slope on [0, 1], the segment's
+    # parameter.
+    current, sloped = [], []
+    rule, bisect = keyrate.worst_bell_vector, keyrate.bisect_floats
+
+    def spy_rule(protocol, nu, e):
+        current.append(e)
+        return rule(protocol, nu, e)
+
+    def spy_bisect(past, lo, hi):
+        if (lo, hi) == (0.0, 1.0):
+            sloped.append(current[-1])
+        return bisect(past, lo, hi)
+
+    monkeypatch.setattr(keyrate, "worst_bell_vector", spy_rule)
+    monkeypatch.setattr(keyrate, "bisect_floats", spy_bisect)
+    assert keyrate.threshold_single() == FLOAT_ROOTS["four-state", 1][0]
+    assert min(current) < 1 / 3 and sloped and min(sloped) >= 1 / 3
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +181,7 @@ def test_entropy_saturates_near_single_photon_threshold():
 # ---------------------------------------------------------------------------
 
 def test_rate_single_monotone_decreasing():
-    rates = [keyrate.rate_single(e) for e in (0.0, 0.02, 0.05, 0.08, 0.12)]
+    rates = [1.0 - worst_single(e)[1] for e in (0.0, 0.02, 0.05, 0.08, 0.12)]
     assert rates[0] == 1.0
     assert all(b < a for a, b in zip(rates, rates[1:]))
 
@@ -240,30 +340,28 @@ def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
 
 @lru_cache(maxsize=None)
 def _row_rate(protocol: str, nu: int):
-    """A computed THRESHOLDS row's rate model, assembled from its parts: R1,
-    R2, the Bell-diagonal rate of the span fit at six-state nu = 1, 2 and the
-    tangent rate at nu = 3, 4."""
+    """A computed THRESHOLDS row's rate model, assembled from its parts: the
+    Bell-vertex rule at four-state nu=1 and six-state nu=1, 2, R2, and the
+    tangent rate at six-state nu = 3, 4."""
+    if (protocol, nu) in keyrate.BELL_VERTICES:
+        return lambda e: 1.0 - keyrate.worst_bell_vector(protocol, nu, e)[1]
     if protocol == "four-state":
-        return {1: keyrate.rate_single,
-                2: lambda e: keyrate.rate_independent(
-                    e, keyrate.ephase_bound_two(e))}[nu]
-    if nu <= 2:
-        fits = [bounds.span_coefficients("six-state", nu, "bell:" + tag)
-                for tag in qmath.BELL_TAGS]
-        return lambda e: 1.0 - keyrate._shannon(
-            [a + b * e for a, b, _ in fits])
+        return lambda e: keyrate.rate_independent(
+            e, keyrate.ephase_bound_two(e))
     tangents = bounds.supporting_tangents("six-state", nu, lambda e_x, p_x: (
         keyrate.rate_independent(e_x, p_x) > 0.0))
     return lambda e: keyrate.rate_independent(
         e, min(x * e + y for x, y in tangents))
 
 
-# The float root of every computed row.
+# The float root of every computed row.  Six-state nu=1, 2 lie within 1 and 6
+# ulps of their 40-digit roots, 0.1123571597943976528768... and
+# 0.0560275805550103332339....
 FLOAT_ROOTS = {
     ("four-state", 1): (0.09689248938745225, 0.08046590930386568),
     ("four-state", 2): (0.027100931507559267, 0.020891888263563876),
-    ("six-state", 1): (0.1123571597943972, 0.09493443311758039),
-    ("six-state", 2): (0.056027580555010316, 0.044514738514250106),
+    ("six-state", 1): (0.11235715979439764, 0.09493443311758082),
+    ("six-state", 2): (0.056027580555010295, 0.04451473851425009),
     ("six-state", 3): (0.023701119015364203, 0.01820737440935661),
     ("six-state", 4): (0.007883064083571437, 0.005959275412648134),
 }
@@ -328,7 +426,7 @@ def _warm_solves(monkeypatch, compute) -> int:
 
 @pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 64), (4, 64)])
 def test_six_state_thresholds_solve_budget(monkeypatch, nu, solves):
-    # The span-fit rows make no solve; a tangent row makes 62 search solves
+    # The Bell-vertex rows make no solve; a tangent row makes 62 search solves
     # and frontier_table's two stacked ones.  The rate itself solves nothing.
     assert _warm_solves(
         monkeypatch, lambda: keyrate.threshold("six-state", nu)) == solves
@@ -376,15 +474,16 @@ def test_decoy_inputs_validation():
     with pytest.raises(ValueError):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=1.2, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.0)
-    # e1 and e2 beyond the domains of the single- and two-photon rate models.
-    with pytest.raises(ValueError, match="e1"):
-        keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.45,
+    # e1 and e2 beyond the domains of the single- and two-photon rate models:
+    # the four-state nu=1 polytope's largest bit weight 2/3, and 1/2.
+    with pytest.raises(ValueError, match=r"e1 must be in \[0, 0.666667\]"):
+        keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.67,
                             xi2=0.0, e2=0.0)
     with pytest.raises(ValueError, match="e2"):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.6)
     # The domain ends themselves are accepted and evaluate.
-    d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.1, e1=0.4,
+    d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.1, e1=2 / 3,
                             xi2=0.1, e2=0.5)
     assert all(math.isfinite(t) for t in keyrate.decoy_rate_terms(d))
     for value in ("1e-2", True, None):
@@ -433,7 +532,7 @@ def test_six_state_threshold_regression_values():
 
 
 # The closed-form root of each row's rate, found with no frontier and no
-# span fit: at nu = 1, 2 every Bell weight is linear in e (oracles.sixstate_chi)
+# vertex table: at nu = 1, 2 every Bell weight is linear in e (oracles.sixstate_chi)
 # and the rate is 1 - H(chi(e)); at nu = 3 only the certified phase error is,
 # and the rate is 1 - h(e) - h(alpha + beta*e).
 CLOSED_FORM_ROOTS = {
@@ -461,9 +560,9 @@ def test_tangent_bound_is_the_linear_phase_error(nu, e):
     assert abs(bound - (alpha + beta * e)) <= 1e-12
 
 
-def test_six_state_rate_model_follows_the_span_fit(monkeypatch):
-    # The rows whose Bell forms all fit the span (nu = 1, 2) take no tangent;
-    # the others (nu = 3, 4) do.  A fit patched to miss moves nu = 1 to the
+def test_six_state_rate_model_follows_the_bell_vertex_table(monkeypatch):
+    # The rows with a Bell vertex table (nu = 1, 2) take no tangent; the
+    # others (nu = 3, 4) do.  A table without nu = 1 moves nu = 1 to the
     # tangent rate, whose root is the independent-errors one.
     tangent_rows = []
     tangents = bounds.supporting_tangents
@@ -476,12 +575,22 @@ def test_six_state_rate_model_follows_the_span_fit(monkeypatch):
     for nu in (1, 2, 3, 4):
         keyrate.sixstate_thresholds(nu)
     assert tangent_rows == [3, 4]
-    fit = bounds.span_coefficients
-    monkeypatch.setattr(bounds, "span_coefficients", lambda p, nu, tag: (
-        *fit(p, nu, tag)[:2], 2.0 * bounds.IDENTITY_TOL))
+    monkeypatch.delitem(keyrate.BELL_VERTICES, ("six-state", 1))
     root = oracles.linear_indep_threshold(*LINEAR_EPH[1], tol=1e-12)
     assert abs(keyrate.sixstate_thresholds(1) - root) <= 1e-7
     assert tangent_rows == [3, 4, 1]
+
+
+def test_bell_vertex_thresholds_need_no_numpy():
+    # The Bell-vertex rows are float arithmetic on the table: in a process
+    # where numpy cannot be imported they give the same floats.
+    code = ("import sys; sys.modules['numpy'] = None; from sargkit import "
+            "keyrate; print(repr([keyrate.threshold_single(), "
+            "keyrate.sixstate_thresholds(1), keyrate.sixstate_thresholds(2)]))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    assert out == repr([FLOAT_ROOTS[row][0] for row in BELL_ROWS]) + "\n"
 
 
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
