@@ -13,26 +13,37 @@ makes H_bit and H_ph vanish on the kernel of H_fil, so on R = range(H_fil)
 
     y_star(x) = max(0, lambda_max(F^-1/2 R^dag (H_ph - x*H_bit) R F^-1/2)),
 
-with F the diagonal of nonzero eigenvalues of H_fil: one eigen-solve per
-point, each then certified by its PSD margin.  y_star is clipped only at 0,
-so a value above 1 (p_ph <= p_fil failing) shows instead of being hidden.
-Both solves are batched: frontier_table takes any sequence of x in
-[0, inf) (a tuple, a list or an array) and makes one stacked eigen-solve for
-y_star and one for the margins, and frontier is its one-point case.  No
-table is cached: each call solves its own grid.
+with F the diagonal of nonzero eigenvalues of H_fil, each point certified by
+its PSD margin.  y_star is clipped only at 0, so a value above 1 (p_ph <=
+p_fil failing) shows instead of being hidden.  frontier_table takes any
+sequence of x in [0, inf) (a tuple, a list or an array), reads every y_star
+off the pencil's blocks in closed form and certifies them with one stacked
+eigen-solve of the margins; frontier is its one-point case.  No table is
+cached.
 
 y_star never increases with x, so its infimum, the zero-error floor, is the
 limit x -> infinity.  With B = reduced H_bit PSD, v^dag (A - x*B) v = v^dag A v
 for every v in ker B, while every other direction is pushed to -infinity:
 the floor is lambda_max of A compressed onto ker B (0 when the kernel is
-empty), one eigen-solve of B and one small lambda_max.  The phase-error
-bound min_x [x*e + y_star(x)] is read off two tangents: the top eigenvector u
-of A - x*B attains y_star(x) with bit and phase errors (u^dag B u, u^dag A u),
-both nonincreasing in x, so x is bisected on a predicate of that point.
+empty), one eigen-solve of B and one small lambda_max.
+
+The reduced pencil (A, B) splits into blocks of side 1 or 2 (``pencil_blocks``;
+K. Gatermann and P. A. Parrilo, J. Pure Appl. Algebra 192, 95 (2004)): each
+eigenvector of one fixed combination of A and B grown into the smallest
+subspace that A and B keep, certified by the off-block residual.  A
+block's lambda_max(A_k - x*B_k) is a line a - b*x or a curve
+alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), so y_star is
+their maximum and 0 in closed form, and the phase-error bound
+min_x [x*e + y_star(x)] lies at a point of a finite set (``phase_minimum``):
+x = 0, a curve's stationary point or vertex, or a crossing of a line with a
+line or a curve (no supported row has distinct curves crossing at x > 0).
+At four-state nu=2 the one distinct curve is the paper's g(x)
+(``frontier_g_check``).
 
 One rule cuts both kernels, of H_fil and of B (``_kernel_split``): at
 RANK_TOL of the largest eigenvalue, with no eigenvalue below -cut or within
-six decades above it.  Every eigenvalue here comes from qmath.eigh_checked.
+six decades above it; a block of B that small is singular.  Every
+eigenvalue here comes from qmath.eigh_checked.
 
 The four Bell forms, reduced by the same R F^-1/2 (``_range_map``), commute
 at four-state nu=1 and six-state nu=1, 2.  There ``bell_vertex_check`` proves
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,12 +84,18 @@ SHAPE_TOL = 1e-6
 # Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
 # of the largest span the kernel.
 RANK_TOL = 1e-12
-# The tangent x range; y_star's roundoff n*eps*x*||B||_2 at the cap is 1e-9.
-TANGENT_X_CAP = 2.0 ** 20
 # The combination of the reduced Bell forms, in qmath.BELL_TAGS order, whose
 # eigenbasis bell_vertex_check reads: the vertices of four-state nu=1 land on
 # eigenvalues 0, 2, 3, those of six-state nu=1 on 0, 2.43, nu=2 on 0.146, 2.389.
 BELL_WEIGHTS = (0.0, 1.0, 2.0, 4.0)
+# The largest x a phase-error candidate is read at, where x*x is still
+# finite: a stationary point past it (e below about 1e-290) is read there,
+# within about sqrt(e) of its minimum, and a crossing past it is dropped.
+X_FINITE = 1e150
+# The weight of B in the combination A + BLOCK_WEIGHT*B whose eigenvectors
+# pencil_blocks grows into blocks: generic, so that no two inequivalent
+# blocks share an eigenvalue at any supported (protocol, nu).
+BLOCK_WEIGHT = math.sqrt(2.0)
 
 
 def _forms(protocol: str, nu: int):
@@ -229,6 +247,138 @@ def bell_vertex_check(protocol: str, nu: int) -> float:
                      gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
+class PencilBlocks(NamedTuple):
+    """The reduced pencil of one (protocol, nu) split into blocks.
+
+    ``blocks`` holds each block's read-only (A_k, B_k), of side 1 or 2;
+    ``pieces`` (one row per block) the closed form of its lambda_max(A_k -
+    x*B_k), alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), as
+    (alpha, beta, gamma, delta, epsilon, gamma - beta^2), a line where gamma
+    is 0; ``kinks`` the x >= 0 where the maximum of the pieces and 0 may
+    bend; ``residual`` the largest entry of A or B outside the blocks.
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pieces: np.ndarray
+    kinks: np.ndarray
+    residual: float
+
+
+def _piece(a: np.ndarray, b: np.ndarray) -> tuple[float, ...]:
+    """The closed-form coefficients of lambda_max(a - x*b) for a block of side
+    1 or 2: alpha and beta the mean eigenvalues of a and b, and gamma, delta,
+    epsilon half the inner products <b0, b0>, <a0, b0>, <a0, a0> of their
+    traceless parts, so that sqrt(q) is the half gap of a - x*b."""
+    side = a.shape[0]
+    alpha, beta = (np.trace(m).real / side for m in (a, b))
+    a0, b0 = a - alpha * np.eye(side), b - beta * np.eye(side)
+    gamma, delta, epsilon = (0.5 * np.vdot(u, v).real
+                             for u, v in ((b0, b0), (a0, b0), (a0, a0)))
+    return alpha, beta, gamma, delta, epsilon, gamma - beta * beta
+
+
+def _kinks(pieces: np.ndarray) -> np.ndarray:
+    """0, each curve's vertex delta/gamma (its kink where q has a double
+    root) and each x >= 0 where a line, the zero line included, crosses
+    another piece, sorted: every point where the maximum of the pieces and 0
+    can bend but a crossing of two curves.  No supported row needs one: the
+    two distinct curves of four-state nu=4 cross at x = 0."""
+    rows = pieces.tolist() + [[0.0] * 6]
+    xs = [0.0] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
+    for a, b, g, *_ in rows:
+        if g > 0.0:
+            continue
+        for alpha, beta, gamma, delta, epsilon, _ in rows:
+            m, s = a - alpha, b - beta
+            if gamma == 0.0:  # a line: a - b*x = alpha - beta*x
+                xs += [m / s] if s else []
+                continue
+            # sqrt(q) = m - s*x squared: (gamma - s^2)x^2 - 2(delta - m*s)x
+            # + epsilon - m^2 = 0, its roots taken without cancellation.
+            qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
+            disc = qb * qb - qa * qc
+            if disc < 0.0:
+                continue
+            r = qb + math.copysign(math.sqrt(disc), qb)
+            xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
+    return np.array(sorted({x for x in xs if 0.0 <= x <= X_FINITE}))
+
+
+@lru_cache(maxsize=None)
+def pencil_blocks(protocol: str, nu: int) -> PencilBlocks:
+    """The reduced pencil (A, B) (``_reduced_pencil``) split into blocks of
+    side 1 or 2, cached per (protocol, nu).
+
+    Each eigenvector u of the fixed combination A + BLOCK_WEIGHT*B, taken in
+    order and orthogonal to the blocks found before it, spans a block with
+    the larger of the residuals A u - (u^dag A u) u and B u - (u^dag B u) u
+    when that exceeds sqrt(RANK_TOL) of ||A + BLOCK_WEIGHT*B||_2, and alone
+    otherwise: an eigenvector of a generic element lies in one block of the
+    algebra that A and B generate.  Raises ArithmeticError when an entry of A
+    or B outside the blocks exceeds IDENTITY_TOL.
+    """
+    a, b = _reduced_pencil(protocol, nu)
+    w, v = qmath.eigh_checked(a + BLOCK_WEIGHT * b)
+    cut = math.sqrt(RANK_TOL) * np.abs(w).max()
+    cols: list[np.ndarray] = []
+    sides = []
+    for u in v.T:
+        u = u - sum((np.vdot(c, u) * c for c in cols), np.zeros_like(u))
+        if np.linalg.norm(u) < 0.5:  # inside a block found before
+            continue
+        u = u / np.linalg.norm(u)
+        r = max((m @ u - np.vdot(u, m @ u) * u for m in (a, b)),
+                key=np.linalg.norm)
+        cols += [u] + ([r / np.linalg.norm(r)] if np.linalg.norm(r) > cut
+                       else [])
+        sides.append(len(cols) - sum(sides))
+    u = np.stack(cols, axis=1)
+    groups = np.split(np.arange(len(cols)), np.cumsum(sides)[:-1])
+    inside = np.zeros((len(cols),) * 2, dtype=bool)
+    for g in groups:
+        inside[g[:, None], g] = True
+    split = [_reduce(u, m) for m in (a, b)]
+    residual = max(float(np.abs(m[~inside]).max(initial=0.0)) for m in split)
+    if len(cols) != a.shape[0] or not residual <= IDENTITY_TOL:
+        raise ArithmeticError("%s nu=%d pencil block residual %.3e exceeds "
+                              "%g" % (protocol, nu, residual, IDENTITY_TOL))
+    blocks = tuple(tuple(qmath.read_only(m[g[:, None], g]) for m in split)
+                   for g in groups)
+    pieces = np.array([_piece(*blk) for blk in blocks])
+    # Kernels are cut by _kernel_split's rule: a block whose lambda_min(B_k) =
+    # beta - sqrt(gamma) is at most RANK_TOL of the largest lambda_max(B_k)
+    # is singular, so its curve keeps a finite limit (gamma - beta^2 = 0) and
+    # its line is flat (beta = 0); a block with both A_k and B_k that small
+    # is the zero piece.
+    alpha, beta, gamma, _, epsilon, _ = pieces.T
+    size_a = np.abs(alpha) + np.sqrt(epsilon)
+    low_b, size_b = beta - np.sqrt(gamma), beta + np.sqrt(gamma)
+    singular = low_b <= RANK_TOL * size_b.max()
+    pieces[singular & (gamma == 0.0), 1] = 0.0
+    pieces[singular, 5] = 0.0
+    pieces[(size_a <= RANK_TOL * size_a.max())
+           & (size_b <= RANK_TOL * size_b.max())] = 0.0
+    pieces = qmath.read_only(pieces)
+    return PencilBlocks(blocks, pieces, qmath.read_only(_kinks(pieces)),
+                        residual)
+
+
+def _envelope(pieces: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_star at each x of a 1-D array: the maximum of 0 and every piece, a
+    clipped 0 being +0.0.  Where beta*x > 0 a curve's -beta*x + sqrt(q) is
+    taken as (q - beta^2 x^2)/(beta*x + sqrt(q)), which does not cancel at
+    large x; a line (gamma = 0, so q = 0) is alpha - beta*x."""
+    alpha, beta, gamma, delta, epsilon, c2 = pieces.T
+    x = x[:, None]
+    bx = beta * x
+    root = np.sqrt(np.maximum((gamma * x - 2.0 * delta) * x + epsilon, 0.0))
+    stable = (gamma > 0.0) & (bx > 0.0)
+    tail = np.where(stable, ((c2 * x - 2.0 * delta) * x + epsilon)
+                    / np.where(stable, bx + root, 1.0), root - bx)
+    y = (alpha + tail).max(axis=1, initial=0.0)
+    return np.where(y > 0.0, y, 0.0)
+
+
 def frontier(x: float, protocol: str, nu: int) -> float:
     """y_star(x), the minimal y with x*H_bit + y*H_fil - H_ph PSD: the
     one-point case of frontier_table, raising on the same x and margins."""
@@ -239,10 +389,10 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
     """y_star for every x of the grid (any 1-D sequence: a tuple, a list or
     an array), in the grid's own order, repeats included; nothing is cached.
 
-    One stacked eigen-solve on the reduced pencil gives every y_star, clipped
-    only at 0 (a clipped 0 is +0.0); one stacked psd_margin then certifies
-    them.  Raises ValueError naming the first x outside [0, inf), and
-    ArithmeticError naming the least x whose margin is below
+    Every y_star is the closed form of the pencil's blocks (``pencil_blocks``),
+    clipped only at 0 (a clipped 0 is +0.0); one stacked psd_margin then
+    certifies them.  Raises ValueError naming the first x outside [0, inf),
+    and ArithmeticError naming the least x whose margin is below
     -(PSD_TOL + n*eps*x*||H_bit||_2), the roundoff of a side-n eigen-solve of
     the margin's matrix.
     """
@@ -251,10 +401,8 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
     if outside.size:
         raise ValueError("frontier requires 0 <= x < inf, got x=%r"
                          % float(x[outside[0]]))
-    a, b = _reduced_pencil(protocol, nu)
     h_bit = _forms(protocol, nu)[0]
-    neg = -qmath.min_eigenvalue(x[:, None, None] * b - a)
-    ys = np.where(neg > 0.0, neg, 0.0)
+    ys = _envelope(pencil_blocks(protocol, nu).pieces, x)
     margins = psd_margin(x, ys, protocol, nu)
     roundoff = h_bit.shape[0] * np.finfo(float).eps * np.linalg.norm(h_bit, 2)
     bad = np.flatnonzero(margins < -(PSD_TOL + roundoff * x))
@@ -265,23 +413,62 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
     return tuple(ys.tolist())
 
 
-def _tangent_point(a: np.ndarray, b: np.ndarray, x: float) -> tuple:
-    """(e(x), p(x)) = (u^dag B u, u^dag A u), clipped at 0, for u the top
-    eigenvector of A - x*B, or the zero attack where y_star(x) is 0."""
-    w, v = qmath.eigh_checked(a - x * b)
-    u = v[:, -1] * (w[-1] > 0.0)
-    return tuple(max(0.0, float(np.vdot(u, h @ u).real)) for h in (b, a))
+def _stationary(pieces: np.ndarray, e: float) -> np.ndarray:
+    """The x >= 0 where a curve piece of x*e + y has zero slope, read at
+    X_FINITE past it: with t = e - beta and kappa = epsilon - delta^2/gamma,
+    x = delta/gamma - t*sqrt(kappa/(gamma*(gamma - t^2))), which needs
+    gamma - t^2 > 0, taken as gamma - beta^2 + e*(2*beta - e) so that it
+    does not cancel."""
+    _, beta, gamma, delta, epsilon, c2 = pieces[pieces[:, 2] > 0.0].T
+    room = c2 + e * (2.0 * beta - e)
+    ok = room > 0.0
+    beta, gamma, delta, epsilon, room = (c[ok] for c in (
+        beta, gamma, delta, epsilon, room))
+    kappa = np.maximum(epsilon - delta * delta / gamma, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        xs = delta / gamma - (e - beta) * np.sqrt(kappa / (gamma * room))
+    return np.minimum(xs[xs >= 0.0], X_FINITE)
 
 
-def supporting_tangents(protocol: str, nu: int, past) -> tuple:
-    """The tangents (x, y_star(x)), certified by frontier_table, at the
-    adjacent floats x_lo < x_hi in [0, TANGENT_X_CAP] where past(e(x), p(x))
-    turns true (keyrate.bisect_floats: at most 63 solves; past must hold from
-    some x on): below the cap, min_x [x*e + y_star(x)] to the float spacing."""
-    a, b = _reduced_pencil(protocol, nu)
-    xs = keyrate.bisect_floats(lambda x: past(*_tangent_point(a, b, x)),
-                               0.0, TANGENT_X_CAP)
-    return tuple(zip(xs, frontier_table(protocol, nu, xs)))
+def phase_minimum(protocol: str, nu: int, e_bit: float) -> tuple[float, float]:
+    """(x, x*e_bit + y_star(x)) at the x minimizing x*e_bit + y_star(x), for
+    0 < e_bit < inf, uncertified and with no eigen-solve.
+
+    The objective is convex and the maximum of smooth pieces, so its minimum
+    is at x = 0, at a curve's stationary point or at a kink of the envelope
+    (``PencilBlocks.kinks``): the least value over that finite set.
+    """
+    e = float(e_bit)
+    if not 0.0 < e < math.inf:
+        raise ValueError("phase_minimum requires 0 < e_bit < inf, got %r" % e)
+    blocks = pencil_blocks(protocol, nu)
+    xs = np.concatenate([blocks.kinks, _stationary(blocks.pieces, e)])
+    phi = xs * e + _envelope(blocks.pieces, xs)
+    i = int(np.argmin(phi))
+    return float(xs[i]), float(phi[i])
+
+
+# g(x) = alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), as a piece.
+G_PIECE = (0.5, 1.0 / 3.0, 1.0 / 9.0, math.sqrt(2.0) / 12.0, 1.0 / 6.0)
+
+
+def frontier_g_check(protocol: str, nu: int) -> float:
+    """How far the frontier's closed form is from y_star = g exactly.
+
+    The larger of the blocks' residual, the largest coefficient gap between a
+    curve piece and G_PIECE, and how far a line piece a - b*x rises above g:
+    a - min_x [b*x + g(x)], clipped at 0, with the minimum the paper's
+    keyrate.ephase_bound_two(b) (read at min(b, 1/2), a lower bound past its
+    domain; a falling line, b < 0, counts as above g).  Within IDENTITY_TOL
+    every curve is g and every line lies below it, so y_star = g.
+    """
+    blocks = pencil_blocks(protocol, nu)
+    curve = blocks.pieces[:, 2] > 0.0
+    gap = np.abs(blocks.pieces[curve, :5] - G_PIECE).max(initial=0.0)
+    rise = max((a - keyrate.ephase_bound_two(min(b, 0.5)) if b >= 0.0
+                else math.inf for a, b in blocks.pieces[~curve, :2]),
+               default=0.0)
+    return float(max(blocks.residual, gap, rise, 0.0))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:

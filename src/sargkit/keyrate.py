@@ -10,9 +10,10 @@ Rates are asymptotic per sifted conclusive pair, under one of two rules:
   J. Preskill, PRL 85, 441 (2000));
 * the independent rule 1 - h(e_bit) - h(e_ph), bit and phase errors treated
   as independent, with e_ph the best certified phase-error bound
-  min_x [x*e_bit + y(x)]: at four-state nu=2 (R2) y is the paper's curve g
-  and the bound is closed-form; at six-state nu=3, 4 y is the computed
-  frontier y_star, read on no x-grid.
+  min_x [x*e_bit + y(x)]: at four-state nu=2 (R2) y is the paper's curve g;
+  at six-state nu=3, 4 y is the computed frontier y_star, whose pencil
+  blocks give the minimum in closed form (bounds.phase_minimum), read on no
+  x-grid.
 
 Every rate is a float of e_bit, and every threshold is a bare float that
 takes one path, ``_threshold``: the float root of the rate on [0, E_BIT_MAX],
@@ -239,9 +240,10 @@ class DecoyInputs:
     p_conc and e_bit describe all conclusive events per sifted pulse; xi_nu is
     the fraction of sifted pulses that are both nu-photon emissions and
     conclusive, with e_nu the corresponding bit-error bound.  Each value is
-    a number in [0, 1]; e1 is at most 2/3 and e2 at most 0.5, the domains of
-    the four-state nu=1 Bell polytope (worst_bell_vector) and of
-    ephase_bound_two.
+    a number in [0, 1]; e1 is at most 2/3, the domain of the four-state
+    nu=1 Bell polytope (worst_bell_vector).  e2 may reach 1: the two-photon
+    term reads ephase_bound_two at min(e2, 0.5), since that bound is 1/2 at
+    e2 = 1/6 and increases with e2, so h(e_ph) is saturated from there on.
     """
 
     p_conc: float
@@ -256,8 +258,8 @@ class DecoyInputs:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError("%s must be a number, got %r" % (name, v))
-            hi = {"e1": max(map(_bit, BELL_VERTICES["four-state", 1])),
-                  "e2": 0.5}.get(name, 1.0)
+            hi = (max(map(_bit, BELL_VERTICES["four-state", 1]))
+                  if name == "e1" else 1.0)
             if not 0.0 <= v <= hi:
                 raise ValueError("%s must be in [0, %g], got %r" % (name, hi, v))
         if self.xi1 + self.xi2 > self.p_conc + 1e-12:
@@ -278,7 +280,7 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
     return (
         0.0 - d.p_conc * binary_entropy(d.e_bit),
         d.xi1 * (1.0 - cond1),
-        d.xi2 * (1.0 - _phase_charge(ephase_bound_two(d.e2))),
+        d.xi2 * (1.0 - _phase_charge(ephase_bound_two(min(d.e2, 0.5)))),
     )
 
 
@@ -288,24 +290,25 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """Certified min_x [x*e_bit + y_star(x)] of a computed frontier: the floor
-    at e_bit = 0, else the lesser tangent at the adjacent floats x where e(x)
-    falls to e_bit (bounds.supporting_tangents), exact while that x is below
-    bounds.TANGENT_X_CAP = 2^20 and the certified tangent at the cap beyond."""
+    (bounds.zero_rate_check) at e_bit = 0, else x*e_bit + y_star(x) at the x
+    of bounds.phase_minimum, with y_star(x) certified by bounds.frontier."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     from . import bounds
 
     if e_bit == 0.0:
         return bounds.zero_rate_check(protocol, nu)
-    tangents = bounds.supporting_tangents(protocol, nu, lambda e, _: e <= e_bit)
-    return min(x * e_bit + y for x, y in tangents)
+    x = bounds.phase_minimum(protocol, nu, e_bit)[0]
+    return x * e_bit + bounds.frontier(x, protocol, nu)
 
 
 def sixstate_thresholds(nu: int) -> float:
     """Six-state threshold for one photon number (1..4): the float root of
     1 - H(worst_bell_vector) for a BELL_VERTICES row, else of
-    1 - h(e) - h(e_ph), e_ph the lesser tangent where the frontier point's own
-    rate turns <= 0."""
+    1 - h(e) - h(e_ph), e_ph the closed-form bounds.phase_minimum (the floor
+    at e = 0).  No eigen-solve runs inside the root's bisection: the root's
+    bracket is certified after it, by one frontier_table of both minimizing
+    x."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
@@ -313,10 +316,17 @@ def sixstate_thresholds(nu: int) -> float:
         return _bell_threshold("six-state", nu)
     from . import bounds
 
-    tangents = bounds.supporting_tangents(
-        "six-state", nu, lambda e_x, p_x: rate_independent(e_x, p_x) > 0.0)
-    return _threshold(
-        lambda e: rate_independent(e, min(x * e + y for x, y in tangents)))
+    floor = bounds.zero_rate_check("six-state", nu)
+
+    def e_ph(e: float) -> float:
+        return floor if e == 0.0 else bounds.phase_minimum("six-state", nu, e)[1]
+
+    root = _threshold(lambda e: rate_independent(e, e_ph(e)))
+    if root > 0.0:
+        bounds.frontier_table("six-state", nu, [
+            bounds.phase_minimum("six-state", nu, e)[0]
+            for e in (root, math.nextafter(root, 1.0))])
+    return root
 
 
 def threshold(protocol: str, nu: int) -> float:

@@ -3,7 +3,8 @@
 Each oracle reaches its answer by a route independent of the library's exact
 formula: event forms and weights on the full 2^nu-dimensional input of the
 attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
-margin or by one eigen-solve per point, the `frontier` report row by row
+margin or by one eigen-solve per point, the phase-error bound by golden
+section on that frontier, the `frontier` report row by row
 through ``csv.DictWriter``, the two-photon optimum by scan plus golden
 section, the worst Bell-vector entropy by a dense scan of a barycentric slice
 and golden section, Monte Carlo tallies
@@ -163,6 +164,34 @@ def frontier_per_point(x: float, protocol: str, nu: int) -> float:
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
                               % (x, y_star, margin))
     return y_star
+
+
+def frontier_eigvalsh(grid, protocol: str, nu: int) -> np.ndarray:
+    """y_star at each x of a grid by one plain np.linalg.eigvalsh of the
+    reduced pencil per point, clipped at 0: no blocks, no checked solve."""
+    a, b = bounds._reduced_pencil(protocol, nu)
+    xs = np.asarray(grid, dtype=float)
+    top = np.linalg.eigvalsh(a - xs[:, None, None] * b)[:, -1]
+    return np.maximum(top, 0.0)
+
+
+def couple_two_photon_blocks(size: float) -> tuple:
+    """The four-state nu=2 reduced pencil (A, B) with A coupled by ``size``
+    between two of its blocks: between A's top eigenvector, in a 2x2 block
+    (A_k's eigenvalues 1/2 +- 1/sqrt(6)), and an eigenvector of eigenvalue
+    1/2, in the span of the two 1x1 blocks."""
+    a, b = bounds._reduced_pencil("four-state", 2)
+    w, v = np.linalg.eigh(a)
+    u, t = v[:, -1], v[:, np.argmin(np.abs(w - 0.5))]
+    return a + size * (np.outer(u, t.conj()) + np.outer(t, u.conj())), b
+
+
+def ephase_bound_golden(e_bit: float, protocol: str, nu: int,
+                        x_hi: float = 100.0) -> float:
+    """min of x*e_bit + y_star(x) on [0, x_hi] by golden section on the
+    convex objective, y_star from ``frontier_eigvalsh``."""
+    return golden_min(lambda x: x * e_bit + float(
+        frontier_eigvalsh([x], protocol, nu)[0]), 0.0, x_hi)[1]
 
 
 def frontier_payload(fieldnames: list[str], protocol: str, nu: int,
@@ -363,7 +392,7 @@ def fourstate_indep_threshold() -> float:
 
 def ephase_bound_grid(e_bit: float, protocol: str, nu: int) -> float:
     """min of x*e_bit + y_star(x) over bounds.DEFAULT_X_GRID: the grid minimum
-    the six-state thresholds read before the exact tangent bound."""
+    the six-state thresholds read before the exact phase-error bound."""
     return min(x * e_bit + y for x, y in zip(
         bounds.DEFAULT_X_GRID,
         bounds.frontier_table(protocol, nu, bounds.DEFAULT_X_GRID)))

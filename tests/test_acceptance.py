@@ -195,7 +195,7 @@ def test_criterion_10_six_state_pipeline():
 def test_criterion_11_six_state_thresholds_match_the_quoted_digits():
     # Each quoted six-state e is met within half a unit of its last digit:
     # nu=1, 2 on the Bell-diagonal rate 1 - H(chi(e)), nu=3, 4 on the
-    # tangent bound.
+    # closed-form phase-error bound.
     elapsed = _stopwatch()
     half_unit = {1: (0.112, 5e-4), 2: (0.0560, 5e-5), 3: (0.0237, 5e-5),
                  4: (0.00788, 5e-6)}

@@ -193,34 +193,146 @@ def test_frontier_table_sorted_and_nonincreasing():
     assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))
 
 
-@pytest.mark.parametrize("past,x_lo,x_hi,solves", [
-    (lambda e, p: True, 0.0, 5e-324, 62),
-    (lambda e, p: False, math.nextafter(bounds.TANGENT_X_CAP, 0.0),
-     bounds.TANGENT_X_CAP, 63),
-], ids=["always-true", "always-false"])
-def test_supporting_tangents_at_the_bracket_ends(past, x_lo, x_hi, solves):
-    # A predicate true (false) everywhere pins the bracket to its low end (the
-    # cap), and both tangents carry the frontier's own y_star, bit for bit.
-    # The bit patterns of [0, 2^20] span n, about 2^62.03, doubles: a midpoint
-    # rounded down reaches the low end in floor(log2 n) = 62 solves and the
-    # cap in ceil(log2 n) = 63.
-    seen = []
-    tangents = bounds.supporting_tangents(
-        "six-state", 4, lambda e, p: seen.append(e) or past(e, p))
-    assert len(seen) == solves
-    assert tangents == ((x_lo, bounds.frontier(x_lo, "six-state", 4)),
-                        (x_hi, bounds.frontier(x_hi, "six-state", 4)))
+# ---------------------------------------------------------------------------
+# Pencil blocks
+# ---------------------------------------------------------------------------
+
+# Block sides per row, sorted.
+BLOCK_SIDES = {
+    ("four-state", 1): [1, 1, 1, 1], ("four-state", 2): [1, 1, 2, 2],
+    ("four-state", 3): [1, 1, 1, 1, 2, 2], ("four-state", 4): [2, 2, 2, 2],
+    ("six-state", 1): [1] * 4, ("six-state", 2): [1] * 6,
+    ("six-state", 3): [1] * 8, ("six-state", 4): [1, 1, 2, 2, 2, 2],
+}
 
 
-def test_supporting_tangents_pass_the_predicate_each_frontier_point():
-    # The bisection costs one solve per halving, and the points it passes,
-    # (e(x), p(x)), are both nonincreasing in x: ordered by e, so is p.
-    seen = []
-    bounds.supporting_tangents("four-state", 2,
-                               lambda e, p: seen.append((e, p)) or e <= 0.05)
-    assert len(seen) == 62  # log2 of the bit range of [0, 2^20] is 62.03
-    es = sorted(seen, reverse=True)
-    assert all(b[1] <= a[1] + 1e-12 for a, b in zip(es, es[1:]))
+@pytest.mark.parametrize("protocol,nu", sorted(BLOCK_SIDES))
+def test_pencil_blocks_split_the_reduced_pencil(protocol, nu):
+    # The blocks are the pencil in another orthonormal basis: their sides add
+    # up to its side and their spectra are its spectra.
+    split = bounds.pencil_blocks(protocol, nu)
+    assert sorted(a.shape[0] for a, _ in split.blocks) == BLOCK_SIDES[
+        protocol, nu]
+    assert split.residual <= bounds.IDENTITY_TOL
+    assert split.pieces.shape == (len(split.blocks), 6)
+    for k, pencil in enumerate(bounds._reduced_pencil(protocol, nu)):
+        spectrum = np.concatenate([np.linalg.eigvalsh(blk[k])
+                                   for blk in split.blocks])
+        assert np.abs(np.sort(spectrum)
+                      - np.linalg.eigvalsh(pencil)).max() <= 1e-13
+    arrays = [m for blk in split.blocks for m in blk]
+    assert all(not m.flags.writeable
+               for m in arrays + [split.pieces, split.kinks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+       nu=st.integers(1, attack_forms.MAX_NU),
+       x=st.floats(0.0, 1e3))
+def test_pencil_blocks_rebuild_the_eigvalsh_frontier(protocol, nu, x):
+    # The closed-form pieces are lambda_max of the blocks: y_star equals a
+    # plain eigvalsh of the reduced pencil to roundoff in x.
+    y = bounds.frontier(x, protocol, nu)
+    ref = float(oracles.frontier_eigvalsh([x], protocol, nu)[0])
+    assert abs(y - ref) <= 1e-12 * max(1.0, x)
+
+
+def test_pencil_blocks_reject_a_coherence_between_blocks(monkeypatch):
+    pencil = oracles.couple_two_photon_blocks(1e-9)
+    monkeypatch.setattr(bounds, "_reduced_pencil", lambda protocol, nu: pencil)
+    with pytest.raises(ArithmeticError, match="pencil block residual"):
+        bounds.pencil_blocks.__wrapped__("four-state", 2)
+
+
+def test_pencil_blocks_reject_a_block_wider_than_two(monkeypatch):
+    # An irreducible 3x3 pencil: no pair of blocks of side 1 or 2 holds it,
+    # so the residual outside them is of the order of its entries.
+    a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, -1.0]])
+    b = np.diag([1.0, 2.0, 3.0])
+    monkeypatch.setattr(bounds, "_reduced_pencil", lambda protocol, nu: (a, b))
+    with pytest.raises(ArithmeticError, match="pencil block residual"):
+        bounds.pencil_blocks.__wrapped__("four-state", 2)
+
+
+def test_two_photon_curve_is_g():
+    # Four-state nu=2: both 2x2 blocks are g's curve and both lines are
+    # 1/2 - x/2, which g dominates, so y_star = g exactly.
+    split = bounds.pencil_blocks("four-state", 2)
+    curves = split.pieces[split.pieces[:, 2] > 0.0]
+    lines = split.pieces[split.pieces[:, 2] == 0.0]
+    assert np.abs(curves[:, :5] - bounds.G_PIECE).max() <= 1e-13
+    assert np.abs(lines[:, :2] - 0.5).max() <= 1e-13
+    assert bounds.frontier_g_check("four-state", 2) <= 1e-13
+    xs = np.linspace(0.0, 50.0, 5001)
+    ys = bounds.frontier_table("four-state", 2, xs)
+    assert max(abs(y - bounds.g_of_x(x)) for x, y in zip(xs, ys)) <= 1e-13
+
+
+@pytest.mark.parametrize("shift", [(0, 1e-9), (3, 1e-9), (4, -1e-9)])
+def test_g_check_sees_a_curve_moved_off_g(shift, monkeypatch):
+    i, size = shift
+    moved = list(bounds.G_PIECE)
+    moved[i] += size
+    monkeypatch.setattr(bounds, "G_PIECE", tuple(moved))
+    assert bounds.frontier_g_check("four-state", 2) >= 0.5e-9
+
+
+def test_g_check_sees_a_line_above_g(monkeypatch):
+    # A line 1/2 - x/20 crosses g near x = 1.3: no longer dominated.
+    split = bounds.pencil_blocks("four-state", 2)
+    pieces = np.array(split.pieces)
+    pieces[pieces[:, 2] == 0.0, 1] = 0.05
+    monkeypatch.setattr(bounds, "pencil_blocks", lambda protocol, nu:
+                        split._replace(pieces=pieces))
+    assert bounds.frontier_g_check("four-state", 2) > 0.1
+
+
+@pytest.mark.parametrize("protocol,nu", [("four-state", 4), ("six-state", 4)])
+def test_closed_form_frontier_does_not_cancel_at_large_x(protocol, nu):
+    # y_star tends to the zero-error floor as floor + c/x + O(1/x^2): the
+    # closed form keeps c/x at x = 1e9 (6e-11 here) to 1e-3 of itself, where
+    # -beta*x + sqrt(q) taken as written would lose about eps * x = 2e-7.
+    floor = bounds.zero_rate_check(protocol, nu)
+    near = bounds.frontier(1e6, protocol, nu) - floor
+    far = bounds.frontier(1e9, protocol, nu) - floor
+    assert 0.0 < far < near < 1e-6
+    assert abs(far * 1e9 - near * 1e6) <= 1e-3 * near * 1e6
+
+
+# ---------------------------------------------------------------------------
+# Phase-error bound from the blocks
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+       nu=st.sampled_from(sargkit.SUPPORTED_NU),
+       e=st.floats(0.01, 0.45))
+def test_phase_minimum_is_the_golden_section_minimum(protocol, nu, e):
+    # The finite candidate set holds the minimizer: no search does better.
+    x, bound = bounds.phase_minimum(protocol, nu, e)
+    assert x >= 0.0 and bound == x * e + bounds.frontier(x, protocol, nu)
+    assert abs(bound - oracles.ephase_bound_golden(e, protocol, nu)) <= 1e-9
+
+
+@pytest.mark.parametrize("e", [0.0, -1e-3, math.inf, math.nan])
+def test_phase_minimum_rejects_e_outside_zero_to_infinity(e):
+    with pytest.raises(ValueError, match="0 < e_bit < inf"):
+        bounds.phase_minimum("six-state", 4, e)
+
+
+def test_phase_minimum_makes_no_eigen_solve(monkeypatch):
+    bounds.phase_minimum("six-state", 4, 0.01)  # fills the block cache
+    monkeypatch.setattr(qmath, "eigh_checked", None)
+    assert bounds.phase_minimum("six-state", 4, 0.02)[1] > 0.0
+
+
+def test_kinks_hold_zero_and_the_line_crossings():
+    # Six-state nu=3 is lines only: 1/4, 19/28 - 4x/7 and 3/4 - 2x/3 cross
+    # one another at x = 3/4 and the zero line at 9/8 and 19/16.
+    kinks = bounds.pencil_blocks("six-state", 3).kinks
+    assert kinks[0] == 0.0 and list(kinks) == sorted(kinks)
+    for x in (0.75, 1.125, 19 / 16):
+        assert np.abs(kinks - x).min() <= 1e-13
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
@@ -242,14 +354,15 @@ def bits(values) -> list[str]:
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
-    # One stacked solve per stage makes the same LAPACK call per matrix as
-    # the loop, so every y_star and every margin is the same double.
+    # The closed form is elementwise and one stacked margin solve makes the
+    # same LAPACK call per matrix as the loop, so every y_star and every
+    # margin is the same double; the per-point eigen-solve agrees to roundoff.
     grid = bounds.DEFAULT_X_GRID
     table = bounds.frontier_table(protocol, nu, grid)
     assert len(table) == len(grid)
     ys = list(table)
-    assert bits(ys) == bits(oracles.frontier_per_point(x, protocol, nu)
-                            for x in grid)
+    assert all(abs(y - oracles.frontier_per_point(x, protocol, nu))
+               <= 1e-12 * max(1.0, x) for x, y in zip(grid, ys))
     assert bits([bounds.frontier(x, protocol, nu) for x in grid]) == bits(ys)
     gs = [bounds.g_of_x(x) for x in grid]
     assert bits(bounds.psd_margin(grid, gs, protocol, nu)) == bits(
@@ -398,6 +511,8 @@ def nu_up_to_20(monkeypatch):
                         lru_cache()(attack_forms.all_forms.__wrapped__))
     monkeypatch.setattr(bounds, "_reduced_pencil",
                         lru_cache()(bounds._reduced_pencil.__wrapped__))
+    monkeypatch.setattr(bounds, "pencil_blocks",
+                        lru_cache()(bounds.pencil_blocks.__wrapped__))
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)

@@ -60,7 +60,7 @@ def test_verify_four_state_single_photon_passes(capsys):
 def test_verify_four_state_two_photon_passes(capsys):
     rc, out = run(capsys, "verify", "--protocol", "four-state", "--nu", "2")
     assert rc == 0
-    assert "dominance" in out
+    assert "nu=2 frontier = g exactly" in out
 
 
 def test_verify_six_state_all_passes(capsys):
@@ -77,7 +77,7 @@ VERIFY_ROWS = {
                         "nu=1 correlation 2 chi1- >= chi0-",
                         "nu=1 event forms PSD"],
     ("four-state", 2): ["nu=2 margin at analytic bound",
-                        "nu=2 frontier dominance gap",
+                        "nu=2 frontier = g exactly",
                         "nu=2 frontier floor vs sin^2(pi/8)",
                         "nu=2 closed form = tangent bound"],
     ("four-state", 3): ["nu=3 no-key floor"],
@@ -135,13 +135,15 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
                                                             monkeypatch):
     # H_ph scaled by 1.5 breaks p_ph <= p_fil, so y_star exceeds 1.  The
     # frontier is clipped only at 0, so the row reads it and fails instead
-    # of the margin check raising.  The uncached pencil keeps the scaled
-    # forms out of its cache.
+    # of the margin check raising.  The uncached pencil and blocks keep the
+    # scaled forms out of their caches.
     forms = sargkit.bounds._forms
     monkeypatch.setattr(sargkit.bounds, "_forms", lambda p, nu: (
         forms(p, nu)[0], forms(p, nu)[1], 1.5 * forms(p, nu)[2]))
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil",
                         sargkit.bounds._reduced_pencil.__wrapped__)
+    monkeypatch.setattr(sargkit.bounds, "pencil_blocks",
+                        sargkit.bounds.pencil_blocks.__wrapped__)
     rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "1")
     assert rc == 1
     rows = {r[0]: r for r in check_rows(out)}
@@ -210,6 +212,29 @@ def test_verify_fails_the_bell_row_on_a_coherence_between_blocks(
     assert_only_the_bell_row_fails(capsys, protocol, nu)
 
 
+def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
+        capsys, monkeypatch):
+    # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
+    # four-state nu=2: pencil_blocks raises, and so every row that reads the
+    # blocks (the g row and the closed-form row) fails with one stderr line
+    # each, while the rows on the forms and on the floor still pass.
+    pencil = oracles.couple_two_photon_blocks(1e-9)
+    reduced = sargkit.bounds._reduced_pencil
+    monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
+        pencil if (p, n) == ("four-state", 2) else reduced(p, n)))
+    monkeypatch.setattr(sargkit.bounds, "pencil_blocks",
+                        sargkit.bounds.pencil_blocks.__wrapped__)
+    rc = cli.main(["verify", "--protocol", "four-state"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
+    assert [r[0] for r in failed] == ["nu=2 frontier = g exactly",
+                                      "nu=2 closed form = tangent bound"]
+    assert all(r[1] == "nan" for r in failed)
+    err = captured.err.splitlines()
+    assert len(err) == 2 and all("pencil block residual" in e for e in err)
+
+
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
     # Every six-state row is grid-free: no frontier is solved on the
     # verification grid DEFAULT_X_GRID.
@@ -230,8 +255,8 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
 def unclear_filter_kernel(monkeypatch):
     """Every H_fil gets one eigenvalue at 1e-9 of its largest, within the six
     decades above the kernel cut, so the frontier's reduction raises
-    ArithmeticError.  The pencil cache built on the forms is cleared before
-    and after."""
+    ArithmeticError.  The pencil and block caches built on the forms are
+    cleared before and after."""
     forms = sargkit.bounds._forms
 
     def squeezed(protocol, nu):
@@ -241,9 +266,12 @@ def unclear_filter_kernel(monkeypatch):
         return h_bit, (v * w) @ v.conj().T, h_ph
 
     monkeypatch.setattr(sargkit.bounds, "_forms", squeezed)
-    sargkit.bounds._reduced_pencil.cache_clear()
+    caches = (sargkit.bounds._reduced_pencil, sargkit.bounds.pencil_blocks)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    sargkit.bounds._reduced_pencil.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_verify_prints_a_fail_row_for_a_failed_internal_check(
@@ -447,6 +475,12 @@ def test_frontier_malformed_grid(capsys, flags):
     assert err.startswith("frontier: ") and err.count("\n") == 1
 
 
+def test_frontier_grid_too_large_prints_a_short_count(capsys):
+    assert cli.main(["frontier", "--x-step", "1e-300"]) == 2
+    assert capsys.readouterr().err == (
+        "frontier: grid too large (1e+301 points)\n")
+
+
 @pytest.mark.parametrize("protocol", ["four-state", "six-state"])
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_frontier_runs_up_to_the_x_cap(capsys, protocol, nu):
@@ -458,7 +492,9 @@ def test_frontier_runs_up_to_the_x_cap(capsys, protocol, nu):
     assert rc == 0
     rows = read_csv(out)
     assert [float(r["x"]) for r in rows] == [0.0, cli.FRONTIER_X_MAX]
-    assert all(0.0 <= float(r["y_star"]) <= 1.0 for r in rows)
+    # y_star(0) is exactly 1 at four-state nu=3, which its closed form meets
+    # to roundoff (1 + 2.2e-16).
+    assert all(0.0 <= float(r["y_star"]) <= 1.0 + 1e-15 for r in rows)
 
 
 def test_frontier_six_state_is_informational(capsys):
@@ -475,12 +511,22 @@ def test_frontier_six_state_is_informational(capsys):
     ("four-state", 1, "0.125"),  # y_star clips to 0 for x > 1.5
 ])
 def test_frontier_payload_equals_the_per_point_oracle(capsys, protocol, nu, step):
+    # Every cell but y_star and gap is the oracle's own bytes; those two are
+    # the blocks' closed form, within roundoff of the per-point eigen-solve.
     rc, out = run(capsys, "frontier", "--protocol", protocol, "--nu", str(nu),
                   "--x-step", step)
     assert rc == 0
     grid = cli._build_grid(0.0, 10.0, float(step))
-    assert oracles.payload_lines(out) == oracles.frontier_payload(
-        cli.FRONTIER_FIELDS, protocol, nu, grid)
+    got = [line.split(",") for line in oracles.payload_lines(out)]
+    want = [line.split(",") for line in oracles.frontier_payload(
+        cli.FRONTIER_FIELDS, protocol, nu, grid)]
+    assert got[0] == want[0] == cli.FRONTIER_FIELDS and len(got) == len(want)
+    near = [cli.FRONTIER_FIELDS.index(k) for k in ("y_star", "gap")]
+    for row, ref in zip(got[1:], want[1:]):
+        assert [c for i, c in enumerate(row) if i not in near] == [
+            c for i, c in enumerate(ref) if i not in near]
+        assert all(abs(float(row[i]) - float(ref[i]))
+                   <= 1e-12 * max(1.0, float(row[0])) for i in near)
     assert ",-0.0," not in out
 
 
@@ -958,12 +1004,11 @@ def test_keyrate_from_simulate_output(capsys, tmp_path):
 
 
 def test_keyrate_rejects_a_report_outside_the_rate_domain(capsys, tmp_path):
-    # At p = 0.75 the exact e_bit is 0.5, and sampling noise takes the
-    # two-photon e2 (0.56) past the 0.5 domain of the two-photon bound; the
-    # one-photon e1 (0.49) is inside the single-photon polytope's 2/3.
+    # In a 200-trial run at p = 0.75 the one-photon tally is one conclusive
+    # event, an error: e1 = 1, past the single-photon polytope's 2/3.
     sim_cfg = write_config(
         tmp_path, "protocol: six-state\nmu: 0.5\np: 0.75\neta: 0.6\n"
-                  "trials: 20000\nseed: 0\n", "sim.yaml")
+                  "trials: 200\nseed: 1\n", "sim.yaml")
     sim_out = tmp_path / "sim.json"
     assert cli.main(["simulate", "--config", sim_cfg, "--out",
                      str(sim_out)]) == 0
@@ -971,7 +1016,26 @@ def test_keyrate_rejects_a_report_outside_the_rate_domain(capsys, tmp_path):
     kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
     assert cli.main(["keyrate", "--config", kr_cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("keyrate: bad config: e2 ") and err.count("\n") == 1
+    assert err.startswith("keyrate: bad config: e1 ") and err.count("\n") == 1
+
+
+def test_keyrate_rates_a_report_with_e2_above_one_half(capsys, tmp_path):
+    # At p = 0.7 sampling noise takes the two-photon e2 past 0.5 (0.50588).
+    # The phase-error bound is 1/2 from e2 = 1/6 on, so the report is rated
+    # with a zero two-photon term.
+    sim_cfg = write_config(
+        tmp_path, "protocol: six-state\nmu: 0.5\np: 0.7\neta: 0.6\n"
+                  "trials: 200000\nseed: 1\n", "sim.yaml")
+    sim_out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", sim_cfg, "--out",
+                     str(sim_out)]) == 0
+    capsys.readouterr()
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    rc, out = run(capsys, "keyrate", "--config", kr_cfg)
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert 0.5 < results["inputs"]["e2"] < 0.51
+    assert results["two_photon_term"] == 0.0
 
 
 def test_keyrate_rates_a_report_with_e1_above_the_threshold_bracket(
@@ -1121,7 +1185,7 @@ def test_keyrate_from_simulate_names_the_bad_report_field(
     "nothing: here\n",                              # neither source
     DECOY_YAML.replace("xi1: 0.1", "xi1: 0.3"),     # xi sum exceeds p_conc
     DECOY_YAML.replace("e1: 0.0", "e1: 0.7"),       # outside the R1 domain
-    DECOY_YAML.replace("e2: 0.0", "e2: 0.6"),       # outside the e_ph domain
+    DECOY_YAML.replace("e2: 0.0", "e2: 1.2"),       # not a fraction
     DECOY_YAML.replace("e1: 0.0", "e1: 1e-2"),      # YAML reads a string
 ])
 def test_keyrate_schema_violations(capsys, tmp_path, text):

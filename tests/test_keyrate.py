@@ -304,7 +304,7 @@ NONNEGATIVE = st.floats(min_value=0.0, max_value=sys.float_info.max)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(NONNEGATIVE, min_size=3, max_size=3).map(sorted))
-@example([0.0, 0.5, bounds.TANGENT_X_CAP])
+@example([0.0, 0.5, 2.0 ** 20])
 @example([0.0, 5e-324, 5e-324])
 @example([0.0, sys.float_info.max, sys.float_info.max])
 def test_bisect_floats_brackets_a_step_by_adjacent_floats(xs):
@@ -342,28 +342,27 @@ def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
 def _row_rate(protocol: str, nu: int):
     """A computed THRESHOLDS row's rate model, assembled from its parts: the
     Bell-vertex rule at four-state nu=1 and six-state nu=1, 2, R2, and the
-    tangent rate at six-state nu = 3, 4."""
+    closed-form phase-error rate at six-state nu = 3, 4 (the floor at e = 0)."""
     if (protocol, nu) in keyrate.BELL_VERTICES:
         return lambda e: 1.0 - keyrate.worst_bell_vector(protocol, nu, e)[1]
     if protocol == "four-state":
         return lambda e: keyrate.rate_independent(
             e, keyrate.ephase_bound_two(e))
-    tangents = bounds.supporting_tangents("six-state", nu, lambda e_x, p_x: (
-        keyrate.rate_independent(e_x, p_x) > 0.0))
-    return lambda e: keyrate.rate_independent(
-        e, min(x * e + y for x, y in tangents))
+    floor = bounds.zero_rate_check("six-state", nu)
+    return lambda e: keyrate.rate_independent(e, floor if e == 0.0 else (
+        bounds.phase_minimum("six-state", nu, e)[1]))
 
 
-# The float root of every computed row.  Six-state nu=1, 2 lie within 1 and 6
-# ulps of their 40-digit roots, 0.1123571597943976528768... and
-# 0.0560275805550103332339....
+# The float root of every computed row.  Six-state nu=1..3 lie within 1, 6
+# and 6 ulps of their 40-digit roots, 0.1123571597943976528768...,
+# 0.0560275805550103332339... and 0.02370111901536418315....
 FLOAT_ROOTS = {
     ("four-state", 1): (0.09689248938745225, 0.08046590930386568),
     ("four-state", 2): (0.027100931507559267, 0.020891888263563876),
     ("six-state", 1): (0.11235715979439764, 0.09493443311758082),
     ("six-state", 2): (0.056027580555010295, 0.04451473851425009),
     ("six-state", 3): (0.023701119015364203, 0.01820737440935661),
-    ("six-state", 4): (0.007883064083571437, 0.005959275412648134),
+    ("six-state", 4): (0.007883064083571433, 0.005959275412648132),
 }
 
 
@@ -424,29 +423,38 @@ def _warm_solves(monkeypatch, compute) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 64), (4, 64)])
+@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 3), (4, 3)])
 def test_six_state_thresholds_solve_budget(monkeypatch, nu, solves):
-    # The Bell-vertex rows make no solve; a tangent row makes 62 search solves
-    # and frontier_table's two stacked ones.  The rate itself solves nothing.
+    # The Bell-vertex rows make no solve.  A phase-error row reads the floor
+    # (two solves) and certifies the root's bracket with one stacked margin
+    # solve; its bisection reads the blocks' closed form and solves nothing.
     assert _warm_solves(
         monkeypatch, lambda: keyrate.threshold("six-state", nu)) == solves
 
 
+def test_six_state_threshold_bisection_makes_no_solve(monkeypatch):
+    # Every checked solve comes before the first bisection step (the floor)
+    # or after the last (the bracket's certificate).
+    keyrate.threshold("six-state", 4)
+    events = []
+    solve, minimum = qmath.eigh_checked, bounds.phase_minimum
+    monkeypatch.setattr(qmath, "eigh_checked",
+                        lambda h: events.append("solve") or solve(h))
+    monkeypatch.setattr(bounds, "phase_minimum", lambda *args: events.append(
+        "bound") or minimum(*args))
+    keyrate.threshold("six-state", 4)
+    first, last = events.index("bound"), len(events) - events[::-1].index("bound")
+    assert "solve" not in events[first:last]
+    assert events.count("bound") > 50 and events.count("solve") == 3
+
+
 def test_closed_form_tangent_row_solve_budget(monkeypatch):
-    # Four tangent bounds of 62 search solves and 2 certifying solves each.
+    # Four phase-error bounds, each certified by one margin solve.
     from sargkit import cli
 
     row = next(c for c in cli.checks()
                if c.name == "closed form = tangent bound")
-    assert _warm_solves(
-        monkeypatch, lambda: row.compute("four-state", 2)) == 4 * (62 + 2)
-
-
-def test_a_search_that_reaches_the_cap_makes_63_search_solves(monkeypatch):
-    # An always-false predicate halves the bit range of [0, 2^20] 63 times,
-    # then frontier_table certifies the bracket in two stacked solves.
-    assert _warm_solves(monkeypatch, lambda: bounds.supporting_tangents(
-        "six-state", 4, lambda e, p: False)) == 63 + 2
+    assert _warm_solves(monkeypatch, lambda: row.compute("four-state", 2)) == 4
 
 
 def test_depolarizing_conversions_round_trip():
@@ -474,14 +482,14 @@ def test_decoy_inputs_validation():
     with pytest.raises(ValueError):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=1.2, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.0)
-    # e1 and e2 beyond the domains of the single- and two-photon rate models:
-    # the four-state nu=1 polytope's largest bit weight 2/3, and 1/2.
+    # e1 beyond the domain of the single-photon rate model, the four-state
+    # nu=1 polytope's largest bit weight 2/3, and e2 beyond 1.
     with pytest.raises(ValueError, match=r"e1 must be in \[0, 0.666667\]"):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.67,
                             xi2=0.0, e2=0.0)
-    with pytest.raises(ValueError, match="e2"):
+    with pytest.raises(ValueError, match=r"e2 must be in \[0, 1\]"):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.0,
-                            xi2=0.0, e2=0.6)
+                            xi2=0.0, e2=1.2)
     # The domain ends themselves are accepted and evaluate.
     d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.1, e1=2 / 3,
                             xi2=0.1, e2=0.5)
@@ -524,7 +532,7 @@ def test_six_state_thresholds_positive_and_decreasing():
 
 def test_six_state_threshold_regression_values():
     # Pipeline regression anchors: nu=1, 2 on the Bell-diagonal rate, nu=3, 4
-    # on the tangent bound.
+    # on the closed-form phase-error bound.
     expected = {1: 0.1123572, 2: 0.0560276, 3: 0.0237011, 4: 0.0078830}
     for nu, e_ref in expected.items():
         e = keyrate.sixstate_thresholds(nu)
@@ -554,31 +562,31 @@ def test_six_state_thresholds_are_the_closed_form_roots(nu):
 @given(st.sampled_from(sorted(LINEAR_EPH)), st.floats(min_value=1e-9,
                                                       max_value=0.45))
 def test_tangent_bound_is_the_linear_phase_error(nu, e):
-    # The tangent path stays exact where no threshold row reads it now.
+    # The phase-error path stays exact where no threshold row reads it now.
     alpha, beta = LINEAR_EPH[nu]
     bound = keyrate.ephase_bound_frontier(e, "six-state", nu)
     assert abs(bound - (alpha + beta * e)) <= 1e-12
 
 
 def test_six_state_rate_model_follows_the_bell_vertex_table(monkeypatch):
-    # The rows with a Bell vertex table (nu = 1, 2) take no tangent; the
-    # others (nu = 3, 4) do.  A table without nu = 1 moves nu = 1 to the
-    # tangent rate, whose root is the independent-errors one.
-    tangent_rows = []
-    tangents = bounds.supporting_tangents
+    # The rows with a Bell vertex table (nu = 1, 2) read no phase-error
+    # bound; the others (nu = 3, 4) do.  A table without nu = 1 moves nu = 1
+    # to the phase-error rate, whose root is the independent-errors one.
+    bound_rows = []
+    minimum = bounds.phase_minimum
 
-    def spy(protocol, nu, past):
-        tangent_rows.append(nu)
-        return tangents(protocol, nu, past)
+    def spy(protocol, nu, e):
+        bound_rows.append(nu)
+        return minimum(protocol, nu, e)
 
-    monkeypatch.setattr(bounds, "supporting_tangents", spy)
+    monkeypatch.setattr(bounds, "phase_minimum", spy)
     for nu in (1, 2, 3, 4):
         keyrate.sixstate_thresholds(nu)
-    assert tangent_rows == [3, 4]
+    assert sorted(set(bound_rows)) == [3, 4]
     monkeypatch.delitem(keyrate.BELL_VERTICES, ("six-state", 1))
     root = oracles.linear_indep_threshold(*LINEAR_EPH[1], tol=1e-12)
     assert abs(keyrate.sixstate_thresholds(1) - root) <= 1e-7
-    assert tangent_rows == [3, 4, 1]
+    assert sorted(set(bound_rows)) == [1, 3, 4]
 
 
 def test_bell_vertex_thresholds_need_no_numpy():
@@ -624,7 +632,7 @@ def test_reference_tables_present():
 
 
 # ---------------------------------------------------------------------------
-# The tangent phase-error bound of a computed frontier
+# The phase-error bound of a computed frontier
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("e", [-1.0, -5e-324, 0.5000001, math.inf, math.nan])
@@ -659,64 +667,48 @@ def test_tangent_bound_is_three_halves_e_at_one_photon(protocol, e):
 @example(1e-11)
 @example(1e-12)
 def test_tangent_bound_is_the_two_photon_closed_form(e):
-    # Above e = 1e-12 the minimizing x, about 1/(4 sqrt(e)), lies below the
-    # bisection cap TANGENT_X_CAP, and e = 0 is the exact floor.  Below
-    # e = 1e-7 that x passes 1024, and the wider tolerance allows for
-    # y_star's roundoff n*eps*x*||B||_2 (5.8e-12 at e = 1e-12).
+    # The blocks' curve is g, so the bound is ephase_bound_two at every e;
+    # e = 0 is the exact floor.  Below e = 1e-7 the minimizing x, about
+    # 1/(4 sqrt(e)), passes 1024, and the wider tolerance allows for the
+    # certifying margin's roundoff n*eps*x*||H_bit||_2 (5.8e-12 at e = 1e-12).
     bound = keyrate.ephase_bound_frontier(e, "four-state", 2)
     tol = 1e-12 if e == 0.0 or e >= 1e-7 else 1e-10
     assert abs(bound - keyrate.ephase_bound_two(e)) <= tol
 
 
-def test_tangent_bound_stops_at_the_bisection_cap():
-    # Below e(TANGENT_X_CAP), about 5.7e-14, the bound is the certified
-    # tangent at the cap, off the closed form by less than 1e-7.
-    for e in (1e-14, 5e-324):
-        gap = (keyrate.ephase_bound_frontier(e, "four-state", 2)
-               - keyrate.ephase_bound_two(e))
-        assert 0.0 < gap < 1e-7
+@pytest.mark.parametrize("e", [1e-14, 1e-100, 5e-324])
+def test_tangent_bound_has_no_cap_in_x(e):
+    # The minimizing x passes 2^20 below e = 5.7e-14 (and overflows at
+    # 5e-324); the bound stays the closed form, since the singular blocks'
+    # curves keep their finite limit at any x.
+    gap = (keyrate.ephase_bound_frontier(e, "four-state", 2)
+           - keyrate.ephase_bound_two(e))
+    assert abs(gap) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(CASES), st.floats(min_value=0.0, max_value=0.45))
-# At e = 0 the bracket moves up as far as e(x) stays above 0: to the cap at
-# four-state nu=2..4 and six-state nu=4, where the touch is within 3.1e-10.
-@example(("four-state", 1), 0.0)
-@example(("four-state", 2), 0.0)
-@example(("four-state", 3), 0.0)
-@example(("four-state", 4), 0.0)
-@example(("six-state", 1), 0.0)
-@example(("six-state", 2), 0.0)
-@example(("six-state", 3), 0.0)
-@example(("six-state", 4), 0.0)
+@given(st.sampled_from(CASES), st.floats(min_value=1e-6, max_value=0.45))
+@example(("four-state", 1), 0.3)
+@example(("four-state", 2), 1e-6)
+@example(("six-state", 3), 0.02)
+@example(("six-state", 4), 0.01)
 def test_tangent_bound_is_attained_by_a_lifted_attack(case, e):
-    # Each bracketing tangent touches the frontier at the point (e(x), p(x)) of
-    # the top eigenvector u of A - x*B.  Lifted to the attack R F^-1/2 u and
-    # sent through the compiled forms, u has exactly those bit/fil and ph/fil
-    # ratios, so the bound is attained at e(x) by a real attack.
+    # At the minimizing x the top eigenvector u of A - x*B attains y_star(x).
+    # Lifted to the attack R F^-1/2 u and sent through the compiled forms, u
+    # has bit/fil and ph/fil ratios (e_u, p_u) on the tangent line
+    # p = y_star(x) + x*e, so x*e + y_star(x) is the phase error of a real
+    # attack at bit error e_u, and of none below the line.
     protocol, nu = case
     a, b = bounds._reduced_pencil(protocol, nu)
-    tangents = bounds.supporting_tangents(protocol, nu, lambda e_x, _: e_x <= e)
-    if e > 0.0:
-        assert (keyrate.ephase_bound_frontier(e, *case)
-                == min(x * e + y for x, y in tangents))
+    x, bound = bounds.phase_minimum(protocol, nu, e)
+    y = bounds.frontier(x, protocol, nu)
+    assert keyrate.ephase_bound_frontier(e, *case) == bound == x * e + y
+    w, v = qmath.eigh_checked(a - x * b)
+    if w[-1] <= 1e-12:  # y_star clipped to 0: the zero attack
+        assert abs(y) <= 1e-12
+        return
+    m = oracles.lift_reduced(v[:, -1], protocol, nu).reshape(-1)
     forms = attack_forms.all_forms(protocol, nu)
-    e_at = {}
-    for x, y in tangents:
-        # The search's own point: at a 1-ulp bracket rounding decides the
-        # comparisons below, so e(x) must be computed as the search does.
-        e_at[x], p_x = bounds._tangent_point(a, b, x)
-        w, v = qmath.eigh_checked(a - x * b)
-        if w[-1] <= 0.0:  # y_star clipped to 0: the zero attack
-            assert abs(y) <= 1e-12 and e_at[x] == 0.0
-            continue
-        m = oracles.lift_reduced(v[:, -1], protocol, nu).reshape(-1)
-        fil, bit, ph = (np.vdot(m, forms[k].matrix @ m).real
-                        for k in ("fil", "bit", "ph"))
-        assert (abs(bit / fil - e_at[x]) <= 1e-9
-                and abs(ph / fil - p_x) <= 1e-9)
-        assert abs(p_x - x * e_at[x] - y) <= 1e-9  # the tangent touches there
-    (x_lo, _), (x_hi, _) = tangents
-    assert x_hi == math.nextafter(x_lo, math.inf)
-    assert x_lo == 0.0 or e_at[x_lo] > e
-    assert x_hi == bounds.TANGENT_X_CAP or e_at[x_hi] <= e
+    fil, bit, ph = (np.vdot(m, forms[k].matrix @ m).real
+                    for k in ("fil", "bit", "ph"))
+    assert abs(ph / fil - x * bit / fil - y) <= 1e-9 * max(1.0, x)
