@@ -21,12 +21,6 @@ off the pencil's blocks in closed form and certifies them with one stacked
 eigen-solve of the margins; frontier is its one-point case.  No table is
 cached.
 
-y_star never increases with x, so its infimum, the zero-error floor, is the
-limit x -> infinity.  With B = reduced H_bit PSD, v^dag (A - x*B) v = v^dag A v
-for every v in ker B, while every other direction is pushed to -infinity:
-the floor is lambda_max of A compressed onto ker B (0 when the kernel is
-empty), one eigen-solve of B and one small lambda_max.
-
 The reduced pencil (A, B) splits into blocks of side 1 or 2 (``pencil_blocks``;
 K. Gatermann and P. A. Parrilo, J. Pure Appl. Algebra 192, 95 (2004)): each
 eigenvector of one fixed combination of A and B grown into the smallest
@@ -38,17 +32,19 @@ min_x [x*e + y_star(x)] lies at a point of a finite set (``phase_minimum``):
 x = 0, a curve's stationary point or vertex, or a crossing of a line with a
 line or a curve (no supported row has distinct curves crossing at x > 0).
 At four-state nu=2 the one distinct curve is the paper's g(x)
-(``frontier_g_check``).
+(``frontier_g_check``).  The blocks are the one split of the reduced forms.
 
-One rule cuts both kernels, of H_fil and of B (``_kernel_split``): at
-RANK_TOL of the largest eigenvalue, with no eigenvalue below -cut or within
-six decades above it; a block of B that small is singular.  Every
-eigenvalue here comes from qmath.eigh_checked.
+One rule cuts both kernels (``_kernel_split``), on a spectrum: H_fil's, and
+B's from the blocks' beta -+ sqrt(gamma).  The cut is RANK_TOL of the
+largest eigenvalue, with none below -cut or within six decades above it.
 
-The four Bell forms, reduced by the same R F^-1/2 (``_range_map``), commute
-at four-state nu=1 and six-state nu=1, 2.  There ``bell_vertex_check`` proves
-that the Bell vectors of their joint eigenvectors are keyrate.BELL_VERTICES,
-the polytope that keyrate's Bell-vertex rate rule reads.
+y_star never increases with x, so its infimum, the zero-error floor, is the
+limit x -> infinity (``zero_rate_check``), read off the blocks singular in B.
+
+The four Bell forms, reduced to the block coordinates (``_range_map`` times
+PencilBlocks.basis), commute at four-state nu=1 and six-state nu=1, 2.
+There ``bell_vertex_check`` proves that the Bell vectors of the basis are
+keyrate.BELL_VERTICES, the polytope of keyrate's Bell-vertex rate rule.
 
 Every event form has ||H_event||_2 <= 1, because v^dag H_event v <=
 trace(rho) <= ||M||_op^2 <= ||v||^2.  So the absolute PSD_TOL and
@@ -82,12 +78,8 @@ IDENTITY_TOL = 1e-10
 # Slack on the frontier's shape: its gap below g(x) and its rise in x.
 SHAPE_TOL = 1e-6
 # Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
-# of the largest span the kernel.
+# of the largest span the kernel (``_kernel_split``).
 RANK_TOL = 1e-12
-# The combination of the reduced Bell forms, in qmath.BELL_TAGS order, whose
-# eigenbasis bell_vertex_check reads: the vertices of four-state nu=1 land on
-# eigenvalues 0, 2, 3, those of six-state nu=1 on 0, 2.43, nu=2 on 0.146, 2.389.
-BELL_WEIGHTS = (0.0, 1.0, 2.0, 4.0)
 # The largest x a phase-error candidate is read at, where x*x is still
 # finite: a stationary point past it (e below about 1e-290) is read there,
 # within about sqrt(e) of its minimum, and a crossing past it is dropped.
@@ -156,28 +148,35 @@ def g_of_x(x: float) -> float:
 
     The discriminant has minimum value 3/2 (at x = 3*sqrt(2)/4), so the square
     root never branches; g decreases monotonically to sin^2(pi/8) as x grows.
+    Past x = 30, where this form loses eps*x/6, g is taken within half an
+    ulp as sin^2(pi/8) + 1/(4*(2x - 3/sqrt(2) + sqrt(disc))), the limit held
+    in two doubles.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("g_of_x requires 0 <= x < inf, got x=%r" % float(x))
     disc = 6.0 - 6.0 * math.sqrt(2.0) * x + 4.0 * x * x
-    return (3.0 - 2.0 * x + math.sqrt(disc)) / 6.0
+    if x <= 30.0:
+        return (3.0 - 2.0 * x + math.sqrt(disc)) / 6.0
+    tail = 0.25 / (2.0 * x - 1.5 * math.sqrt(2.0) + math.sqrt(disc))
+    # SIN2_PI_8 is sin^2(pi/8) rounded up by 3.587342331996631e-18.
+    return keyrate.SIN2_PI_8 + (tail - 3.587342331996631e-18)
 
 
-def _kernel_split(h: np.ndarray, name: str) -> tuple:
-    """(w, v, cut): the checked eigen-solve of a PSD form and its kernel cut
-    RANK_TOL * lambda_max; the columns of v with w <= cut span the kernel.
+def _kernel_split(w: np.ndarray, name: str) -> float:
+    """The kernel cut RANK_TOL * lambda_max of a PSD form's eigenvalues w,
+    in any order: the eigenvalues at or below it span the kernel.
 
     Raises ArithmeticError when the cut is not clean: an eigenvalue below
     -cut (the form is not PSD) or within six decades above the cut, where
     roundoff could move it across.
     """
-    w, v = qmath.eigh_checked(h)
-    cut = RANK_TOL * w[-1]
-    unclear = (w < -cut) | ((w > cut) & (w < math.sqrt(RANK_TOL) * w[-1]))
+    top = float(np.max(w))
+    cut = RANK_TOL * top
+    unclear = (w < -cut) | ((w > cut) & (w < math.sqrt(RANK_TOL) * top))
     if unclear.any():
         raise ArithmeticError("%s eigenvalue %.3e is not clear of the kernel "
                               "cut %.3e" % (name, w[unclear][0], cut))
-    return w, v, cut
+    return cut
 
 
 def _range_map(protocol: str, nu: int) -> np.ndarray:
@@ -191,7 +190,8 @@ def _range_map(protocol: str, nu: int) -> np.ndarray:
     H_ph, and chi0+ is H_fil minus the other three.
     """
     h_bit, h_fil, h_ph = _forms(protocol, nu)
-    w, v, cut = _kernel_split(h_fil, "H_fil")
+    w, v = qmath.eigh_checked(h_fil)
+    cut = _kernel_split(w, "H_fil")
     keep = w > cut
     leak = max(float(np.linalg.norm(h @ v[:, ~keep], 2)) for h in (h_bit, h_ph))
     if leak > cut:
@@ -215,30 +215,23 @@ def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
     return qmath.read_only(_reduce(r, h_ph)), qmath.read_only(_reduce(r, h_bit))
 
 
-def _reduced_bell_forms(protocol: str, nu: int) -> np.ndarray:
-    """The four Bell forms, in qmath.BELL_TAGS order, reduced like the pencil:
-    a stack of shape (4, n, n) that sums to the identity."""
-    r = _range_map(protocol, nu)
-    forms = attack_forms.all_forms(protocol, nu)
-    return np.stack([_reduce(r, forms["bell:" + tag].matrix)
-                     for tag in qmath.BELL_TAGS])
-
-
 def bell_vertex_check(protocol: str, nu: int) -> float:
     """The gap between the compiled forms and the row's keyrate.BELL_VERTICES.
 
-    The eigenvectors u of one fixed combination of the reduced Bell forms
-    (weights BELL_WEIGHTS, which put distinct vertices on distinct
-    eigenvalues) are the forms' joint eigenvectors when the forms commute;
-    their Bell vectors (u^dag X_t u)_t then span the pair's Bell polytope.
-    Returns the larger of the reduced Bell forms' largest off-diagonal entry
-    in that basis and the max-norm Hausdorff distance between those Bell
-    vectors and the table's vertices: within IDENTITY_TOL the table is the
-    polytope.
+    The Bell forms X_t are reduced to the block coordinates u = ``_range_map``
+    times PencilBlocks.basis.  With blocks of side 1, the columns of u are
+    joint eigenvectors of A and B, sums of Bell forms; the vertices have
+    distinct bit weights, so where the forms commute the columns are their
+    joint eigenvectors, and the Bell vectors (u^dag X_t u)_t span the Bell
+    polytope.  Returns the larger of the reduced Bell forms' largest
+    off-diagonal entry and the max-norm Hausdorff distance between those
+    Bell vectors and the table's vertices: within IDENTITY_TOL the table is
+    the polytope.
     """
-    x = _reduced_bell_forms(protocol, nu)
-    u = qmath.eigh_checked(np.tensordot(BELL_WEIGHTS, x, 1))[1]
-    d = qmath.dagger(u) @ x @ u
+    u = _range_map(protocol, nu) @ pencil_blocks(protocol, nu).basis
+    forms = attack_forms.all_forms(protocol, nu)
+    d = np.stack([_reduce(u, forms["bell:" + tag].matrix)
+                  for tag in qmath.BELL_TAGS])
     off_diagonal = ~np.eye(d.shape[-1], dtype=bool)
     chis = np.diagonal(d, axis1=-2, axis2=-1).real.T
     gaps = np.abs(chis[:, None, :]
@@ -250,7 +243,9 @@ def bell_vertex_check(protocol: str, nu: int) -> float:
 class PencilBlocks(NamedTuple):
     """The reduced pencil of one (protocol, nu) split into blocks.
 
-    ``blocks`` holds each block's read-only (A_k, B_k), of side 1 or 2;
+    ``basis`` is the read-only unitary whose columns, in block order, are the
+    block coordinates of range(H_fil); ``blocks`` holds each block's
+    read-only (A_k, B_k), of side 1 or 2;
     ``pieces`` (one row per block) the closed form of its lambda_max(A_k -
     x*B_k), alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), as
     (alpha, beta, gamma, delta, epsilon, gamma - beta^2), a line where gamma
@@ -258,6 +253,7 @@ class PencilBlocks(NamedTuple):
     bend; ``residual`` the largest entry of A or B outside the blocks.
     """
 
+    basis: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     pieces: np.ndarray
     kinks: np.ndarray
@@ -345,22 +341,22 @@ def pencil_blocks(protocol: str, nu: int) -> PencilBlocks:
     blocks = tuple(tuple(qmath.read_only(m[g[:, None], g]) for m in split)
                    for g in groups)
     pieces = np.array([_piece(*blk) for blk in blocks])
-    # Kernels are cut by _kernel_split's rule: a block whose lambda_min(B_k) =
-    # beta - sqrt(gamma) is at most RANK_TOL of the largest lambda_max(B_k)
-    # is singular, so its curve keeps a finite limit (gamma - beta^2 = 0) and
-    # its line is flat (beta = 0); a block with both A_k and B_k that small
+    # B_k's eigenvalues beta -+ sqrt(gamma) are cut by the rule that cuts
+    # H_fil's (_kernel_split): a block whose lambda_min(B_k) is at or below
+    # the cut is singular, so its curve keeps a finite limit (gamma - beta^2
+    # = 0) and its line is flat (beta = 0); a block with A_k that small too
     # is the zero piece.
     alpha, beta, gamma, _, epsilon, _ = pieces.T
-    size_a = np.abs(alpha) + np.sqrt(epsilon)
     low_b, size_b = beta - np.sqrt(gamma), beta + np.sqrt(gamma)
-    singular = low_b <= RANK_TOL * size_b.max()
+    cut = _kernel_split(np.concatenate([low_b, size_b]), "reduced H_bit")
+    singular = low_b <= cut
     pieces[singular & (gamma == 0.0), 1] = 0.0
     pieces[singular, 5] = 0.0
-    pieces[(size_a <= RANK_TOL * size_a.max())
-           & (size_b <= RANK_TOL * size_b.max())] = 0.0
+    size_a = np.abs(alpha) + np.sqrt(epsilon)
+    pieces[(size_a <= RANK_TOL * size_a.max()) & (size_b <= cut)] = 0.0
     pieces = qmath.read_only(pieces)
-    return PencilBlocks(blocks, pieces, qmath.read_only(_kinks(pieces)),
-                        residual)
+    return PencilBlocks(qmath.read_only(u), blocks, pieces,
+                        qmath.read_only(_kinks(pieces)), residual)
 
 
 def _envelope(pieces: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -472,21 +468,18 @@ def frontier_g_check(protocol: str, nu: int) -> float:
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:
-    """The zero-error floor inf_x y_star(x): lambda_max of the reduced H_ph
-    compressed onto the kernel of the reduced H_bit, clipped only at 0, like
-    y_star, so a floor above 1 (p_ph <= p_fil failing) shows.
+    """The zero-error floor inf_x y_star(x), clipped only at 0, like y_star,
+    so a floor above 1 (p_ph <= p_fil failing) shows.
 
     At zero bit error the certified phase-error bound is exactly this floor;
     a value >= 1/2 means no key can be certified (consistent with the
     unambiguous-discrimination limit), while a value < 1/2 leaves room for a
-    positive rate.  Every y_star(x) is at least the floor and tends to it, so
-    no grid is read.  The kernel is cut by the rule that cuts H_fil's
-    (``_kernel_split``), and an unclear cut raises ArithmeticError.
+    positive rate.  The floor is the limit x -> inf: the largest limit of a
+    piece of a block singular in B (``pencil_blocks``), alpha on a flat line
+    and alpha - delta/beta, A_k on ker B_k, on a curve; every other piece
+    falls without bound.  No grid is read and no solve is made beyond the
+    blocks', which raise ArithmeticError on an unclear cut of B's kernel.
     """
-    a, b = _reduced_pencil(protocol, nu)
-    w, v, cut = _kernel_split(b, "reduced H_bit")
-    k = v[:, w <= cut]
-    if not k.shape[1]:
-        return 0.0
-    top = -qmath.min_eigenvalue(-(qmath.dagger(k) @ a @ k))
-    return max(top, 0.0)
+    limits = [a - (d / b if g > 0.0 else 0.0) for a, b, g, d, _, c2
+              in pencil_blocks(protocol, nu).pieces.tolist() if c2 == 0.0]
+    return max([0.0] + limits)

@@ -106,7 +106,8 @@ def checks() -> tuple[Check, ...]:
     def filter_rank_ratio(protocol: str, nu: int | None) -> float:
         k = len(qmath.signal_kets(protocol).kets)
         h_fil = attack_forms.all_forms(protocol, k - 1)["fil"].matrix
-        w = bounds._kernel_split(h_fil, "H_fil")[0]
+        w = qmath.eigh_checked(h_fil)[0]
+        bounds._kernel_split(w, "H_fil")  # raises on an unclear cut
         return float(w[0] / w[-1])
 
     def no_key_floor(protocol: str, nu: int | None) -> float:

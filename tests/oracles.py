@@ -3,9 +3,10 @@
 Each oracle reaches its answer by a route independent of the library's exact
 formula: event forms and weights on the full 2^nu-dimensional input of the
 attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
-margin or by one eigen-solve per point, the phase-error bound by golden
-section on that frontier, the `frontier` report row by row
-through ``csv.DictWriter``, the two-photon optimum by scan plus golden
+margin or by one eigen-solve per point, the zero-error floor by compressing
+the reduced phase form onto the kernel of the reduced bit form, the
+phase-error bound by golden section on that frontier, the `frontier` report
+row by row through ``csv.DictWriter``, the two-photon optimum by scan plus golden
 section, the worst Bell-vector entropy by a dense scan of a barycentric slice
 and golden section, Monte Carlo tallies
 from float uniforms over a whole run with no shards and one trial at a time
@@ -173,6 +174,18 @@ def frontier_eigvalsh(grid, protocol: str, nu: int) -> np.ndarray:
     xs = np.asarray(grid, dtype=float)
     top = np.linalg.eigvalsh(a - xs[:, None, None] * b)[:, -1]
     return np.maximum(top, 0.0)
+
+
+def zero_rate_floor_compressed(protocol: str, nu: int) -> float:
+    """inf_x y_star(x) as lambda_max of the reduced H_ph compressed onto the
+    kernel of the reduced H_bit (its eigenvalues at or below RANK_TOL of the
+    largest), clipped at 0; 0 when that kernel is empty."""
+    a, b = bounds._reduced_pencil(protocol, nu)
+    w, v = np.linalg.eigh(b)
+    k = v[:, w <= bounds.RANK_TOL * w[-1]]
+    if not k.shape[1]:
+        return 0.0
+    return max(float(np.linalg.eigvalsh(k.conj().T @ a @ k)[-1]), 0.0)
 
 
 def couple_two_photon_blocks(size: float) -> tuple:

@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,32 @@ def test_g_closed_form_values():
 
 def test_g_limit_is_sin_squared_pi_8():
     assert 0 < bounds.g_of_x(1e6) - SIN2 < 1e-5
+
+
+def g_decimal(x: float) -> Decimal:
+    """g(x) at 50 significant digits, from the exact value of the float x."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(x)
+        disc = 6 - 6 * Decimal(2).sqrt() * d + 4 * d * d
+        return (3 - 2 * d + disc.sqrt()) / 6
+
+
+def test_g_is_within_roundoff_of_its_50_digit_value():
+    # Up to x = 30 the plain form is within its roundoff, eps/3 per unit of
+    # 3 + 4x; past it the shifted form is within half an ulp, where the plain
+    # form lost 1.2e-11 at x = 1e6 and 7.1e-15 at x = 1000.
+    eps = np.finfo(float).eps
+    xs = np.concatenate([np.linspace(0.0, 30.0, 1024),
+                         np.geomspace(30.0, 1e6, 1024)[1:]])
+    for x in xs.tolist():
+        g = bounds.g_of_x(x)
+        err = abs(Decimal(g) - g_decimal(x))
+        if x <= 30.0:
+            assert err <= Decimal((3.0 + 4.0 * x) * eps / 3.0), x
+        else:
+            assert err <= Decimal(math.ulp(g)) / 2, x
+    assert abs(Decimal(bounds.g_of_x(1e6)) - g_decimal(1e6)) < Decimal(1e-17)
 
 
 def test_g_decreasing_and_domain():
@@ -100,25 +127,20 @@ def test_phase_form_outside_the_span(protocol, nu):
 
 @pytest.mark.parametrize("protocol,nu", sorted(keyrate.BELL_VERTICES))
 def test_reduced_bell_forms_commute_and_resolve_the_identity(protocol, nu):
-    # The premise of the Bell polytope: the four reduced Bell forms are PSD,
-    # sum to the identity on range(H_fil) and commute pairwise.
-    x = bounds._reduced_bell_forms(protocol, nu)
-    assert x.shape[0] == len(qmath.BELL_TAGS)
+    # The premise of the Bell polytope: the four Bell forms reduced to the
+    # block coordinates of range(H_fil) are PSD, sum to the identity and
+    # commute pairwise; every block there has side 1.
+    split = bounds.pencil_blocks(protocol, nu)
+    assert all(a.shape == (1, 1) for a, _ in split.blocks)
+    u = bounds._range_map(protocol, nu) @ split.basis
+    forms = attack_forms.all_forms(protocol, nu)
+    x = np.stack([bounds._reduce(u, forms["bell:" + tag].matrix)
+                  for tag in qmath.BELL_TAGS])
     assert np.abs(x.sum(axis=0) - np.eye(x.shape[-1])).max() <= 1e-14
     assert min(qmath.min_eigenvalue(x)) >= -1e-15
     for i in range(4):
         for j in range(i):
             assert np.abs(x[i] @ x[j] - x[j] @ x[i]).max() <= 1e-15
-
-
-def test_bell_weights_separate_the_vertices():
-    # Each row's vertices land on eigenvalues of the combination at least 1
-    # apart, so any eigenbasis of it is a joint eigenbasis of the forms.
-    for vertices in keyrate.BELL_VERTICES.values():
-        levels = [sum(w * c for w, c in zip(bounds.BELL_WEIGHTS, v))
-                  for v in vertices]
-        assert min(abs(a - b) for i, a in enumerate(levels)
-                   for b in levels[:i]) >= 1.0
 
 
 def test_correlation_inequalities_hold():
@@ -220,9 +242,20 @@ def test_pencil_blocks_split_the_reduced_pencil(protocol, nu):
                                    for blk in split.blocks])
         assert np.abs(np.sort(spectrum)
                       - np.linalg.eigvalsh(pencil)).max() <= 1e-13
+    # The basis is unitary and carries the pencil onto the blocks.
+    u = split.basis
+    assert np.abs(qmath.dagger(u) @ u - np.eye(len(u))).max() <= 1e-13
+    for k, pencil in enumerate(bounds._reduced_pencil(protocol, nu)):
+        diagonal = np.zeros_like(u)
+        at = 0
+        for blk in split.blocks:
+            side = blk[k].shape[0]
+            diagonal[at:at + side, at:at + side] = blk[k]
+            at += side
+        assert np.abs(qmath.dagger(u) @ pencil @ u - diagonal).max() <= 1e-13
     arrays = [m for blk in split.blocks for m in blk]
     assert all(not m.flags.writeable
-               for m in arrays + [split.pieces, split.kinks])
+               for m in arrays + [u, split.pieces, split.kinks])
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,6 +533,30 @@ def test_zero_rate_floor_matches_closed_forms(protocol, nu, monkeypatch):
                - FLOORS[protocol][nu - 1]) <= 1e-12
 
 
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
+def test_zero_rate_floor_is_the_phase_form_on_the_bit_kernel(protocol, nu):
+    # The singular pieces' limits are A_k on the kernel of B_k: the floor is
+    # lambda_max of the reduced H_ph compressed onto the kernel of the
+    # reduced H_bit.
+    assert abs(bounds.zero_rate_check(protocol, nu)
+               - oracles.zero_rate_floor_compressed(protocol, nu)) <= 1e-12
+
+
+def test_zero_rate_floor_makes_no_solve_from_warm_blocks(monkeypatch):
+    rows = [(protocol, nu) for protocol in qmath.PROTOCOLS
+            for nu in range(1, attack_forms.MAX_NU + 1)]
+    for row in rows:
+        bounds.pencil_blocks(*row)
+    calls = []
+    solve = qmath.eigh_checked
+    monkeypatch.setattr(qmath, "eigh_checked",
+                        lambda h: calls.append(1) or solve(h))
+    for row in rows:
+        bounds.zero_rate_check(*row)
+    assert calls == []
+
+
 SHARPNESS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 
 
@@ -551,18 +608,28 @@ def test_zero_rate_floor_bounds_the_frontier_from_below(protocol, nu, x):
             >= bounds.zero_rate_check(protocol, nu) - bounds.PSD_TOL)
 
 
+@pytest.fixture
+def fresh_blocks(monkeypatch):
+    """A pencil_blocks cache that starts empty and ends with the test, so
+    that a patched _reduced_pencil reaches the blocks."""
+    monkeypatch.setattr(bounds, "pencil_blocks",
+                        lru_cache()(bounds.pencil_blocks.__wrapped__))
+
+
 @pytest.mark.parametrize("w", [-1e-6, 1e-9])
-def test_zero_rate_floor_rejects_an_unclear_kernel_cut(w, monkeypatch):
+def test_zero_rate_floor_rejects_an_unclear_kernel_cut(w, monkeypatch,
+                                                       fresh_blocks):
     # An eigenvalue of the reduced H_bit below -cut (not PSD) or just above
-    # the cut (a kernel direction roundoff could move) stops the floor.
+    # the cut (a kernel direction roundoff could move) stops the blocks, and
+    # so the floor.
     b = np.diag([0.0, w, 1.0])
     monkeypatch.setattr(bounds, "_reduced_pencil",
                         lambda protocol, nu: (np.eye(3), b))
-    with pytest.raises(ArithmeticError, match="kernel cut"):
+    with pytest.raises(ArithmeticError, match="reduced H_bit .* kernel cut"):
         bounds.zero_rate_check("four-state", 2)
 
 
-def test_zero_rate_floor_above_one_is_not_clipped(monkeypatch):
+def test_zero_rate_floor_above_one_is_not_clipped(monkeypatch, fresh_blocks):
     # A floor above 1 means p_ph > p_fil: broken forms, shown as they are.
     monkeypatch.setattr(bounds, "_reduced_pencil",
                         lambda protocol, nu: (2.0 * np.eye(2),
@@ -570,7 +637,7 @@ def test_zero_rate_floor_above_one_is_not_clipped(monkeypatch):
     assert bounds.zero_rate_check("four-state", 2) == 2.0
 
 
-def test_zero_rate_floor_without_a_kernel_is_zero(monkeypatch):
+def test_zero_rate_floor_without_a_kernel_is_zero(monkeypatch, fresh_blocks):
     monkeypatch.setattr(bounds, "_reduced_pencil",
                         lambda protocol, nu: (np.eye(2), np.diag([0.5, 1.0])))
     assert repr(bounds.zero_rate_check("four-state", 2)) == "0.0"

@@ -154,19 +154,31 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
         capsys, monkeypatch, nu):
-    # B - 1e-6*I has lambda_min(B) - 1e-6 < -IDENTITY_TOL.  The frontier row
-    # reads y_star(0), which does not depend on B, and still passes.
+    # B - 1e-6*I has lambda_min(B) - 1e-6 < -IDENTITY_TOL.  The PSD row reads
+    # it and fails; pencil_blocks, with a cache that starts empty, cuts B's
+    # kernel and raises, so every row that reads the blocks is a nan FAIL
+    # row with one stderr line.
     pencil = sargkit.bounds._reduced_pencil
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
         pencil(p, n)[0], pencil(p, n)[1] - 1e-6 * np.eye(len(pencil(p, n)[1]))))
-    rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", str(nu))
+    monkeypatch.setattr(sargkit.bounds, "pencil_blocks",
+                        sargkit.bounds.pencil_blocks.__wrapped__)
+    rc = cli.main(["verify", "--protocol", "six-state", "--nu", str(nu)])
+    captured = capsys.readouterr()
     assert rc == 1
-    rows = {r[0]: r[1:] for r in check_rows(out)}
-    value, *verdict = rows["nu=%d reduced H_bit PSD" % nu]
+    rows = {r[0]: r[1:] for r in check_rows(captured.out)}
+    failed = sorted(name for name, r in rows.items() if r[-1] == "FAIL")
+    assert failed == sorted(name for name in VERIFY_ROWS["six-state", nu]
+                            if "identity" not in name)
+    value, *verdict = rows.pop("nu=%d reduced H_bit PSD" % nu)
     assert verdict == [">= -1e-10", "FAIL"]
     assert -1.1e-6 < float(value) < -0.9e-6
-    assert rows["nu=%d frontier in [0, 1]" % nu][-1] == "PASS"
-    assert out.splitlines()[-1] == "summary: FAIL"
+    on_blocks = [name for name in failed if name in rows]
+    assert all(rows[name][0] == "nan" for name in on_blocks)
+    err = captured.err.splitlines()
+    assert sorted(line.split(": ")[0] for line in err) == on_blocks
+    assert all("reduced H_bit eigenvalue" in line for line in err)
+    assert captured.out.splitlines()[-1] == "summary: FAIL"
 
 
 BELL_ROWS = sorted(sargkit.keyrate.BELL_VERTICES)
@@ -194,21 +206,21 @@ def test_verify_fails_the_bell_row_on_a_moved_vertex(capsys, monkeypatch,
 @pytest.mark.parametrize("protocol,nu", BELL_ROWS)
 def test_verify_fails_the_bell_row_on_a_coherence_between_blocks(
         capsys, monkeypatch, protocol, nu):
-    # A 1e-9 coherence in the reduced chi0+ form (weight 0 in the
-    # combination, so the eigenbasis stays) between the eigenvectors of the
-    # lowest and the highest vertex: the forms no longer commute.
-    reduced = sargkit.bounds._reduced_bell_forms
-
-    def coherent(p, n):
-        x = reduced(p, n)
-        if (p, n) == (protocol, nu):
-            u = np.linalg.eigh(np.tensordot(sargkit.bounds.BELL_WEIGHTS, x,
-                                            1))[1]
-            x[0] += 1e-9 * (np.outer(u[:, 0], u[:, -1].conj())
-                            + np.outer(u[:, -1], u[:, 0].conj()))
-        return x
-
-    monkeypatch.setattr(sargkit.bounds, "_reduced_bell_forms", coherent)
+    # A 1e-9 coherence in the chi0+ form between the first and the last
+    # block coordinate u_0, u_-1 of range(H_fil): H_fil (u_0 u_-1^dag + h.c.)
+    # H_fil reduces to exactly that coherence, since u^dag H_fil u = I, and
+    # chi0+ enters neither A nor B, so the basis stays put while the forms
+    # no longer commute.
+    forms = attack_forms.all_forms(protocol, nu)
+    u = (sargkit.bounds._range_map(protocol, nu)
+         @ sargkit.bounds.pencil_blocks(protocol, nu).basis)
+    first, last = (forms["fil"].matrix @ u[:, k] for k in (0, -1))
+    chi = forms["bell:chi0+"].matrix + 1e-9 * (
+        np.outer(first, last.conj()) + np.outer(last, first.conj()))
+    coherent = {**forms, "bell:chi0+": attack_forms.EventForm(chi)}
+    all_forms = attack_forms.all_forms
+    monkeypatch.setattr(attack_forms, "all_forms", lambda p, n: (
+        coherent if (p, n) == (protocol, nu) else all_forms(p, n)))
     assert_only_the_bell_row_fails(capsys, protocol, nu)
 
 
@@ -216,8 +228,8 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
         capsys, monkeypatch):
     # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
     # four-state nu=2: pencil_blocks raises, and so every row that reads the
-    # blocks (the g row and the closed-form row) fails with one stderr line
-    # each, while the rows on the forms and on the floor still pass.
+    # blocks (the g row, the floor row and the closed-form row) fails with
+    # one stderr line each, while the rows on the forms still pass.
     pencil = oracles.couple_two_photon_blocks(1e-9)
     reduced = sargkit.bounds._reduced_pencil
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
@@ -229,10 +241,11 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
     assert rc == 1
     failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
     assert [r[0] for r in failed] == ["nu=2 frontier = g exactly",
+                                      "nu=2 frontier floor vs sin^2(pi/8)",
                                       "nu=2 closed form = tangent bound"]
     assert all(r[1] == "nan" for r in failed)
     err = captured.err.splitlines()
-    assert len(err) == 2 and all("pencil block residual" in e for e in err)
+    assert len(err) == 3 and all("pencil block residual" in e for e in err)
 
 
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):

@@ -423,18 +423,18 @@ def _warm_solves(monkeypatch, compute) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 3), (4, 3)])
+@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 1), (4, 1)])
 def test_six_state_thresholds_solve_budget(monkeypatch, nu, solves):
     # The Bell-vertex rows make no solve.  A phase-error row reads the floor
-    # (two solves) and certifies the root's bracket with one stacked margin
-    # solve; its bisection reads the blocks' closed form and solves nothing.
+    # and its bisection from the blocks' closed form, which solve nothing,
+    # and certifies the root's bracket with one stacked margin solve.
     assert _warm_solves(
         monkeypatch, lambda: keyrate.threshold("six-state", nu)) == solves
 
 
 def test_six_state_threshold_bisection_makes_no_solve(monkeypatch):
-    # Every checked solve comes before the first bisection step (the floor)
-    # or after the last (the bracket's certificate).
+    # The floor and every bisection step read the warm blocks; the one
+    # checked solve, the bracket's certificate, comes after the last step.
     keyrate.threshold("six-state", 4)
     events = []
     solve, minimum = qmath.eigh_checked, bounds.phase_minimum
@@ -443,9 +443,9 @@ def test_six_state_threshold_bisection_makes_no_solve(monkeypatch):
     monkeypatch.setattr(bounds, "phase_minimum", lambda *args: events.append(
         "bound") or minimum(*args))
     keyrate.threshold("six-state", 4)
-    first, last = events.index("bound"), len(events) - events[::-1].index("bound")
-    assert "solve" not in events[first:last]
-    assert events.count("bound") > 50 and events.count("solve") == 3
+    last = len(events) - events[::-1].index("bound")
+    assert "solve" not in events[:last]
+    assert events.count("bound") > 50 and events[last:].count("solve") == 1
 
 
 def test_closed_form_tangent_row_solve_budget(monkeypatch):
