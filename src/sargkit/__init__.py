@@ -22,6 +22,9 @@ PROTOCOLS = ("four-state", "six-state")
 # Photon numbers covered by the certificates and the threshold tables.
 SUPPORTED_NU = (1, 2, 3, 4)
 
+# The largest x a frontier margin is certified at (its roundoff is ~1e-9).
+FRONTIER_X_MAX = 1e6
+
 __all__ = [
     "attack_forms",
     "bounds",

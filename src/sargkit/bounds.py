@@ -34,9 +34,10 @@ line or a curve (no supported row has distinct curves crossing at x > 0).
 At four-state nu=2 the one distinct curve is the paper's g(x)
 (``frontier_g_check``).  The blocks are the one split of the reduced forms.
 
-One rule cuts both kernels (``_kernel_split``), on a spectrum: H_fil's, and
-B's from the blocks' beta -+ sqrt(gamma).  The cut is RANK_TOL of the
-largest eigenvalue, with none below -cut or within six decades above it.
+One rule cuts both kernels (``_kernel_split``), on a spectrum: H_fil's, from
+its one cached solve (``_range_map``), and B's from the blocks' beta -+
+sqrt(gamma).  The cut is RANK_TOL of the largest eigenvalue, with none below
+-cut or within six decades above it.
 
 y_star never increases with x, so its infimum, the zero-error floor, is the
 limit x -> infinity (``zero_rate_check``), read off the blocks singular in B.
@@ -179,9 +180,11 @@ def _kernel_split(w: np.ndarray, name: str) -> float:
     return cut
 
 
-def _range_map(protocol: str, nu: int) -> np.ndarray:
-    """R F^-1/2, with R the eigenvectors of H_fil above the kernel cut and F
-    their eigenvalues: the one reduction of the forms to range(H_fil).
+@lru_cache(maxsize=None)
+def _range_map(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, R F^-1/2) from the one checked solve of H_fil, cached read-only:
+    its eigenvalues w and the one reduction of the forms to range(H_fil),
+    R the eigenvectors above the kernel cut and F their eigenvalues.
 
     Raises ArithmeticError when the cut is not clean, or when H_bit or H_ph
     does not vanish on the kernel of H_fil to within the cut, since the
@@ -197,7 +200,7 @@ def _range_map(protocol: str, nu: int) -> np.ndarray:
     if leak > cut:
         raise ArithmeticError("event forms leak %.3e onto the kernel of H_fil "
                               "(rank cut %.3e)" % (leak, cut))
-    return v[:, keep] / np.sqrt(w[keep])
+    return qmath.read_only(w), qmath.read_only(v[:, keep] / np.sqrt(w[keep]))
 
 
 def _reduce(r: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -206,13 +209,12 @@ def _reduce(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 0.5 * (m + qmath.dagger(m))
 
 
-@lru_cache(maxsize=None)
 def _reduced_pencil(protocol: str, nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil)
-    (``_range_map``), cached per (protocol, nu) as two read-only arrays."""
-    r = _range_map(protocol, nu)
+    """(A, B) = F^-1/2 R^dag (H_ph, H_bit) R F^-1/2 on R = range(H_fil), read
+    off the cached H_fil solve (``_range_map``); not cached itself."""
+    r = _range_map(protocol, nu)[1]
     h_bit, _, h_ph = _forms(protocol, nu)
-    return qmath.read_only(_reduce(r, h_ph)), qmath.read_only(_reduce(r, h_bit))
+    return _reduce(r, h_ph), _reduce(r, h_bit)
 
 
 def bell_vertex_check(protocol: str, nu: int) -> float:
@@ -228,7 +230,7 @@ def bell_vertex_check(protocol: str, nu: int) -> float:
     Bell vectors and the table's vertices: within IDENTITY_TOL the table is
     the polytope.
     """
-    u = _range_map(protocol, nu) @ pencil_blocks(protocol, nu).basis
+    u = _range_map(protocol, nu)[1] @ pencil_blocks(protocol, nu).basis
     forms = attack_forms.all_forms(protocol, nu)
     d = np.stack([_reduce(u, forms["bell:" + tag].matrix)
                   for tag in qmath.BELL_TAGS])

@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, fields
 from typing import Callable, NamedTuple
 
-from . import PROTOCOLS, SUPPORTED_NU, __version__, reports
+from . import FRONTIER_X_MAX, PROTOCOLS, SUPPORTED_NU, __version__, reports
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -104,10 +104,9 @@ def checks() -> tuple[Check, ...]:
         return max_abs(eigs - np.array([qmath.SIN_PI_8, qmath.COS_PI_8]))
 
     def filter_rank_ratio(protocol: str, nu: int | None) -> float:
+        # H_fil's cached solve at nu = K - 1, cut by bounds._kernel_split.
         k = len(qmath.signal_kets(protocol).kets)
-        h_fil = attack_forms.all_forms(protocol, k - 1)["fil"].matrix
-        w = qmath.eigh_checked(h_fil)[0]
-        bounds._kernel_split(w, "H_fil")  # raises on an unclear cut
+        w = bounds._range_map(protocol, k - 1)[0]
         return float(w[0] / w[-1])
 
     def no_key_floor(protocol: str, nu: int | None) -> float:
@@ -142,8 +141,9 @@ def checks() -> tuple[Check, ...]:
               ">=", -bounds.IDENTITY_TOL),
         Check("event forms PSD", _FOUR, (1,),
               lambda p, nu: min(
-                  qmath.min_eigenvalue(form.matrix)
-                  for form in attack_forms.all_forms(p, nu).values()),
+                  float(bounds._range_map(p, nu)[0][0]),  # H_fil's solve
+                  *(qmath.min_eigenvalue(form.matrix) for tag, form
+                    in attack_forms.all_forms(p, nu).items() if tag != "fil")),
               ">=", -bounds.IDENTITY_TOL),
         Check("margin at analytic bound", _FOUR, (2,),
               lambda p, nu: float(bounds.psd_margin(
@@ -293,13 +293,6 @@ def cmd_thresholds(args) -> int:
 FRONTIER_FIELDS = [
     "x", "y_star", "y_star_display", "g_x", "gap", "margin_at_g",
 ]
-
-
-# y_star's closed form does not cancel at large x, but the margin that
-# certifies it carries the roundoff n * eps * x * ||H_bit||_2 of a side-n
-# eigen-solve: about 1e-9 at x = 1e6, growing to 1e-6 at 1e9.  The cap keeps
-# the certificate within PSD_TOL's order.
-FRONTIER_X_MAX = 1e6
 
 
 def _build_grid(x_min: float, x_max: float, x_step: float) -> list[float]:

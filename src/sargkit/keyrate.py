@@ -35,7 +35,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from . import SUPPORTED_NU
+from . import FRONTIER_X_MAX, SUPPORTED_NU
 
 # The high end of every threshold's bracket: every rate model is defined up to
 # it (the narrowest domain, the six-state nu=1 Bell polytope's, ends at 4/7).
@@ -291,14 +291,15 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     """Certified min_x [x*e_bit + y_star(x)] of a computed frontier: the floor
     (bounds.zero_rate_check) at e_bit = 0, else x*e_bit + y_star(x) at the x
-    of bounds.phase_minimum, with y_star(x) certified by bounds.frontier."""
+    of bounds.phase_minimum, or at FRONTIER_X_MAX past it (e_bit < 1e-13, a
+    bound within 6.25e-8), with y_star(x) certified by bounds.frontier."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     from . import bounds
 
     if e_bit == 0.0:
         return bounds.zero_rate_check(protocol, nu)
-    x = bounds.phase_minimum(protocol, nu, e_bit)[0]
+    x = min(bounds.phase_minimum(protocol, nu, e_bit)[0], FRONTIER_X_MAX)
     return x * e_bit + bounds.frontier(x, protocol, nu)
 
 

@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -656,3 +657,16 @@ def enumerated_channel_stats(protocol: str, nu: int, p: float,
 def payload_lines(report: str) -> list[str]:
     """The byte-stable part of a CSV report (everything but comment lines)."""
     return [ln for ln in report.splitlines() if not ln.startswith("#")]
+
+
+def fresh_caches(monkeypatch) -> None:
+    """Replace every cache past the forms (``attack_forms.all_forms``,
+    ``bounds._range_map``, ``bounds.pencil_blocks`` and
+    ``bounds.correlation_psd_check``) with an empty one that ends with the
+    test, so that a patched form or pencil reaches every layer above it and
+    no value computed from it outlives the test."""
+    for module, name in ((attack_forms, "all_forms"), (bounds, "_range_map"),
+                         (bounds, "pencil_blocks"),
+                         (bounds, "correlation_psd_check")):
+        cached = getattr(module, name).__wrapped__
+        monkeypatch.setattr(module, name, lru_cache(maxsize=None)(cached))

@@ -216,7 +216,7 @@ def test_cached_arrays_are_read_only(protocol):
     # Every array a cache hands out is shared by all its callers.
     forms = attack_forms.all_forms(protocol, 2)
     shared = [*qmath.constants(protocol), *(f.matrix for f in forms.values()),
-              *bounds._reduced_pencil(protocol, 2)]
+              *bounds._range_map(protocol, 2)]
     for a in shared:
         with pytest.raises(ValueError):
             a[0, 0] = 0.0

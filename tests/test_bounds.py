@@ -3,7 +3,6 @@
 import math
 import re
 from decimal import Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -132,7 +131,7 @@ def test_reduced_bell_forms_commute_and_resolve_the_identity(protocol, nu):
     # commute pairwise; every block there has side 1.
     split = bounds.pencil_blocks(protocol, nu)
     assert all(a.shape == (1, 1) for a, _ in split.blocks)
-    u = bounds._range_map(protocol, nu) @ split.basis
+    u = bounds._range_map(protocol, nu)[1] @ split.basis
     forms = attack_forms.all_forms(protocol, nu)
     x = np.stack([bounds._reduce(u, forms["bell:" + tag].matrix)
                   for tag in qmath.BELL_TAGS])
@@ -475,8 +474,9 @@ def test_frontier_reduction_rejects_kernel_leak(monkeypatch):
     k = v[:, 0]
     leaky = h_ph + 1e-6 * np.outer(k, k.conj())
     monkeypatch.setattr(bounds, "_forms", lambda protocol, nu: (h_bit, h_fil, leaky))
+    oracles.fresh_caches(monkeypatch)
     with pytest.raises(ArithmeticError):
-        bounds._reduced_pencil.__wrapped__("four-state", 4)
+        bounds._reduced_pencil("four-state", 4)
 
 
 def test_frontier_reduction_rejects_an_unclear_filter_kernel_cut(monkeypatch):
@@ -488,8 +488,9 @@ def test_frontier_reduction_rejects_an_unclear_filter_kernel_cut(monkeypatch):
     squeezed = (v * w) @ v.conj().T
     monkeypatch.setattr(bounds, "_forms",
                         lambda protocol, nu: (h_bit, squeezed, h_ph))
+    oracles.fresh_caches(monkeypatch)
     with pytest.raises(ArithmeticError, match="H_fil eigenvalue .* kernel cut"):
-        bounds._reduced_pencil.__wrapped__("four-state", 1)
+        bounds._reduced_pencil("four-state", 1)
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
@@ -564,12 +565,7 @@ SHARPNESS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
 def nu_up_to_20(monkeypatch):
     # Forms past MAX_NU, compiled into caches that end with the test.
     monkeypatch.setattr(attack_forms, "MAX_NU", 20)
-    monkeypatch.setattr(attack_forms, "all_forms",
-                        lru_cache()(attack_forms.all_forms.__wrapped__))
-    monkeypatch.setattr(bounds, "_reduced_pencil",
-                        lru_cache()(bounds._reduced_pencil.__wrapped__))
-    monkeypatch.setattr(bounds, "pencil_blocks",
-                        lru_cache()(bounds.pencil_blocks.__wrapped__))
+    oracles.fresh_caches(monkeypatch)
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
@@ -610,10 +606,9 @@ def test_zero_rate_floor_bounds_the_frontier_from_below(protocol, nu, x):
 
 @pytest.fixture
 def fresh_blocks(monkeypatch):
-    """A pencil_blocks cache that starts empty and ends with the test, so
-    that a patched _reduced_pencil reaches the blocks."""
-    monkeypatch.setattr(bounds, "pencil_blocks",
-                        lru_cache()(bounds.pencil_blocks.__wrapped__))
+    """Caches that start empty and end with the test, so that a patched
+    _reduced_pencil reaches the blocks."""
+    oracles.fresh_caches(monkeypatch)
 
 
 @pytest.mark.parametrize("w", [-1e-6, 1e-9])

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -135,15 +136,12 @@ def test_verify_fails_the_range_row_on_a_frontier_above_one(capsys,
                                                             monkeypatch):
     # H_ph scaled by 1.5 breaks p_ph <= p_fil, so y_star exceeds 1.  The
     # frontier is clipped only at 0, so the row reads it and fails instead
-    # of the margin check raising.  The uncached pencil and blocks keep the
-    # scaled forms out of their caches.
+    # of the margin check raising.  Caches that end with the test keep the
+    # scaled forms out of the shared ones.
     forms = sargkit.bounds._forms
     monkeypatch.setattr(sargkit.bounds, "_forms", lambda p, nu: (
         forms(p, nu)[0], forms(p, nu)[1], 1.5 * forms(p, nu)[2]))
-    monkeypatch.setattr(sargkit.bounds, "_reduced_pencil",
-                        sargkit.bounds._reduced_pencil.__wrapped__)
-    monkeypatch.setattr(sargkit.bounds, "pencil_blocks",
-                        sargkit.bounds.pencil_blocks.__wrapped__)
+    oracles.fresh_caches(monkeypatch)
     rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "1")
     assert rc == 1
     rows = {r[0]: r for r in check_rows(out)}
@@ -158,11 +156,10 @@ def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
     # it and fails; pencil_blocks, with a cache that starts empty, cuts B's
     # kernel and raises, so every row that reads the blocks is a nan FAIL
     # row with one stderr line.
+    oracles.fresh_caches(monkeypatch)
     pencil = sargkit.bounds._reduced_pencil
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
         pencil(p, n)[0], pencil(p, n)[1] - 1e-6 * np.eye(len(pencil(p, n)[1]))))
-    monkeypatch.setattr(sargkit.bounds, "pencil_blocks",
-                        sargkit.bounds.pencil_blocks.__wrapped__)
     rc = cli.main(["verify", "--protocol", "six-state", "--nu", str(nu)])
     captured = capsys.readouterr()
     assert rc == 1
@@ -212,7 +209,7 @@ def test_verify_fails_the_bell_row_on_a_coherence_between_blocks(
     # chi0+ enters neither A nor B, so the basis stays put while the forms
     # no longer commute.
     forms = attack_forms.all_forms(protocol, nu)
-    u = (sargkit.bounds._range_map(protocol, nu)
+    u = (sargkit.bounds._range_map(protocol, nu)[1]
          @ sargkit.bounds.pencil_blocks(protocol, nu).basis)
     first, last = (forms["fil"].matrix @ u[:, k] for k in (0, -1))
     chi = forms["bell:chi0+"].matrix + 1e-9 * (
@@ -230,12 +227,11 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
     # four-state nu=2: pencil_blocks raises, and so every row that reads the
     # blocks (the g row, the floor row and the closed-form row) fails with
     # one stderr line each, while the rows on the forms still pass.
+    oracles.fresh_caches(monkeypatch)
     pencil = oracles.couple_two_photon_blocks(1e-9)
     reduced = sargkit.bounds._reduced_pencil
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
         pencil if (p, n) == ("four-state", 2) else reduced(p, n)))
-    monkeypatch.setattr(sargkit.bounds, "pencil_blocks",
-                        sargkit.bounds.pencil_blocks.__wrapped__)
     rc = cli.main(["verify", "--protocol", "four-state"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -264,12 +260,38 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
     assert solved and sargkit.bounds.DEFAULT_X_GRID not in solved
 
 
+# Checked eigen-solves of each command run with empty caches.
+COLD_SOLVES = {("constants-check",): 22,
+               ("verify", "--protocol", "four-state"): 21,
+               ("verify", "--protocol", "six-state"): 16,
+               ("thresholds", "--protocol", "six-state"): 6}
+
+
+def test_each_filter_form_is_solved_once_per_command(capsys, monkeypatch):
+    # bounds._range_map caches the one checked solve of H_fil per (protocol,
+    # nu); the pencil, the Bell rows, the event-form PSD row and the
+    # full-rank row all read it.
+    filters = {attack_forms.all_forms(p, nu)["fil"].matrix.tobytes(): (p, nu)
+               for p in qmath.PROTOCOLS
+               for nu in range(1, attack_forms.MAX_NU + 1)}
+    solve = qmath.eigh_checked
+    for argv, count in COLD_SOLVES.items():
+        oracles.fresh_caches(monkeypatch)
+        solved = []
+        monkeypatch.setattr(qmath, "eigh_checked", lambda h: (
+            solved.append(np.asarray(h).tobytes()) or solve(h)))
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        rows = [filters[h] for h in solved if h in filters]
+        assert len(rows) == len(set(rows)), argv
+        assert len(solved) == count, argv
+
+
 @pytest.fixture
 def unclear_filter_kernel(monkeypatch):
     """Every H_fil gets one eigenvalue at 1e-9 of its largest, within the six
     decades above the kernel cut, so the frontier's reduction raises
-    ArithmeticError.  The pencil and block caches built on the forms are
-    cleared before and after."""
+    ArithmeticError, in caches that start empty and end with the test."""
     forms = sargkit.bounds._forms
 
     def squeezed(protocol, nu):
@@ -279,12 +301,7 @@ def unclear_filter_kernel(monkeypatch):
         return h_bit, (v * w) @ v.conj().T, h_ph
 
     monkeypatch.setattr(sargkit.bounds, "_forms", squeezed)
-    caches = (sargkit.bounds._reduced_pencil, sargkit.bounds.pencil_blocks)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
+    oracles.fresh_caches(monkeypatch)
 
 
 def test_verify_prints_a_fail_row_for_a_failed_internal_check(
@@ -1277,14 +1294,11 @@ def test_constants_check_fails_a_wrong_declared_size(
     declared = getattr(record, size)
     records[protocol] = record._replace(**{size: declared + 1})
     monkeypatch.setattr(qmath, "PROTOCOL_RECORDS", records)
-    caches = (qmath.constants, qmath.signal_kets, attack_forms.all_forms)
-    for cached in caches:
-        cached.cache_clear()
-    try:
-        rc, out = run(capsys, "constants-check")
-    finally:
-        for cached in caches:
-            cached.cache_clear()
+    for name in ("constants", "signal_kets"):
+        monkeypatch.setattr(qmath, name,
+                            lru_cache()(getattr(qmath, name).__wrapped__))
+    oracles.fresh_caches(monkeypatch)
+    rc, out = run(capsys, "constants-check")
     assert rc == 1
     assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
         ["%s %s" % (protocol, row), "%.3e" % declared, "== %d" % (declared + 1),

@@ -677,13 +677,26 @@ def test_tangent_bound_is_the_two_photon_closed_form(e):
 
 
 @pytest.mark.parametrize("e", [1e-14, 1e-100, 5e-324])
-def test_tangent_bound_has_no_cap_in_x(e):
-    # The minimizing x passes 2^20 below e = 5.7e-14 (and overflows at
-    # 5e-324); the bound stays the closed form, since the singular blocks'
-    # curves keep their finite limit at any x.
-    gap = (keyrate.ephase_bound_frontier(e, "four-state", 2)
-           - keyrate.ephase_bound_two(e))
-    assert abs(gap) <= 1e-12
+def test_tangent_bound_is_certified_at_x_at_most_frontier_x_max(monkeypatch,
+                                                                e):
+    # Below e = 1e-13 the minimizing x passes FRONTIER_X_MAX (2.5e49 at
+    # e = 1e-100, and at 5e-324 a kink of two equal lines at 2.35e15), where
+    # the margin's roundoff tolerance n*eps*x*||H_bit||_2 outgrows PSD_TOL.
+    # The bound is certified at FRONTIER_X_MAX instead: never below the
+    # minimum, and above it by y_star(FRONTIER_X_MAX) - floor at most.  The
+    # minimum itself stays the closed form: the singular blocks' curves keep
+    # their finite limit at any x.
+    assert abs(bounds.phase_minimum("four-state", 2, e)[1]
+               - keyrate.ephase_bound_two(e)) <= 1e-12
+    certified = []
+    frontier = bounds.frontier
+    monkeypatch.setattr(bounds, "frontier", lambda x, protocol, nu: (
+        certified.append(x) or frontier(x, protocol, nu)))
+    for case in (("four-state", 2), ("four-state", 4), ("six-state", 4)):
+        bound = keyrate.ephase_bound_frontier(e, *case)
+        minimum = bounds.phase_minimum(*case, e)[1]
+        assert minimum <= bound <= minimum + 1e-7, case
+    assert len(certified) == 3 and max(certified) <= sargkit.FRONTIER_X_MAX
 
 
 @settings(max_examples=40, deadline=None)
