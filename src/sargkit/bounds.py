@@ -25,14 +25,11 @@ The reduced pencil (A, B) splits into blocks of side 1 or 2 (``pencil_blocks``;
 K. Gatermann and P. A. Parrilo, J. Pure Appl. Algebra 192, 95 (2004)): each
 eigenvector of one fixed combination of A and B grown into the smallest
 subspace that A and B keep, certified by the off-block residual.  A
-block's lambda_max(A_k - x*B_k) is a line a - b*x or a curve
-alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), so y_star is
-their maximum and 0 in closed form, and the phase-error bound
-min_x [x*e + y_star(x)] lies at a point of a finite set (``phase_minimum``):
-x = 0, a curve's stationary point or vertex, or a crossing of a line with a
-line or a curve (no supported row has distinct curves crossing at x > 0).
-At four-state nu=2 the one distinct curve is the paper's g(x)
-(``frontier_g_check``).  The blocks are the one split of the reduced forms.
+block's lambda_max(A_k - x*B_k) is a line or a curve, so y_star is their
+maximum and 0 in closed form (keyrate.envelope).  At nu <= 4 the distinct
+pieces are keyrate.PIECES (``piece_table_check``), whose four-state nu=2
+curve is the paper's g(x).  The blocks are the one split of the reduced
+forms.
 
 One rule cuts both kernels (``_kernel_split``), on a spectrum: H_fil's, from
 its one cached solve (``_range_map``), and B's from the blocks' beta -+
@@ -81,10 +78,6 @@ SHAPE_TOL = 1e-6
 # Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
 # of the largest span the kernel (``_kernel_split``).
 RANK_TOL = 1e-12
-# The largest x a phase-error candidate is read at, where x*x is still
-# finite: a stationary point past it (e below about 1e-290) is read there,
-# within about sqrt(e) of its minimum, and a crossing past it is dropped.
-X_FINITE = 1e150
 # The weight of B in the combination A + BLOCK_WEIGHT*B whose eigenvectors
 # pencil_blocks grows into blocks: generic, so that no two inequivalent
 # blocks share an eigenvalue at any supported (protocol, nu).
@@ -236,10 +229,14 @@ def bell_vertex_check(protocol: str, nu: int) -> float:
                   for tag in qmath.BELL_TAGS])
     off_diagonal = ~np.eye(d.shape[-1], dtype=bool)
     chis = np.diagonal(d, axis1=-2, axis2=-1).real.T
-    gaps = np.abs(chis[:, None, :]
-                  - np.array(keyrate.BELL_VERTICES[protocol, nu])).max(axis=-1)
-    return float(max(np.abs(d[:, off_diagonal]).max(initial=0.0),
-                     gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+    return max(float(np.abs(d[:, off_diagonal]).max(initial=0.0)),
+               _hausdorff(chis, keyrate.BELL_VERTICES[protocol, nu]))
+
+
+def _hausdorff(a, b) -> float:
+    """The max-norm Hausdorff distance between the rows of a and of b."""
+    gaps = np.abs(np.asarray(a)[:, None, :] - np.asarray(b)).max(axis=-1)
+    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
 class PencilBlocks(NamedTuple):
@@ -251,14 +248,12 @@ class PencilBlocks(NamedTuple):
     ``pieces`` (one row per block) the closed form of its lambda_max(A_k -
     x*B_k), alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), as
     (alpha, beta, gamma, delta, epsilon, gamma - beta^2), a line where gamma
-    is 0; ``kinks`` the x >= 0 where the maximum of the pieces and 0 may
-    bend; ``residual`` the largest entry of A or B outside the blocks.
+    is 0; ``residual`` the largest entry of A or B outside the blocks.
     """
 
     basis: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     pieces: np.ndarray
-    kinks: np.ndarray
     residual: float
 
 
@@ -273,33 +268,6 @@ def _piece(a: np.ndarray, b: np.ndarray) -> tuple[float, ...]:
     gamma, delta, epsilon = (0.5 * np.vdot(u, v).real
                              for u, v in ((b0, b0), (a0, b0), (a0, a0)))
     return alpha, beta, gamma, delta, epsilon, gamma - beta * beta
-
-
-def _kinks(pieces: np.ndarray) -> np.ndarray:
-    """0, each curve's vertex delta/gamma (its kink where q has a double
-    root) and each x >= 0 where a line, the zero line included, crosses
-    another piece, sorted: every point where the maximum of the pieces and 0
-    can bend but a crossing of two curves.  No supported row needs one: the
-    two distinct curves of four-state nu=4 cross at x = 0."""
-    rows = pieces.tolist() + [[0.0] * 6]
-    xs = [0.0] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
-    for a, b, g, *_ in rows:
-        if g > 0.0:
-            continue
-        for alpha, beta, gamma, delta, epsilon, _ in rows:
-            m, s = a - alpha, b - beta
-            if gamma == 0.0:  # a line: a - b*x = alpha - beta*x
-                xs += [m / s] if s else []
-                continue
-            # sqrt(q) = m - s*x squared: (gamma - s^2)x^2 - 2(delta - m*s)x
-            # + epsilon - m^2 = 0, its roots taken without cancellation.
-            qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
-            disc = qb * qb - qa * qc
-            if disc < 0.0:
-                continue
-            r = qb + math.copysign(math.sqrt(disc), qb)
-            xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
-    return np.array(sorted({x for x in xs if 0.0 <= x <= X_FINITE}))
 
 
 @lru_cache(maxsize=None)
@@ -356,25 +324,8 @@ def pencil_blocks(protocol: str, nu: int) -> PencilBlocks:
     pieces[singular, 5] = 0.0
     size_a = np.abs(alpha) + np.sqrt(epsilon)
     pieces[(size_a <= RANK_TOL * size_a.max()) & (size_b <= cut)] = 0.0
-    pieces = qmath.read_only(pieces)
-    return PencilBlocks(qmath.read_only(u), blocks, pieces,
-                        qmath.read_only(_kinks(pieces)), residual)
-
-
-def _envelope(pieces: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_star at each x of a 1-D array: the maximum of 0 and every piece, a
-    clipped 0 being +0.0.  Where beta*x > 0 a curve's -beta*x + sqrt(q) is
-    taken as (q - beta^2 x^2)/(beta*x + sqrt(q)), which does not cancel at
-    large x; a line (gamma = 0, so q = 0) is alpha - beta*x."""
-    alpha, beta, gamma, delta, epsilon, c2 = pieces.T
-    x = x[:, None]
-    bx = beta * x
-    root = np.sqrt(np.maximum((gamma * x - 2.0 * delta) * x + epsilon, 0.0))
-    stable = (gamma > 0.0) & (bx > 0.0)
-    tail = np.where(stable, ((c2 * x - 2.0 * delta) * x + epsilon)
-                    / np.where(stable, bx + root, 1.0), root - bx)
-    y = (alpha + tail).max(axis=1, initial=0.0)
-    return np.where(y > 0.0, y, 0.0)
+    return PencilBlocks(qmath.read_only(u), blocks, qmath.read_only(pieces),
+                        residual)
 
 
 def frontier(x: float, protocol: str, nu: int) -> float:
@@ -387,12 +338,12 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
     """y_star for every x of the grid (any 1-D sequence: a tuple, a list or
     an array), in the grid's own order, repeats included; nothing is cached.
 
-    Every y_star is the closed form of the pencil's blocks (``pencil_blocks``),
-    clipped only at 0 (a clipped 0 is +0.0); one stacked psd_margin then
-    certifies them.  Raises ValueError naming the first x outside [0, inf),
-    and ArithmeticError naming the least x whose margin is below
-    -(PSD_TOL + n*eps*x*||H_bit||_2), the roundoff of a side-n eigen-solve of
-    the margin's matrix.
+    Every y_star is the closed form of the pencil's blocks (``pencil_blocks``,
+    read by keyrate.envelope), clipped only at 0 (a clipped 0 is +0.0); one
+    stacked psd_margin then certifies them.  Raises ValueError naming the
+    first x outside [0, inf), and ArithmeticError naming the least x whose
+    margin is below -(PSD_TOL + n*eps*x*||H_bit||_2), the roundoff of a
+    side-n eigen-solve of the margin's matrix.
     """
     x = np.asarray(grid, dtype=float)
     outside = np.flatnonzero(~((x >= 0.0) & (x < math.inf)))
@@ -400,7 +351,8 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
         raise ValueError("frontier requires 0 <= x < inf, got x=%r"
                          % float(x[outside[0]]))
     h_bit = _forms(protocol, nu)[0]
-    ys = _envelope(pencil_blocks(protocol, nu).pieces, x)
+    pieces = pencil_blocks(protocol, nu).pieces.tolist()
+    ys = [keyrate.envelope(pieces, xi) for xi in x.tolist()]
     margins = psd_margin(x, ys, protocol, nu)
     roundoff = h_bit.shape[0] * np.finfo(float).eps * np.linalg.norm(h_bit, 2)
     bad = np.flatnonzero(margins < -(PSD_TOL + roundoff * x))
@@ -408,65 +360,17 @@ def frontier_table(protocol: str, nu: int, grid) -> tuple[float, ...]:
         i = bad[np.argmin(x[bad])]
         raise ArithmeticError("frontier point x=%g y=%.17g has margin %.3e"
                               % (x[i], ys[i], margins[i]))
-    return tuple(ys.tolist())
+    return tuple(ys)
 
 
-def _stationary(pieces: np.ndarray, e: float) -> np.ndarray:
-    """The x >= 0 where a curve piece of x*e + y has zero slope, read at
-    X_FINITE past it: with t = e - beta and kappa = epsilon - delta^2/gamma,
-    x = delta/gamma - t*sqrt(kappa/(gamma*(gamma - t^2))), which needs
-    gamma - t^2 > 0, taken as gamma - beta^2 + e*(2*beta - e) so that it
-    does not cancel."""
-    _, beta, gamma, delta, epsilon, c2 = pieces[pieces[:, 2] > 0.0].T
-    room = c2 + e * (2.0 * beta - e)
-    ok = room > 0.0
-    beta, gamma, delta, epsilon, room = (c[ok] for c in (
-        beta, gamma, delta, epsilon, room))
-    kappa = np.maximum(epsilon - delta * delta / gamma, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        xs = delta / gamma - (e - beta) * np.sqrt(kappa / (gamma * room))
-    return np.minimum(xs[xs >= 0.0], X_FINITE)
-
-
-def phase_minimum(protocol: str, nu: int, e_bit: float) -> tuple[float, float]:
-    """(x, x*e_bit + y_star(x)) at the x minimizing x*e_bit + y_star(x), for
-    0 < e_bit < inf, uncertified and with no eigen-solve.
-
-    The objective is convex and the maximum of smooth pieces, so its minimum
-    is at x = 0, at a curve's stationary point or at a kink of the envelope
-    (``PencilBlocks.kinks``): the least value over that finite set.
-    """
-    e = float(e_bit)
-    if not 0.0 < e < math.inf:
-        raise ValueError("phase_minimum requires 0 < e_bit < inf, got %r" % e)
+def piece_table_check(protocol: str, nu: int) -> float:
+    """The gap between the compiled forms and the row's keyrate.PIECES: the
+    larger of the blocks' residual and the Hausdorff distance between the
+    blocks' pieces and the table's.  Within IDENTITY_TOL y_star is the
+    maximum of 0 and the table row."""
     blocks = pencil_blocks(protocol, nu)
-    xs = np.concatenate([blocks.kinks, _stationary(blocks.pieces, e)])
-    phi = xs * e + _envelope(blocks.pieces, xs)
-    i = int(np.argmin(phi))
-    return float(xs[i]), float(phi[i])
-
-
-# g(x) = alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), as a piece.
-G_PIECE = (0.5, 1.0 / 3.0, 1.0 / 9.0, math.sqrt(2.0) / 12.0, 1.0 / 6.0)
-
-
-def frontier_g_check(protocol: str, nu: int) -> float:
-    """How far the frontier's closed form is from y_star = g exactly.
-
-    The larger of the blocks' residual, the largest coefficient gap between a
-    curve piece and G_PIECE, and how far a line piece a - b*x rises above g:
-    a - min_x [b*x + g(x)], clipped at 0, with the minimum the paper's
-    keyrate.ephase_bound_two(b) (read at min(b, 1/2), a lower bound past its
-    domain; a falling line, b < 0, counts as above g).  Within IDENTITY_TOL
-    every curve is g and every line lies below it, so y_star = g.
-    """
-    blocks = pencil_blocks(protocol, nu)
-    curve = blocks.pieces[:, 2] > 0.0
-    gap = np.abs(blocks.pieces[curve, :5] - G_PIECE).max(initial=0.0)
-    rise = max((a - keyrate.ephase_bound_two(min(b, 0.5)) if b >= 0.0
-                else math.inf for a, b in blocks.pieces[~curve, :2]),
-               default=0.0)
-    return float(max(blocks.residual, gap, rise, 0.0))
+    return max(blocks.residual,
+               _hausdorff(blocks.pieces, keyrate.PIECES[protocol, nu]))
 
 
 def zero_rate_check(protocol: str, nu: int) -> float:
@@ -476,12 +380,9 @@ def zero_rate_check(protocol: str, nu: int) -> float:
     At zero bit error the certified phase-error bound is exactly this floor;
     a value >= 1/2 means no key can be certified (consistent with the
     unambiguous-discrimination limit), while a value < 1/2 leaves room for a
-    positive rate.  The floor is the limit x -> inf: the largest limit of a
-    piece of a block singular in B (``pencil_blocks``), alpha on a flat line
-    and alpha - delta/beta, A_k on ker B_k, on a curve; every other piece
-    falls without bound.  No grid is read and no solve is made beyond the
-    blocks', which raise ArithmeticError on an unclear cut of B's kernel.
+    positive rate.  The floor is the limit x -> inf of the blocks' pieces
+    (keyrate.piece_floor), which only a block singular in B keeps: A_k on
+    ker B_k.  No grid is read and no solve is made beyond the blocks', which
+    raise ArithmeticError on an unclear cut of B's kernel.
     """
-    limits = [a - (d / b if g > 0.0 else 0.0) for a, b, g, d, _, c2
-              in pencil_blocks(protocol, nu).pieces.tolist() if c2 == 0.0]
-    return max([0.0] + limits)
+    return keyrate.piece_floor(pencil_blocks(protocol, nu).pieces.tolist())

@@ -11,9 +11,9 @@ verify and constants-check build the certificate table (``checks``) and
 with it numpy, ``qmath``, ``attack_forms``, ``bounds`` and ``keyrate``;
 frontier imports ``bounds`` once its grid is valid; simulate imports YAML
 and ``simulate``; keyrate imports YAML and ``keyrate``; thresholds imports
-``keyrate``, which reads ``bounds`` for the six-state nu=3, 4 rows only.  So
-``--help``, ``--version``, every usage error, ``keyrate``, four-state
-``thresholds`` and the six-state nu=1, 2 thresholds run without numpy.
+``keyrate`` only, whose tables verify proves.  So ``--help``, ``--version``,
+every usage error, ``keyrate`` and ``thresholds`` (both protocols) run
+without numpy.
 """
 
 from __future__ import annotations
@@ -34,9 +34,13 @@ from . import FRONTIER_X_MAX, PROTOCOLS, SUPPORTED_NU, __version__, reports
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _print_checks(rows: list[tuple[str, float, str, bool]]) -> bool:
-    """Print a check table; return True iff every row passed."""
-    width = max(len(r[0]) for r in rows)
+def _print_checks(rows: list[tuple[str, float, str, bool]],
+                  names: list[str]) -> bool:
+    """Print a check table, its name column as wide as the longest of
+    ``names`` (every row the command can print for its protocols, so a row's
+    line does not depend on the rows printed beside it); return True iff
+    every row passed."""
+    width = max(map(len, names))
     all_ok = True
     for name, value, requirement, ok in rows:
         all_ok &= ok
@@ -119,6 +123,18 @@ def checks() -> tuple[Check, ...]:
                                   % (first, window[-1], attack_forms.MAX_NU))
         return min(bounds.zero_rate_check(protocol, n) for n in window)
 
+    def tangent_gap(protocol: str, nu: int) -> float:
+        # The table's phase-error bound against ephase_bound_frontier's, all
+        # x certified by one frontier_table, at e up to the root's next float.
+        root = keyrate.threshold(protocol, nu)
+        es = (0.01, 0.0271, 0.1, 0.3, root, math.nextafter(root, 1.0))
+        best = [keyrate.phase_minimum(keyrate.PIECES[protocol, nu], e)
+                for e in es]
+        xs = [min(x, FRONTIER_X_MAX) for x, _ in best]
+        ys = bounds.frontier_table(protocol, nu, xs)
+        return max(abs(bound - (x * e + y))
+                   for e, (_, bound), x, y in zip(es, best, xs, ys))
+
     def filtered_pair(protocol: str, nu: int | None) -> float:
         f = qmath.protocol_record(protocol).filter
         filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(protocol)
@@ -140,28 +156,33 @@ def checks() -> tuple[Check, ...]:
               lambda p, nu: bounds.correlation_psd_check()[1],
               ">=", -bounds.IDENTITY_TOL),
         Check("event forms PSD", _FOUR, (1,),
-              lambda p, nu: min(
-                  float(bounds._range_map(p, nu)[0][0]),  # H_fil's solve
-                  *(qmath.min_eigenvalue(form.matrix) for tag, form
-                    in attack_forms.all_forms(p, nu).items() if tag != "fil")),
+              lambda p, nu: float(min(
+                  bounds._range_map(p, nu)[0][0],  # H_fil's solve
+                  qmath.min_eigenvalue(np.stack([  # one solve of the others
+                      form.matrix for tag, form
+                      in attack_forms.all_forms(p, nu).items()
+                      if tag != "fil"])).min())),
               ">=", -bounds.IDENTITY_TOL),
+        Check("piece table = forms", _BOTH, SUPPORTED_NU,
+              lambda p, nu: bounds.piece_table_check(p, nu),
+              "<", bounds.IDENTITY_TOL),
         Check("margin at analytic bound", _FOUR, (2,),
               lambda p, nu: float(bounds.psd_margin(
                   bounds.DEFAULT_X_GRID,
                   [bounds.g_of_x(x) for x in bounds.DEFAULT_X_GRID],
                   p, nu).min()),
               ">=", -bounds.PSD_TOL),
+        # The table row that piece table = forms proves is y_star = g: its
+        # one curve is g, and its line 1/2 - x/2 lies below g.
         Check("frontier = g exactly", _FOUR, (2,),
-              lambda p, nu: bounds.frontier_g_check(p, nu),
+              lambda p, nu: bounds.piece_table_check(p, nu),
               "<=", bounds.IDENTITY_TOL),
         Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
               lambda p, nu: bounds.zero_rate_check(p, nu),
               "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
-        Check("closed form = tangent bound", _FOUR, (2,),
-              lambda p, nu: max(abs(keyrate.ephase_bound_two(e)
-                                    - keyrate.ephase_bound_frontier(e, p, nu))
-                                for e in (0.01, 0.0271, 0.1, 0.3)),
-              "<=", bounds.IDENTITY_TOL),
+        *(Check("closed form = tangent bound", (p,), (nu,), tangent_gap,
+                "<=", bounds.IDENTITY_TOL)
+          for p, nu in (("four-state", 2), ("six-state", 3), ("six-state", 4))),
         Check("no-key floor", _FOUR, (3, 4),
               lambda p, nu: bounds.zero_rate_check(p, nu),
               ">=", 0.5 - bounds.PSD_TOL),
@@ -227,12 +248,14 @@ def _check_row(check: Check, label: str, protocol: str,
 
 
 def cmd_verify(args) -> int:
-    nus = SUPPORTED_NU if args.nu is None else (args.nu,)
     table = checks()
+    printable = [(nu, c) for nu in SUPPORTED_NU for c in table
+                 if c.nus is not None and nu in c.nus
+                 and args.protocol in c.protocols]
     rows = [_check_row(c, "nu=%d" % nu, args.protocol, nu)
-            for nu in nus for c in table
-            if c.nus is not None and nu in c.nus and args.protocol in c.protocols]
-    return 0 if _print_checks(rows) else 1
+            for nu, c in printable if args.nu in (None, nu)]
+    names = ["nu=%d %s" % (nu, c.name) for nu, c in printable]
+    return 0 if _print_checks(rows, names) else 1
 
 
 def cmd_constants_check(args) -> int:
@@ -240,7 +263,7 @@ def cmd_constants_check(args) -> int:
     table = checks()
     rows = [_check_row(c, p, p, None) for p in protocols for c in table
             if c.nus is None and p in c.protocols]
-    return 0 if _print_checks(rows) else 1
+    return 0 if _print_checks(rows, [r[0] for r in rows]) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +319,9 @@ FRONTIER_FIELDS = [
 
 
 def _build_grid(x_min: float, x_max: float, x_step: float) -> list[float]:
-    if x_min < 0.0 or x_step <= 0.0 or x_max < x_min:
-        raise ValueError("grid requires 0 <= x-min <= x-max and x-step > 0")
+    if x_min < 0.0 or not 0.0 < x_step < math.inf or x_max < x_min:
+        raise ValueError("grid requires 0 <= x-min <= x-max and "
+                         "0 < x-step < inf")
     if x_max > FRONTIER_X_MAX:
         raise ValueError("grid requires x-max <= %g" % FRONTIER_X_MAX)
     span = (x_max - x_min) / x_step + 1e-9

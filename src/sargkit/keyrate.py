@@ -10,10 +10,10 @@ Rates are asymptotic per sifted conclusive pair, under one of two rules:
   J. Preskill, PRL 85, 441 (2000));
 * the independent rule 1 - h(e_bit) - h(e_ph), bit and phase errors treated
   as independent, with e_ph the best certified phase-error bound
-  min_x [x*e_bit + y(x)]: at four-state nu=2 (R2) y is the paper's curve g;
-  at six-state nu=3, 4 y is the computed frontier y_star, whose pencil
-  blocks give the minimum in closed form (bounds.phase_minimum), read on no
-  x-grid.
+  min_x [x*e_bit + y_star(x)] (``phase_bound``), at four-state nu=2 (R2,
+  where y_star is the paper's curve g) and six-state nu=3, 4: y_star is the
+  maximum of 0 and the row's exact pieces (PIECES), so the minimum lies at
+  a point of a finite set, read on no x-grid.
 
 Every rate is a float of e_bit, and every threshold is a bare float that
 takes one path, ``_threshold``: the float root of the rate on [0, E_BIT_MAX],
@@ -22,10 +22,10 @@ key at any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
 depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS;
 ``threshold`` picks each row's model.
 
-The Bell-vertex rule, R2 and the decoy composition are float arithmetic on
-plain tables; only the six-state nu=3, 4 rows read computed frontiers, so
-only ``ephase_bound_frontier`` and that branch of ``sixstate_thresholds``
-import ``bounds`` (and with it numpy).
+Every rate and the decoy composition are float arithmetic on the two plain
+tables, which bounds proves against the compiled forms; bounds reads its
+float pencil pieces with the same ``envelope`` and ``piece_floor``.  Only
+``ephase_bound_frontier`` imports ``bounds`` (and with it numpy).
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ from . import FRONTIER_X_MAX, SUPPORTED_NU
 # The high end of every threshold's bracket: every rate model is defined up to
 # it (the narrowest domain, the six-state nu=1 Bell polytope's, ends at 4/7).
 E_BIT_MAX = 0.4
+
+# The largest x a phase-error candidate is read at, where x*x is still
+# finite: a stationary point past it (e below about 1e-290) is read there,
+# within about sqrt(e) of its minimum, and a crossing past it is dropped.
+X_FINITE = 1e150
 
 _R2 = math.sqrt(2.0)
 
@@ -56,6 +61,40 @@ BELL_VERTICES = {
                        ((8 - 5 * _R2) / 40, (8 + 5 * _R2) / 40,
                         (12 - 3 * _R2) / 40, (12 + 3 * _R2) / 40)),
 }
+
+
+def _piece(alpha, beta, gamma=0.0, delta=0.0, epsilon=0.0):
+    # Every curve at nu <= 4 is singular (gamma = beta^2), so gamma - beta^2
+    # is exactly 0.0 on a curve; a line has gamma = delta = epsilon = 0.
+    return (alpha, beta, gamma, delta, epsilon,
+            0.0 if gamma else 0.0 - beta * beta)
+
+
+# The exact closed form of every frontier y_star at nu <= 4: the distinct
+# pieces lambda_max(A_k - x*B_k) of the pencil blocks (bounds.pencil_blocks,
+# proved against the compiled forms by bounds.piece_table_check), each the
+# 6-tuple (alpha, beta, gamma, delta, epsilon, gamma - beta^2) of
+# alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), every coefficient
+# in Q(sqrt 2).  y_star is the maximum of 0 and its row's pieces; the
+# four-state nu=2 curve is the paper's g.
+PIECES = {
+    ("four-state", 1): (_piece(0.0, 0.0), _piece(1.0, 2 / 3),
+                        _piece(0.75, 0.5)),
+    ("four-state", 2): (_piece(0.5, 0.5),
+                        _piece(0.5, 1 / 3, 1 / 9, _R2 / 12, 1 / 6)),
+    ("four-state", 3): (_piece(0.0, 0.0), _piece(0.0, 2 / 3), _piece(1.0, 0.0),
+                        _piece(1.0, 2 / 3),
+                        _piece(0.5, 1 / 3, 1 / 9, 0.0, 1 / 12)),
+    ("four-state", 4): (_piece(0.5, 1 / 3, 1 / 9, _R2 / 12, 1 / 6),
+                        _piece(0.5, 1 / 3, 1 / 9, -_R2 / 12, 1 / 6)),
+    ("six-state", 1): (_piece(0.0, 0.0), _piece(6 / 7, 4 / 7)),
+    ("six-state", 2): (_piece(0.5 - _R2 / 4, 0.0), _piece(0.5 + _R2 / 5, 0.6)),
+    ("six-state", 3): (_piece(0.25, 0.0), _piece(19 / 28, 4 / 7),
+                       _piece(0.75, 2 / 3)),
+    ("six-state", 4): (_piece(0.5, 0.5),
+                       _piece(0.5, 1 / 3, 1 / 9, _R2 / 24, 1 / 24)),
+}
+
 
 # The thresholds table: per protocol, rows in print order of (label, nu, quoted
 # e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
@@ -179,6 +218,90 @@ def _threshold(rate) -> float:
     return bisect_floats(lambda e: rate(e) <= 0.0, 0.0, E_BIT_MAX)[0]
 
 
+def envelope(pieces, x: float) -> float:
+    """y_star at one x >= 0 from pieces (6-tuples, as in PIECES): the maximum
+    of 0 and every piece, a clipped 0 being +0.0.  Where beta*x > 0 a curve's
+    -beta*x + sqrt(q) is (q - beta^2 x^2)/(beta*x + sqrt(q)), which does not
+    cancel at large x."""
+    y = 0.0
+    for alpha, beta, gamma, delta, epsilon, c2 in pieces:
+        bx = beta * x
+        root = math.sqrt(max((gamma * x - 2.0 * delta) * x + epsilon, 0.0))
+        tail = (((c2 * x - 2.0 * delta) * x + epsilon) / (bx + root)
+                if gamma > 0.0 and bx > 0.0 else root - bx)
+        y = max(y, alpha + tail)
+    return y
+
+
+def kinks(pieces) -> list[float]:
+    """0, each curve's vertex delta/gamma and each x in [0, X_FINITE] where a
+    line (the zero line too) crosses a piece, sorted and distinct: where the
+    envelope can bend, but at two curves crossing (in PIECES only at x = 0)."""
+    rows = [*pieces, (0.0,) * 6]
+    xs = [0.0] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
+    for a, b, *_ in [row for row in rows if row[2] == 0.0]:  # the lines
+        for alpha, beta, gamma, delta, epsilon, _ in rows:
+            m, s = a - alpha, b - beta
+            if gamma == 0.0:  # a line: a - b*x = alpha - beta*x
+                xs += [m / s] if s else []
+                continue
+            # sqrt(q) = m - s*x squared: (gamma - s^2)x^2 - 2(delta - m*s)x
+            # + epsilon - m^2 = 0, its roots taken without cancellation.
+            qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
+            disc = qb * qb - qa * qc
+            if disc < 0.0:
+                continue
+            r = qb + math.copysign(math.sqrt(disc), qb)
+            xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
+    return sorted({x for x in xs if 0.0 <= x <= X_FINITE})
+
+
+def stationary(pieces, e: float) -> list[float]:
+    """The x >= 0 where a curve piece of x*e + y has zero slope, read at
+    X_FINITE past it: with t = e - beta and kappa = epsilon - delta^2/gamma,
+    x = delta/gamma - t*sqrt(kappa/(gamma*(gamma - t^2))), which needs
+    gamma - t^2 > 0, taken as gamma - beta^2 + e*(2*beta - e) so that it
+    does not cancel."""
+    xs = []
+    for _, beta, gamma, delta, epsilon, c2 in pieces:
+        room = c2 + e * (2.0 * beta - e)
+        if gamma > 0.0 and room > 0.0:
+            kappa = max(epsilon - delta * delta / gamma, 0.0)
+            scale = gamma * room  # 0 only where e*beta underflows
+            step = math.sqrt(kappa / scale) if scale > 0.0 else math.inf
+            xs.append(delta / gamma - (e - beta) * step)
+    return [min(x, X_FINITE) for x in xs if x >= 0.0]
+
+
+def piece_floor(pieces) -> float:
+    """The zero-error floor inf_x y_star(x), clipped only at 0: the largest
+    limit of a piece that keeps one as x -> inf, alpha on a flat line and
+    alpha - delta/beta on a singular curve (gamma - beta^2 = 0)."""
+    return max([0.0] + [a - (d / b if g > 0.0 else 0.0)
+                        for a, b, g, d, _, c2 in pieces if c2 == 0.0])
+
+
+def phase_minimum(pieces, e_bit: float) -> tuple[float, float]:
+    """(x, x*e_bit + y_star(x)) at the x minimizing x*e_bit + y_star(x) over
+    closed-form pieces, for 0 < e_bit < inf.  The objective is convex and the
+    maximum of smooth pieces, so its minimum is at a kink of the envelope or
+    at a curve's stationary point: the first least value over that set."""
+    e = float(e_bit)
+    if not 0.0 < e < math.inf:
+        raise ValueError("phase_minimum requires 0 < e_bit < inf, got %r" % e)
+    return min(((x, x * e + envelope(pieces, x))
+                for x in kinks(pieces) + stationary(pieces, e)),
+               key=lambda candidate: candidate[1])
+
+
+def phase_bound(pieces, e_bit: float) -> float:
+    """min_x [x*e_bit + y_star(x)] for 0 <= e_bit < inf: the phase_minimum,
+    or at e_bit = 0 the floor, its infimum as x runs off to infinity."""
+    if e_bit == 0.0:
+        return piece_floor(pieces)
+    return phase_minimum(pieces, e_bit)[1]
+
+
 def _bell_threshold(protocol: str, nu: int) -> float:
     """The root of a BELL_VERTICES row's rate 1 - H(worst_bell_vector)."""
     return _threshold(
@@ -190,28 +313,20 @@ def threshold_single() -> float:
     return _bell_threshold("four-state", 1)
 
 
-# The two-photon zero-error infimum of min_x [x*e_bit + g(x)], reached as
-# x -> infinity.
+# sin^2(pi/8), the paper's two-photon zero-error floor, correctly rounded.
 SIN2_PI_8 = math.sin(math.pi / 8) ** 2
 
 
 def ephase_bound_two(e_bit: float) -> float:
-    """Best certified two-photon phase-error bound min_x [x*e_bit + g(x)].
-
-    The objective is convex, and with c = 2 - 6*e_bit its minimum, at the
-    stationary point x* = (3*sqrt(2) + c*sqrt(6/(4 - c^2)))/4, equals
-    (3 - (3*sqrt(2)/4)*c + (sqrt(6)/4)*sqrt(4 - c^2))/6, evaluated with
-    4 - c^2 = 6*e_bit*(4 - 6*e_bit), which has no cancellation.  At e_bit = 0
-    it is the infimum sin^2(pi/8), approached as x* runs off to infinity.
-    """
-    e = float(e_bit)
-    if not 0.0 <= e <= 0.5:
+    """Best certified two-photon phase-error bound min_x [x*e_bit + g(x)]:
+    the four-state nu=2 row of PIECES, whose one curve is g.  At e_bit = 0 it
+    is the infimum sin^2(pi/8), correctly rounded: the row's float floor
+    1/2 - delta/beta lies 3 ulps below it."""
+    if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
-    if e == 0.0:
+    if e_bit == 0.0:
         return SIN2_PI_8
-    c = 2.0 - 6.0 * e
-    s = math.sqrt(6.0 * e * (4.0 - 6.0 * e))
-    return (3.0 - 0.75 * math.sqrt(2.0) * c + 0.25 * math.sqrt(6.0) * s) / 6.0
+    return phase_bound(PIECES["four-state", 2], e_bit)
 
 
 def rate_independent(e_bit: float, e_ph: float) -> float:
@@ -289,45 +404,32 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
-    """Certified min_x [x*e_bit + y_star(x)] of a computed frontier: the floor
-    (bounds.zero_rate_check) at e_bit = 0, else x*e_bit + y_star(x) at the x
-    of bounds.phase_minimum, or at FRONTIER_X_MAX past it (e_bit < 1e-13, a
-    bound within 6.25e-8), with y_star(x) certified by bounds.frontier."""
+    """Certified min_x [x*e_bit + y_star(x)]: the floor (bounds.zero_rate_check)
+    at e_bit = 0, else x*e_bit + y_star(x), y_star(x) certified by
+    bounds.frontier at the x of the PIECES row's phase_minimum, or at
+    FRONTIER_X_MAX past it (e_bit < 1e-13, a bound within 6.25e-8)."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     from . import bounds
 
     if e_bit == 0.0:
         return bounds.zero_rate_check(protocol, nu)
-    x = min(bounds.phase_minimum(protocol, nu, e_bit)[0], FRONTIER_X_MAX)
+    x = min(phase_minimum(PIECES[protocol, nu], e_bit)[0], FRONTIER_X_MAX)
     return x * e_bit + bounds.frontier(x, protocol, nu)
 
 
 def sixstate_thresholds(nu: int) -> float:
     """Six-state threshold for one photon number (1..4): the float root of
-    1 - H(worst_bell_vector) for a BELL_VERTICES row, else of
-    1 - h(e) - h(e_ph), e_ph the closed-form bounds.phase_minimum (the floor
-    at e = 0).  No eigen-solve runs inside the root's bisection: the root's
-    bracket is certified after it, by one frontier_table of both minimizing
-    x."""
+    1 - H(worst_bell_vector) for a BELL_VERTICES row, else of 1 - h(e) -
+    h(e_ph), e_ph the PIECES row's phase_bound.  Float arithmetic on the
+    two tables: no eigen-solve, and no numpy."""
     if nu not in SUPPORTED_NU:
         raise ValueError("six-state thresholds are computed for nu in %d..%d"
                          % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
     if ("six-state", nu) in BELL_VERTICES:
         return _bell_threshold("six-state", nu)
-    from . import bounds
-
-    floor = bounds.zero_rate_check("six-state", nu)
-
-    def e_ph(e: float) -> float:
-        return floor if e == 0.0 else bounds.phase_minimum("six-state", nu, e)[1]
-
-    root = _threshold(lambda e: rate_independent(e, e_ph(e)))
-    if root > 0.0:
-        bounds.frontier_table("six-state", nu, [
-            bounds.phase_minimum("six-state", nu, e)[0]
-            for e in (root, math.nextafter(root, 1.0))])
-    return root
+    pieces = PIECES["six-state", nu]
+    return _threshold(lambda e: rate_independent(e, phase_bound(pieces, e)))
 
 
 def threshold(protocol: str, nu: int) -> float:

@@ -200,6 +200,21 @@ def couple_two_photon_blocks(size: float) -> tuple:
     return a + size * (np.outer(u, t.conj()) + np.outer(t, u.conj())), b
 
 
+def envelope_numpy(pieces: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_star at each x of a 1-D array from closed-form pieces, vectorized:
+    the numpy form of keyrate.envelope, column by column the same IEEE
+    operations, so the two agree bit for bit."""
+    alpha, beta, gamma, delta, epsilon, c2 = np.asarray(pieces).T
+    x = x[:, None]
+    bx = beta * x
+    root = np.sqrt(np.maximum((gamma * x - 2.0 * delta) * x + epsilon, 0.0))
+    stable = (gamma > 0.0) & (bx > 0.0)
+    tail = np.where(stable, ((c2 * x - 2.0 * delta) * x + epsilon)
+                    / np.where(stable, bx + root, 1.0), root - bx)
+    y = (alpha + tail).max(axis=1, initial=0.0)
+    return np.where(y > 0.0, y, 0.0)
+
+
 def ephase_bound_golden(e_bit: float, protocol: str, nu: int,
                         x_hi: float = 100.0) -> float:
     """min of x*e_bit + y_star(x) on [0, x_hi] by golden section on the
@@ -242,6 +257,22 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-10):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def ephase_bound_two_stationary(e_bit: float) -> float:
+    """min_x [x*e_bit + g(x)] at g's hand-derived stationary point.
+
+    The objective is convex, and with c = 2 - 6*e_bit its minimum, at the
+    stationary point x* = (3*sqrt(2) + c*sqrt(6/(4 - c^2)))/4, equals
+    (3 - (3*sqrt(2)/4)*c + (sqrt(6)/4)*sqrt(4 - c^2))/6, evaluated with
+    4 - c^2 = 6*e_bit*(4 - 6*e_bit), which has no cancellation.  At e_bit = 0
+    it is the infimum sin^2(pi/8), approached as x* runs off to infinity.
+    """
+    if e_bit == 0.0:
+        return math.sin(math.pi / 8) ** 2
+    c = 2.0 - 6.0 * e_bit
+    s = math.sqrt(6.0 * e_bit * (4.0 - 6.0 * e_bit))
+    return (3.0 - 0.75 * math.sqrt(2.0) * c + 0.25 * math.sqrt(6.0) * s) / 6.0
 
 
 def ephase_bound_two_scan(e_bit: float, x_hi: float = 50.0,

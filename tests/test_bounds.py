@@ -254,7 +254,7 @@ def test_pencil_blocks_split_the_reduced_pencil(protocol, nu):
         assert np.abs(qmath.dagger(u) @ pencil @ u - diagonal).max() <= 1e-13
     arrays = [m for blk in split.blocks for m in blk]
     assert all(not m.flags.writeable
-               for m in arrays + [u, split.pieces, split.kinks])
+               for m in arrays + [u, split.pieces])
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,27 +286,61 @@ def test_pencil_blocks_reject_a_block_wider_than_two(monkeypatch):
         bounds.pencil_blocks.__wrapped__("four-state", 2)
 
 
+# g(x) = alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), by hand.
+G_PIECE = (0.5, 1.0 / 3.0, 1.0 / 9.0, math.sqrt(2.0) / 12.0, 1.0 / 6.0)
+
+
+def g_curve() -> list[tuple[float, ...]]:
+    """The one curve of the four-state nu=2 table row."""
+    return [p for p in keyrate.PIECES["four-state", 2] if p[2] > 0.0]
+
+
 def test_two_photon_curve_is_g():
     # Four-state nu=2: both 2x2 blocks are g's curve and both lines are
     # 1/2 - x/2, which g dominates, so y_star = g exactly.
     split = bounds.pencil_blocks("four-state", 2)
     curves = split.pieces[split.pieces[:, 2] > 0.0]
     lines = split.pieces[split.pieces[:, 2] == 0.0]
-    assert np.abs(curves[:, :5] - bounds.G_PIECE).max() <= 1e-13
+    assert [p[:5] for p in g_curve()] == [G_PIECE]
+    assert np.abs(curves[:, :5] - G_PIECE).max() <= 1e-13
     assert np.abs(lines[:, :2] - 0.5).max() <= 1e-13
-    assert bounds.frontier_g_check("four-state", 2) <= 1e-13
+    # The table's line a - b*x lies below g: a <= min_x [b*x + g(x)].
+    table_lines = [p for p in keyrate.PIECES["four-state", 2] if p[2] == 0.0]
+    assert [p[:2] for p in table_lines] == [(0.5, 0.5)]
+    assert keyrate.phase_bound(g_curve(), 0.5) > 0.5
+    assert bounds.piece_table_check("four-state", 2) <= 1e-13
     xs = np.linspace(0.0, 50.0, 5001)
     ys = bounds.frontier_table("four-state", 2, xs)
     assert max(abs(y - bounds.g_of_x(x)) for x, y in zip(xs, ys)) <= 1e-13
 
 
+@pytest.mark.parametrize("protocol,nu", sorted(keyrate.PIECES))
+def test_piece_table_is_the_pencil_blocks(protocol, nu):
+    # Every block piece is a table piece and back, to the roundoff of the
+    # compiled forms (a moved coefficient: test_cli).
+    assert bounds.piece_table_check(protocol, nu) <= 1e-13
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
+def test_scalar_envelope_is_the_vectorized_one_bit_for_bit(protocol, nu):
+    # frontier_table reads y_star off the block pieces one x at a time; the
+    # same IEEE operations on arrays give the same bits, from 1e-6 to 1e6.
+    pieces = bounds.pencil_blocks(protocol, nu).pieces
+    xs = np.concatenate([np.linspace(0.0, 10.0, 1001),
+                         np.geomspace(1e-6, 1e6, 1001)])
+    ys = [keyrate.envelope(pieces.tolist(), x) for x in xs.tolist()]
+    assert ys == oracles.envelope_numpy(pieces, xs).tolist()
+
+
 @pytest.mark.parametrize("shift", [(0, 1e-9), (3, 1e-9), (4, -1e-9)])
 def test_g_check_sees_a_curve_moved_off_g(shift, monkeypatch):
     i, size = shift
-    moved = list(bounds.G_PIECE)
+    line, curve = keyrate.PIECES["four-state", 2]
+    moved = list(curve)
     moved[i] += size
-    monkeypatch.setattr(bounds, "G_PIECE", tuple(moved))
-    assert bounds.frontier_g_check("four-state", 2) >= 0.5e-9
+    monkeypatch.setitem(keyrate.PIECES, ("four-state", 2), (line, tuple(moved)))
+    assert bounds.piece_table_check("four-state", 2) >= 0.5e-9
 
 
 def test_g_check_sees_a_line_above_g(monkeypatch):
@@ -316,7 +350,7 @@ def test_g_check_sees_a_line_above_g(monkeypatch):
     pieces[pieces[:, 2] == 0.0, 1] = 0.05
     monkeypatch.setattr(bounds, "pencil_blocks", lambda protocol, nu:
                         split._replace(pieces=pieces))
-    assert bounds.frontier_g_check("four-state", 2) > 0.1
+    assert bounds.piece_table_check("four-state", 2) > 0.1
 
 
 @pytest.mark.parametrize("protocol,nu", [("four-state", 4), ("six-state", 4)])
@@ -340,31 +374,46 @@ def test_closed_form_frontier_does_not_cancel_at_large_x(protocol, nu):
        nu=st.sampled_from(sargkit.SUPPORTED_NU),
        e=st.floats(0.01, 0.45))
 def test_phase_minimum_is_the_golden_section_minimum(protocol, nu, e):
-    # The finite candidate set holds the minimizer: no search does better.
-    x, bound = bounds.phase_minimum(protocol, nu, e)
-    assert x >= 0.0 and bound == x * e + bounds.frontier(x, protocol, nu)
+    # The finite candidate set of the table row holds the minimizer: no
+    # search on the eigvalsh frontier does better.  The table's bound is the
+    # blocks' (y_star certified by frontier) at its x, within IDENTITY_TOL,
+    # the bound of the piece table = forms row.
+    x, bound = keyrate.phase_minimum(keyrate.PIECES[protocol, nu], e)
+    assert x >= 0.0
+    assert abs(bound - (x * e + bounds.frontier(x, protocol, nu))) \
+        <= bounds.IDENTITY_TOL
     assert abs(bound - oracles.ephase_bound_golden(e, protocol, nu)) <= 1e-9
 
 
 @pytest.mark.parametrize("e", [0.0, -1e-3, math.inf, math.nan])
 def test_phase_minimum_rejects_e_outside_zero_to_infinity(e):
     with pytest.raises(ValueError, match="0 < e_bit < inf"):
-        bounds.phase_minimum("six-state", 4, e)
+        keyrate.phase_minimum(keyrate.PIECES["six-state", 4], e)
 
 
 def test_phase_minimum_makes_no_eigen_solve(monkeypatch):
-    bounds.phase_minimum("six-state", 4, 0.01)  # fills the block cache
+    # The minimum reads the table alone: no form, no block, no solve.
     monkeypatch.setattr(qmath, "eigh_checked", None)
-    assert bounds.phase_minimum("six-state", 4, 0.02)[1] > 0.0
+    monkeypatch.setattr(bounds, "pencil_blocks", None)
+    assert keyrate.phase_minimum(keyrate.PIECES["six-state", 4], 0.02)[1] > 0.0
 
 
 def test_kinks_hold_zero_and_the_line_crossings():
     # Six-state nu=3 is lines only: 1/4, 19/28 - 4x/7 and 3/4 - 2x/3 cross
     # one another at x = 3/4 and the zero line at 9/8 and 19/16.
-    kinks = bounds.pencil_blocks("six-state", 3).kinks
-    assert kinks[0] == 0.0 and list(kinks) == sorted(kinks)
+    kinks = keyrate.kinks(keyrate.PIECES["six-state", 3])
+    assert kinks[0] == 0.0 and kinks == sorted(kinks)
     for x in (0.75, 1.125, 19 / 16):
-        assert np.abs(kinks - x).min() <= 1e-13
+        assert min(abs(k - x) for k in kinks) <= 1e-13
+
+
+@pytest.mark.parametrize("row", sorted(keyrate.PIECES))
+def test_kinks_of_each_table_row_are_distinct_and_finite(row):
+    # Exact pieces have no near-equal lines, whose float crossings land
+    # near 1e15: every kink lies in [0, 3/2].
+    kinks = keyrate.kinks(keyrate.PIECES[row])
+    assert 2 <= len(kinks) == len(set(kinks)) <= 6
+    assert kinks == sorted(kinks) and 0.0 == kinks[0] and kinks[-1] <= 1.5 + 1e-15
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)

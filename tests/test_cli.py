@@ -70,29 +70,49 @@ def test_verify_six_state_all_passes(capsys):
     assert "floor below 1/2" in out
 
 
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_verify_lines_do_not_depend_on_nu(capsys, protocol):
+    # The name column is as wide as the protocol's longest row at any nu, so
+    # each --nu run prints its rows' lines of the full run byte for byte.
+    _, full = run(capsys, "verify", "--protocol", protocol)
+    parts = []
+    for nu in sargkit.SUPPORTED_NU:
+        _, out = run(capsys, "verify", "--protocol", protocol, "--nu", str(nu))
+        parts += out.splitlines()[:-1]
+    assert parts == full.splitlines()[:-1]
+
+
 # Every verify row, by protocol and photon number, in print order.
 VERIFY_ROWS = {
     ("four-state", 1): ["nu=1 phase = 1.5 x bit identity",
                         "nu=1 Bell vertex table",
                         "nu=1 correlation chi0- >= 2 chi1+",
                         "nu=1 correlation 2 chi1- >= chi0-",
-                        "nu=1 event forms PSD"],
-    ("four-state", 2): ["nu=2 margin at analytic bound",
+                        "nu=1 event forms PSD",
+                        "nu=1 piece table = forms"],
+    ("four-state", 2): ["nu=2 piece table = forms",
+                        "nu=2 margin at analytic bound",
                         "nu=2 frontier = g exactly",
                         "nu=2 frontier floor vs sin^2(pi/8)",
                         "nu=2 closed form = tangent bound"],
-    ("four-state", 3): ["nu=3 no-key floor"],
-    ("four-state", 4): ["nu=4 no-key floor"],
+    ("four-state", 3): ["nu=3 piece table = forms", "nu=3 no-key floor"],
+    ("four-state", 4): ["nu=4 piece table = forms", "nu=4 no-key floor"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
                        "nu=1 Bell vertex table",
+                       "nu=1 piece table = forms",
                        "nu=1 frontier in [0, 1]",
                        "nu=1 reduced H_bit PSD"],
     ("six-state", 2): ["nu=2 Bell vertex table",
+                       "nu=2 piece table = forms",
                        "nu=2 frontier in [0, 1]",
                        "nu=2 reduced H_bit PSD"],
-    ("six-state", 3): ["nu=3 frontier in [0, 1]",
+    ("six-state", 3): ["nu=3 piece table = forms",
+                       "nu=3 closed form = tangent bound",
+                       "nu=3 frontier in [0, 1]",
                        "nu=3 reduced H_bit PSD"],
-    ("six-state", 4): ["nu=4 frontier in [0, 1]",
+    ("six-state", 4): ["nu=4 piece table = forms",
+                       "nu=4 closed form = tangent bound",
+                       "nu=4 frontier in [0, 1]",
                        "nu=4 reduced H_bit PSD",
                        "nu=4 frontier floor below 1/2"],
 }
@@ -127,7 +147,7 @@ def test_verify_failed_certificate_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(sargkit.bounds, "zero_rate_check", lambda p, nu: 0.3)
     rc, out = run(capsys, "verify", "--protocol", "four-state", "--nu", "3")
     assert rc == 1
-    assert check_rows(out) == [
+    assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
         ["nu=3 no-key floor", "3.000e-01", ">= 0.5", "FAIL"]]
     assert out.splitlines()[-1] == "summary: FAIL"
 
@@ -221,12 +241,29 @@ def test_verify_fails_the_bell_row_on_a_coherence_between_blocks(
     assert_only_the_bell_row_fails(capsys, protocol, nu)
 
 
+@pytest.mark.parametrize("protocol,nu", sorted(sargkit.keyrate.PIECES))
+def test_verify_fails_the_piece_row_on_a_moved_coefficient(
+        capsys, monkeypatch, protocol, nu):
+    # The first piece of the row moved by 1e-9 in alpha: no block piece lies
+    # within IDENTITY_TOL of it, so piece table = forms fails at its gap.
+    table = dict(sargkit.keyrate.PIECES)
+    first, *rest = table[protocol, nu]
+    table[protocol, nu] = ((first[0] + 1e-9, *first[1:]), *rest)
+    monkeypatch.setattr(sargkit.keyrate, "PIECES", table)
+    rc, out = run(capsys, "verify", "--protocol", protocol, "--nu", str(nu))
+    assert rc == 1
+    rows = {r[0]: r[1:] for r in check_rows(out)}
+    value, *verdict = rows["nu=%d piece table = forms" % nu]
+    assert verdict == ["< 1e-10", "FAIL"] and 0.9e-9 < float(value) < 1.1e-9
+
+
 def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
         capsys, monkeypatch):
     # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
     # four-state nu=2: pencil_blocks raises, and so every row that reads the
-    # blocks (the g row, the floor row and the closed-form row) fails with
-    # one stderr line each, while the rows on the forms still pass.
+    # blocks (the piece table row, the g row, the floor row and the
+    # closed-form row) fails with one stderr line each, while the rows on
+    # the forms still pass.
     oracles.fresh_caches(monkeypatch)
     pencil = oracles.couple_two_photon_blocks(1e-9)
     reduced = sargkit.bounds._reduced_pencil
@@ -236,12 +273,13 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
     captured = capsys.readouterr()
     assert rc == 1
     failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
-    assert [r[0] for r in failed] == ["nu=2 frontier = g exactly",
+    assert [r[0] for r in failed] == ["nu=2 piece table = forms",
+                                      "nu=2 frontier = g exactly",
                                       "nu=2 frontier floor vs sin^2(pi/8)",
                                       "nu=2 closed form = tangent bound"]
     assert all(r[1] == "nan" for r in failed)
     err = captured.err.splitlines()
-    assert len(err) == 3 and all("pencil block residual" in e for e in err)
+    assert len(err) == 4 and all("pencil block residual" in e for e in err)
 
 
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
@@ -262,9 +300,10 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
 
 # Checked eigen-solves of each command run with empty caches.
 COLD_SOLVES = {("constants-check",): 22,
-               ("verify", "--protocol", "four-state"): 21,
-               ("verify", "--protocol", "six-state"): 16,
-               ("thresholds", "--protocol", "six-state"): 6}
+               ("verify", "--protocol", "four-state"): 13,
+               ("verify", "--protocol", "six-state"): 18,
+               ("thresholds", "--protocol", "four-state"): 0,
+               ("thresholds", "--protocol", "six-state"): 0}
 
 
 def test_each_filter_form_is_solved_once_per_command(capsys, monkeypatch):
@@ -312,10 +351,11 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     rows = check_rows(captured.out)
     # The identity row reads the compiled forms, not H_fil's kernel; the
     # Bell vertex table reduces the Bell forms to range(H_fil), as the
-    # frontier rows reduce the pencil.
+    # piece table and frontier rows reduce the pencil.
     assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
     assert rows[0][-1] == "PASS"
     assert [r[1:] for r in rows[1:]] == [["nan", "< 1e-10", "FAIL"],
+                                         ["nan", "< 1e-10", "FAIL"],
                                          ["nan", "<= 1", "FAIL"],
                                          ["nan", ">= -1e-10", "FAIL"]]
     assert captured.out.splitlines()[-1] == "summary: FAIL"
@@ -324,9 +364,23 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     assert all("H_fil eigenvalue" in line for line in err)
 
 
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+def test_thresholds_read_no_form(capsys, unclear_filter_kernel, protocol):
+    # Every threshold is float arithmetic on keyrate's tables, which verify
+    # proves against the forms: an H_fil whose kernel cut is unclear does
+    # not reach the thresholds command.
+    assert cli.main(["thresholds", "--protocol", protocol]) == 0
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_thresholds_failed_internal_check_is_one_stderr_line(
-        capsys, tmp_path, unclear_filter_kernel, out):
+        capsys, tmp_path, monkeypatch, out):
+    # An internal check that raises inside the command (no forms are read:
+    # the failure is injected into the table's phase-error minimum).
+    def failing(pieces, e):
+        raise ArithmeticError("phase-error minimum failed")
+
+    monkeypatch.setattr(sargkit.keyrate, "phase_minimum", failing)
     argv = ["thresholds", "--protocol", "six-state"]
     if out:
         argv += ["--out", str(tmp_path / "t.csv")]
@@ -334,8 +388,7 @@ def test_thresholds_failed_internal_check_is_one_stderr_line(
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err.startswith("thresholds: H_fil eigenvalue ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "thresholds: phase-error minimum failed\n"
 
 
 def test_verify_unsupported_photon_number(capsys):
@@ -498,6 +551,7 @@ def test_frontier_custom_grid(capsys):
     ("--x-max", "1e308", "--x-step", "1e-300"),
     ("--x-max", "1e6", "--x-step", "1e-320"),  # point count overflows
     ("--x-min", "1e7", "--x-max", "1e7", "--x-step", "1"),  # over the x cap
+    ("--x-step", "inf"),  # a grid of 0 + 0*inf, nan
 ])
 def test_frontier_malformed_grid(capsys, flags):
     assert cli.main(["frontier", *flags]) == 2

@@ -223,6 +223,15 @@ def test_ephase_bound_two_matches_scan_and_golden_oracle(e):
     assert abs(e_ph - (x_opt * e + bounds.g_of_x(x_opt))) <= 1e-12
 
 
+def test_ephase_bound_two_is_the_hand_derived_stationary_point():
+    # The table row's minimum over its finite candidate set is the closed
+    # form derived by hand from g's stationary point.
+    for e in [0.5 * k / 2000 for k in range(2001)] + [
+            5e-324, 1e-300, 1e-100, 1e-12, 1e-9, 1e-6]:
+        assert abs(keyrate.ephase_bound_two(e)
+                   - oracles.ephase_bound_two_stationary(e)) <= 1e-15, e
+
+
 def test_threshold_two_reference_values():
     e = keyrate.threshold_two()
     assert abs(e - 0.0271) <= 2e-4
@@ -341,28 +350,29 @@ def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
 @lru_cache(maxsize=None)
 def _row_rate(protocol: str, nu: int):
     """A computed THRESHOLDS row's rate model, assembled from its parts: the
-    Bell-vertex rule at four-state nu=1 and six-state nu=1, 2, R2, and the
-    closed-form phase-error rate at six-state nu = 3, 4 (the floor at e = 0)."""
+    Bell-vertex rule at four-state nu=1 and six-state nu=1, 2, and the
+    table's phase-error rate at four-state nu=2 and six-state nu = 3, 4 (the
+    floor at e = 0)."""
     if (protocol, nu) in keyrate.BELL_VERTICES:
         return lambda e: 1.0 - keyrate.worst_bell_vector(protocol, nu, e)[1]
-    if protocol == "four-state":
-        return lambda e: keyrate.rate_independent(
-            e, keyrate.ephase_bound_two(e))
-    floor = bounds.zero_rate_check("six-state", nu)
+    pieces = keyrate.PIECES[protocol, nu]
+    floor = keyrate.piece_floor(pieces)
     return lambda e: keyrate.rate_independent(e, floor if e == 0.0 else (
-        bounds.phase_minimum("six-state", nu, e)[1]))
+        keyrate.phase_minimum(pieces, e)[1]))
 
 
-# The float root of every computed row.  Six-state nu=1..3 lie within 1, 6
-# and 6 ulps of their 40-digit roots, 0.1123571597943976528768...,
-# 0.0560275805550103332339... and 0.02370111901536418315....
+# The float root of every computed row.  Four-state nu=2 and six-state
+# nu=1..4 lie within 1, 1, 6, 8 and 2 ulps of their 40-digit roots,
+# 0.02710093150755928220..., 0.1123571597943976528768...,
+# 0.0560275805550103332339..., 0.02370111901536418315... and
+# 0.00788306408357147862....
 FLOAT_ROOTS = {
     ("four-state", 1): (0.09689248938745225, 0.08046590930386568),
-    ("four-state", 2): (0.027100931507559267, 0.020891888263563876),
+    ("four-state", 2): (0.02710093150755928, 0.020891888263563887),
     ("six-state", 1): (0.11235715979439764, 0.09493443311758082),
     ("six-state", 2): (0.056027580555010295, 0.04451473851425009),
-    ("six-state", 3): (0.023701119015364203, 0.01820737440935661),
-    ("six-state", 4): (0.007883064083571433, 0.005959275412648132),
+    ("six-state", 3): (0.023701119015364158, 0.018207374409356575),
+    ("six-state", 4): (0.007883064083571477, 0.005959275412648164),
 }
 
 
@@ -423,38 +433,37 @@ def _warm_solves(monkeypatch, compute) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 1), (4, 1)])
+@pytest.mark.parametrize("nu,solves", [(1, 0), (2, 0), (3, 0), (4, 0)])
 def test_six_state_thresholds_solve_budget(monkeypatch, nu, solves):
-    # The Bell-vertex rows make no solve.  A phase-error row reads the floor
-    # and its bisection from the blocks' closed form, which solve nothing,
-    # and certifies the root's bracket with one stacked margin solve.
+    # The Bell-vertex rows and the PIECES rows are float arithmetic on their
+    # tables: no row makes a solve (verify certifies the tables).
     assert _warm_solves(
         monkeypatch, lambda: keyrate.threshold("six-state", nu)) == solves
 
 
 def test_six_state_threshold_bisection_makes_no_solve(monkeypatch):
-    # The floor and every bisection step read the warm blocks; the one
-    # checked solve, the bracket's certificate, comes after the last step.
-    keyrate.threshold("six-state", 4)
+    # The floor and every bisection step read the table row: no solve runs
+    # before, during or after the bisection.
     events = []
-    solve, minimum = qmath.eigh_checked, bounds.phase_minimum
+    solve, minimum = qmath.eigh_checked, keyrate.phase_minimum
     monkeypatch.setattr(qmath, "eigh_checked",
                         lambda h: events.append("solve") or solve(h))
-    monkeypatch.setattr(bounds, "phase_minimum", lambda *args: events.append(
+    monkeypatch.setattr(keyrate, "phase_minimum", lambda *args: events.append(
         "bound") or minimum(*args))
     keyrate.threshold("six-state", 4)
-    last = len(events) - events[::-1].index("bound")
-    assert "solve" not in events[:last]
-    assert events.count("bound") > 50 and events[last:].count("solve") == 1
+    assert "solve" not in events and events.count("bound") > 50
 
 
 def test_closed_form_tangent_row_solve_budget(monkeypatch):
-    # Four phase-error bounds, each certified by one margin solve.
+    # Six phase-error bounds per row, certified by one stacked margin solve.
     from sargkit import cli
 
-    row = next(c for c in cli.checks()
-               if c.name == "closed form = tangent bound")
-    assert _warm_solves(monkeypatch, lambda: row.compute("four-state", 2)) == 4
+    rows = [c for c in cli.checks() if c.name == "closed form = tangent bound"]
+    assert [(c.protocols, c.nus) for c in rows] == [
+        (("four-state",), (2,)), (("six-state",), (3,)), (("six-state",), (4,))]
+    for c in rows:
+        case = (c.protocols[0], c.nus[0])
+        assert _warm_solves(monkeypatch, lambda: c.compute(*case)) == 1
 
 
 def test_depolarizing_conversions_round_trip():
@@ -573,13 +582,15 @@ def test_six_state_rate_model_follows_the_bell_vertex_table(monkeypatch):
     # bound; the others (nu = 3, 4) do.  A table without nu = 1 moves nu = 1
     # to the phase-error rate, whose root is the independent-errors one.
     bound_rows = []
-    minimum = bounds.phase_minimum
+    minimum = keyrate.phase_minimum
+    nu_of = {id(pieces): nu for (protocol, nu), pieces
+             in keyrate.PIECES.items() if protocol == "six-state"}
 
-    def spy(protocol, nu, e):
-        bound_rows.append(nu)
-        return minimum(protocol, nu, e)
+    def spy(pieces, e):
+        bound_rows.append(nu_of[id(pieces)])
+        return minimum(pieces, e)
 
-    monkeypatch.setattr(bounds, "phase_minimum", spy)
+    monkeypatch.setattr(keyrate, "phase_minimum", spy)
     for nu in (1, 2, 3, 4):
         keyrate.sixstate_thresholds(nu)
     assert sorted(set(bound_rows)) == [3, 4]
@@ -590,15 +601,16 @@ def test_six_state_rate_model_follows_the_bell_vertex_table(monkeypatch):
 
 
 def test_bell_vertex_thresholds_need_no_numpy():
-    # The Bell-vertex rows are float arithmetic on the table: in a process
-    # where numpy cannot be imported they give the same floats.
+    # Every threshold is float arithmetic on BELL_VERTICES or PIECES: in a
+    # process where numpy cannot be imported every row gives the same float.
     code = ("import sys; sys.modules['numpy'] = None; from sargkit import "
-            "keyrate; print(repr([keyrate.threshold_single(), "
-            "keyrate.sixstate_thresholds(1), keyrate.sixstate_thresholds(2)]))")
+            "keyrate; print(repr([keyrate.threshold(p, nu) for p, nu in %r]))"
+            % sorted(FLOAT_ROOTS))
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True,
                          env=dict(os.environ, PYTHONPATH=SRC)).stdout
-    assert out == repr([FLOAT_ROOTS[row][0] for row in BELL_ROWS]) + "\n"
+    assert out == repr([FLOAT_ROOTS[row][0]
+                        for row in sorted(FLOAT_ROOTS)]) + "\n"
 
 
 def test_six_state_thresholds_do_not_read_the_x_grid(monkeypatch):
@@ -684,18 +696,20 @@ def test_tangent_bound_is_certified_at_x_at_most_frontier_x_max(monkeypatch,
     # the margin's roundoff tolerance n*eps*x*||H_bit||_2 outgrows PSD_TOL.
     # The bound is certified at FRONTIER_X_MAX instead: never below the
     # minimum, and above it by y_star(FRONTIER_X_MAX) - floor at most.  The
-    # minimum itself stays the closed form: the singular blocks' curves keep
-    # their finite limit at any x.
-    assert abs(bounds.phase_minimum("four-state", 2, e)[1]
-               - keyrate.ephase_bound_two(e)) <= 1e-12
+    # minimum itself stays the closed form: the singular curves keep their
+    # finite limit at any x.  The certified bound reads the blocks, which
+    # match the table within IDENTITY_TOL (piece table = forms).
+    assert abs(keyrate.ephase_bound_two(e)
+               - oracles.ephase_bound_two_stationary(e)) <= 1e-15
     certified = []
     frontier = bounds.frontier
     monkeypatch.setattr(bounds, "frontier", lambda x, protocol, nu: (
         certified.append(x) or frontier(x, protocol, nu)))
     for case in (("four-state", 2), ("four-state", 4), ("six-state", 4)):
         bound = keyrate.ephase_bound_frontier(e, *case)
-        minimum = bounds.phase_minimum(*case, e)[1]
-        assert minimum <= bound <= minimum + 1e-7, case
+        minimum = keyrate.phase_minimum(keyrate.PIECES[case], e)[1]
+        assert (minimum - bounds.IDENTITY_TOL <= bound
+                <= minimum + 1e-7), case
     assert len(certified) == 3 and max(certified) <= sargkit.FRONTIER_X_MAX
 
 
@@ -713,9 +727,10 @@ def test_tangent_bound_is_attained_by_a_lifted_attack(case, e):
     # attack at bit error e_u, and of none below the line.
     protocol, nu = case
     a, b = bounds._reduced_pencil(protocol, nu)
-    x, bound = bounds.phase_minimum(protocol, nu, e)
+    x, bound = keyrate.phase_minimum(keyrate.PIECES[case], e)
     y = bounds.frontier(x, protocol, nu)
-    assert keyrate.ephase_bound_frontier(e, *case) == bound == x * e + y
+    assert keyrate.ephase_bound_frontier(e, *case) == x * e + y
+    assert abs(bound - (x * e + y)) <= bounds.IDENTITY_TOL
     w, v = qmath.eigh_checked(a - x * b)
     if w[-1] <= 1e-12:  # y_star clipped to 0: the zero attack
         assert abs(y) <= 1e-12
