@@ -66,18 +66,17 @@ def _report(args, fieldnames: list[str], rows: list[dict], results,
 # ---------------------------------------------------------------------------
 
 class Check(NamedTuple):
-    """One certificate row.
+    """One certificate row, printed once for each of its ``keys``.
 
-    A verify row (``nus`` set) prints as ``nu=<nu> <name>`` for each of its
-    protocols and photon numbers; a constants-check row (``nus`` None) as
-    ``<protocol> <name>``.  ``compute(protocol, nu)`` looks the library up
-    when it runs and returns the measured value; the row passes when
-    ``value <op> bound``, where a callable bound is called with the protocol.
+    A verify row's keys are (protocol, nu) pairs, each printed as
+    ``nu=<nu> <name>``; a constants-check row's are (protocol, None), each
+    printed as ``<protocol> <name>``.  ``compute(protocol, nu)`` returns the
+    measured value; the row passes when ``value <op> bound``, where a
+    callable bound is called with the protocol.
     """
 
     name: str
-    protocols: tuple[str, ...]
-    nus: tuple[int, ...] | None
+    keys: tuple[tuple[str, int | None], ...]
     compute: Callable
     op: str
     bound: float | Callable[[str], float]
@@ -85,12 +84,13 @@ class Check(NamedTuple):
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge,
         "==": operator.eq}
-_FOUR, _SIX, _BOTH = ("four-state",), ("six-state",), PROTOCOLS
 
 
 def checks() -> tuple[Check, ...]:
     """Every certificate, in print order: built once by each of verify and
     constants-check, so that only they import the numerical layers it reads.
+    Beside the paper's rows at literal keys, every scope is read from
+    keyrate's PIECES, BELL_VERTICES and THRESHOLDS (the rated keys).
     """
     import numpy as np
 
@@ -141,21 +141,23 @@ def checks() -> tuple[Check, ...]:
         return max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
 
     struct = qmath.STRUCTURAL_TOL
+    pieces, bell = tuple(keyrate.PIECES), tuple(keyrate.BELL_VERTICES)
+    rated = {row[:2] for table in keyrate.THRESHOLDS.values() for row in table}
+    independent = tuple(k for k in pieces if k in rated and k not in bell)
+    constants = tuple((p, None) for p in PROTOCOLS)
     return (
-        Check("phase = 1.5 x bit identity", _BOTH, (1,),
+        Check("phase = 1.5 x bit identity", tuple((p, 1) for p in PROTOCOLS),
               lambda p, nu: bounds.identity_check_single(p),
               "<", bounds.IDENTITY_TOL),
-        *(Check("Bell vertex table", (p,), (nu,),
-                lambda p, nu: bounds.bell_vertex_check(p, nu),
-                "<", bounds.IDENTITY_TOL)
-          for p, nu in keyrate.BELL_VERTICES),
-        Check("correlation chi0- >= 2 chi1+", _FOUR, (1,),
+        Check("Bell vertex table", bell, bounds.bell_vertex_check,
+              "<", bounds.IDENTITY_TOL),
+        Check("correlation chi0- >= 2 chi1+", (("four-state", 1),),
               lambda p, nu: bounds.correlation_psd_check()[0],
               ">=", -bounds.IDENTITY_TOL),
-        Check("correlation 2 chi1- >= chi0-", _FOUR, (1,),
+        Check("correlation 2 chi1- >= chi0-", (("four-state", 1),),
               lambda p, nu: bounds.correlation_psd_check()[1],
               ">=", -bounds.IDENTITY_TOL),
-        Check("event forms PSD", _FOUR, (1,),
+        Check("event forms PSD", pieces,
               lambda p, nu: float(min(
                   bounds._range_map(p, nu)[0][0],  # H_fil's solve
                   qmath.min_eigenvalue(np.stack([  # one solve of the others
@@ -163,10 +165,9 @@ def checks() -> tuple[Check, ...]:
                       in attack_forms.all_forms(p, nu).items()
                       if tag != "fil"])).min())),
               ">=", -bounds.IDENTITY_TOL),
-        Check("piece table = forms", _BOTH, SUPPORTED_NU,
-              lambda p, nu: bounds.piece_table_check(p, nu),
+        Check("piece table = forms", pieces, bounds.piece_table_check,
               "<", bounds.IDENTITY_TOL),
-        Check("margin at analytic bound", _FOUR, (2,),
+        Check("margin at analytic bound", (("four-state", 2),),
               lambda p, nu: float(bounds.psd_margin(
                   bounds.DEFAULT_X_GRID,
                   [bounds.g_of_x(x) for x in bounds.DEFAULT_X_GRID],
@@ -174,59 +175,56 @@ def checks() -> tuple[Check, ...]:
               ">=", -bounds.PSD_TOL),
         # The table row that piece table = forms proves is y_star = g: its
         # one curve is g, and its line 1/2 - x/2 lies below g.
-        Check("frontier = g exactly", _FOUR, (2,),
-              lambda p, nu: bounds.piece_table_check(p, nu),
-              "<=", bounds.IDENTITY_TOL),
-        Check("frontier floor vs sin^2(pi/8)", _FOUR, (2,),
-              lambda p, nu: bounds.zero_rate_check(p, nu),
+        Check("frontier = g exactly", (("four-state", 2),),
+              bounds.piece_table_check, "<=", bounds.IDENTITY_TOL),
+        Check("frontier floor vs sin^2(pi/8)", (("four-state", 2),),
+              bounds.zero_rate_check,
               "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
-        *(Check("closed form = tangent bound", (p,), (nu,), tangent_gap,
-                "<=", bounds.IDENTITY_TOL)
-          for p, nu in (("four-state", 2), ("six-state", 3), ("six-state", 4))),
-        Check("no-key floor", _FOUR, (3, 4),
-              lambda p, nu: bounds.zero_rate_check(p, nu),
-              ">=", 0.5 - bounds.PSD_TOL),
+        Check("closed form = tangent bound", independent, tangent_gap,
+              "<=", bounds.IDENTITY_TOL),
+        Check("no-key floor", tuple(k for k in pieces if k not in rated),
+              bounds.zero_rate_check, ">=", 0.5 - bounds.PSD_TOL),
         # y_star >= 0 by its clip and never increases with x (the reduced
         # H_bit is PSD: next row), so y_star(0) is its maximum over x >= 0.
-        Check("frontier in [0, 1]", _SIX, SUPPORTED_NU,
+        Check("frontier in [0, 1]", pieces,
               lambda p, nu: bounds.frontier(0.0, p, nu),
               "<=", 1.0 + bounds.PSD_TOL),
-        Check("reduced H_bit PSD", _SIX, SUPPORTED_NU,
+        Check("reduced H_bit PSD", pieces,
               lambda p, nu: qmath.min_eigenvalue(
                   bounds._reduced_pencil(p, nu)[1]),
               ">=", -bounds.IDENTITY_TOL),
-        Check("frontier floor below 1/2", _SIX, (4,),
-              lambda p, nu: bounds.zero_rate_check(p, nu), "<", 0.5),
-        Check("rotation count", _BOTH, None,
+        Check("frontier floor below 1/2", independent, bounds.zero_rate_check,
+              "<", 0.5),
+        Check("rotation count", constants,
               lambda p, nu: float(len(qmath.constants(p))),
               "==", lambda p: qmath.protocol_record(p).group_order),
-        Check("distinct signal states", _BOTH, None,
+        Check("distinct signal states", constants,
               lambda p, nu: float(len(qmath.signal_kets(p).kets)),
               "==", lambda p: qmath.protocol_record(p).k),
         # For nu >= K - 1 the powers s_k^(x)nu are independent, so every
         # form depends on nu only through the phases c^nu, i.e. nu mod P.
-        Check("phase period", _BOTH, None,
+        Check("phase period", constants,
               lambda p, nu: float(qmath.signal_kets(p).period),
               "==", lambda p: qmath.protocol_record(p).period),
-        Check("H_fil full rank at nu=K-1", _BOTH, None, filter_rank_ratio,
+        Check("H_fil full rank at nu=K-1", constants, filter_rank_ratio,
               ">=", math.sqrt(bounds.RANK_TOL)),
-        Check("no-key floor, nu >= K-1", _BOTH, None, no_key_floor,
+        Check("no-key floor, nu >= K-1", constants, no_key_floor,
               ">=", 0.5 - bounds.PSD_TOL),
-        Check("rotation maps phi1 to phi0", _BOTH, None,
+        Check("rotation maps phi1 to phi0", constants,
               lambda p, nu: max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
                                     - qmath.signal_ket(0)),
               "<", struct),
-        Check("rotation fourth power = -1", _BOTH, None,
+        Check("rotation fourth power = -1", constants,
               lambda p, nu: max_abs(
                   np.linalg.matrix_power(qmath.rotation_r(), 4) + qmath.I2),
               "<", struct),
-        Check("twist unitary", _BOTH, None, twist_unitarity, "<", struct),
-        Check("filter eigenvalues", _BOTH, None, filter_eigenvalues,
+        Check("twist unitary", constants, twist_unitarity, "<", struct),
+        Check("filter eigenvalues", constants, filter_eigenvalues,
               "<", struct),
-        Check("filter/measurement identity", _BOTH, None,
+        Check("filter/measurement identity", constants,
               lambda p, nu: qmath.filter_measurement_identity_check(),
               "<", struct),
-        Check("filtered pair = half chi0+", _BOTH, None, filtered_pair,
+        Check("filtered pair = half chi0+", constants, filtered_pair,
               "<", struct),
     )
 
@@ -250,8 +248,7 @@ def _check_row(check: Check, label: str, protocol: str,
 def cmd_verify(args) -> int:
     table = checks()
     printable = [(nu, c) for nu in SUPPORTED_NU for c in table
-                 if c.nus is not None and nu in c.nus
-                 and args.protocol in c.protocols]
+                 if (args.protocol, nu) in c.keys]
     rows = [_check_row(c, "nu=%d" % nu, args.protocol, nu)
             for nu, c in printable if args.nu in (None, nu)]
     names = ["nu=%d %s" % (nu, c.name) for nu, c in printable]
@@ -259,11 +256,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_constants_check(args) -> int:
-    protocols = PROTOCOLS if args.protocol is None else (args.protocol,)
     table = checks()
-    rows = [_check_row(c, p, p, None) for p in protocols for c in table
-            if c.nus is None and p in c.protocols]
-    return 0 if _print_checks(rows, [r[0] for r in rows]) else 1
+    printable = [(p, c) for p in PROTOCOLS for c in table
+                 if (p, None) in c.keys]
+    rows = [_check_row(c, p, p, None)
+            for p, c in printable if args.protocol in (None, p)]
+    names = ["%s %s" % (p, c.name) for p, c in printable]
+    return 0 if _print_checks(rows, names) else 1
 
 
 # ---------------------------------------------------------------------------

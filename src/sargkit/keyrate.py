@@ -19,8 +19,12 @@ Every rate is a float of e_bit, and every threshold is a bare float that
 takes one path, ``_threshold``: the float root of the rate on [0, E_BIT_MAX],
 its last float with a positive rate.  A rate already <= 0 at e = 0 means no
 key at any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
-depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS;
-``threshold`` picks each row's model.
+depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS.
+
+The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
+and ``threshold`` applies the Bell-vertex rule to a BELL_VERTICES key and
+the independent rule to any other, on its PIECES row.  cli.checks scopes
+its certificates by the same three tables; neither branches on a protocol.
 
 Every rate and the decoy composition are float arithmetic on the two plain
 tables, which bounds proves against the compiled forms; bounds reads its
@@ -35,7 +39,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from . import FRONTIER_X_MAX, SUPPORTED_NU
+from . import FRONTIER_X_MAX
 
 # The high end of every threshold's bracket: every rate model is defined up to
 # it (the narrowest domain, the six-state nu=1 Bell polytope's, ends at 4/7).
@@ -99,10 +103,11 @@ PIECES = {
 # The thresholds table: per protocol, rows in print order of (label, nu, quoted
 # e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
 # None is a quoted constant (BB84's and the original six-state protocol's
-# single-photon p); any other nu needs a rate model in ``threshold``.  A
-# tolerance part of None leaves that deviation unchecked, and a tolerance of
-# None makes the row informational, as the two reference constants are.  The
-# six-state rows quote e only, and are held to half a unit of its last digit.
+# single-photon p); any other row names a rated key (label, nu), whose rate
+# ``threshold`` reads from BELL_VERTICES or PIECES.  A tolerance part of None
+# leaves that deviation unchecked, and a tolerance of None makes the row
+# informational, as the two reference constants are.  The six-state rows
+# quote e only, and are held to half a unit of its last digit.
 THRESHOLDS = {
     "four-state": (("four-state", 1, 0.0968, 0.0804, (2e-4, 5e-4)),
                    ("four-state", 2, 0.0271, 0.0208, (2e-4, 5e-4))),
@@ -302,17 +307,6 @@ def phase_bound(pieces, e_bit: float) -> float:
     return phase_minimum(pieces, e_bit)[1]
 
 
-def _bell_threshold(protocol: str, nu: int) -> float:
-    """The root of a BELL_VERTICES row's rate 1 - H(worst_bell_vector)."""
-    return _threshold(
-        lambda e: 1.0 - worst_bell_vector(protocol, nu, e)[1])
-
-
-def threshold_single() -> float:
-    """Bit-error threshold of the single-photon rate R1."""
-    return _bell_threshold("four-state", 1)
-
-
 # sin^2(pi/8), the paper's two-photon zero-error floor, correctly rounded.
 SIN2_PI_8 = math.sin(math.pi / 8) ** 2
 
@@ -333,11 +327,6 @@ def rate_independent(e_bit: float, e_ph: float) -> float:
     """1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns: R2
     with e_ph = ephase_bound_two(e_bit), and the six-state rate."""
     return 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
-
-
-def threshold_two() -> float:
-    """Bit-error threshold of the two-photon rate R2."""
-    return _threshold(lambda e: rate_independent(e, ephase_bound_two(e)))
 
 
 def depol_p(e: float) -> float:
@@ -418,27 +407,30 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     return x * e_bit + bounds.frontier(x, protocol, nu)
 
 
-def sixstate_thresholds(nu: int) -> float:
-    """Six-state threshold for one photon number (1..4): the float root of
-    1 - H(worst_bell_vector) for a BELL_VERTICES row, else of 1 - h(e) -
-    h(e_ph), e_ph the PIECES row's phase_bound.  Float arithmetic on the
-    two tables: no eigen-solve, and no numpy."""
-    if nu not in SUPPORTED_NU:
-        raise ValueError("six-state thresholds are computed for nu in %d..%d"
-                         % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
-    if ("six-state", nu) in BELL_VERTICES:
-        return _bell_threshold("six-state", nu)
-    pieces = PIECES["six-state", nu]
+def threshold(protocol: str, nu: int) -> float:
+    """The threshold of the THRESHOLDS row that names (protocol, nu): the
+    float root of 1 - H(worst_bell_vector) for a BELL_VERTICES key, else of
+    1 - h(e) - h(e_ph), e_ph the PIECES row's phase_bound.  Float
+    arithmetic on the tables: no eigen-solve, and no numpy."""
+    if (protocol, nu) not in {row[:2] for row in THRESHOLDS.get(protocol, ())}:
+        raise ValueError("no threshold row for %s nu=%r" % (protocol, nu))
+    if (protocol, nu) in BELL_VERTICES:
+        return _threshold(
+            lambda e: 1.0 - worst_bell_vector(protocol, nu, e)[1])
+    pieces = PIECES[protocol, nu]
     return _threshold(lambda e: rate_independent(e, phase_bound(pieces, e)))
 
 
-def threshold(protocol: str, nu: int) -> float:
-    """A THRESHOLDS row's threshold under its rate model: four-state nu=1 R1,
-    nu=2 R2, six-state nu=1..4 ``sixstate_thresholds``."""
-    if protocol == "six-state":
-        return sixstate_thresholds(nu)
-    model = {("four-state", 1): threshold_single,
-             ("four-state", 2): threshold_two}.get((protocol, nu))
-    if model is None:
-        raise ValueError("no threshold model for %s nu=%r" % (protocol, nu))
-    return model()
+def threshold_single() -> float:
+    """Bit-error threshold of the single-photon rate R1."""
+    return threshold("four-state", 1)
+
+
+def threshold_two() -> float:
+    """Bit-error threshold of the two-photon rate R2."""
+    return threshold("four-state", 2)
+
+
+def sixstate_thresholds(nu: int) -> float:
+    """Six-state threshold for one photon number (1..4)."""
+    return threshold("six-state", nu)

@@ -82,6 +82,17 @@ def test_verify_lines_do_not_depend_on_nu(capsys, protocol):
     assert parts == full.splitlines()[:-1]
 
 
+def test_constants_check_lines_do_not_depend_on_protocol(capsys):
+    # The name column is as wide as the longest row of any protocol, so each
+    # --protocol run prints its rows' lines of the full run byte for byte.
+    _, full = run(capsys, "constants-check")
+    parts = []
+    for protocol in qmath.PROTOCOLS:
+        _, out = run(capsys, "constants-check", "--protocol", protocol)
+        parts += out.splitlines()[:-1]
+    assert parts == full.splitlines()[:-1]
+
+
 # Every verify row, by protocol and photon number, in print order.
 VERIFY_ROWS = {
     ("four-state", 1): ["nu=1 phase = 1.5 x bit identity",
@@ -89,28 +100,43 @@ VERIFY_ROWS = {
                         "nu=1 correlation chi0- >= 2 chi1+",
                         "nu=1 correlation 2 chi1- >= chi0-",
                         "nu=1 event forms PSD",
-                        "nu=1 piece table = forms"],
-    ("four-state", 2): ["nu=2 piece table = forms",
+                        "nu=1 piece table = forms",
+                        "nu=1 frontier in [0, 1]",
+                        "nu=1 reduced H_bit PSD"],
+    ("four-state", 2): ["nu=2 event forms PSD",
+                        "nu=2 piece table = forms",
                         "nu=2 margin at analytic bound",
                         "nu=2 frontier = g exactly",
                         "nu=2 frontier floor vs sin^2(pi/8)",
-                        "nu=2 closed form = tangent bound"],
-    ("four-state", 3): ["nu=3 piece table = forms", "nu=3 no-key floor"],
-    ("four-state", 4): ["nu=4 piece table = forms", "nu=4 no-key floor"],
+                        "nu=2 closed form = tangent bound",
+                        "nu=2 frontier in [0, 1]",
+                        "nu=2 reduced H_bit PSD",
+                        "nu=2 frontier floor below 1/2"],
+    ("four-state", 3): ["nu=3 event forms PSD", "nu=3 piece table = forms",
+                        "nu=3 no-key floor", "nu=3 frontier in [0, 1]",
+                        "nu=3 reduced H_bit PSD"],
+    ("four-state", 4): ["nu=4 event forms PSD", "nu=4 piece table = forms",
+                        "nu=4 no-key floor", "nu=4 frontier in [0, 1]",
+                        "nu=4 reduced H_bit PSD"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
                        "nu=1 Bell vertex table",
+                       "nu=1 event forms PSD",
                        "nu=1 piece table = forms",
                        "nu=1 frontier in [0, 1]",
                        "nu=1 reduced H_bit PSD"],
     ("six-state", 2): ["nu=2 Bell vertex table",
+                       "nu=2 event forms PSD",
                        "nu=2 piece table = forms",
                        "nu=2 frontier in [0, 1]",
                        "nu=2 reduced H_bit PSD"],
-    ("six-state", 3): ["nu=3 piece table = forms",
+    ("six-state", 3): ["nu=3 event forms PSD",
+                       "nu=3 piece table = forms",
                        "nu=3 closed form = tangent bound",
                        "nu=3 frontier in [0, 1]",
-                       "nu=3 reduced H_bit PSD"],
-    ("six-state", 4): ["nu=4 piece table = forms",
+                       "nu=3 reduced H_bit PSD",
+                       "nu=3 frontier floor below 1/2"],
+    ("six-state", 4): ["nu=4 event forms PSD",
+                       "nu=4 piece table = forms",
                        "nu=4 closed form = tangent bound",
                        "nu=4 frontier in [0, 1]",
                        "nu=4 reduced H_bit PSD",
@@ -138,6 +164,41 @@ def test_verify_prints_every_certificate_in_order(capsys, protocol, nu):
     nus = [1, 2, 3, 4] if nu is None else [nu]
     assert [r[0] for r in rows] == [
         name for n in nus for name in VERIFY_ROWS[protocol, n]]
+    assert all(r[-1] == "PASS" for r in rows)
+
+
+# The rows that prove a PIECES row's frontier: its forms, its pieces, its
+# range and the monotonicity the floor rows read.
+STRUCTURAL_ROWS = ("event forms PSD", "piece table = forms",
+                   "frontier in [0, 1]", "reduced H_bit PSD")
+
+
+@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+def test_verify_proves_every_piece_row_of_the_table(capsys, protocol):
+    rc, out = run(capsys, "verify", "--protocol", protocol)
+    assert rc == 0
+    passed = {r[0] for r in check_rows(out) if r[-1] == "PASS"}
+    expected = {"nu=%d %s" % (nu, name)
+                for p, nu in sargkit.keyrate.PIECES if p == protocol
+                for name in STRUCTURAL_ROWS}
+    assert expected and expected <= passed
+
+
+def test_verify_scopes_follow_the_tables(capsys, monkeypatch):
+    # Without its Bell vertex table, the six-state nu=2 row is rated by the
+    # independent rule on its PIECES row: its threshold is that rule's root,
+    # and verify proves the tangent and floor rows in place of the Bell row.
+    monkeypatch.delitem(sargkit.keyrate.BELL_VERTICES, ("six-state", 2))
+    assert sargkit.keyrate.threshold("six-state", 2) == 0.048861565170106744
+    rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "2")
+    assert rc == 0
+    rows = check_rows(out)
+    assert [r[0] for r in rows] == ["nu=2 event forms PSD",
+                                    "nu=2 piece table = forms",
+                                    "nu=2 closed form = tangent bound",
+                                    "nu=2 frontier in [0, 1]",
+                                    "nu=2 reduced H_bit PSD",
+                                    "nu=2 frontier floor below 1/2"]
     assert all(r[-1] == "PASS" for r in rows)
 
 
@@ -175,7 +236,8 @@ def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
     # B - 1e-6*I has lambda_min(B) - 1e-6 < -IDENTITY_TOL.  The PSD row reads
     # it and fails; pencil_blocks, with a cache that starts empty, cuts B's
     # kernel and raises, so every row that reads the blocks is a nan FAIL
-    # row with one stderr line.
+    # row with one stderr line.  The identity and event-form rows read the
+    # forms, not the pencil, and pass.
     oracles.fresh_caches(monkeypatch)
     pencil = sargkit.bounds._reduced_pencil
     monkeypatch.setattr(sargkit.bounds, "_reduced_pencil", lambda p, n: (
@@ -186,7 +248,8 @@ def test_verify_fails_the_psd_row_on_an_indefinite_reduced_bit_form(
     rows = {r[0]: r[1:] for r in check_rows(captured.out)}
     failed = sorted(name for name, r in rows.items() if r[-1] == "FAIL")
     assert failed == sorted(name for name in VERIFY_ROWS["six-state", nu]
-                            if "identity" not in name)
+                            if "identity" not in name
+                            and "event forms" not in name)
     value, *verdict = rows.pop("nu=%d reduced H_bit PSD" % nu)
     assert verdict == [">= -1e-10", "FAIL"]
     assert -1.1e-6 < float(value) < -0.9e-6
@@ -261,9 +324,9 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
         capsys, monkeypatch):
     # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
     # four-state nu=2: pencil_blocks raises, and so every row that reads the
-    # blocks (the piece table row, the g row, the floor row and the
-    # closed-form row) fails with one stderr line each, while the rows on
-    # the forms still pass.
+    # blocks (the piece table row, the g row, both floor rows, the
+    # closed-form row and the range row) fails with one stderr line each,
+    # while the rows on the forms still pass.
     oracles.fresh_caches(monkeypatch)
     pencil = oracles.couple_two_photon_blocks(1e-9)
     reduced = sargkit.bounds._reduced_pencil
@@ -276,10 +339,12 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
     assert [r[0] for r in failed] == ["nu=2 piece table = forms",
                                       "nu=2 frontier = g exactly",
                                       "nu=2 frontier floor vs sin^2(pi/8)",
-                                      "nu=2 closed form = tangent bound"]
+                                      "nu=2 closed form = tangent bound",
+                                      "nu=2 frontier in [0, 1]",
+                                      "nu=2 frontier floor below 1/2"]
     assert all(r[1] == "nan" for r in failed)
     err = captured.err.splitlines()
-    assert len(err) == 4 and all("pencil block residual" in e for e in err)
+    assert len(err) == 6 and all("pencil block residual" in e for e in err)
 
 
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
@@ -300,8 +365,8 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
 
 # Checked eigen-solves of each command run with empty caches.
 COLD_SOLVES = {("constants-check",): 22,
-               ("verify", "--protocol", "four-state"): 13,
-               ("verify", "--protocol", "six-state"): 18,
+               ("verify", "--protocol", "four-state"): 24,
+               ("verify", "--protocol", "six-state"): 22,
                ("thresholds", "--protocol", "four-state"): 0,
                ("thresholds", "--protocol", "six-state"): 0}
 
@@ -350,11 +415,13 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     assert rc == 1
     rows = check_rows(captured.out)
     # The identity row reads the compiled forms, not H_fil's kernel; the
-    # Bell vertex table reduces the Bell forms to range(H_fil), as the
-    # piece table and frontier rows reduce the pencil.
+    # Bell vertex table reduces the Bell forms to range(H_fil), the event
+    # form row reads H_fil's cut solve, and the piece table and frontier
+    # rows reduce the pencil.
     assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
     assert rows[0][-1] == "PASS"
     assert [r[1:] for r in rows[1:]] == [["nan", "< 1e-10", "FAIL"],
+                                         ["nan", ">= -1e-10", "FAIL"],
                                          ["nan", "< 1e-10", "FAIL"],
                                          ["nan", "<= 1", "FAIL"],
                                          ["nan", ">= -1e-10", "FAIL"]]
@@ -924,7 +991,7 @@ def refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command,compute", [
-    ("thresholds", "keyrate.threshold_single"),
+    ("thresholds", "keyrate.threshold"),
     ("simulate", "simulate.run_monte_carlo"),
 ])
 def test_unwritable_out_is_a_usage_error_before_any_work(capsys, tmp_path,

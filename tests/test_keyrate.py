@@ -458,12 +458,11 @@ def test_closed_form_tangent_row_solve_budget(monkeypatch):
     # Six phase-error bounds per row, certified by one stacked margin solve.
     from sargkit import cli
 
-    rows = [c for c in cli.checks() if c.name == "closed form = tangent bound"]
-    assert [(c.protocols, c.nus) for c in rows] == [
-        (("four-state",), (2,)), (("six-state",), (3,)), (("six-state",), (4,))]
-    for c in rows:
-        case = (c.protocols[0], c.nus[0])
-        assert _warm_solves(monkeypatch, lambda: c.compute(*case)) == 1
+    (row,) = [c for c in cli.checks()
+              if c.name == "closed form = tangent bound"]
+    assert row.keys == (("four-state", 2), ("six-state", 3), ("six-state", 4))
+    for case in row.keys:
+        assert _warm_solves(monkeypatch, lambda: row.compute(*case)) == 1
 
 
 def test_depolarizing_conversions_round_trip():
