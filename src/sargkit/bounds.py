@@ -144,7 +144,7 @@ def g_of_x(x: float) -> float:
     root never branches; g decreases monotonically to sin^2(pi/8) as x grows.
     Past x = 30, where this form loses eps*x/6, g is taken within half an
     ulp as sin^2(pi/8) + 1/(4*(2x - 3/sqrt(2) + sqrt(disc))), the limit held
-    in two doubles.
+    in two doubles (keyrate.SIN2_PI_8 and SIN2_PI_8_LO).
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("g_of_x requires 0 <= x < inf, got x=%r" % float(x))
@@ -152,8 +152,7 @@ def g_of_x(x: float) -> float:
     if x <= 30.0:
         return (3.0 - 2.0 * x + math.sqrt(disc)) / 6.0
     tail = 0.25 / (2.0 * x - 1.5 * math.sqrt(2.0) + math.sqrt(disc))
-    # SIN2_PI_8 is sin^2(pi/8) rounded up by 3.587342331996631e-18.
-    return keyrate.SIN2_PI_8 + (tail - 3.587342331996631e-18)
+    return keyrate.SIN2_PI_8 + (tail + keyrate.SIN2_PI_8_LO)
 
 
 def _kernel_split(w: np.ndarray, name: str) -> float:

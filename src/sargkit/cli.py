@@ -34,22 +34,6 @@ from . import FRONTIER_X_MAX, PROTOCOLS, SUPPORTED_NU, __version__, reports
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _print_checks(rows: list[tuple[str, float, str, bool]],
-                  names: list[str]) -> bool:
-    """Print a check table, its name column as wide as the longest of
-    ``names`` (every row the command can print for its protocols, so a row's
-    line does not depend on the rows printed beside it); return True iff
-    every row passed."""
-    width = max(map(len, names))
-    all_ok = True
-    for name, value, requirement, ok in rows:
-        all_ok &= ok
-        print("%-*s  % .3e  %-18s  %s" % (
-            width, name, value, requirement, "PASS" if ok else "FAIL"))
-    print("summary: %s" % ("PASS" if all_ok else "FAIL"))
-    return all_ok
-
-
 def _report(args, fieldnames: list[str], rows: list[dict], results,
             manifest: reports.RunManifest) -> None:
     """Write ``results`` as JSON, or the ``fieldnames`` columns of ``rows``
@@ -245,24 +229,36 @@ def _check_row(check: Check, label: str, protocol: str,
     return name, value, requirement, _OPS[check.op](value, bound)
 
 
-def cmd_verify(args) -> int:
+def _check_table(keys, chosen, label: Callable) -> int:
+    """Print every row of ``checks()`` at a key in ``chosen``, key by key in
+    the order of ``keys``, each named ``label(protocol, nu)`` and its
+    check's name, then a summary line; exit code 0 iff every row passed.
+    The name column is as wide as the longest name at any of ``keys`` (every
+    key the command can print), so a row's line does not depend on the rows
+    printed beside it."""
     table = checks()
-    printable = [(nu, c) for nu in SUPPORTED_NU for c in table
-                 if (args.protocol, nu) in c.keys]
-    rows = [_check_row(c, "nu=%d" % nu, args.protocol, nu)
-            for nu, c in printable if args.nu in (None, nu)]
-    names = ["nu=%d %s" % (nu, c.name) for nu, c in printable]
-    return 0 if _print_checks(rows, names) else 1
+    printable = [(key, c) for key in keys for c in table if key in c.keys]
+    rows = [_check_row(c, label(*key), *key)
+            for key, c in printable if key in chosen]
+    width = max(len("%s %s" % (label(*key), c.name)) for key, c in printable)
+    for name, value, requirement, ok in rows:
+        print("%-*s  % .3e  %-18s  %s" % (
+            width, name, value, requirement, "PASS" if ok else "FAIL"))
+    all_ok = all(row[-1] for row in rows)
+    print("summary: %s" % ("PASS" if all_ok else "FAIL"))
+    return 0 if all_ok else 1
+
+
+def cmd_verify(args) -> int:
+    keys = [(args.protocol, nu) for nu in SUPPORTED_NU]
+    chosen = [(p, nu) for p, nu in keys if args.nu in (None, nu)]
+    return _check_table(keys, chosen, lambda p, nu: "nu=%d" % nu)
 
 
 def cmd_constants_check(args) -> int:
-    table = checks()
-    printable = [(p, c) for p in PROTOCOLS for c in table
-                 if (p, None) in c.keys]
-    rows = [_check_row(c, p, p, None)
-            for p, c in printable if args.protocol in (None, p)]
-    names = ["%s %s" % (p, c.name) for p, c in printable]
-    return 0 if _print_checks(rows, names) else 1
+    keys = [(p, None) for p in PROTOCOLS]
+    chosen = [(p, nu) for p, nu in keys if args.protocol in (None, p)]
+    return _check_table(keys, chosen, lambda p, nu: p)
 
 
 # ---------------------------------------------------------------------------

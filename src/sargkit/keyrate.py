@@ -15,10 +15,13 @@ Rates are asymptotic per sifted conclusive pair, under one of two rules:
   maximum of 0 and the row's exact pieces (PIECES), so the minimum lies at
   a point of a finite set, read on no x-grid.
 
-Every rate is a float of e_bit, and every threshold is a bare float that
-takes one path, ``_threshold``: the float root of the rate on [0, E_BIT_MAX],
-its last float with a positive rate.  A rate already <= 0 at e = 0 means no
-key at any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
+Every rate is a float of e_bit.  Every threshold is the last float whose
+exact rate is positive: ``_threshold`` bisects the float rate on [0,
+E_BIT_MAX] to its float root, and ``_proved_root`` steps that root by ulps
+until ``exact_rate``, the same rule in 40-digit Decimal arithmetic on the
+exact tables, is positive there and negative at the next float up, each by
+more than RATE_ERROR.  A float rate already <= 0 at e = 0 means no key at
+any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
 depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
@@ -26,18 +29,25 @@ and ``threshold`` applies the Bell-vertex rule to a BELL_VERTICES key and
 the independent rule to any other, on its PIECES row.  cli.checks scopes
 its certificates by the same three tables; neither branches on a protocol.
 
-Every rate and the decoy composition are float arithmetic on the two plain
-tables, which bounds proves against the compiled forms; bounds reads its
-float pencil pieces with the same ``envelope`` and ``piece_floor``.  Only
-``ephase_bound_frontier`` imports ``bounds`` (and with it numpy).
+Each table coefficient is written once, as its exact value in Q(sqrt 2)
+held in 40 digits (EXACT_BELL_VERTICES, EXACT_PIECES).  The float tables
+(BELL_VERTICES, PIECES) are those values correctly rounded, and every
+zero-error floor a table read returns (FLOORS) is its exact floor rounded
+up.  Every float rate and the decoy composition are float arithmetic on
+the float tables, which bounds proves against the compiled forms; bounds
+reads its float pencil pieces with the same ``envelope`` and
+``piece_floor``.  Only ``ephase_bound_frontier`` imports ``bounds`` (and
+with it numpy).
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import struct
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import FRONTIER_X_MAX
 
@@ -50,54 +60,88 @@ E_BIT_MAX = 0.4
 # within about sqrt(e) of its minimum, and a crossing past it is dropped.
 X_FINITE = 1e150
 
-_R2 = math.sqrt(2.0)
-
-# The Bell polytope of each row whose reduced Bell forms commute: the distinct
-# Bell vectors, in qmath.BELL_TAGS order, of the forms' joint eigenvectors
-# (proved against the compiled forms by bounds.bell_vertex_check).  A
-# conclusive pair's Bell vector ranges over their hull.  Every row has at most
-# three vertices, with distinct bit weights chi1+ + chi1-.
-BELL_VERTICES = {
-    ("four-state", 1): ((1.0, 0.0, 0.0, 0.0), (0.0, 1 / 3, 0.0, 2 / 3),
-                        (0.0, 0.5, 0.25, 0.25)),
-    ("six-state", 1): ((1.0, 0.0, 0.0, 0.0), (0.0, 3 / 7, 1 / 7, 3 / 7)),
-    ("six-state", 2): (((2 + _R2) / 4, (2 - _R2) / 4, 0.0, 0.0),
-                       ((8 - 5 * _R2) / 40, (8 + 5 * _R2) / 40,
-                        (12 - 3 * _R2) / 40, (12 + 3 * _R2) / 40)),
-}
+# The one context of every exact value: 40 significant digits, each
+# operation rounded to nearest (Decimal.sqrt and Decimal.ln too).
+_EXACT = decimal.Context(prec=40)
 
 
-def _piece(alpha, beta, gamma=0.0, delta=0.0, epsilon=0.0):
+def _exact_piece(alpha, beta, gamma=0, delta=0, epsilon=0):
     # Every curve at nu <= 4 is singular (gamma = beta^2), so gamma - beta^2
-    # is exactly 0.0 on a curve; a line has gamma = delta = epsilon = 0.
-    return (alpha, beta, gamma, delta, epsilon,
-            0.0 if gamma else 0.0 - beta * beta)
+    # is exactly 0 on a curve; a line has gamma = delta = epsilon = 0.
+    return tuple(map(Decimal, (alpha, beta, gamma, delta, epsilon,
+                               0 if gamma else -beta * beta)))
 
 
-# The exact closed form of every frontier y_star at nu <= 4: the distinct
-# pieces lambda_max(A_k - x*B_k) of the pencil blocks (bounds.pencil_blocks,
-# proved against the compiled forms by bounds.piece_table_check), each the
-# 6-tuple (alpha, beta, gamma, delta, epsilon, gamma - beta^2) of
-# alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), every coefficient
-# in Q(sqrt 2).  y_star is the maximum of 0 and its row's pieces; the
-# four-state nu=2 curve is the paper's g.
-PIECES = {
-    ("four-state", 1): (_piece(0.0, 0.0), _piece(1.0, 2 / 3),
-                        _piece(0.75, 0.5)),
-    ("four-state", 2): (_piece(0.5, 0.5),
-                        _piece(0.5, 1 / 3, 1 / 9, _R2 / 12, 1 / 6)),
-    ("four-state", 3): (_piece(0.0, 0.0), _piece(0.0, 2 / 3), _piece(1.0, 0.0),
-                        _piece(1.0, 2 / 3),
-                        _piece(0.5, 1 / 3, 1 / 9, 0.0, 1 / 12)),
-    ("four-state", 4): (_piece(0.5, 1 / 3, 1 / 9, _R2 / 12, 1 / 6),
-                        _piece(0.5, 1 / 3, 1 / 9, -_R2 / 12, 1 / 6)),
-    ("six-state", 1): (_piece(0.0, 0.0), _piece(6 / 7, 4 / 7)),
-    ("six-state", 2): (_piece(0.5 - _R2 / 4, 0.0), _piece(0.5 + _R2 / 5, 0.6)),
-    ("six-state", 3): (_piece(0.25, 0.0), _piece(19 / 28, 4 / 7),
-                       _piece(0.75, 2 / 3)),
-    ("six-state", 4): (_piece(0.5, 0.5),
-                       _piece(0.5, 1 / 3, 1 / 9, _R2 / 24, 1 / 24)),
-}
+def _exact_vertices(*chis):
+    return tuple(tuple(map(Decimal, chi)) for chi in chis)
+
+
+with decimal.localcontext(_EXACT):
+    # 1 and sqrt(2), so that every quotient below is a Decimal.
+    _1, _S = Decimal(1), Decimal(2).sqrt()
+    # The Bell polytope of each row whose reduced Bell forms commute: the
+    # distinct Bell vectors, in qmath.BELL_TAGS order, of the forms' joint
+    # eigenvectors (proved against the compiled forms by
+    # bounds.bell_vertex_check).  A conclusive pair's Bell vector ranges over
+    # their hull.  Every row has at most three vertices, with distinct bit
+    # weights chi1+ + chi1-.  Each weight lies in Q(sqrt 2).
+    EXACT_BELL_VERTICES = {
+        ("four-state", 1): _exact_vertices((1, 0, 0, 0),
+                                           (0, _1 / 3, 0, 2 * _1 / 3),
+                                           (0, _1 / 2, _1 / 4, _1 / 4)),
+        ("six-state", 1): _exact_vertices((1, 0, 0, 0),
+                                          (0, 3 * _1 / 7, _1 / 7, 3 * _1 / 7)),
+        ("six-state", 2): _exact_vertices(
+            ((2 + _S) / 4, (2 - _S) / 4, 0, 0),
+            ((8 - 5 * _S) / 40, (8 + 5 * _S) / 40,
+             (12 - 3 * _S) / 40, (12 + 3 * _S) / 40)),
+    }
+    # The exact closed form of every frontier y_star at nu <= 4: the
+    # distinct pieces lambda_max(A_k - x*B_k) of the pencil blocks
+    # (bounds.pencil_blocks, proved against the compiled forms by
+    # bounds.piece_table_check), each the 6-tuple (alpha, beta, gamma, delta,
+    # epsilon, gamma - beta^2) of alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x
+    # + epsilon), every coefficient in Q(sqrt 2).  y_star is the maximum of 0
+    # and its row's pieces; the four-state nu=2 curve is the paper's g.
+    EXACT_PIECES = {
+        ("four-state", 1): (_exact_piece(0, 0), _exact_piece(1, 2 * _1 / 3),
+                            _exact_piece(3 * _1 / 4, _1 / 2)),
+        ("four-state", 2): (_exact_piece(_1 / 2, _1 / 2),
+                            _exact_piece(_1 / 2, _1 / 3, _1 / 9, _S / 12,
+                                         _1 / 6)),
+        ("four-state", 3): (_exact_piece(0, 0), _exact_piece(0, 2 * _1 / 3),
+                            _exact_piece(1, 0), _exact_piece(1, 2 * _1 / 3),
+                            _exact_piece(_1 / 2, _1 / 3, _1 / 9, 0, _1 / 12)),
+        ("four-state", 4): (_exact_piece(_1 / 2, _1 / 3, _1 / 9, _S / 12,
+                                         _1 / 6),
+                            _exact_piece(_1 / 2, _1 / 3, _1 / 9, -_S / 12,
+                                         _1 / 6)),
+        ("six-state", 1): (_exact_piece(0, 0),
+                           _exact_piece(6 * _1 / 7, 4 * _1 / 7)),
+        ("six-state", 2): (_exact_piece(_1 / 2 - _S / 4, 0),
+                           _exact_piece(_1 / 2 + _S / 5, 3 * _1 / 5)),
+        ("six-state", 3): (_exact_piece(_1 / 4, 0),
+                           _exact_piece(19 * _1 / 28, 4 * _1 / 7),
+                           _exact_piece(3 * _1 / 4, 2 * _1 / 3)),
+        ("six-state", 4): (_exact_piece(_1 / 2, _1 / 2),
+                           _exact_piece(_1 / 2, _1 / 3, _1 / 9, _S / 24,
+                                        _1 / 24)),
+    }
+    _LN2 = Decimal(2).ln()
+
+
+def _round_up(x) -> float:
+    """The least float >= x, a Decimal."""
+    f = float(x)
+    return f if Decimal(f) >= x else math.nextafter(f, math.inf)
+
+
+# The float tables that every rate reads: each exact value correctly
+# rounded (float(Decimal) is).
+BELL_VERTICES = {key: tuple(tuple(map(float, chi)) for chi in row)
+                 for key, row in EXACT_BELL_VERTICES.items()}
+PIECES = {key: tuple(tuple(map(float, piece)) for piece in row)
+          for key, row in EXACT_PIECES.items()}
 
 
 # The thresholds table: per protocol, rows in print order of (label, nu, quoted
@@ -278,12 +322,27 @@ def stationary(pieces, e: float) -> list[float]:
     return [min(x, X_FINITE) for x in xs if x >= 0.0]
 
 
-def piece_floor(pieces) -> float:
+def piece_floor(pieces):
     """The zero-error floor inf_x y_star(x), clipped only at 0: the largest
     limit of a piece that keeps one as x -> inf, alpha on a flat line and
-    alpha - delta/beta on a singular curve (gamma - beta^2 = 0)."""
-    return max([0.0] + [a - (d / b if g > 0.0 else 0.0)
+    alpha - delta/beta on a singular curve (gamma - beta^2 = 0).  Float
+    pieces give a float; exact pieces (EXACT_PIECES) give a Decimal, or 0.0
+    where no limit is positive."""
+    return max([0.0] + [a - d / b if g > 0.0 else a
                         for a, b, g, d, _, c2 in pieces if c2 == 0.0])
+
+
+with decimal.localcontext(_EXACT):
+    # The zero-error floor of every PIECES row: its exact floor rounded up,
+    # so that no floor a table read returns lies below what is proved.
+    FLOORS = {key: _round_up(piece_floor(row))
+              for key, row in EXACT_PIECES.items()}
+    # sin^2(pi/8) = (2 - sqrt 2)/4, the paper's two-photon zero-error floor
+    # (the four-state nu=2 row's), in two doubles: SIN2_PI_8 rounded up,
+    # which is also its nearest float, and SIN2_PI_8_LO, the rounded rest.
+    SIN2_PI_8 = FLOORS["four-state", 2]
+    SIN2_PI_8_LO = float(piece_floor(EXACT_PIECES["four-state", 2])
+                         - Decimal(SIN2_PI_8))
 
 
 def phase_minimum(pieces, e_bit: float) -> tuple[float, float]:
@@ -299,28 +358,22 @@ def phase_minimum(pieces, e_bit: float) -> tuple[float, float]:
                key=lambda candidate: candidate[1])
 
 
-def phase_bound(pieces, e_bit: float) -> float:
-    """min_x [x*e_bit + y_star(x)] for 0 <= e_bit < inf: the phase_minimum,
-    or at e_bit = 0 the floor, its infimum as x runs off to infinity."""
+def phase_bound(protocol: str, nu: int, e_bit: float) -> float:
+    """min_x [x*e_bit + y_star(x)] on the PIECES row of (protocol, nu), for
+    0 <= e_bit < inf: the phase_minimum, or at e_bit = 0 the row's FLOORS
+    entry, the infimum as x runs off to infinity, rounded up."""
     if e_bit == 0.0:
-        return piece_floor(pieces)
-    return phase_minimum(pieces, e_bit)[1]
-
-
-# sin^2(pi/8), the paper's two-photon zero-error floor, correctly rounded.
-SIN2_PI_8 = math.sin(math.pi / 8) ** 2
+        return FLOORS[protocol, nu]
+    return phase_minimum(PIECES[protocol, nu], e_bit)[1]
 
 
 def ephase_bound_two(e_bit: float) -> float:
     """Best certified two-photon phase-error bound min_x [x*e_bit + g(x)]:
-    the four-state nu=2 row of PIECES, whose one curve is g.  At e_bit = 0 it
-    is the infimum sin^2(pi/8), correctly rounded: the row's float floor
-    1/2 - delta/beta lies 3 ulps below it."""
+    the four-state nu=2 row of PIECES, whose one curve is g; at e_bit = 0
+    the floor sin^2(pi/8), rounded up."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
-    if e_bit == 0.0:
-        return SIN2_PI_8
-    return phase_bound(PIECES["four-state", 2], e_bit)
+    return phase_bound("four-state", 2, e_bit)
 
 
 def rate_independent(e_bit: float, e_ph: float) -> float:
@@ -407,18 +460,147 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
     return x * e_bit + bounds.frontier(x, protocol, nu)
 
 
+# ---------------------------------------------------------------------------
+# Proved roots: the exact rate
+# ---------------------------------------------------------------------------
+
+# The error of an exact rate is below 1e-36: it takes a few hundred
+# operations at 40 digits, each rounded to half a unit in its 40th digit, on
+# values, logarithms and slopes below 1e3 in magnitude.  A sign is proved
+# only where the rate clears this bound.
+RATE_ERROR = Decimal("1e-30")
+# The most ulps a threshold steps from the float root of its float rate.
+ROOT_STEPS = 64
+
+
+def _entropy(ps) -> Decimal:
+    """The Shannon entropy in bits of the Decimal weights ps."""
+    return -sum((p * p.ln() for p in ps if p > 0), Decimal(0)) / _LN2
+
+
+def _bell_rate(vertices, e: Decimal) -> Decimal:
+    """1 - H at the end of the polytope's slice at bit weight e where H is
+    largest on the slice, on exact vertices: worst_bell_vector's rule.  At a
+    maximum inside the slice this is only an upper bound on the rate, which
+    decides its sign only when negative; a positive one raises
+    ArithmeticError."""
+    bit = [v[2] + v[3] for v in vertices]
+    points = [v for v, b in zip(vertices, bit) if b == e]
+    for (v, b), (w, c) in itertools.permutations(zip(vertices, bit), 2):
+        if b < e < c:
+            t = (e - b) / (c - b)
+            points.append(tuple(x + t * (y - x) for x, y in zip(v, w)))
+    p, q = points[0], points[-1]
+    d = [y - x for x, y in zip(p, q)]
+
+    def slope(chi) -> Decimal:
+        return -sum(dx * (x.ln() if x > 0 else Decimal("-Infinity"))
+                    for x, dx in zip(chi, d) if dx)
+
+    ends = [p] if slope(p) <= 0 else [q] if slope(q) >= 0 else [p, q]
+    rate = 1 - max(map(_entropy, ends))
+    if len(ends) > 1 and rate > 0:
+        raise ArithmeticError("Bell slice at e=%.17g has its maximum inside"
+                              % e)
+    return rate
+
+
+def _phase_bound_exact(pieces, e: Decimal) -> Decimal:
+    """min_x [x*e + y_star(x)] on exact pieces for e > 0: phase_minimum's
+    candidate set, kinks and stationary points, in exact arithmetic."""
+    rows = [*pieces, (Decimal(0),) * 6]
+    xs = [Decimal(0)]
+    for _, beta, gamma, delta, epsilon, c2 in rows:
+        room = c2 + e * (2 * beta - e)
+        xs += [delta / gamma] if gamma > 0 else []  # a curve's vertex
+        if gamma > 0 and room > 0:  # and its stationary point
+            kappa = max(epsilon - delta * delta / gamma, Decimal(0))
+            xs.append(delta / gamma
+                      - (e - beta) * (kappa / (gamma * room)).sqrt())
+    for a, b, *_ in [row for row in rows if row[2] == 0]:  # the lines
+        for alpha, beta, gamma, delta, epsilon, _ in rows:
+            m, s = a - alpha, b - beta
+            if gamma == 0:
+                xs += [m / s] if s else []
+                continue
+            qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
+            disc = qb * qb - qa * qc
+            if disc >= 0:
+                r = qb + disc.sqrt().copy_sign(qb)
+                xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
+
+    def envelope_exact(x: Decimal) -> Decimal:
+        # envelope's non-cancelling form of -beta*x + sqrt(q) on a curve.
+        y = Decimal(0)
+        for alpha, beta, gamma, delta, epsilon, c2 in pieces:
+            bx = beta * x
+            root = max((gamma * x - 2 * delta) * x + epsilon,
+                       Decimal(0)).sqrt()
+            tail = (((c2 * x - 2 * delta) * x + epsilon) / (bx + root)
+                    if gamma > 0 and bx > 0 else root - bx)
+            y = max(y, alpha + tail)
+        return y
+
+    return min(x * e + envelope_exact(x) for x in xs if x >= 0)
+
+
+def exact_rate(protocol: str, nu: int, e_bit: float) -> Decimal:
+    """The rate of (protocol, nu) at the float e_bit, 0 < e_bit <= E_BIT_MAX,
+    on the exact tables and within RATE_ERROR: ``threshold``'s rule (the
+    Bell-vertex rule for a BELL_VERTICES key, else 1 - h(e) - h(e_ph)) in
+    40-digit Decimal arithmetic.  Where a Bell slice has its maximum inside
+    it (four-state nu=1 above e = 1/3), an upper bound (``_bell_rate``)."""
+    with decimal.localcontext(_EXACT):
+        e = Decimal(e_bit)
+        if (protocol, nu) in BELL_VERTICES:
+            return _bell_rate(EXACT_BELL_VERTICES[protocol, nu], e)
+        e_ph = min(_phase_bound_exact(EXACT_PIECES[protocol, nu], e),
+                   Decimal("0.5"))
+        return 1 - _entropy((e, 1 - e)) - _entropy((e_ph, 1 - e_ph))
+
+
+def _proved_root(e: float, exact) -> float:
+    """The float r with exact(r) > 0 > exact(nextafter(r, 1)), stepped one
+    ulp at a time from e, the float root of the float rate (0 stays 0: no
+    key), up while exact is positive and down while it is not.  Raises
+    ArithmeticError where an exact rate is within RATE_ERROR of 0, so that
+    its sign is not proved, or after ROOT_STEPS steps."""
+    def positive(x: float) -> bool:
+        rate = exact(x)
+        if abs(rate) <= RATE_ERROR:
+            raise ArithmeticError("exact rate %.3e at e=%r is within its "
+                                  "error bound %s of 0"
+                                  % (rate, x, RATE_ERROR))
+        return rate > 0
+
+    if e == 0.0:
+        return e
+    up = positive(e)
+    for _ in range(ROOT_STEPS):
+        step = math.nextafter(e, 1.0 if up else 0.0)
+        if positive(step) != up:
+            return e if up else step
+        e = step
+    raise ArithmeticError("exact rate has no sign change within %d ulps of "
+                          "the float root" % ROOT_STEPS)
+
+
 def threshold(protocol: str, nu: int) -> float:
     """The threshold of the THRESHOLDS row that names (protocol, nu): the
-    float root of 1 - H(worst_bell_vector) for a BELL_VERTICES key, else of
-    1 - h(e) - h(e_ph), e_ph the PIECES row's phase_bound.  Float
-    arithmetic on the tables: no eigen-solve, and no numpy."""
+    last float whose exact rate (``exact_rate``) is positive.  The float root
+    of the float rate, 1 - H(worst_bell_vector) for a BELL_VERTICES key,
+    else 1 - h(e) - h(e_ph) with e_ph the PIECES row's phase_bound, is
+    stepped by ulps to it (``_proved_root``).  No eigen-solve, and no
+    numpy."""
     if (protocol, nu) not in {row[:2] for row in THRESHOLDS.get(protocol, ())}:
         raise ValueError("no threshold row for %s nu=%r" % (protocol, nu))
     if (protocol, nu) in BELL_VERTICES:
-        return _threshold(
+        root = _threshold(
             lambda e: 1.0 - worst_bell_vector(protocol, nu, e)[1])
-    pieces = PIECES[protocol, nu]
-    return _threshold(lambda e: rate_independent(e, phase_bound(pieces, e)))
+    else:
+        root = _threshold(lambda e: rate_independent(
+            e, phase_bound(protocol, nu, e)))
+    return _proved_root(root, lambda e: exact_rate(protocol, nu, e))
 
 
 def threshold_single() -> float:

@@ -8,7 +8,8 @@ the reduced phase form onto the kernel of the reduced bit form, the
 phase-error bound by golden section on that frontier, the `frontier` report
 row by row through ``csv.DictWriter``, the two-photon optimum by scan plus golden
 section, the worst Bell-vector entropy by a dense scan of a barycentric slice
-and golden section, Monte Carlo tallies
+and golden section, the exact tables as Q(sqrt 2) pairs of fractions
+compared with floats by exact integer arithmetic, Monte Carlo tallies
 from float uniforms over a whole run with no shards and one trial at a time
 (`replay_trial`),
 the channel law by enumerating every branch, arrival pattern and outcome.
@@ -20,6 +21,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -433,6 +436,150 @@ def fourstate_indep_threshold() -> float:
     correlation-aware joint entropy).
     """
     return linear_indep_threshold(0.0, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# The exact tables in Q(sqrt 2): each value p + q*sqrt(2) is the pair of
+# Fractions (p, q), compared with a float by exact arithmetic.
+# ---------------------------------------------------------------------------
+
+def q2(p, q=0) -> tuple[Fraction, Fraction]:
+    """p + q*sqrt(2), p and q rationals (ints or "n/d" strings)."""
+    return Fraction(p), Fraction(q)
+
+
+def q2_add(x, y) -> tuple[Fraction, Fraction]:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def q2_mul(x, y) -> tuple[Fraction, Fraction]:
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def q2_sign(x) -> int:
+    """The sign of p + q*sqrt(2), exactly: where p and q differ in sign, the
+    larger of p^2 and 2q^2 decides (they are never equal unless both are 0,
+    sqrt(2) being irrational)."""
+    p, q = x
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > 2 * q * q else sq
+
+
+def q2_minus_float(x, f: float) -> tuple[Fraction, Fraction]:
+    """x - f, f a float taken exactly."""
+    return x[0] - Fraction(f), x[1]
+
+
+def q2_decimal(x, digits: int = 60) -> Decimal:
+    """x to ``digits`` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        p, q = (Decimal(r.numerator) / Decimal(r.denominator) for r in x)
+        value = p + q * Decimal(2).sqrt()
+    return value
+
+
+def q2_rounds_to(x, f: float) -> bool:
+    """True iff the float f is x correctly rounded: x lies between the
+    midpoints of f and its two neighbours (no value here is a midpoint)."""
+    below, above = (Fraction(math.nextafter(f, d))
+                    for d in (-math.inf, math.inf))
+    return (q2_sign(q2_minus_float(x, (Fraction(f) + below) / 2)) >= 0
+            and q2_sign(q2_minus_float(x, (Fraction(f) + above) / 2)) <= 0)
+
+
+def _q2_line(alpha, beta) -> tuple:
+    return (alpha, beta, q2(0), q2(0), q2(0),
+            q2_mul(q2(-1), q2_mul(beta, beta)))
+
+
+def _q2_curve(alpha, beta, gamma, delta, epsilon) -> tuple:
+    return (alpha, beta, gamma, delta, epsilon, q2(0))
+
+
+# The table of every frontier piece at nu <= 4 (keyrate.PIECES), written
+# again as pairs: a line (alpha, beta) is alpha - beta*x, a curve adds
+# sqrt(gamma*x^2 - 2*delta*x + epsilon); the sixth entry is gamma - beta^2.
+Q2_PIECES = {
+    ("four-state", 1): (_q2_line(q2(0), q2(0)), _q2_line(q2(1), q2("2/3")),
+                        _q2_line(q2("3/4"), q2("1/2"))),
+    ("four-state", 2): (_q2_line(q2("1/2"), q2("1/2")),
+                        _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                  q2(0, "1/12"), q2("1/6"))),
+    ("four-state", 3): (_q2_line(q2(0), q2(0)), _q2_line(q2(0), q2("2/3")),
+                        _q2_line(q2(1), q2(0)), _q2_line(q2(1), q2("2/3")),
+                        _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"), q2(0),
+                                  q2("1/12"))),
+    ("four-state", 4): (_q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                  q2(0, "1/12"), q2("1/6")),
+                        _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                  q2(0, "-1/12"), q2("1/6"))),
+    ("six-state", 1): (_q2_line(q2(0), q2(0)), _q2_line(q2("6/7"), q2("4/7"))),
+    ("six-state", 2): (_q2_line(q2("1/2", "-1/4"), q2(0)),
+                       _q2_line(q2("1/2", "1/5"), q2("3/5"))),
+    ("six-state", 3): (_q2_line(q2("1/4"), q2(0)),
+                       _q2_line(q2("19/28"), q2("4/7")),
+                       _q2_line(q2("3/4"), q2("2/3"))),
+    ("six-state", 4): (_q2_line(q2("1/2"), q2("1/2")),
+                       _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                 q2(0, "1/24"), q2("1/24"))),
+}
+
+# The Bell polytope vertices (keyrate.BELL_VERTICES), written again as pairs.
+Q2_BELL_VERTICES = {
+    ("four-state", 1): ((q2(1), q2(0), q2(0), q2(0)),
+                        (q2(0), q2("1/3"), q2(0), q2("2/3")),
+                        (q2(0), q2("1/2"), q2("1/4"), q2("1/4"))),
+    ("six-state", 1): ((q2(1), q2(0), q2(0), q2(0)),
+                       (q2(0), q2("3/7"), q2("1/7"), q2("3/7"))),
+    ("six-state", 2): ((q2("1/2", "1/4"), q2("1/2", "-1/4"), q2(0), q2(0)),
+                       (q2("1/5", "-1/8"), q2("1/5", "1/8"),
+                        q2("3/10", "-3/40"), q2("3/10", "3/40"))),
+}
+
+
+def q2_floor(protocol: str, nu: int) -> tuple[Fraction, Fraction]:
+    """The exact zero-error floor of a Q2_PIECES row: the largest of 0, alpha
+    on a flat line and alpha - delta/beta on a singular curve (beta is
+    rational on every curve)."""
+    limits = [q2(0)]
+    for alpha, beta, gamma, delta, _, c2 in Q2_PIECES[protocol, nu]:
+        if c2 == q2(0):
+            b = beta[0]
+            limits.append(q2_add(alpha, (-delta[0] / b, -delta[1] / b))
+                          if gamma != q2(0) else alpha)
+    best = limits[0]
+    for x in limits[1:]:
+        if q2_sign(q2_add(x, q2_mul(q2(-1), best))) > 0:
+            best = x
+    return best
+
+
+# Every computed thresholds row's (e_threshold, p_threshold): the last float
+# whose exact rate is positive, and its depol_p.
+FLOAT_ROOTS = {
+    ("four-state", 1): (0.09689248938745228, 0.08046590930386573),
+    ("four-state", 2): (0.02710093150755928, 0.020891888263563887),
+    ("six-state", 1): (0.11235715979439764, 0.09493443311758082),
+    ("six-state", 2): (0.05602758055501033, 0.04451473851425011),
+    ("six-state", 3): (0.023701119015364182, 0.018207374409356596),
+    ("six-state", 4): (0.007883064083571478, 0.005959275412648166),
+}
+
+# The root of each row's exact rate to 50 digits, computed apart from the
+# library at 70 digits: the Bell-vertex rate maximized over its slice by
+# golden section, the phase-error bound minimized over x by golden section,
+# and the root bisected.
+EXACT_ROOTS = {
+    ("four-state", 1): "0.096892489387452286185102628578833102926823070805134",
+    ("four-state", 2): "0.027100931507559282205476508161067654639374306634675",
+    ("six-state", 1): "0.11235715979439765287684986050829209218646670441452",
+    ("six-state", 2): "0.056027580555010333233989879929890450915232936202486",
+    ("six-state", 3): "0.023701119015364183153038073827517830695824496840109",
+    ("six-state", 4): "0.0078830640835714786285384790539238739966711312149393",
+}
 
 
 def ephase_bound_grid(e_bit: float, protocol: str, nu: int) -> float:

@@ -286,8 +286,10 @@ def test_pencil_blocks_reject_a_block_wider_than_two(monkeypatch):
         bounds.pencil_blocks.__wrapped__("four-state", 2)
 
 
-# g(x) = alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), by hand.
-G_PIECE = (0.5, 1.0 / 3.0, 1.0 / 9.0, math.sqrt(2.0) / 12.0, 1.0 / 6.0)
+# g(x) = alpha - beta*x + sqrt(gamma*x^2 - 2*delta*x + epsilon), by hand,
+# each coefficient correctly rounded: sqrt(2)/12 is 0.11785113019775792,
+# one ulp below math.sqrt(2.0) / 12.0.
+G_PIECE = (0.5, 1.0 / 3.0, 1.0 / 9.0, 0.11785113019775792, 1.0 / 6.0)
 
 
 def g_curve() -> list[tuple[float, ...]]:
@@ -307,7 +309,7 @@ def test_two_photon_curve_is_g():
     # The table's line a - b*x lies below g: a <= min_x [b*x + g(x)].
     table_lines = [p for p in keyrate.PIECES["four-state", 2] if p[2] == 0.0]
     assert [p[:2] for p in table_lines] == [(0.5, 0.5)]
-    assert keyrate.phase_bound(g_curve(), 0.5) > 0.5
+    assert keyrate.phase_minimum(g_curve(), 0.5)[1] > 0.5
     assert bounds.piece_table_check("four-state", 2) <= 1e-13
     xs = np.linspace(0.0, 50.0, 5001)
     ys = bounds.frontier_table("four-state", 2, xs)

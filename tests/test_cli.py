@@ -189,7 +189,7 @@ def test_verify_scopes_follow_the_tables(capsys, monkeypatch):
     # independent rule on its PIECES row: its threshold is that rule's root,
     # and verify proves the tangent and floor rows in place of the Bell row.
     monkeypatch.delitem(sargkit.keyrate.BELL_VERTICES, ("six-state", 2))
-    assert sargkit.keyrate.threshold("six-state", 2) == 0.048861565170106744
+    assert sargkit.keyrate.threshold("six-state", 2) == 0.048861565170106716
     rc, out = run(capsys, "verify", "--protocol", "six-state", "--nu", "2")
     assert rc == 0
     rows = check_rows(out)
@@ -458,6 +458,21 @@ def test_thresholds_failed_internal_check_is_one_stderr_line(
     assert captured.err == "thresholds: phase-error minimum failed\n"
 
 
+@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+def test_thresholds_exit_1_when_the_exact_rate_cannot_separate_the_signs(
+        capsys, monkeypatch, protocol):
+    # An exact rate that never clears its error bound proves no sign, so the
+    # first row's root certificate fails: exit 1, one stderr line, no table.
+    monkeypatch.setattr(sargkit.keyrate, "exact_rate",
+                        lambda p, nu, e: sargkit.keyrate.RATE_ERROR / 2)
+    rc = cli.main(["thresholds", "--protocol", protocol])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("thresholds: exact rate 5.000e-31 at e=")
+    assert line.endswith("is within its error bound 1E-30 of 0")
+
+
 def test_verify_unsupported_photon_number(capsys):
     assert cli.main(["verify", "--protocol", "four-state", "--nu", "9"]) == 2
 
@@ -507,23 +522,20 @@ def test_thresholds_six_state_table_with_reference_constants(capsys):
 
 
 # Every thresholds row, by protocol, in print order: (label, nu, e_reference,
-# p_reference, within_tolerance, e_threshold, p_threshold).
+# p_reference, within_tolerance, e_threshold, p_threshold), each computed
+# row's threshold and p the shared pins of test_keyrate.
 THRESHOLD_ROWS = {
     "four-state": [
         ("four-state", 1, 0.0968, 0.0804, True,
-         0.09689248938745225, 0.08046590930386568),
+         *oracles.FLOAT_ROOTS["four-state", 1]),
         ("four-state", 2, 0.0271, 0.0208, True,
-         0.027100931507559267, 0.020891888263563876),
+         *oracles.FLOAT_ROOTS["four-state", 2]),
     ],
     "six-state": [
-        ("six-state", 1, 0.112, None, True,
-         0.1123571597943972, 0.09493443311758039),
-        ("six-state", 2, 0.056, None, True,
-         0.056027580555010316, 0.044514738514250106),
-        ("six-state", 3, 0.0237, None, True,
-         0.023701119015364203, 0.01820737440935661),
-        ("six-state", 4, 0.00788, None, True,
-         0.007883064083571437, 0.005959275412648134),
+        *[("six-state", nu, e_ref, None, True,
+           *oracles.FLOAT_ROOTS["six-state", nu])
+          for nu, e_ref in ((1, 0.112), (2, 0.056), (3, 0.0237),
+                            (4, 0.00788))],
         ("bb84-reference", None, None, 0.165, None, None, None),
         ("six-state-original-reference", None, None, 0.19, None, None, None),
     ],
@@ -539,10 +551,8 @@ def test_thresholds_tables_are_pinned_row_by_row(capsys, protocol):
     assert [(r["label"], r["nu"], r["e_reference"], r["p_reference"],
              r["within_tolerance"]) for r in rows] == [
         row[:5] for row in THRESHOLD_ROWS[protocol]]
-    for r, (*_, e, p) in zip(rows, THRESHOLD_ROWS[protocol]):
-        for value, pinned in ((r["e_threshold"], e), (r["p_threshold"], p)):
-            assert (value is None) == (pinned is None)
-            assert pinned is None or abs(value - pinned) <= 1e-9
+    assert [(r["e_threshold"], r["p_threshold"]) for r in rows] == [
+        row[5:] for row in THRESHOLD_ROWS[protocol]]
 
 
 def test_thresholds_json_format(capsys):

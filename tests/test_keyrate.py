@@ -1,9 +1,12 @@
 """Entropies, adversarial Bell vectors, rates, and thresholds."""
 
+import decimal
 import math
 import os
+import struct
 import subprocess
 import sys
+from decimal import Decimal
 from functools import lru_cache
 
 import pytest
@@ -349,48 +352,60 @@ def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
 
 @lru_cache(maxsize=None)
 def _row_rate(protocol: str, nu: int):
-    """A computed THRESHOLDS row's rate model, assembled from its parts: the
+    """A computed THRESHOLDS row's float rate, assembled from its parts: the
     Bell-vertex rule at four-state nu=1 and six-state nu=1, 2, and the
     table's phase-error rate at four-state nu=2 and six-state nu = 3, 4 (the
     floor at e = 0)."""
     if (protocol, nu) in keyrate.BELL_VERTICES:
         return lambda e: 1.0 - keyrate.worst_bell_vector(protocol, nu, e)[1]
-    pieces = keyrate.PIECES[protocol, nu]
-    floor = keyrate.piece_floor(pieces)
-    return lambda e: keyrate.rate_independent(e, floor if e == 0.0 else (
-        keyrate.phase_minimum(pieces, e)[1]))
+    return lambda e: keyrate.rate_independent(
+        e, keyrate.phase_bound(protocol, nu, e))
 
 
-# The float root of every computed row.  Four-state nu=2 and six-state
-# nu=1..4 lie within 1, 1, 6, 8 and 2 ulps of their 40-digit roots,
-# 0.02710093150755928220..., 0.1123571597943976528768...,
-# 0.0560275805550103332339..., 0.02370111901536418315... and
-# 0.00788306408357147862....
-FLOAT_ROOTS = {
-    ("four-state", 1): (0.09689248938745225, 0.08046590930386568),
-    ("four-state", 2): (0.02710093150755928, 0.020891888263563887),
-    ("six-state", 1): (0.11235715979439764, 0.09493443311758082),
-    ("six-state", 2): (0.056027580555010295, 0.04451473851425009),
-    ("six-state", 3): (0.023701119015364158, 0.018207374409356575),
-    ("six-state", 4): (0.007883064083571477, 0.005959275412648164),
-}
+# The threshold of every computed row, shared with the thresholds report's
+# pins (test_cli): each is the last float whose exact rate is positive.
+FLOAT_ROOTS = oracles.FLOAT_ROOTS
 
 
 def test_float_roots_cover_every_computed_row():
     assert sorted(FLOAT_ROOTS) == sorted(
         (protocol, row[1]) for protocol, rows in keyrate.THRESHOLDS.items()
         for row in rows if row[1] is not None)
+    assert sorted(oracles.EXACT_ROOTS) == sorted(FLOAT_ROOTS)
 
 
 @pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
 def test_every_threshold_is_the_float_root_of_its_rate(protocol, nu):
-    # The root certificate: the rate is positive at e and not at the next
-    # float up, so no stopping width is left between e and the root.
+    # The root certificate: the exact rate is positive at e and negative at
+    # the next float up, each by more than its error bound, so no float lies
+    # between e and the root of the exact rate.
     e = keyrate.threshold(protocol, nu)
-    rate = _row_rate(protocol, nu)
-    assert rate(e) > 0.0 >= rate(math.nextafter(e, 1.0))
-    e_root, p_root = FLOAT_ROOTS[protocol, nu]
-    assert abs(e - e_root) <= 1e-12 and abs(keyrate.depol_p(e) - p_root) <= 1e-12
+    assert keyrate.exact_rate(protocol, nu, e) > keyrate.RATE_ERROR
+    assert (keyrate.exact_rate(protocol, nu, math.nextafter(e, 1.0))
+            < -keyrate.RATE_ERROR)
+    assert (e, keyrate.depol_p(e)) == FLOAT_ROOTS[protocol, nu]
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
+def test_every_threshold_is_the_float_below_its_50_digit_root(protocol, nu):
+    e = keyrate.threshold(protocol, nu)
+    root = Decimal(oracles.EXACT_ROOTS[protocol, nu])
+    assert Decimal(e) < root < Decimal(math.nextafter(e, 1.0))
+
+
+def _ulps(a: float, b: float) -> int:
+    """The number of floats from a to b, both >= 0."""
+    return abs(struct.unpack("<q", struct.pack("<d", a))[0]
+               - struct.unpack("<q", struct.pack("<d", b))[0])
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
+def test_threshold_steps_a_few_ulps_from_the_float_rate_root(protocol, nu):
+    # The float rate's root lies within 7 ulps of the exact one (2, 4, 0,
+    # 6, 7 and 1 by row): its roundoff is a few 1e-16 against slopes of -5.5
+    # to -9.
+    e = keyrate._threshold(_row_rate(protocol, nu))
+    assert _ulps(e, FLOAT_ROOTS[protocol, nu][0]) <= 7
 
 
 # The brackets each row was bisected on before every threshold shared
@@ -402,10 +417,14 @@ OLD_BRACKETS = {("four-state", 1): (0.05, 0.15),
 
 @pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
 def test_one_bracket_finds_the_old_bracket_root(protocol, nu):
+    # The float root on [0, E_BIT_MAX] is the old bracket's, and the
+    # threshold is that root stepped to the exact rate's.
     rate = _row_rate(protocol, nu)
     old = keyrate.bisect_floats(lambda e: rate(e) <= 0.0,
                                 *OLD_BRACKETS[protocol, nu])[0]
-    assert keyrate._threshold(rate) == old == keyrate.threshold(protocol, nu)
+    assert keyrate._threshold(rate) == old
+    assert keyrate.threshold(protocol, nu) == keyrate._proved_root(
+        old, lambda e: keyrate.exact_rate(protocol, nu, e))
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,6 +438,183 @@ def test_every_sub_bracket_of_the_root_finds_the_same_root(row, data):
     hi = data.draw(st.floats(min_value=math.nextafter(e, 1.0),
                              max_value=keyrate.E_BIT_MAX), label="hi")
     assert keyrate.bisect_floats(lambda x: rate(x) <= 0.0, lo, hi)[0] == e
+
+
+# ---------------------------------------------------------------------------
+# The exact tables and the exact rate
+# ---------------------------------------------------------------------------
+
+def _exact_and_q2_rows():
+    """(name, exact row, float row, Q(sqrt 2) row) of every table row."""
+    for key in sorted(keyrate.EXACT_PIECES):
+        yield (key, keyrate.EXACT_PIECES[key], keyrate.PIECES[key],
+               oracles.Q2_PIECES[key])
+    for key in sorted(keyrate.EXACT_BELL_VERTICES):
+        yield (key, keyrate.EXACT_BELL_VERTICES[key],
+               keyrate.BELL_VERTICES[key], oracles.Q2_BELL_VERTICES[key])
+
+
+def test_exact_tables_are_the_q_sqrt2_table():
+    # Every coefficient is its exact value in Q(sqrt 2) to 40 digits, and
+    # every float is that exact value correctly rounded.
+    assert sorted(keyrate.EXACT_PIECES) == sorted(oracles.Q2_PIECES)
+    assert sorted(keyrate.EXACT_BELL_VERTICES) == sorted(
+        oracles.Q2_BELL_VERTICES)
+    for key, exact, floats, q2_row in _exact_and_q2_rows():
+        assert len(exact) == len(floats) == len(q2_row), key
+        for e_part, f_part, q_part in zip(exact, floats, q2_row):
+            assert len(e_part) == len(f_part) == len(q_part), key
+            for d, f, x in zip(e_part, f_part, q_part):
+                assert type(d) is Decimal and type(f) is float
+                assert abs(d - oracles.q2_decimal(x)) <= Decimal("1e-40"), key
+                assert oracles.q2_rounds_to(x, f), (key, f)
+
+
+def test_curves_are_singular_exactly():
+    # gamma - beta^2 is exactly 0 on every curve, in both tables.
+    for key, row in keyrate.EXACT_PIECES.items():
+        for exact, floats in zip(row, keyrate.PIECES[key]):
+            if exact[2] > 0:
+                assert exact[5] == 0 and floats[5] == 0.0
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(oracles.Q2_PIECES))
+def test_table_floors_are_the_exact_floors_rounded_up(protocol, nu):
+    # The floor a table read returns is the least float at or above the
+    # exact floor: never below what is proved, and its predecessor is.
+    floor = keyrate.phase_bound(protocol, nu, 0.0)
+    assert floor == keyrate.FLOORS[protocol, nu]
+    exact = oracles.q2_floor(protocol, nu)
+    assert oracles.q2_sign(oracles.q2_minus_float(exact, floor)) <= 0
+    assert oracles.q2_sign(oracles.q2_minus_float(
+        exact, math.nextafter(floor, -math.inf))) > 0
+
+
+def test_two_floors_moved_up_to_the_exact_floor():
+    # sin^2(pi/8) keeps its nearest float, which lies above it; six-state
+    # nu=4's 1/2 - sqrt(2)/8 is one ulp above the 0.3232233047033631 that
+    # the float formula gave on the hand-rounded table.
+    assert keyrate.ephase_bound_two(0.0) == 0.14644660940672624 == SIN2
+    assert keyrate.phase_bound("six-state", 4, 0.0) == 0.32322330470336313
+
+
+def test_sin2_pi_8_is_held_in_two_doubles():
+    # SIN2_PI_8 + SIN2_PI_8_LO is sin^2(pi/8) = 1/2 - sqrt(2)/4: the low part
+    # is the remainder correctly rounded.
+    rest = oracles.q2_minus_float(oracles.q2("1/2", "-1/4"),
+                                  keyrate.SIN2_PI_8)
+    assert oracles.q2_rounds_to(rest, keyrate.SIN2_PI_8_LO)
+    assert keyrate.SIN2_PI_8_LO == -3.587342331996631e-18
+
+
+RATED = sorted(FLOAT_ROOTS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RATED),
+       st.floats(min_value=0.0, max_value=keyrate.E_BIT_MAX,
+                 exclude_min=True, exclude_max=True))
+@example(("four-state", 1), 0.35)
+@example(("four-state", 2), 5e-324)
+@example(("six-state", 4), 1e-300)
+def test_exact_and_float_rates_agree_in_sign(row, e):
+    rate = _row_rate(*row)(e)
+    exact = keyrate.exact_rate(*row, e)
+    assert type(exact) is Decimal
+    if abs(rate) > 1e-12:
+        assert (rate > 0.0) == (exact > 0)
+
+
+def _scan_bound(pieces, e: Decimal, step: Decimal, x_max: int) -> Decimal:
+    """min of x*e + y_star(x) over the grid 0, step, ..., x_max, y_star the
+    maximum of 0 and the pieces, each taken as written, in Decimal."""
+    best = None
+    for k in range(int(x_max / step) + 1):
+        x = k * step
+        y = max([Decimal(0)] + [
+            a - b * x + max(g * x * x - 2 * d * x + eps, Decimal(0)).sqrt()
+            for a, b, g, d, eps, _ in pieces])
+        best = x * e + y if best is None else min(best, x * e + y)
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(keyrate.EXACT_PIECES)),
+       st.floats(min_value=0.005, max_value=keyrate.E_BIT_MAX))
+@example(("four-state", 2), 0.02710093150755928)
+@example(("six-state", 3), 0.023701119015364182)
+@example(("six-state", 4), 0.007883064083571478)
+def test_exact_phase_bound_is_the_decimal_scan_minimum(row, e):
+    # A scan of x in [0, 8] at step 1/128 (above e = 0.005 every minimizer
+    # lies below 5): the exact bound lies at or below every scanned value,
+    # and the scan's minimum lies within half a step times the objective's
+    # largest slope (e + beta + sqrt(gamma) < 2) of it.
+    pieces = keyrate.EXACT_PIECES[row]
+    with decimal.localcontext(keyrate._EXACT):
+        d = Decimal(e)
+        bound = keyrate._phase_bound_exact(pieces, d)
+        step = Decimal(1) / 128
+        scanned = _scan_bound(pieces, d, step, 8)
+        assert bound <= scanned + keyrate.RATE_ERROR
+        assert scanned - bound <= step
+
+
+def test_exact_phase_bound_is_the_float_bound_to_roundoff():
+    for key in keyrate.EXACT_PIECES:
+        for e in (1e-300, 1e-9, 0.01, 0.0271, 0.3):
+            with decimal.localcontext(keyrate._EXACT):
+                exact = keyrate._phase_bound_exact(keyrate.EXACT_PIECES[key],
+                                                   Decimal(e))
+            assert abs(float(exact) - keyrate.phase_bound(*key, e)) <= 1e-15
+
+
+def test_bell_rate_bounds_an_inner_maximum_or_raises():
+    # A slice whose entropy peaks inside it: the ends bound the rate from
+    # above, which decides the sign only when negative.
+    third = Decimal(1) / 3
+    low = ((1, 0, 0, 0), (Decimal("0.9"), 0, Decimal("0.1"), 0),
+           (Decimal("0.9"), 0, 0, Decimal("0.1")))
+    wide = ((1, 0, 0, 0), (0, third, 2 * third, 0), (0, third, 0, 2 * third))
+    with decimal.localcontext(keyrate._EXACT):
+        low = tuple(tuple(map(Decimal, v)) for v in low)
+        with pytest.raises(ArithmeticError, match="maximum inside"):
+            keyrate._bell_rate(low, Decimal("0.05"))
+        # Its ends (0.1, 0.3, 0.6, 0) give -0.295; inside, H reaches 1.895.
+        assert -0.3 < keyrate._bell_rate(wide, Decimal("0.6")) < 0
+        # Four-state nu=1 above e = 1/3: the bound lies above the float rate.
+        e = 0.35
+        bound = keyrate.exact_rate("four-state", 1, e)
+    assert bound < 0 and float(bound) >= _row_rate("four-state", 1)(e)
+
+
+@pytest.mark.parametrize("steps", [-5, -1, 0, 1, 5])
+def test_proved_root_steps_up_or_down_to_the_last_positive_float(steps):
+    # The exact root 1/10 lies between two floats; from a start a few ulps
+    # either side, the steps end at the float below it, each float read once
+    # (from above, the last read is that float; from below, the one above).
+    below = math.nextafter(0.1, 0.0)
+    start = below
+    for _ in range(abs(steps)):
+        start = math.nextafter(start, math.copysign(math.inf, steps))
+    seen = []
+    root = keyrate._proved_root(
+        start, lambda e: seen.append(e) or Decimal("0.1") - Decimal(e))
+    assert root == below and Decimal(below) < Decimal("0.1")
+    assert len(seen) == len(set(seen)) == abs(steps) + (1 if steps > 0 else 2)
+
+
+def test_threshold_raises_where_no_sign_is_proved(monkeypatch):
+    # An exact rate within RATE_ERROR of 0, or one that never changes sign
+    # within ROOT_STEPS ulps, is an ArithmeticError, not a threshold.
+    monkeypatch.setattr(keyrate, "exact_rate", lambda *args: Decimal(0))
+    with pytest.raises(ArithmeticError, match="within its error bound"):
+        keyrate.threshold("four-state", 2)
+    seen = []
+    monkeypatch.setattr(keyrate, "exact_rate",
+                        lambda p, nu, e: seen.append(e) or Decimal(1))
+    with pytest.raises(ArithmeticError, match="no sign change within 64"):
+        keyrate.threshold("six-state", 1)
+    assert len(seen) == len(set(seen)) == keyrate.ROOT_STEPS + 1
 
 
 def _warm_solves(monkeypatch, compute) -> int:
