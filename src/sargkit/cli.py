@@ -151,6 +151,12 @@ def checks() -> tuple[Check, ...]:
               ">=", -bounds.IDENTITY_TOL),
         Check("piece table = forms", pieces, bounds.piece_table_check,
               "<", bounds.IDENTITY_TOL),
+        # The floor a table read returns (keyrate.FLOORS, the exact floor
+        # rounded up) against the floor of the forms' own blocks.
+        Check("floor = exact table floor", pieces,
+              lambda p, nu: abs(bounds.zero_rate_check(p, nu)
+                                - keyrate.FLOORS[p, nu]),
+              "<", bounds.IDENTITY_TOL),
         Check("margin at analytic bound", (("four-state", 2),),
               lambda p, nu: float(bounds.psd_margin(
                   bounds.DEFAULT_X_GRID,

@@ -18,11 +18,15 @@ Rates are asymptotic per sifted conclusive pair, under one of two rules:
 Every rate is a float of e_bit.  Every threshold is the last float whose
 exact rate is positive: ``_threshold`` bisects the float rate on [0,
 E_BIT_MAX] to its float root, and ``_proved_root`` steps that root by ulps
-until ``exact_rate``, the same rule in 40-digit Decimal arithmetic on the
-exact tables, is positive there and negative at the next float up, each by
-more than RATE_ERROR.  A float rate already <= 0 at e = 0 means no key at
-any error rate, and the threshold is 0.  ``depol_p`` maps e_bit to the
-depolarizing-channel parameter p.  The `thresholds` report prints THRESHOLDS.
+until ``exact_rate`` is positive there and negative at the next float up,
+each by more than RATE_ERROR.  ``exact_rate`` is the float rule's own code
+run on the exact tables in 40-digit Decimal arithmetic: the piece functions
+(``envelope``, ``kinks``, ``stationary``, ``phase_minimum``,
+``piece_floor``), the Bell slice (``_bell_slice``) and the entropies take
+float or Decimal values and compute in the type they are given.  A float
+rate already <= 0 at e = 0 means no key at any error rate, and the
+threshold is 0.  ``depol_p`` maps e_bit to the depolarizing-channel
+parameter p.  The `thresholds` report prints THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
 and ``threshold`` applies the Bell-vertex rule to a BELL_VERTICES key and
@@ -46,6 +50,7 @@ import decimal
 import itertools
 import math
 import struct
+import types
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -164,11 +169,25 @@ THRESHOLDS = {
 }
 
 
+# The entropies, the Bell slice and the piece functions run on float values
+# and on exact ones alike, in the number type they are given: their square
+# roots, logarithms and signs come from _math, the math module for a float
+# and these for a Decimal (each rounded in the current context).
+_DECIMAL_MATH = types.SimpleNamespace(
+    sqrt=Decimal.sqrt, copysign=Decimal.copy_sign,
+    log2=lambda x: x.ln() / _LN2)
+
+
+def _math(x):
+    return _DECIMAL_MATH if isinstance(x, Decimal) else math
+
+
 def binary_entropy(e: float) -> float:
-    """h(e) = -e log2 e - (1-e) log2 (1-e), with h(0) = h(1) = 0."""
+    """h(e) = -e log2 e - (1-e) log2 (1-e), with h(0) = h(1) = 0, in the
+    number type of e."""
     if not 0.0 <= e <= 1.0:
         raise ValueError("binary_entropy argument must be in [0, 1]")
-    return _shannon((e, 1.0 - e))
+    return _shannon((e, 1 - e))
 
 
 def _phase_charge(e_ph: float) -> float:
@@ -177,11 +196,14 @@ def _phase_charge(e_ph: float) -> float:
     return binary_entropy(min(e_ph, 0.5))
 
 
-def _shannon(ps) -> float:
-    total = 0.0
+def _shannon(ps):
+    """The Shannon entropy in bits of the weights ps (a tuple), in their
+    number type."""
+    log2 = _math(ps[0]).log2
+    total = 0
     for p in ps:
         if p > 0.0:
-            total -= p * math.log2(p)
+            total -= p * log2(p)
     return total
 
 
@@ -211,22 +233,10 @@ def worst_bell_vector(protocol: str, nu: int,
     if not 0.0 <= e <= e_max:
         raise ValueError("e_bit must be in [0, %g] for feasible marginals"
                          % e_max)
-    points = [v for v in vertices if _bit(v) == e]
-    for v, w in itertools.permutations(vertices, 2):
-        if _bit(v) < e < _bit(w):
-            t = (e - _bit(v)) / (_bit(w) - _bit(v))
-            points.append(tuple(a + t * (b - a) for a, b in zip(v, w)))
-    p, q = points[0], points[-1]
-    d = [b - a for a, b in zip(p, q)]
-
-    def slope(chi) -> float:
-        # dH/dt along p + t*d (sum(d) = 0); a zero weight that d moves is
-        # an infinite slope, into the segment.
-        return -sum(dx * (math.log2(x) if x > 0.0 else -math.inf)
-                    for x, dx in zip(chi, d) if dx)
+    p, q, slope = _bell_slice(vertices, e)
 
     def point(t: float) -> tuple[float, ...]:
-        return tuple(a + t * dx for a, dx in zip(p, d))
+        return tuple(a + t * (b - a) for a, b in zip(p, q))
 
     if slope(p) <= 0.0:
         chi = p
@@ -236,6 +246,30 @@ def worst_bell_vector(protocol: str, nu: int,
         ends = bisect_floats(lambda t: slope(point(t)) <= 0.0, 0.0, 1.0)
         chi = max(map(point, ends), key=_shannon)
     return chi, _shannon(chi)
+
+
+def _bell_slice(vertices, e):
+    """The ends p, q of the slice of the vertices' hull at bit weight e (one
+    point: p == q) and the slope of H along it, from p to q, as a function of
+    a point on it; float or exact, in the number type of e and the
+    vertices.  The slice is the hull of the vertices on it and of the points
+    where edges cross it."""
+    points = [v for v in vertices if _bit(v) == e]
+    for v, w in itertools.permutations(vertices, 2):
+        if _bit(v) < e < _bit(w):
+            t = (e - _bit(v)) / (_bit(w) - _bit(v))
+            points.append(tuple(a + t * (b - a) for a, b in zip(v, w)))
+    p, q = points[0], points[-1]
+    d = [b - a for a, b in zip(p, q)]
+    log2 = _math(e).log2
+
+    def slope(chi):
+        # dH/dt along p + t*d (sum(d) = 0); a zero weight that d moves is
+        # an infinite slope, into the segment.
+        return -sum(dx * (log2(x) if x > 0.0 else -type(x)("inf"))
+                    for x, dx in zip(chi, d) if dx)
+
+    return p, q, slope
 
 
 def bisect_floats(past, lo: float, hi: float) -> tuple[float, float]:
@@ -267,27 +301,31 @@ def _threshold(rate) -> float:
     return bisect_floats(lambda e: rate(e) <= 0.0, 0.0, E_BIT_MAX)[0]
 
 
-def envelope(pieces, x: float) -> float:
+def envelope(pieces, x):
     """y_star at one x >= 0 from pieces (6-tuples, as in PIECES): the maximum
     of 0 and every piece, a clipped 0 being +0.0.  Where beta*x > 0 a curve's
     -beta*x + sqrt(q) is (q - beta^2 x^2)/(beta*x + sqrt(q)), which does not
-    cancel at large x."""
-    y = 0.0
+    cancel at large x.  Float or exact, in the number type of x."""
+    sqrt, zero = _math(x).sqrt, 0 * x
+    y = zero
     for alpha, beta, gamma, delta, epsilon, c2 in pieces:
         bx = beta * x
-        root = math.sqrt(max((gamma * x - 2.0 * delta) * x + epsilon, 0.0))
-        tail = (((c2 * x - 2.0 * delta) * x + epsilon) / (bx + root)
+        root = sqrt(max((gamma * x - 2 * delta) * x + epsilon, zero))
+        tail = (((c2 * x - 2 * delta) * x + epsilon) / (bx + root)
                 if gamma > 0.0 and bx > 0.0 else root - bx)
         y = max(y, alpha + tail)
     return y
 
 
-def kinks(pieces) -> list[float]:
+def kinks(pieces) -> list:
     """0, each curve's vertex delta/gamma and each x in [0, X_FINITE] where a
     line (the zero line too) crosses a piece, sorted and distinct: where the
-    envelope can bend, but at two curves crossing (in PIECES only at x = 0)."""
-    rows = [*pieces, (0.0,) * 6]
-    xs = [0.0] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
+    envelope can bend, but at two curves crossing (in PIECES only at x = 0).
+    Float or exact, in the number type of the pieces."""
+    zero = type(pieces[0][0])()
+    sqrt, copysign = _math(zero).sqrt, _math(zero).copysign
+    rows = [*pieces, (zero,) * 6]
+    xs = [zero] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
     for a, b, *_ in [row for row in rows if row[2] == 0.0]:  # the lines
         for alpha, beta, gamma, delta, epsilon, _ in rows:
             m, s = a - alpha, b - beta
@@ -300,36 +338,37 @@ def kinks(pieces) -> list[float]:
             disc = qb * qb - qa * qc
             if disc < 0.0:
                 continue
-            r = qb + math.copysign(math.sqrt(disc), qb)
+            r = qb + copysign(sqrt(disc), qb)
             xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
     return sorted({x for x in xs if 0.0 <= x <= X_FINITE})
 
 
-def stationary(pieces, e: float) -> list[float]:
+def stationary(pieces, e) -> list:
     """The x >= 0 where a curve piece of x*e + y has zero slope, read at
     X_FINITE past it: with t = e - beta and kappa = epsilon - delta^2/gamma,
     x = delta/gamma - t*sqrt(kappa/(gamma*(gamma - t^2))), which needs
     gamma - t^2 > 0, taken as gamma - beta^2 + e*(2*beta - e) so that it
-    does not cancel."""
+    does not cancel.  Float or exact, in the number type of e."""
+    sqrt = _math(e).sqrt
     xs = []
     for _, beta, gamma, delta, epsilon, c2 in pieces:
-        room = c2 + e * (2.0 * beta - e)
+        room = c2 + e * (2 * beta - e)
         if gamma > 0.0 and room > 0.0:
-            kappa = max(epsilon - delta * delta / gamma, 0.0)
-            scale = gamma * room  # 0 only where e*beta underflows
-            step = math.sqrt(kappa / scale) if scale > 0.0 else math.inf
+            kappa = max(epsilon - delta * delta / gamma, 0 * e)
+            scale = gamma * room  # 0 only where a float e*beta underflows
+            step = sqrt(kappa / scale) if scale > 0.0 else type(e)("inf")
             xs.append(delta / gamma - (e - beta) * step)
-    return [min(x, X_FINITE) for x in xs if x >= 0.0]
+    return [min(x, type(e)(X_FINITE)) for x in xs if x >= 0.0]
 
 
 def piece_floor(pieces):
     """The zero-error floor inf_x y_star(x), clipped only at 0: the largest
     limit of a piece that keeps one as x -> inf, alpha on a flat line and
-    alpha - delta/beta on a singular curve (gamma - beta^2 = 0).  Float
-    pieces give a float; exact pieces (EXACT_PIECES) give a Decimal, or 0.0
-    where no limit is positive."""
-    return max([0.0] + [a - d / b if g > 0.0 else a
-                        for a, b, g, d, _, c2 in pieces if c2 == 0.0])
+    alpha - delta/beta on a singular curve (gamma - beta^2 = 0).  Float or
+    exact, in the number type of the pieces."""
+    return max([type(pieces[0][0])()] + [a - d / b if g > 0.0 else a
+                                         for a, b, g, d, _, c2 in pieces
+                                         if c2 == 0.0])
 
 
 with decimal.localcontext(_EXACT):
@@ -345,12 +384,13 @@ with decimal.localcontext(_EXACT):
                          - Decimal(SIN2_PI_8))
 
 
-def phase_minimum(pieces, e_bit: float) -> tuple[float, float]:
+def phase_minimum(pieces, e_bit) -> tuple:
     """(x, x*e_bit + y_star(x)) at the x minimizing x*e_bit + y_star(x) over
     closed-form pieces, for 0 < e_bit < inf.  The objective is convex and the
     maximum of smooth pieces, so its minimum is at a kink of the envelope or
-    at a curve's stationary point: the first least value over that set."""
-    e = float(e_bit)
+    at a curve's stationary point: the first least value over that set.
+    Floats, or Decimals for exact pieces (EXACT_PIECES) and a Decimal e_bit."""
+    e = e_bit if isinstance(e_bit, Decimal) else float(e_bit)
     if not 0.0 < e < math.inf:
         raise ValueError("phase_minimum requires 0 < e_bit < inf, got %r" % e)
     return min(((x, x * e + envelope(pieces, x))
@@ -446,16 +486,18 @@ def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
-    """Certified min_x [x*e_bit + y_star(x)]: the floor (bounds.zero_rate_check)
-    at e_bit = 0, else x*e_bit + y_star(x), y_star(x) certified by
-    bounds.frontier at the x of the PIECES row's phase_minimum, or at
-    FRONTIER_X_MAX past it (e_bit < 1e-13, a bound within 6.25e-8)."""
+    """Certified min_x [x*e_bit + y_star(x)]: at e_bit = 0 the row's FLOORS
+    entry, its exact floor rounded up (the verify row ``floor = exact table
+    floor`` proves it against the forms' floor, bounds.zero_rate_check),
+    else x*e_bit + y_star(x), y_star(x) certified by bounds.frontier at the x
+    of the PIECES row's phase_minimum, or at FRONTIER_X_MAX past it (e_bit <
+    1e-13, a bound within 6.25e-8)."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
+    if e_bit == 0.0:
+        return FLOORS[protocol, nu]
     from . import bounds
 
-    if e_bit == 0.0:
-        return bounds.zero_rate_check(protocol, nu)
     x = min(phase_minimum(PIECES[protocol, nu], e_bit)[0], FRONTIER_X_MAX)
     return x * e_bit + bounds.frontier(x, protocol, nu)
 
@@ -473,90 +515,27 @@ RATE_ERROR = Decimal("1e-30")
 ROOT_STEPS = 64
 
 
-def _entropy(ps) -> Decimal:
-    """The Shannon entropy in bits of the Decimal weights ps."""
-    return -sum((p * p.ln() for p in ps if p > 0), Decimal(0)) / _LN2
-
-
-def _bell_rate(vertices, e: Decimal) -> Decimal:
-    """1 - H at the end of the polytope's slice at bit weight e where H is
-    largest on the slice, on exact vertices: worst_bell_vector's rule.  At a
-    maximum inside the slice this is only an upper bound on the rate, which
-    decides its sign only when negative; a positive one raises
-    ArithmeticError."""
-    bit = [v[2] + v[3] for v in vertices]
-    points = [v for v, b in zip(vertices, bit) if b == e]
-    for (v, b), (w, c) in itertools.permutations(zip(vertices, bit), 2):
-        if b < e < c:
-            t = (e - b) / (c - b)
-            points.append(tuple(x + t * (y - x) for x, y in zip(v, w)))
-    p, q = points[0], points[-1]
-    d = [y - x for x, y in zip(p, q)]
-
-    def slope(chi) -> Decimal:
-        return -sum(dx * (x.ln() if x > 0 else Decimal("-Infinity"))
-                    for x, dx in zip(chi, d) if dx)
-
-    ends = [p] if slope(p) <= 0 else [q] if slope(q) >= 0 else [p, q]
-    rate = 1 - max(map(_entropy, ends))
-    if len(ends) > 1 and rate > 0:
-        raise ArithmeticError("Bell slice at e=%.17g has its maximum inside"
-                              % e)
-    return rate
-
-
-def _phase_bound_exact(pieces, e: Decimal) -> Decimal:
-    """min_x [x*e + y_star(x)] on exact pieces for e > 0: phase_minimum's
-    candidate set, kinks and stationary points, in exact arithmetic."""
-    rows = [*pieces, (Decimal(0),) * 6]
-    xs = [Decimal(0)]
-    for _, beta, gamma, delta, epsilon, c2 in rows:
-        room = c2 + e * (2 * beta - e)
-        xs += [delta / gamma] if gamma > 0 else []  # a curve's vertex
-        if gamma > 0 and room > 0:  # and its stationary point
-            kappa = max(epsilon - delta * delta / gamma, Decimal(0))
-            xs.append(delta / gamma
-                      - (e - beta) * (kappa / (gamma * room)).sqrt())
-    for a, b, *_ in [row for row in rows if row[2] == 0]:  # the lines
-        for alpha, beta, gamma, delta, epsilon, _ in rows:
-            m, s = a - alpha, b - beta
-            if gamma == 0:
-                xs += [m / s] if s else []
-                continue
-            qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
-            disc = qb * qb - qa * qc
-            if disc >= 0:
-                r = qb + disc.sqrt().copy_sign(qb)
-                xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
-
-    def envelope_exact(x: Decimal) -> Decimal:
-        # envelope's non-cancelling form of -beta*x + sqrt(q) on a curve.
-        y = Decimal(0)
-        for alpha, beta, gamma, delta, epsilon, c2 in pieces:
-            bx = beta * x
-            root = max((gamma * x - 2 * delta) * x + epsilon,
-                       Decimal(0)).sqrt()
-            tail = (((c2 * x - 2 * delta) * x + epsilon) / (bx + root)
-                    if gamma > 0 and bx > 0 else root - bx)
-            y = max(y, alpha + tail)
-        return y
-
-    return min(x * e + envelope_exact(x) for x in xs if x >= 0)
-
-
 def exact_rate(protocol: str, nu: int, e_bit: float) -> Decimal:
     """The rate of (protocol, nu) at the float e_bit, 0 < e_bit <= E_BIT_MAX,
-    on the exact tables and within RATE_ERROR: ``threshold``'s rule (the
-    Bell-vertex rule for a BELL_VERTICES key, else 1 - h(e) - h(e_ph)) in
-    40-digit Decimal arithmetic.  Where a Bell slice has its maximum inside
-    it (four-state nu=1 above e = 1/3), an upper bound (``_bell_rate``)."""
+    on the exact tables and within RATE_ERROR: ``threshold``'s rule run by
+    the float rule's own code (``_bell_slice``, ``phase_minimum``,
+    ``binary_entropy``) on EXACT_BELL_VERTICES or EXACT_PIECES, in 40-digit
+    Decimal arithmetic.  The Bell-vertex rule takes H at the ends of the
+    slice only: at a maximum inside it (four-state nu=1 above e = 1/3) that
+    is an upper bound on the rate, which decides its sign only when
+    negative, so a positive one raises ArithmeticError."""
     with decimal.localcontext(_EXACT):
         e = Decimal(e_bit)
-        if (protocol, nu) in BELL_VERTICES:
-            return _bell_rate(EXACT_BELL_VERTICES[protocol, nu], e)
-        e_ph = min(_phase_bound_exact(EXACT_PIECES[protocol, nu], e),
-                   Decimal("0.5"))
-        return 1 - _entropy((e, 1 - e)) - _entropy((e_ph, 1 - e_ph))
+        if (protocol, nu) not in BELL_VERTICES:
+            e_ph = min(phase_minimum(EXACT_PIECES[protocol, nu], e)[1], _1 / 2)
+            return 1 - binary_entropy(e) - binary_entropy(e_ph)
+        p, q, slope = _bell_slice(EXACT_BELL_VERTICES[protocol, nu], e)
+        ends = [p] if slope(p) <= 0 else [q] if slope(q) >= 0 else [p, q]
+        rate = 1 - max(map(_shannon, ends))
+        if len(ends) > 1 and rate > 0:
+            raise ArithmeticError("Bell slice at e=%.17g has its maximum "
+                                  "inside" % e)
+        return rate
 
 
 def _proved_root(e: float, exact) -> float:

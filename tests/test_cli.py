@@ -101,10 +101,12 @@ VERIFY_ROWS = {
                         "nu=1 correlation 2 chi1- >= chi0-",
                         "nu=1 event forms PSD",
                         "nu=1 piece table = forms",
+                        "nu=1 floor = exact table floor",
                         "nu=1 frontier in [0, 1]",
                         "nu=1 reduced H_bit PSD"],
     ("four-state", 2): ["nu=2 event forms PSD",
                         "nu=2 piece table = forms",
+                        "nu=2 floor = exact table floor",
                         "nu=2 margin at analytic bound",
                         "nu=2 frontier = g exactly",
                         "nu=2 frontier floor vs sin^2(pi/8)",
@@ -113,30 +115,36 @@ VERIFY_ROWS = {
                         "nu=2 reduced H_bit PSD",
                         "nu=2 frontier floor below 1/2"],
     ("four-state", 3): ["nu=3 event forms PSD", "nu=3 piece table = forms",
+                        "nu=3 floor = exact table floor",
                         "nu=3 no-key floor", "nu=3 frontier in [0, 1]",
                         "nu=3 reduced H_bit PSD"],
     ("four-state", 4): ["nu=4 event forms PSD", "nu=4 piece table = forms",
+                        "nu=4 floor = exact table floor",
                         "nu=4 no-key floor", "nu=4 frontier in [0, 1]",
                         "nu=4 reduced H_bit PSD"],
     ("six-state", 1): ["nu=1 phase = 1.5 x bit identity",
                        "nu=1 Bell vertex table",
                        "nu=1 event forms PSD",
                        "nu=1 piece table = forms",
+                       "nu=1 floor = exact table floor",
                        "nu=1 frontier in [0, 1]",
                        "nu=1 reduced H_bit PSD"],
     ("six-state", 2): ["nu=2 Bell vertex table",
                        "nu=2 event forms PSD",
                        "nu=2 piece table = forms",
+                       "nu=2 floor = exact table floor",
                        "nu=2 frontier in [0, 1]",
                        "nu=2 reduced H_bit PSD"],
     ("six-state", 3): ["nu=3 event forms PSD",
                        "nu=3 piece table = forms",
+                       "nu=3 floor = exact table floor",
                        "nu=3 closed form = tangent bound",
                        "nu=3 frontier in [0, 1]",
                        "nu=3 reduced H_bit PSD",
                        "nu=3 frontier floor below 1/2"],
     ("six-state", 4): ["nu=4 event forms PSD",
                        "nu=4 piece table = forms",
+                       "nu=4 floor = exact table floor",
                        "nu=4 closed form = tangent bound",
                        "nu=4 frontier in [0, 1]",
                        "nu=4 reduced H_bit PSD",
@@ -170,7 +178,8 @@ def test_verify_prints_every_certificate_in_order(capsys, protocol, nu):
 # The rows that prove a PIECES row's frontier: its forms, its pieces, its
 # range and the monotonicity the floor rows read.
 STRUCTURAL_ROWS = ("event forms PSD", "piece table = forms",
-                   "frontier in [0, 1]", "reduced H_bit PSD")
+                   "floor = exact table floor", "frontier in [0, 1]",
+                   "reduced H_bit PSD")
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
@@ -195,6 +204,7 @@ def test_verify_scopes_follow_the_tables(capsys, monkeypatch):
     rows = check_rows(out)
     assert [r[0] for r in rows] == ["nu=2 event forms PSD",
                                     "nu=2 piece table = forms",
+                                    "nu=2 floor = exact table floor",
                                     "nu=2 closed form = tangent bound",
                                     "nu=2 frontier in [0, 1]",
                                     "nu=2 reduced H_bit PSD",
@@ -204,11 +214,13 @@ def test_verify_scopes_follow_the_tables(capsys, monkeypatch):
 
 def test_verify_failed_certificate_exits_1(capsys, monkeypatch):
     # The table looks bounds.zero_rate_check up when it runs, so a floor
-    # patched below 1/2 fails the no-key certificate and the whole run.
+    # patched below 1/2 fails the no-key certificate, the exact table floor
+    # (1) and the whole run.
     monkeypatch.setattr(sargkit.bounds, "zero_rate_check", lambda p, nu: 0.3)
     rc, out = run(capsys, "verify", "--protocol", "four-state", "--nu", "3")
     assert rc == 1
     assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
+        ["nu=3 floor = exact table floor", "7.000e-01", "< 1e-10", "FAIL"],
         ["nu=3 no-key floor", "3.000e-01", ">= 0.5", "FAIL"]]
     assert out.splitlines()[-1] == "summary: FAIL"
 
@@ -320,6 +332,21 @@ def test_verify_fails_the_piece_row_on_a_moved_coefficient(
     assert verdict == ["< 1e-10", "FAIL"] and 0.9e-9 < float(value) < 1.1e-9
 
 
+@pytest.mark.parametrize("protocol,nu", sorted(sargkit.keyrate.PIECES))
+def test_verify_fails_the_floor_row_on_a_moved_table_floor(
+        capsys, monkeypatch, protocol, nu):
+    # The row's FLOORS entry moved by 1e-9: the forms' floor lies 1e-9 from
+    # it, so floor = exact table floor fails, and only it.
+    monkeypatch.setitem(sargkit.keyrate.FLOORS, (protocol, nu),
+                        sargkit.keyrate.FLOORS[protocol, nu] + 1e-9)
+    rc, out = run(capsys, "verify", "--protocol", protocol, "--nu", str(nu))
+    assert rc == 1
+    failed = [r for r in check_rows(out) if r[-1] != "PASS"]
+    assert [r[0] for r in failed] == ["nu=%d floor = exact table floor" % nu]
+    assert failed[0][2] == "< 1e-10" and 0.9e-9 < float(failed[0][1]) < 1.1e-9
+    assert out.splitlines()[-1] == "summary: FAIL"
+
+
 def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
         capsys, monkeypatch):
     # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
@@ -337,6 +364,7 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
     assert rc == 1
     failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
     assert [r[0] for r in failed] == ["nu=2 piece table = forms",
+                                      "nu=2 floor = exact table floor",
                                       "nu=2 frontier = g exactly",
                                       "nu=2 frontier floor vs sin^2(pi/8)",
                                       "nu=2 closed form = tangent bound",
@@ -344,7 +372,7 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
                                       "nu=2 frontier floor below 1/2"]
     assert all(r[1] == "nan" for r in failed)
     err = captured.err.splitlines()
-    assert len(err) == 6 and all("pencil block residual" in e for e in err)
+    assert len(err) == 7 and all("pencil block residual" in e for e in err)
 
 
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
@@ -416,12 +444,13 @@ def test_verify_prints_a_fail_row_for_a_failed_internal_check(
     rows = check_rows(captured.out)
     # The identity row reads the compiled forms, not H_fil's kernel; the
     # Bell vertex table reduces the Bell forms to range(H_fil), the event
-    # form row reads H_fil's cut solve, and the piece table and frontier
-    # rows reduce the pencil.
+    # form row reads H_fil's cut solve, and the piece table, floor and
+    # frontier rows reduce the pencil.
     assert rows[0][0] == "nu=1 phase = 1.5 x bit identity"
     assert rows[0][-1] == "PASS"
     assert [r[1:] for r in rows[1:]] == [["nan", "< 1e-10", "FAIL"],
                                          ["nan", ">= -1e-10", "FAIL"],
+                                         ["nan", "< 1e-10", "FAIL"],
                                          ["nan", "< 1e-10", "FAIL"],
                                          ["nan", "<= 1", "FAIL"],
                                          ["nan", ">= -1e-10", "FAIL"]]

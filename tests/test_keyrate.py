@@ -552,7 +552,7 @@ def test_exact_phase_bound_is_the_decimal_scan_minimum(row, e):
     pieces = keyrate.EXACT_PIECES[row]
     with decimal.localcontext(keyrate._EXACT):
         d = Decimal(e)
-        bound = keyrate._phase_bound_exact(pieces, d)
+        bound = keyrate.phase_minimum(pieces, d)[1]
         step = Decimal(1) / 128
         scanned = _scan_bound(pieces, d, step, 8)
         assert bound <= scanned + keyrate.RATE_ERROR
@@ -563,28 +563,51 @@ def test_exact_phase_bound_is_the_float_bound_to_roundoff():
     for key in keyrate.EXACT_PIECES:
         for e in (1e-300, 1e-9, 0.01, 0.0271, 0.3):
             with decimal.localcontext(keyrate._EXACT):
-                exact = keyrate._phase_bound_exact(keyrate.EXACT_PIECES[key],
-                                                   Decimal(e))
+                exact = keyrate.phase_minimum(keyrate.EXACT_PIECES[key],
+                                              Decimal(e))[1]
             assert abs(float(exact) - keyrate.phase_bound(*key, e)) <= 1e-15
 
 
-def test_bell_rate_bounds_an_inner_maximum_or_raises():
-    # A slice whose entropy peaks inside it: the ends bound the rate from
-    # above, which decides the sign only when negative.
-    third = Decimal(1) / 3
-    low = ((1, 0, 0, 0), (Decimal("0.9"), 0, Decimal("0.1"), 0),
-           (Decimal("0.9"), 0, 0, Decimal("0.1")))
-    wide = ((1, 0, 0, 0), (0, third, 2 * third, 0), (0, third, 0, 2 * third))
+def test_bell_rate_bounds_an_inner_maximum_or_raises(monkeypatch):
+    # A slice whose entropy peaks inside it (the slope of H turns from up to
+    # down along it): the ends bound the rate from above, which decides the
+    # sign only when negative.
+    key = ("four-state", 1)
     with decimal.localcontext(keyrate._EXACT):
-        low = tuple(tuple(map(Decimal, v)) for v in low)
-        with pytest.raises(ArithmeticError, match="maximum inside"):
-            keyrate._bell_rate(low, Decimal("0.05"))
-        # Its ends (0.1, 0.3, 0.6, 0) give -0.295; inside, H reaches 1.895.
-        assert -0.3 < keyrate._bell_rate(wide, Decimal("0.6")) < 0
-        # Four-state nu=1 above e = 1/3: the bound lies above the float rate.
-        e = 0.35
-        bound = keyrate.exact_rate("four-state", 1, e)
-    assert bound < 0 and float(bound) >= _row_rate("four-state", 1)(e)
+        third = Decimal(1) / 3
+        low = ((1, 0, 0, 0), ("0.9", 0, "0.1", 0), ("0.9", 0, 0, "0.1"))
+        wide = ((1, 0, 0, 0), (0, third, 2 * third, 0),
+                (0, third, 0, 2 * third))
+        low, wide = (tuple(tuple(map(Decimal, v)) for v in table)
+                     for table in (low, wide))
+        for table, e in ((low, Decimal("0.05")), (wide, Decimal("0.6"))):
+            p, q, slope = keyrate._bell_slice(table, e)
+            assert p != q and slope(p) > 0 > slope(q)
+    monkeypatch.setitem(keyrate.EXACT_BELL_VERTICES, key, low)
+    with pytest.raises(ArithmeticError, match="maximum inside"):
+        keyrate.exact_rate(*key, 0.05)
+    # Its ends (0.1, 0.3, 0.6, 0) give -0.295; inside, H reaches 1.895.
+    monkeypatch.setitem(keyrate.EXACT_BELL_VERTICES, key, wide)
+    assert -0.3 < keyrate.exact_rate(*key, 0.6) < 0
+    # Four-state nu=1 above e = 1/3: the bound lies above the float rate.
+    monkeypatch.undo()
+    e = 0.35
+    bound = keyrate.exact_rate(*key, e)
+    assert bound < 0 and float(bound) >= _row_rate(*key)(e)
+
+
+@pytest.mark.parametrize("key", sorted(keyrate.EXACT_PIECES))
+def test_piece_functions_compute_in_decimal_on_exact_rows(key):
+    # The float rule's own code runs on an exact row: every piece function
+    # gives Decimals there, never a float.
+    pieces = keyrate.EXACT_PIECES[key]
+    with decimal.localcontext(keyrate._EXACT):
+        e = Decimal(0.02)
+        values = [keyrate.envelope(pieces, Decimal("0.75")),
+                  *keyrate.kinks(pieces), *keyrate.stationary(pieces, e),
+                  *keyrate.phase_minimum(pieces, e),
+                  keyrate.piece_floor(pieces)]
+    assert all(type(v) is Decimal for v in values), key
 
 
 @pytest.mark.parametrize("steps", [-5, -1, 0, 1, 5])
@@ -782,7 +805,8 @@ def test_six_state_rate_model_follows_the_bell_vertex_table(monkeypatch):
              in keyrate.PIECES.items() if protocol == "six-state"}
 
     def spy(pieces, e):
-        bound_rows.append(nu_of[id(pieces)])
+        if not isinstance(e, Decimal):  # exact_rate reads EXACT_PIECES
+            bound_rows.append(nu_of[id(pieces)])
         return minimum(pieces, e)
 
     monkeypatch.setattr(keyrate, "phase_minimum", spy)
@@ -850,8 +874,12 @@ def test_ephase_bound_frontier_rejects_e_outside_its_domain(e):
 
 @pytest.mark.parametrize("protocol,nu", CASES)
 def test_ephase_bound_frontier_at_zero_is_the_exact_floor(protocol, nu):
-    assert (keyrate.ephase_bound_frontier(0.0, protocol, nu)
-            == bounds.zero_rate_check(protocol, nu))
+    # The row's floor rounded up (FLOORS): never below the exact floor, which
+    # the floor of the float blocks is at four-state nu=3 and six-state nu=3.
+    floor = keyrate.ephase_bound_frontier(0.0, protocol, nu)
+    assert floor == keyrate.FLOORS[protocol, nu]
+    assert oracles.q2_sign(oracles.q2_minus_float(
+        oracles.q2_floor(protocol, nu), floor)) <= 0
 
 
 @settings(max_examples=60, deadline=None)
