@@ -286,29 +286,29 @@ def pencil_blocks(protocol: str, nu: int) -> PencilBlocks:
     w, v = qmath.eigh_checked(a + BLOCK_WEIGHT * b)
     cut = math.sqrt(RANK_TOL) * np.abs(w).max()
     cols: list[np.ndarray] = []
-    sides = []
+    groups: list[slice] = []  # each block's columns
     for u in v.T:
         u = u - sum((np.vdot(c, u) * c for c in cols), np.zeros_like(u))
-        if np.linalg.norm(u) < 0.5:  # inside a block found before
+        norm = np.linalg.norm(u)
+        if norm < 0.5:  # inside a block found before
             continue
-        u = u / np.linalg.norm(u)
-        r = max((m @ u - np.vdot(u, m @ u) * u for m in (a, b)),
-                key=np.linalg.norm)
-        cols += [u] + ([r / np.linalg.norm(r)] if np.linalg.norm(r) > cut
-                       else [])
-        sides.append(len(cols) - sum(sides))
+        u = u / norm
+        r, norm = max(((r, np.linalg.norm(r)) for r in
+                       (m @ u - np.vdot(u, m @ u) * u for m in (a, b))),
+                      key=lambda pair: pair[1])
+        side = 2 if norm > cut else 1
+        groups.append(slice(len(cols), len(cols) + side))
+        cols += [u] + ([r / norm] if side == 2 else [])
     u = np.stack(cols, axis=1)
-    groups = np.split(np.arange(len(cols)), np.cumsum(sides)[:-1])
-    inside = np.zeros((len(cols),) * 2, dtype=bool)
-    for g in groups:
-        inside[g[:, None], g] = True
-    split = [_reduce(u, m) for m in (a, b)]
-    residual = max(float(np.abs(m[~inside]).max(initial=0.0)) for m in split)
+    split = [qmath.read_only(_reduce(u, m)) for m in (a, b)]
+    # Each reduced matrix is exactly Hermitian, so the entries right of the
+    # blocks are, in magnitude, all those outside them.
+    residual = max(float(np.abs(m[g, g.stop:]).max(initial=0.0))
+                   for m in split for g in groups)
     if len(cols) != a.shape[0] or not residual <= IDENTITY_TOL:
         raise ArithmeticError("%s nu=%d pencil block residual %.3e exceeds "
                               "%g" % (protocol, nu, residual, IDENTITY_TOL))
-    blocks = tuple(tuple(qmath.read_only(m[g[:, None], g]) for m in split)
-                   for g in groups)
+    blocks = tuple(tuple(m[g, g] for m in split) for g in groups)
     pieces = np.array([_piece(*blk) for blk in blocks])
     # B_k's eigenvalues beta -+ sqrt(gamma) are cut by the rule that cuts
     # H_fil's (_kernel_split): a block whose lambda_min(B_k) is at or below

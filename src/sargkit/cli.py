@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_keyrate)
 
     c = sub.add_parser("constants-check", help="structural constant table")
-    c.add_argument("--protocol", choices=list(PROTOCOLS), default=None)
+    _add_protocol(c, default=None)
     c.set_defaults(func=cmd_constants_check)
 
     return parser

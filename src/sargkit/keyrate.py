@@ -1,6 +1,7 @@
 """Entropies, worst-case Bell vectors, key rates, and thresholds.
 
-Rates are asymptotic per sifted conclusive pair, under one of two rules:
+Rates are asymptotic per sifted conclusive pair.  ``rate`` is the one rate
+of every rated key, under one of two rules:
 
 * the Bell-vertex rule, at four-state nu=1 (R1) and six-state nu=1, 2, where
   the reduced Bell forms commute: a conclusive pair's Bell vector chi ranges
@@ -15,23 +16,22 @@ Rates are asymptotic per sifted conclusive pair, under one of two rules:
   maximum of 0 and the row's exact pieces (PIECES), so the minimum lies at
   a point of a finite set, read on no x-grid.
 
-Every rate is a float of e_bit.  Every threshold is the last float whose
-exact rate is positive: ``_threshold`` bisects the float rate on [0,
-E_BIT_MAX] to its float root, and ``_proved_root`` steps that root by ulps
-until ``exact_rate`` is positive there and negative at the next float up,
-each by more than RATE_ERROR.  ``exact_rate`` is the float rule's own code
-run on the exact tables in 40-digit Decimal arithmetic: the piece functions
-(``envelope``, ``kinks``, ``stationary``, ``phase_minimum``,
-``piece_floor``), the Bell slice (``_bell_slice``) and the entropies take
-float or Decimal values and compute in the type they are given.  A float
-rate already <= 0 at e = 0 means no key at any error rate, and the
-threshold is 0.  ``depol_p`` maps e_bit to the depolarizing-channel
-parameter p.  The `thresholds` report prints THRESHOLDS.
+``rate`` computes in the number type of e_bit, by one code: a float reads
+the float tables and a Decimal the exact ones (the piece functions, the
+Bell slice and the entropies take either type).  ``exact_rate`` is ``rate``
+at a float e_bit made Decimal, in 40 digits.  Every threshold is the last
+float whose exact rate is positive: ``_threshold`` bisects the float rate
+on [0, E_BIT_MAX], and ``_proved_root`` steps that root by ulps until
+``exact_rate`` is positive there and negative at the next float up, each by
+more than RATE_ERROR.  A float rate <= 0 at e = 0 means no key at any
+error rate: the threshold is 0.  ``depol_p`` maps e_bit to the
+depolarizing-channel parameter p.  The `thresholds` report prints
+THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
-and ``threshold`` applies the Bell-vertex rule to a BELL_VERTICES key and
-the independent rule to any other, on its PIECES row.  cli.checks scopes
-its certificates by the same three tables; neither branches on a protocol.
+and ``rate`` applies the Bell-vertex rule to a BELL_VERTICES key and the
+independent rule to any other, on its PIECES row.  cli.checks scopes its
+certificates by the same three tables; neither branches on a protocol.
 
 Each table coefficient is written once, as its exact value in Q(sqrt 2)
 held in 40 digits (EXACT_BELL_VERTICES, EXACT_PIECES).  The float tables
@@ -191,9 +191,10 @@ def binary_entropy(e: float) -> float:
 
 
 def _phase_charge(e_ph: float) -> float:
-    """h(e_ph), saturated at e_ph = 1/2: the entropy charge for a phase-error
-    bound, which may exceed 1/2 (the bound itself is reported unclamped)."""
-    return binary_entropy(min(e_ph, 0.5))
+    """h(e_ph), saturated at e_ph = 1/2 in the number type of e_ph: the
+    entropy charge for a phase-error bound, which may exceed 1/2 (the bound
+    itself is reported unclamped)."""
+    return binary_entropy(min(e_ph, type(e_ph)("0.5")))
 
 
 def _shannon(ps):
@@ -216,19 +217,24 @@ def worst_bell_vector(protocol: str, nu: int,
                       e_bit: float) -> tuple[tuple[float, ...], float]:
     """The adversarial Bell vector chi of a conclusive pair at bit error e_bit
     and its entropy H(chi): the maximum of H over the slice of the row's
-    Bell polytope (BELL_VERTICES) at bit weight e_bit.
+    Bell polytope at bit weight e_bit, in the number type of e_bit, on
+    BELL_VERTICES for a float and EXACT_BELL_VERTICES for a Decimal.
 
     The slice of a hull is the hull of the vertices on it and of the points
     where its edges cross it.  A row has at most three vertices, with
     distinct bit weights, so the slice is one point or the segment between
     two, along which H is concave: an end wins when the slope of H there
     points out of the segment, and only a slope that turns inside it is
-    bisected (bisect_floats).  At e = 0 every row is a pure state, H = 0.
+    bisected in floats t (bisect_floats), each point taken at type(e)(t):
+    the better of the two adjacent t wins, below the maximum by a shortfall
+    second order in t's ulp.  At e = 0 every row is a pure state, H = 0.
     """
-    vertices = BELL_VERTICES.get((protocol, nu))
+    exact = isinstance(e_bit, Decimal)
+    vertices = (EXACT_BELL_VERTICES if exact else BELL_VERTICES).get(
+        (protocol, nu))
     if vertices is None:
         raise ValueError("no Bell vertex table for %s nu=%r" % (protocol, nu))
-    e = float(e_bit)
+    e = e_bit if exact else float(e_bit)
     e_max = max(map(_bit, vertices))
     if not 0.0 <= e <= e_max:
         raise ValueError("e_bit must be in [0, %g] for feasible marginals"
@@ -236,6 +242,7 @@ def worst_bell_vector(protocol: str, nu: int,
     p, q, slope = _bell_slice(vertices, e)
 
     def point(t: float) -> tuple[float, ...]:
+        t = type(e)(t)
         return tuple(a + t * (b - a) for a, b in zip(p, q))
 
     if slope(p) <= 0.0:
@@ -399,12 +406,16 @@ def phase_minimum(pieces, e_bit) -> tuple:
 
 
 def phase_bound(protocol: str, nu: int, e_bit: float) -> float:
-    """min_x [x*e_bit + y_star(x)] on the PIECES row of (protocol, nu), for
-    0 <= e_bit < inf: the phase_minimum, or at e_bit = 0 the row's FLOORS
-    entry, the infimum as x runs off to infinity, rounded up."""
+    """min_x [x*e_bit + y_star(x)] on the row of (protocol, nu), for 0 <=
+    e_bit < inf, in the number type of e_bit: the phase_minimum of the PIECES
+    row for a float and of the EXACT_PIECES row for a Decimal.  At e_bit = 0
+    it is the infimum as x runs off to infinity, the row's floor: its FLOORS
+    entry (rounded up) for a float, its exact piece_floor for a Decimal."""
+    exact = isinstance(e_bit, Decimal)
+    pieces = (EXACT_PIECES if exact else PIECES)[protocol, nu]
     if e_bit == 0.0:
-        return FLOORS[protocol, nu]
-    return phase_minimum(PIECES[protocol, nu], e_bit)[1]
+        return piece_floor(pieces) if exact else FLOORS[protocol, nu]
+    return phase_minimum(pieces, e_bit)[1]
 
 
 def ephase_bound_two(e_bit: float) -> float:
@@ -416,10 +427,16 @@ def ephase_bound_two(e_bit: float) -> float:
     return phase_bound("four-state", 2, e_bit)
 
 
-def rate_independent(e_bit: float, e_ph: float) -> float:
-    """1 - h(e_bit) - h(e_ph) with independent bit/phase error patterns: R2
-    with e_ph = ephase_bound_two(e_bit), and the six-state rate."""
-    return 1.0 - binary_entropy(e_bit) - _phase_charge(e_ph)
+def rate(protocol: str, nu: int, e_bit: float) -> float:
+    """The key rate of the rated key (protocol, nu) at bit error e_bit, in the
+    number type of e_bit (a Decimal reads the exact tables): 1 -
+    H(worst_bell_vector) for a BELL_VERTICES key, else 1 - h(e_bit) -
+    h(e_ph), e_ph the row's phase_bound saturated at 1/2, bit and phase
+    errors treated as independent."""
+    if (protocol, nu) in BELL_VERTICES:
+        return 1 - worst_bell_vector(protocol, nu, e_bit)[1]
+    return (1 - binary_entropy(e_bit)
+            - _phase_charge(phase_bound(protocol, nu, e_bit)))
 
 
 def depol_p(e: float) -> float:
@@ -509,33 +526,19 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 # The error of an exact rate is below 1e-36: it takes a few hundred
 # operations at 40 digits, each rounded to half a unit in its 40th digit, on
 # values, logarithms and slopes below 1e3 in magnitude.  A sign is proved
-# only where the rate clears this bound.
+# only where the rate clears this bound.  (An interior Bell maximum, read at
+# a float t, adds a shortfall of order ulp(t)^2; no root's slice has one.)
 RATE_ERROR = Decimal("1e-30")
 # The most ulps a threshold steps from the float root of its float rate.
 ROOT_STEPS = 64
 
 
 def exact_rate(protocol: str, nu: int, e_bit: float) -> Decimal:
-    """The rate of (protocol, nu) at the float e_bit, 0 < e_bit <= E_BIT_MAX,
-    on the exact tables and within RATE_ERROR: ``threshold``'s rule run by
-    the float rule's own code (``_bell_slice``, ``phase_minimum``,
-    ``binary_entropy``) on EXACT_BELL_VERTICES or EXACT_PIECES, in 40-digit
-    Decimal arithmetic.  The Bell-vertex rule takes H at the ends of the
-    slice only: at a maximum inside it (four-state nu=1 above e = 1/3) that
-    is an upper bound on the rate, which decides its sign only when
-    negative, so a positive one raises ArithmeticError."""
+    """``rate`` of (protocol, nu) at the float e_bit, 0 < e_bit <= E_BIT_MAX,
+    on the exact tables and within RATE_ERROR: e_bit made Decimal, in
+    40-digit Decimal arithmetic."""
     with decimal.localcontext(_EXACT):
-        e = Decimal(e_bit)
-        if (protocol, nu) not in BELL_VERTICES:
-            e_ph = min(phase_minimum(EXACT_PIECES[protocol, nu], e)[1], _1 / 2)
-            return 1 - binary_entropy(e) - binary_entropy(e_ph)
-        p, q, slope = _bell_slice(EXACT_BELL_VERTICES[protocol, nu], e)
-        ends = [p] if slope(p) <= 0 else [q] if slope(q) >= 0 else [p, q]
-        rate = 1 - max(map(_shannon, ends))
-        if len(ends) > 1 and rate > 0:
-            raise ArithmeticError("Bell slice at e=%.17g has its maximum "
-                                  "inside" % e)
-        return rate
+        return rate(protocol, nu, Decimal(e_bit))
 
 
 def _proved_root(e: float, exact) -> float:
@@ -567,19 +570,12 @@ def _proved_root(e: float, exact) -> float:
 def threshold(protocol: str, nu: int) -> float:
     """The threshold of the THRESHOLDS row that names (protocol, nu): the
     last float whose exact rate (``exact_rate``) is positive.  The float root
-    of the float rate, 1 - H(worst_bell_vector) for a BELL_VERTICES key,
-    else 1 - h(e) - h(e_ph) with e_ph the PIECES row's phase_bound, is
-    stepped by ulps to it (``_proved_root``).  No eigen-solve, and no
-    numpy."""
+    of the float ``rate`` is stepped by ulps to it (``_proved_root``).  No
+    eigen-solve, and no numpy."""
     if (protocol, nu) not in {row[:2] for row in THRESHOLDS.get(protocol, ())}:
         raise ValueError("no threshold row for %s nu=%r" % (protocol, nu))
-    if (protocol, nu) in BELL_VERTICES:
-        root = _threshold(
-            lambda e: 1.0 - worst_bell_vector(protocol, nu, e)[1])
-    else:
-        root = _threshold(lambda e: rate_independent(
-            e, phase_bound(protocol, nu, e)))
-    return _proved_root(root, lambda e: exact_rate(protocol, nu, e))
+    return _proved_root(_threshold(lambda e: rate(protocol, nu, e)),
+                        lambda e: exact_rate(protocol, nu, e))
 
 
 def threshold_single() -> float:

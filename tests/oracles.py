@@ -582,6 +582,17 @@ EXACT_ROOTS = {
 }
 
 
+def two_rule_rate(protocol: str, nu: int, e_bit: float) -> float:
+    """A rated key's float rate by its two rules written out apart: 1 -
+    H(worst_bell_vector) for a key with a Bell vertex table, else 1 -
+    h(e_bit) - h(min(e_ph, 0.5)), e_ph the PIECES row's phase_bound."""
+    if (protocol, nu) in keyrate.BELL_VERTICES:
+        return 1.0 - keyrate.worst_bell_vector(protocol, nu, e_bit)[1]
+    e_ph = keyrate.phase_bound(protocol, nu, e_bit)
+    return (1.0 - keyrate.binary_entropy(e_bit)
+            - keyrate.binary_entropy(min(e_ph, 0.5)))
+
+
 def ephase_bound_grid(e_bit: float, protocol: str, nu: int) -> float:
     """min of x*e_bit + y_star(x) over bounds.DEFAULT_X_GRID: the grid minimum
     the six-state thresholds read before the exact phase-error bound."""

@@ -352,14 +352,9 @@ def test_bisect_floats_rejects_a_bracket_outside_its_domain(lo, hi):
 
 @lru_cache(maxsize=None)
 def _row_rate(protocol: str, nu: int):
-    """A computed THRESHOLDS row's float rate, assembled from its parts: the
-    Bell-vertex rule at four-state nu=1 and six-state nu=1, 2, and the
-    table's phase-error rate at four-state nu=2 and six-state nu = 3, 4 (the
-    floor at e = 0)."""
-    if (protocol, nu) in keyrate.BELL_VERTICES:
-        return lambda e: 1.0 - keyrate.worst_bell_vector(protocol, nu, e)[1]
-    return lambda e: keyrate.rate_independent(
-        e, keyrate.phase_bound(protocol, nu, e))
+    """A computed THRESHOLDS row's float rate, the one function that
+    ``threshold`` bisects."""
+    return lambda e: keyrate.rate(protocol, nu, e)
 
 
 # The threshold of every computed row, shared with the thresholds report's
@@ -568,10 +563,34 @@ def test_exact_phase_bound_is_the_float_bound_to_roundoff():
             assert abs(float(exact) - keyrate.phase_bound(*key, e)) <= 1e-15
 
 
-def test_bell_rate_bounds_an_inner_maximum_or_raises(monkeypatch):
-    # A slice whose entropy peaks inside it (the slope of H turns from up to
-    # down along it): the ends bound the rate from above, which decides the
-    # sign only when negative.
+@pytest.mark.parametrize("e", [0.35, 0.4, 0.6])
+def test_exact_bell_rate_at_an_inner_maximum_is_the_float_rate(e):
+    # Four-state nu=1 above e = 1/3: H peaks inside the slice (its slope
+    # turns from up to down along it), and the exact rate, bisected in t
+    # like the float one, agrees with it to roundoff.
+    key = ("four-state", 1)
+    with decimal.localcontext(keyrate._EXACT):
+        p, q, slope = keyrate._bell_slice(keyrate.EXACT_BELL_VERTICES[key],
+                                          Decimal(e))
+        assert p != q and slope(p) > 0 > slope(q)
+    exact = keyrate.exact_rate(*key, e)
+    assert type(exact) is Decimal
+    assert abs(float(exact) - keyrate.rate(*key, e)) <= 1e-15
+
+
+def _entropy_at_midpoint(table, e: Decimal) -> Decimal:
+    """H at the midpoint of the table's slice at bit weight e, by Decimal ln:
+    the maximum of H on a slice symmetric in chi1+ and chi1-."""
+    p, q, _ = keyrate._bell_slice(table, e)
+    return -sum(x * x.ln() for x in ((a + b) / 2 for a, b in zip(p, q))
+                if x > 0) / Decimal(2).ln()
+
+
+def test_exact_bell_rate_is_the_inner_maximum_of_a_patched_table(
+        monkeypatch):
+    # Two slices whose entropy peaks inside, at their midpoints: the exact
+    # rate is 1 - H there, a positive rate (low) and a negative one (wide),
+    # and neither raises.
     key = ("four-state", 1)
     with decimal.localcontext(keyrate._EXACT):
         third = Decimal(1) / 3
@@ -580,20 +599,47 @@ def test_bell_rate_bounds_an_inner_maximum_or_raises(monkeypatch):
                 (0, third, 0, 2 * third))
         low, wide = (tuple(tuple(map(Decimal, v)) for v in table)
                      for table in (low, wide))
-        for table, e in ((low, Decimal("0.05")), (wide, Decimal("0.6"))):
-            p, q, slope = keyrate._bell_slice(table, e)
+        cases = ((low, 0.05), (wide, 0.6))
+        for table, e in cases:
+            p, q, slope = keyrate._bell_slice(table, Decimal(e))
             assert p != q and slope(p) > 0 > slope(q)
-    monkeypatch.setitem(keyrate.EXACT_BELL_VERTICES, key, low)
-    with pytest.raises(ArithmeticError, match="maximum inside"):
-        keyrate.exact_rate(*key, 0.05)
-    # Its ends (0.1, 0.3, 0.6, 0) give -0.295; inside, H reaches 1.895.
-    monkeypatch.setitem(keyrate.EXACT_BELL_VERTICES, key, wide)
-    assert -0.3 < keyrate.exact_rate(*key, 0.6) < 0
-    # Four-state nu=1 above e = 1/3: the bound lies above the float rate.
-    monkeypatch.undo()
-    e = 0.35
-    bound = keyrate.exact_rate(*key, e)
-    assert bound < 0 and float(bound) >= _row_rate(*key)(e)
+        want = {table: 1 - _entropy_at_midpoint(table, Decimal(e))
+                for table, e in cases}
+    assert 0.66 < want[low] < 0.67 and -0.9 < want[wide] < -0.89
+    for table, e in cases:
+        monkeypatch.setitem(keyrate.EXACT_BELL_VERTICES, key, table)
+        assert abs(keyrate.exact_rate(*key, e) - want[table]) \
+            <= keyrate.RATE_ERROR
+
+
+@pytest.mark.parametrize("key", RATED)
+def test_rate_is_the_two_rule_formula_on_floats(key):
+    # One rate for both rules: on floats it is the Bell-vertex rule or the
+    # independent rule, written out apart, bit for bit.
+    for k in range(1, 2001):
+        e = keyrate.E_BIT_MAX * k / 2000
+        assert keyrate.rate(*key, e) == oracles.two_rule_rate(*key, e), e
+
+
+@pytest.mark.parametrize("key", RATED)
+def test_table_reads_take_the_exact_tables_for_a_decimal(monkeypatch, key):
+    # A Decimal bit error reads EXACT_BELL_VERTICES or EXACT_PIECES and gives
+    # Decimals (the floor at e = 0 too): moving the float table moves only
+    # the float read.
+    bell = key in keyrate.BELL_VERTICES
+    table = keyrate.BELL_VERTICES if bell else keyrate.PIECES
+
+    def read(e):
+        if bell:
+            chi, h = keyrate.worst_bell_vector(*key, e)
+            return (*chi, h)
+        return keyrate.phase_bound(*key, e), keyrate.phase_bound(*key, 0 * e)
+
+    with decimal.localcontext(keyrate._EXACT):
+        exact, floats = read(Decimal("0.02")), read(0.02)
+        assert all(type(v) is Decimal for v in exact)
+        monkeypatch.setitem(table, key, table[min(table.keys() - {key})])
+        assert read(Decimal("0.02")) == exact and read(0.02) != floats
 
 
 @pytest.mark.parametrize("key", sorted(keyrate.EXACT_PIECES))
