@@ -26,7 +26,8 @@ K. Gatermann and P. A. Parrilo, J. Pure Appl. Algebra 192, 95 (2004)): each
 eigenvector of one fixed combination of A and B grown into the smallest
 subspace that A and B keep, certified by the off-block residual.  A
 block's lambda_max(A_k - x*B_k) is a line or a curve, so y_star is their
-maximum and 0 in closed form (keyrate.envelope).  At nu <= 4 the distinct
+maximum and 0 in closed form (keyrate.envelope).  At nu <= 4 and over the
+no-key window nu = K-1 .. K-2+P (six-state nu = 5..12) the distinct
 pieces are keyrate.PIECES (``piece_table_check``), whose four-state nu=2
 curve is the paper's g(x).  The blocks are the one split of the reduced
 forms.

@@ -74,7 +74,9 @@ def checks() -> tuple[Check, ...]:
     """Every certificate, in print order: built once by each of verify and
     constants-check, so that only they import the numerical layers it reads.
     Beside the paper's rows at literal keys, every scope is read from
-    keyrate's PIECES, BELL_VERTICES and THRESHOLDS (the rated keys).
+    keyrate's PIECES, BELL_VERTICES and THRESHOLDS (the rated keys).  The
+    three ``nu >= K-1`` rows of constants-check are verify rows taken at
+    their worst over the no-key window of PIECES keys (``over_window``).
     """
     import numpy as np
 
@@ -97,15 +99,22 @@ def checks() -> tuple[Check, ...]:
         w = bounds._range_map(protocol, k - 1)[0]
         return float(w[0] / w[-1])
 
-    def no_key_floor(protocol: str, nu: int | None) -> float:
-        # The least floor over one phase period from nu = K - 1 on.
+    def window(protocol: str) -> list[tuple[str, int]]:
+        # One phase period from nu = K - 1 on, every key a PIECES row.
         table = qmath.signal_kets(protocol)
         first = len(table.kets) - 1
-        window = range(first, first + table.period)
-        if window[-1] > attack_forms.MAX_NU:
-            raise ArithmeticError("floor window nu=%d..%d passes MAX_NU %d"
-                                  % (first, window[-1], attack_forms.MAX_NU))
-        return min(bounds.zero_rate_check(protocol, n) for n in window)
+        keys = [(protocol, n) for n in range(first, first + table.period)]
+        for key in keys:
+            if key not in keyrate.PIECES:
+                raise ArithmeticError("floor window has no table row at nu=%d"
+                                      % key[1])
+        return keys
+
+    def over_window(name: str, row: Check) -> Check:
+        # The verify row's worst value over the window, under its own bound.
+        worst = min if row.op == ">=" else max
+        return row._replace(name=name, keys=constants, compute=lambda p, nu: (
+            worst(row.compute(*key) for key in window(p))))
 
     def tangent_gap(protocol: str, nu: int) -> float:
         # The table's phase-error bound against ephase_bound_frontier's, all
@@ -129,6 +138,16 @@ def checks() -> tuple[Check, ...]:
     rated = {row[:2] for table in keyrate.THRESHOLDS.values() for row in table}
     independent = tuple(k for k in pieces if k in rated and k not in bell)
     constants = tuple((p, None) for p in PROTOCOLS)
+    piece_table = Check("piece table = forms", pieces,
+                        bounds.piece_table_check, "<", bounds.IDENTITY_TOL)
+    # The floor a table read returns (keyrate.FLOORS, the exact floor
+    # rounded up) against the floor of the forms' own blocks.
+    table_floor = Check("floor = exact table floor", pieces,
+                        lambda p, nu: abs(bounds.zero_rate_check(p, nu)
+                                          - keyrate.FLOORS[p, nu]),
+                        "<", bounds.IDENTITY_TOL)
+    no_key = Check("no-key floor", tuple(k for k in pieces if k not in rated),
+                   bounds.zero_rate_check, ">=", 0.5 - bounds.PSD_TOL)
     return (
         Check("phase = 1.5 x bit identity", tuple((p, 1) for p in PROTOCOLS),
               lambda p, nu: bounds.identity_check_single(p),
@@ -149,14 +168,8 @@ def checks() -> tuple[Check, ...]:
                       in attack_forms.all_forms(p, nu).items()
                       if tag != "fil"])).min())),
               ">=", -bounds.IDENTITY_TOL),
-        Check("piece table = forms", pieces, bounds.piece_table_check,
-              "<", bounds.IDENTITY_TOL),
-        # The floor a table read returns (keyrate.FLOORS, the exact floor
-        # rounded up) against the floor of the forms' own blocks.
-        Check("floor = exact table floor", pieces,
-              lambda p, nu: abs(bounds.zero_rate_check(p, nu)
-                                - keyrate.FLOORS[p, nu]),
-              "<", bounds.IDENTITY_TOL),
+        piece_table,
+        table_floor,
         Check("margin at analytic bound", (("four-state", 2),),
               lambda p, nu: float(bounds.psd_margin(
                   bounds.DEFAULT_X_GRID,
@@ -172,8 +185,7 @@ def checks() -> tuple[Check, ...]:
               "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
         Check("closed form = tangent bound", independent, tangent_gap,
               "<=", bounds.IDENTITY_TOL),
-        Check("no-key floor", tuple(k for k in pieces if k not in rated),
-              bounds.zero_rate_check, ">=", 0.5 - bounds.PSD_TOL),
+        no_key,
         # y_star >= 0 by its clip and never increases with x (the reduced
         # H_bit is PSD: next row), so y_star(0) is its maximum over x >= 0.
         Check("frontier in [0, 1]", pieces,
@@ -198,8 +210,9 @@ def checks() -> tuple[Check, ...]:
               "==", lambda p: qmath.protocol_record(p).period),
         Check("H_fil full rank at nu=K-1", constants, filter_rank_ratio,
               ">=", math.sqrt(bounds.RANK_TOL)),
-        Check("no-key floor, nu >= K-1", constants, no_key_floor,
-              ">=", 0.5 - bounds.PSD_TOL),
+        over_window("piece table, nu >= K-1", piece_table),
+        over_window("table floor, nu >= K-1", table_floor),
+        over_window("no-key floor, nu >= K-1", no_key),
         Check("rotation maps phi1 to phi0", constants,
               lambda p, nu: max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
                                     - qmath.signal_ket(0)),

@@ -17,16 +17,16 @@ of every rated key, under one of two rules:
   a point of a finite set, read on no x-grid.
 
 ``rate`` computes in the number type of e_bit, by one code: a float reads
-the float tables and a Decimal the exact ones (the piece functions, the
-Bell slice and the entropies take either type).  ``exact_rate`` is ``rate``
-at a float e_bit made Decimal, in 40 digits.  Every threshold is the last
-float whose exact rate is positive: ``_threshold`` bisects the float rate
-on [0, E_BIT_MAX], and ``_proved_root`` steps that root by ulps until
-``exact_rate`` is positive there and negative at the next float up, each by
-more than RATE_ERROR.  A float rate <= 0 at e = 0 means no key at any
-error rate: the threshold is 0.  ``depol_p`` maps e_bit to the
-depolarizing-channel parameter p.  The `thresholds` report prints
-THRESHOLDS.
+the float tables and a Decimal the exact ones, in 40 digits whatever the
+caller's context (the piece functions, the Bell slice and the entropies
+take either type).  ``exact_rate`` is ``rate`` at a float e_bit made
+Decimal.  Every threshold is the last float whose exact rate is positive:
+``_threshold`` bisects the float rate on [0, E_BIT_MAX], and
+``_proved_root`` steps that root by ulps until ``exact_rate`` is positive
+there and negative at the next float up, each by more than RATE_ERROR.
+A float rate <= 0 at e = 0 means no key at any error rate: the threshold
+is 0.  ``depol_p`` maps e_bit to the depolarizing-channel parameter p.
+The `thresholds` report prints THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
 and ``rate`` applies the Bell-vertex rule to a BELL_VERTICES key and the
@@ -34,14 +34,15 @@ independent rule to any other, on its PIECES row.  cli.checks scopes its
 certificates by the same three tables; neither branches on a protocol.
 
 Each table coefficient is written once, as its exact value in Q(sqrt 2)
-held in 40 digits (EXACT_BELL_VERTICES, EXACT_PIECES).  The float tables
-(BELL_VERTICES, PIECES) are those values correctly rounded, and every
-zero-error floor a table read returns (FLOORS) is its exact floor rounded
-up.  Every float rate and the decoy composition are float arithmetic on
-the float tables, which bounds proves against the compiled forms; bounds
-reads its float pencil pieces with the same ``envelope`` and
-``piece_floor``.  Only ``ephase_bound_frontier`` imports ``bounds`` (and
-with it numpy).
+held in 40 digits (EXACT_BELL_VERTICES, EXACT_PIECES), whose pieces cover
+nu <= 4 and the no-key window nu = K-1 .. K-2+P (six-state nu = 5..12).
+The float tables (BELL_VERTICES, PIECES) are those values correctly
+rounded, and every zero-error floor a table read returns (FLOORS) is its
+exact floor rounded up.  Every float rate and the decoy composition are
+float arithmetic on the float tables, which bounds proves against the
+compiled forms; bounds reads its float pencil pieces with the same
+``envelope`` and ``piece_floor``.  Only ``ephase_bound_frontier`` imports
+``bounds`` (and with it numpy).
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ _EXACT = decimal.Context(prec=40)
 
 
 def _exact_piece(alpha, beta, gamma=0, delta=0, epsilon=0):
-    # Every curve at nu <= 4 is singular (gamma = beta^2), so gamma - beta^2
-    # is exactly 0 on a curve; a line has gamma = delta = epsilon = 0.
+    # Every curve of the table is singular (gamma = beta^2), so gamma -
+    # beta^2 is exactly 0 on a curve; a line has gamma = delta = epsilon = 0.
     return tuple(map(Decimal, (alpha, beta, gamma, delta, epsilon,
                                0 if gamma else -beta * beta)))
 
@@ -101,7 +102,8 @@ with decimal.localcontext(_EXACT):
             ((8 - 5 * _S) / 40, (8 + 5 * _S) / 40,
              (12 - 3 * _S) / 40, (12 + 3 * _S) / 40)),
     }
-    # The exact closed form of every frontier y_star at nu <= 4: the
+    # The exact closed form of every frontier y_star at nu <= 4 and over
+    # the no-key window (four-state nu = 3, 4, six-state nu = 5..12): the
     # distinct pieces lambda_max(A_k - x*B_k) of the pencil blocks
     # (bounds.pencil_blocks, proved against the compiled forms by
     # bounds.piece_table_check), each the 6-tuple (alpha, beta, gamma, delta,
@@ -131,6 +133,41 @@ with decimal.localcontext(_EXACT):
         ("six-state", 4): (_exact_piece(_1 / 2, _1 / 2),
                            _exact_piece(_1 / 2, _1 / 3, _1 / 9, _S / 24,
                                         _1 / 24)),
+        # The rest of the six-state no-key window nu = 5..12.
+        ("six-state", 5): (_exact_piece(_1 / 4, 0), _exact_piece(1, 0),
+                           _exact_piece(3 * _1 / 4, 2 * _1 / 3),
+                           _exact_piece(3 * _1 / 8, _1 / 3, _1 / 9, -_1 / 24,
+                                        11 * _1 / 192)),
+        ("six-state", 6): (_exact_piece(_1 / 2 + _S / 4, 0),
+                           _exact_piece(_1 / 2 + _S / 4, 2 * _1 / 3),
+                           _exact_piece(_1 / 2 - _S / 8, _1 / 3, _1 / 9, 0,
+                                        _1 / 32)),
+        ("six-state", 7): (_exact_piece(3 * _1 / 4, 0),
+                           _exact_piece(_1 / 4, 2 * _1 / 3),
+                           _exact_piece(1, 2 * _1 / 3),
+                           _exact_piece(3 * _1 / 8, _1 / 3, _1 / 9, _1 / 24,
+                                        11 * _1 / 192)),
+        ("six-state", 8): (_exact_piece(_1 / 2, _1 / 3, _1 / 9, _S / 12,
+                                        _1 / 6),
+                           _exact_piece(_1 / 2, _1 / 3, _1 / 9, -_S / 24,
+                                        _1 / 24)),
+        ("six-state", 9): (_exact_piece(0, 0), _exact_piece(3 * _1 / 4, 0),
+                           _exact_piece(_1 / 4, 2 * _1 / 3),
+                           _exact_piece(5 * _1 / 8, _1 / 3, _1 / 9, _1 / 24,
+                                        11 * _1 / 192)),
+        ("six-state", 10): (_exact_piece(_1 / 2 - _S / 4, 0),
+                            _exact_piece(_1 / 2 - _S / 4, 2 * _1 / 3),
+                            _exact_piece(_1 / 2 + _S / 8, _1 / 3, _1 / 9, 0,
+                                         _1 / 32)),
+        ("six-state", 11): (_exact_piece(_1 / 4, 0),
+                            _exact_piece(0, 2 * _1 / 3),
+                            _exact_piece(3 * _1 / 4, 2 * _1 / 3),
+                            _exact_piece(5 * _1 / 8, _1 / 3, _1 / 9, -_1 / 24,
+                                         11 * _1 / 192)),
+        ("six-state", 12): (_exact_piece(_1 / 2, _1 / 3, _1 / 9, _S / 24,
+                                         _1 / 24),
+                            _exact_piece(_1 / 2, _1 / 3, _1 / 9, -_S / 12,
+                                         _1 / 6)),
     }
     _LN2 = Decimal(2).ln()
 
@@ -326,13 +363,18 @@ def envelope(pieces, x):
 
 def kinks(pieces) -> list:
     """0, each curve's vertex delta/gamma and each x in [0, X_FINITE] where a
-    line (the zero line too) crosses a piece, sorted and distinct: where the
-    envelope can bend, but at two curves crossing (in PIECES only at x = 0).
-    Float or exact, in the number type of the pieces."""
+    line (the zero line too) crosses a piece or two curves that share
+    (alpha, beta, gamma) cross, sorted and distinct: where the envelope can
+    bend, since every two curves of PIECES share them.  Float or exact, in
+    the number type of the pieces."""
     zero = type(pieces[0][0])()
     sqrt, copysign = _math(zero).sqrt, _math(zero).copysign
     rows = [*pieces, (zero,) * 6]
     xs = [zero] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
+    curves = [row for row in pieces if row[2] > 0.0]
+    for one, two in itertools.combinations(curves, 2):
+        if one[:3] == two[:3] and one[3] != two[3]:  # -2*delta*x + epsilon
+            xs.append((one[4] - two[4]) / (2 * (one[3] - two[3])))
     for a, b, *_ in [row for row in rows if row[2] == 0.0]:  # the lines
         for alpha, beta, gamma, delta, epsilon, _ in rows:
             m, s = a - alpha, b - beta
@@ -429,14 +471,16 @@ def ephase_bound_two(e_bit: float) -> float:
 
 def rate(protocol: str, nu: int, e_bit: float) -> float:
     """The key rate of the rated key (protocol, nu) at bit error e_bit, in the
-    number type of e_bit (a Decimal reads the exact tables): 1 -
-    H(worst_bell_vector) for a BELL_VERTICES key, else 1 - h(e_bit) -
-    h(e_ph), e_ph the row's phase_bound saturated at 1/2, bit and phase
-    errors treated as independent."""
-    if (protocol, nu) in BELL_VERTICES:
-        return 1 - worst_bell_vector(protocol, nu, e_bit)[1]
-    return (1 - binary_entropy(e_bit)
-            - _phase_charge(phase_bound(protocol, nu, e_bit)))
+    number type of e_bit (a Decimal reads the exact tables, in the context
+    _EXACT whatever the caller's): 1 - H(worst_bell_vector) for a
+    BELL_VERTICES key, else 1 - h(e_bit) - h(e_ph), e_ph the row's
+    phase_bound saturated at 1/2, bit and phase errors treated as
+    independent."""
+    with decimal.localcontext(_EXACT):
+        if (protocol, nu) in BELL_VERTICES:
+            return 1 - worst_bell_vector(protocol, nu, e_bit)[1]
+        return (1 - binary_entropy(e_bit)
+                - _phase_charge(phase_bound(protocol, nu, e_bit)))
 
 
 def depol_p(e: float) -> float:
@@ -537,8 +581,7 @@ def exact_rate(protocol: str, nu: int, e_bit: float) -> Decimal:
     """``rate`` of (protocol, nu) at the float e_bit, 0 < e_bit <= E_BIT_MAX,
     on the exact tables and within RATE_ERROR: e_bit made Decimal, in
     40-digit Decimal arithmetic."""
-    with decimal.localcontext(_EXACT):
-        return rate(protocol, nu, Decimal(e_bit))
+    return rate(protocol, nu, Decimal(e_bit))
 
 
 def _proved_root(e: float, exact) -> float:

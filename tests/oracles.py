@@ -499,9 +499,10 @@ def _q2_curve(alpha, beta, gamma, delta, epsilon) -> tuple:
     return (alpha, beta, gamma, delta, epsilon, q2(0))
 
 
-# The table of every frontier piece at nu <= 4 (keyrate.PIECES), written
-# again as pairs: a line (alpha, beta) is alpha - beta*x, a curve adds
-# sqrt(gamma*x^2 - 2*delta*x + epsilon); the sixth entry is gamma - beta^2.
+# The table of every frontier piece at nu <= 4 and over the no-key window
+# nu = K - 1 .. K - 2 + P (keyrate.PIECES), written again as pairs: a line
+# (alpha, beta) is alpha - beta*x, a curve adds sqrt(gamma*x^2 - 2*delta*x
+# + epsilon); the sixth entry is gamma - beta^2.
 Q2_PIECES = {
     ("four-state", 1): (_q2_line(q2(0), q2(0)), _q2_line(q2(1), q2("2/3")),
                         _q2_line(q2("3/4"), q2("1/2"))),
@@ -525,6 +526,40 @@ Q2_PIECES = {
     ("six-state", 4): (_q2_line(q2("1/2"), q2("1/2")),
                        _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
                                  q2(0, "1/24"), q2("1/24"))),
+    ("six-state", 5): (_q2_line(q2("1/4"), q2(0)), _q2_line(q2(1), q2(0)),
+                       _q2_line(q2("3/4"), q2("2/3")),
+                       _q2_curve(q2("3/8"), q2("1/3"), q2("1/9"),
+                                 q2("-1/24"), q2("11/192"))),
+    ("six-state", 6): (_q2_line(q2("1/2", "1/4"), q2(0)),
+                       _q2_line(q2("1/2", "1/4"), q2("2/3")),
+                       _q2_curve(q2("1/2", "-1/8"), q2("1/3"), q2("1/9"),
+                                 q2(0), q2("1/32"))),
+    ("six-state", 7): (_q2_line(q2("3/4"), q2(0)),
+                       _q2_line(q2("1/4"), q2("2/3")),
+                       _q2_line(q2(1), q2("2/3")),
+                       _q2_curve(q2("3/8"), q2("1/3"), q2("1/9"),
+                                 q2("1/24"), q2("11/192"))),
+    ("six-state", 8): (_q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                 q2(0, "1/12"), q2("1/6")),
+                       _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                 q2(0, "-1/24"), q2("1/24"))),
+    ("six-state", 9): (_q2_line(q2(0), q2(0)), _q2_line(q2("3/4"), q2(0)),
+                       _q2_line(q2("1/4"), q2("2/3")),
+                       _q2_curve(q2("5/8"), q2("1/3"), q2("1/9"),
+                                 q2("1/24"), q2("11/192"))),
+    ("six-state", 10): (_q2_line(q2("1/2", "-1/4"), q2(0)),
+                        _q2_line(q2("1/2", "-1/4"), q2("2/3")),
+                        _q2_curve(q2("1/2", "1/8"), q2("1/3"), q2("1/9"),
+                                  q2(0), q2("1/32"))),
+    ("six-state", 11): (_q2_line(q2("1/4"), q2(0)),
+                        _q2_line(q2(0), q2("2/3")),
+                        _q2_line(q2("3/4"), q2("2/3")),
+                        _q2_curve(q2("5/8"), q2("1/3"), q2("1/9"),
+                                  q2("-1/24"), q2("11/192"))),
+    ("six-state", 12): (_q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                  q2(0, "1/24"), q2("1/24")),
+                        _q2_curve(q2("1/2"), q2("1/3"), q2("1/9"),
+                                  q2(0, "-1/12"), q2("1/6"))),
 }
 
 # The Bell polytope vertices (keyrate.BELL_VERTICES), written again as pairs.
@@ -538,6 +573,14 @@ Q2_BELL_VERTICES = {
                        (q2("1/5", "-1/8"), q2("1/5", "1/8"),
                         q2("3/10", "-3/40"), q2("3/10", "3/40"))),
 }
+
+
+def no_key_window(protocol: str) -> range:
+    """The photon numbers nu = K - 1 .. K - 2 + P, one phase period from
+    K - 1 on, that constants-check reads."""
+    table = qmath.signal_kets(protocol)
+    first = len(table.kets) - 1
+    return range(first, first + table.period)
 
 
 def q2_floor(protocol: str, nu: int) -> tuple[Fraction, Fraction]:

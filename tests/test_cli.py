@@ -153,7 +153,8 @@ VERIFY_ROWS = {
 
 CONSTANT_ROWS = [
     "rotation count", "distinct signal states", "phase period",
-    "H_fil full rank at nu=K-1", "no-key floor, nu >= K-1",
+    "H_fil full rank at nu=K-1", "piece table, nu >= K-1",
+    "table floor, nu >= K-1", "no-key floor, nu >= K-1",
     "rotation maps phi1 to phi0",
     "rotation fourth power = -1", "twist unitary", "filter eigenvalues",
     "filter/measurement identity", "filtered pair = half chi0+",
@@ -180,17 +181,30 @@ def test_verify_prints_every_certificate_in_order(capsys, protocol, nu):
 STRUCTURAL_ROWS = ("event forms PSD", "piece table = forms",
                    "floor = exact table floor", "frontier in [0, 1]",
                    "reduced H_bit PSD")
+# The constants-check rows that take piece table = forms and floor = exact
+# table floor at their worst over the no-key window.
+WINDOW_ROWS = ("piece table, nu >= K-1", "table floor, nu >= K-1")
+# The PIECES keys that verify prints.
+VERIFIED_PIECES = sorted(key for key in sargkit.keyrate.PIECES
+                         if key[1] in sargkit.SUPPORTED_NU)
 
 
 @pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
 def test_verify_proves_every_piece_row_of_the_table(capsys, protocol):
-    rc, out = run(capsys, "verify", "--protocol", protocol)
-    assert rc == 0
-    passed = {r[0] for r in check_rows(out) if r[-1] == "PASS"}
+    # Every PIECES row is proved: by verify's structural rows at nu <= 4,
+    # and by constants-check's window rows over the no-key window.
+    passed = set()
+    for argv in (["verify"], ["constants-check"]):
+        rc, out = run(capsys, *argv, "--protocol", protocol)
+        assert rc == 0
+        passed |= {r[0] for r in check_rows(out) if r[-1] == "PASS"}
+    nus = {nu for p, nu in sargkit.keyrate.PIECES if p == protocol}
+    verified = nus & set(sargkit.SUPPORTED_NU)
+    assert verified and nus == verified | set(oracles.no_key_window(protocol))
     expected = {"nu=%d %s" % (nu, name)
-                for p, nu in sargkit.keyrate.PIECES if p == protocol
-                for name in STRUCTURAL_ROWS}
-    assert expected and expected <= passed
+                for nu in verified for name in STRUCTURAL_ROWS}
+    expected |= {"%s %s" % (protocol, name) for name in WINDOW_ROWS}
+    assert expected <= passed
 
 
 def test_verify_scopes_follow_the_tables(capsys, monkeypatch):
@@ -316,7 +330,7 @@ def test_verify_fails_the_bell_row_on_a_coherence_between_blocks(
     assert_only_the_bell_row_fails(capsys, protocol, nu)
 
 
-@pytest.mark.parametrize("protocol,nu", sorted(sargkit.keyrate.PIECES))
+@pytest.mark.parametrize("protocol,nu", VERIFIED_PIECES)
 def test_verify_fails_the_piece_row_on_a_moved_coefficient(
         capsys, monkeypatch, protocol, nu):
     # The first piece of the row moved by 1e-9 in alpha: no block piece lies
@@ -332,7 +346,7 @@ def test_verify_fails_the_piece_row_on_a_moved_coefficient(
     assert verdict == ["< 1e-10", "FAIL"] and 0.9e-9 < float(value) < 1.1e-9
 
 
-@pytest.mark.parametrize("protocol,nu", sorted(sargkit.keyrate.PIECES))
+@pytest.mark.parametrize("protocol,nu", VERIFIED_PIECES)
 def test_verify_fails_the_floor_row_on_a_moved_table_floor(
         capsys, monkeypatch, protocol, nu):
     # The row's FLOORS entry moved by 1e-9: the forms' floor lies 1e-9 from
@@ -1424,6 +1438,9 @@ def test_constants_check_prints_the_no_key_proof(capsys):
             ratio, ">= 1e-6", "PASS"]
         assert rows[protocol + " no-key floor, nu >= K-1"] == [
             floor, ">= 0.5", "PASS"]
+        for name in WINDOW_ROWS:
+            value, *verdict = rows["%s %s" % (protocol, name)]
+            assert verdict == ["< 1e-10", "PASS"] and float(value) < 1e-13
 
 
 @pytest.mark.parametrize("protocol,last", [("four-state", 4),
@@ -1439,7 +1456,42 @@ def test_constants_check_fails_a_low_floor_at_the_window_end(
     rc, out = run(capsys, "constants-check")
     assert rc == 1
     assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
+        [protocol + " table floor, nu >= K-1", "5.536e-01", "< 1e-10", "FAIL"],
         [protocol + " no-key floor, nu >= K-1", "3.000e-01", ">= 0.5", "FAIL"]]
+
+
+@pytest.mark.parametrize("nu,index", [(5, 0), (12, 3)])
+def test_constants_check_fails_the_window_piece_row_on_a_moved_coefficient(
+        capsys, monkeypatch, nu, index):
+    # A six-state window row's coefficient (alpha of its first piece at
+    # nu=5, delta of its first curve at nu=12) moved by 1e-9: the window's
+    # piece table row fails at that gap, and only it.
+    table = dict(sargkit.keyrate.PIECES)
+    first, *rest = table["six-state", nu]
+    moved = list(first)
+    moved[index] += 1e-9
+    table["six-state", nu] = (tuple(moved), *rest)
+    monkeypatch.setattr(sargkit.keyrate, "PIECES", table)
+    rc, out = run(capsys, "constants-check")
+    assert rc == 1
+    failed = [r for r in check_rows(out) if r[-1] != "PASS"]
+    assert [r[0] for r in failed] == ["six-state piece table, nu >= K-1"]
+    assert failed[0][2] == "< 1e-10" and 0.9e-9 < float(failed[0][1]) < 1.1e-9
+
+
+@pytest.mark.parametrize("protocol,nu", [(p, nu) for p in qmath.PROTOCOLS
+                                         for nu in oracles.no_key_window(p)])
+def test_constants_check_fails_the_window_floor_row_on_a_moved_table_floor(
+        capsys, monkeypatch, protocol, nu):
+    # A window key's FLOORS entry moved by 1e-9: the window's table floor
+    # row fails at that gap, and only it.
+    monkeypatch.setitem(sargkit.keyrate.FLOORS, (protocol, nu),
+                        sargkit.keyrate.FLOORS[protocol, nu] + 1e-9)
+    rc, out = run(capsys, "constants-check")
+    assert rc == 1
+    failed = [r for r in check_rows(out) if r[-1] != "PASS"]
+    assert [r[0] for r in failed] == [protocol + " table floor, nu >= K-1"]
+    assert failed[0][2] == "< 1e-10" and 0.9e-9 < float(failed[0][1]) < 1.1e-9
 
 
 @pytest.mark.parametrize("protocol", ["four-state", "six-state"])
@@ -1466,12 +1518,13 @@ def test_constants_check_fails_a_wrong_declared_size(
 
 
 @pytest.mark.parametrize("drift,value,errors", [
-    (np.exp(2j * np.pi / 3), "2.400e+01", ["passes MAX_NU 12"]),
-    (np.exp(0.1j), "nan", ["no period up to 64"] * 2)])
+    (np.exp(2j * np.pi / 3), "2.400e+01", ["no table row at nu=13"] * 3),
+    (np.exp(0.1j), "nan", ["no period up to 64"] * 4)])
 def test_constants_check_fails_a_phase_off_the_period(
         capsys, monkeypatch, drift, value, errors):
     # One six-state phase with c^8 != 1: the period is 24, whose floor
-    # window runs past the compiled forms, or there is none up to 64.
+    # window runs past the table's rows, or there is none up to 64.  Each
+    # window row fails on it.
     signal_kets = qmath.signal_kets
 
     def drifted(protocol):
@@ -1488,6 +1541,10 @@ def test_constants_check_fails_a_phase_off_the_period(
     assert rc == 1
     failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
     assert failed == [["six-state phase period", value, "== 8", "FAIL"],
+                      ["six-state piece table, nu >= K-1", "nan", "< 1e-10",
+                       "FAIL"],
+                      ["six-state table floor, nu >= K-1", "nan", "< 1e-10",
+                       "FAIL"],
                       ["six-state no-key floor, nu >= K-1", "nan", ">= 0.5",
                        "FAIL"]]
     err = captured.err.splitlines()

@@ -473,6 +473,30 @@ def test_curves_are_singular_exactly():
                 assert exact[5] == 0 and floats[5] == 0.0
 
 
+def test_every_two_curves_of_a_row_share_alpha_beta_gamma():
+    # kinks adds only the crossings of curves that share (alpha, beta,
+    # gamma), where -2*delta*x + epsilon decides which is larger: every two
+    # curves of every row do.
+    for key, row in keyrate.EXACT_PIECES.items():
+        curves = [piece for piece in row if piece[2] > 0]
+        assert all(one[:3] == two[:3] for one in curves for two in curves), key
+
+
+@pytest.mark.parametrize("protocol,floor", [
+    ("four-state", oracles.q2("1/2", "1/4")),
+    ("six-state", oracles.q2("1/2", "1/8"))])
+def test_no_key_window_floor_is_exact(protocol, floor):
+    # The least exact floor over the window nu = K - 1 .. K - 2 + P:
+    # (2 + sqrt 2)/4 for four-state, 1/2 + sqrt(2)/8 for six-state (at nu = 8
+    # and 10), each above 1/2 by its exact sign.
+    floors = [oracles.q2_floor(protocol, nu)
+              for nu in oracles.no_key_window(protocol)]
+    assert all(oracles.q2_sign(oracles.q2_add(f, oracles.q2_mul(
+        oracles.q2(-1), floor))) >= 0 for f in floors)
+    assert floor in floors
+    assert oracles.q2_sign(oracles.q2_add(floor, oracles.q2("-1/2"))) > 0
+
+
 @pytest.mark.parametrize("protocol,nu", sorted(oracles.Q2_PIECES))
 def test_table_floors_are_the_exact_floors_rounded_up(protocol, nu):
     # The floor a table read returns is the least float at or above the
@@ -539,6 +563,7 @@ def _scan_bound(pieces, e: Decimal, step: Decimal, x_max: int) -> Decimal:
 @example(("four-state", 2), 0.02710093150755928)
 @example(("six-state", 3), 0.023701119015364182)
 @example(("six-state", 4), 0.007883064083571478)
+@example(("six-state", 8), 0.25)
 def test_exact_phase_bound_is_the_decimal_scan_minimum(row, e):
     # A scan of x in [0, 8] at step 1/128 (above e = 0.005 every minimizer
     # lies below 5): the exact bound lies at or below every scanned value,
@@ -610,6 +635,17 @@ def test_exact_bell_rate_is_the_inner_maximum_of_a_patched_table(
         monkeypatch.setitem(keyrate.EXACT_BELL_VERTICES, key, table)
         assert abs(keyrate.exact_rate(*key, e) - want[table]) \
             <= keyrate.RATE_ERROR
+
+
+def test_decimal_rate_computes_in_the_exact_context():
+    # In the default 28-digit context a Decimal rate still computes at 40
+    # digits: it is exact_rate within RATE_ERROR, where 28 digits miss it by
+    # about 3e-28 at the four-state nu=2 threshold.
+    e = oracles.FLOAT_ROOTS["four-state", 2][0]
+    with decimal.localcontext(decimal.Context()):
+        rate = keyrate.rate("four-state", 2, Decimal(e))
+    assert abs(rate - keyrate.exact_rate("four-state", 2, e)) \
+        <= keyrate.RATE_ERROR
 
 
 @pytest.mark.parametrize("key", RATED)
