@@ -470,7 +470,8 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
+def _decoy_from_simulate(path: str) -> tuple[keyrate.DecoyInputs, str]:
+    """A coherent report's decoy inputs and its ``config.protocol``."""
     from . import keyrate
 
     if not isinstance(path, str):
@@ -482,6 +483,12 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
     if not isinstance(results, dict):
         raise ValueError("%s is not a simulate JSON report (expected an "
                          "object with an object 'results')" % path)
+    # A report with no config is rated as four-state, as a decoy: config is.
+    config = results.get("config", {"protocol": "four-state"})
+    protocol = (config if isinstance(config, dict) else {}).get("protocol")
+    if protocol not in PROTOCOLS:
+        raise ValueError("simulate report's config.protocol must be %s, got "
+                         "%r" % (" or ".join(PROTOCOLS), protocol))
     per_nu = results.get("per_nu")
     if not per_nu:
         raise ValueError(
@@ -531,10 +538,10 @@ def _decoy_from_simulate(path: str) -> keyrate.DecoyInputs:
     xi2, e2 = fraction(2)
     return keyrate.DecoyInputs(
         p_conc=results["conclusive_fraction"], e_bit=results["e_bit"],
-        xi1=xi1, e1=e1, xi2=xi2, e2=e2)
+        xi1=xi1, e1=e1, xi2=xi2, e2=e2), protocol
 
 
-def _decoy_inputs(doc: dict) -> keyrate.DecoyInputs:
+def _decoy_inputs(doc: dict) -> tuple[keyrate.DecoyInputs, str]:
     from . import keyrate
 
     if ("decoy" in doc) == ("from_simulate" in doc):
@@ -546,7 +553,7 @@ def _decoy_inputs(doc: dict) -> keyrate.DecoyInputs:
     keys = {f.name for f in fields(keyrate.DecoyInputs)}
     if not isinstance(decoy, dict) or set(decoy) != keys:
         raise ValueError("'decoy' must map exactly the keys %s" % sorted(keys))
-    return keyrate.DecoyInputs(**decoy)
+    return keyrate.DecoyInputs(**decoy), "four-state"
 
 
 def cmd_keyrate(args) -> int:
@@ -557,14 +564,14 @@ def cmd_keyrate(args) -> int:
         unknown = set(doc) - {"decoy", "from_simulate"}
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
-        d = _decoy_inputs(doc)
+        d, protocol = _decoy_inputs(doc)
+        ec, single, two = keyrate.decoy_rate_terms(d, protocol)
     except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         print("keyrate: bad config: %s" % exc, file=sys.stderr)
         return 2
 
     manifest = reports.start_manifest(
         "keyrate", {"config": args.config, "format": args.format}, __version__)
-    ec, single, two = keyrate.decoy_rate_terms(d)
     results = {
         "inputs": asdict(d),
         "error_correction_term": ec,

@@ -1,7 +1,9 @@
 """Entropies, worst-case Bell vectors, key rates, and thresholds.
 
 Rates are asymptotic per sifted conclusive pair.  ``rate`` is the one rate
-of every rated key, under one of two rules:
+of every rated key: its ``secrecy_term``, the rate before error correction
+that the decoy sum of a run's protocol also reads (``decoy_rate_terms``),
+less h(e_bit), under one of two rules:
 
 * the Bell-vertex rule, at four-state nu=1 (R1) and six-state nu=1, 2, where
   the reduced Bell forms commute: a conclusive pair's Bell vector chi ranges
@@ -29,8 +31,8 @@ is 0.  ``depol_p`` maps e_bit to the depolarizing-channel parameter p.
 The `thresholds` report prints THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
-and ``rate`` applies the Bell-vertex rule to a BELL_VERTICES key and the
-independent rule to any other, on its PIECES row.  cli.checks scopes its
+and ``secrecy_term`` applies the Bell-vertex rule to a BELL_VERTICES key and
+the independent rule to any other, on its PIECES row.  cli.checks scopes its
 certificates by the same three tables; neither branches on a protocol.
 
 Each table coefficient is written once, as its exact value in Q(sqrt 2)
@@ -225,13 +227,6 @@ def binary_entropy(e: float) -> float:
     if not 0.0 <= e <= 1.0:
         raise ValueError("binary_entropy argument must be in [0, 1]")
     return _shannon((e, 1 - e))
-
-
-def _phase_charge(e_ph: float) -> float:
-    """h(e_ph), saturated at e_ph = 1/2 in the number type of e_ph: the
-    entropy charge for a phase-error bound, which may exceed 1/2 (the bound
-    itself is reported unclamped)."""
-    return binary_entropy(min(e_ph, type(e_ph)("0.5")))
 
 
 def _shannon(ps):
@@ -469,18 +464,28 @@ def ephase_bound_two(e_bit: float) -> float:
     return phase_bound("four-state", 2, e_bit)
 
 
-def rate(protocol: str, nu: int, e_bit: float) -> float:
-    """The key rate of the rated key (protocol, nu) at bit error e_bit, in the
-    number type of e_bit (a Decimal reads the exact tables, in the context
-    _EXACT whatever the caller's): 1 - H(worst_bell_vector) for a
-    BELL_VERTICES key, else 1 - h(e_bit) - h(e_ph), e_ph the row's
-    phase_bound saturated at 1/2, bit and phase errors treated as
-    independent."""
+def secrecy_term(protocol: str, nu: int, e_bit: float) -> float:
+    """The rate of the rated key (protocol, nu) before error correction at
+    bit error e_bit, in the number type of e_bit (a Decimal reads the exact
+    tables, in the context _EXACT whatever the caller's): 1 - (H(chi) -
+    h(e_bit)), chi the worst_bell_vector, for a BELL_VERTICES key, else
+    1 - h(min(e_ph, 1/2)), e_ph the row's phase_bound."""
     with decimal.localcontext(_EXACT):
         if (protocol, nu) in BELL_VERTICES:
-            return 1 - worst_bell_vector(protocol, nu, e_bit)[1]
-        return (1 - binary_entropy(e_bit)
-                - _phase_charge(phase_bound(protocol, nu, e_bit)))
+            return 1 - (worst_bell_vector(protocol, nu, e_bit)[1]
+                        - binary_entropy(e_bit))
+        e_ph = phase_bound(protocol, nu, e_bit)
+        return 1 - binary_entropy(min(e_ph, type(e_ph)("0.5")))
+
+
+def rate(protocol: str, nu: int, e_bit: float) -> float:
+    """The key rate of the rated key (protocol, nu) at bit error e_bit,
+    secrecy_term - h(e_bit), in the number type of e_bit (a Decimal in the
+    context _EXACT whatever the caller's): 1 - H(worst_bell_vector) for a
+    BELL_VERTICES key, else 1 - h(e_ph) - h(e_bit), bit and phase errors
+    treated as independent."""
+    with decimal.localcontext(_EXACT):
+        return secrecy_term(protocol, nu, e_bit) - binary_entropy(e_bit)
 
 
 def depol_p(e: float) -> float:
@@ -498,10 +503,9 @@ class DecoyInputs:
     p_conc and e_bit describe all conclusive events per sifted pulse; xi_nu is
     the fraction of sifted pulses that are both nu-photon emissions and
     conclusive, with e_nu the corresponding bit-error bound.  Each value is
-    a number in [0, 1]; e1 is at most 2/3, the domain of the four-state
-    nu=1 Bell polytope (worst_bell_vector).  e2 may reach 1: the two-photon
-    term reads ephase_bound_two at min(e2, 0.5), since that bound is 1/2 at
-    e2 = 1/6 and increases with e2, so h(e_ph) is saturated from there on.
+    a number in [0, 1]; the rate rules' own domains (a Bell key's e_nu ends
+    at its polytope's largest bit weight) are checked by decoy_rate_terms,
+    which knows the protocol.
     """
 
     p_conc: float
@@ -516,30 +520,29 @@ class DecoyInputs:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError("%s must be a number, got %r" % (name, v))
-            hi = (max(map(_bit, BELL_VERTICES["four-state", 1]))
-                  if name == "e1" else 1.0)
-            if not 0.0 <= v <= hi:
-                raise ValueError("%s must be in [0, %g], got %r" % (name, hi, v))
+            if not 0.0 <= v <= 1.0:
+                raise ValueError("%s must be in [0, 1], got %r" % (name, v))
         if self.xi1 + self.xi2 > self.p_conc + 1e-12:
             raise ValueError("xi1 + xi2 cannot exceed the conclusive fraction")
 
 
-def decoy_rate_terms(d: DecoyInputs) -> tuple[float, float, float]:
-    """The three addends of the decoy-method total rate.
-
-    Returns (error-correction cost, single-photon term, two-photon term):
-    -p_conc*h(e_bit), xi1*(1 - Hbar(Z|X at e1)), xi2*(1 - h(e_ph(e2))),
-    where the single-photon conditional entropy is H(q) - h(e) under the
-    adversarial Bell vector q.
-    """
-    _, h_joint = worst_bell_vector("four-state", 1, d.e1)
-    cond1 = h_joint - binary_entropy(d.e1)
+def decoy_rate_terms(d: DecoyInputs, protocol: str = "four-state"
+                     ) -> tuple[float, float, float]:
+    """The three addends of the decoy-method total rate of a run of
+    ``protocol``: -p_conc*h(e_bit), xi1*secrecy_term(protocol, 1, e1) and
+    xi2*secrecy_term(protocol, 2, e2); nu >= 3 gets no term.  An e_nu past
+    a Bell key's largest bit weight raises ValueError naming e_nu, that
+    bound and the protocol."""
     # 0.0 - p*h, not -p*h: a zero cost is +0.0, never -0.0.
-    return (
-        0.0 - d.p_conc * binary_entropy(d.e_bit),
-        d.xi1 * (1.0 - cond1),
-        d.xi2 * (1.0 - _phase_charge(ephase_bound_two(min(d.e2, 0.5)))),
-    )
+    terms = [0.0 - d.p_conc * binary_entropy(d.e_bit)]
+    for nu, xi, e in ((1, d.xi1, d.e1), (2, d.xi2, d.e2)):
+        try:
+            terms.append(xi * secrecy_term(protocol, nu, e))
+        except ValueError:
+            e_max = max(map(_bit, BELL_VERTICES[protocol, nu]))
+            raise ValueError("e%d must be in [0, %g] for the %s nu=%d rate, "
+                             "got %r" % (nu, e_max, protocol, nu, e)) from None
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------

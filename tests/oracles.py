@@ -625,15 +625,29 @@ EXACT_ROOTS = {
 }
 
 
-def two_rule_rate(protocol: str, nu: int, e_bit: float) -> float:
-    """A rated key's float rate by its two rules written out apart: 1 -
-    H(worst_bell_vector) for a key with a Bell vertex table, else 1 -
-    h(e_bit) - h(min(e_ph, 0.5)), e_ph the PIECES row's phase_bound."""
+def two_rule_secrecy(protocol: str, nu: int, e_bit: float) -> float:
+    """A rated key's float secrecy term by its two rules written out apart:
+    1 - (H(worst_bell_vector) - h(e_bit)) for a key with a Bell vertex table,
+    else 1 - h(min(e_ph, 0.5)), e_ph the PIECES row's phase_bound."""
     if (protocol, nu) in keyrate.BELL_VERTICES:
-        return 1.0 - keyrate.worst_bell_vector(protocol, nu, e_bit)[1]
+        return 1.0 - (keyrate.worst_bell_vector(protocol, nu, e_bit)[1]
+                      - keyrate.binary_entropy(e_bit))
     e_ph = keyrate.phase_bound(protocol, nu, e_bit)
-    return (1.0 - keyrate.binary_entropy(e_bit)
-            - keyrate.binary_entropy(min(e_ph, 0.5)))
+    return 1.0 - keyrate.binary_entropy(min(e_ph, 0.5))
+
+
+def four_state_decoy_terms(d: keyrate.DecoyInputs) -> tuple:
+    """The four-state decoy terms written out by hand: -p_conc*h(e_bit),
+    xi1*(1 - Hbar(Z|X at e1)) with the conditional entropy H(q) - h(e1)
+    under the four-state nu=1 adversarial Bell vector q, and xi2*(1 -
+    h(min(e_ph, 0.5))), e_ph the two-photon bound on g read at
+    min(e2, 0.5)."""
+    _, h_joint = keyrate.worst_bell_vector("four-state", 1, d.e1)
+    cond1 = h_joint - keyrate.binary_entropy(d.e1)
+    e_ph = keyrate.ephase_bound_two(min(d.e2, 0.5))
+    return (0.0 - d.p_conc * keyrate.binary_entropy(d.e_bit),
+            d.xi1 * (1.0 - cond1),
+            d.xi2 * (1.0 - keyrate.binary_entropy(min(e_ph, 0.5))))
 
 
 def ephase_bound_grid(e_bit: float, protocol: str, nu: int) -> float:

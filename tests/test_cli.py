@@ -1225,8 +1225,8 @@ def test_keyrate_rejects_a_report_outside_the_rate_domain(capsys, tmp_path):
 
 def test_keyrate_rates_a_report_with_e2_above_one_half(capsys, tmp_path):
     # At p = 0.7 sampling noise takes the two-photon e2 past 0.5 (0.50588).
-    # The phase-error bound is 1/2 from e2 = 1/6 on, so the report is rated
-    # with a zero two-photon term.
+    # The six-state nu=2 Bell polytope's bit weights reach 3/5, so the report
+    # is rated, with that key's secrecy term there (0.0991).
     sim_cfg = write_config(
         tmp_path, "protocol: six-state\nmu: 0.5\np: 0.7\neta: 0.6\n"
                   "trials: 200000\nseed: 1\n", "sim.yaml")
@@ -1238,15 +1238,18 @@ def test_keyrate_rates_a_report_with_e2_above_one_half(capsys, tmp_path):
     rc, out = run(capsys, "keyrate", "--config", kr_cfg)
     assert rc == 0
     results = json.loads(out)["results"]
-    assert 0.5 < results["inputs"]["e2"] < 0.51
-    assert results["two_photon_term"] == 0.0
+    inputs = results["inputs"]
+    assert 0.5 < inputs["e2"] < 0.51
+    secrecy = sargkit.keyrate.secrecy_term("six-state", 2, inputs["e2"])
+    assert 0.099 < secrecy < 0.0992
+    assert results["two_photon_term"] == inputs["xi2"] * secrecy
 
 
 def test_keyrate_rates_a_report_with_e1_above_the_threshold_bracket(
         capsys, tmp_path):
     # simulate accepts p <= 0.75; at p = 0.6 the one-photon e1 (0.4295) is
-    # past the thresholds' bracket end 0.4 but inside the four-state nu=1
-    # polytope, whose bit weights reach 2/3, so the report is rated.
+    # past the thresholds' bracket end 0.4 but inside the six-state nu=1
+    # polytope, whose bit weights reach 4/7, so the report is rated.
     sim_cfg = write_config(
         tmp_path, "protocol: six-state\nmu: 0.5\np: 0.6\neta: 0.6\n"
                   "trials: 1000000\nseed: 1\n", "sim.yaml")
@@ -1259,6 +1262,102 @@ def test_keyrate_rates_a_report_with_e1_above_the_threshold_bracket(
     assert rc == 0
     inputs = json.loads(out)["results"]["inputs"]
     assert 0.4 < inputs["e1"] < 0.43 and inputs["e2"] <= 0.5
+
+
+def test_keyrate_rates_a_six_state_report_by_the_six_state_rules(
+        capsys, tmp_path):
+    # Each term of a six-state report is xi_nu times the six-state key's
+    # secrecy term, bit for bit, and its total is not the four-state one.
+    keyrate = sargkit.keyrate
+    sim_cfg = write_config(
+        tmp_path, "protocol: six-state\nmu: 0.5\np: 0.02\neta: 0.6\n"
+                  "trials: 40000\nseed: 0\n", "sim.yaml")
+    sim_out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", sim_cfg, "--out",
+                     str(sim_out)]) == 0
+    capsys.readouterr()
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    rc, out = run(capsys, "keyrate", "--config", kr_cfg)
+    assert rc == 0
+    results = json.loads(out)["results"]
+    inputs = results["inputs"]
+    assert results["single_photon_term"] == inputs["xi1"] * \
+        keyrate.secrecy_term("six-state", 1, inputs["e1"])
+    assert results["two_photon_term"] == inputs["xi2"] * \
+        keyrate.secrecy_term("six-state", 2, inputs["e2"])
+    four_state = keyrate.decoy_rate_terms(keyrate.DecoyInputs(**inputs))
+    assert results["total_rate"] != sum(four_state)
+
+
+def tally_report(protocol, counts) -> str:
+    """A coherent simulate report cut to what keyrate reads: its config's
+    protocol (none: no config) and its totals from (nu, conclusive, errors)
+    tallies over 100 sifted trials, by simulate's divisions."""
+    conclusive = sum(c for _, c, _ in counts)
+    results = {"sifted": 100, "conclusive_fraction": conclusive / 100,
+               "e_bit": sum(e for _, _, e in counts) / conclusive,
+               "per_nu": [{"nu": nu, "conclusive": c, "errors": e}
+                          for nu, c, e in counts]}
+    if protocol is not None:
+        results["config"] = {"protocol": protocol}
+    return json.dumps({"results": results})
+
+
+def keyrate_of_report(capsys, tmp_path, report: str) -> tuple[int, str, str]:
+    sim_out = tmp_path / "sim.json"
+    sim_out.write_text(report)
+    kr_cfg = write_config(tmp_path, "from_simulate: %s\n" % sim_out, "kr.yaml")
+    rc = cli.main(["keyrate", "--config", kr_cfg])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_keyrate_rates_a_report_with_no_config_as_four_state(capsys,
+                                                             tmp_path):
+    counts = [(1, 20, 1), (2, 10, 1)]
+    rated = {}
+    for protocol in (None, "four-state", "six-state"):
+        rc, out, err = keyrate_of_report(capsys, tmp_path,
+                                         tally_report(protocol, counts))
+        assert (rc, err) == (0, "")
+        rated[protocol] = json.loads(out)["results"]
+    assert rated[None] == rated["four-state"] != rated["six-state"]
+
+
+@pytest.mark.parametrize("counts,message", [
+    ([(1, 5, 3)], "e1 must be in [0, 0.571429] for the six-state nu=1 rate, "
+                  "got 0.6"),
+    ([(2, 20, 13)], "e2 must be in [0, 0.6] for the six-state nu=2 rate, "
+                    "got 0.65"),
+])
+def test_keyrate_rejects_a_six_state_report_past_its_bell_polytope(
+        capsys, tmp_path, counts, message):
+    # Inside the four-state polytopes (e1 <= 2/3, any e2), past the
+    # six-state ones (e1 <= 4/7, e2 <= 3/5).
+    assert keyrate_of_report(capsys, tmp_path,
+                             tally_report("four-state", counts))[0] == 0
+    rc, _, err = keyrate_of_report(capsys, tmp_path,
+                                   tally_report("six-state", counts))
+    assert (rc, err) == (2, "keyrate: bad config: %s\n" % message)
+
+
+PROTOCOL = "config.protocol must be four-state or six-state, got "
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"protocol": "bb84"}, PROTOCOL + "'bb84'"),
+    ({"protocol": 7}, PROTOCOL + "7"),
+    ({"protocol": None}, PROTOCOL + "None"),
+    ({}, PROTOCOL + "None"),                         # no protocol
+    ("six-state", PROTOCOL + "None"),                # config not an object
+])
+def test_keyrate_rejects_a_report_of_an_unknown_protocol(
+        capsys, tmp_path, config, message):
+    report = json.loads(tally_report(None, [(1, 20, 1)]))
+    report["results"]["config"] = config
+    rc, _, err = keyrate_of_report(capsys, tmp_path, json.dumps(report))
+    assert (rc, err) == (2, "keyrate: bad config: simulate report's %s\n"
+                         % message)
 
 
 def test_keyrate_rejects_fixed_photon_simulate_output(capsys, tmp_path):

@@ -650,11 +650,30 @@ def test_decimal_rate_computes_in_the_exact_context():
 
 @pytest.mark.parametrize("key", RATED)
 def test_rate_is_the_two_rule_formula_on_floats(key):
-    # One rate for both rules: on floats it is the Bell-vertex rule or the
-    # independent rule, written out apart, bit for bit.
+    # One rule per key for both rules: on floats the secrecy term is the
+    # Bell-vertex rule or the independent rule, written out apart, and the
+    # rate is that term less h(e), bit for bit.
     for k in range(1, 2001):
         e = keyrate.E_BIT_MAX * k / 2000
-        assert keyrate.rate(*key, e) == oracles.two_rule_rate(*key, e), e
+        secrecy = keyrate.secrecy_term(*key, e)
+        assert secrecy == oracles.two_rule_secrecy(*key, e), e
+        assert keyrate.rate(*key, e) == secrecy - keyrate.binary_entropy(e), e
+
+
+@pytest.mark.parametrize("prec", [12, 28, 60])
+def test_decimal_secrecy_term_computes_in_the_exact_context(prec):
+    # Whatever the caller's context, a Decimal secrecy term computes at 40
+    # digits: it is the exact rate plus the exact h(e) within RATE_ERROR, and
+    # the float term is its value rounded, within a few ulps.
+    for key, (e, _) in sorted(oracles.FLOAT_ROOTS.items()):
+        with decimal.localcontext(decimal.Context(prec=prec)):
+            secrecy = keyrate.secrecy_term(*key, Decimal(e))
+        assert type(secrecy) is Decimal
+        with decimal.localcontext(keyrate._EXACT):
+            want = (keyrate.exact_rate(*key, e)
+                    + keyrate.binary_entropy(Decimal(e)))
+        assert abs(secrecy - want) <= keyrate.RATE_ERROR, key
+        assert abs(float(secrecy) - keyrate.secrecy_term(*key, e)) <= 1e-15
 
 
 @pytest.mark.parametrize("key", RATED)
@@ -791,22 +810,68 @@ def test_decoy_inputs_validation():
     with pytest.raises(ValueError):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=1.2, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.0)
-    # e1 beyond the domain of the single-photon rate model, the four-state
-    # nu=1 polytope's largest bit weight 2/3, and e2 beyond 1.
-    with pytest.raises(ValueError, match=r"e1 must be in \[0, 0.666667\]"):
-        keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.67,
+    # e1 beyond the domain of the four-state single-photon rate, its nu=1
+    # polytope's largest bit weight 2/3, is a fraction, rejected by the
+    # rate; e2 beyond 1 is not a fraction.
+    d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.67,
                             xi2=0.0, e2=0.0)
+    with pytest.raises(ValueError, match=r"e1 must be in \[0, 0.666667\]"):
+        keyrate.decoy_rate_terms(d)
     with pytest.raises(ValueError, match=r"e2 must be in \[0, 1\]"):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=1.2)
     # The domain ends themselves are accepted and evaluate.
     d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.1, e1=2 / 3,
-                            xi2=0.1, e2=0.5)
+                            xi2=0.1, e2=1.0)
     assert all(math.isfinite(t) for t in keyrate.decoy_rate_terms(d))
     for value in ("1e-2", True, None):
         with pytest.raises(ValueError, match="e1 must be a number"):
             keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=value,
                                 xi2=0.0, e2=0.0)
+
+
+def decoy(e1: float, e2: float) -> keyrate.DecoyInputs:
+    return keyrate.DecoyInputs(p_conc=0.3, e_bit=0.03, xi1=0.12, e1=e1,
+                               xi2=0.06, e2=e2)
+
+
+def test_four_state_decoy_terms_are_the_hand_formula():
+    # The four-state terms keep the bits of the hand-wired formula, e2 past
+    # 1/2 too, where the bound is read unclipped and its charge saturates.
+    for i in range(61):
+        for j in range(101):
+            d = decoy(i / 90, j / 100)
+            assert keyrate.decoy_rate_terms(d) \
+                == oracles.four_state_decoy_terms(d), d
+    d = decoy(2 / 3, 1.0)
+    assert keyrate.decoy_rate_terms(d) == oracles.four_state_decoy_terms(d)
+
+
+def test_six_state_decoy_terms_read_the_six_state_rules():
+    # Each nu-photon term is xi_nu times the six-state key's secrecy term,
+    # bit for bit, and the sum is not the four-state reading.
+    for e1, e2 in ((0.0, 0.0), (0.024, 0.027), (0.3, 0.45), (4 / 7, 0.6)):
+        d = decoy(e1, e2)
+        ec, single, two = keyrate.decoy_rate_terms(d, "six-state")
+        assert ec == keyrate.decoy_rate_terms(d)[0]
+        assert single == d.xi1 * keyrate.secrecy_term("six-state", 1, e1)
+        assert two == d.xi2 * keyrate.secrecy_term("six-state", 2, e2)
+        if e1 or e2:
+            assert ec + single + two != sum(keyrate.decoy_rate_terms(d))
+
+
+@pytest.mark.parametrize("protocol,nu,e,bound", [
+    ("four-state", 1, 0.67, "0.666667"),
+    ("six-state", 1, 0.6, "0.571429"),
+    ("six-state", 2, 0.65, "0.6"),
+])
+def test_decoy_terms_reject_an_e_past_the_bell_polytope(protocol, nu, e,
+                                                         bound):
+    d = decoy(e, 0.0) if nu == 1 else decoy(0.0, e)
+    with pytest.raises(ValueError) as info:
+        keyrate.decoy_rate_terms(d, protocol)
+    assert str(info.value) == "e%d must be in [0, %s] for the %s nu=%d " \
+        "rate, got %r" % (nu, bound, protocol, nu, e)
 
 
 def test_decoy_rate_zero_error_composition():
