@@ -29,8 +29,8 @@ block's lambda_max(A_k - x*B_k) is a line or a curve, so y_star is their
 maximum and 0 in closed form (keyrate.envelope).  At nu <= 4 and over the
 no-key window nu = K-1 .. K-2+P (six-state nu = 5..12) the distinct
 pieces are keyrate.PIECES (``piece_table_check``), whose four-state nu=2
-curve is the paper's g(x).  The blocks are the one split of the reduced
-forms.
+curve is the paper's g(x); ``g_of_x`` reads g off that exact row.  The
+blocks are the one split of the reduced forms.
 
 One rule cuts both kernels (``_kernel_split``), on a spectrum: H_fil's, from
 its one cached solve (``_range_map``), and B's from the blocks' beta -+
@@ -58,6 +58,7 @@ n * eps * x * ||H_bit||_2.
 
 from __future__ import annotations
 
+import decimal
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -139,21 +140,16 @@ def correlation_psd_check() -> tuple[float, float]:
 
 
 def g_of_x(x: float) -> float:
-    """The two-photon bound curve g(x) = (3 - 2x + sqrt(6 - 6*sqrt(2)*x + 4x^2))/6.
-
-    The discriminant has minimum value 3/2 (at x = 3*sqrt(2)/4), so the square
-    root never branches; g decreases monotonically to sin^2(pi/8) as x grows.
-    Past x = 30, where this form loses eps*x/6, g is taken within half an
-    ulp as sin^2(pi/8) + 1/(4*(2x - 3/sqrt(2) + sqrt(disc))), the limit held
-    in two doubles (keyrate.SIN2_PI_8 and SIN2_PI_8_LO).
-    """
+    """The paper's two-photon bound g(x) = (3 - 2x + sqrt(6 - 6*sqrt(2)*x +
+    4x^2))/6, correctly rounded: the envelope of the four-state nu=2 row of
+    keyrate.EXACT_PIECES (its one curve is g, its line 1/2 - x/2 below g) at
+    the exact x in keyrate's 40-digit context whatever the caller's, rounded
+    once.  g decreases to sin^2(pi/8), that row's floor."""
     if not 0.0 <= x < math.inf:
         raise ValueError("g_of_x requires 0 <= x < inf, got x=%r" % float(x))
-    disc = 6.0 - 6.0 * math.sqrt(2.0) * x + 4.0 * x * x
-    if x <= 30.0:
-        return (3.0 - 2.0 * x + math.sqrt(disc)) / 6.0
-    tail = 0.25 / (2.0 * x - 1.5 * math.sqrt(2.0) + math.sqrt(disc))
-    return keyrate.SIN2_PI_8 + (tail + keyrate.SIN2_PI_8_LO)
+    with decimal.localcontext(keyrate._EXACT):
+        return float(keyrate.envelope(keyrate.EXACT_PIECES["four-state", 2],
+                                      decimal.Decimal(x)))
 
 
 def _kernel_split(w: np.ndarray, name: str) -> float:

@@ -182,7 +182,7 @@ def checks() -> tuple[Check, ...]:
               bounds.piece_table_check, "<=", bounds.IDENTITY_TOL),
         Check("frontier floor vs sin^2(pi/8)", (("four-state", 2),),
               bounds.zero_rate_check,
-              "<=", keyrate.SIN2_PI_8 + bounds.PSD_TOL),
+              "<=", keyrate.FLOORS["four-state", 2] + bounds.PSD_TOL),
         Check("closed form = tangent bound", independent, tangent_gap,
               "<=", bounds.IDENTITY_TOL),
         no_key,

@@ -43,7 +43,8 @@ rounded, and every zero-error floor a table read returns (FLOORS) is its
 exact floor rounded up.  Every float rate and the decoy composition are
 float arithmetic on the float tables, which bounds proves against the
 compiled forms; bounds reads its float pencil pieces with the same
-``envelope`` and ``piece_floor``.  Only ``ephase_bound_frontier`` imports
+``envelope`` and ``piece_floor``, and g (bounds.g_of_x) with ``envelope``
+on the exact four-state nu=2 row.  Only ``ephase_bound_frontier`` imports
 ``bounds`` (and with it numpy).
 """
 
@@ -420,12 +421,6 @@ with decimal.localcontext(_EXACT):
     # so that no floor a table read returns lies below what is proved.
     FLOORS = {key: _round_up(piece_floor(row))
               for key, row in EXACT_PIECES.items()}
-    # sin^2(pi/8) = (2 - sqrt 2)/4, the paper's two-photon zero-error floor
-    # (the four-state nu=2 row's), in two doubles: SIN2_PI_8 rounded up,
-    # which is also its nearest float, and SIN2_PI_8_LO, the rounded rest.
-    SIN2_PI_8 = FLOORS["four-state", 2]
-    SIN2_PI_8_LO = float(piece_floor(EXACT_PIECES["four-state", 2])
-                         - Decimal(SIN2_PI_8))
 
 
 def phase_minimum(pieces, e_bit) -> tuple:
@@ -464,18 +459,25 @@ def ephase_bound_two(e_bit: float) -> float:
     return phase_bound("four-state", 2, e_bit)
 
 
+def _secrecy(protocol: str, nu: int, e_bit: float) -> tuple:
+    """(secrecy_term, h(e_bit)) on a BELL_VERTICES key, whose rule reads
+    h(e_bit), and (secrecy_term, None) on any other."""
+    with decimal.localcontext(_EXACT):
+        if (protocol, nu) in BELL_VERTICES:
+            entropy = worst_bell_vector(protocol, nu, e_bit)[1]
+            h = binary_entropy(e_bit)
+            return 1 - (entropy - h), h
+        e_ph = phase_bound(protocol, nu, e_bit)
+        return 1 - binary_entropy(min(e_ph, type(e_ph)("0.5"))), None
+
+
 def secrecy_term(protocol: str, nu: int, e_bit: float) -> float:
     """The rate of the rated key (protocol, nu) before error correction at
     bit error e_bit, in the number type of e_bit (a Decimal reads the exact
     tables, in the context _EXACT whatever the caller's): 1 - (H(chi) -
     h(e_bit)), chi the worst_bell_vector, for a BELL_VERTICES key, else
     1 - h(min(e_ph, 1/2)), e_ph the row's phase_bound."""
-    with decimal.localcontext(_EXACT):
-        if (protocol, nu) in BELL_VERTICES:
-            return 1 - (worst_bell_vector(protocol, nu, e_bit)[1]
-                        - binary_entropy(e_bit))
-        e_ph = phase_bound(protocol, nu, e_bit)
-        return 1 - binary_entropy(min(e_ph, type(e_ph)("0.5")))
+    return _secrecy(protocol, nu, e_bit)[0]
 
 
 def rate(protocol: str, nu: int, e_bit: float) -> float:
@@ -483,9 +485,10 @@ def rate(protocol: str, nu: int, e_bit: float) -> float:
     secrecy_term - h(e_bit), in the number type of e_bit (a Decimal in the
     context _EXACT whatever the caller's): 1 - H(worst_bell_vector) for a
     BELL_VERTICES key, else 1 - h(e_ph) - h(e_bit), bit and phase errors
-    treated as independent."""
+    treated as independent.  h(e_bit) is computed once on either key."""
     with decimal.localcontext(_EXACT):
-        return secrecy_term(protocol, nu, e_bit) - binary_entropy(e_bit)
+        term, h = _secrecy(protocol, nu, e_bit)
+        return term - (binary_entropy(e_bit) if h is None else h)
 
 
 def depol_p(e: float) -> float:

@@ -40,21 +40,23 @@ def g_decimal(x: float) -> Decimal:
         return (3 - 2 * d + disc.sqrt()) / 6
 
 
+G_GRID = np.concatenate([np.linspace(0.0, 30.0, 1024),
+                         np.geomspace(30.0, 1e12, 1024)[1:]]).tolist()
+
+
 def test_g_is_within_roundoff_of_its_50_digit_value():
-    # Up to x = 30 the plain form is within its roundoff, eps/3 per unit of
-    # 3 + 4x; past it the shifted form is within half an ulp, where the plain
-    # form lost 1.2e-11 at x = 1e6 and 7.1e-15 at x = 1000.
-    eps = np.finfo(float).eps
-    xs = np.concatenate([np.linspace(0.0, 30.0, 1024),
-                         np.geomspace(30.0, 1e6, 1024)[1:]])
-    for x in xs.tolist():
+    # g is its 50-digit value correctly rounded at every x up to 1e12: the
+    # plain form (3 - 2x + sqrt(disc))/6 cancels, by up to 21 ulps below 30.
+    for x in G_GRID:
         g = bounds.g_of_x(x)
-        err = abs(Decimal(g) - g_decimal(x))
-        if x <= 30.0:
-            assert err <= Decimal((3.0 + 4.0 * x) * eps / 3.0), x
-        else:
-            assert err <= Decimal(math.ulp(g)) / 2, x
-    assert abs(Decimal(bounds.g_of_x(1e6)) - g_decimal(1e6)) < Decimal(1e-17)
+        assert abs(Decimal(g) - g_decimal(x)) <= Decimal(math.ulp(g)) / 2, x
+
+
+def test_g_ignores_the_callers_decimal_context():
+    with localcontext() as ctx:
+        ctx.prec = 12
+        short = [bounds.g_of_x(x) for x in G_GRID[::16]]
+    assert short == [bounds.g_of_x(x) for x in G_GRID[::16]]
 
 
 def test_g_decreasing_and_domain():

@@ -517,15 +517,6 @@ def test_two_floors_moved_up_to_the_exact_floor():
     assert keyrate.phase_bound("six-state", 4, 0.0) == 0.32322330470336313
 
 
-def test_sin2_pi_8_is_held_in_two_doubles():
-    # SIN2_PI_8 + SIN2_PI_8_LO is sin^2(pi/8) = 1/2 - sqrt(2)/4: the low part
-    # is the remainder correctly rounded.
-    rest = oracles.q2_minus_float(oracles.q2("1/2", "-1/4"),
-                                  keyrate.SIN2_PI_8)
-    assert oracles.q2_rounds_to(rest, keyrate.SIN2_PI_8_LO)
-    assert keyrate.SIN2_PI_8_LO == -3.587342331996631e-18
-
-
 RATED = sorted(FLOAT_ROOTS)
 
 
@@ -658,6 +649,23 @@ def test_rate_is_the_two_rule_formula_on_floats(key):
         secrecy = keyrate.secrecy_term(*key, e)
         assert secrecy == oracles.two_rule_secrecy(*key, e), e
         assert keyrate.rate(*key, e) == secrecy - keyrate.binary_entropy(e), e
+
+
+@pytest.mark.parametrize("key", RATED)
+def test_rate_computes_h_of_e_bit_once_on_a_bell_key(monkeypatch, key):
+    # A Bell key's rule reads h(e_bit) inside its secrecy term, and the rate
+    # subtracts that same value; an independent key computes h(e_ph) and
+    # h(e_bit), one each.
+    calls = []
+    entropy = keyrate.binary_entropy
+    monkeypatch.setattr(keyrate, "binary_entropy",
+                        lambda e: calls.append(e) or entropy(e))
+    want = 1 if key in keyrate.BELL_VERTICES else 2
+    e = oracles.FLOAT_ROOTS[key][0]
+    for compute in (keyrate.rate, keyrate.exact_rate):
+        calls.clear()
+        compute(*key, e)
+        assert len(calls) == want, compute
 
 
 @pytest.mark.parametrize("prec", [12, 28, 60])
