@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 
 PROTOCOLS = ("four-state", "six-state")
 
-# Photon numbers covered by the certificates and the threshold tables.
+# Photon numbers covered by the certificates, the threshold tables and fixed-nu
+# simulate runs; the last must not exceed simulate.MAX_PHOTONS.
 SUPPORTED_NU = (1, 2, 3, 4)
 
 # The largest x a frontier margin is certified at (its roundoff is ~1e-9).

@@ -75,8 +75,6 @@ DEFAULT_X_GRID = tuple(
 
 PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-10
-# Slack on the frontier's shape: its gap below g(x) and its rise in x.
-SHAPE_TOL = 1e-6
 # Eigenvalues of H_fil (and of the reduced H_bit) at or below this fraction
 # of the largest span the kernel (``_kernel_split``).
 RANK_TOL = 1e-12

@@ -117,16 +117,12 @@ def checks() -> tuple[Check, ...]:
             worst(row.compute(*key) for key in window(p))))
 
     def tangent_gap(protocol: str, nu: int) -> float:
-        # The table's phase-error bound against ephase_bound_frontier's, all
-        # x certified by one frontier_table, at e up to the root's next float.
+        # The table's phase-error bound against the certified one, per e.
         root = keyrate.threshold(protocol, nu)
-        es = (0.01, 0.0271, 0.1, 0.3, root, math.nextafter(root, 1.0))
-        best = [keyrate.phase_minimum(keyrate.PIECES[protocol, nu], e)
-                for e in es]
-        xs = [min(x, FRONTIER_X_MAX) for x, _ in best]
-        ys = bounds.frontier_table(protocol, nu, xs)
-        return max(abs(bound - (x * e + y))
-                   for e, (_, bound), x, y in zip(es, best, xs, ys))
+        return max(abs(keyrate.phase_bound(protocol, nu, e)
+                       - keyrate.ephase_bound_frontier(e, protocol, nu))
+                   for e in (0.01, 0.0271, 0.1, 0.3, root,
+                             math.nextafter(root, 1.0)))
 
     def filtered_pair(protocol: str, nu: int | None) -> float:
         f = qmath.protocol_record(protocol).filter
@@ -367,10 +363,11 @@ def cmd_frontier(args) -> int:
     rows = [dict(zip(FRONTIER_FIELDS, (x, y, round(y, 6), gx, gx - y, margin)))
             for x, y, gx, margin in zip(grid, ys, gs, margins)]
 
+    # y_star = g to IDENTITY_TOL at four-state nu=2 (frontier = g exactly).
     asserted = args.protocol == "four-state" and args.nu == 2
     failed = asserted and (
         min(r["margin_at_g"] for r in rows) < -bounds.PSD_TOL
-        or min(r["gap"] for r in rows) < -bounds.SHAPE_TOL
+        or min(r["gap"] for r in rows) < -bounds.IDENTITY_TOL
     )
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
     _report(args, FRONTIER_FIELDS, rows, rows, manifest)

@@ -529,7 +529,7 @@ class DecoyInputs:
             raise ValueError("xi1 + xi2 cannot exceed the conclusive fraction")
 
 
-def decoy_rate_terms(d: DecoyInputs, protocol: str = "four-state"
+def decoy_rate_terms(d: DecoyInputs, protocol: str
                      ) -> tuple[float, float, float]:
     """The three addends of the decoy-method total rate of a run of
     ``protocol``: -p_conc*h(e_bit), xi1*secrecy_term(protocol, 1, e1) and
@@ -549,16 +549,16 @@ def decoy_rate_terms(d: DecoyInputs, protocol: str = "four-state"
 
 
 # ---------------------------------------------------------------------------
-# Six-state pipeline
+# The certified phase-error bound
 # ---------------------------------------------------------------------------
 
 def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
-    """Certified min_x [x*e_bit + y_star(x)]: at e_bit = 0 the row's FLOORS
-    entry, its exact floor rounded up (the verify row ``floor = exact table
-    floor`` proves it against the forms' floor, bounds.zero_rate_check),
-    else x*e_bit + y_star(x), y_star(x) certified by bounds.frontier at the x
-    of the PIECES row's phase_minimum, or at FRONTIER_X_MAX past it (e_bit <
-    1e-13, a bound within 6.25e-8)."""
+    """Certified min_x [x*e_bit + y_star(x)], which the verify row ``closed
+    form = tangent bound`` holds phase_bound to: at e_bit = 0 the row's FLOORS
+    entry, its exact floor rounded up (``floor = exact table floor`` proves it
+    against the forms' floor), else x*e_bit + y_star(x), y_star(x) certified
+    by bounds.frontier at the x of the PIECES row's phase_minimum, or at
+    FRONTIER_X_MAX past it (e_bit < 1e-13, a bound within 6.25e-8)."""
     if not 0.0 <= e_bit <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5]")
     if e_bit == 0.0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath
+from . import SUPPORTED_NU, qmath
 
 MAX_PHOTONS = 6
 MAX_MU = 1.0  # photon counts above MAX_PHOTONS then carry < 1e-4 of the law
@@ -88,9 +88,9 @@ def _check_channel(protocol, nu, mu, p, eta) -> None:
 class SimConfig:
     """Session parameters for the Monte Carlo engine.
 
-    Exactly one of nu (fixed photon number, 1..4, within the MAX_PHOTONS
-    per-photon slots) and mu (coherent intensity in (0, MAX_MU]) must be
-    given; `_photon_law(nu, mu)` is the photon-number law of the run.
+    Exactly one of nu (fixed photon number, in SUPPORTED_NU, within the
+    MAX_PHOTONS per-photon slots) and mu (coherent intensity in (0, MAX_MU])
+    must be given; `_photon_law(nu, mu)` is the photon-number law of the run.
     """
 
     protocol: str
@@ -102,8 +102,10 @@ class SimConfig:
     mu: float | None = None
 
     def __post_init__(self):
-        if self.nu is not None and not (_is_int(self.nu) and 1 <= self.nu <= 4):
-            raise ValueError("fixed photon number must be an integer in 1..4")
+        if self.nu is not None and not (_is_int(self.nu)
+                                        and self.nu in SUPPORTED_NU):
+            raise ValueError("fixed photon number must be an integer in %d..%d"
+                             % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
         _check_channel(self.protocol, self.nu, self.mu, self.p, self.eta)
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
@@ -259,7 +261,7 @@ def _shard_tallies(sift: np.ndarray, photon: np.ndarray, cfg: SimConfig,
     coin = (w[_COIN] >> _HALF) == 0
 
     n = np.searchsorted(count, w[_COUNT], side="right")
-    # k <= MAX_PHOTONS, the per-photon slots: SimConfig caps a fixed nu at 4.
+    # k <= MAX_PHOTONS, the per-photon slots: a fixed nu is in SUPPORTED_NU.
     k = len(count) - 1
     arrive, outcome, cos = (w[_ARRIVE + i * k:_ARRIVE + (i + 1) * k]
                             for i in range(3))

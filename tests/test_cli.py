@@ -361,6 +361,23 @@ def test_verify_fails_the_floor_row_on_a_moved_table_floor(
     assert out.splitlines()[-1] == "summary: FAIL"
 
 
+@pytest.mark.parametrize("protocol,nus", [("four-state", (2,)),
+                                           ("six-state", (3, 4))])
+def test_verify_fails_the_tangent_rows_on_a_moved_certified_bound(
+        capsys, monkeypatch, protocol, nus):
+    # ephase_bound_frontier moved up by 1e-9: each closed form = tangent
+    # bound row reads it, so each fails at that gap, and only they.
+    bound = sargkit.keyrate.ephase_bound_frontier
+    monkeypatch.setattr(sargkit.keyrate, "ephase_bound_frontier",
+                        lambda e, p, nu: bound(e, p, nu) + 1e-9)
+    rc, out = run(capsys, "verify", "--protocol", protocol)
+    assert rc == 1
+    assert [r for r in check_rows(out) if r[-1] != "PASS"] == [
+        ["nu=%d closed form = tangent bound" % nu, "1.000e-09", "<= 1e-10",
+         "FAIL"] for nu in nus]
+    assert out.splitlines()[-1] == "summary: FAIL"
+
+
 def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
         capsys, monkeypatch):
     # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
@@ -405,10 +422,12 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
     assert solved and sargkit.bounds.DEFAULT_X_GRID not in solved
 
 
-# Checked eigen-solves of each command run with empty caches.
+# Checked eigen-solves of each command run with empty caches.  Each verify
+# counts one one-point margin solve per e of every closed form = tangent
+# bound row: six at four-state nu=2, twelve at six-state nu=3, 4.
 COLD_SOLVES = {("constants-check",): 22,
-               ("verify", "--protocol", "four-state"): 24,
-               ("verify", "--protocol", "six-state"): 22,
+               ("verify", "--protocol", "four-state"): 29,
+               ("verify", "--protocol", "six-state"): 32,
                ("thresholds", "--protocol", "four-state"): 0,
                ("thresholds", "--protocol", "six-state"): 0}
 
@@ -652,6 +671,20 @@ def test_frontier_default_grid_is_41_rows(capsys, tmp_path):
     assert xs == sorted(xs) and xs[0] == 0.0 and xs[-1] == 10.0
     assert all(float(r["margin_at_g"]) >= -1e-9 for r in rows)
     assert all(float(r["gap"]) >= -1e-6 for r in rows)
+
+
+def test_frontier_fails_a_frontier_above_g(capsys, monkeypatch):
+    # y_star 1e-9 above g: every gap is -1e-9, below -IDENTITY_TOL, the
+    # slack of verify's frontier = g exactly, so the asserted report fails.
+    table = sargkit.bounds.frontier_table
+    monkeypatch.setattr(sargkit.bounds, "frontier_table", lambda p, nu, grid: (
+        tuple(y + 1e-9 for y in table(p, nu, grid))))
+    rc, out = run(capsys, "frontier", "--protocol", "four-state", "--nu", "2",
+                  "--format", "json")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["manifest"]["status"] == "FAIL"
+    assert all(-1.1e-9 < r["gap"] < -0.9e-9 for r in doc["results"])
 
 
 def test_frontier_custom_grid(capsys):
@@ -1285,7 +1318,8 @@ def test_keyrate_rates_a_six_state_report_by_the_six_state_rules(
         keyrate.secrecy_term("six-state", 1, inputs["e1"])
     assert results["two_photon_term"] == inputs["xi2"] * \
         keyrate.secrecy_term("six-state", 2, inputs["e2"])
-    four_state = keyrate.decoy_rate_terms(keyrate.DecoyInputs(**inputs))
+    four_state = keyrate.decoy_rate_terms(keyrate.DecoyInputs(**inputs),
+                                          "four-state")
     assert results["total_rate"] != sum(four_state)
 
 

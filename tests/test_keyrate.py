@@ -783,14 +783,15 @@ def test_six_state_threshold_bisection_makes_no_solve(monkeypatch):
 
 
 def test_closed_form_tangent_row_solve_budget(monkeypatch):
-    # Six phase-error bounds per row, certified by one stacked margin solve.
+    # Six phase-error bounds per row, each certified by ephase_bound_frontier's
+    # one-point margin solve.
     from sargkit import cli
 
     (row,) = [c for c in cli.checks()
               if c.name == "closed form = tangent bound"]
     assert row.keys == (("four-state", 2), ("six-state", 3), ("six-state", 4))
     for case in row.keys:
-        assert _warm_solves(monkeypatch, lambda: row.compute(*case)) == 1
+        assert _warm_solves(monkeypatch, lambda: row.compute(*case)) == 6
 
 
 def test_depolarizing_conversions_round_trip():
@@ -824,14 +825,15 @@ def test_decoy_inputs_validation():
     d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.67,
                             xi2=0.0, e2=0.0)
     with pytest.raises(ValueError, match=r"e1 must be in \[0, 0.666667\]"):
-        keyrate.decoy_rate_terms(d)
+        keyrate.decoy_rate_terms(d, "four-state")
     with pytest.raises(ValueError, match=r"e2 must be in \[0, 1\]"):
         keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=1.2)
     # The domain ends themselves are accepted and evaluate.
     d = keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.1, e1=2 / 3,
                             xi2=0.1, e2=1.0)
-    assert all(math.isfinite(t) for t in keyrate.decoy_rate_terms(d))
+    assert all(math.isfinite(t)
+               for t in keyrate.decoy_rate_terms(d, "four-state"))
     for value in ("1e-2", True, None):
         with pytest.raises(ValueError, match="e1 must be a number"):
             keyrate.DecoyInputs(p_conc=0.2, e_bit=0.0, xi1=0.0, e1=value,
@@ -849,10 +851,11 @@ def test_four_state_decoy_terms_are_the_hand_formula():
     for i in range(61):
         for j in range(101):
             d = decoy(i / 90, j / 100)
-            assert keyrate.decoy_rate_terms(d) \
+            assert keyrate.decoy_rate_terms(d, "four-state") \
                 == oracles.four_state_decoy_terms(d), d
     d = decoy(2 / 3, 1.0)
-    assert keyrate.decoy_rate_terms(d) == oracles.four_state_decoy_terms(d)
+    assert keyrate.decoy_rate_terms(d, "four-state") \
+        == oracles.four_state_decoy_terms(d)
 
 
 def test_six_state_decoy_terms_read_the_six_state_rules():
@@ -861,11 +864,18 @@ def test_six_state_decoy_terms_read_the_six_state_rules():
     for e1, e2 in ((0.0, 0.0), (0.024, 0.027), (0.3, 0.45), (4 / 7, 0.6)):
         d = decoy(e1, e2)
         ec, single, two = keyrate.decoy_rate_terms(d, "six-state")
-        assert ec == keyrate.decoy_rate_terms(d)[0]
+        assert ec == keyrate.decoy_rate_terms(d, "four-state")[0]
         assert single == d.xi1 * keyrate.secrecy_term("six-state", 1, e1)
         assert two == d.xi2 * keyrate.secrecy_term("six-state", 2, e2)
         if e1 or e2:
-            assert ec + single + two != sum(keyrate.decoy_rate_terms(d))
+            assert ec + single + two != sum(
+                keyrate.decoy_rate_terms(d, "four-state"))
+
+
+def test_decoy_terms_take_the_protocol_from_the_caller():
+    # cli alone decides how an unlabelled decoy input is rated.
+    with pytest.raises(TypeError):
+        keyrate.decoy_rate_terms(decoy(0.0, 0.0))
 
 
 @pytest.mark.parametrize("protocol,nu,e,bound", [
@@ -886,19 +896,20 @@ def test_decoy_rate_zero_error_composition():
     d = keyrate.DecoyInputs(p_conc=0.25, e_bit=0.0, xi1=0.1, e1=0.0,
                             xi2=0.05, e2=0.0)
     expected = 0.1 + 0.05 * (1.0 - keyrate.binary_entropy(SIN2))
-    assert abs(sum(keyrate.decoy_rate_terms(d)) - expected) < 1e-12
+    terms = keyrate.decoy_rate_terms(d, "four-state")
+    assert abs(sum(terms) - expected) < 1e-12
 
 
 def test_decoy_rate_error_correction_only_is_nonpositive():
     d = keyrate.DecoyInputs(p_conc=0.25, e_bit=0.05, xi1=0.0, e1=0.0,
                             xi2=0.0, e2=0.0)
-    assert sum(keyrate.decoy_rate_terms(d)) <= 0.0
+    assert sum(keyrate.decoy_rate_terms(d, "four-state")) <= 0.0
 
 
 def test_decoy_terms_sum_to_total():
     d = keyrate.DecoyInputs(p_conc=0.3, e_bit=0.03, xi1=0.12, e1=0.04,
                             xi2=0.06, e2=0.05)
-    terms = keyrate.decoy_rate_terms(d)
+    terms = keyrate.decoy_rate_terms(d, "four-state")
     assert terms[0] <= 0.0
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import sargkit
 from sargkit import qmath, simulate
 
 
@@ -50,6 +51,22 @@ def test_config_requires_exactly_one_source_mode():
 def test_config_range_validation(bad):
     with pytest.raises(ValueError):
         config(**bad)
+
+
+def test_fixed_photon_numbers_are_the_supported_ones(monkeypatch):
+    # A fixed nu is one of SUPPORTED_NU, whose last entry fits the
+    # per-photon slots; the message names its range, and follows it.
+    assert sargkit.SUPPORTED_NU[-1] <= simulate.MAX_PHOTONS
+    for nu in sargkit.SUPPORTED_NU:
+        assert config(nu=nu).nu == nu
+    for nu in (0, 5, 2.0, True):
+        with pytest.raises(ValueError) as info:
+            config(nu=nu)
+        assert str(info.value) == \
+            "fixed photon number must be an integer in 1..4"
+    monkeypatch.setattr(simulate, "SUPPORTED_NU", (1, 2))
+    with pytest.raises(ValueError, match=r"integer in 1\.\.2$"):
+        config(nu=3)
 
 
 def test_coherent_intensity_is_bounded_by_one():
