@@ -17,7 +17,13 @@ before any numerical layer is imported.
 
 __version__ = "0.1.0"
 
+# The SARG04 tags, four-state and six-state: every command reads them.
 PROTOCOLS = ("four-state", "six-state")
+
+# Every protocol record's tag: the SARG04 tags, then the two protocols the
+# paper compares them with, BB84 and the original six-state protocol, which
+# only verify and thresholds read.
+RECORD_TAGS = PROTOCOLS + ("bb84", "six-state-original")
 
 # Photon numbers covered by the certificates, the threshold tables and fixed-nu
 # simulate runs; the last must not exceed simulate.MAX_PHOTONS.
@@ -35,6 +41,7 @@ __all__ = [
     "reports",
     "simulate",
     "PROTOCOLS",
+    "RECORD_TAGS",
     "SUPPORTED_NU",
     "__version__",
 ]

@@ -26,22 +26,25 @@ K. Gatermann and P. A. Parrilo, J. Pure Appl. Algebra 192, 95 (2004)): each
 eigenvector of one fixed combination of A and B grown into the smallest
 subspace that A and B keep, certified by the off-block residual.  A
 block's lambda_max(A_k - x*B_k) is a line or a curve, so y_star is their
-maximum and 0 in closed form (keyrate.envelope).  At nu <= 4 and over the
-no-key window nu = K-1 .. K-2+P (six-state nu = 5..12) the distinct
+maximum and 0 in closed form (keyrate.envelope).  At SARG04's nu <= 4 and
+over the no-key window nu = K-1 .. K-2+P (six-state nu = 5..12) the distinct
 pieces are keyrate.PIECES (``piece_table_check``), whose four-state nu=2
 curve is the paper's g(x); ``g_of_x`` reads g off that exact row.  The
 blocks are the one split of the reduced forms.
 
 One rule cuts both kernels (``_kernel_split``), on a spectrum: H_fil's, from
-its one cached solve (``_range_map``), and B's from the blocks' beta -+
-sqrt(gamma).  The cut is RANK_TOL of the largest eigenvalue, with none below
--cut or within six decades above it.
+its one cached solve (``_range_map``), and B's, from the blocks' beta -+
+sqrt(gamma) and from B's own solve.  The cut is RANK_TOL of the largest
+eigenvalue, with none below -cut or within six decades above it.
 
 y_star never increases with x, so its infimum, the zero-error floor, is the
-limit x -> infinity (``zero_rate_check``), read off the blocks singular in B.
+limit x -> infinity (``zero_rate_check``): lambda_max of A compressed onto
+ker B, two solves and no block split, so a key whose pencil has blocks of
+side 3 (BB84 nu=2, the original six-state nu=4) has its floor too.
 
 The four Bell forms, reduced to the block coordinates (``_range_map`` times
-PencilBlocks.basis), commute at four-state nu=1 and six-state nu=1, 2.
+PencilBlocks.basis), commute at four-state nu=1, six-state nu=1, 2 and
+nu=1 of BB84 and the original six-state protocol.
 There ``bell_vertex_check`` proves that the Bell vectors of the basis are
 keyrate.BELL_VERTICES, the polytope of keyrate's Bell-vertex rate rule.
 
@@ -374,9 +377,15 @@ def zero_rate_check(protocol: str, nu: int) -> float:
     At zero bit error the certified phase-error bound is exactly this floor;
     a value >= 1/2 means no key can be certified (consistent with the
     unambiguous-discrimination limit), while a value < 1/2 leaves room for a
-    positive rate.  The floor is the limit x -> inf of the blocks' pieces
-    (keyrate.piece_floor), which only a block singular in B keeps: A_k on
-    ker B_k.  No grid is read and no solve is made beyond the blocks', which
-    raise ArithmeticError on an unclear cut of B's kernel.
+    positive rate.  y_star(x) is lambda_max(A - x*B) with B PSD, so as x ->
+    inf it tends to lambda_max of A compressed onto ker B: one checked solve
+    of B, whose kernel ``_kernel_split`` cuts (raising ArithmeticError on an
+    unclear cut), and one of the compression; 0 when B has no kernel.  No
+    grid and no block split is read, so every key with forms has a floor.
     """
-    return keyrate.piece_floor(pencil_blocks(protocol, nu).pieces.tolist())
+    a, b = _reduced_pencil(protocol, nu)
+    w, v = qmath.eigh_checked(b)
+    kernel = v[:, w <= _kernel_split(w, "reduced H_bit")]
+    if not kernel.shape[1]:
+        return 0.0
+    return max(0.0, float(qmath.eigh_checked(_reduce(kernel, a))[0][-1]))

@@ -12,8 +12,9 @@ with it numpy, ``qmath``, ``attack_forms``, ``bounds`` and ``keyrate``;
 frontier imports ``bounds`` once its grid is valid; simulate imports YAML
 and ``simulate``; keyrate imports YAML and ``keyrate``; thresholds imports
 ``keyrate`` only, whose tables verify proves.  So ``--help``, ``--version``,
-every usage error, ``keyrate`` and ``thresholds`` (both protocols) run
-without numpy.
+every usage error, ``keyrate`` and ``thresholds`` (every tag) run without
+numpy.  verify and thresholds take every protocol record's tag
+(``RECORD_TAGS``); the other commands take the SARG04 tags (``PROTOCOLS``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import sys
 from dataclasses import asdict, fields
 from typing import Callable, NamedTuple
 
-from . import FRONTIER_X_MAX, PROTOCOLS, SUPPORTED_NU, __version__, reports
+from . import (FRONTIER_X_MAX, PROTOCOLS, RECORD_TAGS, SUPPORTED_NU,
+               __version__, reports)
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -74,8 +76,8 @@ def checks() -> tuple[Check, ...]:
     """Every certificate, in print order: built once by each of verify and
     constants-check, so that only they import the numerical layers it reads.
     Beside the paper's rows at literal keys, every scope is read from
-    keyrate's PIECES, BELL_VERTICES and THRESHOLDS (the rated keys).  The
-    three ``nu >= K-1`` rows of constants-check are verify rows taken at
+    keyrate's PIECES, BELL_VERTICES, FLOORS and THRESHOLDS (the rated keys).
+    The three ``nu >= K-1`` rows of constants-check are verify rows taken at
     their worst over the no-key window of PIECES keys (``over_window``).
     """
     import numpy as np
@@ -131,18 +133,19 @@ def checks() -> tuple[Check, ...]:
 
     struct = qmath.STRUCTURAL_TOL
     pieces, bell = tuple(keyrate.PIECES), tuple(keyrate.BELL_VERTICES)
+    floors = tuple(keyrate.FLOORS)
     rated = {row[:2] for table in keyrate.THRESHOLDS.values() for row in table}
     independent = tuple(k for k in pieces if k in rated and k not in bell)
     constants = tuple((p, None) for p in PROTOCOLS)
     piece_table = Check("piece table = forms", pieces,
                         bounds.piece_table_check, "<", bounds.IDENTITY_TOL)
     # The floor a table read returns (keyrate.FLOORS, the exact floor
-    # rounded up) against the floor of the forms' own blocks.
-    table_floor = Check("floor = exact table floor", pieces,
+    # rounded up) against the forms' own floor.
+    table_floor = Check("floor = exact table floor", floors,
                         lambda p, nu: abs(bounds.zero_rate_check(p, nu)
                                           - keyrate.FLOORS[p, nu]),
                         "<", bounds.IDENTITY_TOL)
-    no_key = Check("no-key floor", tuple(k for k in pieces if k not in rated),
+    no_key = Check("no-key floor", tuple(k for k in floors if k not in rated),
                    bounds.zero_rate_check, ">=", 0.5 - bounds.PSD_TOL)
     return (
         Check("phase = 1.5 x bit identity", tuple((p, 1) for p in PROTOCOLS),
@@ -288,14 +291,12 @@ THRESHOLD_FIELDS = [
 
 def _threshold_row(row, e, p) -> dict:
     """A keyrate.THRESHOLDS row beside its computed threshold e and
-    depolarizing rate p, or None and None."""
+    depolarizing rate p."""
     label, nu, e_ref, p_ref, tolerance = row
-    e_dev = None if e_ref is None or e is None else e - e_ref
-    p_dev = None if p_ref is None or p is None else p - p_ref
+    e_dev = None if e_ref is None else e - e_ref
+    p_dev = None if p_ref is None else p - p_ref
     return dict(zip(THRESHOLD_FIELDS, (
-        label, nu, e, p, e_ref, p_ref, e_dev, p_dev,
-        None if e is None else round(e, 4),
-        None if p is None else round(p, 4),
+        label, nu, e, p, e_ref, p_ref, e_dev, p_dev, round(e, 4), round(p, 4),
         None if tolerance is None else
         all(abs(dev) <= tol for dev, tol in zip((e_dev, p_dev), tolerance)
             if tol is not None))))
@@ -309,9 +310,8 @@ def cmd_thresholds(args) -> int:
         __version__)
     rows = []
     for row in keyrate.THRESHOLDS[args.protocol]:
-        e = None if row[1] is None else keyrate.threshold(args.protocol, row[1])
-        rows.append(_threshold_row(
-            row, e, None if e is None else keyrate.depol_p(e)))
+        e = keyrate.threshold(*row[:2])
+        rows.append(_threshold_row(row, e, keyrate.depol_p(e, row[0])))
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")
@@ -587,9 +587,8 @@ def cmd_keyrate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_protocol(sub, default="four-state"):
-    sub.add_argument("--protocol", choices=list(PROTOCOLS),
-                     default=default)
+def _add_protocol(sub, default="four-state", tags=PROTOCOLS):
+    sub.add_argument("--protocol", choices=list(tags), default=default)
 
 
 def _add_report_flags(sub, default_format: str) -> None:
@@ -608,14 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the inequality/identity checks")
-    _add_protocol(v)
+    _add_protocol(v, tags=RECORD_TAGS)
     v.add_argument("--nu", type=int, default=None,
                    help="photon number (default: all of %d..%d)"
                    % (SUPPORTED_NU[0], SUPPORTED_NU[-1]))
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("thresholds", help="threshold table vs reference values")
-    _add_protocol(t)
+    _add_protocol(t, tags=RECORD_TAGS)
     _add_report_flags(t, "csv")
     t.set_defaults(func=cmd_thresholds)
 

@@ -5,8 +5,9 @@ of every rated key: its ``secrecy_term``, the rate before error correction
 that the decoy sum of a run's protocol also reads (``decoy_rate_terms``),
 less h(e_bit), under one of two rules:
 
-* the Bell-vertex rule, at four-state nu=1 (R1) and six-state nu=1, 2, where
-  the reduced Bell forms commute: a conclusive pair's Bell vector chi ranges
+* the Bell-vertex rule, at four-state nu=1 (R1), six-state nu=1, 2 and the
+  nu=1 keys of BB84 and the original six-state protocol, where the reduced
+  Bell forms commute: a conclusive pair's Bell vector chi ranges
   over the polytope of BELL_VERTICES, and the rate is the Bell-diagonal
   one-way rate 1 - max{H(chi) : chi in the polytope, chi1+ + chi1- = e_bit}
   (``worst_bell_vector``; H.-K. Lo, QIC 1, 81 (2001); P. W. Shor and
@@ -27,8 +28,9 @@ Decimal.  Every threshold is the last float whose exact rate is positive:
 ``_proved_root`` steps that root by ulps until ``exact_rate`` is positive
 there and negative at the next float up, each by more than RATE_ERROR.
 A float rate <= 0 at e = 0 means no key at any error rate: the threshold
-is 0.  ``depol_p`` maps e_bit to the depolarizing-channel parameter p.
-The `thresholds` report prints THRESHOLDS.
+is 0.  ``depol_p`` maps e_bit to the depolarizing-channel parameter p by
+the tag's law in DEPOLARIZING_LAWS.  The `thresholds` report prints
+THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
 and ``secrecy_term`` applies the Bell-vertex rule to a BELL_VERTICES key and
@@ -37,15 +39,17 @@ certificates by the same three tables; neither branches on a protocol.
 
 Each table coefficient is written once, as its exact value in Q(sqrt 2)
 held in 40 digits (EXACT_BELL_VERTICES, EXACT_PIECES), whose pieces cover
-nu <= 4 and the no-key window nu = K-1 .. K-2+P (six-state nu = 5..12).
+the SARG04 keys at nu <= 4 and the no-key window nu = K-1 .. K-2+P
+(six-state nu = 5..12).  The keys with forms at nu <= 4 but no piece row
+have their exact floor written instead (EXACT_FLOORS, one in Q(sqrt 3)).
 The float tables (BELL_VERTICES, PIECES) are those values correctly
 rounded, and every zero-error floor a table read returns (FLOORS) is its
 exact floor rounded up.  Every float rate and the decoy composition are
 float arithmetic on the float tables, which bounds proves against the
 compiled forms; bounds reads its float pencil pieces with the same
-``envelope`` and ``piece_floor``, and g (bounds.g_of_x) with ``envelope``
-on the exact four-state nu=2 row.  Only ``ephase_bound_frontier`` imports
-``bounds`` (and with it numpy).
+``envelope``, and g (bounds.g_of_x) with ``envelope`` on the exact
+four-state nu=2 row.  Only ``ephase_bound_frontier`` imports ``bounds``
+(and with it numpy).
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ def _exact_vertices(*chis):
 
 
 with decimal.localcontext(_EXACT):
-    # 1 and sqrt(2), so that every quotient below is a Decimal.
-    _1, _S = Decimal(1), Decimal(2).sqrt()
+    # 1, sqrt(2) and sqrt(3), so that every quotient below is a Decimal.
+    _1, _S, _S3 = Decimal(1), Decimal(2).sqrt(), Decimal(3).sqrt()
     # The Bell polytope of each row whose reduced Bell forms commute: the
     # distinct Bell vectors, in qmath.BELL_TAGS order, of the forms' joint
     # eigenvectors (proved against the compiled forms by
@@ -104,6 +108,10 @@ with decimal.localcontext(_EXACT):
             ((2 + _S) / 4, (2 - _S) / 4, 0, 0),
             ((8 - 5 * _S) / 40, (8 + 5 * _S) / 40,
              (12 - 3 * _S) / 40, (12 + 3 * _S) / 40)),
+        ("bb84", 1): _exact_vertices((1, 0, 0, 0), (0, _1 / 2, _1 / 2, 0),
+                                     (0, 0, 0, 1)),
+        ("six-state-original", 1): _exact_vertices(
+            (1, 0, 0, 0), (0, _1 / 3, _1 / 3, _1 / 3)),
     }
     # The exact closed form of every frontier y_star at nu <= 4 and over
     # the no-key window (four-state nu = 3, 4, six-state nu = 5..12): the
@@ -172,6 +180,18 @@ with decimal.localcontext(_EXACT):
                             _exact_piece(_1 / 2, _1 / 3, _1 / 9, -_S / 12,
                                          _1 / 6)),
     }
+    # The exact zero-error floor (bounds.zero_rate_check) of each key with
+    # forms at nu <= 4 but no PIECES row: BB84 and the original six-state
+    # protocol at nu = 2..4, whose nu=1 rows are rated by their Bell
+    # polytopes.  At BB84 nu=2 and the original six-state nu=4 the pencil
+    # has blocks of side 3, whose pieces are no lines or curves.  The
+    # original six-state nu=2 floor lies in Q(sqrt 3), and its nu=3 floor
+    # is exactly 1/2, so no key: a float floor reaches 1/2 only to roundoff.
+    EXACT_FLOORS = {
+        ("bb84", 2): (2 + _S) / 4, ("bb84", 3): _1, ("bb84", 4): _1,
+        ("six-state-original", 2): _1 / 2 + _S3 / 6,
+        ("six-state-original", 3): _1 / 2, ("six-state-original", 4): _1,
+    }
     _LN2 = Decimal(2).ln()
 
 
@@ -189,24 +209,33 @@ PIECES = {key: tuple(tuple(map(float, piece)) for piece in row)
           for key, row in EXACT_PIECES.items()}
 
 
-# The thresholds table: per protocol, rows in print order of (label, nu, quoted
-# e_bit, quoted depolarizing p, tolerance on |computed - quoted| (e, p)). nu
-# None is a quoted constant (BB84's and the original six-state protocol's
-# single-photon p); any other row names a rated key (label, nu), whose rate
+# The thresholds table: per protocol tag, its rows in print order of (label,
+# nu, quoted e_bit, quoted depolarizing p, tolerance on |computed - quoted|
+# (e, p)).  Each row names a rated key (label, nu), label its tag, whose rate
 # ``threshold`` reads from BELL_VERTICES or PIECES.  A tolerance part of None
 # leaves that deviation unchecked, and a tolerance of None makes the row
-# informational, as the two reference constants are.  The six-state rows
-# quote e only, and are held to half a unit of its last digit.
+# informational.  The six-state rows quote e only, and are held to half a
+# unit of its last digit.  BB84 (C. H. Bennett and G. Brassard (1984)) and
+# the original six-state protocol (D. Bruss, PRL 81, 3018 (1998)) quote the
+# single-photon p the paper compares SARG04 with: BB84's root is held to half
+# a unit of 0.165, and the original six-state root, 7.1e-4 from 0.190, is
+# informational.
 THRESHOLDS = {
     "four-state": (("four-state", 1, 0.0968, 0.0804, (2e-4, 5e-4)),
                    ("four-state", 2, 0.0271, 0.0208, (2e-4, 5e-4))),
     "six-state": (("six-state", 1, 0.112, None, (5e-4, None)),
                   ("six-state", 2, 0.0560, None, (5e-5, None)),
                   ("six-state", 3, 0.0237, None, (5e-5, None)),
-                  ("six-state", 4, 0.00788, None, (5e-6, None)),
-                  ("bb84-reference", None, None, 0.165, None),
-                  ("six-state-original-reference", None, None, 0.190, None)),
+                  ("six-state", 4, 0.00788, None, (5e-6, None))),
+    "bb84": (("bb84", 1, None, 0.165, (None, 5e-4)),),
+    "six-state-original": (("six-state-original", 1, None, 0.190, None),),
 }
+
+# Each tag's depolarizing channel law e_bit = a*p/(b + c*p), as (a, b, c):
+# SARG04's conclusive error 4p/(3 + 4p) (simulate.exact_channel_stats), and
+# the sifted error 2p/3 of BB84 and the original six-state protocol.
+DEPOLARIZING_LAWS = {"four-state": (4, 3, 4), "six-state": (4, 3, 4),
+                     "bb84": (2, 3, 0), "six-state-original": (2, 3, 0)}
 
 
 # The entropies, the Bell slice and the piece functions run on float values
@@ -417,10 +446,12 @@ def piece_floor(pieces):
 
 
 with decimal.localcontext(_EXACT):
-    # The zero-error floor of every PIECES row: its exact floor rounded up,
-    # so that no floor a table read returns lies below what is proved.
-    FLOORS = {key: _round_up(piece_floor(row))
-              for key, row in EXACT_PIECES.items()}
+    # The zero-error floor of every PIECES row and every EXACT_FLOORS key:
+    # its exact floor rounded up, so that no floor a table read returns lies
+    # below what is proved.
+    FLOORS = {key: _round_up(floor) for key, floor in (
+        *((key, piece_floor(row)) for key, row in EXACT_PIECES.items()),
+        *EXACT_FLOORS.items())}
 
 
 def phase_minimum(pieces, e_bit) -> tuple:
@@ -491,12 +522,15 @@ def rate(protocol: str, nu: int, e_bit: float) -> float:
         return term - (binary_entropy(e_bit) if h is None else h)
 
 
-def depol_p(e: float) -> float:
-    """Depolarizing rate p = 3e/(4(1-e)) of a conclusive bit-error rate e: the
-    inverse of the channel law e = 4p/(3+4p) (simulate.exact_channel_stats)."""
+def depol_p(e: float, protocol: str) -> float:
+    """Depolarizing rate p = b*e/(a - c*e) of a bit-error rate e: the inverse
+    of the protocol's channel law e = a*p/(b + c*p) (DEPOLARIZING_LAWS), so
+    3e/(4(1-e)) for SARG04 and 3e/2 for BB84 and the original six-state
+    protocol."""
     if not 0.0 <= e <= 0.5:
         raise ValueError("e_bit must be in [0, 0.5] for the depolarizing inverse")
-    return 3.0 * e / (4.0 * (1.0 - e))
+    a, b, c = DEPOLARIZING_LAWS[protocol]
+    return b * e / (a - c * e)
 
 
 @dataclass(frozen=True)
@@ -577,7 +611,8 @@ def ephase_bound_frontier(e_bit: float, protocol: str, nu: int) -> float:
 # operations at 40 digits, each rounded to half a unit in its 40th digit, on
 # values, logarithms and slopes below 1e3 in magnitude.  A sign is proved
 # only where the rate clears this bound.  (An interior Bell maximum, read at
-# a float t, adds a shortfall of order ulp(t)^2; no root's slice has one.)
+# a float t, adds a shortfall of order ulp(t)^2, below 1e-32: only BB84's
+# slice has one.)
 RATE_ERROR = Decimal("1e-30")
 # The most ulps a threshold steps from the float root of its float rate.
 ROOT_STEPS = 64

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import PROTOCOLS
+from . import RECORD_TAGS
 
 SIN_PI_8 = math.sin(math.pi / 8)
 COS_PI_8 = math.cos(math.pi / 8)
@@ -169,6 +169,19 @@ def rotation_r() -> np.ndarray:
     )
 
 
+def hadamard() -> np.ndarray:
+    """H = |0_x><0_z| + |1_x><1_z|, which swaps the Z and X bases (BB84's
+    sift rotation)."""
+    return np.outer(ket_x(0), ket_z(0).conj()) + np.outer(ket_x(1),
+                                                          ket_z(1).conj())
+
+
+def phase_s() -> np.ndarray:
+    """S = |0_z><0_z| + i|1_z><1_z|: S*H cycles the Z, X and Y bases (the
+    original six-state protocol's sift rotation)."""
+    return proj(ket_z(0)) + 1j * proj(ket_z(1))
+
+
 def twist_t() -> np.ndarray:
     """Quarter turn about the |phi_0> Bloch axis (the six-state extra rotation)."""
     return math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * (
@@ -273,10 +286,18 @@ class ProtocolRecord(NamedTuple):
 
 
 _PHI = read_only(np.stack([signal_ket(0), signal_ket(1)]))
-_R, _T, _F = (read_only(m) for m in (rotation_r(), twist_t(), filter_op()))
+_Z = read_only(np.stack([ket_z(0), ket_z(1)]))
+_R, _T, _F, _H, _SH, _I = (read_only(m) for m in (
+    rotation_r(), twist_t(), filter_op(), hadamard(), phase_s() @ hadamard(),
+    np.eye(2, dtype=complex)))
+# SARG04 (four-state and six-state) sifts the B92 kets phi_j through Bob's
+# filter; BB84 and the original six-state protocol send the Z kets, sift
+# by basis (F = I) and rotate them through two and three bases.
 PROTOCOL_RECORDS = MappingProxyType({
     "four-state": ProtocolRecord((_R,), _PHI, _F, 4, 4, 2),
     "six-state": ProtocolRecord((_R, _T), _PHI, _F, 24, 6, 8),
+    "bb84": ProtocolRecord((_H,), _Z, _I, 2, 4, 1),
+    "six-state-original": ProtocolRecord((_SH,), _Z, _I, 3, 6, 1),
 })
 
 
@@ -284,7 +305,7 @@ def protocol_record(protocol: str) -> ProtocolRecord:
     """The record of a protocol tag; raises ValueError for any other value."""
     if not (isinstance(protocol, str) and protocol in PROTOCOL_RECORDS):
         raise ValueError("protocol must be one of %s, got %r"
-                         % (PROTOCOLS, protocol))
+                         % (RECORD_TAGS, protocol))
     return PROTOCOL_RECORDS[protocol]
 
 

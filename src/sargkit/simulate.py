@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import SUPPORTED_NU, qmath
+from . import PROTOCOLS, SUPPORTED_NU, qmath
 
 MAX_PHOTONS = 6
 MAX_MU = 1.0  # photon counts above MAX_PHOTONS then carry < 1e-4 of the law
@@ -69,6 +69,9 @@ def _is_real(value) -> bool:
 def _check_channel(protocol, nu, mu, p, eta) -> None:
     """Raise ValueError unless the arguments describe a run of the channel."""
     qmath.protocol_record(protocol)
+    if protocol not in PROTOCOLS:
+        raise ValueError("simulate models SARG04 sifting only: protocol must "
+                         "be one of %s, got %r" % (PROTOCOLS, protocol))
     for name, value in (("mu", mu), ("p", p), ("eta", eta)):
         if not (_is_real(value) or (name == "mu" and value is None)):
             raise ValueError("%s must be a number, got %r" % (name, value))

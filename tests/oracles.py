@@ -4,7 +4,8 @@ Each oracle reaches its answer by a route independent of the library's exact
 formula: event forms and weights on the full 2^nu-dimensional input of the
 attack through tensor powers U^{(x)nu}, a frontier by bisection on the PSD
 margin or by one eigen-solve per point, the zero-error floor by compressing
-the reduced phase form onto the kernel of the reduced bit form, the
+the reduced phase form onto the kernel of the reduced bit form with plain
+numpy solves and by the limits of the pencil blocks' pieces, the
 phase-error bound by golden section on that frontier, the `frontier` report
 row by row through ``csv.DictWriter``, the two-photon optimum by scan plus golden
 section, the worst Bell-vector entropy by a dense scan of a barycentric slice
@@ -190,6 +191,13 @@ def zero_rate_floor_compressed(protocol: str, nu: int) -> float:
     if not k.shape[1]:
         return 0.0
     return max(float(np.linalg.eigvalsh(k.conj().T @ a @ k)[-1]), 0.0)
+
+
+def block_floor(protocol: str, nu: int) -> float:
+    """inf_x y_star(x) read off the pencil blocks: keyrate.piece_floor of the
+    float pieces of bounds.pencil_blocks, the largest limit of a piece
+    singular in B (the rule before the floor became one compression)."""
+    return keyrate.piece_floor(bounds.pencil_blocks(protocol, nu).pieces.tolist())
 
 
 def couple_two_photon_blocks(size: float) -> tuple:
@@ -572,6 +580,11 @@ Q2_BELL_VERTICES = {
     ("six-state", 2): ((q2("1/2", "1/4"), q2("1/2", "-1/4"), q2(0), q2(0)),
                        (q2("1/5", "-1/8"), q2("1/5", "1/8"),
                         q2("3/10", "-3/40"), q2("3/10", "3/40"))),
+    ("bb84", 1): ((q2(1), q2(0), q2(0), q2(0)),
+                  (q2(0), q2("1/2"), q2("1/2"), q2(0)),
+                  (q2(0), q2(0), q2(0), q2(1))),
+    ("six-state-original", 1): ((q2(1), q2(0), q2(0), q2(0)),
+                                (q2(0), q2("1/3"), q2("1/3"), q2("1/3"))),
 }
 
 
@@ -600,8 +613,8 @@ def q2_floor(protocol: str, nu: int) -> tuple[Fraction, Fraction]:
     return best
 
 
-# Every computed thresholds row's (e_threshold, p_threshold): the last float
-# whose exact rate is positive, and its depol_p.
+# Every thresholds row's (e_threshold, p_threshold): the last float whose
+# exact rate is positive, and its depol_p.
 FLOAT_ROOTS = {
     ("four-state", 1): (0.09689248938745228, 0.08046590930386573),
     ("four-state", 2): (0.02710093150755928, 0.020891888263563887),
@@ -609,12 +622,16 @@ FLOAT_ROOTS = {
     ("six-state", 2): (0.05602758055501033, 0.04451473851425011),
     ("six-state", 3): (0.023701119015364182, 0.018207374409356596),
     ("six-state", 4): (0.007883064083571478, 0.005959275412648166),
+    ("bb84", 1): (0.11002786443835955, 0.16504179665753932),
+    ("six-state-original", 1): (0.12619308327682116, 0.18928962491523174),
 }
 
 # The root of each row's exact rate to 50 digits, computed apart from the
 # library at 70 digits: the Bell-vertex rate maximized over its slice by
-# golden section, the phase-error bound minimized over x by golden section,
-# and the root bisected.
+# golden section (BB84's maximum is 2h(e) in closed form, at ((1 - e)^2,
+# e(1 - e), e(1 - e), e^2), and the original six-state slice is the one
+# point (1 - 3e/2, e/2, e/2, e/2)), the phase-error bound minimized over x
+# by golden section, and the root bisected.
 EXACT_ROOTS = {
     ("four-state", 1): "0.096892489387452286185102628578833102926823070805134",
     ("four-state", 2): "0.027100931507559282205476508161067654639374306634675",
@@ -622,6 +639,9 @@ EXACT_ROOTS = {
     ("six-state", 2): "0.056027580555010333233989879929890450915232936202486",
     ("six-state", 3): "0.023701119015364183153038073827517830695824496840109",
     ("six-state", 4): "0.0078830640835714786285384790539238739966711312149393",
+    ("bb84", 1): "0.11002786443835955126181170433498946017711490509189",
+    ("six-state-original", 1):
+        "0.12619308327682117506826312891018282811131077456203",
 }
 
 

@@ -95,7 +95,7 @@ def test_criterion_05_thresholds():
     elapsed = _stopwatch()
     e1 = keyrate.threshold_single()
     e2 = keyrate.threshold_two()
-    p1, p2 = keyrate.depol_p(e1), keyrate.depol_p(e2)
+    p1, p2 = (keyrate.depol_p(e, "four-state") for e in (e1, e2))
     assert abs(e1 - 0.0968) <= 2e-4
     assert abs(e2 - 0.0271) <= 2e-4
     assert abs(p1 - 0.0804) <= 5e-4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import sargkit
 from sargkit import attack_forms, bounds, qmath
 
 RNG = np.random.default_rng(77002)
@@ -38,7 +39,7 @@ def test_attack_validation():
 def test_identity_attack_gives_quarter_chi0_plus():
     # With M = 1 the rotations cancel, the filter halves the amplitude, and
     # averaging over the sift list leaves rho = (1/4) P(chi0+).
-    for protocol in qmath.PROTOCOLS:
+    for protocol in sargkit.PROTOCOLS:
         rho = attack_forms.conditional_pair_state(np.eye(2), protocol)
         target = 0.25 * qmath.proj(qmath.bell_ket("chi0+"))
         assert np.abs(rho - target).max() < 1e-12
@@ -78,7 +79,7 @@ def test_weights_are_homogeneous_degree_two():
     assert np.abs(ws - abs(0.5 - 0.25j) ** 2 * w).max() < 1e-12
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_sift_average_is_rotation_covariant(protocol):
     # Twisting the attack by any group element, M -> U_h^dag M Sym^nu(U_h)
     # with Sym^nu(U) = P^T U^{(x)nu} P, permutes the sift sum (closure) and
@@ -143,7 +144,7 @@ def test_polarized_forms_match_direct_assembly(protocol, nu):
         assert np.abs(form.matrix - direct[tag]).max() < 1e-10
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_single_photon_forms_are_repr_equal_to_the_full_assembly(protocol):
     # At nu = 1 the Dicke coordinates are the qubit coordinates, and the
     # assembly makes the same floating-point operations as the full one.
@@ -154,7 +155,7 @@ def test_single_photon_forms_are_repr_equal_to_the_full_assembly(protocol):
 
 
 @pytest.mark.parametrize("protocol,nu", [
-    (protocol, nu) for protocol in qmath.PROTOCOLS
+    (protocol, nu) for protocol in sargkit.PROTOCOLS
     for nu in range(2, oracles.FULL_NU + 1)])
 def test_dicke_forms_are_the_full_forms_on_the_symmetric_subspace(protocol, nu):
     # H_D = J^dag H_full J with J = I_2 (x) P embeds Dicke coordinates.
@@ -166,7 +167,7 @@ def test_dicke_forms_are_the_full_forms_on_the_symmetric_subspace(protocol, nu):
 
 
 @pytest.mark.parametrize("protocol,nu", [
-    (protocol, nu) for protocol in qmath.PROTOCOLS
+    (protocol, nu) for protocol in sargkit.PROTOCOLS
     for nu in range(1, oracles.FULL_NU + 1)])
 def test_full_map_weights_equal_dicke_weights_of_m_p(protocol, nu):
     # An arbitrary map M on all 2^nu inputs acts on the signals only through
@@ -181,7 +182,7 @@ def test_full_map_weights_equal_dicke_weights_of_m_p(protocol, nu):
 
 
 @pytest.mark.parametrize("protocol,nu", [
-    (protocol, nu) for protocol in qmath.PROTOCOLS
+    (protocol, nu) for protocol in sargkit.PROTOCOLS
     for nu in range(1, attack_forms.MAX_NU + 1)])
 def test_forms_reproduce_weights_on_random_attacks(protocol, nu):
     forms = attack_forms.all_forms(protocol, nu)
@@ -211,7 +212,7 @@ def test_form_matrix_lookup_and_validation():
         attack_forms.all_forms("three-state", 1)
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_cached_arrays_are_read_only(protocol):
     # Every array a cache hands out is shared by all its callers.
     forms = attack_forms.all_forms(protocol, 2)

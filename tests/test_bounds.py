@@ -260,7 +260,7 @@ def test_pencil_blocks_split_the_reduced_pencil(protocol, nu):
 
 
 @settings(max_examples=200, deadline=None)
-@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+@given(protocol=st.sampled_from(sargkit.PROTOCOLS),
        nu=st.integers(1, attack_forms.MAX_NU),
        x=st.floats(0.0, 1e3))
 def test_pencil_blocks_rebuild_the_eigvalsh_frontier(protocol, nu, x):
@@ -325,7 +325,7 @@ def test_piece_table_is_the_pencil_blocks(protocol, nu):
     assert bounds.piece_table_check(protocol, nu) <= 1e-13
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_scalar_envelope_is_the_vectorized_one_bit_for_bit(protocol, nu):
     # frontier_table reads y_star off the block pieces one x at a time; the
@@ -374,7 +374,7 @@ def test_closed_form_frontier_does_not_cancel_at_large_x(protocol, nu):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+@given(protocol=st.sampled_from(sargkit.PROTOCOLS),
        nu=st.sampled_from(sargkit.SUPPORTED_NU),
        e=st.floats(0.01, 0.45))
 def test_phase_minimum_is_the_golden_section_minimum(protocol, nu, e):
@@ -420,7 +420,7 @@ def test_kinks_of_each_table_row_are_distinct_and_finite(row):
     assert kinks == sorted(kinks) and 0.0 == kinks[0] and kinks[-1] <= 1.5 + 1e-15
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_frontier_matches_bisection_oracle(protocol, nu):
     # The one-solve root sits within the bisection's -1e-9 acceptance slack
@@ -436,7 +436,7 @@ def bits(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_batched_frontier_equals_the_per_point_loop(protocol, nu):
     # The closed form is elementwise and one stacked margin solve makes the
@@ -507,7 +507,7 @@ def test_frontier_rejects_an_x_outside_zero_to_infinity(x):
         bounds.frontier_table("four-state", 2, np.array([1.0, x, -2.0]))
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_bit_and_phase_forms_vanish_on_filter_kernel(protocol, nu):
     forms = attack_forms.all_forms(protocol, nu)
@@ -546,7 +546,7 @@ def test_frontier_reduction_rejects_an_unclear_filter_kernel_cut(monkeypatch):
         bounds._reduced_pencil("four-state", 1)
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_event_forms_have_norm_at_most_one(protocol, nu):
     # v^dag H_event v <= trace(rho) <= ||M||_op^2 <= ||v||^2, so the absolute
@@ -579,7 +579,7 @@ FLOORS = {
 }
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_zero_rate_floor_matches_closed_forms(protocol, nu, monkeypatch):
     monkeypatch.setattr(bounds, "frontier_table", None)  # no grid is read
@@ -587,7 +587,7 @@ def test_zero_rate_floor_matches_closed_forms(protocol, nu, monkeypatch):
                - FLOORS[protocol][nu - 1]) <= 1e-12
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_zero_rate_floor_is_the_phase_form_on_the_bit_kernel(protocol, nu):
     # The singular pieces' limits are A_k on the kernel of B_k: the floor is
@@ -597,18 +597,43 @@ def test_zero_rate_floor_is_the_phase_form_on_the_bit_kernel(protocol, nu):
                - oracles.zero_rate_floor_compressed(protocol, nu)) <= 1e-12
 
 
-def test_zero_rate_floor_makes_no_solve_from_warm_blocks(monkeypatch):
-    rows = [(protocol, nu) for protocol in qmath.PROTOCOLS
+def test_zero_rate_floor_is_two_solves_and_no_blocks(monkeypatch):
+    # One solve of the reduced H_bit and one of the compression, from a
+    # warm H_fil solve; no block split is read.
+    rows = [(protocol, nu) for protocol in sargkit.RECORD_TAGS
             for nu in range(1, attack_forms.MAX_NU + 1)]
     for row in rows:
-        bounds.pencil_blocks(*row)
+        bounds._range_map(*row)
     calls = []
     solve = qmath.eigh_checked
     monkeypatch.setattr(qmath, "eigh_checked",
                         lambda h: calls.append(1) or solve(h))
+    monkeypatch.setattr(bounds, "pencil_blocks", None)
     for row in rows:
+        calls.clear()
         bounds.zero_rate_check(*row)
-    assert calls == []
+        assert len(calls) == 2, row
+
+
+@pytest.mark.parametrize("protocol,nu", sorted(keyrate.PIECES))
+def test_zero_rate_floor_is_the_floor_of_the_blocks(protocol, nu):
+    # Where the pencil splits into blocks of side 1 or 2, the compression
+    # floor is the largest limit of a block piece singular in B.
+    assert abs(bounds.zero_rate_check(protocol, nu)
+               - oracles.block_floor(protocol, nu)) <= bounds.IDENTITY_TOL
+
+
+@pytest.mark.parametrize("protocol,nu", [("bb84", 2),
+                                         ("six-state-original", 4)])
+def test_zero_rate_floor_needs_no_block_split(protocol, nu):
+    # Two pencils with blocks of side 3, which pencil_blocks cannot split
+    # (residuals 0.709 and 0.641): the floor is still the exact table floor,
+    # (2 + sqrt 2)/4 and 1.
+    with pytest.raises(ArithmeticError,
+                       match=r"pencil block residual [1-9]\.\d{3}e-01 "):
+        bounds.pencil_blocks(protocol, nu)
+    assert (abs(bounds.zero_rate_check(protocol, nu)
+                - keyrate.FLOORS[protocol, nu]) <= bounds.IDENTITY_TOL)
 
 
 SHARPNESS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)
@@ -621,7 +646,7 @@ def nu_up_to_20(monkeypatch):
     oracles.fresh_caches(monkeypatch)
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_frontier_repeats_with_the_phase_period_from_k_minus_1(protocol,
                                                                nu_up_to_20):
     # From nu = K - 1 on the frontier depends on nu mod P only, so the
@@ -647,7 +672,7 @@ def test_frontier_does_not_repeat_below_k_minus_1(protocol, nu, gap,
 
 
 @settings(max_examples=60, deadline=None)
-@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+@given(protocol=st.sampled_from(sargkit.PROTOCOLS),
        nu=st.sampled_from(sargkit.SUPPORTED_NU),
        x=st.floats(0.0, 1e6))
 def test_zero_rate_floor_bounds_the_frontier_from_below(protocol, nu, x):
@@ -692,7 +717,7 @@ def test_zero_rate_floor_without_a_kernel_is_zero(monkeypatch, fresh_blocks):
 
 
 @settings(max_examples=60, deadline=None)
-@given(protocol=st.sampled_from(qmath.PROTOCOLS),
+@given(protocol=st.sampled_from(sargkit.PROTOCOLS),
        nu=st.integers(1, attack_forms.MAX_NU),
        x=st.floats(0.0, 1e6))
 def test_frontier_at_zero_is_its_maximum(protocol, nu, x):
@@ -702,7 +727,7 @@ def test_frontier_at_zero_is_its_maximum(protocol, nu, x):
             <= bounds.frontier(0.0, protocol, nu) + 1e-12 * max(1.0, x))
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 @pytest.mark.parametrize("nu", range(1, attack_forms.MAX_NU + 1))
 def test_frontier_certifies_at_large_x(protocol, nu):
     # Margins are checked at PSD_TOL + n*eps*x*||H_bit||_2, so roundoff of the

@@ -70,7 +70,7 @@ def test_verify_six_state_all_passes(capsys):
     assert "floor below 1/2" in out
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_verify_lines_do_not_depend_on_nu(capsys, protocol):
     # The name column is as wide as the protocol's longest row at any nu, so
     # each --nu run prints its rows' lines of the full run byte for byte.
@@ -87,7 +87,7 @@ def test_constants_check_lines_do_not_depend_on_protocol(capsys):
     # --protocol run prints its rows' lines of the full run byte for byte.
     _, full = run(capsys, "constants-check")
     parts = []
-    for protocol in qmath.PROTOCOLS:
+    for protocol in sargkit.PROTOCOLS:
         _, out = run(capsys, "constants-check", "--protocol", protocol)
         parts += out.splitlines()[:-1]
     assert parts == full.splitlines()[:-1]
@@ -149,6 +149,12 @@ VERIFY_ROWS = {
                        "nu=4 frontier in [0, 1]",
                        "nu=4 reduced H_bit PSD",
                        "nu=4 frontier floor below 1/2"],
+    # BB84 and the original six-state protocol: a Bell polytope at nu=1 and
+    # an exact floor with no piece row at nu = 2..4, none of them rated.
+    **{(tag, nu): (["nu=1 Bell vertex table"] if nu == 1 else
+                   ["nu=%d floor = exact table floor" % nu,
+                    "nu=%d no-key floor" % nu])
+       for tag in ("bb84", "six-state-original") for nu in (1, 2, 3, 4)},
 }
 
 CONSTANT_ROWS = [
@@ -161,7 +167,7 @@ CONSTANT_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+@pytest.mark.parametrize("protocol", sargkit.RECORD_TAGS)
 @pytest.mark.parametrize("nu", [None, 1, 2, 3, 4])
 def test_verify_prints_every_certificate_in_order(capsys, protocol, nu):
     argv = ["verify", "--protocol", protocol]
@@ -184,12 +190,14 @@ STRUCTURAL_ROWS = ("event forms PSD", "piece table = forms",
 # The constants-check rows that take piece table = forms and floor = exact
 # table floor at their worst over the no-key window.
 WINDOW_ROWS = ("piece table, nu >= K-1", "table floor, nu >= K-1")
-# The PIECES keys that verify prints.
+# The PIECES keys and the FLOORS keys that verify prints.
 VERIFIED_PIECES = sorted(key for key in sargkit.keyrate.PIECES
+                         if key[1] in sargkit.SUPPORTED_NU)
+VERIFIED_FLOORS = sorted(key for key in sargkit.keyrate.FLOORS
                          if key[1] in sargkit.SUPPORTED_NU)
 
 
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_verify_proves_every_piece_row_of_the_table(capsys, protocol):
     # Every PIECES row is proved: by verify's structural rows at nu <= 4,
     # and by constants-check's window rows over the no-key window.
@@ -346,7 +354,7 @@ def test_verify_fails_the_piece_row_on_a_moved_coefficient(
     assert verdict == ["< 1e-10", "FAIL"] and 0.9e-9 < float(value) < 1.1e-9
 
 
-@pytest.mark.parametrize("protocol,nu", VERIFIED_PIECES)
+@pytest.mark.parametrize("protocol,nu", VERIFIED_FLOORS)
 def test_verify_fails_the_floor_row_on_a_moved_table_floor(
         capsys, monkeypatch, protocol, nu):
     # The row's FLOORS entry moved by 1e-9: the forms' floor lies 1e-9 from
@@ -382,9 +390,10 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
         capsys, monkeypatch):
     # A 1e-9 coherence in the reduced H_ph between two pencil blocks at
     # four-state nu=2: pencil_blocks raises, and so every row that reads the
-    # blocks (the piece table row, the g row, both floor rows, the
-    # closed-form row and the range row) fails with one stderr line each,
-    # while the rows on the forms still pass.
+    # blocks (the piece table row, the g row, the closed-form row and the
+    # range row) fails with one stderr line each, while the rows on the
+    # forms, and the floor rows, which compress A onto ker B with no block
+    # split, still pass.
     oracles.fresh_caches(monkeypatch)
     pencil = oracles.couple_two_photon_blocks(1e-9)
     reduced = sargkit.bounds._reduced_pencil
@@ -395,15 +404,12 @@ def test_verify_fails_the_g_row_on_a_coherence_between_pencil_blocks(
     assert rc == 1
     failed = [r for r in check_rows(captured.out) if r[-1] != "PASS"]
     assert [r[0] for r in failed] == ["nu=2 piece table = forms",
-                                      "nu=2 floor = exact table floor",
                                       "nu=2 frontier = g exactly",
-                                      "nu=2 frontier floor vs sin^2(pi/8)",
                                       "nu=2 closed form = tangent bound",
-                                      "nu=2 frontier in [0, 1]",
-                                      "nu=2 frontier floor below 1/2"]
+                                      "nu=2 frontier in [0, 1]"]
     assert all(r[1] == "nan" for r in failed)
     err = captured.err.splitlines()
-    assert len(err) == 7 and all("pencil block residual" in e for e in err)
+    assert len(err) == 4 and all("pencil block residual" in e for e in err)
 
 
 def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
@@ -424,12 +430,18 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
 
 # Checked eigen-solves of each command run with empty caches.  Each verify
 # counts one one-point margin solve per e of every closed form = tangent
-# bound row: six at four-state nu=2, twelve at six-state nu=3, 4.
-COLD_SOLVES = {("constants-check",): 22,
-               ("verify", "--protocol", "four-state"): 29,
-               ("verify", "--protocol", "six-state"): 32,
+# bound row: six at four-state nu=2, twelve at six-state nu=3, 4.  Each
+# floor row counts two, one of the reduced H_bit and one of its compression,
+# each time it is read: 8 floor reads in four-state verify, 6 in six-state,
+# 6 in BB84's and 20 in constants-check's window rows.
+COLD_SOLVES = {("constants-check",): 62,
+               ("verify", "--protocol", "four-state"): 45,
+               ("verify", "--protocol", "six-state"): 44,
+               ("verify", "--protocol", "bb84"): 17,
                ("thresholds", "--protocol", "four-state"): 0,
-               ("thresholds", "--protocol", "six-state"): 0}
+               ("thresholds", "--protocol", "six-state"): 0,
+               ("thresholds", "--protocol", "bb84"): 0,
+               ("thresholds", "--protocol", "six-state-original"): 0}
 
 
 def test_each_filter_form_is_solved_once_per_command(capsys, monkeypatch):
@@ -437,7 +449,7 @@ def test_each_filter_form_is_solved_once_per_command(capsys, monkeypatch):
     # nu); the pencil, the Bell rows, the event-form PSD row and the
     # full-rank row all read it.
     filters = {attack_forms.all_forms(p, nu)["fil"].matrix.tobytes(): (p, nu)
-               for p in qmath.PROTOCOLS
+               for p in sargkit.RECORD_TAGS
                for nu in range(1, attack_forms.MAX_NU + 1)}
     solve = qmath.eigh_checked
     for argv, count in COLD_SOLVES.items():
@@ -568,19 +580,23 @@ def test_thresholds_four_state_table(capsys):
 
 
 def test_thresholds_six_state_table_with_reference_constants(capsys):
+    # The six-state table holds its four photon numbers, each asserted; the
+    # paper's reference constants, BB84's p = 0.165 (asserted) and the
+    # original six-state protocol's p = 0.190 (informational, an empty
+    # cell), are computed rows of their own tags' tables.
     rc, out = run(capsys, "thresholds", "--protocol", "six-state")
     assert rc == 0
     rows = read_csv(out)
-    assert len(rows) == 6  # four photon numbers + two reference constants
-    labels = [r["label"] for r in rows]
-    assert labels[:4] == ["six-state"] * 4
-    assert "bb84-reference" in labels
-    ref = {r["label"]: r for r in rows}
-    assert float(ref["bb84-reference"]["p_reference"]) == 0.165
-    assert float(ref["six-state-original-reference"]["p_reference"]) == 0.190
-    # Every photon-number row is asserted; the two reference constants are
-    # informational and print an empty cell.
-    assert [r["within_tolerance"] for r in rows] == ["True"] * 4 + [""] * 2
+    assert [(r["label"], r["nu"], r["within_tolerance"]) for r in rows] == [
+        ("six-state", str(nu), "True") for nu in (1, 2, 3, 4)]
+    for tag, p_ref, verdict in [("bb84", 0.165, "True"),
+                                ("six-state-original", 0.190, "")]:
+        rc, out = run(capsys, "thresholds", "--protocol", tag)
+        assert rc == 0
+        (row,) = read_csv(out)
+        assert (row["label"], row["nu"]) == (tag, "1")
+        assert float(row["p_reference"]) == p_ref
+        assert row["within_tolerance"] == verdict
 
 
 # Every thresholds row, by protocol, in print order: (label, nu, e_reference,
@@ -598,13 +614,15 @@ THRESHOLD_ROWS = {
            *oracles.FLOAT_ROOTS["six-state", nu])
           for nu, e_ref in ((1, 0.112), (2, 0.056), (3, 0.0237),
                             (4, 0.00788))],
-        ("bb84-reference", None, None, 0.165, None, None, None),
-        ("six-state-original-reference", None, None, 0.19, None, None, None),
     ],
+    "bb84": [("bb84", 1, None, 0.165, True, *oracles.FLOAT_ROOTS["bb84", 1])],
+    "six-state-original": [
+        ("six-state-original", 1, None, 0.19, None,
+         *oracles.FLOAT_ROOTS["six-state-original", 1])],
 }
 
 
-@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+@pytest.mark.parametrize("protocol", sargkit.RECORD_TAGS)
 def test_thresholds_tables_are_pinned_row_by_row(capsys, protocol):
     rc, out = run(capsys, "thresholds", "--protocol", protocol,
                   "--format", "json")
@@ -645,16 +663,65 @@ def test_thresholds_read_the_tolerance_from_keyrate(capsys, monkeypatch):
 def test_six_state_thresholds_check_the_e_deviation_only(capsys, monkeypatch):
     # The six-state rows quote no p, so only |e deviation| is held to the
     # tolerance: 3.6e-4, 2.8e-5, 1.1e-6 and 3.1e-6 against a 2e-6 bound fail
-    # every row but nu=3; the reference constants stay informational.
+    # every row but nu=3.
     from sargkit import keyrate
     monkeypatch.setitem(keyrate.THRESHOLDS, "six-state", tuple(
-        row if row[1] is None else (*row[:4], (2e-6, None))
-        for row in keyrate.THRESHOLDS["six-state"]))
+        (*row[:4], (2e-6, None)) for row in keyrate.THRESHOLDS["six-state"]))
     rc, out = run(capsys, "thresholds", "--protocol", "six-state",
                   "--format", "json")
     assert rc == 1
     assert [r["within_tolerance"] for r in json.loads(out)["results"]] == [
-        False, False, True, False, None, None]
+        False, False, True, False]
+
+
+@pytest.mark.parametrize("command", ["frontier", "constants-check"])
+@pytest.mark.parametrize("tag", ["bb84", "six-state-original"])
+def test_sarg04_commands_reject_the_compared_tags(capsys, command, tag):
+    # Only verify and thresholds read BB84 and the original six-state
+    # protocol: no frontier or constants table is written for them.
+    assert cli.main([command, "--protocol", tag]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: %r" % tag in err
+
+
+def test_bb84_threshold_checks_the_p_deviation_only(capsys, monkeypatch):
+    # BB84 quotes p only: |p deviation| is 4.2e-5, so a 4e-5 bound fails it.
+    from sargkit import keyrate
+    monkeypatch.setitem(keyrate.THRESHOLDS, "bb84",
+                        (("bb84", 1, None, 0.165, (None, 4e-5)),))
+    rc, out = run(capsys, "thresholds", "--protocol", "bb84", "--format",
+                  "json")
+    assert rc == 1
+    (row,) = json.loads(out)["results"]
+    assert row["within_tolerance"] is False and row["e_deviation"] is None
+    assert 4.1e-5 < row["p_deviation"] < 4.2e-5
+
+
+def test_thresholds_solve_only_their_own_tags_roots(capsys, monkeypatch):
+    # The SARG04 tables, which certify commands print, root only their own
+    # keys: BB84's root, which bisects an interior Bell maximum in Decimal,
+    # stays off them.  BB84's own table imports no numpy and writes the same
+    # results without it.
+    from sargkit import keyrate
+    called = []
+    threshold = keyrate.threshold
+    monkeypatch.setattr(keyrate, "threshold", lambda p, nu: (
+        called.append((p, nu)) or threshold(p, nu)))
+    for tag, nus in [("four-state", [1, 2]), ("six-state", [1, 2, 3, 4])]:
+        called.clear()
+        assert run(capsys, "thresholds", "--protocol", tag)[0] == 0
+        assert called == [(tag, nu) for nu in nus]
+    monkeypatch.undo()
+    argvs = [["thresholds", "--protocol", tag, "--format", "json"]
+             for tag in ("bb84", "six-state-original")]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RUNNER,
+                           json.dumps(argvs)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for argv, (rc, out, err) in zip(argvs, json.loads(proc.stdout)):
+        assert (rc, err) == (0, "")
+        assert payload(out) == payload(run(capsys, *argv)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1612,7 +1679,7 @@ def test_constants_check_fails_the_window_piece_row_on_a_moved_coefficient(
     assert failed[0][2] == "< 1e-10" and 0.9e-9 < float(failed[0][1]) < 1.1e-9
 
 
-@pytest.mark.parametrize("protocol,nu", [(p, nu) for p in qmath.PROTOCOLS
+@pytest.mark.parametrize("protocol,nu", [(p, nu) for p in sargkit.PROTOCOLS
                                          for nu in oracles.no_key_window(p)])
 def test_constants_check_fails_the_window_floor_row_on_a_moved_table_floor(
         capsys, monkeypatch, protocol, nu):

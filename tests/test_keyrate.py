@@ -24,7 +24,7 @@ SRC = os.path.dirname(os.path.dirname(sargkit.__file__))
 X_OPT_REFERENCE = 2.747  # quoted two-photon operating point (flat optimum)
 
 # Every (protocol, photon number) with a computed frontier.
-CASES = [(p, nu) for p in qmath.PROTOCOLS for nu in (1, 2, 3, 4)]
+CASES = [(p, nu) for p in sargkit.PROTOCOLS for nu in (1, 2, 3, 4)]
 # The exactly linear certified phase error alpha + beta*e at six-state nu=1..3.
 LINEAR_EPH = {1: (0.0, 1.5), 2: (SIN2, 3.0 / (2.0 * math.sqrt(2.0))),
               3: (0.25, 0.75)}
@@ -107,8 +107,10 @@ BELL_ROWS = sorted(keyrate.BELL_VERTICES)
 def test_bell_vertex_table_rows():
     # The rule's premise: at most three vertices per row, each a probability
     # vector, with distinct bit weights, so every slice is a point or a
-    # segment; and the rows are the three commuting rows the paper asserts.
-    assert BELL_ROWS == [("four-state", 1), ("six-state", 1), ("six-state", 2)]
+    # segment; and the rows are the three commuting SARG04 rows the paper
+    # asserts and the nu=1 rows of BB84 and the original six-state protocol.
+    assert BELL_ROWS == [("bb84", 1), ("four-state", 1), ("six-state", 1),
+                         ("six-state", 2), ("six-state-original", 1)]
     for vertices in keyrate.BELL_VERTICES.values():
         assert 2 <= len(vertices) <= 3
         assert all(type(x) is float for v in vertices for x in v)
@@ -192,7 +194,7 @@ def test_rate_single_monotone_decreasing():
 def test_threshold_single_reference_values():
     e = keyrate.threshold_single()
     assert abs(e - 0.0968) <= 2e-4
-    assert abs(keyrate.depol_p(e) - 0.0804) <= 5e-4
+    assert abs(keyrate.depol_p(e, "four-state") - 0.0804) <= 5e-4
 
 
 def test_ephase_bound_two_properties():
@@ -238,7 +240,7 @@ def test_ephase_bound_two_is_the_hand_derived_stationary_point():
 def test_threshold_two_reference_values():
     e = keyrate.threshold_two()
     assert abs(e - 0.0271) <= 2e-4
-    assert abs(keyrate.depol_p(e) - 0.0208) <= 5e-4
+    assert abs(keyrate.depol_p(e, "four-state") - 0.0208) <= 5e-4
     x_opt = oracles.ephase_bound_two_scan(e)[1]
     assert abs(x_opt - X_OPT_REFERENCE) <= 0.5  # flat optimum
 
@@ -300,7 +302,7 @@ def test_every_threshold_is_a_float_and_the_one_its_row_reads(compute,
 
 
 @pytest.mark.parametrize("protocol,nu", [
-    ("four-state", 3), ("four-state", None), ("six-state", 5), ("bb84", 1)])
+    ("four-state", 3), ("four-state", None), ("six-state", 5), ("bb84", 2)])
 def test_threshold_rejects_a_row_without_a_rate_model(protocol, nu):
     with pytest.raises(ValueError):
         keyrate.threshold(protocol, nu)
@@ -365,7 +367,7 @@ FLOAT_ROOTS = oracles.FLOAT_ROOTS
 def test_float_roots_cover_every_computed_row():
     assert sorted(FLOAT_ROOTS) == sorted(
         (protocol, row[1]) for protocol, rows in keyrate.THRESHOLDS.items()
-        for row in rows if row[1] is not None)
+        for row in rows)
     assert sorted(oracles.EXACT_ROOTS) == sorted(FLOAT_ROOTS)
 
 
@@ -378,7 +380,7 @@ def test_every_threshold_is_the_float_root_of_its_rate(protocol, nu):
     assert keyrate.exact_rate(protocol, nu, e) > keyrate.RATE_ERROR
     assert (keyrate.exact_rate(protocol, nu, math.nextafter(e, 1.0))
             < -keyrate.RATE_ERROR)
-    assert (e, keyrate.depol_p(e)) == FLOAT_ROOTS[protocol, nu]
+    assert (e, keyrate.depol_p(e, protocol)) == FLOAT_ROOTS[protocol, nu]
 
 
 @pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
@@ -403,14 +405,14 @@ def test_threshold_steps_a_few_ulps_from_the_float_rate_root(protocol, nu):
     assert _ulps(e, FLOAT_ROOTS[protocol, nu][0]) <= 7
 
 
-# The brackets each row was bisected on before every threshold shared
-# [0, E_BIT_MAX].
+# The brackets each SARG04 row was bisected on before every threshold
+# shared [0, E_BIT_MAX].
 OLD_BRACKETS = {("four-state", 1): (0.05, 0.15),
                 ("four-state", 2): (0.001, 0.2),
                 **{("six-state", nu): (1e-9, 0.45) for nu in (1, 2, 3, 4)}}
 
 
-@pytest.mark.parametrize("protocol,nu", sorted(FLOAT_ROOTS))
+@pytest.mark.parametrize("protocol,nu", sorted(OLD_BRACKETS))
 def test_one_bracket_finds_the_old_bracket_root(protocol, nu):
     # The float root on [0, E_BIT_MAX] is the old bracket's, and the
     # threshold is that root stepped to the exact rate's.
@@ -515,6 +517,26 @@ def test_two_floors_moved_up_to_the_exact_floor():
     # the float formula gave on the hand-rounded table.
     assert keyrate.ephase_bound_two(0.0) == 0.14644660940672624 == SIN2
     assert keyrate.phase_bound("six-state", 4, 0.0) == 0.32322330470336313
+
+
+def test_exact_floors_without_a_piece_row():
+    # The six floors written without a piece row: (2 + sqrt 2)/4, 1, 1 for
+    # BB84 nu = 2..4 and 1/2 + sqrt(3)/6, 1/2, 1 for the original six-state
+    # protocol, each to 40 digits, and FLOORS each rounded up.
+    want = {("bb84", 2): "0.8535533905932737622004221810524245196424",
+            ("bb84", 3): "1", ("bb84", 4): "1",
+            ("six-state-original", 2):
+                "0.7886751345948128822545743902509787278238",
+            ("six-state-original", 3): "0.5", ("six-state-original", 4): "1"}
+    assert sorted(keyrate.EXACT_FLOORS) == sorted(want)
+    assert not set(keyrate.EXACT_FLOORS) & set(keyrate.PIECES)
+    for key, value in want.items():
+        exact = keyrate.EXACT_FLOORS[key]
+        assert type(exact) is Decimal, key
+        assert abs(exact - Decimal(value)) <= Decimal("1e-40"), key
+        floor = keyrate.FLOORS[key]
+        assert Decimal(math.nextafter(floor, -math.inf)) < exact <= Decimal(
+            floor), key
 
 
 RATED = sorted(FLOAT_ROOTS)
@@ -801,11 +823,21 @@ def test_depolarizing_conversions_round_trip():
 
     assert abs(e_bit(0.05) - 0.0625) < 1e-15
     for p in (0.0, 0.01, 0.1, 0.3, 0.75):
-        assert abs(keyrate.depol_p(e_bit(p)) - p) < 1e-12
+        assert abs(keyrate.depol_p(e_bit(p), "four-state") - p) < 1e-12
     with pytest.raises(ValueError):
         e_bit(0.76)
     with pytest.raises(ValueError):
-        keyrate.depol_p(0.51)
+        keyrate.depol_p(0.51, "four-state")
+
+
+@pytest.mark.parametrize("protocol", ["bb84", "six-state-original"])
+def test_depolarizing_law_of_the_sifted_protocols(protocol):
+    # BB84 and the original six-state protocol err on 2/3 of a depolarized
+    # sifted pulse: e = 2p/3, so p = 3e/2 (exact in floats).
+    for p in (0.0, 0.01, 0.1, 0.3, 0.75):
+        assert abs(keyrate.depol_p(2 * p / 3, protocol) - p) < 1e-15
+    e = oracles.FLOAT_ROOTS[protocol, 1][0]
+    assert keyrate.depol_p(e, protocol) == 3 * e / 2
 
 
 # ---------------------------------------------------------------------------
@@ -1017,15 +1049,18 @@ def test_six_state_rejects_unsupported_photon_number():
 
 
 def test_reference_tables_present():
+    # One table per tag, holding only its own rated keys: the paper's
+    # single-photon p of BB84 (0.165, asserted within half a unit) and of
+    # the original six-state protocol (0.190, informational) are rows of
+    # their own tags' tables.
     table = keyrate.THRESHOLDS
-    assert set(table) == set(qmath.PROTOCOLS)
+    assert tuple(table) == sargkit.RECORD_TAGS
+    assert all(row[0] == tag for tag, rows in table.items() for row in rows)
     assert [row[1] for row in table["four-state"]] == [1, 2]
-    assert [row[1] for row in table["six-state"]] == [1, 2, 3, 4, None, None]
-    assert {row[0]: row[3] for row in table["six-state"] if row[1] is None} == {
-        "bb84-reference": 0.165, "six-state-original-reference": 0.190}
-    # A quoted constant has only a p to compare, and so no tolerance.
-    assert all(row[2] is None and row[4] is None
-               for rows in table.values() for row in rows if row[1] is None)
+    assert [row[1] for row in table["six-state"]] == [1, 2, 3, 4]
+    assert table["bb84"] == (("bb84", 1, None, 0.165, (None, 5e-4)),)
+    assert table["six-state-original"] == (
+        ("six-state-original", 1, None, 0.190, None),)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1091,7 @@ def test_tangent_bound_is_at_most_the_grid_minimum(case, e):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(qmath.PROTOCOLS), st.floats(min_value=0.0,
+@given(st.sampled_from(sargkit.PROTOCOLS), st.floats(min_value=0.0,
                                                      max_value=0.45))
 def test_tangent_bound_is_three_halves_e_at_one_photon(protocol, e):
     assert abs(keyrate.ephase_bound_frontier(e, protocol, 1) - 1.5 * e) <= 1e-12

@@ -271,7 +271,7 @@ def test_pair_source_requires_photons():
 
 
 def test_filtered_single_photon_pair_is_half_chi0_plus():
-    for protocol in qmath.PROTOCOLS:
+    for protocol in sargkit.PROTOCOLS:
         psi = qmath.pair_source_ket(protocol)
         out = np.kron(qmath.I2, qmath.protocol_record(protocol).filter) @ psi
         assert np.abs(out - 0.5 * qmath.bell_ket("chi0+")).max() < 1e-12
@@ -298,7 +298,7 @@ def test_four_state_constants():
 def test_every_protocol_has_sift_generators():
     # One record per tag, in the order of the numpy-free names; the
     # generators, kets and filter it shares are read-only.
-    assert tuple(qmath.PROTOCOL_RECORDS) == sargkit.PROTOCOLS
+    assert tuple(qmath.PROTOCOL_RECORDS) == sargkit.RECORD_TAGS
     for record in qmath.PROTOCOL_RECORDS.values():
         for a in (*record.generators, record.signal_pair, record.filter):
             assert not a.flags.writeable
@@ -313,9 +313,25 @@ def test_every_protocol_has_sift_generators():
          "SimConfig", "exact_channel_stats"])
 def test_every_layer_rejects_an_unknown_tag_at_the_record(reader):
     with pytest.raises(ValueError) as exc:
-        reader("bb84")
+        reader("b92")
     assert str(exc.value) == ("protocol must be one of ('four-state', "
-                              "'six-state'), got 'bb84'")
+                              "'six-state', 'bb84', 'six-state-original'), "
+                              "got 'b92'")
+
+
+@pytest.mark.parametrize("protocol", ["bb84", "six-state-original"])
+def test_each_compared_record_has_its_declared_sizes(protocol):
+    # BB84: H over the Z kets, |G| = 2, K = 4, P = 1; the original six-state
+    # protocol: S*H, |G| = 3, K = 6, P = 1.  Each computed size is the
+    # record's declared one, and F = I sifts by basis alone.
+    record = qmath.protocol_record(protocol)
+    table = qmath.signal_kets(protocol)
+    assert (len(qmath.constants(protocol)), len(table.kets), table.period) == (
+        record.group_order, record.k, record.period)
+    assert {"bb84": (2, 4, 1), "six-state-original": (3, 6, 1)}[protocol] == (
+        record.group_order, record.k, record.period)
+    assert np.array_equal(record.filter, np.eye(2))
+    assert np.abs(record.signal_pair - np.eye(2)).max() < 1e-15
 
 
 @pytest.mark.parametrize("protocol,order", [("four-state", 4),

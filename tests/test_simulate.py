@@ -53,6 +53,20 @@ def test_config_range_validation(bad):
         config(**bad)
 
 
+@pytest.mark.parametrize("protocol", ["bb84", "six-state-original"])
+def test_config_rejects_a_protocol_simulate_does_not_model(protocol):
+    # BB84 and the original six-state protocol have records, but the engine
+    # and its exact law model SARG04 sifting only.
+    message = ("simulate models SARG04 sifting only: protocol must be one "
+               "of ('four-state', 'six-state'), got %r" % protocol)
+    with pytest.raises(ValueError) as exc:
+        config(protocol=protocol)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        simulate.exact_channel_stats(protocol, 1, 0.0, 1.0)
+    assert str(exc.value) == message
+
+
 def test_fixed_photon_numbers_are_the_supported_ones(monkeypatch):
     # A fixed nu is one of SUPPORTED_NU, whose last entry fits the
     # per-photon slots; the message names its range, and follows it.
@@ -87,7 +101,7 @@ def rel_close(a: float, b: float) -> bool:
 # Positive p stays above 1e-200: below about 1e-300 the oracle's products of
 # small weights go subnormal and lose digits that the closed form keeps.
 @settings(max_examples=60, deadline=None)
-@given(protocol=st.sampled_from(qmath.PROTOCOLS), nu=st.integers(1, 6),
+@given(protocol=st.sampled_from(sargkit.PROTOCOLS), nu=st.integers(1, 6),
        p=st.one_of(st.sampled_from([0.0, 0.75]), st.floats(1e-200, 0.75)),
        eta=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
 def test_closed_form_matches_enumeration_oracle(protocol, nu, p, eta):
@@ -144,7 +158,7 @@ def test_exact_conclusive_scales_with_arrival_probability():
 @pytest.mark.parametrize("nu", range(1, 9))
 def test_fixed_photon_number_law_is_the_closed_form_bit_for_bit(nu, eta):
     # nu runs past MAX_PHOTONS: the sum reads the point mass alone.
-    for protocol in qmath.PROTOCOLS:
+    for protocol in sargkit.PROTOCOLS:
         for p in (0.0, 0.03, 0.75):
             ex = simulate.exact_channel_stats(protocol, nu, p, eta)
             closed = (1.0 - (1.0 - eta) ** nu) * (0.25 + p / 3.0)
@@ -200,7 +214,7 @@ def monte_carlo_cases(draw):
                   mu=st.floats(0.0, 1.0, exclude_min=True)),
     ))
     cfg = simulate.SimConfig(
-        protocol=draw(st.sampled_from(qmath.PROTOCOLS)),
+        protocol=draw(st.sampled_from(sargkit.PROTOCOLS)),
         # Sometimes 2 or 3 units, one shard each, so that a pool splits them.
         trials=draw(st.one_of(
             st.integers(1, 20000),
@@ -351,7 +365,7 @@ UNIT = simulate.SIFT_UNIT
 
 @pytest.mark.parametrize("seed", [424242, 2 ** 64 - 1])
 @pytest.mark.parametrize("source", [dict(nu=2), dict(nu=None, mu=0.7)])
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_runs_across_unit_boundaries_match_the_whole_run_oracle(
         monkeypatch, protocol, source, seed):
     # Each unit is one shard that reads photon words from its own start;
@@ -408,7 +422,7 @@ def test_replays_at_a_unit_boundary_read_their_own_words(monkeypatch):
 
 
 @pytest.mark.parametrize("source", [dict(nu=1), dict(nu=None, mu=0.5)])
-@pytest.mark.parametrize("protocol", qmath.PROTOCOLS)
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
 def test_a_run_draws_photon_words_for_sifted_trials_only(monkeypatch,
                                                         protocol, source):
     # 4 sift words per trial and W photon words per sifted trial, each read
