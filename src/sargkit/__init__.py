@@ -10,9 +10,10 @@ Subpackages:
 * reports      -- run manifests and CSV/JSON writers
 * cli          -- command-line entry point
 
-The protocol names and the photon numbers the certificates cover are
-defined here, without numpy, so that the command-line parser can read them
-before any numerical layer is imported.
+The protocol names, their channel laws and the photon numbers the
+certificates cover are defined here, without numpy, so that the
+command-line parser can read them before any numerical layer is imported,
+and simulate reads the law without importing keyrate.
 """
 
 __version__ = "0.1.0"
@@ -22,8 +23,15 @@ PROTOCOLS = ("four-state", "six-state")
 
 # Every protocol record's tag: the SARG04 tags, then the two protocols the
 # paper compares them with, BB84 and the original six-state protocol, which
-# only verify and thresholds read.
+# only verify, thresholds and constants-check read.
 RECORD_TAGS = PROTOCOLS + ("bb84", "six-state-original")
+
+# Each tag's depolarizing channel law e_bit = a*p/(b + c*p), as (a, b, c):
+# SARG04's conclusive error 4p/(3 + 4p) (simulate.exact_channel_stats), and
+# the sifted error 2p/3 of BB84 and the original six-state protocol
+# (keyrate.depol_p inverts it).
+DEPOLARIZING_LAWS = {"four-state": (4, 3, 4), "six-state": (4, 3, 4),
+                     "bb84": (2, 3, 0), "six-state-original": (2, 3, 0)}
 
 # Photon numbers covered by the certificates, the threshold tables and fixed-nu
 # simulate runs; the last must not exceed simulate.MAX_PHOTONS.
@@ -40,6 +48,7 @@ __all__ = [
     "qmath",
     "reports",
     "simulate",
+    "DEPOLARIZING_LAWS",
     "PROTOCOLS",
     "RECORD_TAGS",
     "SUPPORTED_NU",

@@ -370,9 +370,11 @@ def piece_table_check(protocol: str, nu: int) -> float:
                _hausdorff(blocks.pieces, keyrate.PIECES[protocol, nu]))
 
 
+@lru_cache(maxsize=None)
 def zero_rate_check(protocol: str, nu: int) -> float:
     """The zero-error floor inf_x y_star(x), clipped only at 0, like y_star,
-    so a floor above 1 (p_ph <= p_fil failing) shows.
+    so a floor above 1 (p_ph <= p_fil failing) shows; cached per (protocol,
+    nu), so that the rows that read one floor share its two solves.
 
     At zero bit error the certified phase-error bound is exactly this floor;
     a value >= 1/2 means no key can be certified (consistent with the

@@ -13,8 +13,9 @@ frontier imports ``bounds`` once its grid is valid; simulate imports YAML
 and ``simulate``; keyrate imports YAML and ``keyrate``; thresholds imports
 ``keyrate`` only, whose tables verify proves.  So ``--help``, ``--version``,
 every usage error, ``keyrate`` and ``thresholds`` (every tag) run without
-numpy.  verify and thresholds take every protocol record's tag
-(``RECORD_TAGS``); the other commands take the SARG04 tags (``PROTOCOLS``).
+numpy.  verify, thresholds and constants-check take every protocol record's
+tag (``RECORD_TAGS``); the other commands take the SARG04 tags
+(``PROTOCOLS``).
 """
 
 from __future__ import annotations
@@ -78,7 +79,11 @@ def checks() -> tuple[Check, ...]:
     Beside the paper's rows at literal keys, every scope is read from
     keyrate's PIECES, BELL_VERTICES, FLOORS and THRESHOLDS (the rated keys).
     The three ``nu >= K-1`` rows of constants-check are verify rows taken at
-    their worst over the no-key window of PIECES keys (``over_window``).
+    their worst over the no-key window of FLOORS keys (``over_window``): the
+    floor rows at every record tag, the piece row at the SARG04 tags, the
+    only ones with PIECES rows.  The size rows read every record; the
+    SARG04 constants (the rotation, the twist, the filter) only the SARG04
+    tags.
     """
     import numpy as np
 
@@ -102,20 +107,20 @@ def checks() -> tuple[Check, ...]:
         return float(w[0] / w[-1])
 
     def window(protocol: str) -> list[tuple[str, int]]:
-        # One phase period from nu = K - 1 on, every key a PIECES row.
+        # One phase period from nu = K - 1 on, every key a FLOORS row.
         table = qmath.signal_kets(protocol)
         first = len(table.kets) - 1
         keys = [(protocol, n) for n in range(first, first + table.period)]
         for key in keys:
-            if key not in keyrate.PIECES:
+            if key not in keyrate.FLOORS:
                 raise ArithmeticError("floor window has no table row at nu=%d"
                                       % key[1])
         return keys
 
-    def over_window(name: str, row: Check) -> Check:
+    def over_window(name: str, row: Check, keys) -> Check:
         # The verify row's worst value over the window, under its own bound.
         worst = min if row.op == ">=" else max
-        return row._replace(name=name, keys=constants, compute=lambda p, nu: (
+        return row._replace(name=name, keys=keys, compute=lambda p, nu: (
             worst(row.compute(*key) for key in window(p))))
 
     def tangent_gap(protocol: str, nu: int) -> float:
@@ -136,7 +141,8 @@ def checks() -> tuple[Check, ...]:
     floors = tuple(keyrate.FLOORS)
     rated = {row[:2] for table in keyrate.THRESHOLDS.values() for row in table}
     independent = tuple(k for k in pieces if k in rated and k not in bell)
-    constants = tuple((p, None) for p in PROTOCOLS)
+    constants = tuple((p, None) for p in RECORD_TAGS)
+    sarg04 = tuple((p, None) for p in PROTOCOLS)
     piece_table = Check("piece table = forms", pieces,
                         bounds.piece_table_check, "<", bounds.IDENTITY_TOL)
     # The floor a table read returns (keyrate.FLOORS, the exact floor
@@ -209,24 +215,23 @@ def checks() -> tuple[Check, ...]:
               "==", lambda p: qmath.protocol_record(p).period),
         Check("H_fil full rank at nu=K-1", constants, filter_rank_ratio,
               ">=", math.sqrt(bounds.RANK_TOL)),
-        over_window("piece table, nu >= K-1", piece_table),
-        over_window("table floor, nu >= K-1", table_floor),
-        over_window("no-key floor, nu >= K-1", no_key),
-        Check("rotation maps phi1 to phi0", constants,
+        over_window("piece table, nu >= K-1", piece_table, sarg04),
+        over_window("table floor, nu >= K-1", table_floor, constants),
+        over_window("no-key floor, nu >= K-1", no_key, constants),
+        Check("rotation maps phi1 to phi0", sarg04,
               lambda p, nu: max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
                                     - qmath.signal_ket(0)),
               "<", struct),
-        Check("rotation fourth power = -1", constants,
+        Check("rotation fourth power = -1", sarg04,
               lambda p, nu: max_abs(
                   np.linalg.matrix_power(qmath.rotation_r(), 4) + qmath.I2),
               "<", struct),
-        Check("twist unitary", constants, twist_unitarity, "<", struct),
-        Check("filter eigenvalues", constants, filter_eigenvalues,
-              "<", struct),
-        Check("filter/measurement identity", constants,
+        Check("twist unitary", sarg04, twist_unitarity, "<", struct),
+        Check("filter eigenvalues", sarg04, filter_eigenvalues, "<", struct),
+        Check("filter/measurement identity", sarg04,
               lambda p, nu: qmath.filter_measurement_identity_check(),
               "<", struct),
-        Check("filtered pair = half chi0+", constants, filtered_pair,
+        Check("filtered pair = half chi0+", sarg04, filtered_pair,
               "<", struct),
     )
 
@@ -274,7 +279,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_constants_check(args) -> int:
-    keys = [(p, None) for p in PROTOCOLS]
+    keys = [(p, None) for p in RECORD_TAGS]
     chosen = [(p, nu) for p, nu in keys if args.protocol in (None, p)]
     return _check_table(keys, chosen, lambda p, nu: p)
 
@@ -484,8 +489,11 @@ def _decoy_from_simulate(path: str) -> tuple[keyrate.DecoyInputs, str]:
     config = results.get("config", {"protocol": "four-state"})
     protocol = (config if isinstance(config, dict) else {}).get("protocol")
     if protocol not in PROTOCOLS:
-        raise ValueError("simulate report's config.protocol must be %s, got "
-                         "%r" % (" or ".join(PROTOCOLS), protocol))
+        # A record tag is a protocol keyrate has no decoy rule for.
+        reason = ("keyrate rates SARG04 reports only: "
+                  if protocol in RECORD_TAGS else "simulate report's ")
+        raise ValueError("%sconfig.protocol must be %s, got %r"
+                         % (reason, " or ".join(PROTOCOLS), protocol))
     per_nu = results.get("per_nu")
     if not per_nu:
         raise ValueError(
@@ -640,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_keyrate)
 
     c = sub.add_parser("constants-check", help="structural constant table")
-    _add_protocol(c, default=None)
+    _add_protocol(c, default=None, tags=RECORD_TAGS)
     c.set_defaults(func=cmd_constants_check)
 
     return parser

@@ -29,8 +29,9 @@ Decimal.  Every threshold is the last float whose exact rate is positive:
 there and negative at the next float up, each by more than RATE_ERROR.
 A float rate <= 0 at e = 0 means no key at any error rate: the threshold
 is 0.  ``depol_p`` maps e_bit to the depolarizing-channel parameter p by
-the tag's law in DEPOLARIZING_LAWS.  The `thresholds` report prints
-THRESHOLDS.
+the tag's law in DEPOLARIZING_LAWS, which the package defines beside
+RECORD_TAGS and simulate's exact law reads too.  The `thresholds` report
+prints THRESHOLDS.
 
 The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
 and ``secrecy_term`` applies the Bell-vertex rule to a BELL_VERTICES key and
@@ -40,8 +41,10 @@ certificates by the same three tables; neither branches on a protocol.
 Each table coefficient is written once, as its exact value in Q(sqrt 2)
 held in 40 digits (EXACT_BELL_VERTICES, EXACT_PIECES), whose pieces cover
 the SARG04 keys at nu <= 4 and the no-key window nu = K-1 .. K-2+P
-(six-state nu = 5..12).  The keys with forms at nu <= 4 but no piece row
-have their exact floor written instead (EXACT_FLOORS, one in Q(sqrt 3)).
+(six-state nu = 5..12).  The keys of BB84 and the original six-state
+protocol with forms past nu=1 but no piece row, at nu <= 4 and over their
+window (original six-state nu=5), have their exact floor written instead
+(EXACT_FLOORS, one in Q(sqrt 3)).
 The float tables (BELL_VERTICES, PIECES) are those values correctly
 rounded, and every zero-error floor a table read returns (FLOORS) is its
 exact floor rounded up.  Every float rate and the decoy composition are
@@ -62,7 +65,7 @@ import types
 from dataclasses import dataclass
 from decimal import Decimal
 
-from . import FRONTIER_X_MAX
+from . import DEPOLARIZING_LAWS, FRONTIER_X_MAX
 
 # The high end of every threshold's bracket: every rate model is defined up to
 # it (the narrowest domain, the six-state nu=1 Bell polytope's, ends at 4/7).
@@ -181,16 +184,18 @@ with decimal.localcontext(_EXACT):
                                          _1 / 6)),
     }
     # The exact zero-error floor (bounds.zero_rate_check) of each key with
-    # forms at nu <= 4 but no PIECES row: BB84 and the original six-state
-    # protocol at nu = 2..4, whose nu=1 rows are rated by their Bell
-    # polytopes.  At BB84 nu=2 and the original six-state nu=4 the pencil
-    # has blocks of side 3, whose pieces are no lines or curves.  The
+    # forms but no PIECES row: BB84 and the original six-state protocol at
+    # nu = 2..4, whose nu=1 rows are rated by their Bell polytopes, and over
+    # their no-key window nu = K-1 .. K-2+P (BB84 nu=3, the original
+    # six-state nu=5).  At BB84 nu=2 and the original six-state nu=4 the
+    # pencil has blocks of side 3, whose pieces are no lines or curves.  The
     # original six-state nu=2 floor lies in Q(sqrt 3), and its nu=3 floor
     # is exactly 1/2, so no key: a float floor reaches 1/2 only to roundoff.
     EXACT_FLOORS = {
         ("bb84", 2): (2 + _S) / 4, ("bb84", 3): _1, ("bb84", 4): _1,
         ("six-state-original", 2): _1 / 2 + _S3 / 6,
         ("six-state-original", 3): _1 / 2, ("six-state-original", 4): _1,
+        ("six-state-original", 5): _1,
     }
     _LN2 = Decimal(2).ln()
 
@@ -230,13 +235,6 @@ THRESHOLDS = {
     "bb84": (("bb84", 1, None, 0.165, (None, 5e-4)),),
     "six-state-original": (("six-state-original", 1, None, 0.190, None),),
 }
-
-# Each tag's depolarizing channel law e_bit = a*p/(b + c*p), as (a, b, c):
-# SARG04's conclusive error 4p/(3 + 4p) (simulate.exact_channel_stats), and
-# the sifted error 2p/3 of BB84 and the original six-state protocol.
-DEPOLARIZING_LAWS = {"four-state": (4, 3, 4), "six-state": (4, 3, 4),
-                     "bb84": (2, 3, 0), "six-state-original": (2, 3, 0)}
-
 
 # The entropies, the Bell slice and the piece functions run on float values
 # and on exact ones alike, in the number type they are given: their square
@@ -280,7 +278,8 @@ def worst_bell_vector(protocol: str, nu: int,
     """The adversarial Bell vector chi of a conclusive pair at bit error e_bit
     and its entropy H(chi): the maximum of H over the slice of the row's
     Bell polytope at bit weight e_bit, in the number type of e_bit, on
-    BELL_VERTICES for a float and EXACT_BELL_VERTICES for a Decimal.
+    BELL_VERTICES for a float and EXACT_BELL_VERTICES for a Decimal (in
+    the context _EXACT whatever the caller's).
 
     The slice of a hull is the hull of the vertices on it and of the points
     where its edges cross it.  A row has at most three vertices, with
@@ -297,24 +296,25 @@ def worst_bell_vector(protocol: str, nu: int,
     if vertices is None:
         raise ValueError("no Bell vertex table for %s nu=%r" % (protocol, nu))
     e = e_bit if exact else float(e_bit)
-    e_max = max(map(_bit, vertices))
-    if not 0.0 <= e <= e_max:
-        raise ValueError("e_bit must be in [0, %g] for feasible marginals"
-                         % e_max)
-    p, q, slope = _bell_slice(vertices, e)
+    with decimal.localcontext(_EXACT):
+        e_max = max(map(_bit, vertices))
+        if not 0.0 <= e <= e_max:
+            raise ValueError("e_bit must be in [0, %g] for feasible marginals"
+                             % e_max)
+        p, q, slope = _bell_slice(vertices, e)
 
-    def point(t: float) -> tuple[float, ...]:
-        t = type(e)(t)
-        return tuple(a + t * (b - a) for a, b in zip(p, q))
+        def point(t: float) -> tuple[float, ...]:
+            t = type(e)(t)
+            return tuple(a + t * (b - a) for a, b in zip(p, q))
 
-    if slope(p) <= 0.0:
-        chi = p
-    elif slope(q) >= 0.0:
-        chi = q
-    else:
-        ends = bisect_floats(lambda t: slope(point(t)) <= 0.0, 0.0, 1.0)
-        chi = max(map(point, ends), key=_shannon)
-    return chi, _shannon(chi)
+        if slope(p) <= 0.0:
+            chi = p
+        elif slope(q) >= 0.0:
+            chi = q
+        else:
+            ends = bisect_floats(lambda t: slope(point(t)) <= 0.0, 0.0, 1.0)
+            chi = max(map(point, ends), key=_shannon)
+        return chi, _shannon(chi)
 
 
 def _bell_slice(vertices, e):
@@ -459,26 +459,30 @@ def phase_minimum(pieces, e_bit) -> tuple:
     closed-form pieces, for 0 < e_bit < inf.  The objective is convex and the
     maximum of smooth pieces, so its minimum is at a kink of the envelope or
     at a curve's stationary point: the first least value over that set.
-    Floats, or Decimals for exact pieces (EXACT_PIECES) and a Decimal e_bit."""
+    Floats, or Decimals for exact pieces (EXACT_PIECES) and a Decimal e_bit,
+    in the context _EXACT whatever the caller's."""
     e = e_bit if isinstance(e_bit, Decimal) else float(e_bit)
     if not 0.0 < e < math.inf:
         raise ValueError("phase_minimum requires 0 < e_bit < inf, got %r" % e)
-    return min(((x, x * e + envelope(pieces, x))
-                for x in kinks(pieces) + stationary(pieces, e)),
-               key=lambda candidate: candidate[1])
+    with decimal.localcontext(_EXACT):
+        return min(((x, x * e + envelope(pieces, x))
+                    for x in kinks(pieces) + stationary(pieces, e)),
+                   key=lambda candidate: candidate[1])
 
 
 def phase_bound(protocol: str, nu: int, e_bit: float) -> float:
     """min_x [x*e_bit + y_star(x)] on the row of (protocol, nu), for 0 <=
     e_bit < inf, in the number type of e_bit: the phase_minimum of the PIECES
-    row for a float and of the EXACT_PIECES row for a Decimal.  At e_bit = 0
-    it is the infimum as x runs off to infinity, the row's floor: its FLOORS
-    entry (rounded up) for a float, its exact piece_floor for a Decimal."""
+    row for a float and of the EXACT_PIECES row for a Decimal (in the context
+    _EXACT whatever the caller's).  At e_bit = 0 it is the infimum as x runs
+    off to infinity, the row's floor: its FLOORS entry (rounded up) for a
+    float, its exact piece_floor for a Decimal."""
     exact = isinstance(e_bit, Decimal)
     pieces = (EXACT_PIECES if exact else PIECES)[protocol, nu]
-    if e_bit == 0.0:
-        return piece_floor(pieces) if exact else FLOORS[protocol, nu]
-    return phase_minimum(pieces, e_bit)[1]
+    with decimal.localcontext(_EXACT):
+        if e_bit == 0.0:
+            return piece_floor(pieces) if exact else FLOORS[protocol, nu]
+        return phase_minimum(pieces, e_bit)[1]
 
 
 def ephase_bound_two(e_bit: float) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import PROTOCOLS, SUPPORTED_NU, qmath
+from . import DEPOLARIZING_LAWS, PROTOCOLS, SUPPORTED_NU, qmath
 
 MAX_PHOTONS = 6
 MAX_MU = 1.0  # photon counts above MAX_PHOTONS then carry < 1e-4 of the law
@@ -376,17 +376,19 @@ def exact_channel_stats(protocol: str, nu: int | None, p: float, eta: float,
     is.  The squash rule makes any m >= 1 such photons conclusive with
     probability 2^-m + (1 - 2^(1-m))/2 = 1/2, so for either protocol
     P_conc = sum_{n>=1} P(n)(1 - (1 - eta)^n)(1/4 + p/3) over the law P of
-    `_photon_law(nu, mu)` and e_bit = 4p/(3 + 4p).  The sum runs over the
-    photon numbers that carry mass only, so a fixed nu costs one term.
+    `_photon_law(nu, mu)` and e_bit = 4p/(3 + 4p), the tag's law in
+    DEPOLARIZING_LAWS.  The sum runs over the photon numbers that carry mass
+    only, so a fixed nu costs one term.
     """
     _check_channel(protocol, nu, mu, p, eta)
     ns, cdf = _photon_law(nu, mu)
     masses = np.diff(cdf, prepend=0.0).tolist()
     detect = sum(pn * (1.0 - (1.0 - eta) ** n) for n, pn in zip(ns, masses))
+    a, b, c = DEPOLARIZING_LAWS[protocol]
     return ExactStats(
         protocol=protocol, nu=nu, p=p, eta=eta,
         conclusive_prob=detect * (0.25 + p / 3.0),
-        e_bit=4.0 * p / (3.0 + 4.0 * p), mu=mu,
+        e_bit=a * p / (b + c * p), mu=mu,
     )
 
 

@@ -927,12 +927,14 @@ def payload_lines(report: str) -> list[str]:
 
 def fresh_caches(monkeypatch) -> None:
     """Replace every cache past the forms (``attack_forms.all_forms``,
-    ``bounds._range_map``, ``bounds.pencil_blocks`` and
-    ``bounds.correlation_psd_check``) with an empty one that ends with the
-    test, so that a patched form or pencil reaches every layer above it and
-    no value computed from it outlives the test."""
+    ``bounds._range_map``, ``bounds.pencil_blocks``,
+    ``bounds.correlation_psd_check`` and ``bounds.zero_rate_check``) with an
+    empty one that ends with the test, so that a patched form or pencil
+    reaches every layer above it and no value computed from it outlives the
+    test."""
     for module, name in ((attack_forms, "all_forms"), (bounds, "_range_map"),
                          (bounds, "pencil_blocks"),
-                         (bounds, "correlation_psd_check")):
+                         (bounds, "correlation_psd_check"),
+                         (bounds, "zero_rate_check")):
         cached = getattr(module, name).__wrapped__
         monkeypatch.setattr(module, name, lru_cache(maxsize=None)(cached))

@@ -599,7 +599,9 @@ def test_zero_rate_floor_is_the_phase_form_on_the_bit_kernel(protocol, nu):
 
 def test_zero_rate_floor_is_two_solves_and_no_blocks(monkeypatch):
     # One solve of the reduced H_bit and one of the compression, from a
-    # warm H_fil solve; no block split is read.
+    # warm H_fil solve and an empty floor cache; no block split is read,
+    # and a second read of the floor solves nothing.
+    oracles.fresh_caches(monkeypatch)
     rows = [(protocol, nu) for protocol in sargkit.RECORD_TAGS
             for nu in range(1, attack_forms.MAX_NU + 1)]
     for row in rows:
@@ -611,8 +613,9 @@ def test_zero_rate_floor_is_two_solves_and_no_blocks(monkeypatch):
     monkeypatch.setattr(bounds, "pencil_blocks", None)
     for row in rows:
         calls.clear()
-        bounds.zero_rate_check(*row)
+        floor = bounds.zero_rate_check(*row)
         assert len(calls) == 2, row
+        assert bounds.zero_rate_check(*row) == floor and len(calls) == 2
 
 
 @pytest.mark.parametrize("protocol,nu", sorted(keyrate.PIECES))

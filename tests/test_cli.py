@@ -87,7 +87,7 @@ def test_constants_check_lines_do_not_depend_on_protocol(capsys):
     # --protocol run prints its rows' lines of the full run byte for byte.
     _, full = run(capsys, "constants-check")
     parts = []
-    for protocol in sargkit.PROTOCOLS:
+    for protocol in sargkit.RECORD_TAGS:
         _, out = run(capsys, "constants-check", "--protocol", protocol)
         parts += out.splitlines()[:-1]
     assert parts == full.splitlines()[:-1]
@@ -157,14 +157,23 @@ VERIFY_ROWS = {
        for tag in ("bb84", "six-state-original") for nu in (1, 2, 3, 4)},
 }
 
-CONSTANT_ROWS = [
-    "rotation count", "distinct signal states", "phase period",
-    "H_fil full rank at nu=K-1", "piece table, nu >= K-1",
-    "table floor, nu >= K-1", "no-key floor, nu >= K-1",
-    "rotation maps phi1 to phi0",
-    "rotation fourth power = -1", "twist unitary", "filter eigenvalues",
-    "filter/measurement identity", "filtered pair = half chi0+",
-]
+# Every constants-check row, by protocol, in print order: the sizes and the
+# floor window at every record tag, the piece window and the SARG04
+# constants at the SARG04 tags only.
+CONSTANT_ROWS = {
+    **{tag: ["rotation count", "distinct signal states", "phase period",
+             "H_fil full rank at nu=K-1", "piece table, nu >= K-1",
+             "table floor, nu >= K-1", "no-key floor, nu >= K-1",
+             "rotation maps phi1 to phi0",
+             "rotation fourth power = -1", "twist unitary",
+             "filter eigenvalues", "filter/measurement identity",
+             "filtered pair = half chi0+"]
+       for tag in ("four-state", "six-state")},
+    **{tag: ["rotation count", "distinct signal states", "phase period",
+             "H_fil full rank at nu=K-1", "table floor, nu >= K-1",
+             "no-key floor, nu >= K-1"]
+       for tag in ("bb84", "six-state-original")},
+}
 
 
 @pytest.mark.parametrize("protocol", sargkit.RECORD_TAGS)
@@ -431,13 +440,15 @@ def test_six_state_verify_reads_no_x_grid(capsys, monkeypatch):
 # Checked eigen-solves of each command run with empty caches.  Each verify
 # counts one one-point margin solve per e of every closed form = tangent
 # bound row: six at four-state nu=2, twelve at six-state nu=3, 4.  Each
-# floor row counts two, one of the reduced H_bit and one of its compression,
-# each time it is read: 8 floor reads in four-state verify, 6 in six-state,
-# 6 in BB84's and 20 in constants-check's window rows.
-COLD_SOLVES = {("constants-check",): 62,
-               ("verify", "--protocol", "four-state"): 45,
-               ("verify", "--protocol", "six-state"): 44,
-               ("verify", "--protocol", "bb84"): 17,
+# floor counts two, one of the reduced H_bit and one of its compression,
+# the first time a row reads it (bounds.zero_rate_check is cached): 4
+# floors in four-state verify, 4 in six-state, 3 in BB84's and in the
+# original six-state protocol's, and 12 in constants-check's window rows.
+COLD_SOLVES = {("constants-check",): 48,
+               ("verify", "--protocol", "four-state"): 37,
+               ("verify", "--protocol", "six-state"): 40,
+               ("verify", "--protocol", "bb84"): 11,
+               ("verify", "--protocol", "six-state-original"): 11,
                ("thresholds", "--protocol", "four-state"): 0,
                ("thresholds", "--protocol", "six-state"): 0,
                ("thresholds", "--protocol", "bb84"): 0,
@@ -674,11 +685,11 @@ def test_six_state_thresholds_check_the_e_deviation_only(capsys, monkeypatch):
         False, False, True, False]
 
 
-@pytest.mark.parametrize("command", ["frontier", "constants-check"])
+@pytest.mark.parametrize("command", ["frontier"])
 @pytest.mark.parametrize("tag", ["bb84", "six-state-original"])
 def test_sarg04_commands_reject_the_compared_tags(capsys, command, tag):
-    # Only verify and thresholds read BB84 and the original six-state
-    # protocol: no frontier or constants table is written for them.
+    # Only verify, thresholds and constants-check read BB84 and the
+    # original six-state protocol: no frontier is written for them.
     assert cli.main([command, "--protocol", tag]) == 2
     err = capsys.readouterr().err
     assert "invalid choice: %r" % tag in err
@@ -1443,22 +1454,28 @@ def test_keyrate_rejects_a_six_state_report_past_its_bell_polytope(
 
 
 PROTOCOL = "config.protocol must be four-state or six-state, got "
+# A record tag that keyrate has no decoy rule for is named as such.
+SARG04_ONLY = "keyrate rates SARG04 reports only: " + PROTOCOL
+UNKNOWN = "simulate report's " + PROTOCOL
 
 
 @pytest.mark.parametrize("config,message", [
-    ({"protocol": "bb84"}, PROTOCOL + "'bb84'"),
-    ({"protocol": 7}, PROTOCOL + "7"),
-    ({"protocol": None}, PROTOCOL + "None"),
-    ({}, PROTOCOL + "None"),                         # no protocol
-    ("six-state", PROTOCOL + "None"),                # config not an object
-])
+    ({"protocol": "bb84"}, SARG04_ONLY + "'bb84'"),
+    ({"protocol": "six-state-original"},
+     SARG04_ONLY + "'six-state-original'"),
+    ({"protocol": "bb85"}, UNKNOWN + "'bb85'"),
+    ({"protocol": 7}, UNKNOWN + "7"),
+    ({"protocol": None}, UNKNOWN + "None"),
+    ({}, UNKNOWN + "None"),
+    ("six-state", UNKNOWN + "None"),
+], ids=["bb84", "six-state-original", "unknown-tag", "int", "null",
+        "no-protocol", "config-not-an-object"])
 def test_keyrate_rejects_a_report_of_an_unknown_protocol(
         capsys, tmp_path, config, message):
     report = json.loads(tally_report(None, [(1, 20, 1)]))
     report["results"]["config"] = config
     rc, _, err = keyrate_of_report(capsys, tmp_path, json.dumps(report))
-    assert (rc, err) == (2, "keyrate: bad config: simulate report's %s\n"
-                         % message)
+    assert (rc, err) == (2, "keyrate: bad config: %s\n" % message)
 
 
 def test_keyrate_rejects_fixed_photon_simulate_output(capsys, tmp_path):
@@ -1614,8 +1631,22 @@ def test_constants_check_prints_every_certificate_in_order(capsys):
     assert rc == 0
     rows = check_rows(out)
     assert [r[0] for r in rows] == [
-        "%s %s" % (p, name) for p in ("four-state", "six-state")
-        for name in CONSTANT_ROWS]
+        "%s %s" % (p, name) for p in sargkit.RECORD_TAGS
+        for name in CONSTANT_ROWS[p]]
+    assert len(rows) == 38 and all(r[-1] == "PASS" for r in rows)
+
+
+@pytest.mark.parametrize("protocol", sargkit.RECORD_TAGS)
+def test_constants_check_prints_each_protocols_rows_in_order(capsys,
+                                                             protocol):
+    # 13 rows at each SARG04 tag, 6 at BB84 and the original six-state
+    # protocol, whose filter is I: no SARG04 constant is printed for them.
+    rc, out = run(capsys, "constants-check", "--protocol", protocol)
+    assert rc == 0
+    rows = check_rows(out)
+    assert [r[0] for r in rows] == ["%s %s" % (protocol, name)
+                                    for name in CONSTANT_ROWS[protocol]]
+    assert len(rows) == (13 if protocol in sargkit.PROTOCOLS else 6)
     assert all(r[-1] == "PASS" for r in rows)
 
 
@@ -1631,7 +1662,9 @@ def test_constants_check_prints_the_no_key_proof(capsys):
     rows = {r[0]: r[1:] for r in check_rows(out)}
     for protocol, period, ratio, floor in [
             ("four-state", "2", "1.111e-01", "8.536e-01"),
-            ("six-state", "8", "1.333e-01", "6.768e-01")]:
+            ("six-state", "8", "1.333e-01", "6.768e-01"),
+            ("bb84", "1", "3.333e-01", "1.000e+00"),
+            ("six-state-original", "1", "4.000e-01", "1.000e+00")]:
         assert rows[protocol + " phase period"] == [
             "%s.000e+00" % period, "== " + period, "PASS"]
         assert rows[protocol + " H_fil full rank at nu=K-1"] == [
@@ -1639,8 +1672,10 @@ def test_constants_check_prints_the_no_key_proof(capsys):
         assert rows[protocol + " no-key floor, nu >= K-1"] == [
             floor, ">= 0.5", "PASS"]
         for name in WINDOW_ROWS:
-            value, *verdict = rows["%s %s" % (protocol, name)]
-            assert verdict == ["< 1e-10", "PASS"] and float(value) < 1e-13
+            if name in CONSTANT_ROWS[protocol]:
+                value, *verdict = rows["%s %s" % (protocol, name)]
+                assert verdict == ["< 1e-10", "PASS"]
+                assert float(value) < 1e-13
 
 
 @pytest.mark.parametrize("protocol,last", [("four-state", 4),
@@ -1679,7 +1714,7 @@ def test_constants_check_fails_the_window_piece_row_on_a_moved_coefficient(
     assert failed[0][2] == "< 1e-10" and 0.9e-9 < float(failed[0][1]) < 1.1e-9
 
 
-@pytest.mark.parametrize("protocol,nu", [(p, nu) for p in sargkit.PROTOCOLS
+@pytest.mark.parametrize("protocol,nu", [(p, nu) for p in sargkit.RECORD_TAGS
                                          for nu in oracles.no_key_window(p)])
 def test_constants_check_fails_the_window_floor_row_on_a_moved_table_floor(
         capsys, monkeypatch, protocol, nu):
@@ -1694,7 +1729,26 @@ def test_constants_check_fails_the_window_floor_row_on_a_moved_table_floor(
     assert failed[0][2] == "< 1e-10" and 0.9e-9 < float(failed[0][1]) < 1.1e-9
 
 
-@pytest.mark.parametrize("protocol", ["four-state", "six-state"])
+def test_constants_check_fails_a_window_key_without_a_table_floor(
+        capsys, monkeypatch):
+    # The original six-state window, nu=5, has a floor only through its
+    # EXACT_FLOORS entry.  Without it both window floor rows, which read
+    # the window, fail with nan and one stderr line each, and only they.
+    monkeypatch.delitem(sargkit.keyrate.FLOORS, ("six-state-original", 5))
+    rc = cli.main(["constants-check"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert [r for r in check_rows(captured.out) if r[-1] != "PASS"] == [
+        ["six-state-original table floor, nu >= K-1", "nan", "< 1e-10",
+         "FAIL"],
+        ["six-state-original no-key floor, nu >= K-1", "nan", ">= 0.5",
+         "FAIL"]]
+    assert captured.err.splitlines() == [
+        "six-state-original %s, nu >= K-1: floor window has no table row at "
+        "nu=5" % name for name in ("table floor", "no-key floor")]
+
+
+@pytest.mark.parametrize("protocol", sargkit.RECORD_TAGS)
 @pytest.mark.parametrize("size,row", [("group_order", "rotation count"),
                                       ("k", "distinct signal states"),
                                       ("period", "phase period")])
@@ -1729,7 +1783,7 @@ def test_constants_check_fails_a_phase_off_the_period(
 
     def drifted(protocol):
         table = signal_kets(protocol)
-        if protocol == "four-state":
+        if protocol != "six-state":
             return table
         phases = table.phases.copy()
         phases[-1, -1] *= drift

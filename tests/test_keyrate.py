@@ -520,14 +520,16 @@ def test_two_floors_moved_up_to_the_exact_floor():
 
 
 def test_exact_floors_without_a_piece_row():
-    # The six floors written without a piece row: (2 + sqrt 2)/4, 1, 1 for
-    # BB84 nu = 2..4 and 1/2 + sqrt(3)/6, 1/2, 1 for the original six-state
-    # protocol, each to 40 digits, and FLOORS each rounded up.
+    # The seven floors written without a piece row: (2 + sqrt 2)/4, 1, 1 for
+    # BB84 nu = 2..4 and 1/2 + sqrt(3)/6, 1/2, 1, 1 for the original
+    # six-state protocol at nu = 2..5 (nu=5 its no-key window), each to 40
+    # digits, and FLOORS each rounded up.
     want = {("bb84", 2): "0.8535533905932737622004221810524245196424",
             ("bb84", 3): "1", ("bb84", 4): "1",
             ("six-state-original", 2):
                 "0.7886751345948128822545743902509787278238",
-            ("six-state-original", 3): "0.5", ("six-state-original", 4): "1"}
+            ("six-state-original", 3): "0.5", ("six-state-original", 4): "1",
+            ("six-state-original", 5): "1"}
     assert sorted(keyrate.EXACT_FLOORS) == sorted(want)
     assert not set(keyrate.EXACT_FLOORS) & set(keyrate.PIECES)
     for key, value in want.items():
@@ -659,6 +661,24 @@ def test_decimal_rate_computes_in_the_exact_context():
         rate = keyrate.rate("four-state", 2, Decimal(e))
     assert abs(rate - keyrate.exact_rate("four-state", 2, e)) \
         <= keyrate.RATE_ERROR
+
+
+@pytest.mark.parametrize("prec", [10, 28])
+def test_decimal_table_reads_compute_in_the_exact_context(prec):
+    # phase_bound, phase_minimum and worst_bell_vector, called on their own,
+    # compute at 40 digits whatever the caller's context: in 28 digits the
+    # four-state nu=2 phase bound at e = 0.0271 moved by 3.4e-29, above
+    # RATE_ERROR.
+    def reads():
+        return (keyrate.phase_bound("four-state", 2, Decimal(0.0271)),
+                keyrate.phase_minimum(keyrate.EXACT_PIECES["six-state", 8],
+                                      Decimal(0.25)),
+                keyrate.worst_bell_vector("bb84", 1, Decimal(0.1)))
+
+    with decimal.localcontext(keyrate._EXACT):
+        want = reads()
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        assert reads() == want
 
 
 @pytest.mark.parametrize("key", RATED)
@@ -828,6 +848,19 @@ def test_depolarizing_conversions_round_trip():
         e_bit(0.76)
     with pytest.raises(ValueError):
         keyrate.depol_p(0.51, "four-state")
+
+
+@pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)
+def test_exact_channel_error_is_the_depolarizing_law(protocol):
+    # simulate's exact e_bit is the tag's one law, DEPOLARIZING_LAWS, the
+    # float 4p/(3+4p) bit for bit, and depol_p inverts it over p in [0, 3/4].
+    assert keyrate.DEPOLARIZING_LAWS is sargkit.DEPOLARIZING_LAWS
+    a, b, c = sargkit.DEPOLARIZING_LAWS[protocol]
+    for k in range(76):
+        p = k / 100
+        e = simulate.exact_channel_stats(protocol, 1, p, 1.0).e_bit
+        assert e == a * p / (b + c * p) == 4.0 * p / (3.0 + 4.0 * p), p
+        assert abs(keyrate.depol_p(e, protocol) - p) <= 1e-15, p
 
 
 @pytest.mark.parametrize("protocol", ["bb84", "six-state-original"])
