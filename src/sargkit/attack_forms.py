@@ -42,9 +42,10 @@ from . import qmath
 
 EVENT_TAGS = ("fil", "bit", "ph") + tuple("bell:" + t for t in qmath.BELL_TAGS)
 
-# The largest photon number with forms: constants-check reads six-state up to
-# nu = K - 2 + P = 12 (``qmath.signal_kets``).
-MAX_NU = 12
+# The largest photon number with forms: the end K - 2 + P of the widest no-key
+# window that constants-check reads, over the records' declared sizes (12, at
+# six-state).
+MAX_NU = max(r.k - 2 + r.period for r in qmath.PROTOCOL_RECORDS.values())
 
 
 def _sift_maps(protocol: str, nu: int) -> np.ndarray:
@@ -93,7 +94,7 @@ def all_forms(protocol: str, nu: int) -> MappingProxyType:
     once from the sift maps A_g; the mapping and each matrix are read-only."""
     a = _sift_maps(protocol, nu)
     dim = a.shape[-1]
-    bells = qmath.bell_projectors()
+    bells = qmath.BELL_PROJECTORS
     event_ops = (np.eye(4), bells["chi1+"] + bells["chi1-"],
                  bells["chi0-"] + bells["chi1-"],
                  *(bells[tag] for tag in qmath.BELL_TAGS))

@@ -148,9 +148,8 @@ def g_of_x(x: float) -> float:
     once.  g decreases to sin^2(pi/8), that row's floor."""
     if not 0.0 <= x < math.inf:
         raise ValueError("g_of_x requires 0 <= x < inf, got x=%r" % float(x))
-    with decimal.localcontext(keyrate._EXACT):
-        return float(keyrate.envelope(keyrate.EXACT_PIECES["four-state", 2],
-                                      decimal.Decimal(x)))
+    return float(keyrate.envelope(keyrate.EXACT_PIECES["four-state", 2],
+                                  decimal.Decimal(x)))
 
 
 def _kernel_split(w: np.ndarray, name: str) -> float:

@@ -82,8 +82,9 @@ def checks() -> tuple[Check, ...]:
     their worst over the no-key window of FLOORS keys (``over_window``): the
     floor rows at every record tag, the piece row at the SARG04 tags, the
     only ones with PIECES rows.  The size rows read every record; the
-    SARG04 constants (the rotation, the twist, the filter) only the SARG04
-    tags.
+    SARG04 constant rows only the SARG04 tags, each computed on qmath's
+    named arrays (ROTATION, TWIST, PHI, FILTER), the very objects that
+    those records hold.
     """
     import numpy as np
 
@@ -91,10 +92,6 @@ def checks() -> tuple[Check, ...]:
 
     def max_abs(a) -> float:
         return float(np.max(np.abs(a)))
-
-    def twist_unitarity(protocol: str, nu: int | None) -> float:
-        t = qmath.twist_t()
-        return max_abs(qmath.dagger(t) @ t - qmath.I2)
 
     def filter_eigenvalues(protocol: str, nu: int | None) -> float:
         eigs = qmath.eigh_checked(qmath.protocol_record(protocol).filter)[0]
@@ -134,12 +131,12 @@ def checks() -> tuple[Check, ...]:
     def filtered_pair(protocol: str, nu: int | None) -> float:
         f = qmath.protocol_record(protocol).filter
         filtered = np.kron(qmath.I2, f) @ qmath.pair_source_ket(protocol)
-        return max_abs(filtered - 0.5 * qmath.bell_ket("chi0+"))
+        return max_abs(filtered - 0.5 * qmath.BELL_KETS["chi0+"])
 
     struct = qmath.STRUCTURAL_TOL
     pieces, bell = tuple(keyrate.PIECES), tuple(keyrate.BELL_VERTICES)
     floors = tuple(keyrate.FLOORS)
-    rated = {row[:2] for table in keyrate.THRESHOLDS.values() for row in table}
+    rated = keyrate.THRESHOLDS
     independent = tuple(k for k in pieces if k in rated and k not in bell)
     constants = tuple((p, None) for p in RECORD_TAGS)
     sarg04 = tuple((p, None) for p in PROTOCOLS)
@@ -219,14 +216,17 @@ def checks() -> tuple[Check, ...]:
         over_window("table floor, nu >= K-1", table_floor, constants),
         over_window("no-key floor, nu >= K-1", no_key, constants),
         Check("rotation maps phi1 to phi0", sarg04,
-              lambda p, nu: max_abs(qmath.rotation_r() @ qmath.signal_ket(1)
-                                    - qmath.signal_ket(0)),
+              lambda p, nu: max_abs(qmath.ROTATION @ qmath.PHI[1]
+                                    - qmath.PHI[0]),
               "<", struct),
         Check("rotation fourth power = -1", sarg04,
               lambda p, nu: max_abs(
-                  np.linalg.matrix_power(qmath.rotation_r(), 4) + qmath.I2),
+                  np.linalg.matrix_power(qmath.ROTATION, 4) + qmath.I2),
               "<", struct),
-        Check("twist unitary", sarg04, twist_unitarity, "<", struct),
+        Check("twist unitary", sarg04,
+              lambda p, nu: max_abs(qmath.dagger(qmath.TWIST) @ qmath.TWIST
+                                    - qmath.I2),
+              "<", struct),
         Check("filter eigenvalues", sarg04, filter_eigenvalues, "<", struct),
         Check("filter/measurement identity", sarg04,
               lambda p, nu: qmath.filter_measurement_identity_check(),
@@ -294,10 +294,10 @@ THRESHOLD_FIELDS = [
 ]
 
 
-def _threshold_row(row, e, p) -> dict:
-    """A keyrate.THRESHOLDS row beside its computed threshold e and
-    depolarizing rate p."""
-    label, nu, e_ref, p_ref, tolerance = row
+def _threshold_row(key, row, e, p) -> dict:
+    """The keyrate.THRESHOLDS row of a rated key (label, nu) beside its
+    computed threshold e and depolarizing rate p."""
+    (label, nu), (e_ref, p_ref, tolerance) = key, row
     e_dev = None if e_ref is None else e - e_ref
     p_dev = None if p_ref is None else p - p_ref
     return dict(zip(THRESHOLD_FIELDS, (
@@ -314,9 +314,11 @@ def cmd_thresholds(args) -> int:
         "thresholds", {"protocol": args.protocol, "format": args.format},
         __version__)
     rows = []
-    for row in keyrate.THRESHOLDS[args.protocol]:
-        e = keyrate.threshold(*row[:2])
-        rows.append(_threshold_row(row, e, keyrate.depol_p(e, row[0])))
+    for key, row in keyrate.THRESHOLDS.items():
+        if key[0] == args.protocol:
+            e = keyrate.threshold(*key)
+            rows.append(_threshold_row(key, row, e,
+                                       keyrate.depol_p(e, args.protocol)))
 
     failed = any(row["within_tolerance"] is False for row in rows)
     manifest = reports.finish_manifest(manifest, "FAIL" if failed else "PASS")

@@ -22,7 +22,8 @@ less h(e_bit), under one of two rules:
 ``rate`` computes in the number type of e_bit, by one code: a float reads
 the float tables and a Decimal the exact ones, in 40 digits whatever the
 caller's context (the piece functions, the Bell slice and the entropies
-take either type).  ``exact_rate`` is ``rate`` at a float e_bit made
+take either type, and each public one computes a Decimal in those 40
+digits too).  ``exact_rate`` is ``rate`` at a float e_bit made
 Decimal.  Every threshold is the last float whose exact rate is positive:
 ``_threshold`` bisects the float rate on [0, E_BIT_MAX], and
 ``_proved_root`` steps that root by ulps until ``exact_rate`` is positive
@@ -33,7 +34,7 @@ the tag's law in DEPOLARIZING_LAWS, which the package defines beside
 RECORD_TAGS and simulate's exact law reads too.  The `thresholds` report
 prints THRESHOLDS.
 
-The tables decide every (protocol, nu): a THRESHOLDS row makes it rated,
+The tables decide every (protocol, nu): a THRESHOLDS key makes it rated,
 and ``secrecy_term`` applies the Bell-vertex rule to a BELL_VERTICES key and
 the independent rule to any other, on its PIECES row.  cli.checks scopes its
 certificates by the same three tables; neither branches on a protocol.
@@ -214,32 +215,33 @@ PIECES = {key: tuple(tuple(map(float, piece)) for piece in row)
           for key, row in EXACT_PIECES.items()}
 
 
-# The thresholds table: per protocol tag, its rows in print order of (label,
-# nu, quoted e_bit, quoted depolarizing p, tolerance on |computed - quoted|
-# (e, p)).  Each row names a rated key (label, nu), label its tag, whose rate
-# ``threshold`` reads from BELL_VERTICES or PIECES.  A tolerance part of None
-# leaves that deviation unchecked, and a tolerance of None makes the row
-# informational.  The six-state rows quote e only, and are held to half a
-# unit of its last digit.  BB84 (C. H. Bennett and G. Brassard (1984)) and
-# the original six-state protocol (D. Bruss, PRL 81, 3018 (1998)) quote the
-# single-photon p the paper compares SARG04 with: BB84's root is held to half
-# a unit of 0.165, and the original six-state root, 7.1e-4 from 0.190, is
+# The thresholds table, keyed by rated key (protocol, nu), each tag's keys in
+# print order: a row is (quoted e_bit, quoted depolarizing p, tolerance on
+# |computed - quoted| (e, p)), and ``threshold`` reads the key's rate from
+# BELL_VERTICES or PIECES.  A tolerance part of None leaves that deviation
+# unchecked, and a tolerance of None makes the row informational.  The
+# six-state rows quote e only, and are held to half a unit of its last
+# digit.  BB84 (C. H. Bennett and G. Brassard (1984)) and the original
+# six-state protocol (D. Bruss, PRL 81, 3018 (1998)) quote the single-photon
+# p the paper compares SARG04 with: BB84's root is held to half a unit of
+# 0.165, and the original six-state root, 7.1e-4 from 0.190, is
 # informational.
 THRESHOLDS = {
-    "four-state": (("four-state", 1, 0.0968, 0.0804, (2e-4, 5e-4)),
-                   ("four-state", 2, 0.0271, 0.0208, (2e-4, 5e-4))),
-    "six-state": (("six-state", 1, 0.112, None, (5e-4, None)),
-                  ("six-state", 2, 0.0560, None, (5e-5, None)),
-                  ("six-state", 3, 0.0237, None, (5e-5, None)),
-                  ("six-state", 4, 0.00788, None, (5e-6, None))),
-    "bb84": (("bb84", 1, None, 0.165, (None, 5e-4)),),
-    "six-state-original": (("six-state-original", 1, None, 0.190, None),),
+    ("four-state", 1): (0.0968, 0.0804, (2e-4, 5e-4)),
+    ("four-state", 2): (0.0271, 0.0208, (2e-4, 5e-4)),
+    ("six-state", 1): (0.112, None, (5e-4, None)),
+    ("six-state", 2): (0.0560, None, (5e-5, None)),
+    ("six-state", 3): (0.0237, None, (5e-5, None)),
+    ("six-state", 4): (0.00788, None, (5e-6, None)),
+    ("bb84", 1): (None, 0.165, (None, 5e-4)),
+    ("six-state-original", 1): (None, 0.190, None),
 }
 
 # The entropies, the Bell slice and the piece functions run on float values
 # and on exact ones alike, in the number type they are given: their square
 # roots, logarithms and signs come from _math, the math module for a float
-# and these for a Decimal (each rounded in the current context).
+# and these for a Decimal (each rounded in the current context, which every
+# public one of them sets to _EXACT).
 _DECIMAL_MATH = types.SimpleNamespace(
     sqrt=Decimal.sqrt, copysign=Decimal.copy_sign,
     log2=lambda x: x.ln() / _LN2)
@@ -251,10 +253,12 @@ def _math(x):
 
 def binary_entropy(e: float) -> float:
     """h(e) = -e log2 e - (1-e) log2 (1-e), with h(0) = h(1) = 0, in the
-    number type of e."""
+    number type of e (a Decimal in the context _EXACT whatever the
+    caller's)."""
     if not 0.0 <= e <= 1.0:
         raise ValueError("binary_entropy argument must be in [0, 1]")
-    return _shannon((e, 1 - e))
+    with decimal.localcontext(_EXACT):
+        return _shannon((e, 1 - e))
 
 
 def _shannon(ps):
@@ -374,16 +378,18 @@ def envelope(pieces, x):
     """y_star at one x >= 0 from pieces (6-tuples, as in PIECES): the maximum
     of 0 and every piece, a clipped 0 being +0.0.  Where beta*x > 0 a curve's
     -beta*x + sqrt(q) is (q - beta^2 x^2)/(beta*x + sqrt(q)), which does not
-    cancel at large x.  Float or exact, in the number type of x."""
-    sqrt, zero = _math(x).sqrt, 0 * x
-    y = zero
-    for alpha, beta, gamma, delta, epsilon, c2 in pieces:
-        bx = beta * x
-        root = sqrt(max((gamma * x - 2 * delta) * x + epsilon, zero))
-        tail = (((c2 * x - 2 * delta) * x + epsilon) / (bx + root)
-                if gamma > 0.0 and bx > 0.0 else root - bx)
-        y = max(y, alpha + tail)
-    return y
+    cancel at large x.  Float or exact, in the number type of x (a Decimal
+    in the context _EXACT whatever the caller's)."""
+    sqrt = _math(x).sqrt
+    with decimal.localcontext(_EXACT):
+        y = zero = 0 * x
+        for alpha, beta, gamma, delta, epsilon, c2 in pieces:
+            bx = beta * x
+            root = sqrt(max((gamma * x - 2 * delta) * x + epsilon, zero))
+            tail = (((c2 * x - 2 * delta) * x + epsilon) / (bx + root)
+                    if gamma > 0.0 and bx > 0.0 else root - bx)
+            y = max(y, alpha + tail)
+        return y
 
 
 def kinks(pieces) -> list:
@@ -391,30 +397,32 @@ def kinks(pieces) -> list:
     line (the zero line too) crosses a piece or two curves that share
     (alpha, beta, gamma) cross, sorted and distinct: where the envelope can
     bend, since every two curves of PIECES share them.  Float or exact, in
-    the number type of the pieces."""
-    zero = type(pieces[0][0])()
-    sqrt, copysign = _math(zero).sqrt, _math(zero).copysign
-    rows = [*pieces, (zero,) * 6]
-    xs = [zero] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
-    curves = [row for row in pieces if row[2] > 0.0]
-    for one, two in itertools.combinations(curves, 2):
-        if one[:3] == two[:3] and one[3] != two[3]:  # -2*delta*x + epsilon
-            xs.append((one[4] - two[4]) / (2 * (one[3] - two[3])))
-    for a, b, *_ in [row for row in rows if row[2] == 0.0]:  # the lines
-        for alpha, beta, gamma, delta, epsilon, _ in rows:
-            m, s = a - alpha, b - beta
-            if gamma == 0.0:  # a line: a - b*x = alpha - beta*x
-                xs += [m / s] if s else []
-                continue
-            # sqrt(q) = m - s*x squared: (gamma - s^2)x^2 - 2(delta - m*s)x
-            # + epsilon - m^2 = 0, its roots taken without cancellation.
-            qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
-            disc = qb * qb - qa * qc
-            if disc < 0.0:
-                continue
-            r = qb + copysign(sqrt(disc), qb)
-            xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
-    return sorted({x for x in xs if 0.0 <= x <= X_FINITE})
+    the number type of the pieces (Decimals in the context _EXACT
+    whatever the caller's)."""
+    with decimal.localcontext(_EXACT):
+        zero = type(pieces[0][0])()
+        sqrt, copysign = _math(zero).sqrt, _math(zero).copysign
+        rows = [*pieces, (zero,) * 6]
+        xs = [zero] + [d / g for _, _, g, d, _, _ in rows if g > 0.0]
+        curves = [row for row in pieces if row[2] > 0.0]
+        for one, two in itertools.combinations(curves, 2):
+            if one[:3] == two[:3] and one[3] != two[3]:  # -2*delta*x + epsilon
+                xs.append((one[4] - two[4]) / (2 * (one[3] - two[3])))
+        for a, b, *_ in [row for row in rows if row[2] == 0.0]:  # the lines
+            for alpha, beta, gamma, delta, epsilon, _ in rows:
+                m, s = a - alpha, b - beta
+                if gamma == 0.0:  # a line: a - b*x = alpha - beta*x
+                    xs += [m / s] if s else []
+                    continue
+                # sqrt(q) = m - s*x squared: (gamma - s^2)x^2 - 2(delta - m*s)x
+                # + epsilon - m^2 = 0, its roots taken without cancellation.
+                qa, qb, qc = gamma - s * s, delta - m * s, epsilon - m * m
+                disc = qb * qb - qa * qc
+                if disc < 0.0:
+                    continue
+                r = qb + copysign(sqrt(disc), qb)
+                xs += ([r / qa] if qa else []) + ([qc / r] if r else [])
+        return sorted({x for x in xs if 0.0 <= x <= X_FINITE})
 
 
 def stationary(pieces, e) -> list:
@@ -422,36 +430,39 @@ def stationary(pieces, e) -> list:
     X_FINITE past it: with t = e - beta and kappa = epsilon - delta^2/gamma,
     x = delta/gamma - t*sqrt(kappa/(gamma*(gamma - t^2))), which needs
     gamma - t^2 > 0, taken as gamma - beta^2 + e*(2*beta - e) so that it
-    does not cancel.  Float or exact, in the number type of e."""
-    sqrt = _math(e).sqrt
-    xs = []
-    for _, beta, gamma, delta, epsilon, c2 in pieces:
-        room = c2 + e * (2 * beta - e)
-        if gamma > 0.0 and room > 0.0:
-            kappa = max(epsilon - delta * delta / gamma, 0 * e)
-            scale = gamma * room  # 0 only where a float e*beta underflows
-            step = sqrt(kappa / scale) if scale > 0.0 else type(e)("inf")
-            xs.append(delta / gamma - (e - beta) * step)
-    return [min(x, type(e)(X_FINITE)) for x in xs if x >= 0.0]
+    does not cancel.  Float or exact, in the number type of e (a Decimal
+    in the context _EXACT whatever the caller's)."""
+    with decimal.localcontext(_EXACT):
+        sqrt = _math(e).sqrt
+        xs = []
+        for _, beta, gamma, delta, epsilon, c2 in pieces:
+            room = c2 + e * (2 * beta - e)
+            if gamma > 0.0 and room > 0.0:
+                kappa = max(epsilon - delta * delta / gamma, 0 * e)
+                scale = gamma * room  # 0 only where a float e*beta underflows
+                step = sqrt(kappa / scale) if scale > 0.0 else type(e)("inf")
+                xs.append(delta / gamma - (e - beta) * step)
+        return [min(x, type(e)(X_FINITE)) for x in xs if x >= 0.0]
 
 
 def piece_floor(pieces):
     """The zero-error floor inf_x y_star(x), clipped only at 0: the largest
     limit of a piece that keeps one as x -> inf, alpha on a flat line and
     alpha - delta/beta on a singular curve (gamma - beta^2 = 0).  Float or
-    exact, in the number type of the pieces."""
-    return max([type(pieces[0][0])()] + [a - d / b if g > 0.0 else a
-                                         for a, b, g, d, _, c2 in pieces
-                                         if c2 == 0.0])
+    exact, in the number type of the pieces (Decimals in the context
+    _EXACT whatever the caller's)."""
+    with decimal.localcontext(_EXACT):
+        return max([type(pieces[0][0])()] + [a - d / b if g > 0.0 else a
+                                             for a, b, g, d, _, c2 in pieces
+                                             if c2 == 0.0])
 
 
-with decimal.localcontext(_EXACT):
-    # The zero-error floor of every PIECES row and every EXACT_FLOORS key:
-    # its exact floor rounded up, so that no floor a table read returns lies
-    # below what is proved.
-    FLOORS = {key: _round_up(floor) for key, floor in (
-        *((key, piece_floor(row)) for key, row in EXACT_PIECES.items()),
-        *EXACT_FLOORS.items())}
+# The zero-error floor of every PIECES row and every EXACT_FLOORS key: its
+# exact floor rounded up, so that no floor a table read returns lies below
+# what is proved.
+FLOORS = {key: _round_up(floor) for key, floor in (
+    *((key, piece_floor(row)) for key, row in EXACT_PIECES.items()),
+    *EXACT_FLOORS.items())}
 
 
 def phase_minimum(pieces, e_bit) -> tuple:
@@ -656,11 +667,11 @@ def _proved_root(e: float, exact) -> float:
 
 
 def threshold(protocol: str, nu: int) -> float:
-    """The threshold of the THRESHOLDS row that names (protocol, nu): the
+    """The threshold of the rated key (protocol, nu), a THRESHOLDS key: the
     last float whose exact rate (``exact_rate``) is positive.  The float root
     of the float ``rate`` is stepped by ulps to it (``_proved_root``).  No
     eigen-solve, and no numpy."""
-    if (protocol, nu) not in {row[:2] for row in THRESHOLDS.get(protocol, ())}:
+    if (protocol, nu) not in THRESHOLDS:
         raise ValueError("no threshold row for %s nu=%r" % (protocol, nu))
     return _proved_root(_threshold(lambda e: rate(protocol, nu, e)),
                         lambda e: exact_rate(protocol, nu, e))

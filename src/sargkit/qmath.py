@@ -5,16 +5,18 @@ plain numpy arrays in a single fixed convention:
 
 * the computational basis is the Z product basis, ordered lexicographically,
   with Alice's qubit first, Bob's kept qubit next, then any trash qubits;
-* the X basis is pinned concretely (``ket_x(0)``, ``ket_x(1)``) and the Z
-  basis is derived from it, so that the Z kets come out as the coordinate
-  basis (1,0), (0,1).
+* the X basis is pinned concretely (``KET_X``, row j the ket |j_x>) and the
+  Z basis is derived from it, so that the Z kets (``KET_Z``) come out as the
+  coordinate basis (1,0), (0,1).
 
-A protocol tag means one record in ``PROTOCOL_RECORDS`` (sift generators,
-Alice's kets, Bob's filter, declared sizes), read through ``protocol_record``,
-the one place that rejects an unknown tag.  The sift rotations are the closure
-of the record's generators, cached as read-only unitaries, and the sift kets
-U_g phi_a as a table of distinct kets and phases (``signal_kets``); every
-function here is pure.
+Each named state and operator is one read-only array, computed once at
+import (``PHI``, ``FILTER``, ``ROTATION``, ``TWIST``, ...).  A protocol tag
+means one record in ``PROTOCOL_RECORDS`` (sift generators, Alice's kets,
+Bob's filter, declared sizes), which holds those very arrays and is read
+through ``protocol_record``, the one place that rejects an unknown tag.  The
+sift rotations are the closure of the record's generators, cached as
+read-only unitaries, and the sift kets U_g phi_a as a table of distinct kets
+and phases (``signal_kets``); every function here is pure.
 
 Every eigen-solve goes through one checked routine, ``eigh_checked``, on one
 matrix or a stack; ``min_eigenvalue`` reads its lowest column.  The check is
@@ -39,8 +41,6 @@ from . import RECORD_TAGS
 
 SIN_PI_8 = math.sin(math.pi / 8)
 COS_PI_8 = math.cos(math.pi / 8)
-
-I2 = np.eye(2, dtype=complex)
 
 # Tolerance for exact structural identities (double precision headroom on
 # dims <= 64), and for eigen-decomposition residuals per unit of ||H||_2.
@@ -126,84 +126,45 @@ def min_eigenvalue(h: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Named single-qubit states and operators
+# Named states and operators: one read-only array each, which the protocol
+# records, the event forms and constants-check all read
 # ---------------------------------------------------------------------------
 
-def ket_x(j: int) -> np.ndarray:
-    """X-basis kets, pinned so the derived Z kets are the coordinate basis."""
-    if j == 0:
-        return np.array([1, 1], dtype=complex) / math.sqrt(2)
-    if j == 1:
-        return np.array([1, -1], dtype=complex) / math.sqrt(2)
-    raise ValueError("basis index must be 0 or 1")
+I2 = read_only(np.eye(2, dtype=complex))
+_SIGN = np.array([[1], [-1]])  # (-1)^j, row j
 
+# X-basis kets (rows j), pinned so the derived Z kets are the coordinate basis.
+KET_X = read_only(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+# Z-basis kets (|0_x> + (-1)^j |1_x>)/sqrt(2): the coordinate vectors.
+KET_Z = read_only((KET_X[0] + _SIGN * KET_X[1]) / math.sqrt(2))
+# B92 candidate states |phi_j> = cos(pi/8)|0_x> + (-1)^j sin(pi/8)|1_x>, and
+# the states orthogonal to them, the conclusive B92 outcomes.
+PHI = read_only(COS_PI_8 * KET_X[0] + _SIGN * SIN_PI_8 * KET_X[1])
+PHI_BAR = read_only(SIN_PI_8 * KET_X[0] - _SIGN * COS_PI_8 * KET_X[1])
+# Bob's filtering success operator F (eigenvalues sin pi/8, cos pi/8).
+FILTER = read_only(SIN_PI_8 * proj(KET_X[0]) + COS_PI_8 * proj(KET_X[1]))
+# Quarter turn R about the Y axis; R|phi_1> = |phi_0> and R^4 = -I.
+ROTATION = read_only(math.cos(math.pi / 4) * I2 + math.sin(math.pi / 4) * (
+    np.outer(KET_X[1], KET_X[0].conj()) - np.outer(KET_X[0], KET_X[1].conj())))
+# Quarter turn T about the |phi_0> Bloch axis (the six-state extra rotation).
+TWIST = read_only(math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * (
+    proj(PHI[0]) - proj(PHI_BAR[0])))
+# H = |0_x><0_z| + |1_x><1_z| swaps the Z and X bases (BB84's sift rotation);
+# S = |0_z><0_z| + i|1_z><1_z|, and S*H cycles the Z, X and Y bases (the
+# original six-state protocol's).
+HADAMARD = read_only(np.outer(KET_X[0], KET_Z[0].conj())
+                     + np.outer(KET_X[1], KET_Z[1].conj()))
+PHASE_S = read_only(proj(KET_Z[0]) + 1j * proj(KET_Z[1]))
 
-def ket_z(j: int) -> np.ndarray:
-    """Z-basis kets, (|0_x> + (-1)^j |1_x>)/sqrt(2) -> coordinate vectors."""
-    return (ket_x(0) + (-1) ** j * ket_x(1)) / math.sqrt(2)
-
-
-def signal_ket(j: int) -> np.ndarray:
-    """B92 candidate states |phi_j> = cos(pi/8)|0_x> + (-1)^j sin(pi/8)|1_x>."""
-    if j not in (0, 1):
-        raise ValueError("bit index must be 0 or 1")
-    return COS_PI_8 * ket_x(0) + (-1) ** j * SIN_PI_8 * ket_x(1)
-
-
-def signal_perp_ket(j: int) -> np.ndarray:
-    """The state orthogonal to |phi_j>; a conclusive B92 outcome."""
-    if j not in (0, 1):
-        raise ValueError("bit index must be 0 or 1")
-    return SIN_PI_8 * ket_x(0) - (-1) ** j * COS_PI_8 * ket_x(1)
-
-
-def filter_op() -> np.ndarray:
-    """Bob's filtering success operator F (eigenvalues sin pi/8, cos pi/8)."""
-    return SIN_PI_8 * proj(ket_x(0)) + COS_PI_8 * proj(ket_x(1))
-
-
-def rotation_r() -> np.ndarray:
-    """Quarter turn R about the Y axis; R|phi_1> = |phi_0> and R^4 = -I."""
-    return math.cos(math.pi / 4) * I2 + math.sin(math.pi / 4) * (
-        np.outer(ket_x(1), ket_x(0).conj()) - np.outer(ket_x(0), ket_x(1).conj())
-    )
-
-
-def hadamard() -> np.ndarray:
-    """H = |0_x><0_z| + |1_x><1_z|, which swaps the Z and X bases (BB84's
-    sift rotation)."""
-    return np.outer(ket_x(0), ket_z(0).conj()) + np.outer(ket_x(1),
-                                                          ket_z(1).conj())
-
-
-def phase_s() -> np.ndarray:
-    """S = |0_z><0_z| + i|1_z><1_z|: S*H cycles the Z, X and Y bases (the
-    original six-state protocol's sift rotation)."""
-    return proj(ket_z(0)) + 1j * proj(ket_z(1))
-
-
-def twist_t() -> np.ndarray:
-    """Quarter turn about the |phi_0> Bloch axis (the six-state extra rotation)."""
-    return math.cos(math.pi / 4) * I2 - 1j * math.sin(math.pi / 4) * (
-        proj(signal_ket(0)) - proj(signal_perp_ket(0))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Bell states and pair sources
-# ---------------------------------------------------------------------------
-
+# Bell states chi_{b s} = (|0_z>|b_z> + s |1_z>|(1-b)_z>)/sqrt(2), tag
+# "chi<b><s>", in the Z product basis, and their projectors.
 BELL_TAGS = ("chi0+", "chi0-", "chi1+", "chi1-")
-
-
-def bell_ket(tag: str) -> np.ndarray:
-    """Bell state chi_{b s} = (|0_z>|b_z> + s |1_z>|(1-b)_z>)/sqrt(2) of the
-    tag "chi<b><s>" in BELL_TAGS, in the Z product basis."""
-    if tag not in BELL_TAGS:
-        raise ValueError("unknown Bell tag %r" % (tag,))
-    b, sign = int(tag[3]), (1 if tag[4] == "+" else -1)
-    v = np.kron(ket_z(0), ket_z(b)) + sign * np.kron(ket_z(1), ket_z(1 - b))
-    return v / math.sqrt(2)
+BELL_KETS = MappingProxyType({tag: read_only((
+    np.kron(KET_Z[0], KET_Z[b]) + sign * np.kron(KET_Z[1], KET_Z[1 - b]))
+    / math.sqrt(2)) for tag, b, sign in zip(BELL_TAGS, (0, 0, 1, 1),
+                                            (1, -1, 1, -1), strict=True)})
+BELL_PROJECTORS = MappingProxyType({tag: read_only(proj(ket))
+                                    for tag, ket in BELL_KETS.items()})
 
 
 def pair_source_ket(protocol: str) -> np.ndarray:
@@ -211,7 +172,7 @@ def pair_source_ket(protocol: str) -> np.ndarray:
     of a protocol tag, phi_a its record's ket for bit a, Alice's qubit
     leading; the sift maps build every photon number from it."""
     phi = protocol_record(protocol).signal_pair
-    v = np.kron(ket_z(0), phi[0]) + np.kron(ket_z(1), phi[1])
+    v = np.kron(KET_Z[0], phi[0]) + np.kron(KET_Z[1], phi[1])
     return v / math.sqrt(2)
 
 
@@ -222,11 +183,10 @@ def filter_measurement_identity_check() -> float:
     |phi_{1-j'}>) is fixed by direct evaluation; the returned deviation is the
     max over j' in {0, 1} and must be < 1e-12.
     """
-    f = filter_op()
     dev = 0.0
     for jp in (0, 1):
-        lhs = f @ proj(ket_z(jp)) @ dagger(f)
-        rhs = 0.5 * proj(signal_perp_ket(1 - jp))
+        lhs = FILTER @ proj(KET_Z[jp]) @ dagger(FILTER)
+        rhs = 0.5 * proj(PHI_BAR[1 - jp])
         dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev
 
@@ -264,11 +224,6 @@ def _close_under_multiplication(generators: list[np.ndarray]) -> list[np.ndarray
     return list(seen.values())
 
 
-def bell_projectors() -> dict[str, np.ndarray]:
-    """Projectors onto the four Bell states, keyed by BELL_TAGS."""
-    return {tag: proj(bell_ket(tag)) for tag in BELL_TAGS}
-
-
 class ProtocolRecord(NamedTuple):
     """What a protocol tag means: the generators of its sift rotations,
     Alice's ket per bit value (``signal_pair`` row a) and Bob's filter F,
@@ -285,19 +240,15 @@ class ProtocolRecord(NamedTuple):
     period: int
 
 
-_PHI = read_only(np.stack([signal_ket(0), signal_ket(1)]))
-_Z = read_only(np.stack([ket_z(0), ket_z(1)]))
-_R, _T, _F, _H, _SH, _I = (read_only(m) for m in (
-    rotation_r(), twist_t(), filter_op(), hadamard(), phase_s() @ hadamard(),
-    np.eye(2, dtype=complex)))
 # SARG04 (four-state and six-state) sifts the B92 kets phi_j through Bob's
 # filter; BB84 and the original six-state protocol send the Z kets, sift
 # by basis (F = I) and rotate them through two and three bases.
 PROTOCOL_RECORDS = MappingProxyType({
-    "four-state": ProtocolRecord((_R,), _PHI, _F, 4, 4, 2),
-    "six-state": ProtocolRecord((_R, _T), _PHI, _F, 24, 6, 8),
-    "bb84": ProtocolRecord((_H,), _Z, _I, 2, 4, 1),
-    "six-state-original": ProtocolRecord((_SH,), _Z, _I, 3, 6, 1),
+    "four-state": ProtocolRecord((ROTATION,), PHI, FILTER, 4, 4, 2),
+    "six-state": ProtocolRecord((ROTATION, TWIST), PHI, FILTER, 24, 6, 8),
+    "bb84": ProtocolRecord((HADAMARD,), KET_Z, I2, 2, 4, 1),
+    "six-state-original": ProtocolRecord((read_only(PHASE_S @ HADAMARD),),
+                                         KET_Z, I2, 3, 6, 1),
 })
 
 

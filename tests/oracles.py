@@ -54,8 +54,8 @@ def pair_source_ket(nu: int) -> np.ndarray:
     """
     if nu < 1:
         raise ValueError("photon number must be >= 1")
-    v = np.kron(qmath.ket_z(0), tensor_power(qmath.signal_ket(0), nu)) + np.kron(
-        qmath.ket_z(1), tensor_power(qmath.signal_ket(1), nu)
+    v = np.kron(qmath.KET_Z[0], tensor_power(qmath.PHI[0], nu)) + np.kron(
+        qmath.KET_Z[1], tensor_power(qmath.PHI[1], nu)
     )
     return v / math.sqrt(2)
 
@@ -77,7 +77,7 @@ def full_pair_vectors(m: np.ndarray, protocol: str) -> list[np.ndarray]:
     psi = pair_source_ket(nu).reshape(2, 2 ** nu)
     out = []
     for u in qmath.constants(protocol):
-        a = qmath.filter_op() @ qmath.dagger(u) @ (m @ tensor_power(u, nu))
+        a = qmath.FILTER @ qmath.dagger(u) @ (m @ tensor_power(u, nu))
         out.append((psi @ a.T).reshape(4))
     return out
 
@@ -93,7 +93,7 @@ def pair_weights(rho: np.ndarray) -> np.ndarray:
     ``attack_forms.EVENT_TAGS`` order, from its traces against the Bell
     projectors."""
     b = {tag: float(np.trace(p @ rho).real)
-         for tag, p in qmath.bell_projectors().items()}
+         for tag, p in qmath.BELL_PROJECTORS.items()}
     return np.array([
         float(np.trace(rho).real),
         b["chi1+"] + b["chi1-"],
@@ -117,10 +117,10 @@ def full_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     psi = pair_source_ket(nu).reshape(2, 2 ** nu)
     rotations = qmath.constants(protocol)
     a = np.stack([
-        np.einsum("bo,ai->aboi", qmath.filter_op() @ qmath.dagger(u),
+        np.einsum("bo,ai->aboi", qmath.FILTER @ qmath.dagger(u),
                   psi @ tensor_power(u, nu).T).reshape(4, dim)
         for u in rotations])
-    bells = qmath.bell_projectors()
+    bells = qmath.BELL_PROJECTORS
     event_ops = {
         "fil": np.eye(4),
         "bit": bells["chi1+"] + bells["chi1-"],
@@ -883,10 +883,10 @@ def enumerated_channel_stats(protocol: str, nu: int, p: float,
     for rot in rotations:  # matched sift round: Bob applies the inverse
         undo = qmath.dagger(rot)
         for j in (0, 1):
-            sent = rot @ qmath.signal_ket(j)
+            sent = rot @ qmath.PHI[j]
             intact_dm = qmath.proj(undo @ sent)
             for jp in (0, 1):
-                measure = qmath.proj(qmath.signal_perp_ket(jp))
+                measure = qmath.proj(qmath.PHI_BAR[jp])
                 weight = 1.0 / (len(rotations) * 4)
                 for branch_prob, dm in (
                     (1.0 - 4.0 * p / 3.0, intact_dm),

@@ -25,15 +25,15 @@ def _stopwatch():
 
 def test_criterion_01_structural_identities():
     elapsed = _stopwatch()
-    r = qmath.rotation_r()
-    dev_rot = float(np.abs(r @ qmath.signal_ket(1) - qmath.signal_ket(0)).max())
+    r = qmath.ROTATION
+    dev_rot = float(np.abs(r @ qmath.PHI[1] - qmath.PHI[0]).max())
     dev_r4 = float(np.abs(np.linalg.matrix_power(r, 4) + qmath.I2).max())
-    eigs = np.linalg.eigvalsh(qmath.filter_op())
+    eigs = np.linalg.eigvalsh(qmath.FILTER)
     dev_eig = float(np.abs(eigs - [qmath.SIN_PI_8, qmath.COS_PI_8]).max())
     dev_meas = qmath.filter_measurement_identity_check()
-    pair = (np.kron(qmath.I2, qmath.filter_op())
+    pair = (np.kron(qmath.I2, qmath.FILTER)
             @ qmath.pair_source_ket("four-state"))
-    dev_pair = float(np.abs(pair - 0.5 * qmath.bell_ket("chi0+")).max())
+    dev_pair = float(np.abs(pair - 0.5 * qmath.BELL_KETS["chi0+"]).max())
 
     assert dev_rot < 1e-12 and dev_r4 < 1e-12 and dev_eig < 1e-12
     assert dev_meas < 1e-12

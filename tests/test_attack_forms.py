@@ -41,7 +41,7 @@ def test_identity_attack_gives_quarter_chi0_plus():
     # averaging over the sift list leaves rho = (1/4) P(chi0+).
     for protocol in sargkit.PROTOCOLS:
         rho = attack_forms.conditional_pair_state(np.eye(2), protocol)
-        target = 0.25 * qmath.proj(qmath.bell_ket("chi0+"))
+        target = 0.25 * qmath.proj(qmath.BELL_KETS["chi0+"])
         assert np.abs(rho - target).max() < 1e-12
         p_fil, p_bit, p_ph = oracles.pair_weights(rho)[:3]
         assert abs(p_fil - 0.25) < 1e-12
@@ -114,7 +114,7 @@ def direct_forms(protocol: str, nu: int) -> dict[str, np.ndarray]:
     """
     dim = 2 * (nu + 1)
     p = oracles.dicke_isometry(nu)
-    bells = qmath.bell_projectors()
+    bells = qmath.BELL_PROJECTORS
     weights = {
         "fil": np.eye(4, dtype=complex),
         "bit": bells["chi1+"] + bells["chi1-"],
@@ -210,6 +210,16 @@ def test_form_matrix_lookup_and_validation():
         attack_forms.all_forms("four-state", attack_forms.MAX_NU + 1)
     with pytest.raises(ValueError):
         attack_forms.all_forms("three-state", 1)
+
+
+@pytest.mark.parametrize("protocol", sargkit.RECORD_TAGS)
+def test_every_no_key_window_fits_under_max_nu(protocol):
+    # The window nu = K-1 .. K-2+P that constants-check reads has forms at
+    # every tag, and MAX_NU is the end of the widest one (six-state's 12).
+    table = qmath.signal_kets(protocol)
+    end = len(table.kets) - 2 + table.period
+    assert end <= attack_forms.MAX_NU == 12
+    attack_forms.all_forms(protocol, end)
 
 
 @pytest.mark.parametrize("protocol", sargkit.PROTOCOLS)

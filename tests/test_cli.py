@@ -660,9 +660,10 @@ def test_thresholds_read_the_tolerance_from_keyrate(capsys, monkeypatch):
     # |e deviation| is ~9e-5 at nu=1 and 9.3e-7 at nu=2: a 1e-6 bound on e
     # fails the first row only.
     from sargkit import keyrate
-    monkeypatch.setitem(keyrate.THRESHOLDS, "four-state", tuple(
-        (*row[:4], (1e-6, row[4][1]))
-        for row in keyrate.THRESHOLDS["four-state"]))
+    for nu in (1, 2):
+        e_ref, p_ref, tolerance = keyrate.THRESHOLDS["four-state", nu]
+        monkeypatch.setitem(keyrate.THRESHOLDS, ("four-state", nu),
+                            (e_ref, p_ref, (1e-6, tolerance[1])))
     rc, out = run(capsys, "thresholds", "--protocol", "four-state",
                   "--format", "json")
     assert rc == 1
@@ -676,8 +677,10 @@ def test_six_state_thresholds_check_the_e_deviation_only(capsys, monkeypatch):
     # tolerance: 3.6e-4, 2.8e-5, 1.1e-6 and 3.1e-6 against a 2e-6 bound fail
     # every row but nu=3.
     from sargkit import keyrate
-    monkeypatch.setitem(keyrate.THRESHOLDS, "six-state", tuple(
-        (*row[:4], (2e-6, None)) for row in keyrate.THRESHOLDS["six-state"]))
+    for nu in (1, 2, 3, 4):
+        e_ref, p_ref, _ = keyrate.THRESHOLDS["six-state", nu]
+        monkeypatch.setitem(keyrate.THRESHOLDS, ("six-state", nu),
+                            (e_ref, p_ref, (2e-6, None)))
     rc, out = run(capsys, "thresholds", "--protocol", "six-state",
                   "--format", "json")
     assert rc == 1
@@ -698,8 +701,8 @@ def test_sarg04_commands_reject_the_compared_tags(capsys, command, tag):
 def test_bb84_threshold_checks_the_p_deviation_only(capsys, monkeypatch):
     # BB84 quotes p only: |p deviation| is 4.2e-5, so a 4e-5 bound fails it.
     from sargkit import keyrate
-    monkeypatch.setitem(keyrate.THRESHOLDS, "bb84",
-                        (("bb84", 1, None, 0.165, (None, 4e-5)),))
+    monkeypatch.setitem(keyrate.THRESHOLDS, ("bb84", 1),
+                        (None, 0.165, (None, 4e-5)))
     rc, out = run(capsys, "thresholds", "--protocol", "bb84", "--format",
                   "json")
     assert rc == 1

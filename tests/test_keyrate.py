@@ -365,9 +365,7 @@ FLOAT_ROOTS = oracles.FLOAT_ROOTS
 
 
 def test_float_roots_cover_every_computed_row():
-    assert sorted(FLOAT_ROOTS) == sorted(
-        (protocol, row[1]) for protocol, rows in keyrate.THRESHOLDS.items()
-        for row in rows)
+    assert sorted(FLOAT_ROOTS) == sorted(keyrate.THRESHOLDS)
     assert sorted(oracles.EXACT_ROOTS) == sorted(FLOAT_ROOTS)
 
 
@@ -665,15 +663,22 @@ def test_decimal_rate_computes_in_the_exact_context():
 
 @pytest.mark.parametrize("prec", [10, 28])
 def test_decimal_table_reads_compute_in_the_exact_context(prec):
-    # phase_bound, phase_minimum and worst_bell_vector, called on their own,
-    # compute at 40 digits whatever the caller's context: in 28 digits the
-    # four-state nu=2 phase bound at e = 0.0271 moved by 3.4e-29, above
-    # RATE_ERROR.
+    # phase_bound, phase_minimum, worst_bell_vector, binary_entropy and the
+    # piece functions, called on their own, compute at 40 digits whatever
+    # the caller's context: in 28 digits the four-state nu=2 phase bound at
+    # e = 0.0271 moved by 3.4e-29, envelope by 3.8e-29 and kinks by 1.0e-27,
+    # above RATE_ERROR.
     def reads():
+        two, eight = (keyrate.EXACT_PIECES[key]
+                      for key in (("four-state", 2), ("six-state", 8)))
         return (keyrate.phase_bound("four-state", 2, Decimal(0.0271)),
-                keyrate.phase_minimum(keyrate.EXACT_PIECES["six-state", 8],
-                                      Decimal(0.25)),
-                keyrate.worst_bell_vector("bb84", 1, Decimal(0.1)))
+                keyrate.phase_minimum(eight, Decimal(0.25)),
+                keyrate.worst_bell_vector("bb84", 1, Decimal(0.1)),
+                keyrate.binary_entropy(Decimal(0.1)),
+                keyrate.envelope(two, Decimal(2.747)),
+                keyrate.kinks(eight),
+                keyrate.stationary(eight, Decimal(0.25)),
+                keyrate.piece_floor(eight))
 
     with decimal.localcontext(keyrate._EXACT):
         want = reads()
@@ -1082,18 +1087,18 @@ def test_six_state_rejects_unsupported_photon_number():
 
 
 def test_reference_tables_present():
-    # One table per tag, holding only its own rated keys: the paper's
-    # single-photon p of BB84 (0.165, asserted within half a unit) and of
-    # the original six-state protocol (0.190, informational) are rows of
-    # their own tags' tables.
+    # One row per rated key (tag, nu), each tag's keys together and in
+    # print order: the paper's single-photon p of BB84 (0.165, asserted
+    # within half a unit) and of the original six-state protocol (0.190,
+    # informational) are rows of their own tags.
     table = keyrate.THRESHOLDS
-    assert tuple(table) == sargkit.RECORD_TAGS
-    assert all(row[0] == tag for tag, rows in table.items() for row in rows)
-    assert [row[1] for row in table["four-state"]] == [1, 2]
-    assert [row[1] for row in table["six-state"]] == [1, 2, 3, 4]
-    assert table["bb84"] == (("bb84", 1, None, 0.165, (None, 5e-4)),)
-    assert table["six-state-original"] == (
-        ("six-state-original", 1, None, 0.190, None),)
+    assert list(table) == [("four-state", 1), ("four-state", 2),
+                           *(("six-state", nu) for nu in (1, 2, 3, 4)),
+                           ("bb84", 1), ("six-state-original", 1)]
+    assert tuple(dict.fromkeys(tag for tag, _ in table)) == (
+        sargkit.RECORD_TAGS)
+    assert table["bb84", 1] == (None, 0.165, (None, 5e-4))
+    assert table["six-state-original", 1] == (None, 0.190, None)
 
 
 # ---------------------------------------------------------------------------

@@ -29,25 +29,19 @@ def random_hermitian(dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_x_basis_orthonormal_and_z_is_coordinate_basis():
-    assert abs(np.vdot(qmath.ket_x(0), qmath.ket_x(1))) < 1e-15
-    assert abs(np.linalg.norm(qmath.ket_x(0)) - 1) < 1e-15
-    assert np.allclose(qmath.ket_z(0), [1, 0], atol=1e-15)
-    assert np.allclose(qmath.ket_z(1), [0, 1], atol=1e-15)
+    assert abs(np.vdot(qmath.KET_X[0], qmath.KET_X[1])) < 1e-15
+    assert abs(np.linalg.norm(qmath.KET_X[0]) - 1) < 1e-15
+    assert np.allclose(qmath.KET_Z[0], [1, 0], atol=1e-15)
+    assert np.allclose(qmath.KET_Z[1], [0, 1], atol=1e-15)
 
 
 def test_signal_states_unit_norm_and_candidate_overlap():
     # The two candidates are nonorthogonal with overlap cos(pi/4).
     for j in (0, 1):
-        assert abs(np.linalg.norm(qmath.signal_ket(j)) - 1) < 1e-15
-        assert abs(np.vdot(qmath.signal_perp_ket(j), qmath.signal_ket(j))) < 1e-15
-    overlap = abs(np.vdot(qmath.signal_ket(0), qmath.signal_ket(1)))
+        assert abs(np.linalg.norm(qmath.PHI[j]) - 1) < 1e-15
+        assert abs(np.vdot(qmath.PHI_BAR[j], qmath.PHI[j])) < 1e-15
+    overlap = abs(np.vdot(qmath.PHI[0], qmath.PHI[1]))
     assert abs(overlap - math.cos(math.pi / 4)) < 1e-14
-
-
-def test_basis_index_validation():
-    for fn in (qmath.ket_x, qmath.signal_ket, qmath.signal_perp_ket):
-        with pytest.raises(ValueError):
-            fn(2)
 
 
 # ---------------------------------------------------------------------------
@@ -55,32 +49,32 @@ def test_basis_index_validation():
 # ---------------------------------------------------------------------------
 
 def test_filter_acts_as_half_z_ket_on_signal_states():
-    f = qmath.filter_op()
+    f = qmath.FILTER
     for j in (0, 1):
-        assert np.abs(f @ qmath.signal_ket(j) - 0.5 * qmath.ket_z(j)).max() < 1e-14
+        assert np.abs(f @ qmath.PHI[j] - 0.5 * qmath.KET_Z[j]).max() < 1e-14
 
 
 def test_rotation_quarter_turn():
-    r = qmath.rotation_r()
+    r = qmath.ROTATION
     assert np.abs(r @ qmath.dagger(r) - qmath.I2).max() < 1e-14
-    assert np.abs(r @ qmath.signal_ket(1) - qmath.signal_ket(0)).max() < 1e-14
+    assert np.abs(r @ qmath.PHI[1] - qmath.PHI[0]).max() < 1e-14
     r4 = np.linalg.matrix_power(r, 4)
     assert np.abs(r4 + qmath.I2).max() < 1e-14
 
 
 def test_twist_fixes_signal_axis():
     # T rotates about the phi_0 Bloch axis, so it can only phase that basis.
-    t = qmath.twist_t()
+    t = qmath.TWIST
     assert np.abs(qmath.dagger(t) @ t - qmath.I2).max() < 1e-14
-    for ket in (qmath.signal_ket(0), qmath.signal_perp_ket(0)):
+    for ket in (qmath.PHI[0], qmath.PHI_BAR[0]):
         out = t @ ket
         assert abs(abs(np.vdot(ket, out)) - 1) < 1e-14
 
 
 def test_twist_moves_other_signal_state_off_axis():
-    t = qmath.twist_t()
-    out = t @ qmath.signal_ket(1)
-    assert abs(np.vdot(qmath.signal_ket(1), out)) < 0.99
+    t = qmath.TWIST
+    out = t @ qmath.PHI[1]
+    assert abs(np.vdot(qmath.PHI[1], out)) < 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +232,13 @@ def test_eigen_checks_bound_errors_by_1e_9_times_max_1_norm(monkeypatch, norm,
 # ---------------------------------------------------------------------------
 
 def test_bell_states_orthonormal():
-    kets = [qmath.bell_ket(tag) for tag in qmath.BELL_TAGS]
+    assert tuple(qmath.BELL_KETS) == tuple(qmath.BELL_PROJECTORS) == (
+        qmath.BELL_TAGS)
+    kets = list(qmath.BELL_KETS.values())
     gram = np.array([[np.vdot(a, b) for b in kets] for a in kets])
     assert np.abs(gram - np.eye(4)).max() < 1e-14
-    with pytest.raises(ValueError):
-        qmath.bell_ket("chi2+")
+    for tag, ket in qmath.BELL_KETS.items():
+        assert np.array_equal(qmath.BELL_PROJECTORS[tag], qmath.proj(ket))
 
 
 def test_chi0_plus_overlap_with_product_states():
@@ -251,7 +247,7 @@ def test_chi0_plus_overlap_with_product_states():
     for _ in range(100):
         psi = random_ket()
         prod = np.kron(psi, psi.conj())
-        assert abs(abs(np.vdot(prod, qmath.bell_ket("chi0+"))) - 1 / math.sqrt(2)) < 1e-12
+        assert abs(abs(np.vdot(prod, qmath.BELL_KETS["chi0+"])) - 1 / math.sqrt(2)) < 1e-12
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
@@ -274,7 +270,7 @@ def test_filtered_single_photon_pair_is_half_chi0_plus():
     for protocol in sargkit.PROTOCOLS:
         psi = qmath.pair_source_ket(protocol)
         out = np.kron(qmath.I2, qmath.protocol_record(protocol).filter) @ psi
-        assert np.abs(out - 0.5 * qmath.bell_ket("chi0+")).max() < 1e-12
+        assert np.abs(out - 0.5 * qmath.BELL_KETS["chi0+"]).max() < 1e-12
 
 
 def test_filter_measurement_identity():
@@ -289,7 +285,7 @@ def test_four_state_constants():
     # The closure of R alone is its four powers, bit for bit.
     cs = qmath.constants("four-state")
     assert len(cs) == 4
-    r = qmath.rotation_r()
+    r = qmath.ROTATION
     for k, u in enumerate(cs):
         assert np.array_equal(u, np.linalg.matrix_power(r, k))
     assert len(qmath.signal_kets("four-state").kets) == 4
@@ -302,6 +298,46 @@ def test_every_protocol_has_sift_generators():
     for record in qmath.PROTOCOL_RECORDS.values():
         for a in (*record.generators, record.signal_pair, record.filter):
             assert not a.flags.writeable
+
+
+def test_records_hold_the_named_constants():
+    # The records share qmath's named arrays themselves, not copies: the
+    # constants-check rows that compute on those arrays certify what the
+    # forms are built from.
+    records = qmath.PROTOCOL_RECORDS
+    for tag in sargkit.PROTOCOLS:
+        assert records[tag].generators[0] is qmath.ROTATION
+        assert records[tag].signal_pair is qmath.PHI
+        assert records[tag].filter is qmath.FILTER
+    assert records["six-state"].generators[1] is qmath.TWIST
+    assert records["bb84"].generators[0] is qmath.HADAMARD
+    (sh,) = records["six-state-original"].generators
+    assert np.array_equal(sh, qmath.PHASE_S @ qmath.HADAMARD)
+    for tag in ("bb84", "six-state-original"):
+        assert records[tag].signal_pair is qmath.KET_Z
+        assert records[tag].filter is qmath.I2
+
+
+NAMED = ("I2", "KET_X", "KET_Z", "PHI", "PHI_BAR", "FILTER", "ROTATION",
+         "TWIST", "HADAMARD", "PHASE_S")
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_constants_are_read_only(name):
+    a = getattr(qmath, name)
+    assert a.shape == (2, 2) and a.dtype == complex
+    with pytest.raises(ValueError):
+        a[0, 0] = 0
+
+
+@pytest.mark.parametrize("table", ["BELL_KETS", "BELL_PROJECTORS"])
+def test_bell_tables_are_read_only(table):
+    bells = getattr(qmath, table)
+    with pytest.raises(TypeError):
+        bells["chi0+"] = np.zeros(4)
+    for a in bells.values():
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
 
 
 @pytest.mark.parametrize("reader", [
@@ -359,13 +395,13 @@ def test_signal_kets_rebuild_every_sift_ket(protocol, k, period):
         for a in (0, 1):
             s = table.kets[table.index[g, a]]
             c = table.phases[g, a]
-            assert np.abs(u @ qmath.signal_ket(a) - c * s).max() < 1e-12
+            assert np.abs(u @ qmath.PHI[a] - c * s).max() < 1e-12
             assert abs(abs(c) - 1.0) < 1e-12
     assert all(np.abs(table.phases ** n - 1.0).max() > 1e-3
                for n in range(1, period))
     # The first two classes are phi_0 and phi_1 themselves (U_0 = I).
-    assert np.array_equal(table.kets[0], qmath.signal_ket(0))
-    assert np.array_equal(table.kets[1], qmath.signal_ket(1))
+    assert np.array_equal(table.kets[0], qmath.PHI[0])
+    assert np.array_equal(table.kets[1], qmath.PHI[1])
     for a in (table.kets, table.index, table.phases):
         with pytest.raises(ValueError):
             a[0, 0] = 0

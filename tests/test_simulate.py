@@ -303,7 +303,7 @@ def test_all_ones_words_stay_within_the_photon_range(monkeypatch, source, eta):
 def test_flag_table_is_the_born_rule_of_the_signal_kets():
     # <phibar_j'|phi_j> = sc(1 - (-1)^(j+j')) with s, c = sin, cos(pi/8): the
     # float kets give 1.9e-35 for 0 and 0.4999999999999998 for 1/2.
-    born = [[abs(np.vdot(qmath.signal_perp_ket(jp), qmath.signal_ket(j))) ** 2
+    born = [[abs(np.vdot(qmath.PHI_BAR[jp], qmath.PHI[j])) ** 2
              for j in range(2)] for jp in range(2)]
     table = simulate._conclusive_flag_prob()
     assert np.max(np.abs(table - born)) <= 1e-15
